@@ -19,17 +19,20 @@ bilinear operations (and their sum):
 
     a < b = a . N(b)      a > b = N(a) . b      a o b = -N(a . b)
 
-All operations extend bilinearly from words to combinations.  Word-level
-products are memoized in a module cache; entries are pure values, so
-concurrent repopulation is harmless.
+All operations extend bilinearly from words to combinations.  Junction
+products are memoized in a module cache keyed on the junction factor
+pair (last factor of the left word, first factor of the right word), so
+the cache grows with the distinct junctions seen, not with the word
+pairs; entries are pure values, so concurrent repopulation is harmless.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from fractions import Fraction
 
 from .linalg import LinComb
-from .words import Bracket, BracketedWord, Letters
+from .words import Bracket, BracketedWord, Factor, Letters
 
 __all__ = [
     "OpSymbol",
@@ -53,62 +56,62 @@ class OpSymbol(Enum):
 #: The three operations that coordinatize quadratic relations.
 COORD_OPS = (OpSymbol.PREC, OpSymbol.SUCC, OpSymbol.BULLET)
 
-_PRODUCT_CACHE: dict[tuple[BracketedWord, BracketedWord], LinComb] = {}
+_PRODUCT_CACHE: dict[tuple[Factor, Factor], LinComb] = {}
 
 
 def product_words(u: BracketedWord, v: BracketedWord) -> LinComb:
     """Product of two basis words as a linear combination of words."""
-    key = (u, v)
-    cached = _PRODUCT_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     last, first = u.factors[-1], v.factors[0]
-    if isinstance(last, Letters):
-        if isinstance(first, Letters):
-            junction = LinComb.from_word(BracketedWord((Letters(last.run + first.run),)))
-        else:
+    key = (last, first)
+    junction = _PRODUCT_CACHE.get(key)
+    if junction is None:
+        if isinstance(last, Letters):
+            if isinstance(first, Letters):
+                junction = LinComb.from_word(BracketedWord((Letters(last.run + first.run),)))
+            else:
+                junction = LinComb.from_word(BracketedWord((last, first)))
+        elif isinstance(first, Letters):
             junction = LinComb.from_word(BracketedWord((last, first)))
-    elif isinstance(first, Letters):
-        junction = LinComb.from_word(BracketedWord((last, first)))
-    else:
-        left_alone = BracketedWord((last,))
-        right_alone = BracketedWord((first,))
-        junction = (
-            operator_n(product_words(left_alone, first.inner))
-            + operator_n(product_words(last.inner, right_alone))
-            - operator_n(operator_n(product_words(last.inner, first.inner)))
-        )
+        else:
+            left_alone = BracketedWord((last,))
+            right_alone = BracketedWord((first,))
+            junction = (
+                operator_n(product_words(left_alone, first.inner))
+                + operator_n(product_words(last.inner, right_alone))
+                - operator_n(operator_n(product_words(last.inner, first.inner)))
+            )
+        _PRODUCT_CACHE[key] = junction
 
     prefix, suffix = u.factors[:-1], v.factors[1:]
-    if prefix or suffix:
-        # Junction words keep the junction end kinds, so reattaching the
-        # untouched outer factors cannot break alternation.
-        result = LinComb(
-            {BracketedWord(prefix + w.factors + suffix): c for w, c in junction}
-        )
-    else:
-        result = junction
-
-    _PRODUCT_CACHE[key] = result
-    return result
+    if not (prefix or suffix):
+        return junction
+    # Junction words keep the junction end kinds, so reattaching the
+    # untouched outer factors cannot break alternation or merge terms.
+    return LinComb._of(
+        {BracketedWord(prefix + w.factors + suffix): c for w, c in junction._terms.items()}
+    )
 
 
 def product(a: LinComb, b: LinComb) -> LinComb:
     """Bilinear extension of the word product."""
-    pairs = []
-    for wu, cu in a:
-        for wv, cv in b:
+    data: dict[BracketedWord, Fraction] = {}
+    get = data.get
+    for wu, cu in a._terms.items():
+        for wv, cv in b._terms.items():
             scale = cu * cv
-            for w, c in product_words(wu, wv):
-                pairs.append((w, scale * c))
-    return LinComb(pairs)
+            unit = scale == 1
+            for w, c in product_words(wu, wv)._terms.items():
+                if not unit:
+                    c = scale * c
+                acc = get(w)
+                data[w] = c if acc is None else acc + c
+    return LinComb._of({w: c for w, c in data.items() if c})
 
 
 def operator_n(a: LinComb) -> LinComb:
     """Apply the distinguished operator: wrap each word in one bracket."""
-    return LinComb(
-        {BracketedWord((Bracket(w),)): c for w, c in a}
+    return LinComb._of(
+        {BracketedWord((Bracket(w),)): c for w, c in a._terms.items()}
     )
 
 

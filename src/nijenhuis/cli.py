@@ -3,7 +3,8 @@
 Exit codes: 0 for success or a passing check, 1 for a failing check or
 an undetected membership, 2 for usage, syntax, or malformed input
 errors.  The environment variable ``NF_MAX_SIZE``, when set to a
-positive integer, caps the ``--max-size`` of the sweep subcommands.
+positive integer, caps the ``--max-size`` of the sweep subcommands and
+the ``--bound`` of ``ideal-member``.
 """
 
 from __future__ import annotations
@@ -95,6 +96,12 @@ def _effective_size(requested: int) -> int:
     return requested
 
 
+def _sweep_size(requested: int) -> int:
+    if requested < 1:
+        raise _UsageError(f"--max-size must be at least 1, got {requested}")
+    return _effective_size(requested)
+
+
 def _lincomb_json(a: LinComb) -> dict:
     return {
         "terms": [
@@ -168,7 +175,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_assoc_check(args: argparse.Namespace) -> int:
     alphabet = _split_names(args.alphabet)
-    bound = _effective_size(args.max_size)
+    bound = _sweep_size(args.max_size)
     pool = words_up_to_size(alphabet, bound)
     elements = [LinComb.from_word(w) for w in pool]
     for u in elements:
@@ -198,7 +205,7 @@ def _cmd_assoc_check(args: argparse.Namespace) -> int:
 
 def _cmd_nijenhuis_check(args: argparse.Namespace) -> int:
     alphabet = _split_names(args.alphabet)
-    bound = _effective_size(args.max_size)
+    bound = _sweep_size(args.max_size)
     pool = words_up_to_size(alphabet, bound)
     elements = [LinComb.from_word(w) for w in pool]
     for u in elements:
@@ -374,11 +381,12 @@ def _cmd_ideal_member(args: argparse.Namespace) -> int:
     names = _names_for_dim(args, ns_alg.dim)
     gens = enveloping_generators(ns_alg, names)
     candidate = _parse_element(args.expr, names)
-    verdict = truncated_ideal_membership(gens, candidate, args.bound)
+    bound = _effective_size(args.bound)
+    verdict = truncated_ideal_membership(gens, candidate, bound)
     _emit(
         args,
-        {"verdict": verdict.value, "bound": args.bound},
-        f"{verdict.value} (bound {args.bound})",
+        {"verdict": verdict.value, "bound": bound},
+        f"{verdict.value} (bound {bound})",
     )
     return 0 if verdict is Membership.MEMBER else 1
 

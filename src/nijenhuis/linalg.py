@@ -60,7 +60,11 @@ class LinComb:
     __slots__ = ("_terms", "_items", "_hash")
 
     def __init__(self, terms: Union[Mapping[BracketedWord, RationalLike], Iterable[tuple[BracketedWord, RationalLike]]] = ()):
-        pairs = terms.items() if isinstance(terms, Mapping) else terms
+        # The dict test first spares the common case the slow ABC check.
+        if isinstance(terms, dict) or isinstance(terms, Mapping):
+            pairs = terms.items()
+        else:
+            pairs = terms
         data: dict[BracketedWord, Fraction] = {}
         for word, coeff in pairs:
             c = rational(coeff)
@@ -77,6 +81,19 @@ class LinComb:
         self._terms = data
         self._items: tuple[tuple[BracketedWord, Fraction], ...] | None = None
         self._hash: int | None = None
+
+    @classmethod
+    def _of(cls, data: dict[BracketedWord, Fraction]) -> "LinComb":
+        """Wrap a dict of nonzero Fraction coefficients, taking ownership.
+
+        The caller guarantees the dict is clean and never mutates it
+        afterwards; nothing is copied or checked.
+        """
+        self = cls.__new__(cls)
+        self._terms = data
+        self._items = None
+        self._hash = None
+        return self
 
     @classmethod
     def zero(cls) -> "LinComb":
@@ -120,12 +137,16 @@ class LinComb:
             return self
         data = dict(self._terms)
         for word, c in other._terms.items():
-            acc = data.get(word, Fraction(0)) + c
-            if acc:
-                data[word] = acc
+            acc = data.get(word)
+            if acc is None:
+                data[word] = c
             else:
-                data.pop(word, None)
-        return LinComb(data)
+                acc += c
+                if acc:
+                    data[word] = acc
+                else:
+                    del data[word]
+        return LinComb._of(data)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
@@ -133,13 +154,13 @@ class LinComb:
         return self + (-other)
 
     def __neg__(self) -> "LinComb":
-        return LinComb({w: -c for w, c in self._terms.items()})
+        return LinComb._of({w: -c for w, c in self._terms.items()})
 
     def scale(self, scalar: RationalLike) -> "LinComb":
         c = rational(scalar)
         if not c:
             return LinComb()
-        return LinComb({w: c * q for w, q in self._terms.items()})
+        return LinComb._of({w: c * q for w, q in self._terms.items()})
 
     def __rmul__(self, scalar: RationalLike) -> "LinComb":
         return self.scale(scalar)

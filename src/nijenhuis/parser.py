@@ -26,7 +26,7 @@ from typing import Iterable, Union
 
 from .algebra import OpSymbol, derived_op, operator_n, product
 from .linalg import LinComb
-from .words import GeneratorSymbol, letter_word
+from .words import MAX_NESTING, GeneratorSymbol, letter_word
 
 __all__ = [
     "ParseError",
@@ -143,6 +143,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -166,6 +167,11 @@ class _Parser:
         return expr
 
     def parse_expr(self) -> Expr:
+        # The whole input is level 0; each enclosing bracket, parenthesis
+        # or call adds one level.
+        if self.nesting > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.peek().position)
+        self.nesting += 1
         terms: list[tuple[Fraction, Expr | None]] = []
         sign = Fraction(1)
         if self.peek().text == "-":
@@ -175,6 +181,7 @@ class _Parser:
         while self.peek().text in ("+", "-"):
             sign = Fraction(1) if self.advance().text == "+" else Fraction(-1)
             terms.append(self._signed_term(sign))
+        self.nesting -= 1
         return _combine_terms(terms)
 
     def _signed_term(self, sign: Fraction) -> tuple[Fraction, Expr | None]:
@@ -279,7 +286,11 @@ def _scaled(coeff: Fraction, node: Expr) -> Expr:
 
 
 def parse_expr(text: str) -> Expr:
-    """Parse surface syntax into an expression tree."""
+    """Parse surface syntax into an expression tree.
+
+    Raises :class:`ParseError` on a syntax error, and on input nested
+    more than :data:`~nijenhuis.words.MAX_NESTING` levels deep.
+    """
     return _Parser(text).parse()
 
 
@@ -320,14 +331,14 @@ def eval_expr(expr: Expr, declared: Iterable[Union[str, GeneratorSymbol]]) -> Li
                 raise EvalError("a bare scalar is not an algebra element")
             return value.scale(coeff)
         if isinstance(node, Sum):
-            total = LinComb.zero()
+            pairs = []
             for coeff, child in node.terms:
                 if isinstance(child, ScalarLit):
                     if coeff * child.value != 0:
                         raise EvalError("a bare scalar is not an algebra element")
                     continue
-                total = total + walk(child).scale(coeff)
-            return total
+                pairs.extend((w, coeff * c) for w, c in walk(child))
+            return LinComb(pairs)
         raise TypeError(f"not an expression node: {node!r}")
 
     return walk(expr)

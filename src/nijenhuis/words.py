@@ -12,7 +12,7 @@ enumeration by size.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
 from itertools import product as _cartesian
@@ -43,11 +43,18 @@ __all__ = [
     "from_canonical",
     "canonical_key",
     "canonical_compare",
+    "MAX_NESTING",
     "words_of_size",
     "words_up_to_size",
 ]
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+
+#: Deepest bracket nesting accepted from text, by :func:`from_canonical`
+#: and by the expression parser.  Word functions recurse once per level,
+#: so the cap keeps every accepted input inside the interpreter's
+#: recursion limit.
+MAX_NESTING = 100
 
 
 class WordError(ValueError):
@@ -87,11 +94,12 @@ def generators(*names: str) -> tuple[GeneratorSymbol, ...]:
     return tuple(GeneratorSymbol(n) for n in names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Letters:
     """A factor holding a nonempty run of generator letters."""
 
     run: tuple[GeneratorSymbol, ...]
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "run", tuple(self.run))
@@ -100,32 +108,59 @@ class Letters:
         for sym in self.run:
             if not isinstance(sym, GeneratorSymbol):
                 raise TypeError(f"not a generator symbol: {sym!r}")
+        object.__setattr__(self, "_hash", hash((Letters, self.run)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Letters:
+            return NotImplemented
+        return self._hash == other._hash and self.run == other.run
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Bracket:
     """A factor enclosing a smaller word."""
 
     inner: "BracketedWord"
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.inner, BracketedWord):
             raise TypeError(f"bracket content must be a word: {self.inner!r}")
+        object.__setattr__(self, "_hash", hash((Bracket, self.inner._hash)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Bracket:
+            return NotImplemented
+        return self._hash == other._hash and self.inner == other.inner
 
 
 Factor = Union[Letters, Bracket]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class BracketedWord:
     """A nonempty sequence of factors with alternating kinds.
 
     Adjacent factors never share a kind: letter runs are maximal and
     brackets never touch.  The constructor enforces this, so every
-    reachable instance is well formed.
+    reachable instance is well formed.  The hash is computed once from
+    the factors' stored hashes; the canonical sort key is stored on
+    first use by :func:`canonical_key`.
     """
 
     factors: tuple[Factor, ...]
+    _hash: int = field(init=False, repr=False)
+    _key: tuple[int, int, str] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -141,6 +176,18 @@ class BracketedWord:
                     + "*".join(_factor_str(g) for g in self.factors)
                 )
             previous = type(f)
+        object.__setattr__(self, "_hash", hash(tuple(f._hash for f in self.factors)))
+        object.__setattr__(self, "_key", None)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not BracketedWord:
+            return NotImplemented
+        return self._hash == other._hash and self.factors == other.factors
 
     def __str__(self) -> str:
         return to_canonical(self)
@@ -242,6 +289,8 @@ def from_canonical(text: str) -> BracketedWord:
     """Parse the exact output format of :func:`to_canonical`.
 
     This reads single words only; it is not the expression parser.
+    Brackets nested more than :data:`MAX_NESTING` deep raise
+    :class:`WordError`.
     """
     word, pos = _read_word(text, 0, 0)
     if pos != len(text):
@@ -256,6 +305,10 @@ def _read_word(text: str, pos: int, nesting: int) -> tuple[BracketedWord, int]:
     while True:
         if expect_item:
             if pos < len(text) and text[pos] == "[":
+                if nesting >= MAX_NESTING:
+                    raise WordError(
+                        f"bracket nesting deeper than {MAX_NESTING} levels at position {pos}"
+                    )
                 if run:
                     factors.append(Letters(tuple(run)))
                     run = []
@@ -283,19 +336,17 @@ def _read_word(text: str, pos: int, nesting: int) -> tuple[BracketedWord, int]:
     return BracketedWord(tuple(factors)), pos
 
 
-_KEY_CACHE: dict[BracketedWord, tuple[int, int, str]] = {}
-
-
 def canonical_key(w: BracketedWord) -> tuple[int, int, str]:
     """Sort key realizing the canonical order on words.
 
     Words compare first by total letter count, then by depth, then
-    lexicographically on the canonical serialization.
+    lexicographically on the canonical serialization.  The key is
+    stored on the word, so it is computed once per word object.
     """
-    key = _KEY_CACHE.get(w)
+    key = w._key
     if key is None:
         key = (letter_count(w), depth(w), to_canonical(w))
-        _KEY_CACHE[w] = key
+        object.__setattr__(w, "_key", key)
     return key
 
 

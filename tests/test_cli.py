@@ -13,6 +13,7 @@ from nijenhuis.envelope import fixture_projection, fixture_scaling, fixture_swap
 from nijenhuis.linalg import LinComb
 from nijenhuis.parser import eval_expr, parse_expr
 from nijenhuis.relations import ndendriform_relation_set, solve_relation_space
+from nijenhuis.words import MAX_NESTING
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -84,6 +85,49 @@ def test_max_size_env_cap(capsys, monkeypatch):
     code, _, err = run(capsys, "assoc-check", "--max-size", "1")
     assert code == 0
     assert "ignoring" in err
+
+
+def test_sweeps_reject_nonpositive_max_size(capsys):
+    for command in ("assoc-check", "nijenhuis-check"):
+        for bound in ("0", "-2"):
+            code, out, err = run(capsys, command, "--max-size", bound)
+            assert code == 2
+            assert out == ""
+            assert "--max-size must be at least 1" in err
+
+
+def test_max_size_env_caps_ideal_member(capsys, monkeypatch):
+    monkeypatch.setenv("NF_MAX_SIZE", "2")
+    code, out, err = run(
+        capsys, "ideal-member", str(FIXTURES / "projection_ns.json"), "e1", "--bound", "6"
+    )
+    assert code == 1
+    assert out.strip() == "not-detected (bound 2)"
+    assert "caps the sweep at size 2" in err
+    # the capped bound is then too small for a larger candidate
+    code, _, err = run(
+        capsys, "ideal-member", str(FIXTURES / "projection_ns.json"), "[e1*[e1]]", "--bound", "6"
+    )
+    assert code == 2
+    assert "bound 2" in err
+
+
+def test_eval_deep_nesting_is_usage_error(capsys):
+    levels = 1200
+    for opening, closing in (("[", "]"), ("(", ")"), ("P(", ")")):
+        code, out, err = run(
+            capsys, "eval", "--generators", "x", opening * levels + "x" + closing * levels
+        )
+        assert code == 2
+        assert out == ""
+        assert "nesting deeper than" in err
+
+
+def test_eval_accepts_nesting_up_to_the_cap(capsys):
+    levels = MAX_NESTING
+    code, out, _ = run(capsys, "eval", "--generators", "x", "[" * levels + "x" + "]" * levels)
+    assert code == 0
+    assert out.strip() == "[" * levels + "x" + "]" * levels
 
 
 def test_relation_checks_pass(capsys):

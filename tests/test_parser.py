@@ -23,7 +23,7 @@ from nijenhuis.parser import (
     parse_expr,
     print_canonical,
 )
-from nijenhuis.words import from_canonical, generators, letter_word
+from nijenhuis.words import from_canonical, generators, letter_word, words_up_to_size
 
 from conftest import ALPHABET_XYZ, lincombs_strategy
 
@@ -107,6 +107,22 @@ def test_print_parse_round_trip_examples():
 def test_print_parse_round_trip_everywhere(value):
     printed = print_canonical(value)
     assert eval_expr(parse_expr(printed), DECLARED) == value
+
+
+def test_print_parse_round_trip_many_terms():
+    pool = words_up_to_size(ALPHABET_XYZ, 4)[:240]
+    value = LinComb(
+        (w, Fraction((-1) ** k * (k + 1), k % 7 + 1)) for k, w in enumerate(pool)
+    )
+    printed = print_canonical(value)
+    assert len(value) >= 200
+    assert eval_expr(parse_expr(printed), DECLARED) == value
+    assert print_canonical(eval_expr(parse_expr(printed), DECLARED)) == printed
+
+
+def test_sum_gathers_repeated_and_cancelling_terms():
+    assert eval_expr(parse_expr("x + 2*y - x + [x] - y - y"), DECLARED) == lc("[x]")
+    assert eval_expr(parse_expr("x*y - x*y + 0"), DECLARED).is_zero()
 
 
 def test_parse_errors_carry_positions():

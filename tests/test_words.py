@@ -14,6 +14,7 @@ from nijenhuis.words import (
     EndKind,
     GeneratorSymbol,
     Letters,
+    MAX_NESTING,
     WordError,
     breadth,
     canonical_compare,
@@ -186,3 +187,12 @@ def test_words_are_hashable_and_value_equal():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_from_canonical_caps_nesting():
+    at_cap = "[" * MAX_NESTING + "x" + "]" * MAX_NESTING
+    assert depth(from_canonical(at_cap)) == MAX_NESTING
+    assert to_canonical(from_canonical(at_cap)) == at_cap
+    for levels in (MAX_NESTING + 1, 1200):
+        with pytest.raises(WordError, match="nesting deeper than"):
+            from_canonical("[" * levels + "x" + "]" * levels)
