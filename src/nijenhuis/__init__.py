@@ -39,14 +39,10 @@ from .linalg import (
     LinComb,
     Rational,
     RationalMatrix,
+    RowSpace,
     format_rational,
-    in_span,
-    lc_add,
-    lc_scale,
-    nullspace_basis,
+    rank,
     rational,
-    rref,
-    subspace_equal,
 )
 from .parser import (
     EvalError,
@@ -80,7 +76,6 @@ from .words import (
     Letters,
     WordError,
     breadth,
-    canonical_compare,
     canonical_key,
     concat_words,
     depth,
@@ -91,7 +86,6 @@ from .words import (
     letter_word,
     make_word,
     size,
-    standard_decomposition,
     to_canonical,
     words_of_size,
     words_up_to_size,

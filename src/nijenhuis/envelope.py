@@ -14,16 +14,17 @@ bound of the kernel, giving a semidecision procedure for membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .algebra import COORD_OPS, OpSymbol, operator_n, product
 from .linalg import (
     DimensionMismatch,
     LinComb,
     RationalLike,
+    RowSpace,
     format_rational,
     rational,
 )
@@ -131,6 +132,29 @@ def _tensor_json(t: Tensor) -> list:
     return [[[format_rational(x) for x in row] for row in plane] for plane in t]
 
 
+def _contract(t: Tensor, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Vector:
+    """The bilinear product of ``u`` and ``v`` with structure tensor ``t``."""
+    dim = len(t)
+    a = _vector(u, dim)
+    b = _vector(v, dim)
+    out = [Fraction(0)] * dim
+    for i, ci in enumerate(a):
+        if not ci:
+            continue
+        for j, cj in enumerate(b):
+            if not cj:
+                continue
+            coeff = ci * cj
+            for k, s in enumerate(t[i][j]):
+                if s:
+                    out[k] += coeff * s
+    return tuple(out)
+
+
+def _unit(dim: int, i: int) -> Vector:
+    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of a sweep: either a pass, or the first failure found."""
@@ -211,24 +235,8 @@ class NijenhuisAlgebraFD:
         if self.op.rows != self.dim or self.op.cols != self.dim:
             raise DimensionMismatch("operator matrix must be square of the dimension")
 
-    def basis(self, i: int) -> Vector:
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
-
     def mul(self, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Vector:
-        a = _vector(u, self.dim)
-        b = _vector(v, self.dim)
-        out = [Fraction(0)] * self.dim
-        for i, ci in enumerate(a):
-            if not ci:
-                continue
-            for j, cj in enumerate(b):
-                if not cj:
-                    continue
-                coeff = ci * cj
-                for k, s in enumerate(self.mult[i][j]):
-                    if s:
-                        out[k] += coeff * s
-        return tuple(out)
+        return _contract(self.mult, u, v)
 
     def apply_op(self, u: Sequence[RationalLike]) -> Vector:
         return self.op.apply(u)
@@ -277,21 +285,7 @@ class NSAlgebraFD:
             for p in parts:
                 total = _vec_add(total, p)
             return total
-        t = self.tensor(op)
-        a = _vector(u, self.dim)
-        b = _vector(v, self.dim)
-        out = [Fraction(0)] * self.dim
-        for i, ci in enumerate(a):
-            if not ci:
-                continue
-            for j, cj in enumerate(b):
-                if not cj:
-                    continue
-                coeff = ci * cj
-                for k, s in enumerate(t[i][j]):
-                    if s:
-                        out[k] += coeff * s
-        return tuple(out)
+        return _contract(self.tensor(op), u, v)
 
     def to_json_obj(self) -> dict:
         return {
@@ -318,7 +312,7 @@ def check_nijenhuis_fd(alg: NijenhuisAlgebraFD) -> CheckReport:
     Indices run in lexicographic order and the first failure is returned.
     """
     n = alg.dim
-    basis = [alg.basis(i) for i in range(n)]
+    basis = [_unit(n, i) for i in range(n)]
     for i in range(n):
         for j in range(n):
             ij = alg.mul(basis[i], basis[j])
@@ -346,7 +340,7 @@ def check_nijenhuis_fd(alg: NijenhuisAlgebraFD) -> CheckReport:
 def check_relations_fd(alg: NSAlgebraFD, rels: Sequence[RelVector]) -> CheckReport:
     """Evaluate each relation candidate on every basis triple."""
     n = alg.dim
-    basis = [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
+    basis = [_unit(n, i) for i in range(n)]
     for r_idx, rel in enumerate(rels):
         for a in range(n):
             for b in range(n):
@@ -394,7 +388,7 @@ def induced_ns(alg: NijenhuisAlgebraFD) -> NSAlgebraFD:
     if not report.ok:
         raise InvalidInput(f"input algebra is not valid: {report.describe()}")
     n = alg.dim
-    basis = [alg.basis(i) for i in range(n)]
+    basis = [_unit(n, i) for i in range(n)]
     prec = [[alg.mul(basis[i], alg.apply_op(basis[j])) for j in range(n)] for i in range(n)]
     succ = [[alg.mul(alg.apply_op(basis[i]), basis[j]) for j in range(n)] for i in range(n)]
     bullet = [
@@ -546,55 +540,11 @@ def check_morphism_kills_generators(
     return CheckReport(True)
 
 
-def _unit(dim: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
-
-
 class Membership(Enum):
     """Verdict of the truncated ideal membership procedure."""
 
     MEMBER = "member"
     NOT_DETECTED = "not-detected"
-
-
-class _RowSpace:
-    """Incrementally reduced spanning set, pivoted on maximal words."""
-
-    def __init__(self) -> None:
-        self.rows: dict[BracketedWord, LinComb] = {}
-
-    def reduce(self, element: LinComb) -> LinComb:
-        while True:
-            hit = None
-            for w, _ in element:
-                row = self.rows.get(w)
-                if row is not None:
-                    hit = (w, row)
-                    break
-            if hit is None:
-                return element
-            w, row = hit
-            element = element - row.scale(element.coeff(w))
-
-    def add(self, element: LinComb) -> bool:
-        residue = self.reduce(element)
-        if residue.is_zero():
-            return False
-        pivot = max(residue.support(), key=canonical_key)
-        residue = residue.scale(1 / residue.coeff(pivot))
-        for p, row in list(self.rows.items()):
-            c = row.coeff(pivot)
-            if c:
-                self.rows[p] = row - residue.scale(c)
-        self.rows[pivot] = residue
-        return True
-
-    def contains(self, element: LinComb) -> bool:
-        return self.reduce(element).is_zero()
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
 
 
 def _max_term_size(a: LinComb) -> int:
@@ -641,12 +591,12 @@ def truncated_ideal_membership(
     ]
     multiplier_sizes = [_max_term_size(m) for m in multipliers]
 
-    space = _RowSpace()
+    space = RowSpace(key=canonical_key)
     queue: list[LinComb] = []
     for g in ideal_generators:
         if g.is_zero() or _max_term_size(g) > size_bound:
             continue
-        space.add(g)
+        space.add(g._terms)
         queue.append(g)
 
     while queue:
@@ -660,10 +610,10 @@ def truncated_ideal_membership(
                 derived.append(product(m, element))
                 derived.append(product(element, m))
         for item in derived:
-            if item and space.add(item):
+            if item and space.add(item._terms):
                 queue.append(item)
 
-    return Membership.MEMBER if space.contains(candidate) else Membership.NOT_DETECTED
+    return Membership.MEMBER if candidate._terms in space else Membership.NOT_DETECTED
 
 
 def _componentwise_mult(dim: int) -> Tensor:

@@ -1,17 +1,18 @@
-"""Exact rational scalars, linear combinations of words, and matrices.
+"""Exact rational scalars, linear combinations of words, and row spaces.
 
 Scalars are :class:`fractions.Fraction` values, so every computation in
 the package is exact: reduced form, positive denominators, and unbounded
 integers come from the standard library.  On top of that this module
 provides linear combinations of bracketed words with rational
-coefficients, and enough dense matrix algebra (row reduction, nullspace,
-span comparisons) to solve small linear systems exactly.
+coefficients, a shape-checked dense matrix, and :class:`RowSpace`, the
+one sparse elimination engine: it spans rows, tests membership, and
+gives kernels, for the relation solver and the ideal closure alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .words import BracketedWord, canonical_key
 
@@ -21,14 +22,10 @@ __all__ = [
     "rational",
     "format_rational",
     "LinComb",
-    "lc_add",
-    "lc_scale",
     "DimensionMismatch",
     "RationalMatrix",
-    "rref",
-    "nullspace_basis",
-    "in_span",
-    "subspace_equal",
+    "RowSpace",
+    "rank",
 ]
 
 Rational = Fraction
@@ -192,16 +189,6 @@ class LinComb:
         return f"LinComb({self})"
 
 
-def lc_add(a: LinComb, b: LinComb) -> LinComb:
-    """Sum of two combinations."""
-    return a + b
-
-
-def lc_scale(scalar: RationalLike, a: LinComb) -> LinComb:
-    """Scalar multiple of a combination."""
-    return a.scale(scalar)
-
-
 class DimensionMismatch(ValueError):
     """Shapes do not line up for the requested operation."""
 
@@ -244,80 +231,86 @@ class RationalMatrix:
         return f"RationalMatrix[{self.rows}x{self.cols}: {body}]"
 
 
-def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    work = [list(row) for row in matrix.entries]
-    nrows, ncols = matrix.rows, matrix.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                factor = work[i][c]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return RationalMatrix(work, cols=ncols), tuple(pivots)
+
+
+Row = dict[Hashable, Fraction]
+
+
+class RowSpace:
+    """The span of sparse rows, kept in reduced echelon form.
+
+    A row maps columns to nonzero Fractions.  Each stored row is filed
+    under its pivot, its largest column under ``key``, and has
+    coefficient 1 there; no other stored row has an entry in a pivot
+    column.  The stored rows are therefore the unique reduced basis of
+    the span and do not depend on the order rows were added in.
+    """
+
+    def __init__(self, key: Callable[[Hashable], Any]) -> None:
+        self.key = key
+        self.rows: dict[Hashable, Row] = {}
+
+    def reduce(self, row: Mapping[Hashable, Fraction]) -> Row:
+        """The remainder of ``row`` after clearing every pivot column.
+
+        Clearing one pivot touches no other pivot column, so one pass
+        over the pivots present in ``row`` suffices.
+        """
+        out = dict(row)
+        for pivot in [col for col in row if col in self.rows]:
+            _subtract(out, row[pivot], self.rows[pivot])
+        return out
+
+    def add(self, row: Mapping[Hashable, Fraction]) -> bool:
+        """Extend the span by ``row``; False when it was already inside."""
+        residue = self.reduce(row)
+        if not residue:
+            return False
+        pivot = max(residue, key=self.key)
+        inv = Fraction(1) / residue[pivot]
+        residue = {col: c * inv for col, c in residue.items()}
+        for stored in self.rows.values():
+            c = stored.get(pivot)
+            if c:
+                _subtract(stored, c, residue)
+        self.rows[pivot] = residue
+        return True
+
+    def __contains__(self, row: Mapping[Hashable, Fraction]) -> bool:
+        return not self.reduce(row)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def kernel(self, columns: Iterable[Hashable]) -> tuple[tuple[Fraction, ...], ...]:
+        """Basis of the vectors over ``columns`` orthogonal to every row.
+
+        One vector per free column, in the order given, with that entry
+        1; ``columns`` must include every column the rows use.
+        """
+        columns = tuple(columns)
+        basis = []
+        for free in columns:
+            if free in self.rows:
+                continue
+            vec = {free: Fraction(1)}
+            for pivot, stored in self.rows.items():
+                vec[pivot] = -stored.get(free, Fraction(0))
+            basis.append(tuple(vec.get(col, Fraction(0)) for col in columns))
+        return tuple(basis)
+
+
+def _subtract(target: Row, c: Fraction, row: Row) -> None:
+    """``target -= c * row`` in place, dropping entries that cancel."""
+    for col, x in row.items():
+        acc = target.get(col, 0) - c * x
+        if acc:
+            target[col] = acc
+        else:
+            del target[col]
 
 
 def rank(matrix: RationalMatrix) -> int:
-    """Number of pivots in the reduced form."""
-    return len(rref(matrix)[1])
-
-
-def nullspace_basis(matrix: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """A basis of the right nullspace.
-
-    One vector per free column, taken in increasing column order, with
-    the free variable set to 1.  The result is deterministic.
-    """
-    reduced, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
-    basis: list[tuple[Fraction, ...]] = []
-    for free in free_cols:
-        vec = [Fraction(0)] * matrix.cols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r, free]
-        basis.append(tuple(vec))
-    return tuple(basis)
-
-
-def _stack(vectors: Sequence[Sequence[Fraction]], cols: int) -> RationalMatrix:
-    return RationalMatrix(list(vectors), cols=cols)
-
-
-def in_span(vector: Sequence[RationalLike], vectors: Sequence[Sequence[RationalLike]]) -> bool:
-    """Whether ``vector`` lies in the span of ``vectors``."""
-    vec = tuple(rational(x) for x in vector)
-    rows = [tuple(rational(x) for x in row) for row in vectors]
-    width = len(vec)
-    if any(len(row) != width for row in rows):
-        raise DimensionMismatch("span vectors have mismatched length")
-    base = rank(_stack(rows, width)) if rows else 0
-    extended = rank(_stack(rows + [vec], width))
-    return extended == base
-
-
-def subspace_equal(
-    first: Sequence[Sequence[RationalLike]], second: Sequence[Sequence[RationalLike]], cols: int
-) -> bool:
-    """Whether two spanning sets generate the same subspace."""
-    a = [tuple(rational(x) for x in row) for row in first]
-    b = [tuple(rational(x) for x in row) for row in second]
-    for row in a + b:
-        if len(row) != cols:
-            raise DimensionMismatch("vector length differs from the ambient dimension")
-    rank_a = rank(_stack(a, cols)) if a else 0
-    rank_b = rank(_stack(b, cols)) if b else 0
-    rank_ab = rank(_stack(a + b, cols)) if a + b else 0
-    return rank_a == rank_b == rank_ab
+    """Dimension of the row space."""
+    space = RowSpace(key=lambda col: col)
+    return sum(space.add({col: x for col, x in enumerate(row) if x}) for row in matrix.entries)

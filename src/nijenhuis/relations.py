@@ -24,19 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .algebra import COORD_OPS, OpSymbol, derived_op
-from .linalg import (
-    LinComb,
-    RationalLike,
-    RationalMatrix,
-    format_rational,
-    in_span,
-    nullspace_basis,
-    rational,
-    subspace_equal,
-)
+from .linalg import LinComb, RationalLike, RationalMatrix, RowSpace, format_rational, rational
 from .words import BracketedWord, canonical_key, generators, letter_word
 
 __all__ = [
@@ -234,9 +225,31 @@ def relation_matrix() -> RationalMatrix:
     return RationalMatrix(entries, cols=len(evals))
 
 
+def _sparse(vec: Sequence[Fraction]) -> dict[int, Fraction]:
+    return {col: x for col, x in enumerate(vec) if x}
+
+
+def _span(vectors: Iterable[Sequence[Fraction]]) -> RowSpace:
+    """Row space of dense vectors, pivoted on the leftmost column.
+
+    That pivot choice makes the reduced rows those of the classical
+    reduced row echelon form.
+    """
+    space = RowSpace(key=lambda col: -col)
+    for vec in vectors:
+        space.add(_sparse(vec))
+    return space
+
+
 def solve_relation_space() -> tuple[RelVector, ...]:
-    """Basis of all universally valid candidates, from the nullspace."""
-    return tuple(RelVector.from_coords(v) for v in nullspace_basis(relation_matrix()))
+    """Basis of all universally valid candidates, from the nullspace.
+
+    One vector per free coordinate, in increasing order, with that
+    coordinate set to 1.
+    """
+    matrix = relation_matrix()
+    kernel = _span(matrix.entries).kernel(range(matrix.cols))
+    return tuple(RelVector.from_coords(v) for v in kernel)
 
 
 def check_relation_universal(rel: RelVector) -> bool:
@@ -250,16 +263,18 @@ def check_relation_universal(rel: RelVector) -> bool:
 
 def relation_space_contains(rel: RelVector) -> bool:
     """Span membership test against the solved basis."""
-    basis = [v.to_coords() for v in solve_relation_space()]
-    return in_span(rel.to_coords(), basis)
+    space = _span(v.to_coords() for v in solve_relation_space())
+    return _sparse(rel.to_coords()) in space
 
 
 def relation_sets_span_equal(
     first: Sequence[RelVector], second: Sequence[RelVector]
 ) -> bool:
-    """Whether two families of candidates span the same subspace."""
-    return subspace_equal(
-        [v.to_coords() for v in first],
-        [v.to_coords() for v in second],
-        18,
+    """Whether two families of candidates span the same subspace.
+
+    Reduced rows are unique to the span, so comparing them decides it.
+    """
+    return (
+        _span(v.to_coords() for v in first).rows
+        == _span(v.to_coords() for v in second).rows
     )

@@ -37,12 +37,10 @@ __all__ = [
     "size",
     "letter_count",
     "head_tail",
-    "standard_decomposition",
     "concat_words",
     "to_canonical",
     "from_canonical",
     "canonical_key",
-    "canonical_compare",
     "MAX_NESTING",
     "words_of_size",
     "words_up_to_size",
@@ -254,11 +252,6 @@ def head_tail(w: BracketedWord) -> tuple[EndKind, EndKind]:
     return _kind(w.factors[0]), _kind(w.factors[-1])
 
 
-def standard_decomposition(w: BracketedWord) -> tuple[Factor, ...]:
-    """The factor sequence of ``w``; ``make_word`` inverts it."""
-    return w.factors
-
-
 def concat_words(u: BracketedWord, v: BracketedWord) -> BracketedWord:
     """Concatenate two words, merging a letter-letter junction.
 
@@ -348,16 +341,6 @@ def canonical_key(w: BracketedWord) -> tuple[int, int, str]:
         key = (letter_count(w), depth(w), to_canonical(w))
         object.__setattr__(w, "_key", key)
     return key
-
-
-def canonical_compare(u: BracketedWord, v: BracketedWord) -> int:
-    """Three-way comparison in the canonical order: -1, 0, or 1."""
-    ku, kv = canonical_key(u), canonical_key(v)
-    if ku < kv:
-        return -1
-    if ku > kv:
-        return 1
-    return 0
 
 
 @lru_cache(maxsize=None)

@@ -344,6 +344,8 @@ def test_usage_errors(capsys):
     assert run(capsys, "ideal-member", str(FIXTURES / "projection_ns.json"), "e1")[0] == 2
 
 
-def test_seed_flag_accepted(capsys):
-    code, _, _ = run(capsys, "assoc-check", "--max-size", "1", "--seed", "7")
-    assert code == 0
+def test_seed_flag_rejected(capsys):
+    # every subcommand is exhaustive, so there is no seed to set
+    code, _, err = run(capsys, "assoc-check", "--max-size", "1", "--seed", "7")
+    assert code == 2
+    assert "--seed" in err

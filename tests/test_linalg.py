@@ -1,4 +1,4 @@
-"""Rational scalars, linear combinations, and exact matrix algebra."""
+"""Rational scalars, linear combinations, and the exact row space engine."""
 
 from __future__ import annotations
 
@@ -11,17 +11,12 @@ from nijenhuis.linalg import (
     DimensionMismatch,
     LinComb,
     RationalMatrix,
+    RowSpace,
     format_rational,
-    in_span,
-    lc_add,
-    lc_scale,
-    nullspace_basis,
     rank,
     rational,
-    rref,
-    subspace_equal,
 )
-from nijenhuis.words import from_canonical
+from nijenhuis.words import canonical_key, from_canonical
 
 from conftest import lincombs_strategy, rationals_strategy
 
@@ -54,11 +49,11 @@ def test_lincomb_drops_zero_terms_and_merges():
 def test_lincomb_arithmetic():
     a = LinComb.from_word(W1, 2)
     b = LinComb.from_word(W2, "1/2")
-    s = lc_add(a, b)
+    s = a + b
     assert s.coeff(W1) == 2 and s.coeff(W2) == Fraction(1, 2)
     assert (s - a) == b
-    assert lc_scale(0, s).is_zero()
-    assert lc_scale("3/2", b).coeff(W2) == Fraction(3, 4)
+    assert s.scale(0).is_zero()
+    assert b.scale("3/2").coeff(W2) == Fraction(3, 4)
     assert (-a).coeff(W1) == -2
 
 
@@ -89,32 +84,41 @@ def test_lincomb_scaling_distributes(a, p, q):
     assert a + (-a) == LinComb.zero()
 
 
+def span(rows) -> RowSpace:
+    """Row space of dense rows, pivoted on the leftmost column."""
+    space = RowSpace(key=lambda col: -col)
+    for row in rows:
+        space.add({col: rational(x) for col, x in enumerate(row) if rational(x)})
+    return space
+
+
+def dense(space: RowSpace, cols: int) -> dict:
+    return {p: tuple(row.get(c, 0) for c in range(cols)) for p, row in space.rows.items()}
+
+
 def test_rref_identity_fixed_point():
-    m = RationalMatrix([[1, 0], [0, 1]])
-    reduced, pivots = rref(m)
-    assert reduced == m
-    assert pivots == (0, 1)
+    space = span([[1, 0], [0, 1]])
+    assert dense(space, 2) == {0: (1, 0), 1: (0, 1)}
 
 
 def test_rref_rank_deficient():
     m = RationalMatrix([[1, 2], [2, 4]])
-    reduced, pivots = rref(m)
-    assert pivots == (0,)
-    assert reduced.row(0) == (Fraction(1), Fraction(2))
-    assert reduced.row(1) == (Fraction(0), Fraction(0))
+    space = span(m.entries)
+    assert len(space) == 1
+    assert dense(space, 2) == {0: (Fraction(1), Fraction(2))}
     assert rank(m) == 1
 
 
 def test_rref_swaps_rows():
-    m = RationalMatrix([[0, 1], [1, 0]])
-    reduced, pivots = rref(m)
-    assert pivots == (0, 1)
-    assert reduced.entries == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    space = span([[0, 1], [1, 0]])
+    assert dense(space, 2) == {0: (1, 0), 1: (0, 1)}
+    assert space.rows == span([[1, 0], [0, 1]]).rows
 
 
 def test_nullspace_of_zero_row():
-    m = RationalMatrix([[0, 0, 0]])
-    basis = nullspace_basis(m)
+    space = span([[0, 0, 0]])
+    assert len(space) == 0
+    basis = space.kernel(range(3))
     assert len(basis) == 3
     # free variables in increasing column order, each set to one
     assert basis[0] == (Fraction(1), Fraction(0), Fraction(0))
@@ -123,32 +127,49 @@ def test_nullspace_of_zero_row():
 
 
 def test_nullspace_single_constraint():
-    basis = nullspace_basis(RationalMatrix([[1, 1]]))
-    assert basis == ((Fraction(-1), Fraction(1)),)
+    assert span([[1, 1]]).kernel(range(2)) == ((Fraction(-1), Fraction(1)),)
 
 
 def test_nullspace_vectors_satisfy_matrix():
     m = RationalMatrix([[1, 2, 3], [0, 1, 1]])
-    for vec in nullspace_basis(m):
+    for vec in span(m.entries).kernel(range(3)):
         for row in m.entries:
             assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
 def test_in_span_cases():
-    assert in_span([2, 4], [[1, 2]])
-    assert not in_span([1, 0], [[1, 2]])
-    assert in_span([0, 0], [])
-    with pytest.raises(DimensionMismatch):
-        in_span([1, 0], [[1, 2, 3]])
+    space = span([[1, 2]])
+    assert {0: Fraction(2), 1: Fraction(4)} in space
+    assert {0: Fraction(1)} not in space
+    assert {} in span([])
+    assert {0: Fraction(1)} not in span([])
+    # a rejected row leaves the space unchanged
+    assert not space.add({0: Fraction(-1), 1: Fraction(-2)})
+    assert len(space) == 1
 
 
 def test_subspace_equal_cases():
-    assert subspace_equal([[1, 0], [0, 1]], [[1, 1], [1, -1]], 2)
-    assert not subspace_equal([[1, 0]], [[0, 1]], 2)
-    assert not subspace_equal([[1, 0], [0, 1]], [[1, 1]], 2)
-    assert subspace_equal([], [], 3)
-    with pytest.raises(DimensionMismatch):
-        subspace_equal([[1, 0]], [[1]], 2)
+    # reduced rows are unique to the span, so equal spans store equal rows
+    assert span([[1, 0], [0, 1]]).rows == span([[1, 1], [1, -1]]).rows
+    assert span([[1, 0]]).rows != span([[0, 1]]).rows
+    assert span([[1, 0], [0, 1]]).rows != span([[1, 1]]).rows
+    assert span([]).rows == span([[0, 0, 0]]).rows
+
+
+def test_rowspace_pivots_on_the_largest_word():
+    # the ideal closure files rows under their largest word in canonical order
+    space = RowSpace(key=canonical_key)
+    big = from_canonical("[x*[y]]")
+    assert space.add(LinComb([(W1, 2), (big, 4)])._terms)
+    assert list(space.rows) == [big]
+    assert space.rows[big] == {W1: Fraction(1, 2), big: Fraction(1)}
+    assert space.add(LinComb([(W1, 3), (W2, 6)])._terms)
+    assert space.rows[W2] == {W1: Fraction(1, 2), W2: Fraction(1)}
+    # a new pivot is cleared from every stored row
+    assert space.add(LinComb([(W1, 3)])._terms)
+    assert space.rows == {big: {big: 1}, W2: {W2: 1}, W1: {W1: 1}}
+    assert LinComb([(big, 2), (W1, 1)])._terms in space
+    assert LinComb([(W3, 1)])._terms not in space
 
 
 def test_matrix_shape_validation():
@@ -162,10 +183,9 @@ def test_matrix_shape_validation():
 
 def test_exactness_no_drift():
     # a classically float-hostile system stays exact
-    m = RationalMatrix([["1/3", "1/7"], ["1/11", "1/13"]])
-    reduced, pivots = rref(m)
-    assert pivots == (0, 1)
-    assert reduced.entries == (
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-    )
+    space = span([["1/3", "1/7"], ["1/11", "1/13"]])
+    assert dense(space, 2) == {
+        0: (Fraction(1), Fraction(0)),
+        1: (Fraction(0), Fraction(1)),
+    }
+    assert all(type(x) is Fraction for row in space.rows.values() for x in row.values())

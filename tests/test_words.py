@@ -17,7 +17,6 @@ from nijenhuis.words import (
     MAX_NESTING,
     WordError,
     breadth,
-    canonical_compare,
     canonical_key,
     concat_words,
     depth,
@@ -28,7 +27,6 @@ from nijenhuis.words import (
     letter_word,
     make_word,
     size,
-    standard_decomposition,
     to_canonical,
     words_of_size,
     words_up_to_size,
@@ -85,14 +83,15 @@ def test_measures_on_single_factors():
 
 
 def test_standard_decomposition_round_trips():
+    # the standard decomposition of a word is its factor sequence
     w = from_canonical("[x]*y*[z*z]")
-    assert make_word(standard_decomposition(w)) == w
-    assert len(standard_decomposition(w)) == breadth(w)
+    assert make_word(w.factors) == w
+    assert len(w.factors) == breadth(w)
 
 
 @given(words_strategy())
 def test_standard_decomposition_round_trips_everywhere(w):
-    assert make_word(standard_decomposition(w)) == w
+    assert make_word(w.factors) == w
 
 
 def test_concat_merges_letter_junction():
@@ -139,27 +138,28 @@ def test_from_canonical_rejects_malformed():
 
 def test_canonical_order_letter_count_first():
     # fewer letters first, regardless of structural complexity
-    assert canonical_compare(from_canonical("[[z]]"), from_canonical("x*y")) == -1
-    assert canonical_compare(from_canonical("x*y"), from_canonical("[[z]]")) == 1
+    assert canonical_key(from_canonical("[[z]]")) < canonical_key(from_canonical("x*y"))
+    assert canonical_key(from_canonical("x*y")) > canonical_key(from_canonical("[[z]]"))
 
 
 def test_canonical_order_depth_second():
-    assert canonical_compare(from_canonical("x*y"), from_canonical("[x]*y")) == -1
+    assert canonical_key(from_canonical("x*y")) < canonical_key(from_canonical("[x]*y"))
 
 
 def test_canonical_order_reflexive_and_antisymmetric():
     u, v = from_canonical("x*[y]"), from_canonical("[x]*y")
-    assert canonical_compare(u, u) == 0
-    assert canonical_compare(u, v) == -canonical_compare(v, u)
+    assert canonical_key(u) == canonical_key(u)
+    assert canonical_key(u) != canonical_key(v)
+    assert (canonical_key(u) < canonical_key(v)) != (canonical_key(v) < canonical_key(u))
 
 
 @given(words_strategy(), words_strategy(), words_strategy())
 def test_canonical_order_is_total_and_transitive(a, b, c):
     ordered = sorted([a, b, c], key=canonical_key)
-    assert canonical_compare(ordered[0], ordered[1]) <= 0
-    assert canonical_compare(ordered[1], ordered[2]) <= 0
-    assert canonical_compare(ordered[0], ordered[2]) <= 0
-    assert (canonical_compare(a, b) == 0) == (a == b)
+    assert canonical_key(ordered[0]) <= canonical_key(ordered[1])
+    assert canonical_key(ordered[1]) <= canonical_key(ordered[2])
+    assert canonical_key(ordered[0]) <= canonical_key(ordered[2])
+    assert (canonical_key(a) == canonical_key(b)) == (a == b)
 
 
 def test_enumeration_counts_over_two_letters():
