@@ -88,7 +88,7 @@ def span(rows) -> RowSpace:
     """Row space of dense rows, pivoted on the leftmost column."""
     space = RowSpace(key=lambda col: -col)
     for row in rows:
-        space.add({col: rational(x) for col, x in enumerate(row) if rational(x)})
+        space.add({col: q for col, q in enumerate(map(rational, row)) if q})
     return space
 
 
