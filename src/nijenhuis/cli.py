@@ -10,6 +10,7 @@ the ``--bound`` of ``ideal-member``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,6 +57,7 @@ from .words import (
 __all__ = ["run_command", "main"]
 
 _OP_NAMES = ("prec", "succ", "bullet")
+_EXPR_HELP = "an expression; write '--' before one that starts with '-', after all options"
 
 
 class _UsageError(ValueError):
@@ -66,10 +68,7 @@ def _split_names(raw: str) -> tuple[GeneratorSymbol, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise _UsageError(f"no generator names in {raw!r}")
-    try:
-        return generators(*parts)
-    except WordError as exc:
-        raise _UsageError(str(exc)) from exc
+    return generators(*parts)
 
 
 def _max_size_cap() -> int | None:
@@ -126,6 +125,16 @@ def _load_json(path: str) -> dict:
     if not isinstance(data, dict):
         raise _UsageError(f"{path}: expected a JSON object")
     return data
+
+
+def _load_map(path: str) -> tuple[tuple[GeneratorSymbol, ...], LinearMap]:
+    obj = _load_json(path)
+    try:
+        names = generators(*[str(n) for n in obj["names"]])
+        matrix = LinearMap.from_json_obj(obj["matrix"])
+    except (KeyError, ValueError, TypeError) as exc:
+        raise _UsageError(f"{path}: malformed map file: {exc}") from exc
+    return names, matrix
 
 
 def _load_algebra(path: str) -> NijenhuisAlgebraFD | NSAlgebraFD:
@@ -359,12 +368,7 @@ def _cmd_eval_hom(args: argparse.Namespace) -> int:
     alg = _load_algebra(args.file)
     if not isinstance(alg, NijenhuisAlgebraFD):
         raise _UsageError(f"{args.file}: expected an operator algebra file")
-    map_obj = _load_json(args.mapfile)
-    try:
-        names = generators(*[str(n) for n in map_obj["names"]])
-        matrix = LinearMap.from_json_obj(map_obj["matrix"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise _UsageError(f"{args.mapfile}: malformed map file: {exc}") from exc
+    names, matrix = _load_map(args.mapfile)
     element = _parse_element(args.expr, names)
     image = evaluate_hom(alg, matrix, element, names)
     _emit(
@@ -395,17 +399,13 @@ def _cmd_morphism_check(args: argparse.Namespace) -> int:
     target = _load_algebra(args.target)
     if not isinstance(target, NijenhuisAlgebraFD):
         raise _UsageError(f"{args.target}: expected an operator algebra file")
-    map_obj = _load_json(args.mapfile)
-    try:
-        names = generators(*[str(n) for n in map_obj["names"]])
-        matrix = LinearMap.from_json_obj(map_obj["matrix"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise _UsageError(f"{args.mapfile}: malformed map file: {exc}") from exc
+    names, matrix = _load_map(args.mapfile)
     report = check_morphism_kills_generators(source, target, matrix, names)
     _emit(args, _report_json(report), f"morphism: {report.describe()}")
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="nijenhuis",
@@ -421,12 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("mul", _cmd_mul, "multiply two expressions")
-    p.add_argument("left")
-    p.add_argument("right")
+    p.add_argument("left", help=_EXPR_HELP)
+    p.add_argument("right", help=_EXPR_HELP)
     p.add_argument("--generators", default="x,y,z", help="declared generator names")
 
     p = add("eval", _cmd_eval, "evaluate an expression to canonical form")
-    p.add_argument("expr")
+    p.add_argument("expr", help=_EXPR_HELP)
     p.add_argument("--generators", default="x,y,z", help="declared generator names")
 
     p = add("assoc-check", _cmd_assoc_check, "sweep associativity on basis word triples")
@@ -458,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("eval-hom", _cmd_eval_hom, "evaluate a free-algebra expression in a target algebra")
     p.add_argument("file")
     p.add_argument("mapfile")
-    p.add_argument("expr")
+    p.add_argument("expr", help=_EXPR_HELP)
 
     p = add("morphism-check", _cmd_morphism_check, "check a map intertwines operations and kills kernel generators")
     p.add_argument("source")
@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("ideal-member", _cmd_ideal_member, "truncated ideal membership for a candidate element")
     p.add_argument("file")
-    p.add_argument("expr")
+    p.add_argument("expr", help=_EXPR_HELP)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--generators", default=None, help="names for the free generators")
 

@@ -4,9 +4,9 @@ A bracketed word is a nonempty alternating sequence of factors, where a
 factor is either a run of generator letters or a bracket enclosing a
 smaller bracketed word.  Words of this shape form the monomial basis of
 the free Nijenhuis algebra built in :mod:`nijenhuis.algebra`; this module
-only knows about their combinatorial structure: construction, structural
-measures, concatenation, canonical serialization, a total order, and
-enumeration by size.
+only knows about their combinatorial structure: construction, concatenation,
+enumeration by size, and the canonical text and sort key that each word
+stores, built from its inner words' keys, from which its measures are read.
 """
 
 from __future__ import annotations
@@ -88,7 +88,9 @@ class GeneratorSymbol:
 
 
 def generators(*names: str) -> tuple[GeneratorSymbol, ...]:
-    """Convenience constructor for several symbols at once."""
+    """Convenience constructor for several distinct symbols at once."""
+    if len(set(names)) != len(names):
+        raise WordError(f"duplicate generator names in {', '.join(names)}")
     return tuple(GeneratorSymbol(n) for n in names)
 
 
@@ -214,13 +216,7 @@ def _kind(f: Factor) -> EndKind:
 
 def depth(w: BracketedWord) -> int:
     """Maximal bracket nesting over the factors of ``w``."""
-    return max(_factor_depth(f) for f in w.factors)
-
-
-def _factor_depth(f: Factor) -> int:
-    if isinstance(f, Letters):
-        return 0
-    return depth(f.inner) + 1
+    return canonical_key(w)[1]
 
 
 def breadth(w: BracketedWord) -> int:
@@ -230,21 +226,13 @@ def breadth(w: BracketedWord) -> int:
 
 def letter_count(w: BracketedWord) -> int:
     """Total number of generator letters, at all nesting levels."""
-    total = 0
-    for f in w.factors:
-        total += len(f.run) if isinstance(f, Letters) else letter_count(f.inner)
-    return total
+    return canonical_key(w)[0]
 
 
 def size(w: BracketedWord) -> int:
-    """Letters plus bracket pairs, at all nesting levels."""
-    total = 0
-    for f in w.factors:
-        if isinstance(f, Letters):
-            total += len(f.run)
-        else:
-            total += 1 + size(f.inner)
-    return total
+    """Letters plus bracket pairs; names are identifiers, so each ``[`` opens a pair."""
+    letters, _, text = canonical_key(w)
+    return letters + text.count("[")
 
 
 def head_tail(w: BracketedWord) -> tuple[EndKind, EndKind]:
@@ -270,12 +258,12 @@ def concat_words(u: BracketedWord, v: BracketedWord) -> BracketedWord:
 def _factor_str(f: Factor) -> str:
     if isinstance(f, Letters):
         return "*".join(s.name for s in f.run)
-    return "[" + to_canonical(f.inner) + "]"
+    return "[" + canonical_key(f.inner)[2] + "]"
 
 
 def to_canonical(w: BracketedWord) -> str:
     """Serialize: letters joined by ``*``, brackets as ``[...]``."""
-    return "*".join(_factor_str(f) for f in w.factors)
+    return canonical_key(w)[2]
 
 
 def from_canonical(text: str) -> BracketedWord:
@@ -333,12 +321,21 @@ def canonical_key(w: BracketedWord) -> tuple[int, int, str]:
     """Sort key realizing the canonical order on words.
 
     Words compare first by total letter count, then by depth, then
-    lexicographically on the canonical serialization.  The key is
-    stored on the word, so it is computed once per word object.
+    lexicographically on the canonical serialization.  The key is built
+    from the keys stored on the inner words and stored on ``w``, so each
+    word object is walked once.
     """
     key = w._key
     if key is None:
-        key = (letter_count(w), depth(w), to_canonical(w))
+        letters = deepest = 0
+        for f in w.factors:
+            if isinstance(f, Letters):
+                letters += len(f.run)
+            else:
+                inner_letters, inner_depth, _ = canonical_key(f.inner)
+                letters += inner_letters
+                deepest = max(deepest, inner_depth + 1)
+        key = (letters, deepest, "*".join(_factor_str(f) for f in w.factors))
         object.__setattr__(w, "_key", key)
     return key
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nijenhuis.cli import run_command
+from nijenhuis.cli import build_parser, run_command
 from nijenhuis.envelope import fixture_projection, fixture_scaling, fixture_swap, induced_ns
 from nijenhuis.linalg import LinComb
 from nijenhuis.parser import eval_expr, parse_expr
@@ -349,3 +349,31 @@ def test_seed_flag_rejected(capsys):
     code, _, err = run(capsys, "assoc-check", "--max-size", "1", "--seed", "7")
     assert code == 2
     assert "--seed" in err
+
+
+def test_duplicate_generators_rejected(capsys):
+    code, out, err = run(capsys, "ns-check", "--generators", "x,y,y")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "duplicate generator names" in err
+
+
+def test_duplicate_alphabet_rejected(capsys):
+    code, out, err = run(capsys, "assoc-check", "--alphabet", "x,x", "--max-size", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "duplicate generator names" in err
+
+
+def test_duplicate_map_names_rejected(capsys, tmp_path):
+    dup = tmp_path / "dup_map.json"
+    dup.write_text(json.dumps({"names": ["e1", "e1"], "matrix": [["1", "0"], ["0", "1"]]}))
+    for argv in (
+        ("eval-hom", str(FIXTURES / "projection.json"), str(dup), "e1"),
+        ("morphism-check", str(FIXTURES / "projection_ns.json"), str(FIXTURES / "projection.json"), str(dup)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "duplicate generator names" in err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()

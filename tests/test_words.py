@@ -47,6 +47,12 @@ def test_symbol_names_validated():
         GeneratorSymbol("a-b")
 
 
+def test_generators_must_be_distinct():
+    assert generators("x", "y") == (X, Y)
+    with pytest.raises(WordError, match="duplicate generator names"):
+        generators("x", "y", "x")
+
+
 def test_empty_constructions_rejected():
     with pytest.raises(EmptyInput):
         Letters(())
