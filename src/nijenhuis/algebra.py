@@ -24,6 +24,15 @@ products are memoized in a module cache keyed on the junction factor
 pair (last factor of the left word, first factor of the right word), so
 the cache grows with the distinct junctions seen, not with the word
 pairs; entries are pure values, so concurrent repopulation is harmless.
+
+Every structure constant of the word product is an integer, so products
+of words carry ``int`` coefficients.  The words a product returns are
+built by the unchecked ``BracketedWord._of``: each junction word starts
+and ends with factors of the same kinds as the two junction factors, so
+the outer factors reattached around it alternate exactly as they did in
+the operands, and ``[w]`` is a single factor.  Neither can break
+alternation, and the tests compare every such word with the checked
+constructor.
 """
 
 from __future__ import annotations
@@ -88,13 +97,16 @@ def product_words(u: BracketedWord, v: BracketedWord) -> LinComb:
     # Junction words keep the junction end kinds, so reattaching the
     # untouched outer factors cannot break alternation or merge terms.
     return LinComb._of(
-        {BracketedWord(prefix + w.factors + suffix): c for w, c in junction._terms.items()}
+        {
+            BracketedWord._of(prefix + w.factors + suffix): c
+            for w, c in junction._terms.items()
+        }
     )
 
 
 def product(a: LinComb, b: LinComb) -> LinComb:
     """Bilinear extension of the word product."""
-    data: dict[BracketedWord, Fraction] = {}
+    data: dict[BracketedWord, int | Fraction] = {}
     get = data.get
     for wu, cu in a._terms.items():
         for wv, cv in b._terms.items():
@@ -110,9 +122,7 @@ def product(a: LinComb, b: LinComb) -> LinComb:
 
 def operator_n(a: LinComb) -> LinComb:
     """Apply the distinguished operator: wrap each word in one bracket."""
-    return LinComb._of(
-        {BracketedWord((Bracket(w),)): c for w, c in a._terms.items()}
-    )
+    return LinComb._of({BracketedWord._of((Bracket(w),)): c for w, c in a._terms.items()})
 
 
 def derived_op(op: OpSymbol, a: LinComb, b: LinComb) -> LinComb:

@@ -188,8 +188,9 @@ def _cmd_assoc_check(args: argparse.Namespace) -> int:
     elements = [LinComb.from_word(w) for w in pool]
     for u in elements:
         for v in elements:
+            uv = product(u, v)
             for w in elements:
-                left = product(product(u, v), w)
+                left = product(uv, w)
                 right = product(u, product(v, w))
                 if left != right:
                     _emit(

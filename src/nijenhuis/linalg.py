@@ -1,12 +1,14 @@
 """Exact rational scalars, linear combinations of words, and row spaces.
 
-Scalars are :class:`fractions.Fraction` values, so every computation in
-the package is exact: reduced form, positive denominators, and unbounded
-integers come from the standard library.  On top of that this module
-provides linear combinations of bracketed words with rational
-coefficients, a shape-checked dense matrix, and :class:`RowSpace`, the
-one sparse elimination engine: it spans rows, tests membership, and
-gives kernels, for the relation solver and the ideal closure alike.
+Scalars are exact: an ``int`` when the value is integral, otherwise a
+:class:`fractions.Fraction` (reduced form, positive denominator), never
+a float.  The two mix freely, compare and hash alike, and print alike,
+so integral work such as the free product's structure constants runs on
+plain integers.  On top of that this module provides linear combinations
+of bracketed words with rational coefficients, a shape-checked dense
+matrix, and :class:`RowSpace`, the one sparse elimination engine: it
+spans rows, tests membership, and gives kernels, for the relation
+solver and the ideal closure alike.
 """
 
 from __future__ import annotations
@@ -32,16 +34,22 @@ Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 
-def rational(value: RationalLike) -> Fraction:
-    """Coerce an int, a ``p/q`` string, or a Fraction to a Fraction."""
-    if isinstance(value, Fraction):
+def rational(value: RationalLike) -> int | Fraction:
+    """Coerce an int, a ``p/q`` string, or a Fraction to an exact scalar.
+
+    The result is an ``int`` whenever the value is integral, also for an
+    integral Fraction or string, and a Fraction otherwise.
+    """
+    if type(value) is int:
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"not a rational value: {value!r}")
+        value = Fraction(value)
+    elif not isinstance(value, Fraction):
+        raise TypeError(f"not a rational value: {value!r}")
+    return value.numerator if value.denominator == 1 else value
 
 
-def format_rational(q: Fraction) -> str:
+def format_rational(q: int | Fraction) -> str:
     """``p/q`` in lowest terms, or just ``p`` for integers."""
     return str(q)
 
@@ -62,7 +70,7 @@ class LinComb:
             pairs = terms.items()
         else:
             pairs = terms
-        data: dict[BracketedWord, Fraction] = {}
+        data: dict[BracketedWord, int | Fraction] = {}
         for word, coeff in pairs:
             c = rational(coeff)
             if c:
@@ -76,12 +84,12 @@ class LinComb:
                     else:
                         del data[word]
         self._terms = data
-        self._items: tuple[tuple[BracketedWord, Fraction], ...] | None = None
+        self._items: tuple[tuple[BracketedWord, int | Fraction], ...] | None = None
         self._hash: int | None = None
 
     @classmethod
-    def _of(cls, data: dict[BracketedWord, Fraction]) -> "LinComb":
-        """Wrap a dict of nonzero Fraction coefficients, taking ownership.
+    def _of(cls, data: dict[BracketedWord, int | Fraction]) -> "LinComb":
+        """Wrap a dict of nonzero exact coefficients, taking ownership.
 
         The caller guarantees the dict is clean and never mutates it
         afterwards; nothing is copied or checked.
@@ -100,7 +108,7 @@ class LinComb:
     def from_word(cls, word: BracketedWord, coeff: RationalLike = 1) -> "LinComb":
         return cls(((word, coeff),))
 
-    def items(self) -> tuple[tuple[BracketedWord, Fraction], ...]:
+    def items(self) -> tuple[tuple[BracketedWord, int | Fraction], ...]:
         """Terms as (word, coefficient) pairs in canonical order."""
         if self._items is None:
             ordered = sorted(self._terms.items(), key=lambda kv: canonical_key(kv[0]))
@@ -110,8 +118,8 @@ class LinComb:
     def support(self) -> tuple[BracketedWord, ...]:
         return tuple(w for w, _ in self.items())
 
-    def coeff(self, word: BracketedWord) -> Fraction:
-        return self._terms.get(word, Fraction(0))
+    def coeff(self, word: BracketedWord) -> int | Fraction:
+        return self._terms.get(word, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -122,7 +130,7 @@ class LinComb:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __iter__(self) -> Iterator[tuple[BracketedWord, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[BracketedWord, int | Fraction]]:
         return iter(self.items())
 
     def __add__(self, other: "LinComb") -> "LinComb":
@@ -194,7 +202,7 @@ class DimensionMismatch(ValueError):
 
 
 class RationalMatrix:
-    """A dense matrix of Fractions with rectangular shape."""
+    """A dense matrix of exact scalars with rectangular shape."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -233,13 +241,13 @@ class RationalMatrix:
 
 
 
-Row = dict[Hashable, Fraction]
+Row = dict[Hashable, int | Fraction]
 
 
 class RowSpace:
     """The span of sparse rows, kept in reduced echelon form.
 
-    A row maps columns to nonzero Fractions.  Each stored row is filed
+    A row maps columns to nonzero exact scalars.  Each stored row is filed
     under its pivot, its largest column under ``key``, and has
     coefficient 1 there; no other stored row has an entry in a pivot
     column.  The stored rows are therefore the unique reduced basis of

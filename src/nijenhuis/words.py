@@ -7,6 +7,14 @@ the free Nijenhuis algebra built in :mod:`nijenhuis.algebra`; this module
 only knows about their combinatorial structure: construction, concatenation,
 enumeration by size, and the canonical text and sort key that each word
 stores, built from its inner words' keys, from which its measures are read.
+
+The public constructor checks every factor's type and the alternation of
+kinds; the parser, :func:`from_canonical`, :func:`make_word` and the
+enumeration all go through it.  The private ``BracketedWord._of`` wraps
+a factor tuple without those checks, for the free product alone: it
+only reattaches untouched outer factors around a junction word whose
+end factors have the junction's kinds, or wraps a word in one bracket,
+and neither can put two factors of one kind side by side.
 """
 
 from __future__ import annotations
@@ -179,6 +187,20 @@ class BracketedWord:
         object.__setattr__(self, "_hash", hash(tuple(f._hash for f in self.factors)))
         object.__setattr__(self, "_key", None)
 
+    @classmethod
+    def _of(cls, factors: tuple[Factor, ...]) -> "BracketedWord":
+        """Wrap a factor tuple the caller knows to alternate; nothing is checked.
+
+        Only the free product uses this, for words whose alternation
+        follows from how they were built; every other word goes through
+        the checked constructor.
+        """
+        self = object.__new__(cls)
+        _set_factors(self, factors)
+        _set_hash(self, hash(tuple([f._hash for f in factors])))
+        _set_key(self, None)
+        return self
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -191,6 +213,12 @@ class BracketedWord:
 
     def __str__(self) -> str:
         return to_canonical(self)
+
+
+# Slot descriptors write past the frozen dataclass's ``__setattr__``.
+_set_factors = BracketedWord.factors.__set__
+_set_hash = BracketedWord._hash.__set__
+_set_key = BracketedWord._key.__set__
 
 
 class EndKind(IntEnum):

@@ -1,0 +1,132 @@
+"""No float ever reaches a coefficient: scalars are ints or Fractions.
+
+Integral values are plain ints and the rest are Fractions, and the two
+mix in the arithmetic.  A stray true division of two ints would give a
+float, so every path that builds coefficients or eliminates rows is
+checked here for the exact types.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
+
+from nijenhuis.algebra import OpSymbol, derived_op, operator_n, product, product_words
+from nijenhuis.linalg import LinComb, RowSpace, rational
+from nijenhuis.parser import eval_expr, parse_expr
+from nijenhuis.words import canonical_key, words_up_to_size
+
+from conftest import ALPHABET_XY, lincombs_strategy, rationals_strategy
+
+
+def is_exact(c) -> bool:
+    return type(c) is int or type(c) is Fraction
+
+
+def assert_exact(value: LinComb) -> None:
+    assert all(is_exact(c) for c in value._terms.values()), value._terms
+
+
+def test_rational_returns_int_when_integral():
+    for value, expected in [
+        (3, 3),
+        (True, 1),
+        ("6/3", 2),
+        ("-4", -4),
+        (Fraction(8, 4), 2),
+        (Fraction(0), 0),
+    ]:
+        got = rational(value)
+        assert type(got) is int and got == expected, value
+    for value, expected in [("1/3", Fraction(1, 3)), (Fraction(-5, 10), Fraction(-1, 2))]:
+        got = rational(value)
+        assert type(got) is Fraction and got == expected, value
+    assert str(rational(Fraction(3))) == str(Fraction(3))
+
+
+def test_missing_word_has_coefficient_zero():
+    w = words_up_to_size(ALPHABET_XY, 1)[0]
+    got = LinComb().coeff(w)
+    assert got == 0 and type(got) is int
+
+
+def test_product_words_coefficients_are_ints():
+    pool = words_up_to_size(ALPHABET_XY, 3)
+    for u in pool:
+        for v in pool:
+            assert all(type(c) is int for c in product_words(u, v)._terms.values())
+        assert all(type(c) is int for c in operator_n(LinComb.from_word(u))._terms.values())
+
+
+_SCALARS = st.builds(
+    lambda p, q: f"{p}/{q}", st.integers(min_value=0, max_value=9), st.integers(min_value=1, max_value=6)
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(lambda s, e: f"{s}*{e}", _SCALARS, children),
+        st.builds(lambda a, b: f"({a} + {b})", children, children),
+        st.builds(lambda a, b: f"({a} - {b})", children, children),
+        st.builds(lambda a, b: f"{a}*{b}", children, children),
+        st.builds(lambda e: f"[{e}]", children),
+        st.builds(lambda e: f"P({e})", children),
+        st.builds(
+            lambda op, a, b: f"{op}({a}, {b})",
+            st.sampled_from([op.value for op in OpSymbol]),
+            children,
+            children,
+        ),
+    )
+
+
+EXPRESSIONS = st.recursive(st.sampled_from(["x", "y"]), _extend, max_leaves=5)
+
+
+@given(EXPRESSIONS)
+def test_eval_of_parsed_expressions_stays_exact(text):
+    assert_exact(eval_expr(parse_expr(text), ALPHABET_XY))
+
+
+@given(
+    lincombs_strategy(max_size=3),
+    lincombs_strategy(max_size=3),
+    st.one_of(rationals_strategy(), st.integers(min_value=-5, max_value=5)),
+)
+def test_combination_arithmetic_stays_exact(a, b, scalar):
+    assert_exact(a)
+    assert_exact(product(a, b))
+    for op in OpSymbol:
+        assert_exact(derived_op(op, a, b))
+    assert_exact(a.scale(scalar))
+    assert_exact(a.scale(str(scalar)))
+    assert_exact(-a)
+    assert_exact(a - b)
+    assert_exact(a + b)
+
+
+_ENTRIES = st.one_of(
+    rationals_strategy(),
+    st.integers(min_value=-4, max_value=4),
+    rationals_strategy().map(str),
+)
+
+
+@given(st.lists(st.lists(_ENTRIES, min_size=4, max_size=4), max_size=5))
+def test_row_space_rows_stay_exact(rows):
+    space = RowSpace(key=lambda col: col)
+    for row in rows:
+        sparse = {col: q for col, q in enumerate(map(rational, row)) if q}
+        space.add(sparse)
+        assert all(is_exact(x) for x in space.reduce(sparse).values())
+    assert all(is_exact(x) for stored in space.rows.values() for x in stored.values())
+    assert all(is_exact(x) for vec in space.kernel(range(4)) for x in vec)
+
+
+@given(lincombs_strategy(max_size=3, max_terms=3), lincombs_strategy(max_size=3, max_terms=3))
+def test_row_space_over_word_columns_stays_exact(a, b):
+    space = RowSpace(key=canonical_key)
+    for value in (a, product(a, b), b.scale(Fraction(2, 3))):
+        space.add(value._terms)
+    assert all(is_exact(x) for stored in space.rows.values() for x in stored.values())
