@@ -9,7 +9,17 @@ truncated ideal membership procedure.  A small expression language and a
 command line front end sit on top.
 """
 
-from .algebra import COORD_OPS, OpSymbol, derived_op, operator_n, product, product_words
+from .algebra import (
+    COORD_OPS,
+    OpSymbol,
+    SweepFailure,
+    derived_op,
+    first_nonassociative_triple,
+    first_operator_identity_failure,
+    operator_n,
+    product,
+    product_words,
+)
 from .envelope import (
     ArityMismatch,
     BoundTooSmall,

@@ -19,29 +19,39 @@ bilinear operations (and their sum):
 
     a < b = a . N(b)      a > b = N(a) . b      a o b = -N(a . b)
 
-All operations extend bilinearly from words to combinations.  Junction
-products are memoized in a module cache keyed on the junction factor
-pair (last factor of the left word, first factor of the right word), so
-the cache grows with the distinct junctions seen, not with the word
-pairs; entries are pure values, so concurrent repopulation is harmless.
+All operations extend bilinearly from words to combinations.  Only the
+bracket-bracket junction recurses, so only it is memoized: a module
+cache keyed on the two junction brackets maps them to their expansion,
+and the cache grows with the distinct bracket junctions seen, not with
+the word pairs.  Entries are pure values, so concurrent repopulation is
+harmless.  A letter-letter or mixed junction is a plain concatenation
+and is built directly as the one result word, with coefficient 1.
 
 Every structure constant of the word product is an integer, so products
 of words carry ``int`` coefficients.  The words a product returns are
-built by the unchecked ``BracketedWord._of``: each junction word starts
-and ends with factors of the same kinds as the two junction factors, so
-the outer factors reattached around it alternate exactly as they did in
-the operands, and ``[w]`` is a single factor.  Neither can break
-alternation, and the tests compare every such word with the checked
-constructor.
+built by the unchecked ``BracketedWord._of`` and ``Bracket._of``, and
+none of them can break alternation.  A mixed junction puts a letter run
+next to a bracket; a letter junction merges the two runs into one, whose
+neighbours are the brackets (or ends) that neighboured the two runs; a
+bracket junction's words start and end with brackets, so the outer
+factors reattached around them alternate exactly as they did in the
+operands; and ``[w]`` is a single factor.  The tests compare every such
+word with the checked constructors.
+
+:func:`first_nonassociative_triple` and
+:func:`first_operator_identity_failure` are the sweeps behind the
+``assoc-check`` and ``nijenhuis-check`` commands and the acceptance
+tests: each returns the first failing case with both sides, or None.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .linalg import LinComb
-from .words import Bracket, BracketedWord, Factor, Letters
+from .words import Bracket, BracketedWord, Letters
 
 __all__ = [
     "OpSymbol",
@@ -50,6 +60,9 @@ __all__ = [
     "product_words",
     "operator_n",
     "derived_op",
+    "SweepFailure",
+    "first_nonassociative_triple",
+    "first_operator_identity_failure",
 ]
 
 
@@ -65,36 +78,34 @@ class OpSymbol(Enum):
 #: The three operations that coordinatize quadratic relations.
 COORD_OPS = (OpSymbol.PREC, OpSymbol.SUCC, OpSymbol.BULLET)
 
-_PRODUCT_CACHE: dict[tuple[Factor, Factor], LinComb] = {}
+_PRODUCT_CACHE: dict[tuple[Bracket, Bracket], LinComb] = {}
 
 
 def product_words(u: BracketedWord, v: BracketedWord) -> LinComb:
     """Product of two basis words as a linear combination of words."""
     last, first = u.factors[-1], v.factors[0]
+    if type(last) is not type(first):
+        return LinComb._of({BracketedWord._of(u.factors + v.factors): 1})
+    if type(last) is Letters:
+        merged = Letters(last.run + first.run)
+        return LinComb._of({BracketedWord._of(u.factors[:-1] + (merged,) + v.factors[1:]): 1})
+
     key = (last, first)
     junction = _PRODUCT_CACHE.get(key)
     if junction is None:
-        if isinstance(last, Letters):
-            if isinstance(first, Letters):
-                junction = LinComb.from_word(BracketedWord((Letters(last.run + first.run),)))
-            else:
-                junction = LinComb.from_word(BracketedWord((last, first)))
-        elif isinstance(first, Letters):
-            junction = LinComb.from_word(BracketedWord((last, first)))
-        else:
-            left_alone = BracketedWord((last,))
-            right_alone = BracketedWord((first,))
-            junction = (
-                operator_n(product_words(left_alone, first.inner))
-                + operator_n(product_words(last.inner, right_alone))
-                - operator_n(operator_n(product_words(last.inner, first.inner)))
-            )
+        left_alone = BracketedWord._of((last,))
+        right_alone = BracketedWord._of((first,))
+        junction = (
+            operator_n(product_words(left_alone, first.inner))
+            + operator_n(product_words(last.inner, right_alone))
+            - operator_n(operator_n(product_words(last.inner, first.inner)))
+        )
         _PRODUCT_CACHE[key] = junction
 
     prefix, suffix = u.factors[:-1], v.factors[1:]
     if not (prefix or suffix):
         return junction
-    # Junction words keep the junction end kinds, so reattaching the
+    # Junction words start and end with brackets, so reattaching the
     # untouched outer factors cannot break alternation or merge terms.
     return LinComb._of(
         {
@@ -106,6 +117,12 @@ def product_words(u: BracketedWord, v: BracketedWord) -> LinComb:
 
 def product(a: LinComb, b: LinComb) -> LinComb:
     """Bilinear extension of the word product."""
+    if len(a._terms) == 1 and len(b._terms) == 1:
+        ((wu, cu),) = a._terms.items()
+        ((wv, cv),) = b._terms.items()
+        result = product_words(wu, wv)
+        scale = cu * cv
+        return result if scale == 1 else result.scale(scale)
     data: dict[BracketedWord, int | Fraction] = {}
     get = data.get
     for wu, cu in a._terms.items():
@@ -122,7 +139,9 @@ def product(a: LinComb, b: LinComb) -> LinComb:
 
 def operator_n(a: LinComb) -> LinComb:
     """Apply the distinguished operator: wrap each word in one bracket."""
-    return LinComb._of({BracketedWord._of((Bracket(w),)): c for w, c in a._terms.items()})
+    return LinComb._of(
+        {BracketedWord._of((Bracket._of(w),)): c for w, c in a._terms.items()}
+    )
 
 
 def derived_op(op: OpSymbol, a: LinComb, b: LinComb) -> LinComb:
@@ -140,3 +159,53 @@ def derived_op(op: OpSymbol, a: LinComb, b: LinComb) -> LinComb:
             - operator_n(product(a, b))
         )
     raise ValueError(f"unknown operation: {op!r}")
+
+
+class SweepFailure(NamedTuple):
+    """The first failing case of a sweep: element indices and both sides."""
+
+    indices: tuple[int, ...]
+    lhs: Any
+    rhs: Any
+
+
+def first_nonassociative_triple(
+    elements: Sequence[Any], mul: Callable[[Any, Any], Any] = product
+) -> SweepFailure | None:
+    """First triple, in row-major order, with ``(a b) c != a (b c)``.
+
+    Every pair product ``b c`` is computed once, up front, and serves
+    both as the left factor ``a b`` and as the right factor ``b c``.
+    """
+    n = len(elements)
+    pairs = [[mul(b, c) for c in elements] for b in elements]
+    for i in range(n):
+        a, row = elements[i], pairs[i]
+        for j in range(n):
+            ab, right_factors = row[j], pairs[j]
+            for k in range(n):
+                lhs = mul(ab, elements[k])
+                rhs = mul(a, right_factors[k])
+                if lhs != rhs:
+                    return SweepFailure((i, j, k), lhs, rhs)
+    return None
+
+
+def first_operator_identity_failure(
+    elements: Sequence[LinComb], op: Callable[[LinComb], LinComb] = operator_n
+) -> SweepFailure | None:
+    """First pair, in row-major order, with ``P(a) P(b) != P(P(a) b + a P(b) - P(a b))``.
+
+    ``P`` is ``op``, the distinguished operator unless another is given;
+    each element is mapped by it once.
+    """
+    images = [op(a) for a in elements]
+    for i, a in enumerate(elements):
+        pa = images[i]
+        for j, b in enumerate(elements):
+            pb = images[j]
+            lhs = product(pa, pb)
+            rhs = op(product(pa, b)) + op(product(a, pb)) - op(op(product(a, b)))
+            if lhs != rhs:
+                return SweepFailure((i, j), lhs, rhs)
+    return None

@@ -16,7 +16,12 @@ import os
 import sys
 from typing import Sequence
 
-from .algebra import operator_n, product
+from .algebra import (
+    SweepFailure,
+    first_nonassociative_triple,
+    first_operator_identity_failure,
+    product,
+)
 from .envelope import (
     ArityMismatch,
     BoundTooSmall,
@@ -115,6 +120,14 @@ def _emit(args: argparse.Namespace, obj: dict, plain: str) -> None:
         print(plain)
 
 
+def _emit_lincomb(args: argparse.Namespace, value: LinComb) -> None:
+    """Print ``value`` in the one form asked for; the other is never built."""
+    if args.json:
+        print(json.dumps(_lincomb_json(value), indent=2))
+    else:
+        print(print_canonical(value))
+
+
 def _parse_element(text: str, names: Sequence[GeneratorSymbol]) -> LinComb:
     return eval_expr(parse_expr(text), names)
 
@@ -170,79 +183,62 @@ def _report_json(report) -> dict:
 def _cmd_mul(args: argparse.Namespace) -> int:
     names = _split_names(args.generators)
     value = product(_parse_element(args.left, names), _parse_element(args.right, names))
-    _emit(args, _lincomb_json(value), print_canonical(value))
+    _emit_lincomb(args, value)
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     names = _split_names(args.generators)
-    value = _parse_element(args.expr, names)
-    _emit(args, _lincomb_json(value), print_canonical(value))
+    _emit_lincomb(args, _parse_element(args.expr, names))
     return 0
 
 
-def _cmd_assoc_check(args: argparse.Namespace) -> int:
+def _sweep_elements(args: argparse.Namespace) -> tuple[int, list[LinComb]]:
     alphabet = _split_names(args.alphabet)
     bound = _sweep_size(args.max_size)
-    pool = words_up_to_size(alphabet, bound)
-    elements = [LinComb.from_word(w) for w in pool]
-    for u in elements:
-        for v in elements:
-            uv = product(u, v)
-            for w in elements:
-                left = product(uv, w)
-                right = product(u, product(v, w))
-                if left != right:
-                    _emit(
-                        args,
-                        {
-                            "ok": False,
-                            "triple": [print_canonical(u), print_canonical(v), print_canonical(w)],
-                            "lhs": _lincomb_json(left),
-                            "rhs": _lincomb_json(right),
-                        },
-                        f"associativity fails at ({print_canonical(u)}, {print_canonical(v)}, {print_canonical(w)})",
-                    )
-                    return 1
+    return bound, [LinComb.from_word(w) for w in words_up_to_size(alphabet, bound)]
+
+
+def _emit_sweep_failure(
+    args: argparse.Namespace, what: str, label: str, elements: list[LinComb], failure: SweepFailure
+) -> None:
+    case = [print_canonical(elements[i]) for i in failure.indices]
     _emit(
         args,
-        {"ok": True, "words": len(pool), "max_size": bound},
-        f"associativity holds on all {len(pool)}^3 word triples up to size {bound}",
+        {
+            "ok": False,
+            label: case,
+            "lhs": _lincomb_json(failure.lhs),
+            "rhs": _lincomb_json(failure.rhs),
+        },
+        f"{what} fails at ({', '.join(case)})",
+    )
+
+
+def _cmd_assoc_check(args: argparse.Namespace) -> int:
+    bound, elements = _sweep_elements(args)
+    failure = first_nonassociative_triple(elements)
+    if failure is not None:
+        _emit_sweep_failure(args, "associativity", "triple", elements, failure)
+        return 1
+    _emit(
+        args,
+        {"ok": True, "words": len(elements), "max_size": bound},
+        f"associativity holds on all {len(elements)}^3 word triples up to size {bound}",
     )
     return 0
 
 
 def _cmd_nijenhuis_check(args: argparse.Namespace) -> int:
-    alphabet = _split_names(args.alphabet)
-    bound = _sweep_size(args.max_size)
-    pool = words_up_to_size(alphabet, bound)
-    elements = [LinComb.from_word(w) for w in pool]
-    for u in elements:
-        nu = operator_n(u)
-        for v in elements:
-            nv = operator_n(v)
-            left = product(nu, nv)
-            right = (
-                operator_n(product(nu, v))
-                + operator_n(product(u, nv))
-                - operator_n(operator_n(product(u, v)))
-            )
-            if left != right:
-                _emit(
-                    args,
-                    {
-                        "ok": False,
-                        "pair": [print_canonical(u), print_canonical(v)],
-                        "lhs": _lincomb_json(left),
-                        "rhs": _lincomb_json(right),
-                    },
-                    f"operator identity fails at ({print_canonical(u)}, {print_canonical(v)})",
-                )
-                return 1
+    bound, elements = _sweep_elements(args)
+    failure = first_operator_identity_failure(elements)
+    if failure is not None:
+        _emit_sweep_failure(args, "operator identity", "pair", elements, failure)
+        return 1
     _emit(
         args,
-        {"ok": True, "words": len(pool), "max_size": bound},
-        f"operator identity holds on all {len(pool)}^2 word pairs up to size {bound}",
+        {"ok": True, "words": len(elements), "max_size": bound},
+        f"operator identity holds on all {len(elements)}^2 word pairs up to size {bound}",
     )
     return 0
 

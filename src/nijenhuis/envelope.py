@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import COORD_OPS, OpSymbol, operator_n, product
+from .algebra import COORD_OPS, OpSymbol, first_nonassociative_triple, operator_n, product
 from .linalg import (
     DimensionMismatch,
     LinComb,
@@ -313,14 +313,9 @@ def check_nijenhuis_fd(alg: NijenhuisAlgebraFD) -> CheckReport:
     """
     n = alg.dim
     basis = [_unit(n, i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            ij = alg.mul(basis[i], basis[j])
-            for k in range(n):
-                lhs = alg.mul(ij, basis[k])
-                rhs = alg.mul(basis[i], alg.mul(basis[j], basis[k]))
-                if lhs != rhs:
-                    return CheckReport(False, "associativity", (i, j, k), lhs, rhs)
+    failure = first_nonassociative_triple(basis, alg.mul)
+    if failure is not None:
+        return CheckReport(False, "associativity", *failure)
     for i in range(n):
         for j in range(n):
             pi, pj = alg.apply_op(basis[i]), alg.apply_op(basis[j])

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .algebra import OpSymbol, derived_op, operator_n, product
-from .linalg import LinComb
+from .linalg import LinComb, rational
 from .words import MAX_NESTING, GeneratorSymbol, letter_word
 
 __all__ = [
@@ -72,7 +72,7 @@ class GeneratorRef:
 
 @dataclass(frozen=True)
 class ScalarLit:
-    value: Fraction
+    value: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class Product:
 
 @dataclass(frozen=True)
 class Sum:
-    terms: tuple[tuple[Fraction, "Expr"], ...]
+    terms: tuple[tuple[int | Fraction, "Expr"], ...]
 
     def __post_init__(self) -> None:
         assert len(self.terms) >= 2
@@ -172,29 +172,29 @@ class _Parser:
         if self.nesting > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.peek().position)
         self.nesting += 1
-        terms: list[tuple[Fraction, Expr | None]] = []
-        sign = Fraction(1)
+        terms: list[tuple[int | Fraction, Expr | None]] = []
+        sign = 1
         if self.peek().text == "-":
             self.advance()
-            sign = Fraction(-1)
+            sign = -1
         terms.append(self._signed_term(sign))
         while self.peek().text in ("+", "-"):
-            sign = Fraction(1) if self.advance().text == "+" else Fraction(-1)
+            sign = 1 if self.advance().text == "+" else -1
             terms.append(self._signed_term(sign))
         self.nesting -= 1
         return _combine_terms(terms)
 
-    def _signed_term(self, sign: Fraction) -> tuple[Fraction, Expr | None]:
+    def _signed_term(self, sign: int) -> tuple[int | Fraction, Expr | None]:
         coeff, node = self.parse_term()
         return sign * coeff, node
 
-    def parse_term(self) -> tuple[Fraction, Expr | None]:
-        coeff = Fraction(1)
+    def parse_term(self) -> tuple[int | Fraction, Expr | None]:
+        coeff: int | Fraction = 1
         children: list[Expr] = []
         while True:
             tok = self.peek()
             if tok.kind == "int":
-                coeff *= self._rational()
+                coeff = rational(coeff * self._rational())
             else:
                 children.append(self.parse_atom())
             if self.peek().text == "*":
@@ -206,9 +206,9 @@ class _Parser:
         node = children[0] if len(children) == 1 else Product(tuple(children))
         return coeff, node
 
-    def _rational(self) -> Fraction:
+    def _rational(self) -> int | Fraction:
         tok = self.advance()
-        value = Fraction(int(tok.text))
+        value = int(tok.text)
         if self.peek().text == "/":
             slash = self.advance()
             denom_tok = self.peek()
@@ -218,7 +218,7 @@ class _Parser:
             denom = int(denom_tok.text)
             if denom == 0:
                 raise ParseError("zero denominator", denom_tok.position)
-            value /= denom
+            return rational(Fraction(value, denom))
         return value
 
     def parse_atom(self) -> Expr:
@@ -259,27 +259,27 @@ class _Parser:
         return DerivedOpNode(op, left, right)
 
 
-def _combine_terms(terms: list[tuple[Fraction, Expr | None]]) -> Expr:
-    normalized: list[tuple[Fraction, Expr]] = []
-    scalar_total = Fraction(0)
+def _combine_terms(terms: list[tuple[int | Fraction, Expr | None]]) -> Expr:
+    normalized: list[tuple[int | Fraction, Expr]] = []
+    scalar_total: int | Fraction = 0
     saw_scalar = False
     for coeff, node in terms:
         if node is None:
-            scalar_total += coeff
+            scalar_total = rational(scalar_total + coeff)
             saw_scalar = True
         elif coeff != 0:
             normalized.append((coeff, node))
     if not normalized:
         return ScalarLit(scalar_total)
     if saw_scalar and scalar_total != 0:
-        normalized.append((scalar_total, ScalarLit(Fraction(1))))
+        normalized.append((scalar_total, ScalarLit(1)))
     if len(normalized) == 1:
         coeff, node = normalized[0]
         return _scaled(coeff, node)
     return Sum(tuple(normalized))
 
 
-def _scaled(coeff: Fraction, node: Expr) -> Expr:
+def _scaled(coeff: int | Fraction, node: Expr) -> Expr:
     if coeff == 1:
         return node
     return Product((ScalarLit(coeff), node))
@@ -317,11 +317,11 @@ def eval_expr(expr: Expr, declared: Iterable[Union[str, GeneratorSymbol]]) -> Li
         if isinstance(node, DerivedOpNode):
             return derived_op(node.op, walk(node.left), walk(node.right))
         if isinstance(node, Product):
-            coeff = Fraction(1)
+            coeff: int | Fraction = 1
             value: LinComb | None = None
             for child in node.children:
                 if isinstance(child, ScalarLit):
-                    coeff *= child.value
+                    coeff = rational(coeff * child.value)
                 else:
                     part = walk(child)
                     value = part if value is None else product(value, part)
@@ -337,7 +337,7 @@ def eval_expr(expr: Expr, declared: Iterable[Union[str, GeneratorSymbol]]) -> Li
                     if coeff * child.value != 0:
                         raise EvalError("a bare scalar is not an algebra element")
                     continue
-                pairs.extend((w, coeff * c) for w, c in walk(child))
+                pairs.extend((w, coeff * c) for w, c in walk(child)._terms.items())
             return LinComb(pairs)
         raise TypeError(f"not an expression node: {node!r}")
 

@@ -8,13 +8,16 @@ only knows about their combinatorial structure: construction, concatenation,
 enumeration by size, and the canonical text and sort key that each word
 stores, built from its inner words' keys, from which its measures are read.
 
-The public constructor checks every factor's type and the alternation of
-kinds; the parser, :func:`from_canonical`, :func:`make_word` and the
-enumeration all go through it.  The private ``BracketedWord._of`` wraps
-a factor tuple without those checks, for the free product alone: it
-only reattaches untouched outer factors around a junction word whose
-end factors have the junction's kinds, or wraps a word in one bracket,
-and neither can put two factors of one kind side by side.
+The public constructors check every factor's type and the alternation
+of kinds; the parser, :func:`from_canonical`, :func:`make_word` and the
+enumeration all go through them.  Two private constructors skip those
+checks, for the free product alone.  ``BracketedWord._of`` wraps a factor
+tuple: the product only concatenates two words at a mixed junction,
+merges the two runs at a letter junction, reattaches untouched outer
+factors around a bracket junction's words, or builds a word of one
+bracket factor, and none of these can put two factors of one kind side
+by side.  ``Bracket._of`` wraps a word in a bracket factor, which needs no
+check beyond the inner word being one.
 """
 
 from __future__ import annotations
@@ -141,6 +144,14 @@ class Bracket:
             raise TypeError(f"bracket content must be a word: {self.inner!r}")
         object.__setattr__(self, "_hash", hash((Bracket, self.inner._hash)))
 
+    @classmethod
+    def _of(cls, inner: "BracketedWord") -> "Bracket":
+        """Wrap a word without the type check; only ``operator_n`` uses this."""
+        self = object.__new__(cls)
+        _set_inner(self, inner)
+        _set_bracket_hash(self, hash((Bracket, inner._hash)))
+        return self
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -216,6 +227,8 @@ class BracketedWord:
 
 
 # Slot descriptors write past the frozen dataclass's ``__setattr__``.
+_set_inner = Bracket.inner.__set__
+_set_bracket_hash = Bracket._hash.__set__
 _set_factors = BracketedWord.factors.__set__
 _set_hash = BracketedWord._hash.__set__
 _set_key = BracketedWord._key.__set__

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from nijenhuis import cli
 from nijenhuis.cli import build_parser, run_command
 from nijenhuis.envelope import fixture_projection, fixture_scaling, fixture_swap, induced_ns
 from nijenhuis.linalg import LinComb
@@ -35,6 +36,21 @@ def test_mul_json_matches_library(capsys):
     assert code == 0
     data = json.loads(out)
     assert data == {"terms": [{"coeff": "1", "word": "x*[y]*z"}]}
+
+
+def test_eval_and_mul_build_only_the_form_asked_for(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built an output form that is not printed")
+
+    monkeypatch.setattr(cli, "_lincomb_json", refuse)
+    assert run(capsys, "eval", "x*[y] - 1/2*y")[:2] == (0, "-1/2*y + x*[y]\n")
+    assert run(capsys, "mul", "[x]", "y")[:2] == (0, "[x]*y\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "print_canonical", refuse)
+    assert json.loads(run(capsys, "eval", "--json", "2*x")[1]) == {
+        "terms": [{"coeff": "2", "word": "x"}]
+    }
+    assert run(capsys, "mul", "--json", "x", "y")[0] == 0
 
 
 def test_eval_respects_generator_declaration(capsys):

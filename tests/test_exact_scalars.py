@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from nijenhuis.algebra import OpSymbol, derived_op, operator_n, product, product_words
 from nijenhuis.linalg import LinComb, RowSpace, rational
-from nijenhuis.parser import eval_expr, parse_expr
+from nijenhuis.parser import Product, ScalarLit, Sum, eval_expr, parse_expr
 from nijenhuis.words import canonical_key, words_up_to_size
 
 from conftest import ALPHABET_XY, lincombs_strategy, rationals_strategy
@@ -62,6 +62,29 @@ def test_product_words_coefficients_are_ints():
 _SCALARS = st.builds(
     lambda p, q: f"{p}/{q}", st.integers(min_value=0, max_value=9), st.integers(min_value=1, max_value=6)
 )
+
+
+def test_parsed_coefficients_are_ints_when_integral():
+    tree = parse_expr("2*x - 4/2*y + 3*1/3*[x] - 1/2*x*y + 2 - 2")
+    assert isinstance(tree, Sum)
+    coeffs = [c for c, _ in tree.terms]
+    assert coeffs == [2, -2, 1, Fraction(-1, 2)]
+    assert [type(c) for c in coeffs] == [int, int, int, Fraction]
+    scaled = parse_expr("6/3*x")
+    assert isinstance(scaled, Product) and scaled.children[0] == ScalarLit(2)
+    assert type(scaled.children[0].value) is int
+    assert parse_expr("x + 1/2 + 1/2").terms[-1] == (1, ScalarLit(1))
+    assert type(parse_expr("x + 1/2 + 1/2").terms[-1][0]) is int
+
+
+def test_sum_evaluation_does_not_sort_its_terms(monkeypatch):
+    def refuse(self):
+        raise AssertionError("sorted a combination while adding it up")
+
+    monkeypatch.setattr(LinComb, "items", refuse)
+    value = eval_expr(parse_expr("2*x*[y] - [x]*y + 1/2*(x + [y])"), ALPHABET_XY)
+    assert len(value._terms) == 4
+    assert_exact(value)
 
 
 def _extend(children):

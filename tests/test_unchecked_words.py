@@ -1,8 +1,10 @@
-"""Words built by the unchecked constructor against the checked one.
+"""Words built by the unchecked constructors against the checked ones.
 
 :meth:`BracketedWord._of` skips the type and alternation checks for the
-words the free product builds.  Every such word must be one the checked
-constructor accepts, equal to it, with the same hash and canonical key.
+words the free product builds, and :meth:`Bracket._of` skips the type
+check for the brackets the operator builds.  Every such word or bracket
+must be one the checked constructor accepts, equal to it, with the same
+hash and canonical key.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ import pytest
 from hypothesis import given
 
 import nijenhuis
-from nijenhuis.algebra import operator_n, product_words
+from nijenhuis import algebra
+from nijenhuis.algebra import (
+    first_nonassociative_triple,
+    first_operator_identity_failure,
+    operator_n,
+    product_words,
+)
 from nijenhuis.linalg import LinComb
 from nijenhuis.words import (
     AlternationViolation,
@@ -25,6 +33,7 @@ from nijenhuis.words import (
     canonical_key,
     letter_word,
     make_word,
+    generators,
     to_canonical,
     words_up_to_size,
 )
@@ -76,8 +85,16 @@ def test_public_constructor_keeps_every_check():
         BracketedWord((letter_word(X),))
 
 
-def _callers_of_unchecked_constructor() -> set[str]:
-    """Functions in the package source that call ``BracketedWord._of``."""
+def test_unchecked_bracket_matches_the_checked_one():
+    for w in POOL:
+        unchecked, checked = Bracket._of(w), Bracket(w)
+        assert unchecked == checked, to_canonical(w)
+        assert hash(unchecked) == hash(checked), to_canonical(w)
+        assert canonical_key(make_word((unchecked,))) == canonical_key(make_word((checked,)))
+
+
+def _callers_of(owner: str) -> set[str]:
+    """Functions in the package source that call ``<owner>._of``."""
     found = set()
     for path in Path(nijenhuis.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -89,14 +106,36 @@ def _callers_of_unchecked_constructor() -> set[str]:
                     isinstance(node, ast.Attribute)
                     and node.attr == "_of"
                     and isinstance(node.value, ast.Name)
-                    and node.value.id == "BracketedWord"
+                    and node.value.id == owner
                 ):
                     found.add(f"{path.stem}.{fn.name}")
     return found
 
 
 def test_only_the_free_product_uses_the_unchecked_constructor():
-    assert _callers_of_unchecked_constructor() == {
+    assert _callers_of("BracketedWord") == {
         "algebra.product_words",
         "algebra.operator_n",
     }
+
+
+def test_only_the_operator_uses_the_unchecked_bracket():
+    assert _callers_of("Bracket") == {"algebra.operator_n"}
+
+
+def test_the_product_cache_holds_only_bracket_junctions(monkeypatch):
+    monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
+    elements = [LinComb.from_word(w) for w in POOL]
+    assert first_nonassociative_triple(elements) is None
+    assert first_operator_identity_failure(elements) is None
+    assert algebra._PRODUCT_CACHE
+    for last, first in algebra._PRODUCT_CACHE:
+        assert type(last) is Bracket and type(first) is Bracket
+
+
+def test_the_product_cache_size_of_a_cold_sweep(monkeypatch):
+    # One entry per distinct pair of junction brackets the sweep meets.
+    monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
+    pool = words_up_to_size(generators("a", "b", "c"), 3)
+    assert first_operator_identity_failure([LinComb.from_word(w) for w in pool]) is None
+    assert len(algebra._PRODUCT_CACHE) == 5184
