@@ -11,8 +11,8 @@ command line front end sit on top.
 
 from .algebra import (
     COORD_OPS,
+    CheckReport,
     OpSymbol,
-    SweepFailure,
     derived_op,
     first_nonassociative_triple,
     first_operator_identity_failure,
@@ -23,7 +23,6 @@ from .algebra import (
 from .envelope import (
     ArityMismatch,
     BoundTooSmall,
-    CheckReport,
     InvalidInput,
     LinearMap,
     Membership,

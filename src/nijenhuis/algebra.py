@@ -41,16 +41,18 @@ word with the checked constructors.
 :func:`first_nonassociative_triple` and
 :func:`first_operator_identity_failure` are the sweeps behind the
 ``assoc-check`` and ``nijenhuis-check`` commands and the acceptance
-tests: each returns the first failing case with both sides, or None.
+tests: each returns the first failing case with both sides, as a
+:class:`CheckReport`, or None.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Sequence
 
-from .linalg import LinComb
+from .linalg import LinComb, format_rational
 from .words import Bracket, BracketedWord, Letters
 
 __all__ = [
@@ -60,7 +62,7 @@ __all__ = [
     "product_words",
     "operator_n",
     "derived_op",
-    "SweepFailure",
+    "CheckReport",
     "first_nonassociative_triple",
     "first_operator_identity_failure",
 ]
@@ -161,17 +163,36 @@ def derived_op(op: OpSymbol, a: LinComb, b: LinComb) -> LinComb:
     raise ValueError(f"unknown operation: {op!r}")
 
 
-class SweepFailure(NamedTuple):
-    """The first failing case of a sweep: element indices and both sides."""
+@dataclass(frozen=True)
+class CheckReport:
+    """Outcome of a sweep: either a pass, or the first failure found."""
 
-    indices: tuple[int, ...]
-    lhs: Any
-    rhs: Any
+    ok: bool
+    kind: str = ""
+    indices: tuple[int, ...] = ()
+    lhs: Any = None
+    rhs: Any = None
+
+    def describe(self) -> str:
+        if self.ok:
+            return "pass"
+        where = ", ".join(str(i) for i in self.indices)
+        detail = ""
+        if self.lhs is not None and self.rhs is not None:
+            detail = f": lhs={_format_side(self.lhs)}, rhs={_format_side(self.rhs)}"
+        return f"{self.kind} fails at ({where}){detail}"
+
+
+def _format_side(side: Any) -> str:
+    """A coordinate vector as ``(a, b, ...)``; anything else by ``str``."""
+    if isinstance(side, tuple):
+        return "(" + ", ".join(format_rational(a) for a in side) + ")"
+    return str(side)
 
 
 def first_nonassociative_triple(
     elements: Sequence[Any], mul: Callable[[Any, Any], Any] = product
-) -> SweepFailure | None:
+) -> CheckReport | None:
     """First triple, in row-major order, with ``(a b) c != a (b c)``.
 
     Every pair product ``b c`` is computed once, up front, and serves
@@ -187,25 +208,26 @@ def first_nonassociative_triple(
                 lhs = mul(ab, elements[k])
                 rhs = mul(a, right_factors[k])
                 if lhs != rhs:
-                    return SweepFailure((i, j, k), lhs, rhs)
+                    return CheckReport(False, "associativity", (i, j, k), lhs, rhs)
     return None
 
 
-def first_operator_identity_failure(
-    elements: Sequence[LinComb], op: Callable[[LinComb], LinComb] = operator_n
-) -> SweepFailure | None:
-    """First pair, in row-major order, with ``P(a) P(b) != P(P(a) b + a P(b) - P(a b))``.
+def first_operator_identity_failure(elements: Sequence[LinComb]) -> CheckReport | None:
+    """First pair, in row-major order, with ``N(a) N(b) != N(N(a) b + a N(b) - N(a b))``.
 
-    ``P`` is ``op``, the distinguished operator unless another is given;
-    each element is mapped by it once.
+    Each element is mapped by ``N`` once.
     """
-    images = [op(a) for a in elements]
+    images = [operator_n(a) for a in elements]
     for i, a in enumerate(elements):
         pa = images[i]
         for j, b in enumerate(elements):
             pb = images[j]
             lhs = product(pa, pb)
-            rhs = op(product(pa, b)) + op(product(a, pb)) - op(op(product(a, b)))
+            rhs = (
+                operator_n(product(pa, b))
+                + operator_n(product(a, pb))
+                - operator_n(operator_n(product(a, b)))
+            )
             if lhs != rhs:
-                return SweepFailure((i, j), lhs, rhs)
+                return CheckReport(False, "operator-identity", (i, j), lhs, rhs)
     return None

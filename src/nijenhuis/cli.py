@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from .algebra import (
-    SweepFailure,
+    CheckReport,
     first_nonassociative_triple,
     first_operator_identity_failure,
     product,
@@ -200,7 +200,7 @@ def _sweep_elements(args: argparse.Namespace) -> tuple[int, list[LinComb]]:
 
 
 def _emit_sweep_failure(
-    args: argparse.Namespace, what: str, label: str, elements: list[LinComb], failure: SweepFailure
+    args: argparse.Namespace, what: str, label: str, elements: list[LinComb], failure: CheckReport
 ) -> None:
     case = [print_canonical(elements[i]) for i in failure.indices]
     _emit(

@@ -19,7 +19,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import COORD_OPS, OpSymbol, first_nonassociative_triple, operator_n, product
+from .algebra import (
+    COORD_OPS,
+    CheckReport,
+    OpSymbol,
+    first_nonassociative_triple,
+    operator_n,
+    product,
+)
 from .linalg import (
     DimensionMismatch,
     LinComb,
@@ -47,7 +54,6 @@ __all__ = [
     "UnknownGenerator",
     "BoundTooSmall",
     "Vector",
-    "CheckReport",
     "NijenhuisAlgebraFD",
     "NSAlgebraFD",
     "LinearMap",
@@ -114,10 +120,6 @@ def _is_zero(u: Vector) -> bool:
     return not any(u)
 
 
-def _format_vector(u: Vector) -> str:
-    return "(" + ", ".join(format_rational(a) for a in u) + ")"
-
-
 Tensor = tuple[tuple[Vector, ...], ...]
 
 
@@ -153,26 +155,6 @@ def _contract(t: Tensor, u: Sequence[RationalLike], v: Sequence[RationalLike]) -
 
 def _unit(dim: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(dim))
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of a sweep: either a pass, or the first failure found."""
-
-    ok: bool
-    kind: str = ""
-    indices: tuple[int, ...] = ()
-    lhs: Vector | None = None
-    rhs: Vector | None = None
-
-    def describe(self) -> str:
-        if self.ok:
-            return "pass"
-        where = ", ".join(str(i) for i in self.indices)
-        detail = ""
-        if self.lhs is not None and self.rhs is not None:
-            detail = f": lhs={_format_vector(self.lhs)}, rhs={_format_vector(self.rhs)}"
-        return f"{self.kind} fails at ({where}){detail}"
 
 
 @dataclass(frozen=True)
@@ -315,7 +297,7 @@ def check_nijenhuis_fd(alg: NijenhuisAlgebraFD) -> CheckReport:
     basis = [_unit(n, i) for i in range(n)]
     failure = first_nonassociative_triple(basis, alg.mul)
     if failure is not None:
-        return CheckReport(False, "associativity", *failure)
+        return failure
     for i in range(n):
         for j in range(n):
             pi, pj = alg.apply_op(basis[i]), alg.apply_op(basis[j])
