@@ -13,6 +13,7 @@ from .algebra import (
     COORD_OPS,
     CheckReport,
     OpSymbol,
+    TooManyTerms,
     derived_op,
     first_nonassociative_triple,
     first_operator_identity_failure,

@@ -29,14 +29,31 @@ and is built directly as the one result word, with coefficient 1.
 
 Every structure constant of the word product is an integer, so products
 of words carry ``int`` coefficients.  The words a product returns are
-built by the unchecked ``BracketedWord._of`` and ``Bracket._of``, and
-none of them can break alternation.  A mixed junction puts a letter run
+built by the unchecked ``BracketedWord._of``, ``Letters._of`` and
+``Bracket._of``, and none of them can break alternation.  A mixed junction puts a letter run
 next to a bracket; a letter junction merges the two runs into one, whose
 neighbours are the brackets (or ends) that neighboured the two runs; a
 bracket junction's words start and end with brackets, so the outer
 factors reattached around them alternate exactly as they did in the
 operands; and ``[w]`` is a single factor.  The tests compare every such
 word with the checked constructors.
+
+Equal words are shared within a command.  ``BracketedWord._of`` returns
+the word it built earlier from an equal factor tuple (see
+:mod:`nijenhuis.words`), and :func:`operator_n` keeps a map from each
+word it has wrapped to its image ``[w]``, so ``N`` of one word is built
+once.  Dict lookups and comparisons of shared words end at the identity
+test.  :func:`command_scope` empties the word table and the image map
+when a command ends, so a long-lived process holds at most one
+command's words; junctions the product cache kept from an earlier
+command keep the words they were built with.  Sharing cannot change a
+result: words are immutable, and equality and hashing stay structural,
+so a shared word and any other equal word are interchangeable.
+
+:func:`product` checks the size of each result: one with more terms
+than the cap, :data:`MAX_TERMS` unless :func:`command_scope` sets
+another, raises :class:`TooManyTerms`.  Only the result is checked, so
+the cap bounds the work that follows a product, not the product itself.
 
 :func:`first_nonassociative_triple` and
 :func:`first_operator_identity_failure` are the sweeps behind the
@@ -47,13 +64,14 @@ tests: each returns the first failing case with both sides, as a
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .linalg import LinComb, format_rational
-from .words import Bracket, BracketedWord, Letters
+from .words import _WORDS, Bracket, BracketedWord, Letters
 
 __all__ = [
     "OpSymbol",
@@ -62,6 +80,9 @@ __all__ = [
     "product_words",
     "operator_n",
     "derived_op",
+    "MAX_TERMS",
+    "TooManyTerms",
+    "command_scope",
     "CheckReport",
     "first_nonassociative_triple",
     "first_operator_identity_failure",
@@ -80,7 +101,33 @@ class OpSymbol(Enum):
 #: The three operations that coordinatize quadratic relations.
 COORD_OPS = (OpSymbol.PREC, OpSymbol.SUCC, OpSymbol.BULLET)
 
+#: Most terms one :func:`product` may return outside :func:`command_scope`.
+MAX_TERMS = 100_000
+
 _PRODUCT_CACHE: dict[tuple[Bracket, Bracket], LinComb] = {}
+_BRACKET_IMAGES: dict[BracketedWord, BracketedWord] = {}
+_max_terms = MAX_TERMS
+
+
+class TooManyTerms(ValueError):
+    """A product has more terms than the cap allows."""
+
+
+@contextmanager
+def command_scope(max_terms: int = MAX_TERMS) -> Iterator[None]:
+    """Run one command: cap every product at ``max_terms`` terms.
+
+    On the way out, whatever happened, the word table and the
+    bracket-image map are emptied and the default cap comes back.
+    """
+    global _max_terms
+    _max_terms = max_terms
+    try:
+        yield
+    finally:
+        _max_terms = MAX_TERMS
+        _WORDS.clear()
+        _BRACKET_IMAGES.clear()
 
 
 def product_words(u: BracketedWord, v: BracketedWord) -> LinComb:
@@ -89,7 +136,7 @@ def product_words(u: BracketedWord, v: BracketedWord) -> LinComb:
     if type(last) is not type(first):
         return LinComb._of({BracketedWord._of(u.factors + v.factors): 1})
     if type(last) is Letters:
-        merged = Letters(last.run + first.run)
+        merged = Letters._of(last.run + first.run)
         return LinComb._of({BracketedWord._of(u.factors[:-1] + (merged,) + v.factors[1:]): 1})
 
     key = (last, first)
@@ -97,11 +144,15 @@ def product_words(u: BracketedWord, v: BracketedWord) -> LinComb:
     if junction is None:
         left_alone = BracketedWord._of((last,))
         right_alone = BracketedWord._of((first,))
-        junction = (
-            operator_n(product_words(left_alone, first.inner))
-            + operator_n(product_words(last.inner, right_alone))
-            - operator_n(operator_n(product_words(last.inner, first.inner)))
-        )
+        data = dict(operator_n(product_words(left_alone, first.inner))._terms)
+        get = data.get
+        for w, c in operator_n(product_words(last.inner, right_alone))._terms.items():
+            acc = get(w)
+            data[w] = c if acc is None else acc + c
+        for w, c in operator_n(operator_n(product_words(last.inner, first.inner)))._terms.items():
+            acc = get(w)
+            data[w] = -c if acc is None else acc - c
+        junction = LinComb._of({w: c for w, c in data.items() if c})
         _PRODUCT_CACHE[key] = junction
 
     prefix, suffix = u.factors[:-1], v.factors[1:]
@@ -118,32 +169,46 @@ def product_words(u: BracketedWord, v: BracketedWord) -> LinComb:
 
 
 def product(a: LinComb, b: LinComb) -> LinComb:
-    """Bilinear extension of the word product."""
+    """Bilinear extension of the word product.
+
+    Raises :class:`TooManyTerms` when the result has more terms than
+    the cap (see :func:`command_scope`).
+    """
     if len(a._terms) == 1 and len(b._terms) == 1:
         ((wu, cu),) = a._terms.items()
         ((wv, cv),) = b._terms.items()
         result = product_words(wu, wv)
         scale = cu * cv
-        return result if scale == 1 else result.scale(scale)
-    data: dict[BracketedWord, int | Fraction] = {}
-    get = data.get
-    for wu, cu in a._terms.items():
-        for wv, cv in b._terms.items():
-            scale = cu * cv
-            unit = scale == 1
-            for w, c in product_words(wu, wv)._terms.items():
-                if not unit:
-                    c = scale * c
-                acc = get(w)
-                data[w] = c if acc is None else acc + c
-    return LinComb._of({w: c for w, c in data.items() if c})
+        if scale != 1:
+            result = result.scale(scale)
+    else:
+        data: dict[BracketedWord, int | Fraction] = {}
+        get = data.get
+        for wu, cu in a._terms.items():
+            for wv, cv in b._terms.items():
+                scale = cu * cv
+                unit = scale == 1
+                for w, c in product_words(wu, wv)._terms.items():
+                    if not unit:
+                        c = scale * c
+                    acc = get(w)
+                    data[w] = c if acc is None else acc + c
+        result = LinComb._of({w: c for w, c in data.items() if c})
+    if len(result._terms) > _max_terms:
+        raise TooManyTerms(f"a product has {len(result._terms)} terms, more than the cap of {_max_terms}")
+    return result
 
 
 def operator_n(a: LinComb) -> LinComb:
     """Apply the distinguished operator: wrap each word in one bracket."""
-    return LinComb._of(
-        {BracketedWord._of((Bracket._of(w),)): c for w, c in a._terms.items()}
-    )
+    images = _BRACKET_IMAGES
+    data: dict[BracketedWord, int | Fraction] = {}
+    for w, c in a._terms.items():
+        image = images.get(w)
+        if image is None:
+            image = images[w] = BracketedWord._of((Bracket._of(w),))
+        data[image] = c
+    return LinComb._of(data)
 
 
 def derived_op(op: OpSymbol, a: LinComb, b: LinComb) -> LinComb:

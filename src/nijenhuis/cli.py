@@ -4,7 +4,10 @@ Exit codes: 0 for success or a passing check, 1 for a failing check or
 an undetected membership, 2 for usage, syntax, or malformed input
 errors.  The environment variable ``NF_MAX_SIZE``, when set to a
 positive integer, caps the ``--max-size`` of the sweep subcommands and
-the ``--bound`` of ``ideal-member``.
+the ``--bound`` of ``ideal-member``.  ``NF_MAX_TERMS``, when set to a
+positive integer, replaces the default cap of 100000 terms on any one
+product a command computes; a product over the cap ends the command
+with exit code 2.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ import sys
 from typing import Sequence
 
 from .algebra import (
+    MAX_TERMS,
     CheckReport,
+    TooManyTerms,
+    command_scope,
     first_nonassociative_triple,
     first_operator_identity_failure,
     product,
@@ -76,20 +82,20 @@ def _split_names(raw: str) -> tuple[GeneratorSymbol, ...]:
     return generators(*parts)
 
 
-def _max_size_cap() -> int | None:
-    raw = os.environ.get("NF_MAX_SIZE")
+def _env_cap(name: str) -> int | None:
+    raw = os.environ.get(name)
     if raw is None:
         return None
     try:
         value = int(raw)
     except ValueError:
-        print(f"warning: ignoring non-integer NF_MAX_SIZE={raw!r}", file=sys.stderr)
+        print(f"warning: ignoring non-integer {name}={raw!r}", file=sys.stderr)
         return None
     return value if value >= 1 else None
 
 
 def _effective_size(requested: int) -> int:
-    cap = _max_size_cap()
+    cap = _env_cap("NF_MAX_SIZE")
     if cap is not None and cap < requested:
         print(
             f"note: NF_MAX_SIZE caps the sweep at size {cap}",
@@ -478,7 +484,8 @@ def run_command(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.handler(args)
+        with command_scope(_env_cap("NF_MAX_TERMS") or MAX_TERMS):
+            return args.handler(args)
     except (
         _UsageError,
         ParseError,
@@ -492,6 +499,9 @@ def run_command(argv: Sequence[str]) -> int:
         json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except TooManyTerms as exc:
+        print(f"error: {exc}; NF_MAX_TERMS sets the cap", file=sys.stderr)
         return 2
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -138,10 +138,21 @@ class LinComb:
             return NotImplemented
         if not self._terms:
             return other
+        return self._add_signed(other, False)
+
+    def __sub__(self, other: "LinComb") -> "LinComb":
+        if not isinstance(other, LinComb):
+            return NotImplemented
+        return self._add_signed(other, True)
+
+    def _add_signed(self, other: "LinComb", negate: bool) -> "LinComb":
+        """``self + other``, or ``self - other``, in one pass over a copy of ``self``."""
         if not other._terms:
             return self
         data = dict(self._terms)
         for word, c in other._terms.items():
+            if negate:
+                c = -c
             acc = data.get(word)
             if acc is None:
                 data[word] = c
@@ -152,11 +163,6 @@ class LinComb:
                 else:
                     del data[word]
         return LinComb._of(data)
-
-    def __sub__(self, other: "LinComb") -> "LinComb":
-        if not isinstance(other, LinComb):
-            return NotImplemented
-        return self + (-other)
 
     def __neg__(self) -> "LinComb":
         return LinComb._of({w: -c for w, c in self._terms.items()})

@@ -10,14 +10,28 @@ stores, built from its inner words' keys, from which its measures are read.
 
 The public constructors check every factor's type and the alternation
 of kinds; the parser, :func:`from_canonical`, :func:`make_word` and the
-enumeration all go through them.  Two private constructors skip those
+enumeration all go through them.  Three private constructors skip those
 checks, for the free product alone.  ``BracketedWord._of`` wraps a factor
 tuple: the product only concatenates two words at a mixed junction,
 merges the two runs at a letter junction, reattaches untouched outer
 factors around a bracket junction's words, or builds a word of one
 bracket factor, and none of these can put two factors of one kind side
-by side.  ``Bracket._of`` wraps a word in a bracket factor, which needs no
-check beyond the inner word being one.
+by side.  ``Letters._of`` wraps the merged run of a letter junction, a
+concatenation of two nonempty runs of symbols.  ``Bracket._of`` wraps a
+word in a bracket factor, which needs no check beyond the inner word
+being one.
+
+``BracketedWord._of`` shares the words it builds.  A module table maps
+each factor tuple it was given to the word it built from it, and an
+equal tuple later gets that same word back, so the product's equal
+words are one object and the dict lookups and comparisons on them end at
+the identity test.  The table holds only words the product has built
+since it was last emptied; :func:`nijenhuis.algebra.command_scope`
+empties it when each command of the command line tool ends, so a
+long-lived process holds at most one command's words.  Sharing
+cannot change a result: words are immutable, equality and hashing stay
+structural, and a word built anywhere else, by the checked constructors
+or before the table was emptied, still compares equal to the shared one.
 """
 
 from __future__ import annotations
@@ -57,12 +71,13 @@ __all__ = [
     "words_up_to_size",
 ]
 
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 #: Deepest bracket nesting accepted from text, by :func:`from_canonical`
-#: and by the expression parser.  Word functions recurse once per level,
-#: so the cap keeps every accepted input inside the interpreter's
-#: recursion limit.
+#: and by the expression parser.  :func:`from_canonical` keeps its own
+#: stack, but :func:`canonical_key` and the expression evaluator recurse
+#: once per level, so the cap keeps every accepted input inside the
+#: interpreter's recursion limit.
 MAX_NESTING = 100
 
 
@@ -91,7 +106,7 @@ class GeneratorSymbol:
     def __post_init__(self) -> None:
         if not self.name:
             raise EmptyInput("generator name is empty")
-        if not _IDENT.match(self.name):
+        if not _NAME.fullmatch(self.name):
             raise WordError(f"invalid generator name: {self.name!r}")
 
     def __str__(self) -> str:
@@ -120,6 +135,14 @@ class Letters:
             if not isinstance(sym, GeneratorSymbol):
                 raise TypeError(f"not a generator symbol: {sym!r}")
         object.__setattr__(self, "_hash", hash((Letters, self.run)))
+
+    @classmethod
+    def _of(cls, run: tuple[GeneratorSymbol, ...]) -> "Letters":
+        """Wrap a nonempty tuple of symbols unchecked; only ``product_words`` uses this."""
+        self = object.__new__(cls)
+        _set_run(self, run)
+        _set_letters_hash(self, hash((Letters, run)))
+        return self
 
     def __hash__(self) -> int:
         return self._hash
@@ -200,16 +223,20 @@ class BracketedWord:
 
     @classmethod
     def _of(cls, factors: tuple[Factor, ...]) -> "BracketedWord":
-        """Wrap a factor tuple the caller knows to alternate; nothing is checked.
+        """The word of a factor tuple the caller knows to alternate; nothing is checked.
 
         Only the free product uses this, for words whose alternation
         follows from how they were built; every other word goes through
-        the checked constructor.
+        the checked constructor.  A tuple equal to one seen since the
+        word table was last emptied gets the word built then.
         """
-        self = object.__new__(cls)
-        _set_factors(self, factors)
-        _set_hash(self, hash(tuple([f._hash for f in factors])))
-        _set_key(self, None)
+        self = _WORDS.get(factors)
+        if self is None:
+            self = object.__new__(cls)
+            _set_factors(self, factors)
+            _set_hash(self, hash(tuple([f._hash for f in factors])))
+            _set_key(self, None)
+            _WORDS[factors] = self
         return self
 
     def __hash__(self) -> int:
@@ -227,11 +254,17 @@ class BracketedWord:
 
 
 # Slot descriptors write past the frozen dataclass's ``__setattr__``.
+_set_run = Letters.run.__set__
+_set_letters_hash = Letters._hash.__set__
 _set_inner = Bracket.inner.__set__
 _set_bracket_hash = Bracket._hash.__set__
 _set_factors = BracketedWord.factors.__set__
 _set_hash = BracketedWord._hash.__set__
 _set_key = BracketedWord._key.__set__
+
+#: The words ``BracketedWord._of`` has built, by factor tuple; see the
+#: module docstring for when it is emptied.
+_WORDS: dict[tuple[Factor, ...], BracketedWord] = {}
 
 
 class EndKind(IntEnum):
@@ -312,50 +345,56 @@ def from_canonical(text: str) -> BracketedWord:
 
     This reads single words only; it is not the expression parser.
     Brackets nested more than :data:`MAX_NESTING` deep raise
-    :class:`WordError`.
+    :class:`WordError`.  The parser keeps its own stack of open
+    brackets, so it does not recurse.
     """
-    word, pos = _read_word(text, 0, 0)
-    if pos != len(text):
-        raise WordError(f"trailing input at position {pos}: {text[pos:]!r}")
-    return word
-
-
-def _read_word(text: str, pos: int, nesting: int) -> tuple[BracketedWord, int]:
+    # Each open bracket saves the factors read so far of the word around it.
+    outer: list[list[Factor]] = []
     factors: list[Factor] = []
     run: list[GeneratorSymbol] = []
+    pos = 0
     expect_item = True
     while True:
         if expect_item:
             if pos < len(text) and text[pos] == "[":
-                if nesting >= MAX_NESTING:
+                if len(outer) >= MAX_NESTING:
                     raise WordError(
                         f"bracket nesting deeper than {MAX_NESTING} levels at position {pos}"
                     )
                 if run:
                     factors.append(Letters(tuple(run)))
                     run = []
-                inner, pos = _read_word(text, pos + 1, nesting + 1)
-                if pos >= len(text) or text[pos] != "]":
-                    raise WordError(f"unclosed bracket at position {pos}")
+                outer.append(factors)
+                factors = []
                 pos += 1
-                factors.append(Bracket(inner))
-            else:
-                m = re.match(r"[A-Za-z][A-Za-z0-9_]*", text[pos:])
-                if not m:
-                    raise WordError(f"expected a letter or bracket at position {pos}")
-                run.append(GeneratorSymbol(m.group()))
-                pos += m.end()
+                continue
+            m = _NAME.match(text, pos)
+            if not m:
+                raise WordError(f"expected a letter or bracket at position {pos}")
+            run.append(GeneratorSymbol(m.group()))
+            pos = m.end()
             expect_item = False
         elif pos < len(text) and text[pos] == "*":
             pos += 1
             expect_item = True
         else:
-            break
-    if run:
-        factors.append(Letters(tuple(run)))
-    if nesting == 0 and pos < len(text) and text[pos] == "]":
+            if run:
+                factors.append(Letters(tuple(run)))
+                run = []
+            if not outer:
+                break
+            inner = BracketedWord(tuple(factors))
+            if pos >= len(text) or text[pos] != "]":
+                raise WordError(f"unclosed bracket at position {pos}")
+            pos += 1
+            factors = outer.pop()
+            factors.append(Bracket(inner))
+    if pos < len(text) and text[pos] == "]":
         raise WordError(f"unmatched closing bracket at position {pos}")
-    return BracketedWord(tuple(factors)), pos
+    word = BracketedWord(tuple(factors))
+    if pos != len(text):
+        raise WordError(f"trailing input at position {pos}: {text[pos:]!r}")
+    return word
 
 
 def canonical_key(w: BracketedWord) -> tuple[int, int, str]:

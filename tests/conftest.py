@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from nijenhuis.algebra import command_scope
 from nijenhuis.linalg import LinComb
 from nijenhuis.words import generators, words_up_to_size
 
@@ -16,6 +18,15 @@ settings.register_profile(
     max_examples=60,
 )
 settings.load_profile("package")
+
+
+
+@pytest.fixture(autouse=True)
+def one_command_per_test():
+    """Each test starts with empty word tables, as each command of the CLI does."""
+    with command_scope():
+        yield
+
 
 ALPHABET_XY = generators("x", "y")
 ALPHABET_XYZ = generators("x", "y", "z")

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
 
-from nijenhuis import cli
+from nijenhuis import algebra, cli
 from nijenhuis.cli import build_parser, run_command
 from nijenhuis.envelope import fixture_projection, fixture_scaling, fixture_swap, induced_ns
 from nijenhuis.linalg import LinComb
@@ -144,6 +145,45 @@ def test_eval_accepts_nesting_up_to_the_cap(capsys):
     code, out, _ = run(capsys, "eval", "--generators", "x", "[" * levels + "x" + "]" * levels)
     assert code == 0
     assert out.strip() == "[" * levels + "x" + "]" * levels
+
+
+def prec_nest(levels: int) -> str:
+    expr = "y + x"
+    for _ in range(levels):
+        expr = f"prec({expr}, y + x)"
+    return expr
+
+
+def test_eval_of_a_deep_prec_nest_stops_at_the_term_cap(capsys, monkeypatch):
+    # The term count grows about tenfold per level: 12,608 terms at five
+    # levels, 115,584 at six, which is over the default cap of 100,000.
+    monkeypatch.delenv("NF_MAX_TERMS", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--generators", "x,y", prec_nest(8))
+    assert time.perf_counter() - start < 20
+    assert code == 2
+    assert out == ""
+    assert err == "error: a product has 115584 terms, more than the cap of 100000; NF_MAX_TERMS sets the cap\n"
+    assert algebra._max_terms == algebra.MAX_TERMS
+
+
+def test_term_cap_env(capsys, monkeypatch):
+    # [x] [y] has three terms.
+    monkeypatch.setenv("NF_MAX_TERMS", "2")
+    code, out, err = run(capsys, "mul", "[x]", "[y]")
+    assert code == 2 and out == ""
+    assert "more than the cap of 2" in err
+    assert algebra._max_terms == algebra.MAX_TERMS
+    monkeypatch.setenv("NF_MAX_TERMS", "3")
+    code, out, _ = run(capsys, "mul", "[x]", "[y]")
+    assert code == 0 and out.strip() == "-[[x*y]] + [[x]*y] + [x*[y]]"
+    for ignored in ("0", "-5"):
+        monkeypatch.setenv("NF_MAX_TERMS", ignored)
+        assert run(capsys, "mul", "[x]", "[y]")[0] == 0
+    monkeypatch.setenv("NF_MAX_TERMS", "banana")
+    code, _, err = run(capsys, "mul", "[x]", "[y]")
+    assert code == 0
+    assert "ignoring non-integer NF_MAX_TERMS" in err
 
 
 def test_relation_checks_pass(capsys):

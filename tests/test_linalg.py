@@ -77,6 +77,17 @@ def test_lincomb_addition_associative_commutative(a, b, c):
     assert a + LinComb.zero() == a
 
 
+@given(lincombs_strategy(), lincombs_strategy())
+def test_lincomb_subtraction_adds_the_negation(a, b):
+    zero = LinComb.zero()
+    for left, right in ((a, b), (b, a), (a, a), (a, zero), (zero, b), (a + b, b)):
+        difference = left - right
+        assert difference == left + (-right)
+        assert all(difference._terms.values())
+    assert (a - a).is_zero()
+    assert (a + b) - b == a
+
+
 @given(lincombs_strategy(), rationals_strategy(), rationals_strategy())
 def test_lincomb_scaling_distributes(a, p, q):
     assert a.scale(p) + a.scale(q) == a.scale(p + q)

@@ -12,7 +12,9 @@ from fractions import Fraction
 
 from hypothesis import given
 
-from nijenhuis.algebra import product_words
+from nijenhuis import algebra, words
+from nijenhuis.algebra import first_operator_identity_failure, product_words
+from nijenhuis.linalg import LinComb
 from nijenhuis.words import (
     Bracket,
     GeneratorSymbol,
@@ -77,7 +79,7 @@ def as_dict(value) -> dict:
 POOL = words_up_to_size(ALPHABET_XY, 3)
 
 
-def test_product_matches_reference_on_all_pairs_up_to_size_three():
+def check_all_pairs_up_to_size_three() -> None:
     assert len(POOL) ** 2 == 900
     for u in POOL:
         for v in POOL:
@@ -87,9 +89,30 @@ def test_product_matches_reference_on_all_pairs_up_to_size_three():
             )
 
 
+def test_product_matches_reference_on_all_pairs_up_to_size_three():
+    check_all_pairs_up_to_size_three()
+
+
 @given(words_strategy(max_size=4), words_strategy(max_size=4))
 def test_product_matches_reference_at_size_four(u, v):
     assert as_dict(product_words(u, v)) == reference_product(as_tuple(u), as_tuple(v))
+
+
+def test_product_matches_reference_with_the_word_tables_warm():
+    # A sweep first fills the word table and the bracket-image map, so
+    # the products below return words shared with it.
+    assert first_operator_identity_failure([LinComb.from_word(w) for w in POOL]) is None
+    assert words._WORDS and algebra._BRACKET_IMAGES
+    check_all_pairs_up_to_size_three()
+    for u in words_up_to_size(ALPHABET_XY, 4):
+        for v in words_up_to_size(ALPHABET_XY, 2):
+            assert as_dict(product_words(u, v)) == reference_product(as_tuple(u), as_tuple(v))
+    for shared in list(words._WORDS.values()):
+        parsed = from_canonical(to_canonical(shared))
+        assert parsed is not shared
+        assert parsed == shared and shared == parsed
+        assert hash(parsed) == hash(shared)
+        assert canonical_key(parsed) == canonical_key(shared)
 
 
 def test_equal_words_built_apart_share_hash_and_key():

@@ -46,6 +46,7 @@ def test_readme_has_examples():
 def test_readme_example(command, shown, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv("NF_MAX_SIZE", raising=False)
+    monkeypatch.delenv("NF_MAX_TERMS", raising=False)
     code = run_command(shlex.split(command))
     out = capsys.readouterr().out.splitlines()
     assert code != 2, command

@@ -1,15 +1,17 @@
 """Words built by the unchecked constructors against the checked ones.
 
 :meth:`BracketedWord._of` skips the type and alternation checks for the
-words the free product builds, and :meth:`Bracket._of` skips the type
-check for the brackets the operator builds.  Every such word or bracket
-must be one the checked constructor accepts, equal to it, with the same
-hash and canonical key.
+words the free product builds, :meth:`Letters._of` skips the checks on
+the runs it merges, and :meth:`Bracket._of` skips the type check for the
+brackets the operator builds.  Every such word, run or bracket must be
+one the checked constructor accepts, equal to it, with the same hash and
+canonical key.
 """
 
 from __future__ import annotations
 
 import ast
+from itertools import product as cartesian
 from pathlib import Path
 
 import pytest
@@ -93,6 +95,15 @@ def test_unchecked_bracket_matches_the_checked_one():
         assert canonical_key(make_word((unchecked,))) == canonical_key(make_word((checked,)))
 
 
+def test_unchecked_letters_match_the_checked_ones():
+    for n in range(1, 5):
+        for run in cartesian((X, Y), repeat=n):
+            unchecked, checked = Letters._of(run), Letters(run)
+            assert unchecked == checked and checked == unchecked, run
+            assert hash(unchecked) == hash(checked), run
+            assert canonical_key(make_word((unchecked,))) == canonical_key(make_word((checked,)))
+
+
 def _callers_of(owner: str) -> set[str]:
     """Functions in the package source that call ``<owner>._of``."""
     found = set()
@@ -121,6 +132,10 @@ def test_only_the_free_product_uses_the_unchecked_constructor():
 
 def test_only_the_operator_uses_the_unchecked_bracket():
     assert _callers_of("Bracket") == {"algebra.operator_n"}
+
+
+def test_only_the_free_product_uses_the_unchecked_letters():
+    assert _callers_of("Letters") == {"algebra.product_words"}
 
 
 def test_the_product_cache_holds_only_bracket_junctions(monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
+from nijenhuis import words
 from nijenhuis.words import (
     AlternationViolation,
     Bracket,
@@ -193,6 +194,20 @@ def test_words_are_hashable_and_value_equal():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_from_canonical_does_not_recurse(monkeypatch):
+    # Far past the interpreter's recursion limit, so a parser that
+    # recursed once per bracket would fail here.
+    levels = 5000
+    monkeypatch.setattr(words, "MAX_NESTING", levels)
+    w = from_canonical("[" * levels + "x" + "]" * levels)
+    for _ in range(levels):
+        (bracket,) = w.factors
+        w = bracket.inner
+    assert w == letter_word(X)
+    with pytest.raises(WordError, match=f"nesting deeper than {levels} levels at position {levels}"):
+        from_canonical("[" * (levels + 1) + "x" + "]" * (levels + 1))
 
 
 def test_from_canonical_caps_nesting():
