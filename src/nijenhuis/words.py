@@ -26,12 +26,16 @@ each factor tuple it was given to the word it built from it, and an
 equal tuple later gets that same word back, so the product's equal
 words are one object and the dict lookups and comparisons on them end at
 the identity test.  The table holds only words the product has built
-since it was last emptied; :func:`nijenhuis.algebra.command_scope`
+since it was last emptied.  :func:`nijenhuis.algebra.command_scope`
 empties it when each command of the command line tool ends, so a
-long-lived process holds at most one command's words.  Sharing
-cannot change a result: words are immutable, equality and hashing stay
-structural, and a word built anywhere else, by the checked constructors
-or before the table was emptied, still compares equal to the shared one.
+long-lived process holds at most one command's words, and the table
+empties itself when it reaches ``_WORDS_LIMIT`` words, so a command that
+builds millions of distinct words, such as a large associativity sweep,
+holds a bounded number of them; words built on the two sides of such a
+flush are no longer shared.  Sharing cannot change a result: words are
+immutable, equality and hashing stay structural, and a word built
+anywhere else, by the checked constructors or before the table was
+emptied, still compares equal to the shared one.
 """
 
 from __future__ import annotations
@@ -236,6 +240,8 @@ class BracketedWord:
             _set_factors(self, factors)
             _set_hash(self, hash(tuple([f._hash for f in factors])))
             _set_key(self, None)
+            if len(_WORDS) >= _WORDS_LIMIT:
+                _WORDS.clear()
             _WORDS[factors] = self
         return self
 
@@ -265,6 +271,7 @@ _set_key = BracketedWord._key.__set__
 #: The words ``BracketedWord._of`` has built, by factor tuple; see the
 #: module docstring for when it is emptied.
 _WORDS: dict[tuple[Factor, ...], BracketedWord] = {}
+_WORDS_LIMIT = 1 << 15
 
 
 class EndKind(IntEnum):

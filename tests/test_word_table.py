@@ -1,8 +1,9 @@
 """The word table and the bracket-image map share words within a command.
 
 Inside one command, every word the product or the operator returns that
-equals an earlier one is that earlier object.  ``run_command`` empties
-both tables when the command ends, however it ends.
+equals an earlier one is that earlier object, until a table fills up
+and starts again.  ``run_command`` empties both tables when the command
+ends, however it ends.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ def tables_are_empty() -> bool:
 
 
 def test_equal_words_of_one_sweep_are_one_object(monkeypatch):
+    # The two sweeps build about 45,000 distinct words, more than a
+    # table holds before it starts again.
+    monkeypatch.setattr(words, "_WORDS_LIMIT", 10**6)
+    monkeypatch.setattr(algebra, "_BRACKET_IMAGES_LIMIT", 10**6)
     monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
     first_seen: dict[BracketedWord, BracketedWord] = {}
     returned = 0
@@ -48,6 +53,29 @@ def test_equal_words_of_one_sweep_are_one_object(monkeypatch):
     assert returned > 2 * len(first_seen)
     for w in first_seen:
         assert BracketedWord._of(tuple(list(w.factors))) is w
+
+
+def test_full_tables_start_again(monkeypatch):
+    limit = 100
+    monkeypatch.setattr(words, "_WORDS_LIMIT", limit)
+    monkeypatch.setattr(algebra, "_BRACKET_IMAGES_LIMIT", limit)
+    monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
+    sizes = []
+    inner = algebra.operator_n
+
+    def watching(a):
+        result = inner(a)
+        sizes.append((len(words._WORDS), len(algebra._BRACKET_IMAGES)))
+        return result
+
+    monkeypatch.setattr(algebra, "operator_n", watching)
+    elements = [LinComb.from_word(w) for w in POOL]
+    assert first_nonassociative_triple(elements) is None
+    assert first_operator_identity_failure(elements) is None
+    most_words = max(w for w, _ in sizes)
+    most_images = max(i for _, i in sizes)
+    assert most_words == limit
+    assert limit // 2 < most_images <= limit
 
 
 def _fill_the_tables() -> None:
