@@ -110,7 +110,7 @@ MAX_TERMS = 100_000
 
 _PRODUCT_CACHE: dict[tuple[Bracket, Bracket], LinComb] = {}
 _BRACKET_IMAGES: dict[BracketedWord, BracketedWord] = {}
-_BRACKET_IMAGES_LIMIT = 1 << 15
+_BRACKET_IMAGES_LIMIT = 4096
 _max_terms = MAX_TERMS
 
 

@@ -271,7 +271,11 @@ _set_key = BracketedWord._key.__set__
 #: The words ``BracketedWord._of`` has built, by factor tuple; see the
 #: module docstring for when it is emptied.
 _WORDS: dict[tuple[Factor, ...], BracketedWord] = {}
-_WORDS_LIMIT = 1 << 15
+# Small enough that most shared words still die young.  Held longer, the
+# cyclic garbage collector moves them into its oldest generation, and
+# its extra full collections made ``assoc-check --max-size 4`` about 40%
+# slower with a limit of 32768 than with no table at all.
+_WORDS_LIMIT = 4096
 
 
 class EndKind(IntEnum):
