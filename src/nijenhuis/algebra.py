@@ -30,8 +30,9 @@ and is built directly as the one result word, with coefficient 1.
 Every structure constant of the word product is an integer, so products
 of words carry ``int`` coefficients.  The words a product returns are
 built by the unchecked ``BracketedWord._of``, ``Letters._of`` and
-``Bracket._of``, and none of them can break alternation.  A mixed junction puts a letter run
-next to a bracket; a letter junction merges the two runs into one, whose
+``Bracket._of``, and none of them can break alternation.  A mixed
+junction puts a letter run next to a bracket; a letter junction merges
+the two runs into one, whose
 neighbours are the brackets (or ends) that neighboured the two runs; a
 bracket junction's words start and end with brackets, so the outer
 factors reattached around them alternate exactly as they did in the
@@ -47,10 +48,8 @@ test.  :func:`command_scope` empties the word table and the image map
 when a command ends, so a long-lived process holds at most one
 command's words; junctions the product cache kept from an earlier
 command keep the words they were built with.  Each table also empties
-itself when it is full (``_BRACKET_IMAGES_LIMIT`` images here), so that
-one large sweep holds a bounded number of words: kept for the whole
-command, the words of ``assoc-check --alphabet x,y,z --max-size 3``
-took its peak memory from 60 to 158 MB.  Sharing cannot change a
+itself when it reaches 4096 entries, for the reasons given at
+``_WORDS_LIMIT`` in :mod:`nijenhuis.words`.  Sharing cannot change a
 result: words are immutable, and equality and hashing stay structural,
 so a shared word and any other equal word are interchangeable.
 

@@ -271,10 +271,13 @@ _set_key = BracketedWord._key.__set__
 #: The words ``BracketedWord._of`` has built, by factor tuple; see the
 #: module docstring for when it is emptied.
 _WORDS: dict[tuple[Factor, ...], BracketedWord] = {}
-# Small enough that most shared words still die young.  Held longer, the
-# cyclic garbage collector moves them into its oldest generation, and
-# its extra full collections made ``assoc-check --max-size 4`` about 40%
-# slower with a limit of 32768 than with no table at all.
+# Emptying the table when it is full bounds the words one command holds:
+# kept for the whole command, the words of ``assoc-check --alphabet x,y,z
+# --max-size 3`` took its peak memory from 60 to 158 MB.  The limit is
+# small so that most shared words still die young: held longer, they
+# reach the garbage collector's oldest generation, and with a limit of
+# 32768 its extra full collections made ``assoc-check --max-size 4``
+# 20-40% slower than with no sharing at all.
 _WORDS_LIMIT = 4096
 
 
