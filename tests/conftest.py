@@ -20,7 +20,6 @@ settings.register_profile(
 settings.load_profile("package")
 
 
-
 @pytest.fixture(autouse=True)
 def one_command_per_test():
     """Each test starts with empty word tables, as each command of the CLI does."""
