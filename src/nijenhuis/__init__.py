@@ -77,21 +77,17 @@ from .relations import (
 from .words import (
     AlternationViolation,
     Bracket,
-    BracketAdjacency,
     BracketedWord,
     EmptyInput,
-    EndKind,
     Factor,
     GeneratorSymbol,
     Letters,
     WordError,
     breadth,
     canonical_key,
-    concat_words,
     depth,
     from_canonical,
     generators,
-    head_tail,
     letter_count,
     letter_word,
     make_word,

@@ -19,13 +19,15 @@ bilinear operations (and their sum):
 
     a < b = a . N(b)      a > b = N(a) . b      a o b = -N(a . b)
 
-All operations extend bilinearly from words to combinations.  Only the
-bracket-bracket junction recurses, so only it is memoized: a module
-cache keyed on the two junction brackets maps them to their expansion,
-and the cache grows with the distinct bracket junctions seen, not with
-the word pairs.  Entries are pure values, so concurrent repopulation is
-harmless.  A letter-letter or mixed junction is a plain concatenation
-and is built directly as the one result word, with coefficient 1.
+All operations extend bilinearly from words to combinations, and
+:func:`derived_op` also splits a finite-dimensional algebra, given its
+product and operator.  Only the bracket-bracket junction recurses, so
+only it is memoized: a module cache keyed on the two junction brackets
+maps them to their expansion, and the cache grows with the distinct
+bracket junctions seen, not with the word pairs.  Entries are pure
+values, so concurrent repopulation is harmless.  A letter-letter or
+mixed junction is a plain concatenation and is built directly as the one
+result word, with coefficient 1.
 
 Every structure constant of the word product is an integer, so products
 of words carry ``int`` coefficients.  The words a product returns are
@@ -60,9 +62,10 @@ the cap bounds the work that follows a product, not the product itself.
 
 :func:`first_nonassociative_triple` and
 :func:`first_operator_identity_failure` are the sweeps behind the
-``assoc-check`` and ``nijenhuis-check`` commands and the acceptance
-tests: each returns the first failing case with both sides, as a
-:class:`CheckReport`, or None.
+``assoc-check``, ``nijenhuis-check`` and ``fd-check`` commands and the
+acceptance tests, on free or finite-dimensional elements: each returns
+the first failing case with both sides, as a :class:`CheckReport`, or
+None.
 """
 
 from __future__ import annotations
@@ -217,20 +220,27 @@ def operator_n(a: LinComb) -> LinComb:
     return LinComb._of(data)
 
 
-def derived_op(op: OpSymbol, a: LinComb, b: LinComb) -> LinComb:
-    """Apply one of the splitting operations, or their sum for STAR."""
+def derived_op(
+    op: OpSymbol,
+    a: Any,
+    b: Any,
+    mul: Callable[[Any, Any], Any] | None = None,
+    n: Callable[[Any], Any] | None = None,
+) -> Any:
+    """Apply one of the splitting operations, or their sum for STAR.
+
+    ``mul`` and ``n`` default to the free product and operator.
+    """
+    mul = mul or product
+    n = n or operator_n
     if op is OpSymbol.PREC:
-        return product(a, operator_n(b))
+        return mul(a, n(b))
     if op is OpSymbol.SUCC:
-        return product(operator_n(a), b)
+        return mul(n(a), b)
     if op is OpSymbol.BULLET:
-        return -operator_n(product(a, b))
+        return -n(mul(a, b))
     if op is OpSymbol.STAR:
-        return (
-            product(a, operator_n(b))
-            + product(operator_n(a), b)
-            - operator_n(product(a, b))
-        )
+        return mul(a, n(b)) + mul(n(a), b) - n(mul(a, b))
     raise ValueError(f"unknown operation: {op!r}")
 
 
@@ -283,22 +293,25 @@ def first_nonassociative_triple(
     return None
 
 
-def first_operator_identity_failure(elements: Sequence[LinComb]) -> CheckReport | None:
+def first_operator_identity_failure(
+    elements: Sequence[Any],
+    mul: Callable[[Any, Any], Any] | None = None,
+    n: Callable[[Any], Any] | None = None,
+) -> CheckReport | None:
     """First pair, in row-major order, with ``N(a) N(b) != N(N(a) b + a N(b) - N(a b))``.
 
-    Each element is mapped by ``N`` once.
+    ``mul`` and ``n`` default to the free product and operator.  Each
+    element is mapped by ``N`` once.
     """
-    images = [operator_n(a) for a in elements]
+    mul = mul or product
+    n = n or operator_n
+    images = [n(a) for a in elements]
     for i, a in enumerate(elements):
         pa = images[i]
         for j, b in enumerate(elements):
             pb = images[j]
-            lhs = product(pa, pb)
-            rhs = (
-                operator_n(product(pa, b))
-                + operator_n(product(a, pb))
-                - operator_n(operator_n(product(a, b)))
-            )
+            lhs = mul(pa, pb)
+            rhs = n(mul(pa, b)) + n(mul(a, pb)) - n(n(mul(a, b)))
             if lhs != rhs:
                 return CheckReport(False, "operator-identity", (i, j), lhs, rhs)
     return None

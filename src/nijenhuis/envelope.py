@@ -2,14 +2,18 @@
 
 A finite-dimensional algebra is given by structure constants over the
 rationals, together with a square matrix for its distinguished operator.
-This module can check the operator identity and associativity by sweep,
-split such an algebra into its three induced bilinear operations, and
-study the result through the free algebra: every finite-dimensional
-instance with the three operations embeds, up to a quotient, into the
-free algebra on one generator per basis vector.  The kernel of that
-comparison is generated by an explicit finite family, one relation per
-basis pair and operation; a truncated closure computes a certified lower
-bound of the kernel, giving a semidecision procedure for membership.
+Its elements are coordinate :class:`Vector` s with the arithmetic of
+:class:`LinComb`, so the identity sweeps, the splitting operations and
+the relation sides written for the free algebra run on them, given the
+algebra's product and operator.  This module checks the operator
+identity and associativity by sweep, splits such an algebra into its
+three induced bilinear operations, and studies the result through the
+free algebra: every finite-dimensional instance with the three
+operations embeds, up to a quotient, into the free algebra on one
+generator per basis vector.  The kernel of that comparison is generated
+by an explicit finite family, one relation per basis pair and operation;
+a truncated closure computes a certified lower bound of the kernel,
+giving a semidecision procedure for membership.
 """
 
 from __future__ import annotations
@@ -17,13 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import product as _cartesian
 from typing import Sequence
 
 from .algebra import (
     COORD_OPS,
     CheckReport,
     OpSymbol,
+    derived_op,
     first_nonassociative_triple,
+    first_operator_identity_failure,
     operator_n,
     product,
 )
@@ -35,9 +42,8 @@ from .linalg import (
     format_rational,
     rational,
 )
-from .relations import RelVector, ndendriform_relation_set, ns_relation_set
+from .relations import RelVector, ndendriform_relation_set, ns_relation_set, relation_sides
 from .words import (
-    Bracket,
     BracketedWord,
     GeneratorSymbol,
     Letters,
@@ -90,34 +96,33 @@ class BoundTooSmall(ValueError):
     """The candidate itself does not fit under the truncation bound."""
 
 
-Vector = tuple[Fraction, ...]
+class Vector(tuple):
+    """Coordinates with the arithmetic of :class:`LinComb`, all of it coordinatewise.
+
+    It equals, hashes and prints like the plain tuple of its coordinates.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other: "Vector") -> "Vector":
+        return Vector(a + b for a, b in zip(self, other))
+
+    def __sub__(self, other: "Vector") -> "Vector":
+        return Vector(a - b for a, b in zip(self, other))
+
+    def __neg__(self) -> "Vector":
+        return Vector(-a for a in self)
+
+    def scale(self, scalar: RationalLike) -> "Vector":
+        c = rational(scalar)
+        return Vector(c * a for a in self)
 
 
 def _vector(values: Sequence[RationalLike], dim: int) -> Vector:
-    vec = tuple(rational(x) for x in values)
+    vec = Vector(rational(x) for x in values)
     if len(vec) != dim:
         raise DimensionMismatch(f"expected a vector of length {dim}, got {len(vec)}")
     return vec
-
-
-def _vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _vec_scale(c: Fraction, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
-
-
-def _zero(dim: int) -> Vector:
-    return (Fraction(0),) * dim
-
-
-def _is_zero(u: Vector) -> bool:
-    return not any(u)
 
 
 Tensor = tuple[tuple[Vector, ...], ...]
@@ -150,11 +155,11 @@ def _contract(t: Tensor, u: Sequence[RationalLike], v: Sequence[RationalLike]) -
             for k, s in enumerate(t[i][j]):
                 if s:
                     out[k] += coeff * s
-    return tuple(out)
+    return Vector(out)
 
 
 def _unit(dim: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
+    return Vector(Fraction(1 if j == i else 0) for j in range(dim))
 
 
 @dataclass(frozen=True)
@@ -183,13 +188,13 @@ class LinearMap:
 
     def apply(self, vec: Sequence[RationalLike]) -> Vector:
         v = _vector(vec, self.cols)
-        return tuple(
+        return Vector(
             sum((row[j] * v[j] for j in range(self.cols)), Fraction(0))
             for row in self.entries
         )
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
+        return Vector(row[j] for row in self.entries)
 
     def to_json_obj(self) -> list:
         return [[format_rational(x) for x in row] for row in self.entries]
@@ -262,11 +267,8 @@ class NSAlgebraFD:
         self, op: OpSymbol, u: Sequence[RationalLike], v: Sequence[RationalLike]
     ) -> Vector:
         if op is OpSymbol.STAR:
-            parts = (self.op_product(o, u, v) for o in COORD_OPS)
-            total = _zero(self.dim)
-            for p in parts:
-                total = _vec_add(total, p)
-            return total
+            prec, succ, bullet = (self.op_product(o, u, v) for o in COORD_OPS)
+            return prec + succ + bullet
         return _contract(self.tensor(op), u, v)
 
     def to_json_obj(self) -> dict:
@@ -293,25 +295,12 @@ def check_nijenhuis_fd(alg: NijenhuisAlgebraFD) -> CheckReport:
 
     Indices run in lexicographic order and the first failure is returned.
     """
-    n = alg.dim
-    basis = [_unit(n, i) for i in range(n)]
-    failure = first_nonassociative_triple(basis, alg.mul)
-    if failure is not None:
-        return failure
-    for i in range(n):
-        for j in range(n):
-            pi, pj = alg.apply_op(basis[i]), alg.apply_op(basis[j])
-            lhs = alg.mul(pi, pj)
-            rhs = _vec_sub(
-                _vec_add(
-                    alg.apply_op(alg.mul(pi, basis[j])),
-                    alg.apply_op(alg.mul(basis[i], pj)),
-                ),
-                alg.apply_op(alg.apply_op(alg.mul(basis[i], basis[j]))),
-            )
-            if lhs != rhs:
-                return CheckReport(False, "operator-identity", (i, j), lhs, rhs)
-    return CheckReport(True)
+    basis = [_unit(alg.dim, i) for i in range(alg.dim)]
+    return (
+        first_nonassociative_triple(basis, alg.mul)
+        or first_operator_identity_failure(basis, alg.mul, alg.apply_op)
+        or CheckReport(True)
+    )
 
 
 def check_relations_fd(alg: NSAlgebraFD, rels: Sequence[RelVector]) -> CheckReport:
@@ -319,29 +308,10 @@ def check_relations_fd(alg: NSAlgebraFD, rels: Sequence[RelVector]) -> CheckRepo
     n = alg.dim
     basis = [_unit(n, i) for i in range(n)]
     for r_idx, rel in enumerate(rels):
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    lhs = _zero(n)
-                    rhs = _zero(n)
-                    for i, op_i in enumerate(COORD_OPS):
-                        for j, op_j in enumerate(COORD_OPS):
-                            cl = rel.left[i][j]
-                            if cl:
-                                inner = alg.op_product(op_i, basis[a], basis[b])
-                                lhs = _vec_add(
-                                    lhs,
-                                    _vec_scale(cl, alg.op_product(op_j, inner, basis[c])),
-                                )
-                            cr = rel.right[i][j]
-                            if cr:
-                                inner = alg.op_product(op_j, basis[b], basis[c])
-                                rhs = _vec_add(
-                                    rhs,
-                                    _vec_scale(cr, alg.op_product(op_i, basis[a], inner)),
-                                )
-                    if lhs != rhs:
-                        return CheckReport(False, "relation", (r_idx, a, b, c), lhs, rhs)
+        for a, b, c in _cartesian(range(n), repeat=3):
+            lhs, rhs = relation_sides(rel, basis[a], basis[b], basis[c], alg.op_product)
+            if lhs != rhs:
+                return CheckReport(False, "relation", (r_idx, a, b, c), lhs, rhs)
     return CheckReport(True)
 
 
@@ -358,21 +328,21 @@ def check_ndendriform_axioms(alg: NSAlgebraFD) -> CheckReport:
 def induced_ns(alg: NijenhuisAlgebraFD) -> NSAlgebraFD:
     """Split a checked algebra into its three induced operations.
 
-    prec(u, v) = u P(v),  succ(u, v) = P(u) v,  bullet(u, v) = -P(u v).
+    Each is :func:`derived_op` with the algebra's product and operator.
     Raises :class:`InvalidInput` when the input fails its own sweep.
     """
     report = check_nijenhuis_fd(alg)
     if not report.ok:
         raise InvalidInput(f"input algebra is not valid: {report.describe()}")
-    n = alg.dim
-    basis = [_unit(n, i) for i in range(n)]
-    prec = [[alg.mul(basis[i], alg.apply_op(basis[j])) for j in range(n)] for i in range(n)]
-    succ = [[alg.mul(alg.apply_op(basis[i]), basis[j]) for j in range(n)] for i in range(n)]
-    bullet = [
-        [_vec_scale(Fraction(-1), alg.apply_op(alg.mul(basis[i], basis[j]))) for j in range(n)]
-        for i in range(n)
-    ]
-    return NSAlgebraFD(n, tuple(map(tuple, prec)), tuple(map(tuple, succ)), tuple(map(tuple, bullet)))
+    basis = [_unit(alg.dim, i) for i in range(alg.dim)]
+    prec, succ, bullet = (
+        tuple(
+            tuple(derived_op(op, u, v, alg.mul, alg.apply_op) for v in basis)
+            for u in basis
+        )
+        for op in COORD_OPS
+    )
+    return NSAlgebraFD(alg.dim, prec, succ, bullet)
 
 
 def default_names(dim: int) -> tuple[GeneratorSymbol, ...]:
@@ -387,15 +357,12 @@ def enveloping_generators(
 
     For each basis pair (i, j) three elements are produced, one per
     operation, each the structure-constant combination of letters minus
-    the corresponding free-algebra expression:
+    the same operation on the free generators:
 
-        sum_k prec[i][j][k] e_k  -  e_i [e_j]
-        sum_k succ[i][j][k] e_k  -  [e_i] e_j
-        sum_k bullet[i][j][k] e_k  +  [e_i e_j]
+        sum_k t[i][j][k] e_k  -  derived_op(op, e_i, e_j)
 
-    The bullet line carries a plus because the free bullet operation is
-    itself a negated bracket.  Order: (i, j) lexicographic, then the
-    three operations.
+    for op = prec, succ, bullet with t its structure tensor.  Order:
+    (i, j) lexicographic, then the three operations.
     """
     if names is None:
         names = default_names(alg.dim)
@@ -411,22 +378,12 @@ def enveloping_generators(
                 total = total + letters[k].scale(c)
         return total
 
-    out: list[LinComb] = []
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            prec_word = BracketedWord(
-                (Letters((names[i],)), Bracket(letter_word(names[j])))
-            )
-            succ_word = BracketedWord(
-                (Bracket(letter_word(names[i])), Letters((names[j],)))
-            )
-            bullet_word = BracketedWord(
-                (Bracket(letter_word(names[i], names[j])),)
-            )
-            out.append(constants(alg.prec, i, j) - LinComb.from_word(prec_word))
-            out.append(constants(alg.succ, i, j) - LinComb.from_word(succ_word))
-            out.append(constants(alg.bullet, i, j) + LinComb.from_word(bullet_word))
-    return tuple(out)
+    return tuple(
+        constants(alg.tensor(op), i, j) - derived_op(op, letters[i], letters[j])
+        for i in range(alg.dim)
+        for j in range(alg.dim)
+        for op in COORD_OPS
+    )
 
 
 def evaluate_hom(
@@ -467,9 +424,9 @@ def evaluate_hom(
         assert value is not None
         return value
 
-    total = _zero(alg.dim)
+    total = Vector([0] * alg.dim)
     for w, c in a:
-        total = _vec_add(total, _vec_scale(c, eval_word(w)))
+        total = total + eval_word(w).scale(c)
     return total
 
 
@@ -499,21 +456,14 @@ def check_morphism_kills_generators(
         for i in range(source.dim):
             for j in range(source.dim):
                 lhs = f.apply(source.op_product(op, _unit(source.dim, i), _unit(source.dim, j)))
-                if op is OpSymbol.PREC:
-                    rhs = target.mul(columns[i], target.apply_op(columns[j]))
-                elif op is OpSymbol.SUCC:
-                    rhs = target.mul(target.apply_op(columns[i]), columns[j])
-                else:
-                    rhs = _vec_scale(
-                        Fraction(-1), target.apply_op(target.mul(columns[i], columns[j]))
-                    )
+                rhs = derived_op(op, columns[i], columns[j], target.mul, target.apply_op)
                 if lhs != rhs:
                     return CheckReport(False, "morphism", (o, i, j), lhs, rhs)
 
     for g_idx, gen in enumerate(enveloping_generators(source, names)):
         image = evaluate_hom(target, f, gen, names)
-        if not _is_zero(image):
-            return CheckReport(False, "generator-image", (g_idx,), image, _zero(target.dim))
+        if any(image):
+            return CheckReport(False, "generator-image", (g_idx,), image, image.scale(0))
     return CheckReport(True)
 
 

@@ -8,6 +8,8 @@ ordered (prec, succ, bullet), the candidate asserts
 
 for all x, y, z.  Left coordinates are indexed (inner, outer) and right
 coordinates (outer, inner), matching how the monomials are written.
+:func:`relation_sides` evaluates the two sums, in the free algebra or,
+given its operations, in any other.
 
 Because the algebra here is free, a candidate holds in every algebra
 with a compatible operator exactly when it vanishes on three distinct
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .algebra import COORD_OPS, OpSymbol, derived_op
 from .linalg import LinComb, RationalLike, RationalMatrix, RowSpace, format_rational, rational
@@ -34,6 +36,7 @@ __all__ = [
     "RelVector",
     "ns_relation_set",
     "ndendriform_relation_set",
+    "relation_sides",
     "evaluate_relation",
     "relation_monomials",
     "relation_matrix",
@@ -169,18 +172,32 @@ def ndendriform_relation_set() -> tuple[RelVector, ...]:
     )
 
 
-def evaluate_relation(rel: RelVector, x: LinComb, y: LinComb, z: LinComb) -> LinComb:
-    """Left side minus right side of the candidate, evaluated at x, y, z."""
-    total = LinComb.zero()
+def relation_sides(
+    rel: RelVector, x: Any, y: Any, z: Any, op: Callable[[OpSymbol, Any, Any], Any] | None = None
+) -> tuple[Any, Any]:
+    """Left and right side of the candidate, evaluated at x, y, z.
+
+    ``op`` applies a splitting operation; it defaults to
+    :func:`derived_op` on the free algebra.  Both sums start at
+    ``x.scale(0)``, the zero of whatever algebra x lies in.
+    """
+    op = op or derived_op
+    lhs = rhs = x.scale(0)
     for i, op_i in enumerate(COORD_OPS):
         for j, op_j in enumerate(COORD_OPS):
             c = rel.left[i][j]
             if c:
-                total = total + derived_op(op_j, derived_op(op_i, x, y), z).scale(c)
+                lhs = lhs + op(op_j, op(op_i, x, y), z).scale(c)
             c = rel.right[i][j]
             if c:
-                total = total - derived_op(op_i, x, derived_op(op_j, y, z)).scale(c)
-    return total
+                rhs = rhs + op(op_i, x, op(op_j, y, z)).scale(c)
+    return lhs, rhs
+
+
+def evaluate_relation(rel: RelVector, x: LinComb, y: LinComb, z: LinComb) -> LinComb:
+    """Left side minus right side of the candidate, evaluated at x, y, z."""
+    lhs, rhs = relation_sides(rel, x, y, z)
+    return lhs - rhs
 
 
 def _unit_vectors() -> tuple[RelVector, ...]:

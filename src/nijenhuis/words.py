@@ -4,7 +4,7 @@ A bracketed word is a nonempty alternating sequence of factors, where a
 factor is either a run of generator letters or a bracket enclosing a
 smaller bracketed word.  Words of this shape form the monomial basis of
 the free Nijenhuis algebra built in :mod:`nijenhuis.algebra`; this module
-only knows about their combinatorial structure: construction, concatenation,
+only knows about their combinatorial structure: construction,
 enumeration by size, and the canonical text and sort key that each word
 stores, built from its inner words' keys, from which its measures are read.
 
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import IntEnum
 from functools import lru_cache
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Union
@@ -51,13 +50,11 @@ __all__ = [
     "WordError",
     "AlternationViolation",
     "EmptyInput",
-    "BracketAdjacency",
     "GeneratorSymbol",
     "Letters",
     "Bracket",
     "Factor",
     "BracketedWord",
-    "EndKind",
     "generators",
     "make_word",
     "letter_word",
@@ -65,8 +62,6 @@ __all__ = [
     "breadth",
     "size",
     "letter_count",
-    "head_tail",
-    "concat_words",
     "to_canonical",
     "from_canonical",
     "canonical_key",
@@ -97,10 +92,6 @@ class EmptyInput(WordError):
     """An empty run, an empty factor sequence, or an empty symbol name."""
 
 
-class BracketAdjacency(WordError):
-    """Concatenation would place two bracket factors side by side."""
-
-
 @dataclass(frozen=True)
 class GeneratorSymbol:
     """A named generator.  Names are nonempty identifiers."""
@@ -115,6 +106,11 @@ class GeneratorSymbol:
 
     def __str__(self) -> str:
         return self.name
+
+    def __hash__(self) -> int:
+        # The dataclass hash would build hash((name,)) on every call;
+        # the string caches its own hash.
+        return hash(self.name)
 
 
 def generators(*names: str) -> tuple[GeneratorSymbol, ...]:
@@ -281,13 +277,6 @@ _WORDS: dict[tuple[Factor, ...], BracketedWord] = {}
 _WORDS_LIMIT = 4096
 
 
-class EndKind(IntEnum):
-    """Kind of a word's first or last factor."""
-
-    GENERATOR = 0
-    BRACKET = 1
-
-
 def make_word(factors: Iterable[Factor]) -> BracketedWord:
     """Build a word from a factor sequence, validating alternation."""
     return BracketedWord(tuple(factors))
@@ -296,10 +285,6 @@ def make_word(factors: Iterable[Factor]) -> BracketedWord:
 def letter_word(*syms: GeneratorSymbol) -> BracketedWord:
     """The word consisting of one run of the given letters."""
     return BracketedWord((Letters(syms),))
-
-
-def _kind(f: Factor) -> EndKind:
-    return EndKind.GENERATOR if isinstance(f, Letters) else EndKind.BRACKET
 
 
 def depth(w: BracketedWord) -> int:
@@ -321,26 +306,6 @@ def size(w: BracketedWord) -> int:
     """Letters plus bracket pairs; names are identifiers, so each ``[`` opens a pair."""
     letters, _, text = canonical_key(w)
     return letters + text.count("[")
-
-
-def head_tail(w: BracketedWord) -> tuple[EndKind, EndKind]:
-    """Kinds of the first and last factor."""
-    return _kind(w.factors[0]), _kind(w.factors[-1])
-
-
-def concat_words(u: BracketedWord, v: BracketedWord) -> BracketedWord:
-    """Concatenate two words, merging a letter-letter junction.
-
-    Raises :class:`BracketAdjacency` when both junction factors are
-    brackets; that juxtaposition is not a basis word.
-    """
-    last, first = u.factors[-1], v.factors[0]
-    if isinstance(last, Letters) and isinstance(first, Letters):
-        merged = Letters(last.run + first.run)
-        return BracketedWord(u.factors[:-1] + (merged,) + v.factors[1:])
-    if isinstance(last, Bracket) and isinstance(first, Bracket):
-        raise BracketAdjacency(f"cannot concatenate {u} with {v}")
-    return BracketedWord(u.factors + v.factors)
 
 
 def _factor_str(f: Factor) -> str:

@@ -49,7 +49,6 @@ from nijenhuis.relations import (
 from nijenhuis.words import (
     from_canonical,
     generators,
-    head_tail,
     letter_word,
     size,
     words_up_to_size,
@@ -124,14 +123,14 @@ def test_criterion_05_families_vanish():
 def test_criterion_06_product_structure_sweep():
     pool = words_up_to_size(XY, 3)
     for u in pool:
-        hu, tu = head_tail(u)
+        hu, tu = type(u.factors[0]), type(u.factors[-1])
         lu = LinComb.from_word(u)
         for v in pool:
-            hv, tv = head_tail(v)
+            hv, tv = type(v.factors[0]), type(v.factors[-1])
             result = product(lu, LinComb.from_word(v))
             assert not result.is_zero()
             for term, _ in result:
-                assert head_tail(term) == (hu, tv)
+                assert (type(term.factors[0]), type(term.factors[-1])) == (hu, tv)
                 assert size(term) == size(u) + size(v)
             if tu != hv:
                 items = result.items()

@@ -1,0 +1,217 @@
+"""The finite-dimensional checks against plain coordinate loops.
+
+The envelope checks run the free algebra's definitions (``derived_op``,
+the operator identity sweep, ``relation_sides``) on coordinate vectors.
+Here each check is written out again the plain way, on tuples of
+coordinates with the formulas spelled out, and the two are compared on
+random dimension-2 algebras with entries in -2..2: the verdict, the
+failure kind, its indices and both sides.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product as cartesian
+
+import pytest
+from hypothesis import given, strategies as st
+
+from nijenhuis.envelope import (
+    InvalidInput,
+    LinearMap,
+    NijenhuisAlgebraFD,
+    NSAlgebraFD,
+    Vector,
+    check_ndendriform_axioms,
+    check_nijenhuis_fd,
+    check_ns_axioms,
+    induced_ns,
+)
+from nijenhuis.relations import ndendriform_relation_set, ns_relation_set
+
+DIM = 2
+BASIS = [tuple(1 if j == i else 0 for j in range(DIM)) for i in range(DIM)]
+
+
+def mul(t, u, v):
+    return tuple(
+        sum(u[i] * v[j] * t[i][j][k] for i in range(DIM) for j in range(DIM))
+        for k in range(DIM)
+    )
+
+
+def apply(m, u):
+    return tuple(sum(m[r][c] * u[c] for c in range(DIM)) for r in range(DIM))
+
+
+def add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def reference_nijenhuis(t, m):
+    """Associativity on basis triples, then N(a)N(b) = N(N(a)b + aN(b) - N(ab))."""
+    for i, j, k in cartesian(range(DIM), repeat=3):
+        a, b, c = BASIS[i], BASIS[j], BASIS[k]
+        lhs, rhs = mul(t, mul(t, a, b), c), mul(t, a, mul(t, b, c))
+        if lhs != rhs:
+            return False, "associativity", (i, j, k), lhs, rhs
+    for i, j in cartesian(range(DIM), repeat=2):
+        a, b = BASIS[i], BASIS[j]
+        pa, pb = apply(m, a), apply(m, b)
+        lhs = mul(t, pa, pb)
+        rhs = sub(
+            add(apply(m, mul(t, pa, b)), apply(m, mul(t, a, pb))),
+            apply(m, apply(m, mul(t, a, b))),
+        )
+        if lhs != rhs:
+            return False, "operator-identity", (i, j), lhs, rhs
+    return True, "", (), None, None
+
+
+def reference_induced(t, m):
+    """x < y = x N(y), x > y = N(x) y, x o y = -N(x y), on basis pairs."""
+    prec = tuple(tuple(mul(t, a, apply(m, b)) for b in BASIS) for a in BASIS)
+    succ = tuple(tuple(mul(t, apply(m, a), b) for b in BASIS) for a in BASIS)
+    bullet = tuple(
+        tuple(tuple(-x for x in apply(m, mul(t, a, b))) for b in BASIS) for a in BASIS
+    )
+    return prec, succ, bullet
+
+
+def reference_relations(tensors, rels):
+    """Each grid on every basis triple, with the operations indexed prec, succ, bullet."""
+    for r_idx, rel in enumerate(rels):
+        for a, b, c in cartesian(range(DIM), repeat=3):
+            x, y, z = BASIS[a], BASIS[b], BASIS[c]
+            lhs = rhs = (0,) * DIM
+            for i, j in cartesian(range(3), repeat=2):
+                cl = rel.left[i][j]
+                if cl:
+                    term = mul(tensors[j], mul(tensors[i], x, y), z)
+                    lhs = add(lhs, tuple(cl * q for q in term))
+                cr = rel.right[i][j]
+                if cr:
+                    term = mul(tensors[i], x, mul(tensors[j], y, z))
+                    rhs = add(rhs, tuple(cr * q for q in term))
+            if lhs != rhs:
+                return False, "relation", (r_idx, a, b, c), lhs, rhs
+    return True, "", (), None, None
+
+
+def fields(report):
+    return report.ok, report.kind, report.indices, report.lhs, report.rhs
+
+
+entries = st.integers(min_value=-2, max_value=2)
+random_tensors = st.lists(entries, min_size=DIM**3, max_size=DIM**3).map(
+    lambda xs: [[xs[4 * i + 2 * j : 4 * i + 2 * j + 2] for j in range(DIM)] for i in range(DIM)]
+)
+# Random tensors are rarely associative.  The componentwise product is,
+# and it satisfies the operator identity with every diagonal operator
+# but not with every operator.  In the noncommutative algebra spanned
+# by the matrix units E11, E12 (e0 e0 = e0, e0 e1 = e1), and in its
+# opposite, every operator satisfies it, so there x < y and x > y differ.
+COMPONENTWISE = [[[1 if i == j == k else 0 for k in range(DIM)] for j in range(DIM)] for i in range(DIM)]
+ZERO = [[[0] * DIM for _ in range(DIM)] for _ in range(DIM)]
+UNITS = [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]
+UNITS_OPPOSITE = [[[1, 0], [0, 0]], [[0, 1], [0, 0]]]
+VALID = [COMPONENTWISE, ZERO, UNITS, UNITS_OPPOSITE]
+tensors = st.one_of(random_tensors, st.sampled_from(VALID))
+random_ops = st.lists(entries, min_size=DIM * DIM, max_size=DIM * DIM).map(
+    lambda xs: [xs[0:2], xs[2:4]]
+)
+diagonal_ops = st.tuples(entries, entries).map(lambda d: [[d[0], 0], [0, d[1]]])
+ops = st.one_of(random_ops, diagonal_ops)
+
+
+def algebra(t, m) -> NijenhuisAlgebraFD:
+    return NijenhuisAlgebraFD(DIM, t, LinearMap.from_rows(m))
+
+
+def compare_nijenhuis(t, m) -> str:
+    alg = algebra(t, m)
+    expected = reference_nijenhuis(t, m)
+    assert fields(check_nijenhuis_fd(alg)) == expected
+    if expected[0]:
+        ns = induced_ns(alg)
+        assert (ns.prec, ns.succ, ns.bullet) == reference_induced(t, m)
+    else:
+        with pytest.raises(InvalidInput):
+            induced_ns(alg)
+    return expected[1]
+
+
+def compare_relations(ns: NSAlgebraFD) -> tuple[bool, bool]:
+    tensors = (ns.prec, ns.succ, ns.bullet)
+    four = reference_relations(tensors, ns_relation_set())
+    five = reference_relations(tensors, ndendriform_relation_set())
+    assert fields(check_ns_axioms(ns)) == four
+    assert fields(check_ndendriform_axioms(ns)) == five
+    return four[0], five[0]
+
+
+@given(tensors, ops)
+def test_operator_identity_and_splitting_match_the_loops(t, m):
+    compare_nijenhuis(t, m)
+
+
+def test_the_loops_meet_every_verdict():
+    swap = [[0, 1], [1, 0]]
+    perturbed = [[[1, 0], [1, 0]], [[0, 0], [0, 1]]]
+    kinds = {
+        compare_nijenhuis(COMPONENTWISE, [[2, 0], [0, -1]]),
+        compare_nijenhuis(UNITS, [[1, -2], [2, 1]]),
+        compare_nijenhuis(COMPONENTWISE, swap),
+        compare_nijenhuis(perturbed, [[1, 0], [0, 0]]),
+    }
+    assert kinds == {"", "operator-identity", "associativity"}
+
+
+random_ns = st.tuples(random_tensors, random_tensors, random_tensors).map(
+    lambda ts: NSAlgebraFD(DIM, *ts)
+)
+# Split operations of a valid operator algebra satisfy both families.
+induced = st.one_of(
+    st.tuples(st.sampled_from([COMPONENTWISE, ZERO]), diagonal_ops),
+    st.tuples(st.sampled_from([UNITS, UNITS_OPPOSITE]), random_ops),
+).map(lambda tm: induced_ns(algebra(*tm)))
+
+
+@given(st.one_of(random_ns, induced))
+def test_relation_grids_match_the_loops(ns):
+    compare_relations(ns)
+
+
+def test_the_relation_loops_meet_both_verdicts():
+    valid = induced_ns(algebra(COMPONENTWISE, [[1, 0], [0, 0]]))
+    assert compare_relations(valid) == (True, True)
+    broken = NSAlgebraFD(DIM, valid.prec, valid.succ, COMPONENTWISE)
+    assert compare_relations(broken) == (False, False)
+
+
+def test_vector_addition_is_coordinatewise():
+    u, v = Vector((1, 2)), Vector((Fraction(1, 2), -2))
+    assert u + v == (Fraction(3, 2), 0)
+    assert len(u + v) == 2
+    assert u - v == (Fraction(1, 2), 4)
+    assert -u == (-1, -2)
+    assert u.scale("1/2") == (Fraction(1, 2), 1)
+    assert all(type(w) is Vector for w in (u + v, u - v, -u, u.scale(3)))
+
+
+def test_scaling_by_zero_keeps_the_length():
+    assert Vector((1, -2, Fraction(1, 3))).scale(0) == (0, 0, 0)
+
+
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=4))
+def test_vector_equals_and_hashes_like_its_tuple(coords):
+    plain = tuple(coords)
+    vec = Vector(coords)
+    assert vec == plain and plain == vec
+    assert hash(vec) == hash(plain)
+    assert {plain: "found"}[vec] == "found"
+    assert vec.scale(0) == (0,) * len(plain)

@@ -9,21 +9,17 @@ from nijenhuis import words
 from nijenhuis.words import (
     AlternationViolation,
     Bracket,
-    BracketAdjacency,
     BracketedWord,
     EmptyInput,
-    EndKind,
     GeneratorSymbol,
     Letters,
     MAX_NESTING,
     WordError,
     breadth,
     canonical_key,
-    concat_words,
     depth,
     from_canonical,
     generators,
-    head_tail,
     letter_count,
     letter_word,
     make_word,
@@ -78,14 +74,15 @@ def test_measures_on_nested_word():
     assert breadth(w) == 3
     assert letter_count(w) == 4
     assert size(w) == 6
-    assert head_tail(w) == (EndKind.GENERATOR, EndKind.GENERATOR)
+    assert (type(w.factors[0]), type(w.factors[-1])) == (Letters, Letters)
 
 
 def test_measures_on_single_factors():
     assert depth(letter_word(X, Y)) == 0
     assert depth(from_canonical("[x]")) == 1
     assert depth(from_canonical("[[x]]")) == 2
-    assert head_tail(from_canonical("[x]*y")) == (EndKind.BRACKET, EndKind.GENERATOR)
+    w = from_canonical("[x]*y")
+    assert (type(w.factors[0]), type(w.factors[-1])) == (Bracket, Letters)
     assert size(from_canonical("[x*[y]]")) == 4
 
 
@@ -99,32 +96,6 @@ def test_standard_decomposition_round_trips():
 @given(words_strategy())
 def test_standard_decomposition_round_trips_everywhere(w):
     assert make_word(w.factors) == w
-
-
-def test_concat_merges_letter_junction():
-    u = from_canonical("x*[y]*x")
-    v = from_canonical("y*[z]")
-    assert to_canonical(concat_words(u, v)) == "x*[y]*x*y*[z]"
-    assert concat_words(letter_word(X), letter_word(Y)) == letter_word(X, Y)
-
-
-def test_concat_rejects_bracket_junction():
-    with pytest.raises(BracketAdjacency):
-        concat_words(from_canonical("[x]"), from_canonical("[y]"))
-
-
-@given(words_strategy(), words_strategy())
-def test_concat_adds_sizes_when_legal(u, v):
-    hu_tu = head_tail(u)
-    hv_tv = head_tail(v)
-    if hu_tu[1] == EndKind.BRACKET and hv_tv[0] == EndKind.BRACKET:
-        with pytest.raises(BracketAdjacency):
-            concat_words(u, v)
-        return
-    joined = concat_words(u, v)
-    assert size(joined) == size(u) + size(v)
-    assert letter_count(joined) == letter_count(u) + letter_count(v)
-    assert head_tail(joined) == (hu_tu[0], hv_tv[1])
 
 
 def test_serialization_round_trip_examples():
