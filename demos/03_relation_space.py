@@ -4,8 +4,9 @@ A candidate relation pairs two 3x3 coefficient grids over the split
 operations (prec, succ, bullet): one grid weights left-bracketed
 compositions (x op_i y) op_j z, the other right-bracketed ones.  The
 solver expands all 18 unit candidates over free generators, collects
-the resulting monomials into an exact rational matrix, and reads the
-space of identically vanishing combinations off its nullspace.
+the coefficients of the resulting monomials into 13 exact rows of
+length 18 (``relation_matrix``), and reads the space of identically
+vanishing combinations off the kernel of their span.
 """
 
 from nijenhuis import (
@@ -21,11 +22,12 @@ from nijenhuis.linalg import rank
 
 
 def main() -> None:
-    matrix = relation_matrix()
+    rows = relation_matrix()
     monomials = relation_monomials()
-    print(f"coefficient matrix: {matrix.rows} monomials x {matrix.cols} candidates")
-    r = rank(matrix)
-    print(f"rank {r}, so the relation space has dimension {matrix.cols - r}")
+    cols = len(rows[0])
+    print(f"coefficient matrix: {len(rows)} monomials x {cols} candidates")
+    r = rank(rows)
+    print(f"rank {r}, so the relation space has dimension {cols - r}")
 
     print()
     print("monomials spanning the expansion:")

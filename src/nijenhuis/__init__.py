@@ -48,7 +48,6 @@ from .linalg import (
     DimensionMismatch,
     LinComb,
     Rational,
-    RationalMatrix,
     RowSpace,
     format_rational,
     rank,

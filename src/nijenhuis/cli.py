@@ -254,19 +254,15 @@ def _relation_sweep(args: argparse.Namespace, rels, label: str) -> int:
     if len(names) < 3:
         raise _UsageError("relation checks need at least three generator names")
     x, y, z = (LinComb.from_word(letter_word(s)) for s in names[:3])
-    failures = []
     for k, rel in enumerate(rels):
         residue = evaluate_relation(rel, x, y, z)
         if not residue.is_zero():
-            failures.append((k, residue))
-    if failures:
-        k, residue = failures[0]
-        _emit(
-            args,
-            {"ok": False, "relation": k, "residue": _lincomb_json(residue)},
-            f"{label} relation {k + 1} fails: residue {print_canonical(residue)}",
-        )
-        return 1
+            _emit(
+                args,
+                {"ok": False, "relation": k, "residue": _lincomb_json(residue)},
+                f"{label} relation {k + 1} fails: residue {print_canonical(residue)}",
+            )
+            return 1
     _emit(
         args,
         {"ok": True, "relations": len(rels)},

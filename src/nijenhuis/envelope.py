@@ -39,6 +39,7 @@ from .linalg import (
     LinComb,
     RationalLike,
     RowSpace,
+    Vector,
     format_rational,
     rational,
 )
@@ -94,28 +95,6 @@ class UnknownGenerator(ValueError):
 
 class BoundTooSmall(ValueError):
     """The candidate itself does not fit under the truncation bound."""
-
-
-class Vector(tuple):
-    """Coordinates with the arithmetic of :class:`LinComb`, all of it coordinatewise.
-
-    It equals, hashes and prints like the plain tuple of its coordinates.
-    """
-
-    __slots__ = ()
-
-    def __add__(self, other: "Vector") -> "Vector":
-        return Vector(a + b for a, b in zip(self, other))
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        return Vector(a - b for a, b in zip(self, other))
-
-    def __neg__(self) -> "Vector":
-        return Vector(-a for a in self)
-
-    def scale(self, scalar: RationalLike) -> "Vector":
-        c = rational(scalar)
-        return Vector(c * a for a in self)
 
 
 def _vector(values: Sequence[RationalLike], dim: int) -> Vector:
@@ -436,17 +415,18 @@ def check_morphism_kills_generators(
     f: LinearMap,
     names: Sequence[GeneratorSymbol] | None = None,
 ) -> CheckReport:
-    """Check that ``f`` intertwines the three operations and that the
-    kernel generators map to zero under the induced evaluation.
+    """Check that ``f`` intertwines the three operations, and so kills
+    the kernel generators under the induced evaluation.
 
-    Failure kinds: ``morphism`` with indices (op, i, j) where op numbers
-    the operations (0 prec, 1 succ, 2 bullet), then ``generator-image``
-    with the flat generator index.
+    The generator for (op, i, j) is ``sum_k t[i][j][k] e_k -
+    derived_op(op, e_i, e_j)``, whose words have at most two factors, so
+    its image is exactly ``f(op(e_i, e_j)) - derived_op(op, f e_i, f e_j)``,
+    the two sides compared here, whatever the target's product.  The
+    one failure kind is ``morphism`` with indices (op, i, j), where op
+    numbers the operations (0 prec, 1 succ, 2 bullet).  ``names``, when
+    given, must have one name per source basis vector.
     """
-    if names is None:
-        names = default_names(source.dim)
-    names = tuple(names)
-    if len(names) != source.dim:
+    if names is not None and len(names) != source.dim:
         raise ArityMismatch(f"{source.dim} names required, got {len(names)}")
     if f.cols != source.dim or f.rows != target.dim:
         raise DimensionMismatch("map shape must be target dim by source dim")
@@ -459,11 +439,6 @@ def check_morphism_kills_generators(
                 rhs = derived_op(op, columns[i], columns[j], target.mul, target.apply_op)
                 if lhs != rhs:
                     return CheckReport(False, "morphism", (o, i, j), lhs, rhs)
-
-    for g_idx, gen in enumerate(enveloping_generators(source, names)):
-        image = evaluate_hom(target, f, gen, names)
-        if any(image):
-            return CheckReport(False, "generator-image", (g_idx,), image, image.scale(0))
     return CheckReport(True)
 
 

@@ -1,14 +1,15 @@
-"""Exact rational scalars, linear combinations of words, and row spaces.
+"""Exact rational scalars, linear combinations, coordinate vectors and row spaces.
 
 Scalars are exact: an ``int`` when the value is integral, otherwise a
 :class:`fractions.Fraction` (reduced form, positive denominator), never
 a float.  The two mix freely, compare and hash alike, and print alike,
 so integral work such as the free product's structure constants runs on
 plain integers.  On top of that this module provides linear combinations
-of bracketed words with rational coefficients, a shape-checked dense
-matrix, and :class:`RowSpace`, the one sparse elimination engine: it
-spans rows, tests membership, and gives kernels, for the relation
-solver and the ideal closure alike.
+of bracketed words with rational coefficients, :class:`Vector`, the one
+dense coordinate vector, and :class:`RowSpace`, the one sparse
+elimination engine: it spans rows, tests membership, and gives kernels,
+for the relation solver and the ideal closure alike.  :func:`span` is
+the one way from dense rows to a :class:`RowSpace`.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ __all__ = [
     "rational",
     "format_rational",
     "LinComb",
+    "Vector",
     "DimensionMismatch",
-    "RationalMatrix",
     "RowSpace",
+    "span",
     "rank",
 ]
 
@@ -203,48 +205,30 @@ class LinComb:
         return f"LinComb({self})"
 
 
+class Vector(tuple):
+    """Coordinates with the arithmetic of :class:`LinComb`, all of it coordinatewise.
+
+    It equals, hashes and prints like the plain tuple of its coordinates.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other: "Vector") -> "Vector":
+        return Vector(a + b for a, b in zip(self, other))
+
+    def __sub__(self, other: "Vector") -> "Vector":
+        return Vector(a - b for a, b in zip(self, other))
+
+    def __neg__(self) -> "Vector":
+        return Vector(-a for a in self)
+
+    def scale(self, scalar: RationalLike) -> "Vector":
+        c = rational(scalar)
+        return Vector(c * a for a in self)
+
+
 class DimensionMismatch(ValueError):
     """Shapes do not line up for the requested operation."""
-
-
-class RationalMatrix:
-    """A dense matrix of exact scalars with rectangular shape."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence[RationalLike]], cols: int | None = None):
-        converted = tuple(tuple(rational(x) for x in row) for row in entries)
-        if converted:
-            width = len(converted[0])
-            if any(len(row) != width for row in converted):
-                raise DimensionMismatch("ragged rows")
-            if cols is not None and cols != width:
-                raise DimensionMismatch(f"expected {cols} columns, got {width}")
-        else:
-            if cols is None:
-                raise DimensionMismatch("empty matrix needs an explicit column count")
-            width = cols
-        self.entries = converted
-        self.rows = len(converted)
-        self.cols = width
-
-    def __getitem__(self, index: tuple[int, int]) -> Fraction:
-        r, c = index
-        return self.entries[r][c]
-
-    def row(self, r: int) -> tuple[Fraction, ...]:
-        return self.entries[r]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return self.cols == other.cols and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
-        return f"RationalMatrix[{self.rows}x{self.cols}: {body}]"
-
-
 
 
 Row = dict[Hashable, int | Fraction]
@@ -324,7 +308,18 @@ def _subtract(target: Row, c: Fraction, row: Row) -> None:
             del target[col]
 
 
-def rank(matrix: RationalMatrix) -> int:
-    """Dimension of the row space."""
-    space = RowSpace(key=lambda col: col)
-    return sum(space.add({col: x for col, x in enumerate(row) if x}) for row in matrix.entries)
+def span(rows: Iterable[Sequence[RationalLike]]) -> RowSpace:
+    """Row space of dense rows, pivoted on the leftmost column.
+
+    That pivot choice makes the reduced rows those of the classical
+    reduced row echelon form.
+    """
+    space = RowSpace(key=lambda col: -col)
+    for row in rows:
+        space.add({col: x for col, x in enumerate(map(rational, row)) if x})
+    return space
+
+
+def rank(rows: Iterable[Sequence[RationalLike]]) -> int:
+    """Dimension of the span of dense rows."""
+    return len(span(rows))

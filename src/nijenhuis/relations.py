@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .algebra import COORD_OPS, OpSymbol, derived_op
-from .linalg import LinComb, RationalLike, RationalMatrix, RowSpace, format_rational, rational
+from .linalg import LinComb, RationalLike, Vector, format_rational, rational, span
 from .words import BracketedWord, canonical_key, generators, letter_word
 
 __all__ = [
@@ -95,22 +95,17 @@ class RelVector:
         right = [vals[9:12], vals[12:15], vals[15:18]]
         return cls(_grid(left), _grid(right))
 
-    def to_coords(self) -> tuple[Fraction, ...]:
+    def to_coords(self) -> Vector:
         """Flatten: left grid row-major, then right grid row-major."""
-        flat = [x for row in self.left for x in row]
-        flat += [x for row in self.right for x in row]
-        return tuple(flat)
+        return Vector(x for grid in (self.left, self.right) for row in grid for x in row)
 
     def __add__(self, other: "RelVector") -> "RelVector":
         if not isinstance(other, RelVector):
             return NotImplemented
-        return RelVector.from_coords(
-            tuple(a + b for a, b in zip(self.to_coords(), other.to_coords()))
-        )
+        return RelVector.from_coords(self.to_coords() + other.to_coords())
 
     def scale(self, scalar: RationalLike) -> "RelVector":
-        c = rational(scalar)
-        return RelVector.from_coords(tuple(c * x for x in self.to_coords()))
+        return RelVector.from_coords(self.to_coords().scale(scalar))
 
     def __rmul__(self, scalar: RationalLike) -> "RelVector":
         return self.scale(scalar)
@@ -230,32 +225,16 @@ def relation_monomials() -> tuple[BracketedWord, ...]:
     return _unit_evaluations()[1]
 
 
-def relation_matrix() -> RationalMatrix:
-    """Coefficient matrix of the 18 unit candidates over three generators.
+def relation_matrix() -> tuple[Vector, ...]:
+    """Coefficient rows of the 18 unit candidates over three generators.
 
-    Rows follow :func:`relation_monomials`; columns follow the coordinate
-    flattening of :meth:`RelVector.to_coords`.  Everything is computed by
-    symbolic expansion, nothing is tabulated by hand.
+    One row of length 18 per word of :func:`relation_monomials`, in that
+    order; columns follow the coordinate flattening of
+    :meth:`RelVector.to_coords`.  Everything is computed by symbolic
+    expansion, nothing is tabulated by hand.
     """
     evals, rows = _unit_evaluations()
-    entries = [[value.coeff(w) for value in evals] for w in rows]
-    return RationalMatrix(entries, cols=len(evals))
-
-
-def _sparse(vec: Sequence[Fraction]) -> dict[int, Fraction]:
-    return {col: x for col, x in enumerate(vec) if x}
-
-
-def _span(vectors: Iterable[Sequence[Fraction]]) -> RowSpace:
-    """Row space of dense vectors, pivoted on the leftmost column.
-
-    That pivot choice makes the reduced rows those of the classical
-    reduced row echelon form.
-    """
-    space = RowSpace(key=lambda col: -col)
-    for vec in vectors:
-        space.add(_sparse(vec))
-    return space
+    return tuple(Vector(value.coeff(w) for value in evals) for w in rows)
 
 
 def solve_relation_space() -> tuple[RelVector, ...]:
@@ -264,8 +243,7 @@ def solve_relation_space() -> tuple[RelVector, ...]:
     One vector per free coordinate, in increasing order, with that
     coordinate set to 1.
     """
-    matrix = relation_matrix()
-    kernel = _span(matrix.entries).kernel(range(matrix.cols))
+    kernel = span(relation_matrix()).kernel(range(18))
     return tuple(RelVector.from_coords(v) for v in kernel)
 
 
@@ -280,8 +258,8 @@ def check_relation_universal(rel: RelVector) -> bool:
 
 def relation_space_contains(rel: RelVector) -> bool:
     """Span membership test against the solved basis."""
-    space = _span(v.to_coords() for v in solve_relation_space())
-    return _sparse(rel.to_coords()) in space
+    basis = solve_relation_space()
+    return relation_sets_span_equal(basis, (*basis, rel))
 
 
 def relation_sets_span_equal(
@@ -292,6 +270,6 @@ def relation_sets_span_equal(
     Reduced rows are unique to the span, so comparing them decides it.
     """
     return (
-        _span(v.to_coords() for v in first).rows
-        == _span(v.to_coords() for v in second).rows
+        span(v.to_coords() for v in first).rows
+        == span(v.to_coords() for v in second).rows
     )

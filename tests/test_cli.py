@@ -14,7 +14,7 @@ from nijenhuis.cli import build_parser, run_command
 from nijenhuis.envelope import fixture_projection, fixture_scaling, fixture_swap, induced_ns
 from nijenhuis.linalg import LinComb
 from nijenhuis.parser import eval_expr, parse_expr
-from nijenhuis.relations import ndendriform_relation_set, solve_relation_space
+from nijenhuis.relations import RelVector, ndendriform_relation_set, solve_relation_space
 from nijenhuis.words import MAX_NESTING
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -193,6 +193,16 @@ def test_relation_checks_pass(capsys):
     assert code == 0 and "all 5" in out
     code, out, _ = run(capsys, "ndend-check", "--json", "--generators", "a,b,c")
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_relation_check_reports_the_first_failure(capsys, monkeypatch):
+    bad = (*ndendriform_relation_set()[:1], RelVector.unit_left(0, 1), RelVector.unit_right(2, 2))
+    monkeypatch.setattr(cli, "ns_relation_set", lambda: bad)
+    code, out, _ = run(capsys, "ns-check")
+    assert (code, out) == (1, "four-family relation 2 fails: residue [x*[y]]*z\n")
+    code, out, _ = run(capsys, "ns-check", "--json")
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "relation": 1, "residue": {"terms": [{"coeff": "1", "word": "[x*[y]]*z"}]}}
 
 
 def test_relation_checks_need_three_generators(capsys):

@@ -5,7 +5,9 @@ the operator identity sweep, ``relation_sides``) on coordinate vectors.
 Here each check is written out again the plain way, on tuples of
 coordinates with the formulas spelled out, and the two are compared on
 random dimension-2 algebras with entries in -2..2: the verdict, the
-failure kind, its indices and both sides.
+failure kind, its indices and both sides.  The images of the kernel
+generators are compared with the morphism check's two sides the same
+way.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from nijenhuis.envelope import (
     check_ndendriform_axioms,
     check_nijenhuis_fd,
     check_ns_axioms,
+    default_names,
+    enveloping_generators,
+    evaluate_hom,
     induced_ns,
 )
 from nijenhuis.relations import ndendriform_relation_set, ns_relation_set
@@ -72,14 +77,17 @@ def reference_nijenhuis(t, m):
     return True, "", (), None, None
 
 
+def reference_split(t, m, a, b):
+    """x < y = x N(y), x > y = N(x) y and x o y = -N(x y), in that order."""
+    return mul(t, a, apply(m, b)), mul(t, apply(m, a), b), tuple(-x for x in apply(m, mul(t, a, b)))
+
+
 def reference_induced(t, m):
-    """x < y = x N(y), x > y = N(x) y, x o y = -N(x y), on basis pairs."""
-    prec = tuple(tuple(mul(t, a, apply(m, b)) for b in BASIS) for a in BASIS)
-    succ = tuple(tuple(mul(t, apply(m, a), b) for b in BASIS) for a in BASIS)
-    bullet = tuple(
-        tuple(tuple(-x for x in apply(m, mul(t, a, b))) for b in BASIS) for a in BASIS
+    """The three split operations on basis pairs."""
+    return tuple(
+        tuple(tuple(reference_split(t, m, a, b)[o] for b in BASIS) for a in BASIS)
+        for o in range(3)
     )
-    return prec, succ, bullet
 
 
 def reference_relations(tensors, rels):
@@ -215,3 +223,19 @@ def test_vector_equals_and_hashes_like_its_tuple(coords):
     assert hash(vec) == hash(plain)
     assert {plain: "found"}[vec] == "found"
     assert vec.scale(0) == (0,) * len(plain)
+
+
+@given(random_ns, tensors, random_ops, random_ops)
+def test_generator_images_are_the_morphism_sides(source, t, m, f_rows):
+    # Each kernel generator has words of at most two factors, so its image
+    # is f(op(e_i, e_j)) minus op(f e_i, f e_j), even for a target product
+    # that is not associative.
+    target, f, names = algebra(t, m), LinearMap.from_rows(f_rows), default_names(DIM)
+    images = [evaluate_hom(target, f, g, names) for g in enveloping_generators(source, names)]
+    expected = []
+    for i, j in cartesian(range(DIM), repeat=2):
+        fi, fj = (tuple(row[k] for row in f_rows) for k in (i, j))
+        split = reference_split(t, m, fi, fj)
+        for o, tensor in enumerate((source.prec, source.succ, source.bullet)):
+            expected.append(sub(apply(f_rows, mul(tensor, BASIS[i], BASIS[j])), split[o]))
+    assert images == expected

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from nijenhuis.linalg import RowSpace
+from nijenhuis.linalg import rank, span
 
 
 def reference_rref(rows: list[list[int]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -55,14 +55,8 @@ def reference_rank(rows: list[list[int]], cols: int) -> int:
 
 
 def sparse(row) -> dict[int, Fraction]:
+    """A dense reference row in the sparse form that ``RowSpace`` stores and tests."""
     return {c: Fraction(x) for c, x in enumerate(row) if x}
-
-
-def span(rows) -> RowSpace:
-    space = RowSpace(key=lambda col: -col)
-    for row in rows:
-        space.add(sparse(row))
-    return space
 
 
 @st.composite
@@ -76,7 +70,14 @@ def matrices(draw):
 @given(matrices())
 def test_rank_matches_reference(m):
     rows, cols = m
-    assert len(span(rows)) == reference_rank(rows, cols)
+    assert rank(rows) == reference_rank(rows, cols)
+
+
+@given(matrices())
+def test_rank_of_the_transpose_is_the_rank(m):
+    rows, cols = m
+    transpose = [[row[c] for row in rows] for c in range(cols)]
+    assert rank(rows) == rank(transpose)
 
 
 @given(matrices())
