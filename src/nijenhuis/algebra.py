@@ -1,16 +1,19 @@
 """The free Nijenhuis algebra product and its splitting operations.
 
-The product of two basis words is computed by a junction recursion: all
-factors except the last of the left word and the first of the right word
-are carried along unchanged, and the two junction factors combine by
-kind.  Two letter runs merge into one run, a letter run and a bracket
-simply sit next to each other, and two brackets expand by the rule
+A basis word is its canonical text (see :mod:`nijenhuis.words`), and
+the product of two words works on that text by a junction recursion:
+everything except the last factor of the left word and the first factor
+of the right word is carried along unchanged, and the two junction
+factors combine by kind.  When either of them is a letter run the
+product is the one word ``u*v``, with coefficient 1: two runs merge into
+one run, and a run next to a bracket simply sits there.  Two brackets
+expand by the rule
 
     [u] . [v]  =  [[u] . v] + [u . [v]] - [[u . v]]
 
 which terminates because every recursive call strictly lowers the total
-bracket nesting.  The distinguished operator N wraps a combination in
-one bracket; the identity
+bracket nesting.  The distinguished operator N wraps each word of a
+combination in one bracket, ``[w]``; the identity
 
     N(a) . N(b)  =  N(N(a) . b) + N(a . N(b)) - N(N(a . b))
 
@@ -22,38 +25,21 @@ bilinear operations (and their sum):
 All operations extend bilinearly from words to combinations, and
 :func:`derived_op` also splits a finite-dimensional algebra, given its
 product and operator.  Only the bracket-bracket junction recurses, so
-only it is memoized: a module cache keyed on the two junction brackets
-maps them to their expansion, and the cache grows with the distinct
-bracket junctions seen, not with the word pairs.  Entries are pure
-values, so concurrent repopulation is harmless.  A letter-letter or
-mixed junction is a plain concatenation and is built directly as the one
-result word, with coefficient 1.
+only it is memoized: a module cache keyed on the texts of the two
+junction brackets maps them to their expansion, so it grows with the
+distinct bracket junctions seen, not with the word pairs.  It empties
+itself when it reaches ``_PRODUCT_CACHE_LIMIT`` junctions.  Entries are
+pure values, so concurrent repopulation is harmless.  Splitting a word
+into its last bracket and the text before it, or into its first bracket
+and the text after it, is memoized up to a bounded number of words.
 
 Every structure constant of the word product is an integer, so products
 of words carry ``int`` coefficients.  The words a product returns are
-built by the unchecked ``BracketedWord._of``, ``Letters._of`` and
-``Bracket._of``, and none of them can break alternation.  A mixed
-junction puts a letter run next to a bracket; a letter junction merges
-the two runs into one, whose
-neighbours are the brackets (or ends) that neighboured the two runs; a
-bracket junction's words start and end with brackets, so the outer
-factors reattached around them alternate exactly as they did in the
-operands; and ``[w]`` is a single factor.  The tests compare every such
-word with the checked constructors.
-
-Equal words are shared within a command.  ``BracketedWord._of`` returns
-the word it built earlier from an equal factor tuple (see
-:mod:`nijenhuis.words`), and :func:`operator_n` keeps a map from each
-word it has wrapped to its image ``[w]``, so ``N`` of one word is built
-once.  Dict lookups and comparisons of shared words end at the identity
-test.  :func:`command_scope` empties the word table and the image map
-when a command ends, so a long-lived process holds at most one
-command's words; junctions the product cache kept from an earlier
-command keep the words they were built with.  Each table also empties
-itself when it reaches 4096 entries, for the reasons given at
-``_WORDS_LIMIT`` in :mod:`nijenhuis.words`.  Sharing cannot change a
-result: words are immutable, and equality and hashing stay structural,
-so a shared word and any other equal word are interchangeable.
+wrapped unchecked, and none of them can break alternation: ``u*v``
+merges two runs or puts a run next to a bracket; a bracket junction's
+words start and end with brackets, so the text reattached around them
+alternates as it did in the operands; and ``[w]`` is a single factor.
+The tests compare every such word with the checked constructors.
 
 :func:`product` checks the size of each result: one with more terms
 than the cap, :data:`MAX_TERMS` unless :func:`command_scope` sets
@@ -74,10 +60,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Callable, Iterator, Sequence
 
 from .linalg import LinComb, format_rational
-from .words import _WORDS, Bracket, BracketedWord, Letters
+from .words import BracketedWord, _close, _word
 
 __all__ = [
     "OpSymbol",
@@ -110,9 +97,12 @@ COORD_OPS = (OpSymbol.PREC, OpSymbol.SUCC, OpSymbol.BULLET)
 #: Most terms one :func:`product` may return outside :func:`command_scope`.
 MAX_TERMS = 100_000
 
-_PRODUCT_CACHE: dict[tuple[Bracket, Bracket], LinComb] = {}
-_BRACKET_IMAGES: dict[BracketedWord, BracketedWord] = {}
-_BRACKET_IMAGES_LIMIT = 4096
+_PRODUCT_CACHE: dict[tuple[str, str], LinComb] = {}
+# A long-lived process of mixed commands met fewer than 5,000 junctions
+# in 28,000 commands, and `assoc-check --alphabet x,y,z --max-size 3`
+# meets 21,825, so neither reaches the limit; unbounded, the 198,180 of
+# `assoc-check --max-size 4` took its peak memory to 227 MB.
+_PRODUCT_CACHE_LIMIT = 1 << 15
 _max_terms = MAX_TERMS
 
 
@@ -124,8 +114,7 @@ class TooManyTerms(ValueError):
 def command_scope(max_terms: int = MAX_TERMS) -> Iterator[None]:
     """Run one command: cap every product at ``max_terms`` terms.
 
-    On the way out, whatever happened, the word table and the
-    bracket-image map are emptied and the default cap comes back.
+    On the way out, whatever happened, the default cap comes back.
     """
     global _max_terms
     _max_terms = max_terms
@@ -133,46 +122,54 @@ def command_scope(max_terms: int = MAX_TERMS) -> Iterator[None]:
         yield
     finally:
         _max_terms = MAX_TERMS
-        _WORDS.clear()
-        _BRACKET_IMAGES.clear()
+
+
+_MIRROR = str.maketrans("[]", "][")
+
+
+@lru_cache(maxsize=1 << 14)
+def _split_last(u: BracketedWord) -> tuple[str, BracketedWord]:
+    """The text before the last factor of ``u``, a bracket, and that bracket."""
+    # Mirrored and reversed, the last bracket of u opens at position 0.
+    start = len(u) - 1 - _close(u[::-1].translate(_MIRROR), 0)
+    return (u[:start], _word(u[start:])) if start else ("", u)
+
+
+@lru_cache(maxsize=1 << 14)
+def _split_first(v: BracketedWord) -> tuple[BracketedWord, str]:
+    """The first factor of ``v``, a bracket, and the text after it."""
+    end = _close(v, 0) + 1
+    return (_word(v[:end]), v[end:]) if end < len(v) else (v, "")
 
 
 def product_words(u: BracketedWord, v: BracketedWord) -> LinComb:
     """Product of two basis words as a linear combination of words."""
-    last, first = u.factors[-1], v.factors[0]
-    if type(last) is not type(first):
-        return LinComb._of({BracketedWord._of(u.factors + v.factors): 1})
-    if type(last) is Letters:
-        merged = Letters._of(last.run + first.run)
-        return LinComb._of({BracketedWord._of(u.factors[:-1] + (merged,) + v.factors[1:]): 1})
-
+    if u[-1] != "]" or v[0] != "[":
+        return LinComb._wrap({_word(u + "*" + v): 1})
+    prefix, last = _split_last(u)
+    first, suffix = _split_first(v)
     key = (last, first)
     junction = _PRODUCT_CACHE.get(key)
     if junction is None:
-        left_alone = BracketedWord._of((last,))
-        right_alone = BracketedWord._of((first,))
-        data = dict(operator_n(product_words(left_alone, first.inner))._terms)
+        inner_last, inner_first = _word(last[1:-1]), _word(first[1:-1])
+        data = dict(operator_n(product_words(last, inner_first))._terms)
         get = data.get
-        for w, c in operator_n(product_words(last.inner, right_alone))._terms.items():
+        for w, c in operator_n(product_words(inner_last, first))._terms.items():
             acc = get(w)
             data[w] = c if acc is None else acc + c
-        for w, c in operator_n(operator_n(product_words(last.inner, first.inner)))._terms.items():
+        for w, c in operator_n(operator_n(product_words(inner_last, inner_first)))._terms.items():
             acc = get(w)
             data[w] = -c if acc is None else acc - c
-        junction = LinComb._of({w: c for w, c in data.items() if c})
+        junction = LinComb._wrap({w: c for w, c in data.items() if c})
+        if len(_PRODUCT_CACHE) >= _PRODUCT_CACHE_LIMIT:
+            _PRODUCT_CACHE.clear()
         _PRODUCT_CACHE[key] = junction
 
-    prefix, suffix = u.factors[:-1], v.factors[1:]
     if not (prefix or suffix):
         return junction
     # Junction words start and end with brackets, so reattaching the
-    # untouched outer factors cannot break alternation or merge terms.
-    return LinComb._of(
-        {
-            BracketedWord._of(prefix + w.factors + suffix): c
-            for w, c in junction._terms.items()
-        }
-    )
+    # untouched outer text cannot break alternation or merge terms.
+    return LinComb._wrap({_word(prefix + w + suffix): c for w, c in junction._terms.items()})
 
 
 def product(a: LinComb, b: LinComb) -> LinComb:
@@ -200,7 +197,7 @@ def product(a: LinComb, b: LinComb) -> LinComb:
                         c = scale * c
                     acc = get(w)
                     data[w] = c if acc is None else acc + c
-        result = LinComb._of({w: c for w, c in data.items() if c})
+        result = LinComb._wrap({w: c for w, c in data.items() if c})
     if len(result._terms) > _max_terms:
         raise TooManyTerms(f"a product has {len(result._terms)} terms, more than the cap of {_max_terms}")
     return result
@@ -208,16 +205,7 @@ def product(a: LinComb, b: LinComb) -> LinComb:
 
 def operator_n(a: LinComb) -> LinComb:
     """Apply the distinguished operator: wrap each word in one bracket."""
-    images = _BRACKET_IMAGES
-    data: dict[BracketedWord, int | Fraction] = {}
-    for w, c in a._terms.items():
-        image = images.get(w)
-        if image is None:
-            if len(images) >= _BRACKET_IMAGES_LIMIT:
-                images.clear()
-            image = images[w] = BracketedWord._of((Bracket._of(w),))
-        data[image] = c
-    return LinComb._of(data)
+    return LinComb._wrap({_word("[" + w + "]"): c for w, c in a._terms.items()})
 
 
 def derived_op(

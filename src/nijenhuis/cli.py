@@ -105,9 +105,9 @@ def _effective_size(requested: int) -> int:
     return requested
 
 
-def _sweep_size(requested: int) -> int:
+def _checked_size(option: str, requested: int) -> int:
     if requested < 1:
-        raise _UsageError(f"--max-size must be at least 1, got {requested}")
+        raise _UsageError(f"{option} must be at least 1, got {requested}")
     return _effective_size(requested)
 
 
@@ -201,7 +201,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _sweep_elements(args: argparse.Namespace) -> tuple[int, list[LinComb]]:
     alphabet = _split_names(args.alphabet)
-    bound = _sweep_size(args.max_size)
+    bound = _checked_size("--max-size", args.max_size)
     return bound, [LinComb.from_word(w) for w in words_up_to_size(alphabet, bound)]
 
 
@@ -379,11 +379,11 @@ def _cmd_eval_hom(args: argparse.Namespace) -> int:
 
 
 def _cmd_ideal_member(args: argparse.Namespace) -> int:
+    bound = _checked_size("--bound", args.bound)
     ns_alg = _as_ns(_load_algebra(args.file))
     names = _names_for_dim(args, ns_alg.dim)
     gens = enveloping_generators(ns_alg, names)
     candidate = _parse_element(args.expr, names)
-    bound = _effective_size(args.bound)
     verdict = truncated_ideal_membership(gens, candidate, bound)
     _emit(
         args,

@@ -18,6 +18,7 @@ giving a semidecision procedure for membership.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -47,7 +48,6 @@ from .relations import RelVector, ndendriform_relation_set, ns_relation_set, rel
 from .words import (
     BracketedWord,
     GeneratorSymbol,
-    Letters,
     canonical_key,
     iter_symbols,
     letter_word,
@@ -365,6 +365,10 @@ def enveloping_generators(
     )
 
 
+# A bracket, or a generator name, in the text of a word.
+_TOKEN = re.compile(r"[\[\]]|[^\[\]*]+")
+
+
 def evaluate_hom(
     alg: NijenhuisAlgebraFD,
     f: LinearMap,
@@ -382,25 +386,34 @@ def evaluate_hom(
         raise DimensionMismatch("map has one column per generator name")
     if f.rows != alg.dim:
         raise DimensionMismatch("map must land in the target algebra")
-    index = {sym: k for k, sym in enumerate(names)}
+    index = {sym.name: k for k, sym in enumerate(names)}
 
     def eval_word(w: BracketedWord) -> Vector:
-        value: Vector | None = None
-        for factor in w.factors:
-            if isinstance(factor, Letters):
-                part: Vector | None = None
-                for sym in factor.run:
-                    k = index.get(sym)
-                    if k is None:
-                        raise UnknownGenerator(f"no image for generator {sym}")
-                    col = f.column(k)
-                    part = col if part is None else alg.mul(part, col)
-                piece = part
+        # Read the text left to right.  ``run`` is the product of the
+        # letter run being read, ``value`` that of the factors before it
+        # in the current word; an open bracket saves ``value``.
+        outer: list[Vector | None] = []
+        value = run = None
+        for token in _TOKEN.findall(w):
+            if token == "[" or token == "]":
+                if run is not None:
+                    value = run if value is None else alg.mul(value, run)
+                    run = None
+                if token == "[":
+                    outer.append(value)
+                    value = None
+                else:
+                    piece = alg.apply_op(value)
+                    value = outer.pop()
+                    value = piece if value is None else alg.mul(value, piece)
             else:
-                piece = alg.apply_op(eval_word(factor.inner))
-            assert piece is not None
-            value = piece if value is None else alg.mul(value, piece)
-        assert value is not None
+                k = index.get(token)
+                if k is None:
+                    raise UnknownGenerator(f"no image for generator {token}")
+                col = f.column(k)
+                run = col if run is None else alg.mul(run, col)
+        if run is not None:
+            value = run if value is None else alg.mul(value, run)
         return value
 
     total = Vector([0] * alg.dim)

@@ -90,7 +90,7 @@ class LinComb:
         self._hash: int | None = None
 
     @classmethod
-    def _of(cls, data: dict[BracketedWord, int | Fraction]) -> "LinComb":
+    def _wrap(cls, data: dict[BracketedWord, int | Fraction]) -> "LinComb":
         """Wrap a dict of nonzero exact coefficients, taking ownership.
 
         The caller guarantees the dict is clean and never mutates it
@@ -164,16 +164,16 @@ class LinComb:
                     data[word] = acc
                 else:
                     del data[word]
-        return LinComb._of(data)
+        return LinComb._wrap(data)
 
     def __neg__(self) -> "LinComb":
-        return LinComb._of({w: -c for w, c in self._terms.items()})
+        return LinComb._wrap({w: -c for w, c in self._terms.items()})
 
     def scale(self, scalar: RationalLike) -> "LinComb":
         c = rational(scalar)
         if not c:
             return LinComb()
-        return LinComb._of({w: c * q for w, q in self._terms.items()})
+        return LinComb._wrap({w: c * q for w, q in self._terms.items()})
 
     def __rmul__(self, scalar: RationalLike) -> "LinComb":
         return self.scale(scalar)

@@ -5,44 +5,33 @@ factor is either a run of generator letters or a bracket enclosing a
 smaller bracketed word.  Words of this shape form the monomial basis of
 the free Nijenhuis algebra built in :mod:`nijenhuis.algebra`; this module
 only knows about their combinatorial structure: construction,
-enumeration by size, and the canonical text and sort key that each word
-stores, built from its inner words' keys, from which its measures are read.
+enumeration by size, the canonical text and the canonical sort key.
 
-The public constructors check every factor's type and the alternation
-of kinds; the parser, :func:`from_canonical`, :func:`make_word` and the
-enumeration all go through them.  Three private constructors skip those
-checks, for the free product alone.  ``BracketedWord._of`` wraps a factor
-tuple: the product only concatenates two words at a mixed junction,
-merges the two runs at a letter junction, reattaches untouched outer
-factors around a bracket junction's words, or builds a word of one
-bracket factor, and none of these can put two factors of one kind side
-by side.  ``Letters._of`` wraps the merged run of a letter junction, a
-concatenation of two nonempty runs of symbols.  ``Bracket._of`` wraps a
-word in a bracket factor, which needs no check beyond the inner word
-being one.
+A word is its canonical text: :class:`BracketedWord` is a ``str``
+subclass whose value is exactly what :func:`to_canonical` returns,
+letters joined by ``*`` and brackets written ``[...]``.  Runs of letters
+are maximal and brackets never touch, so each word has one text and
+each text one word: equal words are equal strings, hashing and equality
+run in C, and printing a word costs nothing.  The measures are read from
+the text, since generator names are identifiers: every letter but the
+first follows a ``*``, every bracket pair opens with a ``[``, and the
+depth is the deepest count of open brackets.  The factors are a view
+parsed from the text when asked for.
 
-``BracketedWord._of`` shares the words it builds.  A module table maps
-each factor tuple it was given to the word it built from it, and an
-equal tuple later gets that same word back, so the product's equal
-words are one object and the dict lookups and comparisons on them end at
-the identity test.  The table holds only words the product has built
-since it was last emptied.  :func:`nijenhuis.algebra.command_scope`
-empties it when each command of the command line tool ends, so a
-long-lived process holds at most one command's words, and the table
-empties itself when it reaches ``_WORDS_LIMIT`` words, so a command that
-builds millions of distinct words, such as a large associativity sweep,
-holds a bounded number of them; words built on the two sides of such a
-flush are no longer shared.  Sharing cannot change a result: words are
-immutable, equality and hashing stay structural, and a word built
-anywhere else, by the checked constructors or before the table was
-emptied, still compares equal to the shared one.
+The public constructors, ``BracketedWord(factors)``, :func:`make_word`,
+:func:`letter_word` and :func:`from_canonical`, check every factor's
+type and the alternation of kinds; the parser and the enumeration go
+through them.  Only the factor view and the free product wrap text
+unchecked, through ``_word``: the view wraps the text inside a bracket,
+and the product joins canonical texts (see :mod:`nijenhuis.algebra`).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import lru_cache
+import string
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Union
 
@@ -74,9 +63,9 @@ _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 #: Deepest bracket nesting accepted from text, by :func:`from_canonical`
 #: and by the expression parser.  :func:`from_canonical` keeps its own
-#: stack, but :func:`canonical_key` and the expression evaluator recurse
-#: once per level, so the cap keeps every accepted input inside the
-#: interpreter's recursion limit.
+#: stack, but the expression evaluator recurses once per level, so the
+#: cap keeps every accepted input inside the interpreter's recursion
+#: limit.
 MAX_NESTING = 100
 
 
@@ -120,12 +109,11 @@ def generators(*names: str) -> tuple[GeneratorSymbol, ...]:
     return tuple(GeneratorSymbol(n) for n in names)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True)
 class Letters:
     """A factor holding a nonempty run of generator letters."""
 
     run: tuple[GeneratorSymbol, ...]
-    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "run", tuple(self.run))
@@ -134,147 +122,89 @@ class Letters:
         for sym in self.run:
             if not isinstance(sym, GeneratorSymbol):
                 raise TypeError(f"not a generator symbol: {sym!r}")
-        object.__setattr__(self, "_hash", hash((Letters, self.run)))
-
-    @classmethod
-    def _of(cls, run: tuple[GeneratorSymbol, ...]) -> "Letters":
-        """Wrap a nonempty tuple of symbols unchecked; only ``product_words`` uses this."""
-        self = object.__new__(cls)
-        _set_run(self, run)
-        _set_letters_hash(self, hash((Letters, run)))
-        return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not Letters:
-            return NotImplemented
-        return self._hash == other._hash and self.run == other.run
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True)
 class Bracket:
     """A factor enclosing a smaller word."""
 
     inner: "BracketedWord"
-    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.inner, BracketedWord):
             raise TypeError(f"bracket content must be a word: {self.inner!r}")
-        object.__setattr__(self, "_hash", hash((Bracket, self.inner._hash)))
-
-    @classmethod
-    def _of(cls, inner: "BracketedWord") -> "Bracket":
-        """Wrap a word without the type check; only ``operator_n`` uses this."""
-        self = object.__new__(cls)
-        _set_inner(self, inner)
-        _set_bracket_hash(self, hash((Bracket, inner._hash)))
-        return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not Bracket:
-            return NotImplemented
-        return self._hash == other._hash and self.inner == other.inner
 
 
 Factor = Union[Letters, Bracket]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class BracketedWord:
-    """A nonempty sequence of factors with alternating kinds.
+class BracketedWord(str):
+    """A nonempty sequence of factors with alternating kinds, held as its canonical text.
 
     Adjacent factors never share a kind: letter runs are maximal and
     brackets never touch.  The constructor enforces this, so every
-    reachable instance is well formed.  The hash is computed once from
-    the factors' stored hashes; the canonical sort key is stored on
-    first use by :func:`canonical_key`.
+    reachable instance is well formed.
     """
 
-    factors: tuple[Factor, ...]
-    _hash: int = field(init=False, repr=False)
-    _key: tuple[int, int, str] | None = field(init=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.factors:
+    def __new__(cls, factors: Iterable[Factor]) -> "BracketedWord":
+        factors = tuple(factors)
+        if not factors:
             raise EmptyInput("word has no factors")
         previous: type | None = None
-        for f in self.factors:
+        for f in factors:
             if not isinstance(f, (Letters, Bracket)):
                 raise TypeError(f"not a factor: {f!r}")
             if type(f) is previous:
                 raise AlternationViolation(
-                    "adjacent factors of the same kind in "
-                    + "*".join(_factor_str(g) for g in self.factors)
+                    "adjacent factors of the same kind in " + "*".join(map(_factor_str, factors))
                 )
             previous = type(f)
-        object.__setattr__(self, "_hash", hash(tuple(f._hash for f in self.factors)))
-        object.__setattr__(self, "_key", None)
+        return str.__new__(cls, "*".join(map(_factor_str, factors)))
 
-    @classmethod
-    def _of(cls, factors: tuple[Factor, ...]) -> "BracketedWord":
-        """The word of a factor tuple the caller knows to alternate; nothing is checked.
+    @property
+    def factors(self) -> tuple[Factor, ...]:
+        """The factors, parsed from the text on each access."""
+        found: list[Factor] = []
+        pos = 0
+        while pos < len(self):
+            if self[pos] == "[":
+                end = _close(self, pos)
+                found.append(Bracket(_word(self[pos + 1 : end])))
+                pos = end + 2
+            else:
+                # A run ends at the bracket after it, or at the end.
+                end = self.find("*[", pos)
+                end = len(self) if end < 0 else end
+                found.append(Letters(tuple(map(GeneratorSymbol, self[pos:end].split("*")))))
+                pos = end + 1
+        return tuple(found)
 
-        Only the free product uses this, for words whose alternation
-        follows from how they were built; every other word goes through
-        the checked constructor.  A tuple equal to one seen since the
-        word table was last emptied gets the word built then.
-        """
-        self = _WORDS.get(factors)
-        if self is None:
-            self = object.__new__(cls)
-            _set_factors(self, factors)
-            _set_hash(self, hash(tuple([f._hash for f in factors])))
-            _set_key(self, None)
-            if len(_WORDS) >= _WORDS_LIMIT:
-                _WORDS.clear()
-            _WORDS[factors] = self
-        return self
+    def __repr__(self) -> str:
+        return f"from_canonical({str(self)!r})"
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not BracketedWord:
-            return NotImplemented
-        return self._hash == other._hash and self.factors == other.factors
-
-    def __str__(self) -> str:
-        return to_canonical(self)
+    def __reduce__(self):
+        return from_canonical, (str(self),)
 
 
-# Slot descriptors write past the frozen dataclass's ``__setattr__``.
-_set_run = Letters.run.__set__
-_set_letters_hash = Letters._hash.__set__
-_set_inner = Bracket.inner.__set__
-_set_bracket_hash = Bracket._hash.__set__
-_set_factors = BracketedWord.factors.__set__
-_set_hash = BracketedWord._hash.__set__
-_set_key = BracketedWord._key.__set__
+#: The word whose text is ``text``, with nothing checked; only for text
+#: known to be canonical.
+_word = partial(str.__new__, BracketedWord)
 
-#: The words ``BracketedWord._of`` has built, by factor tuple; see the
-#: module docstring for when it is emptied.
-_WORDS: dict[tuple[Factor, ...], BracketedWord] = {}
-# Emptying the table when it is full bounds the words one command holds:
-# kept for the whole command, the words of ``assoc-check --alphabet x,y,z
-# --max-size 3`` took its peak memory from 60 to 158 MB.  The limit is
-# small so that most shared words still die young: held longer, they
-# reach the garbage collector's oldest generation, and with a limit of
-# 32768 its extra full collections made ``assoc-check --max-size 4``
-# 20-40% slower than with no sharing at all.
-_WORDS_LIMIT = 4096
+_BRACKET_RUN = re.compile(r"\[+|\]+")
+
+
+def _close(text: str, start: int) -> int:
+    """Index of the ``]`` that closes the ``[`` at ``start``."""
+    level = 0
+    for m in _BRACKET_RUN.finditer(text, start):
+        if text[m.start()] == "[":
+            level += m.end() - m.start()
+        else:
+            level -= m.end() - m.start()
+            if level <= 0:
+                return m.end() - 1 + level
 
 
 def make_word(factors: Iterable[Factor]) -> BracketedWord:
@@ -299,24 +229,23 @@ def breadth(w: BracketedWord) -> int:
 
 def letter_count(w: BracketedWord) -> int:
     """Total number of generator letters, at all nesting levels."""
-    return canonical_key(w)[0]
+    return w.count("*") + 1
 
 
 def size(w: BracketedWord) -> int:
-    """Letters plus bracket pairs; names are identifiers, so each ``[`` opens a pair."""
-    letters, _, text = canonical_key(w)
-    return letters + text.count("[")
+    """Letters plus bracket pairs."""
+    return letter_count(w) + w.count("[")
 
 
 def _factor_str(f: Factor) -> str:
     if isinstance(f, Letters):
         return "*".join(s.name for s in f.run)
-    return "[" + canonical_key(f.inner)[2] + "]"
+    return "[" + f.inner + "]"
 
 
 def to_canonical(w: BracketedWord) -> str:
     """Serialize: letters joined by ``*``, brackets as ``[...]``."""
-    return canonical_key(w)[2]
+    return str(w)
 
 
 def from_canonical(text: str) -> BracketedWord:
@@ -376,27 +305,27 @@ def from_canonical(text: str) -> BracketedWord:
     return word
 
 
+# Deletes all but the brackets from a word's text.
+_BRACKETS_ONLY = str.maketrans("", "", "*_0123456789" + string.ascii_letters)
+
+
 def canonical_key(w: BracketedWord) -> tuple[int, int, str]:
     """Sort key realizing the canonical order on words.
 
     Words compare first by total letter count, then by depth, then
-    lexicographically on the canonical serialization.  The key is built
-    from the keys stored on the inner words and stored on ``w``, so each
-    word object is walked once.
+    lexicographically on the canonical text.  The key is read from the
+    text on each call: kept in a memo, it made the ``session`` benchmark
+    no faster and its peak memory larger.
     """
-    key = w._key
-    if key is None:
-        letters = deepest = 0
-        for f in w.factors:
-            if isinstance(f, Letters):
-                letters += len(f.run)
-            else:
-                inner_letters, inner_depth, _ = canonical_key(f.inner)
-                letters += inner_letters
-                deepest = max(deepest, inner_depth + 1)
-        key = (letters, deepest, "*".join(_factor_str(f) for f in w.factors))
-        object.__setattr__(w, "_key", key)
-    return key
+    text = str(w)
+    deepest = 0
+    if "[" in text:
+        # Each pass deletes the innermost bracket pairs.
+        brackets = text.translate(_BRACKETS_ONLY)
+        while brackets:
+            brackets = brackets.replace("[]", "")
+            deepest += 1
+    return letter_count(text), deepest, text
 
 
 @lru_cache(maxsize=None)
@@ -440,9 +369,5 @@ def words_up_to_size(
 
 
 def iter_symbols(w: BracketedWord) -> Iterator[GeneratorSymbol]:
-    """Yield every generator occurrence in ``w``, left to right, outside in."""
-    for f in w.factors:
-        if isinstance(f, Letters):
-            yield from f.run
-        else:
-            yield from iter_symbols(f.inner)
+    """Every generator occurrence in ``w``, left to right."""
+    return map(GeneratorSymbol, _NAME.findall(w))

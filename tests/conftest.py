@@ -22,7 +22,7 @@ settings.load_profile("package")
 
 @pytest.fixture(autouse=True)
 def one_command_per_test():
-    """Each test starts with empty word tables, as each command of the CLI does."""
+    """Each test runs inside :func:`command_scope`, as each command of the CLI does."""
     with command_scope():
         yield
 

@@ -113,6 +113,14 @@ def test_sweeps_reject_nonpositive_max_size(capsys):
             assert "--max-size must be at least 1" in err
 
 
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_ideal_member_rejects_nonpositive_bound(capsys, bound):
+    code, out, err = run(capsys, "ideal-member", str(FIXTURES / "projection.json"), "0", "--bound", bound)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --bound must be at least 1, got {bound}\n"
+
+
 def test_max_size_env_caps_ideal_member(capsys, monkeypatch):
     monkeypatch.setenv("NF_MAX_SIZE", "2")
     code, out, err = run(

@@ -1,9 +1,10 @@
-"""The cached word product against a plain reference of the junction rule.
+"""The word product and the operator against a plain reference on factor tuples.
 
-The reference works on factor tuples, with no cache and no shared code
-with :mod:`nijenhuis.algebra`.  A word is a tuple of factors; a factor
-is ``("L", names)`` for a letter run or ``("B", word)`` for a bracket.
-A product is a dict from such words to nonzero Fractions.
+The product and ``N`` work on the canonical text of words.  The
+reference works on factor tuples, with no cache and no shared code with
+:mod:`nijenhuis.algebra`.  A word is a tuple of factors; a factor is
+``("L", names)`` for a letter run or ``("B", word)`` for a bracket.  A
+product is a dict from such words to nonzero Fractions.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from fractions import Fraction
 
 from hypothesis import given
 
-from nijenhuis import algebra, words
-from nijenhuis.algebra import first_operator_identity_failure, product_words
+from nijenhuis import algebra
+from nijenhuis.algebra import first_operator_identity_failure, operator_n, product_words
 from nijenhuis.linalg import LinComb
 from nijenhuis.words import (
     Bracket,
@@ -26,7 +27,7 @@ from nijenhuis.words import (
     words_up_to_size,
 )
 
-from conftest import ALPHABET_XY, words_strategy
+from conftest import ALPHABET_XY, ALPHABET_XYZ, words_strategy
 
 
 def as_tuple(word) -> tuple:
@@ -79,10 +80,9 @@ def as_dict(value) -> dict:
 POOL = words_up_to_size(ALPHABET_XY, 3)
 
 
-def check_all_pairs_up_to_size_three() -> None:
-    assert len(POOL) ** 2 == 900
-    for u in POOL:
-        for v in POOL:
+def check_all_pairs(pool) -> None:
+    for u in pool:
+        for v in pool:
             assert as_dict(product_words(u, v)) == reference_product(as_tuple(u), as_tuple(v)), (
                 to_canonical(u),
                 to_canonical(v),
@@ -90,7 +90,14 @@ def check_all_pairs_up_to_size_three() -> None:
 
 
 def test_product_matches_reference_on_all_pairs_up_to_size_three():
-    check_all_pairs_up_to_size_three()
+    assert len(POOL) ** 2 == 900
+    check_all_pairs(POOL)
+
+
+def test_product_matches_reference_on_all_pairs_up_to_size_four():
+    pool = words_up_to_size(ALPHABET_XY, 4)
+    assert len(pool) ** 2 == 13456
+    check_all_pairs(pool)
 
 
 @given(words_strategy(max_size=4), words_strategy(max_size=4))
@@ -98,21 +105,32 @@ def test_product_matches_reference_at_size_four(u, v):
     assert as_dict(product_words(u, v)) == reference_product(as_tuple(u), as_tuple(v))
 
 
+@given(words_strategy(ALPHABET_XYZ, max_size=4), words_strategy(ALPHABET_XYZ, max_size=4))
+def test_product_matches_reference_over_three_letters(u, v):
+    assert as_dict(product_words(u, v)) == reference_product(as_tuple(u), as_tuple(v))
+
+
+def test_operator_matches_reference():
+    for w in words_up_to_size(ALPHABET_XYZ, 3):
+        assert as_dict(operator_n(LinComb.from_word(w))) == _wrap({as_tuple(w): Fraction(1)})
+
+
 def test_product_matches_reference_with_the_word_tables_warm():
-    # A sweep first fills the word table and the bracket-image map, so
-    # the products below return words shared with it.
+    # A sweep first fills the product cache and the memos that split
+    # words at their end brackets, so the products below read them.
     assert first_operator_identity_failure([LinComb.from_word(w) for w in POOL]) is None
-    assert words._WORDS and algebra._BRACKET_IMAGES
-    check_all_pairs_up_to_size_three()
+    assert algebra._PRODUCT_CACHE
+    assert algebra._split_last.cache_info().currsize and algebra._split_first.cache_info().currsize
+    check_all_pairs(POOL)
     for u in words_up_to_size(ALPHABET_XY, 4):
         for v in words_up_to_size(ALPHABET_XY, 2):
             assert as_dict(product_words(u, v)) == reference_product(as_tuple(u), as_tuple(v))
-    for shared in list(words._WORDS.values()):
-        parsed = from_canonical(to_canonical(shared))
-        assert parsed is not shared
-        assert parsed == shared and shared == parsed
-        assert hash(parsed) == hash(shared)
-        assert canonical_key(parsed) == canonical_key(shared)
+    for (last, first), junction in algebra._PRODUCT_CACHE.items():
+        for w in (last, first, *junction._terms):
+            parsed = from_canonical(to_canonical(w))
+            assert parsed == w and w == parsed
+            assert hash(parsed) == hash(w)
+            assert canonical_key(parsed) == canonical_key(w)
 
 
 def test_equal_words_built_apart_share_hash_and_key():

@@ -1,23 +1,19 @@
-"""Words built by the unchecked constructors against the checked ones.
+"""Words the free product builds unchecked against the checked constructors.
 
-:meth:`BracketedWord._of` skips the type and alternation checks for the
-words the free product builds, :meth:`Letters._of` skips the checks on
-the runs it merges, and :meth:`Bracket._of` skips the type check for the
-brackets the operator builds.  Every such word, run or bracket must be
-one the checked constructor accepts, equal to it, with the same hash and
-canonical key.
+:func:`product_words` and :func:`operator_n` build the text of each
+word they return by joining canonical texts, and wrap it with no check.
+Every such word must be one the checked constructor accepts, equal to
+it, with the same hash and canonical key, and its text must parse back
+to it.
 """
 
 from __future__ import annotations
 
-import ast
 from itertools import product as cartesian
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 
-import nijenhuis
 from nijenhuis import algebra
 from nijenhuis.algebra import (
     first_nonassociative_triple,
@@ -33,6 +29,7 @@ from nijenhuis.words import (
     EmptyInput,
     Letters,
     canonical_key,
+    from_canonical,
     letter_word,
     make_word,
     generators,
@@ -40,17 +37,19 @@ from nijenhuis.words import (
     words_up_to_size,
 )
 
-from conftest import ALPHABET_XY, words_strategy
+from conftest import ALPHABET_XY, ALPHABET_XYZ, words_strategy
 
 X, Y = ALPHABET_XY
 POOL = words_up_to_size(ALPHABET_XY, 3)
 
 
 def assert_matches_checked(w: BracketedWord) -> None:
+    assert type(w) is BracketedWord, to_canonical(w)
     checked = make_word(w.factors)
     assert checked == w, to_canonical(w)
     assert hash(checked) == hash(w), to_canonical(w)
     assert canonical_key(checked) == canonical_key(w), to_canonical(w)
+    assert from_canonical(to_canonical(w)) == w, to_canonical(w)
 
 
 def test_product_words_up_to_size_three_pass_the_checked_constructor():
@@ -63,6 +62,12 @@ def test_product_words_up_to_size_three_pass_the_checked_constructor():
 
 @given(words_strategy(max_size=4), words_strategy(max_size=4))
 def test_product_words_at_size_four_pass_the_checked_constructor(u, v):
+    for w in product_words(u, v)._terms:
+        assert_matches_checked(w)
+
+
+@given(words_strategy(ALPHABET_XYZ, max_size=4), words_strategy(ALPHABET_XYZ, max_size=4))
+def test_product_words_over_three_letters_pass_the_checked_constructor(u, v):
     for w in product_words(u, v)._terms:
         assert_matches_checked(w)
 
@@ -85,57 +90,32 @@ def test_public_constructor_keeps_every_check():
         BracketedWord((run, "y"))
     with pytest.raises(TypeError):
         BracketedWord((letter_word(X),))
+    with pytest.raises(TypeError):
+        BracketedWord("x*y")
+    with pytest.raises(TypeError):
+        Bracket("x")
 
 
 def test_unchecked_bracket_matches_the_checked_one():
+    # N wraps the text of each word in brackets.
     for w in POOL:
-        unchecked, checked = Bracket._of(w), Bracket(w)
-        assert unchecked == checked, to_canonical(w)
-        assert hash(unchecked) == hash(checked), to_canonical(w)
-        assert canonical_key(make_word((unchecked,))) == canonical_key(make_word((checked,)))
+        (image,) = operator_n(LinComb.from_word(w))._terms
+        checked = make_word((Bracket(w),))
+        assert image == checked, to_canonical(w)
+        assert hash(image) == hash(checked), to_canonical(w)
+        assert canonical_key(image) == canonical_key(checked)
 
 
 def test_unchecked_letters_match_the_checked_ones():
+    # A letter junction joins the two runs' texts with a star.
     for n in range(1, 5):
         for run in cartesian((X, Y), repeat=n):
-            unchecked, checked = Letters._of(run), Letters(run)
-            assert unchecked == checked and checked == unchecked, run
-            assert hash(unchecked) == hash(checked), run
-            assert canonical_key(make_word((unchecked,))) == canonical_key(make_word((checked,)))
-
-
-def _callers_of(owner: str) -> set[str]:
-    """Functions in the package source that call ``<owner>._of``."""
-    found = set()
-    for path in Path(nijenhuis.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            for node in ast.walk(fn):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and node.attr == "_of"
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == owner
-                ):
-                    found.add(f"{path.stem}.{fn.name}")
-    return found
-
-
-def test_only_the_free_product_uses_the_unchecked_constructor():
-    assert _callers_of("BracketedWord") == {
-        "algebra.product_words",
-        "algebra.operator_n",
-    }
-
-
-def test_only_the_operator_uses_the_unchecked_bracket():
-    assert _callers_of("Bracket") == {"algebra.operator_n"}
-
-
-def test_only_the_free_product_uses_the_unchecked_letters():
-    assert _callers_of("Letters") == {"algebra.product_words"}
+            for k in range(1, n):
+                (merged,) = product_words(letter_word(*run[:k]), letter_word(*run[k:]))._terms
+                checked = letter_word(*run)
+                assert merged == checked and checked == merged, run
+                assert hash(merged) == hash(checked), run
+                assert canonical_key(merged) == canonical_key(checked)
 
 
 def test_the_product_cache_holds_only_bracket_junctions(monkeypatch):
@@ -145,7 +125,9 @@ def test_the_product_cache_holds_only_bracket_junctions(monkeypatch):
     assert first_operator_identity_failure(elements) is None
     assert algebra._PRODUCT_CACHE
     for last, first in algebra._PRODUCT_CACHE:
-        assert type(last) is Bracket and type(first) is Bracket
+        for end in (last, first):
+            (factor,) = end.factors
+            assert type(factor) is Bracket, end
 
 
 def test_the_product_cache_size_of_a_cold_sweep(monkeypatch):

@@ -1,87 +1,83 @@
-"""The word table and the bracket-image map share words within a command.
+"""Commands leave no word table behind, and the product cache stays bounded.
 
-Inside one command, every word the product or the operator returns that
-equals an earlier one is that earlier object, until a table fills up
-and starts again.  ``run_command`` empties both tables when the command
-ends, however it ends.
+A word is its canonical text, so nothing needs to share equal words:
+the only module containers that keep words after a command are the
+product cache, which empties itself when it reaches its limit, and the
+bounded memos that split words at their end brackets.
 """
 
 from __future__ import annotations
 
+import functools
+import io
+import sys
+from contextlib import redirect_stdout
+
 import pytest
 
-from nijenhuis import algebra, words
-from nijenhuis.algebra import first_nonassociative_triple, first_operator_identity_failure
+from nijenhuis import algebra
 from nijenhuis.cli import run_command
 from nijenhuis.linalg import LinComb
-from nijenhuis.words import BracketedWord, size, words_up_to_size
+from nijenhuis.words import BracketedWord, size
 
-from conftest import ALPHABET_XY
+# Memos that may keep words, each with a bound.
+BOUNDED_MEMOS = (algebra._split_last, algebra._split_first)
 
-POOL = words_up_to_size(ALPHABET_XY, 3)
+COMMANDS = (
+    ["nijenhuis-check", "--alphabet", "a,b", "--max-size", "3"],
+    ["assoc-check", "--max-size", "2"],
+    ["mul", "[[x]*y]*[x]", "[y*[x]]"],
+    ["eval", "prec([x]*y, [y]) + succ(x, [[y]])"],
+    ["nijenhuis-check", "--max-size", "3"],
+)
 
 
-def tables_are_empty() -> bool:
-    return not words._WORDS and not algebra._BRACKET_IMAGES
+def holds_words(value) -> bool:
+    if isinstance(value, dict):
+        return any(holds_words(k) or holds_words(v) for k, v in value.items())
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return any(holds_words(item) for item in value)
+    if isinstance(value, LinComb):
+        return bool(value._terms)
+    return isinstance(value, BracketedWord)
 
 
-def test_equal_words_of_one_sweep_are_one_object(monkeypatch):
-    # The two sweeps build about 45,000 distinct words, more than a
-    # table holds before it starts again.
-    monkeypatch.setattr(words, "_WORDS_LIMIT", 10**6)
-    monkeypatch.setattr(algebra, "_BRACKET_IMAGES_LIMIT", 10**6)
-    monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
-    first_seen: dict[BracketedWord, BracketedWord] = {}
-    returned = 0
+def word_tables() -> list[str]:
+    """Module-level containers of the package that hold words, by name."""
+    found = []
+    for name, module in sys.modules.items():
+        if name == "nijenhuis" or name.startswith("nijenhuis."):
+            for attr, value in vars(module).items():
+                if not isinstance(value, type) and holds_words(value):
+                    found.append(f"{name}.{attr}")
+    return found
 
-    def recording(build):
-        def wrapper(*args):
-            nonlocal returned
-            result = build(*args)
-            for w in result._terms:
-                returned += 1
-                assert first_seen.setdefault(w, w) is w, str(w)
-            return result
 
-        return wrapper
-
-    monkeypatch.setattr(algebra, "product_words", recording(algebra.product_words))
-    monkeypatch.setattr(algebra, "operator_n", recording(algebra.operator_n))
-    elements = [LinComb.from_word(w) for w in POOL]
-    assert first_nonassociative_triple(elements) is None
-    assert first_operator_identity_failure(elements) is None
-    assert returned > 2 * len(first_seen)
-    for w in first_seen:
-        assert BracketedWord._of(tuple(list(w.factors))) is w
+def run_quietly(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = run_command(argv)
+    return code, out.getvalue()
 
 
 def test_full_tables_start_again(monkeypatch):
-    limit = 100
-    monkeypatch.setattr(words, "_WORDS_LIMIT", limit)
-    monkeypatch.setattr(algebra, "_BRACKET_IMAGES_LIMIT", limit)
+    expected = [run_quietly(argv) for argv in COMMANDS]
+    limit = 50
     monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
+    monkeypatch.setattr(algebra, "_PRODUCT_CACHE_LIMIT", limit)
     sizes = []
-    inner = algebra.operator_n
+    inner = algebra.product_words
 
-    def watching(a):
-        result = inner(a)
-        sizes.append((len(words._WORDS), len(algebra._BRACKET_IMAGES)))
+    def watching(u, v):
+        result = inner(u, v)
+        sizes.append(len(algebra._PRODUCT_CACHE))
         return result
 
-    monkeypatch.setattr(algebra, "operator_n", watching)
-    elements = [LinComb.from_word(w) for w in POOL]
-    assert first_nonassociative_triple(elements) is None
-    assert first_operator_identity_failure(elements) is None
-    most_words = max(w for w, _ in sizes)
-    most_images = max(i for _, i in sizes)
-    assert most_words == limit
-    assert limit // 2 < most_images <= limit
-
-
-def _fill_the_tables() -> None:
-    algebra.operator_n(LinComb.from_word(POOL[-1]))
-    algebra.product_words(POOL[-1], POOL[-1])
-    assert not tables_are_empty()
+    monkeypatch.setattr(algebra, "product_words", watching)
+    for _ in range(3):
+        assert [run_quietly(argv) for argv in COMMANDS] == expected
+    assert max(sizes) == limit
+    assert sizes.count(1) > 3
 
 
 def _break_the_product(monkeypatch) -> None:
@@ -112,24 +108,19 @@ def _fail_after_the_product(monkeypatch) -> None:
     ids=["exit-0", "exit-1", "exit-2", "uncaught"],
 )
 def test_run_command_empties_the_tables(argv, code, setup, monkeypatch, capsys):
+    # However a command ends, it leaves words only in the product cache
+    # and the bounded memos, and the default term cap comes back.
     if setup is not None:
         setup(monkeypatch)
-    sizes_seen = []
-    inner = algebra.product_words
-
-    def watching(u, v):
-        result = inner(u, v)
-        sizes_seen.append((len(words._WORDS), len(algebra._BRACKET_IMAGES)))
-        return result
-
-    monkeypatch.setattr(algebra, "product_words", watching)
-    _fill_the_tables()
     if code is RuntimeError:
         with pytest.raises(RuntimeError):
             run_command(argv)
     else:
         assert run_command(argv) == code
     capsys.readouterr()
-    assert sizes_seen and max(sizes_seen)[0] > 0
-    assert tables_are_empty()
+    assert algebra._PRODUCT_CACHE
+    assert word_tables() == ["nijenhuis.algebra._PRODUCT_CACHE"]
+    for memo in BOUNDED_MEMOS:
+        assert isinstance(memo, functools._lru_cache_wrapper) and memo.cache_info().maxsize
     assert algebra._max_terms == algebra.MAX_TERMS
+

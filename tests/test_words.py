@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -165,6 +168,9 @@ def test_words_are_hashable_and_value_equal():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+    for copied in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(copied) is BracketedWord and copied == a
+    assert repr(a) == "from_canonical('x*[y]')"
 
 
 def test_from_canonical_does_not_recurse(monkeypatch):

@@ -1,16 +1,16 @@
-"""Word measures read from the stored key against plain recursive walks.
+"""Word measures read from the text against plain recursive walks.
 
 The reference functions below walk a word's factors recursively and
-share no code with :mod:`nijenhuis.words`, which reads every measure
-from the key :func:`canonical_key` stores on each word.
+share no code with the measures of :mod:`nijenhuis.words`, which read
+the letter count, the size and the depth off the canonical text.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
-from nijenhuis import algebra
-from nijenhuis.algebra import product_words
+from nijenhuis.algebra import operator_n, product_words
+from nijenhuis.linalg import LinComb
 from nijenhuis.words import (
     Bracket,
     Letters,
@@ -56,7 +56,7 @@ MEASURES = (
 
 
 def fresh(w):
-    """An equal word built from new objects, none of them holding a key."""
+    """An equal word built anew from its factors by the checked constructors."""
     return make_word(Letters(f.run) if isinstance(f, Letters) else Bracket(fresh(f.inner)) for f in w.factors)
 
 
@@ -75,19 +75,14 @@ def test_measures_match_reference_up_to_size_five():
         check_measures(fresh(w))
 
 
-def test_measures_match_reference_on_product_terms(monkeypatch):
-    # An empty product cache makes every junction word new, so the
-    # bracket factors wrap inner words that were built with no key.
-    monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
+def test_measures_match_reference_on_product_terms():
     pool = words_up_to_size(ALPHABET_XY, 3)
-    unkeyed = 0
     for u in pool:
+        for w in operator_n(LinComb.from_word(u))._terms:
+            check_measures(w)
         for v in pool:
-            # The term dict, not the sorted items, so no key is built first.
             for w in product_words(u, v)._terms:
-                unkeyed += w._key is None
                 check_measures(w)
-    assert unkeyed > 0
 
 
 @given(words_strategy(max_size=6), st.permutations(MEASURES))
