@@ -1,9 +1,11 @@
 """Tour of the bracketed-word basis.
 
-Words are alternating sequences of generator runs and bracket factors.
-Each word carries a handful of integer measures that the rest of the
-package leans on: depth (bracket nesting), breadth (top-level factors),
-letter count, and size (letters plus bracket pairs).
+Words are alternating sequences of generator runs and bracket factors,
+and a word is held as its canonical text: `from_canonical` checks a text
+and returns the word, and generator names are plain strings.  Each word
+carries a handful of integer measures, all read from that text, that the
+rest of the package leans on: depth (bracket nesting), breadth
+(top-level factors), letter count, and size (letters plus bracket pairs).
 """
 
 from nijenhuis import (

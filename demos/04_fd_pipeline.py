@@ -44,7 +44,7 @@ def main() -> None:
     names = default_names(alg.dim)
     gens = enveloping_generators(ns, names)
     print(f"\n{len(gens)} enveloping ideal generators over"
-          f" {', '.join(s.name for s in names)}")
+          f" {', '.join(names)}")
     print("first three:")
     for g in gens[:3]:
         print(f"  {g}")

@@ -75,12 +75,8 @@ from .relations import (
 )
 from .words import (
     AlternationViolation,
-    Bracket,
     BracketedWord,
     EmptyInput,
-    Factor,
-    GeneratorSymbol,
-    Letters,
     WordError,
     breadth,
     canonical_key,
@@ -89,7 +85,6 @@ from .words import (
     generators,
     letter_count,
     letter_word,
-    make_word,
     size,
     to_canonical,
     words_of_size,

@@ -34,12 +34,13 @@ into its last bracket and the text before it, or into its first bracket
 and the text after it, is memoized up to a bounded number of words.
 
 Every structure constant of the word product is an integer, so products
-of words carry ``int`` coefficients.  The words a product returns are
-wrapped unchecked, and none of them can break alternation: ``u*v``
-merges two runs or puts a run next to a bracket; a bracket junction's
-words start and end with brackets, so the text reattached around them
-alternates as it did in the operands; and ``[w]`` is a single factor.
-The tests compare every such word with the checked constructors.
+of words carry ``int`` coefficients.  The texts a product returns are
+wrapped as words unchecked, and none of them can break alternation:
+``u*v`` merges two runs or puts a run next to a bracket; a bracket
+junction's words start and end with brackets, so the text reattached
+around them alternates as it did in the operands; and ``[w]`` is a
+single factor.  The tests pass every such text through the one checked
+constructor, ``BracketedWord(text)``, and through a reference model.
 
 :func:`product` checks the size of each result: one with more terms
 than the cap, :data:`MAX_TERMS` unless :func:`command_scope` sets

@@ -57,7 +57,6 @@ from .relations import (
     solve_relation_space,
 )
 from .words import (
-    GeneratorSymbol,
     WordError,
     generators,
     letter_word,
@@ -75,7 +74,7 @@ class _UsageError(ValueError):
     pass
 
 
-def _split_names(raw: str) -> tuple[GeneratorSymbol, ...]:
+def _split_names(raw: str) -> tuple[str, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise _UsageError(f"no generator names in {raw!r}")
@@ -134,7 +133,7 @@ def _emit_lincomb(args: argparse.Namespace, value: LinComb) -> None:
         print(print_canonical(value))
 
 
-def _parse_element(text: str, names: Sequence[GeneratorSymbol]) -> LinComb:
+def _parse_element(text: str, names: Sequence[str]) -> LinComb:
     return eval_expr(parse_expr(text), names)
 
 
@@ -146,10 +145,13 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _load_map(path: str) -> tuple[tuple[GeneratorSymbol, ...], LinearMap]:
+def _load_map(path: str) -> tuple[tuple[str, ...], LinearMap]:
     obj = _load_json(path)
     try:
-        names = generators(*[str(n) for n in obj["names"]])
+        names = obj["names"]
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise TypeError(f"names must be a JSON list of strings, got {names!r}")
+        names = generators(*names)
         matrix = LinearMap.from_json_obj(obj["matrix"])
     except (KeyError, ValueError, TypeError) as exc:
         raise _UsageError(f"{path}: malformed map file: {exc}") from exc
@@ -298,7 +300,7 @@ def _cmd_solve_relspace(args: argparse.Namespace) -> int:
     return 0 if (matches and contains_four) else 1
 
 
-def _names_for_dim(args: argparse.Namespace, dim: int) -> tuple[GeneratorSymbol, ...]:
+def _names_for_dim(args: argparse.Namespace, dim: int) -> tuple[str, ...]:
     if args.generators is None:
         return default_names(dim)
     names = _split_names(args.generators)

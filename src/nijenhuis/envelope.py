@@ -47,7 +47,6 @@ from .linalg import (
 from .relations import RelVector, ndendriform_relation_set, ns_relation_set, relation_sides
 from .words import (
     BracketedWord,
-    GeneratorSymbol,
     canonical_key,
     iter_symbols,
     letter_word,
@@ -112,6 +111,13 @@ def _tensor(values: Sequence[Sequence[Sequence[RationalLike]]], dim: int) -> Ten
     if len(t) != dim or any(len(plane) != dim for plane in t):
         raise ArityMismatch(f"structure tensor is not {dim}x{dim}x{dim}")
     return t
+
+
+def _json_dim(obj: dict) -> int:
+    dim = obj["dim"]
+    if type(dim) is not int:
+        raise TypeError(f"dim must be a JSON integer, got {dim!r}")
+    return dim
 
 
 def _tensor_json(t: Tensor) -> list:
@@ -216,7 +222,7 @@ class NijenhuisAlgebraFD:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "NijenhuisAlgebraFD":
-        dim = int(obj["dim"])
+        dim = _json_dim(obj)
         return cls(dim, _tensor(obj["mult"], dim), LinearMap.from_json_obj(obj["op"]))
 
 
@@ -260,7 +266,7 @@ class NSAlgebraFD:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "NSAlgebraFD":
-        dim = int(obj["dim"])
+        dim = _json_dim(obj)
         return cls(
             dim,
             _tensor(obj["prec"], dim),
@@ -324,13 +330,13 @@ def induced_ns(alg: NijenhuisAlgebraFD) -> NSAlgebraFD:
     return NSAlgebraFD(alg.dim, prec, succ, bullet)
 
 
-def default_names(dim: int) -> tuple[GeneratorSymbol, ...]:
+def default_names(dim: int) -> tuple[str, ...]:
     """Generator names e1 .. e<dim> used when none are supplied."""
-    return tuple(GeneratorSymbol(f"e{i + 1}") for i in range(dim))
+    return tuple(f"e{i + 1}" for i in range(dim))
 
 
 def enveloping_generators(
-    alg: NSAlgebraFD, names: Sequence[GeneratorSymbol] | None = None
+    alg: NSAlgebraFD, names: Sequence[str] | None = None
 ) -> tuple[LinComb, ...]:
     """Kernel generators of the comparison onto the free algebra.
 
@@ -373,7 +379,7 @@ def evaluate_hom(
     alg: NijenhuisAlgebraFD,
     f: LinearMap,
     a: LinComb,
-    names: Sequence[GeneratorSymbol],
+    names: Sequence[str],
 ) -> Vector:
     """Image of a free-algebra element under the induced evaluation map.
 
@@ -386,7 +392,7 @@ def evaluate_hom(
         raise DimensionMismatch("map has one column per generator name")
     if f.rows != alg.dim:
         raise DimensionMismatch("map must land in the target algebra")
-    index = {sym.name: k for k, sym in enumerate(names)}
+    index = {name: k for k, name in enumerate(names)}
 
     def eval_word(w: BracketedWord) -> Vector:
         # Read the text left to right.  ``run`` is the product of the
@@ -426,7 +432,7 @@ def check_morphism_kills_generators(
     source: NSAlgebraFD,
     target: NijenhuisAlgebraFD,
     f: LinearMap,
-    names: Sequence[GeneratorSymbol] | None = None,
+    names: Sequence[str] | None = None,
 ) -> CheckReport:
     """Check that ``f`` intertwines the three operations, and so kills
     the kernel generators under the induced evaluation.
@@ -493,12 +499,11 @@ def truncated_ideal_membership(
 
     symbols = sorted(
         {
-            sym
+            name
             for element in (*ideal_generators, candidate)
             for w, _ in element
-            for sym in iter_symbols(w)
-        },
-        key=lambda s: s.name,
+            for name in iter_symbols(w)
+        }
     )
     multipliers = [
         LinComb.from_word(w)

@@ -44,7 +44,7 @@ def rational(value: RationalLike) -> int | Fraction:
     """
     if type(value) is int:
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and type(value) is not bool:
         value = Fraction(value)
     elif not isinstance(value, Fraction):
         raise TypeError(f"not a rational value: {value!r}")

@@ -26,7 +26,7 @@ from typing import Iterable, Union
 
 from .algebra import OpSymbol, derived_op, operator_n, product
 from .linalg import LinComb, rational
-from .words import MAX_NESTING, GeneratorSymbol, letter_word
+from .words import MAX_NESTING, letter_word
 
 __all__ = [
     "ParseError",
@@ -294,20 +294,20 @@ def parse_expr(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-def eval_expr(expr: Expr, declared: Iterable[Union[str, GeneratorSymbol]]) -> LinComb:
+def eval_expr(expr: Expr, declared: Iterable[str]) -> LinComb:
     """Evaluate over the declared generators.
 
     Raises :class:`UnknownIdentifier` for stray names and
     :class:`EvalError` when a nonzero bare scalar is left over, since the
     algebra has no unit to absorb it.
     """
-    allowed = {s.name if isinstance(s, GeneratorSymbol) else str(s) for s in declared}
+    allowed = set(declared)
 
     def walk(node: Expr) -> LinComb:
         if isinstance(node, GeneratorRef):
             if node.name not in allowed:
                 raise UnknownIdentifier(node.name)
-            return LinComb.from_word(letter_word(GeneratorSymbol(node.name)))
+            return LinComb.from_word(letter_word(node.name))
         if isinstance(node, ScalarLit):
             if node.value != 0:
                 raise EvalError("a bare scalar is not an algebra element")

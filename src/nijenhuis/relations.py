@@ -30,7 +30,7 @@ from typing import Any, Callable, Sequence
 
 from .algebra import COORD_OPS, OpSymbol, derived_op
 from .linalg import LinComb, RationalLike, Vector, format_rational, rational, span
-from .words import BracketedWord, canonical_key, generators, letter_word
+from .words import BracketedWord, canonical_key, letter_word
 
 __all__ = [
     "RelVector",
@@ -202,11 +202,10 @@ def _unit_vectors() -> tuple[RelVector, ...]:
 
 
 def _generator_triple() -> tuple[LinComb, LinComb, LinComb]:
-    x, y, z = generators("x", "y", "z")
     return (
-        LinComb.from_word(letter_word(x)),
-        LinComb.from_word(letter_word(y)),
-        LinComb.from_word(letter_word(z)),
+        LinComb.from_word(letter_word("x")),
+        LinComb.from_word(letter_word("y")),
+        LinComb.from_word(letter_word("z")),
     )
 
 

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import product as cartesian
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from nijenhuis.algebra import command_scope
 from nijenhuis.linalg import LinComb
-from nijenhuis.words import generators, words_up_to_size
+from nijenhuis.words import (
+    MAX_NESTING,
+    AlternationViolation,
+    EmptyInput,
+    WordError,
+    generators,
+    words_up_to_size,
+)
 
 settings.register_profile(
     "package",
@@ -54,3 +63,84 @@ def nonzero_rationals_strategy(max_num: int = 6, max_den: int = 4):
 def lincombs_strategy(alphabet=ALPHABET_XY, max_size: int = 4, max_terms: int = 4):
     pair = st.tuples(words_strategy(alphabet, max_size), rationals_strategy())
     return st.builds(LinComb, st.lists(pair, max_size=max_terms))
+
+
+# A reference model of words that shares no code with nijenhuis.words.
+# A word is a tuple of factors; a factor is ("L", names) for a letter
+# run or ("B", word) for a bracket.
+
+NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+def parse_reference(text: str) -> tuple:
+    """Read a word's text into the tuple model by recursive descent on
+
+        word   := factor ('*' factor)*
+        factor := NAME | '[' word ']'
+
+    where names joined by ``*`` form one run and two brackets never
+    follow one another.  The first fault met, left to right, raises
+    :class:`EmptyInput` for an empty word (``""`` or ``[]``),
+    :class:`AlternationViolation` for a bracket after a bracket, and
+    :class:`WordError` for anything else, nesting past
+    :data:`MAX_NESTING` included.
+    """
+    pos = 0
+
+    def word(level: int) -> tuple:
+        nonlocal pos
+        if (text.startswith("]", pos) if level else pos == len(text)):
+            raise EmptyInput("empty word")
+        factors: list = []
+        while True:
+            if text.startswith("[", pos):
+                if factors and factors[-1][0] == "B":
+                    raise AlternationViolation("bracket after bracket")
+                if level >= MAX_NESTING:
+                    raise WordError("nested too deep")
+                pos += 1
+                inner = word(level + 1)
+                if not text.startswith("]", pos):
+                    raise WordError("unclosed bracket")
+                pos += 1
+                factors.append(("B", inner))
+            else:
+                m = NAME.match(text, pos)
+                if not m:
+                    raise WordError("expected a factor")
+                pos = m.end()
+                if factors and factors[-1][0] == "L":
+                    factors[-1] = ("L", factors[-1][1] + (m.group(),))
+                else:
+                    factors.append(("L", (m.group(),)))
+            if not text.startswith("*", pos):
+                return tuple(factors)
+            pos += 1
+
+    found = word(0)
+    if pos != len(text):
+        raise WordError("trailing input")
+    return found
+
+
+def reference_text(word: tuple) -> str:
+    return "*".join(
+        "*".join(body) if kind == "L" else "[" + reference_text(body) + "]" for kind, body in word
+    )
+
+
+def reference_words(alphabet, n: int, after: str | None = None) -> list[tuple]:
+    """Every tuple-model word of size ``n`` whose first factor's kind is not ``after``."""
+    found = []
+    for k in range(1, n + 1):
+        heads = []
+        if after != "L":
+            heads += [("L", run) for run in cartesian(alphabet, repeat=k)]
+        if after != "B" and k > 1:
+            heads += [("B", inner) for inner in reference_words(alphabet, k - 1)]
+        for head in heads:
+            if k == n:
+                found.append((head,))
+            else:
+                found += [(head, *rest) for rest in reference_words(alphabet, n - k, head[0])]
+    return found

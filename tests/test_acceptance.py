@@ -123,14 +123,15 @@ def test_criterion_05_families_vanish():
 def test_criterion_06_product_structure_sweep():
     pool = words_up_to_size(XY, 3)
     for u in pool:
-        hu, tu = type(u.factors[0]), type(u.factors[-1])
+        # Whether a word starts, and ends, with a bracket factor.
+        hu, tu = u.startswith("["), u.endswith("]")
         lu = LinComb.from_word(u)
         for v in pool:
-            hv, tv = type(v.factors[0]), type(v.factors[-1])
+            hv, tv = v.startswith("["), v.endswith("]")
             result = product(lu, LinComb.from_word(v))
             assert not result.is_zero()
             for term, _ in result:
-                assert (type(term.factors[0]), type(term.factors[-1])) == (hu, tv)
+                assert (term.startswith("["), term.endswith("]")) == (hu, tv)
                 assert size(term) == size(u) + size(v)
             if tu != hv:
                 items = result.items()

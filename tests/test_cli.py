@@ -337,6 +337,20 @@ def test_morphism_check_bad_map(capsys, tmp_path):
     assert "fails" in out
 
 
+@pytest.mark.parametrize("names", ["ab", ["e1", 2], {"e1": 0, "e2": 1}, None])
+def test_map_names_must_be_a_list_of_strings(capsys, tmp_path, names):
+    # A string of names was once read letter by letter, as names a and b.
+    bad = tmp_path / "string_names.json"
+    bad.write_text(json.dumps({"names": names, "matrix": [["1", "0"], ["0", "1"]]}))
+    for argv in (
+        ("eval-hom", str(FIXTURES / "projection.json"), str(bad), "a"),
+        ("morphism-check", str(FIXTURES / "projection_ns.json"), str(FIXTURES / "projection.json"), str(bad)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "names must be a JSON list of strings" in err
+
+
 def test_ideal_member_verdicts(capsys):
     code, out, _ = run(
         capsys,
@@ -409,6 +423,24 @@ def test_malformed_json_exit_code(capsys, tmp_path):
     wrong.write_text(json.dumps({"dim": 2}))
     code, _, err = run(capsys, "fd-check", str(wrong))
     assert code == 2
+    # Neither a fractional nor a boolean dimension or entry is truncated
+    # or read as a number.
+    good = json.loads((FIXTURES / "projection.json").read_text())
+    good_ns = json.loads((FIXTURES / "projection_ns.json").read_text())
+    for name, obj, reason in (
+        ("dim_fraction", {**good, "dim": 2.7}, "dim must be a JSON integer"),
+        ("dim_bool", {**good, "dim": True}, "dim must be a JSON integer"),
+        ("dim_string", {**good, "dim": "2"}, "dim must be a JSON integer"),
+        ("ns_dim_bool", {**good_ns, "dim": True}, "dim must be a JSON integer"),
+        ("tensor_bool", {**good, "mult": [[[True, 0], [0, 0]], [[0, 0], [0, 1]]]}, "not a rational"),
+        ("matrix_bool", {**good, "op": [[True, 0], [0, False]]}, "not a rational"),
+        ("ns_tensor_bool", {**good_ns, "bullet": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]}, "not a rational"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "fd-check", str(path))
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error:") and "malformed algebra file" in err and reason in err, name
 
 
 def test_usage_errors(capsys):

@@ -31,7 +31,6 @@ def assert_exact(value: LinComb) -> None:
 def test_rational_returns_int_when_integral():
     for value, expected in [
         (3, 3),
-        (True, 1),
         ("6/3", 2),
         ("-4", -4),
         (Fraction(8, 4), 2),

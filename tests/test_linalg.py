@@ -37,6 +37,10 @@ def test_rational_coercion_and_formatting():
     assert rational(format_rational(big)) == big
     with pytest.raises(TypeError):
         rational(0.5)
+    # bool is an int subclass, but a truth value is not a scalar
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            rational(flag)
 
 
 def test_lincomb_drops_zero_terms_and_merges():

@@ -1,8 +1,9 @@
 """The word product and the operator against a plain reference on factor tuples.
 
 The product and ``N`` work on the canonical text of words.  The
-reference works on factor tuples, with no cache and no shared code with
-:mod:`nijenhuis.algebra`.  A word is a tuple of factors; a factor is
+reference works on the tuple model of :mod:`conftest`, with no cache
+and no shared code with :mod:`nijenhuis.algebra` or
+:mod:`nijenhuis.words`.  A word is a tuple of factors; a factor is
 ``("L", names)`` for a letter run or ``("B", word)`` for a bracket.  A
 product is a dict from such words to nonzero Fractions.
 """
@@ -16,33 +17,20 @@ from hypothesis import given
 from nijenhuis import algebra
 from nijenhuis.algebra import first_operator_identity_failure, operator_n, product_words
 from nijenhuis.linalg import LinComb
-from nijenhuis.words import (
-    Bracket,
-    GeneratorSymbol,
-    Letters,
-    canonical_key,
-    from_canonical,
-    make_word,
-    to_canonical,
-    words_up_to_size,
+from nijenhuis.words import canonical_key, from_canonical, to_canonical, words_up_to_size
+
+from conftest import (
+    ALPHABET_XY,
+    ALPHABET_XYZ,
+    parse_reference as as_tuple,
+    reference_text,
+    words_strategy,
 )
-
-from conftest import ALPHABET_XY, ALPHABET_XYZ, words_strategy
-
-
-def as_tuple(word) -> tuple:
-    return tuple(
-        ("L", tuple(s.name for s in f.run)) if isinstance(f, Letters) else ("B", as_tuple(f.inner))
-        for f in word.factors
-    )
 
 
 def from_tuple(word: tuple):
-    """A word built from fresh objects through :func:`make_word`."""
-    return make_word(
-        Letters(tuple(GeneratorSymbol(n) for n in body)) if kind == "L" else Bracket(from_tuple(body))
-        for kind, body in word
-    )
+    """A word built anew from its text through :func:`from_canonical`."""
+    return from_canonical(reference_text(word))
 
 
 def _add(total: dict, terms: dict, sign: int) -> None:

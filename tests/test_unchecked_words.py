@@ -1,10 +1,11 @@
-"""Words the free product builds unchecked against the checked constructors.
+"""Words the free product builds unchecked against the checked constructor.
 
 :func:`product_words` and :func:`operator_n` build the text of each
 word they return by joining canonical texts, and wrap it with no check.
-Every such word must be one the checked constructor accepts, equal to
-it, with the same hash and canonical key, and its text must parse back
-to it.
+Every such text must be one that the checked constructor,
+:func:`from_canonical`, and the reference grammar of :mod:`conftest`
+both accept, and the word rebuilt through them must equal it, with the
+same hash and canonical key.
 """
 
 from __future__ import annotations
@@ -24,20 +25,18 @@ from nijenhuis.algebra import (
 from nijenhuis.linalg import LinComb
 from nijenhuis.words import (
     AlternationViolation,
-    Bracket,
     BracketedWord,
     EmptyInput,
-    Letters,
+    WordError,
     canonical_key,
     from_canonical,
     letter_word,
-    make_word,
     generators,
     to_canonical,
     words_up_to_size,
 )
 
-from conftest import ALPHABET_XY, ALPHABET_XYZ, words_strategy
+from conftest import ALPHABET_XY, ALPHABET_XYZ, parse_reference, reference_text, words_strategy
 
 X, Y = ALPHABET_XY
 POOL = words_up_to_size(ALPHABET_XY, 3)
@@ -45,7 +44,7 @@ POOL = words_up_to_size(ALPHABET_XY, 3)
 
 def assert_matches_checked(w: BracketedWord) -> None:
     assert type(w) is BracketedWord, to_canonical(w)
-    checked = make_word(w.factors)
+    checked = from_canonical(reference_text(parse_reference(w)))
     assert checked == w, to_canonical(w)
     assert hash(checked) == hash(w), to_canonical(w)
     assert canonical_key(checked) == canonical_key(w), to_canonical(w)
@@ -79,28 +78,27 @@ def test_operator_n_words_pass_the_checked_constructor():
 
 
 def test_public_constructor_keeps_every_check():
-    run = Letters((X,))
     with pytest.raises(AlternationViolation):
-        BracketedWord((run, Letters((Y,))))
+        BracketedWord("[x]*[y]")
     with pytest.raises(AlternationViolation):
-        BracketedWord((Bracket(letter_word(X)), Bracket(letter_word(Y))))
-    with pytest.raises(EmptyInput):
-        BracketedWord(())
-    with pytest.raises(TypeError):
-        BracketedWord((run, "y"))
-    with pytest.raises(TypeError):
-        BracketedWord((letter_word(X),))
-    with pytest.raises(TypeError):
-        BracketedWord("x*y")
-    with pytest.raises(TypeError):
-        Bracket("x")
+        BracketedWord("x*[[x]*[y]]")
+    for empty in ("", "[]", "x*[[]]"):
+        with pytest.raises(EmptyInput):
+            BracketedWord(empty)
+    for bad in ("x**y", "x*", "[x", "x]", "2x", "x y"):
+        with pytest.raises(WordError):
+            BracketedWord(bad)
+    for not_text in ((letter_word(X),), ["x"], None):
+        with pytest.raises(TypeError):
+            BracketedWord(not_text)
+    assert type(BracketedWord("x*[y]")) is BracketedWord
 
 
 def test_unchecked_bracket_matches_the_checked_one():
     # N wraps the text of each word in brackets.
     for w in POOL:
         (image,) = operator_n(LinComb.from_word(w))._terms
-        checked = make_word((Bracket(w),))
+        checked = from_canonical(f"[{w}]")
         assert image == checked, to_canonical(w)
         assert hash(image) == hash(checked), to_canonical(w)
         assert canonical_key(image) == canonical_key(checked)
@@ -126,8 +124,8 @@ def test_the_product_cache_holds_only_bracket_junctions(monkeypatch):
     assert algebra._PRODUCT_CACHE
     for last, first in algebra._PRODUCT_CACHE:
         for end in (last, first):
-            (factor,) = end.factors
-            assert type(factor) is Bracket, end
+            ((kind, _),) = parse_reference(end)
+            assert kind == "B", end
 
 
 def test_the_product_cache_size_of_a_cold_sweep(monkeypatch):

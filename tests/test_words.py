@@ -11,11 +11,8 @@ from hypothesis import given
 from nijenhuis import words
 from nijenhuis.words import (
     AlternationViolation,
-    Bracket,
     BracketedWord,
     EmptyInput,
-    GeneratorSymbol,
-    Letters,
     MAX_NESTING,
     WordError,
     breadth,
@@ -25,26 +22,26 @@ from nijenhuis.words import (
     generators,
     letter_count,
     letter_word,
-    make_word,
     size,
     to_canonical,
     words_of_size,
     words_up_to_size,
 )
 
-from conftest import ALPHABET_XY, words_strategy
+from conftest import ALPHABET_XY, parse_reference, reference_text, words_strategy
 
-X, Y, Z = generators("x", "y", "z")
+X, Y = generators("x", "y")
 
 
 def test_symbol_names_validated():
-    assert GeneratorSymbol("alpha_2").name == "alpha_2"
-    with pytest.raises(EmptyInput):
-        GeneratorSymbol("")
-    with pytest.raises(WordError):
-        GeneratorSymbol("2x")
-    with pytest.raises(WordError):
-        GeneratorSymbol("a-b")
+    assert generators("alpha_2") == ("alpha_2",)
+    assert letter_word("alpha_2", "x", "alpha_2") == "alpha_2*x*alpha_2"
+    for check in (generators, letter_word):
+        with pytest.raises(EmptyInput):
+            check("")
+        for bad in ("2x", "a-b", "x*y", "[x]"):
+            with pytest.raises(WordError, match="invalid generator name"):
+                check("y", bad)
 
 
 def test_generators_must_be_distinct():
@@ -55,19 +52,20 @@ def test_generators_must_be_distinct():
 
 def test_empty_constructions_rejected():
     with pytest.raises(EmptyInput):
-        Letters(())
-    with pytest.raises(EmptyInput):
-        make_word([])
+        letter_word()
+    for empty in ("", "[]", "x*[y*[]]"):
+        with pytest.raises(EmptyInput):
+            from_canonical(empty)
 
 
 def test_alternation_enforced():
-    run = Letters((X,))
-    with pytest.raises(AlternationViolation):
-        make_word([run, Letters((Y,))])
-    with pytest.raises(AlternationViolation):
-        make_word([Bracket(letter_word(X)), Bracket(letter_word(Y))])
+    # Names joined by stars are one run, so only brackets can touch.
+    assert breadth(from_canonical("x*y")) == 1
+    for touching in ("[x]*[y]", "x*[[x]*[y]]*z", "[[x]]*[y]"):
+        with pytest.raises(AlternationViolation):
+            from_canonical(touching)
     # alternating sequences are fine
-    w = make_word([run, Bracket(letter_word(Y)), Letters((Z,))])
+    w = from_canonical("x*[y]*z")
     assert breadth(w) == 3
 
 
@@ -77,28 +75,32 @@ def test_measures_on_nested_word():
     assert breadth(w) == 3
     assert letter_count(w) == 4
     assert size(w) == 6
-    assert (type(w.factors[0]), type(w.factors[-1])) == (Letters, Letters)
 
 
 def test_measures_on_single_factors():
     assert depth(letter_word(X, Y)) == 0
     assert depth(from_canonical("[x]")) == 1
     assert depth(from_canonical("[[x]]")) == 2
-    w = from_canonical("[x]*y")
-    assert (type(w.factors[0]), type(w.factors[-1])) == (Bracket, Letters)
+    assert breadth(from_canonical("[x]*y")) == 2
+    assert breadth(from_canonical("[x*[y]]")) == 1
     assert size(from_canonical("[x*[y]]")) == 4
 
 
 def test_standard_decomposition_round_trips():
-    # the standard decomposition of a word is its factor sequence
+    # the standard decomposition of a word is its factor sequence,
+    # here read by the reference grammar of the tests
     w = from_canonical("[x]*y*[z*z]")
-    assert make_word(w.factors) == w
-    assert len(w.factors) == breadth(w)
+    factors = parse_reference(w)
+    assert factors == (("B", (("L", ("x",)),)), ("L", ("y",)), ("B", (("L", ("z", "z")),)))
+    assert from_canonical(reference_text(factors)) == w
+    assert len(factors) == breadth(w)
 
 
 @given(words_strategy())
 def test_standard_decomposition_round_trips_everywhere(w):
-    assert make_word(w.factors) == w
+    factors = parse_reference(w)
+    assert from_canonical(reference_text(factors)) == w
+    assert len(factors) == breadth(w)
 
 
 def test_serialization_round_trip_examples():
@@ -164,7 +166,7 @@ def test_enumeration_size_one_and_two():
 
 def test_words_are_hashable_and_value_equal():
     a = from_canonical("x*[y]")
-    b = make_word([Letters((X,)), Bracket(letter_word(Y))])
+    b = BracketedWord("".join(["x*", "[y]"]))
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
@@ -178,11 +180,9 @@ def test_from_canonical_does_not_recurse(monkeypatch):
     # recursed once per bracket would fail here.
     levels = 5000
     monkeypatch.setattr(words, "MAX_NESTING", levels)
-    w = from_canonical("[" * levels + "x" + "]" * levels)
-    for _ in range(levels):
-        (bracket,) = w.factors
-        w = bracket.inner
-    assert w == letter_word(X)
+    text = "[" * levels + "x" + "]" * levels
+    w = from_canonical(text)
+    assert w == text and (breadth(w), depth(w), size(w)) == (1, levels, levels + 1)
     with pytest.raises(WordError, match=f"nesting deeper than {levels} levels at position {levels}"):
         from_canonical("[" * (levels + 1) + "x" + "]" * (levels + 1))
 
