@@ -80,6 +80,7 @@ from .words import (
     WordError,
     breadth,
     canonical_key,
+    canonical_sort,
     depth,
     from_canonical,
     generators,

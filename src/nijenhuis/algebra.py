@@ -34,7 +34,13 @@ into its last bracket and the text before it, or into its first bracket
 and the text after it, is memoized up to a bounded number of words.
 
 Every structure constant of the word product is an integer, so products
-of words carry ``int`` coefficients.  The texts a product returns are
+of words carry ``int`` coefficients, and the only rationals in a product
+of combinations are the operands' own.  :func:`product` therefore
+writes each operand over one common denominator, multiplies and sums
+integer numerators, and divides each result term once, by the product
+of the two denominators; a term that divides exactly stays an ``int``.
+Operands with integer coefficients, as in the sweeps, have denominator
+1 and are never divided.  The texts a product returns are
 wrapped as words unchecked, and none of them can break alternation:
 ``u*v`` merges two runs or puts a run next to a bracket; a bracket
 junction's words start and end with brackets, so the text reattached
@@ -60,11 +66,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Iterator, Sequence
 
-from .linalg import LinComb, format_rational
+from .linalg import LinComb, _divide, _numerators, format_rational
 from .words import BracketedWord, _close, _word
 
 __all__ = [
@@ -187,18 +192,33 @@ def product(a: LinComb, b: LinComb) -> LinComb:
         if scale != 1:
             result = result.scale(scale)
     else:
-        data: dict[BracketedWord, int | Fraction] = {}
+        # Integer numerators over one denominator per operand, so the
+        # sums below run on ints; each result term is divided once.
+        ta, da = _numerators(a._terms)
+        tb, db = _numerators(b._terms)
+        data: dict[BracketedWord, int] = {}
         get = data.get
-        for wu, cu in a._terms.items():
-            for wv, cv in b._terms.items():
+        for wu, cu in ta.items():
+            ends_in_bracket = wu[-1] == "]"
+            for wv, cv in tb.items():
                 scale = cu * cv
+                if not ends_in_bracket or wv[0] != "[":
+                    # A letter junction, as in product_words: the one word u*v.
+                    w = _word(wu + "*" + wv)
+                    acc = get(w)
+                    data[w] = scale if acc is None else acc + scale
+                    continue
                 unit = scale == 1
                 for w, c in product_words(wu, wv)._terms.items():
                     if not unit:
                         c = scale * c
                     acc = get(w)
                     data[w] = c if acc is None else acc + c
-        result = LinComb._wrap({w: c for w, c in data.items() if c})
+        d = da * db
+        if d == 1:
+            result = LinComb._wrap({w: c for w, c in data.items() if c})
+        else:
+            result = LinComb._wrap({w: _divide(c, d) for w, c in data.items() if c})
     if len(result._terms) > _max_terms:
         raise TooManyTerms(f"a product has {len(result._terms)} terms, more than the cap of {_max_terms}")
     return result

@@ -406,79 +406,102 @@ def _cmd_morphism_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+_EXPR = (("expr",), {"help": _EXPR_HELP})
+_FILE = (("file",), {})
+_GENERATORS = (("--generators",), {"default": "x,y,z", "help": "declared generator names"})
+_RELATION_GENERATORS = ((("--generators",), {"default": "x,y,z"}),)
+_NAMES = (("--generators",), {"default": None, "help": "names for the free generators"})
+_SWEEP = ((("--max-size",), {"type": int, "default": 3}), (("--alphabet",), {"default": "x,y"}))
+
+# Each subcommand: its handler, its help line, and its arguments as
+# (flags, keyword arguments) for ``add_argument``.
+_COMMANDS = {
+    "mul": (
+        _cmd_mul,
+        "multiply two expressions",
+        ((("left",), {"help": _EXPR_HELP}), (("right",), {"help": _EXPR_HELP}), _GENERATORS),
+    ),
+    "eval": (_cmd_eval, "evaluate an expression to canonical form", (_EXPR, _GENERATORS)),
+    "assoc-check": (_cmd_assoc_check, "sweep associativity on basis word triples", _SWEEP),
+    "nijenhuis-check": (_cmd_nijenhuis_check, "sweep the operator identity on word pairs", _SWEEP),
+    "ns-check": (_cmd_ns_check, "verify the four-relation family on free generators", _RELATION_GENERATORS),
+    "ndend-check": (_cmd_ndend_check, "verify the five-relation family on free generators", _RELATION_GENERATORS),
+    "solve-relspace": (_cmd_solve_relspace, "rederive the relation space from scratch", ()),
+    "env-generators": (_cmd_env_generators, "kernel generators for a structure-constant algebra", (_FILE, _NAMES)),
+    "fd-check": (_cmd_fd_check, "run identity sweeps on a structure-constant file", (_FILE,)),
+    "induce-ns": (_cmd_induce_ns, "split an operator algebra into its three operations", (_FILE,)),
+    "eval-hom": (
+        _cmd_eval_hom,
+        "evaluate a free-algebra expression in a target algebra",
+        (_FILE, (("mapfile",), {}), _EXPR),
+    ),
+    "morphism-check": (
+        _cmd_morphism_check,
+        "check a map intertwines operations and kills kernel generators",
+        ((("source",), {}), (("target",), {}), (("mapfile",), {})),
+    ),
+    "ideal-member": (
+        _cmd_ideal_member,
+        "truncated ideal membership for a candidate element",
+        (_FILE, _EXPR, (("--bound",), {"type": int, "required": True}), _NAMES),
+    ),
+}
+
+
+class _GiveUp(Exception):
+    """A one-command parser met input that only the full parser can report."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """Gives up, printing nothing, wherever argparse would print and exit."""
+
+    def print_help(self, file=None):
+        raise _GiveUp
+
+    def error(self, message):
+        raise _GiveUp
+
+    def exit(self, status=0, message=None):
+        raise _GiveUp
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given ``command``, of that one alone.
+
+    A one-command parser raises :class:`_GiveUp` instead of printing
+    help, usage or an error, since the text of those names every
+    subcommand; the full parser then prints it.
+    """
+    parser_class = argparse.ArgumentParser if command is None else _OneCommandParser
+    top = parser_class(
         prog="nijenhuis",
         description="Exact computations in free Nijenhuis algebras and their split operations.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, help_text: str, **kwargs):
-        p = sub.add_parser(name, parents=[common], help=help_text, **kwargs)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("mul", _cmd_mul, "multiply two expressions")
-    p.add_argument("left", help=_EXPR_HELP)
-    p.add_argument("right", help=_EXPR_HELP)
-    p.add_argument("--generators", default="x,y,z", help="declared generator names")
-
-    p = add("eval", _cmd_eval, "evaluate an expression to canonical form")
-    p.add_argument("expr", help=_EXPR_HELP)
-    p.add_argument("--generators", default="x,y,z", help="declared generator names")
-
-    p = add("assoc-check", _cmd_assoc_check, "sweep associativity on basis word triples")
-    p.add_argument("--max-size", type=int, default=3)
-    p.add_argument("--alphabet", default="x,y")
-
-    p = add("nijenhuis-check", _cmd_nijenhuis_check, "sweep the operator identity on word pairs")
-    p.add_argument("--max-size", type=int, default=3)
-    p.add_argument("--alphabet", default="x,y")
-
-    p = add("ns-check", _cmd_ns_check, "verify the four-relation family on free generators")
-    p.add_argument("--generators", default="x,y,z")
-
-    p = add("ndend-check", _cmd_ndend_check, "verify the five-relation family on free generators")
-    p.add_argument("--generators", default="x,y,z")
-
-    add("solve-relspace", _cmd_solve_relspace, "rederive the relation space from scratch")
-
-    p = add("env-generators", _cmd_env_generators, "kernel generators for a structure-constant algebra")
-    p.add_argument("file")
-    p.add_argument("--generators", default=None, help="names for the free generators")
-
-    p = add("fd-check", _cmd_fd_check, "run identity sweeps on a structure-constant file")
-    p.add_argument("file")
-
-    p = add("induce-ns", _cmd_induce_ns, "split an operator algebra into its three operations")
-    p.add_argument("file")
-
-    p = add("eval-hom", _cmd_eval_hom, "evaluate a free-algebra expression in a target algebra")
-    p.add_argument("file")
-    p.add_argument("mapfile")
-    p.add_argument("expr", help=_EXPR_HELP)
-
-    p = add("morphism-check", _cmd_morphism_check, "check a map intertwines operations and kills kernel generators")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("mapfile")
-
-    p = add("ideal-member", _cmd_ideal_member, "truncated ideal membership for a candidate element")
-    p.add_argument("file")
-    p.add_argument("expr", help=_EXPR_HELP)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--generators", default=None, help="names for the free generators")
-
+    for name, (handler, help_text, arguments) in _COMMANDS.items():
+        if command is None or name == command:
+            p = sub.add_parser(name, help=help_text)
+            p.set_defaults(handler=handler)
+            p.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
     return top
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with the invoked subcommand's parser alone, or else with the full one."""
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return build_parser(argv[0]).parse_args(argv)
+        except _GiveUp:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def run_command(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -48,6 +48,7 @@ from .relations import RelVector, ndendriform_relation_set, ns_relation_set, rel
 from .words import (
     BracketedWord,
     canonical_key,
+    generators,
     iter_symbols,
     letter_word,
     size,
@@ -347,11 +348,13 @@ def enveloping_generators(
         sum_k t[i][j][k] e_k  -  derived_op(op, e_i, e_j)
 
     for op = prec, succ, bullet with t its structure tensor.  Order:
-    (i, j) lexicographic, then the three operations.
+    (i, j) lexicographic, then the three operations.  The ``names`` must
+    be distinct identifiers; others raise
+    :class:`~nijenhuis.words.WordError`.
     """
     if names is None:
         names = default_names(alg.dim)
-    names = tuple(names)
+    names = generators(*names)
     if len(names) != alg.dim:
         raise ArityMismatch(f"{alg.dim} names required, got {len(names)}")
     letters = [LinComb.from_word(letter_word(s)) for s in names]
@@ -385,9 +388,10 @@ def evaluate_hom(
 
     ``f`` sends each named generator (a column) to a vector of ``alg``;
     letters multiply in ``alg``, brackets apply its operator, and the
-    whole thing extends linearly.
+    whole thing extends linearly.  The ``names`` must be distinct
+    identifiers; others raise :class:`~nijenhuis.words.WordError`.
     """
-    names = tuple(names)
+    names = generators(*names)
     if f.cols != len(names):
         raise DimensionMismatch("map has one column per generator name")
     if f.rows != alg.dim:
@@ -443,9 +447,9 @@ def check_morphism_kills_generators(
     the two sides compared here, whatever the target's product.  The
     one failure kind is ``morphism`` with indices (op, i, j), where op
     numbers the operations (0 prec, 1 succ, 2 bullet).  ``names``, when
-    given, must have one name per source basis vector.
+    given, must be distinct identifiers, one per source basis vector.
     """
-    if names is not None and len(names) != source.dim:
+    if names is not None and len(generators(*names)) != source.dim:
         raise ArityMismatch(f"{source.dim} names required, got {len(names)}")
     if f.cols != source.dim or f.rows != target.dim:
         raise DimensionMismatch("map shape must be target dim by source dim")

@@ -4,7 +4,13 @@ Scalars are exact: an ``int`` when the value is integral, otherwise a
 :class:`fractions.Fraction` (reduced form, positive denominator), never
 a float.  The two mix freely, compare and hash alike, and print alike,
 so integral work such as the free product's structure constants runs on
-plain integers.  On top of that this module provides linear combinations
+plain integers.  A :class:`LinComb` holds every integral coefficient as
+an ``int``, whatever arithmetic produced it, so ``type(c) is int`` tells
+the integral ones apart.  Where many rational terms meet, as in the
+product of two combinations, the work runs on integer numerators over a
+common denominator (:func:`_numerators`), with one division per result
+term (:func:`_divide`); printing reads each coefficient's numerator and
+denominator.  On top of that this module provides linear combinations
 of bracketed words with rational coefficients, :class:`Vector`, the one
 dense coordinate vector, and :class:`RowSpace`, the one sparse
 elimination engine: it spans rows, tests membership, and gives kernels,
@@ -15,9 +21,10 @@ the one way from dense rows to a :class:`RowSpace`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .words import BracketedWord, canonical_key
+from .words import BracketedWord, canonical_sort
 
 __all__ = [
     "Rational",
@@ -56,6 +63,28 @@ def format_rational(q: int | Fraction) -> str:
     return str(q)
 
 
+def _divide(n: int, d: int) -> int | Fraction:
+    """The exact scalar ``n/d``, for ``d > 0``: an ``int`` when ``d`` divides ``n``."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
+def _int_if_integral(q: int | Fraction) -> int | Fraction:
+    """``q`` as an ``int`` when its value is integral."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
+
+
+def _numerators(terms: dict[BracketedWord, int | Fraction]) -> tuple[dict[BracketedWord, int], int]:
+    """The integer numerators of ``terms`` over their least common denominator, and that denominator.
+
+    All-integer terms come back as they are, over 1.
+    """
+    den = lcm(*{c.denominator for c in terms.values() if type(c) is not int})
+    if den == 1:
+        return terms, 1
+    return {w: c * den if type(c) is int else c.numerator * (den // c.denominator) for w, c in terms.items()}, den
+
+
 class LinComb:
     """An immutable rational linear combination of bracketed words.
 
@@ -82,7 +111,7 @@ class LinComb:
                 else:
                     acc += c
                     if acc:
-                        data[word] = acc
+                        data[word] = _int_if_integral(acc)
                     else:
                         del data[word]
         self._terms = data
@@ -113,8 +142,8 @@ class LinComb:
     def items(self) -> tuple[tuple[BracketedWord, int | Fraction], ...]:
         """Terms as (word, coefficient) pairs in canonical order."""
         if self._items is None:
-            ordered = sorted(self._terms.items(), key=lambda kv: canonical_key(kv[0]))
-            self._items = tuple(ordered)
+            ordered = canonical_sort(self._terms)
+            self._items = tuple(zip(ordered, map(self._terms.__getitem__, ordered)))
         return self._items
 
     def support(self) -> tuple[BracketedWord, ...]:
@@ -161,7 +190,7 @@ class LinComb:
             else:
                 acc += c
                 if acc:
-                    data[word] = acc
+                    data[word] = _int_if_integral(acc)
                 else:
                     del data[word]
         return LinComb._wrap(data)
@@ -173,7 +202,15 @@ class LinComb:
         c = rational(scalar)
         if not c:
             return LinComb()
-        return LinComb._wrap({w: c * q for w, q in self._terms.items()})
+        if c == 1:
+            return self
+        n, d = c.numerator, c.denominator
+        return LinComb._wrap(
+            {
+                w: q * n if d == 1 and type(q) is int else _divide(q.numerator * n, q.denominator * d)
+                for w, q in self._terms.items()
+            }
+        )
 
     def __rmul__(self, scalar: RationalLike) -> "LinComb":
         return self.scale(scalar)
@@ -193,12 +230,18 @@ class LinComb:
             return "0"
         pieces: list[str] = []
         for word, c in self.items():
-            magnitude = abs(c)
-            body = str(word) if magnitude == 1 else f"{format_rational(magnitude)}*{word}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
+            n, d = c.numerator, c.denominator
+            sign = "- " if n < 0 else "+ "
+            if n < 0:
+                n = -n
+            if d != 1:
+                pieces.append(f"{sign}{n}/{d}*{word}")
+            elif n != 1:
+                pieces.append(f"{sign}{n}*{word}")
             else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+                pieces.append(sign + word)
+        first = pieces[0]
+        pieces[0] = first[2:] if first[0] == "+" else "-" + first[2:]
         return " ".join(pieces)
 
     def __repr__(self) -> str:

@@ -15,18 +15,25 @@ four named binary operations are ``prec``, ``succ``, ``bullet`` and
 expression to a linear combination over a declared generator set, and
 :func:`print_canonical` renders a combination in the canonical term
 order; parse, evaluate, print is the identity on printed output.
+
+Coefficients are exact: an ``int`` when integral, a
+:class:`fractions.Fraction` otherwise, both in the tree and in the
+evaluated combination.  Tokens are plain ``(kind, text, position)``
+tuples, and each tree node is an immutable tuple of its fields that
+equals and hashes by class and fields, so building a tree allocates one
+tuple per node.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .algebra import OpSymbol, derived_op, operator_n, product
-from .linalg import LinComb, rational
-from .words import MAX_NESTING, letter_word
+from .linalg import LinComb, _divide, _int_if_integral, rational
+from .words import MAX_NESTING, BracketedWord, letter_word
 
 __all__ = [
     "ParseError",
@@ -65,43 +72,92 @@ class UnknownIdentifier(EvalError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class GeneratorRef:
-    name: str
+class _Node(tuple):
+    """An immutable parse-tree node: the tuple of its fields.
+
+    A node equals and hashes as the pair of its class and its fields, so
+    nodes of different classes, or a node and a plain tuple, are never
+    equal.  Building one is a single tuple allocation.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash((type(self), tuple(self)))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class ScalarLit:
-    value: int | Fraction
+class GeneratorRef(_Node):
+    __slots__ = ()
+    _fields = ("name",)
+    name: str = property(itemgetter(0))  # type: ignore[assignment]
+
+    def __new__(cls, name: str) -> "GeneratorRef":
+        return tuple.__new__(cls, (name,))
 
 
-@dataclass(frozen=True)
-class BracketApply:
-    child: "Expr"
+class ScalarLit(_Node):
+    __slots__ = ()
+    _fields = ("value",)
+    value: int | Fraction = property(itemgetter(0))  # type: ignore[assignment]
+
+    def __new__(cls, value: int | Fraction) -> "ScalarLit":
+        return tuple.__new__(cls, (value,))
 
 
-@dataclass(frozen=True)
-class Product:
-    children: tuple["Expr", ...]
+class BracketApply(_Node):
+    __slots__ = ()
+    _fields = ("child",)
+    child: "Expr" = property(itemgetter(0))  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        assert len(self.children) >= 2
-
-
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple[tuple[int | Fraction, "Expr"], ...]
-
-    def __post_init__(self) -> None:
-        assert len(self.terms) >= 2
-        assert all(c != 0 for c, _ in self.terms)
+    def __new__(cls, child: "Expr") -> "BracketApply":
+        return tuple.__new__(cls, (child,))
 
 
-@dataclass(frozen=True)
-class DerivedOpNode:
-    op: OpSymbol
-    left: "Expr"
-    right: "Expr"
+class Product(_Node):
+    __slots__ = ()
+    _fields = ("children",)
+    children: tuple["Expr", ...] = property(itemgetter(0))  # type: ignore[assignment]
+
+    def __new__(cls, children: tuple["Expr", ...]) -> "Product":
+        if len(children) < 2:
+            raise ValueError("a product has at least two factors")
+        return tuple.__new__(cls, (children,))
+
+
+class Sum(_Node):
+    __slots__ = ()
+    _fields = ("terms",)
+    terms: tuple[tuple[int | Fraction, "Expr"], ...] = property(itemgetter(0))  # type: ignore[assignment]
+
+    def __new__(cls, terms: tuple[tuple[int | Fraction, "Expr"], ...]) -> "Sum":
+        if len(terms) < 2 or not all(c != 0 for c, _ in terms):
+            raise ValueError("a sum has at least two terms, each with a nonzero coefficient")
+        return tuple.__new__(cls, (terms,))
+
+
+class DerivedOpNode(_Node):
+    __slots__ = ()
+    _fields = ("op", "left", "right")
+    op: OpSymbol = property(itemgetter(0))  # type: ignore[assignment]
+    left: "Expr" = property(itemgetter(1))  # type: ignore[assignment]
+    right: "Expr" = property(itemgetter(2))  # type: ignore[assignment]
+
+    def __new__(cls, op: OpSymbol, left: "Expr", right: "Expr") -> "DerivedOpNode":
+        return tuple.__new__(cls, (op, left, right))
 
 
 Expr = Union[GeneratorRef, ScalarLit, BracketApply, Product, Sum, DerivedOpNode]
@@ -118,24 +174,23 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int
+# A token is a tuple (kind, text, position); the last one has kind "end".
+_Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup or "", m.group(), pos))
+    for m in _TOKEN.finditer(text):
+        if m.start() != pos:
+            break
+        kind = m.lastgroup
+        if kind != "ws":
+            tokens.append((kind, m.group(), pos))
         pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
+    if pos != len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    tokens.append(("end", "", pos))
     return tokens
 
 
@@ -155,50 +210,51 @@ class _Parser:
 
     def expect(self, text: str) -> _Token:
         tok = self.peek()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.position)
-        return self.advance()
+        if tok[1] != text:
+            raise ParseError(f"expected {text!r}, found {tok[1] or 'end of input'!r}", tok[2])
+        self.index += 1
+        return tok
 
     def parse(self) -> Expr:
         expr = self.parse_expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"trailing input {tok.text!r}", tok.position)
+        kind, text, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"trailing input {text!r}", pos)
         return expr
 
     def parse_expr(self) -> Expr:
         # The whole input is level 0; each enclosing bracket, parenthesis
         # or call adds one level.
         if self.nesting > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.peek().position)
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.peek()[2])
         self.nesting += 1
         terms: list[tuple[int | Fraction, Expr | None]] = []
         sign = 1
-        if self.peek().text == "-":
-            self.advance()
+        if self.peek()[1] == "-":
+            self.index += 1
             sign = -1
         terms.append(self._signed_term(sign))
-        while self.peek().text in ("+", "-"):
-            sign = 1 if self.advance().text == "+" else -1
+        while self.peek()[1] in ("+", "-"):
+            sign = 1 if self.advance()[1] == "+" else -1
             terms.append(self._signed_term(sign))
         self.nesting -= 1
         return _combine_terms(terms)
 
     def _signed_term(self, sign: int) -> tuple[int | Fraction, Expr | None]:
         coeff, node = self.parse_term()
-        return sign * coeff, node
+        return (coeff if sign == 1 else -coeff), node
 
     def parse_term(self) -> tuple[int | Fraction, Expr | None]:
         coeff: int | Fraction = 1
         children: list[Expr] = []
         while True:
-            tok = self.peek()
-            if tok.kind == "int":
-                coeff = rational(coeff * self._rational())
+            if self.peek()[0] == "int":
+                value = self._rational()
+                coeff = value if coeff == 1 else rational(coeff * value)
             else:
                 children.append(self.parse_atom())
-            if self.peek().text == "*":
-                self.advance()
+            if self.peek()[1] == "*":
+                self.index += 1
                 continue
             break
         if not children:
@@ -207,51 +263,50 @@ class _Parser:
         return coeff, node
 
     def _rational(self) -> int | Fraction:
-        tok = self.advance()
-        value = int(tok.text)
-        if self.peek().text == "/":
+        value = int(self.advance()[1])
+        if self.peek()[1] == "/":
             slash = self.advance()
-            denom_tok = self.peek()
-            if denom_tok.kind != "int":
-                raise ParseError("expected an integer denominator", slash.position + 1)
-            self.advance()
-            denom = int(denom_tok.text)
+            kind, text, pos = self.peek()
+            if kind != "int":
+                raise ParseError("expected an integer denominator", slash[2] + 1)
+            self.index += 1
+            denom = int(text)
             if denom == 0:
-                raise ParseError("zero denominator", denom_tok.position)
-            return rational(Fraction(value, denom))
+                raise ParseError("zero denominator", pos)
+            return _divide(value, denom)
         return value
 
     def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            if self.peek().text == "(":
-                return self._call(tok)
-            return GeneratorRef(tok.text)
-        if tok.text == "[":
-            self.advance()
+        kind, text, pos = self.peek()
+        if kind == "ident":
+            self.index += 1
+            if self.peek()[1] == "(":
+                return self._call(text, pos)
+            return GeneratorRef(text)
+        if text == "[":
+            self.index += 1
             inner = self.parse_expr()
             self.expect("]")
             return BracketApply(inner)
-        if tok.text == "(":
-            self.advance()
+        if text == "(":
+            self.index += 1
             inner = self.parse_expr()
             self.expect(")")
             return inner
         raise ParseError(
-            f"expected a generator, number, bracket, or parenthesis, found {tok.text or 'end of input'!r}",
-            tok.position,
+            f"expected a generator, number, bracket, or parenthesis, found {text or 'end of input'!r}",
+            pos,
         )
 
-    def _call(self, name: _Token) -> Expr:
+    def _call(self, name: str, position: int) -> Expr:
         self.expect("(")
-        if name.text == "P":
+        if name == "P":
             inner = self.parse_expr()
             self.expect(")")
             return BracketApply(inner)
-        op = _FUNCTIONS.get(name.text)
+        op = _FUNCTIONS.get(name)
         if op is None:
-            raise ParseError(f"unknown function {name.text!r}", name.position)
+            raise ParseError(f"unknown function {name!r}", position)
         left = self.parse_expr()
         self.expect(",")
         right = self.parse_expr()
@@ -307,7 +362,7 @@ def eval_expr(expr: Expr, declared: Iterable[str]) -> LinComb:
         if isinstance(node, GeneratorRef):
             if node.name not in allowed:
                 raise UnknownIdentifier(node.name)
-            return LinComb.from_word(letter_word(node.name))
+            return LinComb._wrap({letter_word(node.name): 1})
         if isinstance(node, ScalarLit):
             if node.value != 0:
                 raise EvalError("a bare scalar is not an algebra element")
@@ -331,14 +386,18 @@ def eval_expr(expr: Expr, declared: Iterable[str]) -> LinComb:
                 raise EvalError("a bare scalar is not an algebra element")
             return value.scale(coeff)
         if isinstance(node, Sum):
-            pairs = []
+            data: dict[BracketedWord, int | Fraction] = {}
+            get = data.get
             for coeff, child in node.terms:
                 if isinstance(child, ScalarLit):
                     if coeff * child.value != 0:
                         raise EvalError("a bare scalar is not an algebra element")
                     continue
-                pairs.extend((w, coeff * c) for w, c in walk(child)._terms.items())
-            return LinComb(pairs)
+                for w, c in walk(child)._terms.items():
+                    c = coeff if c == 1 else coeff * c
+                    acc = get(w)
+                    data[w] = c if acc is None else acc + c
+            return LinComb._wrap({w: _int_if_integral(c) for w, c in data.items() if c})
         raise TypeError(f"not an expression node: {node!r}")
 
     return walk(expr)

@@ -30,7 +30,7 @@ from typing import Any, Callable, Sequence
 
 from .algebra import COORD_OPS, OpSymbol, derived_op
 from .linalg import LinComb, RationalLike, Vector, format_rational, rational, span
-from .words import BracketedWord, canonical_key, letter_word
+from .words import BracketedWord, canonical_sort, letter_word
 
 __all__ = [
     "RelVector",
@@ -215,7 +215,7 @@ def _unit_evaluations() -> tuple[tuple[LinComb, ...], tuple[BracketedWord, ...]]
     seen: set[BracketedWord] = set()
     for value in evals:
         seen.update(value.support())
-    rows = tuple(sorted(seen, key=canonical_key))
+    rows = tuple(canonical_sort(seen))
     return evals, rows
 
 

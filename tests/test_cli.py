@@ -483,3 +483,40 @@ def test_duplicate_map_names_rejected(capsys, tmp_path):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["bogus-command"],
+        ["bogus-command", "--help"],
+        ["mul", "--help"],
+        ["ideal-member", "-h"],
+        ["solve-relspace", "--help"],
+        ["mul", "x"],
+        ["mul", "x", "y", "z"],
+        ["mul", "x", "y", "--bogus"],
+        ["eval", "--generators"],
+        ["assoc-check", "--max-size", "abc"],
+        ["ideal-member", "file.json", "e1"],
+        ["nijenhuis-check", "--help", "--max-size", "abc"],
+    ],
+)
+def test_help_and_usage_errors_print_what_the_full_parser_prints(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    with pytest.raises(SystemExit) as stop:
+        build_parser().parse_args(argv)
+    full = capsys.readouterr()
+    assert (out, err) == (full.out, full.err)
+    assert code == (0 if stop.value.code == 0 else 2)
+
+
+def test_a_known_command_is_parsed_by_its_own_parser_alone():
+    for name in ("mul", "ideal-member", "solve-relspace"):
+        assert build_parser(name).format_usage() == f"usage: nijenhuis [-h] {{{name}}} ...\n"
+    assert build_parser().format_usage().count(",") == 12
+    args = cli._parse_args(["mul", "--json", "x", "--generators", "x,y", "y"])
+    assert (args.command, args.left, args.right, args.generators, args.json) == ("mul", "x", "y", "x,y", True)
+    assert args.handler is cli._cmd_mul

@@ -31,7 +31,7 @@ from nijenhuis.envelope import (
     truncated_ideal_membership,
 )
 from nijenhuis.linalg import DimensionMismatch, LinComb
-from nijenhuis.words import from_canonical, letter_word
+from nijenhuis.words import WordError, from_canonical, letter_word
 
 E1, E2 = default_names(2)
 
@@ -128,6 +128,18 @@ def test_enveloping_generators_name_arity():
     m = induced_ns(fixture_projection())
     with pytest.raises(ArityMismatch):
         enveloping_generators(m, default_names(3))
+
+
+@pytest.mark.parametrize("names", [("x", "x"), ("e1", "2x"), ("", "e2")])
+def test_generator_names_must_be_distinct_identifiers(names):
+    alg = fixture_projection()
+    x = LinComb.from_word(letter_word("x"))
+    with pytest.raises(WordError):
+        evaluate_hom(alg, LinearMap.identity(2), x, names)
+    with pytest.raises(WordError):
+        enveloping_generators(induced_ns(alg), names)
+    with pytest.raises(WordError):
+        check_morphism_kills_generators(induced_ns(alg), alg, LinearMap.identity(2), names)
 
 
 def test_evaluate_hom_base_cases():

@@ -3,7 +3,9 @@
 Integral values are plain ints and the rest are Fractions, and the two
 mix in the arithmetic.  A stray true division of two ints would give a
 float, so every path that builds coefficients or eliminates rows is
-checked here for the exact types.
+checked here for the exact types.  A combination's coefficients are
+checked for the exact type of their value: an ``int`` when integral, a
+Fraction only otherwise.  Eliminated rows need only be exact.
 """
 
 from __future__ import annotations
@@ -24,8 +26,28 @@ def is_exact(c) -> bool:
     return type(c) is int or type(c) is Fraction
 
 
+def has_exact_type(c) -> bool:
+    """An ``int`` when ``c`` is integral, a Fraction otherwise."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
 def assert_exact(value: LinComb) -> None:
-    assert all(is_exact(c) for c in value._terms.values()), value._terms
+    assert all(has_exact_type(c) for c in value._terms.values()), value._terms
+
+
+def test_integral_results_of_combination_arithmetic_are_ints():
+    x, y = (LinComb.from_word(w) for w in words_up_to_size(ALPHABET_XY, 1))
+    scaled = x.scale(Fraction(2, 3)).scale(Fraction(3, 2))
+    assert scaled == x and type(scaled.coeff(x.support()[0])) is int
+    half = x.scale(Fraction(1, 2))
+    for value in (half + half, x.scale(Fraction(3, 2)) - half, LinComb(list(half) + list(half))):
+        assert value == x and type(value.coeff(x.support()[0])) is int, value._terms
+    mixed = x.scale(Fraction(1, 3)) + y
+    assert (mixed + mixed + mixed)._terms == {x.support()[0]: 1, y.support()[0]: 3}
+    assert all(type(c) is int for c in (mixed + mixed + mixed)._terms.values())
+    assert_exact(mixed.scale(Fraction(3, 4)))
+    assert_exact(eval_expr(parse_expr("1/2*x + 1/2*x + 2/3*y + 1/3*y"), ALPHABET_XY))
+    assert eval_expr(parse_expr("1/2*x + 1/2*x"), ALPHABET_XY)._terms == {x.support()[0]: 1}
 
 
 def test_rational_returns_int_when_integral():
