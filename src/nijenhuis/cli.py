@@ -139,7 +139,10 @@ def _parse_element(text: str, names: Sequence[str]) -> LinComb:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise _UsageError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise _UsageError(f"{path}: expected a JSON object")
     return data

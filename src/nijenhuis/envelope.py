@@ -5,11 +5,17 @@ rationals, together with a square matrix for its distinguished operator.
 Its elements are coordinate :class:`Vector` s with the arithmetic of
 :class:`LinComb`, so the identity sweeps, the splitting operations and
 the relation sides written for the free algebra run on them, given the
-algebra's product and operator.  This module checks the operator
-identity and associativity by sweep, splits such an algebra into its
-three induced bilinear operations, and studies the result through the
-free algebra: every finite-dimensional instance with the three
-operations embeds, up to a quotient, into the free algebra on one
+algebra's product and operator.  The products, operator images and
+evaluations returned here hold an ``int`` wherever a coordinate is
+integral and a Fraction only otherwise, as :class:`LinComb` does.
+Input is coerced once, where it enters through ``mul``, ``apply_op``,
+:meth:`LinearMap.apply` or a loader; the Vectors this module builds
+pass through.  Each structure tensor and matrix keeps its nonzero
+entries, and products sum over those alone.  This module checks the
+operator identity and associativity by sweep, splits such an algebra
+into its three induced bilinear operations, and studies the result
+through the free algebra: every finite-dimensional instance with the
+three operations embeds, up to a quotient, into the free algebra on one
 generator per basis vector.  The kernel of that comparison is generated
 by an explicit finite family, one relation per basis pair and operation;
 a truncated closure computes a certified lower bound of the kernel,
@@ -19,7 +25,7 @@ giving a semidecision procedure for membership.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import product as _cartesian
@@ -41,6 +47,7 @@ from .linalg import (
     RationalLike,
     RowSpace,
     Vector,
+    _int_if_integral,
     format_rational,
     rational,
 )
@@ -97,14 +104,28 @@ class BoundTooSmall(ValueError):
     """The candidate itself does not fit under the truncation bound."""
 
 
+# The exact scalar types.  A Vector holding only these, as every product
+# in this module returns, needs no coercion.
+_EXACT = frozenset((int, Fraction))
+
+
 def _vector(values: Sequence[RationalLike], dim: int) -> Vector:
-    vec = Vector(rational(x) for x in values)
-    if len(vec) != dim:
-        raise DimensionMismatch(f"expected a vector of length {dim}, got {len(vec)}")
-    return vec
+    """``values`` as a Vector of ``dim`` exact scalars.
+
+    A Vector of ints and Fractions passes through as it is; anything
+    else is coerced coordinate by coordinate.
+    """
+    if type(values) is not Vector or not _EXACT.issuperset(map(type, values)):
+        values = Vector(map(rational, values))
+    if len(values) != dim:
+        raise DimensionMismatch(f"expected a vector of length {dim}, got {len(values)}")
+    return values
 
 
 Tensor = tuple[tuple[Vector, ...], ...]
+# A structure tensor's nonzero constants by first index: for each i, the
+# triples (j, k, t[i][j][k]) with t[i][j][k] nonzero.
+SparseTensor = tuple[tuple[tuple[int, int, int | Fraction], ...], ...]
 
 
 def _tensor(values: Sequence[Sequence[Sequence[RationalLike]]], dim: int) -> Tensor:
@@ -112,6 +133,13 @@ def _tensor(values: Sequence[Sequence[Sequence[RationalLike]]], dim: int) -> Ten
     if len(t) != dim or any(len(plane) != dim for plane in t):
         raise ArityMismatch(f"structure tensor is not {dim}x{dim}x{dim}")
     return t
+
+
+def _sparse(t: Tensor) -> SparseTensor:
+    return tuple(
+        tuple((j, k, s) for j, row in enumerate(plane) for k, s in enumerate(row) if s)
+        for plane in t
+    )
 
 
 def _json_dim(obj: dict) -> int:
@@ -125,27 +153,23 @@ def _tensor_json(t: Tensor) -> list:
     return [[[format_rational(x) for x in row] for row in plane] for plane in t]
 
 
-def _contract(t: Tensor, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Vector:
+def _contract(t: SparseTensor, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Vector:
     """The bilinear product of ``u`` and ``v`` with structure tensor ``t``."""
     dim = len(t)
     a = _vector(u, dim)
     b = _vector(v, dim)
-    out = [Fraction(0)] * dim
-    for i, ci in enumerate(a):
-        if not ci:
-            continue
-        for j, cj in enumerate(b):
-            if not cj:
-                continue
-            coeff = ci * cj
-            for k, s in enumerate(t[i][j]):
-                if s:
-                    out[k] += coeff * s
-    return Vector(out)
+    out = [0] * dim
+    for ci, plane in zip(a, t):
+        if ci:
+            for j, k, s in plane:
+                cj = b[j]
+                if cj:
+                    out[k] += ci * cj * s
+    return Vector(map(_int_if_integral, out))
 
 
 def _unit(dim: int, i: int) -> Vector:
-    return Vector(Fraction(1 if j == i else 0) for j in range(dim))
+    return Vector(1 if j == i else 0 for j in range(dim))
 
 
 @dataclass(frozen=True)
@@ -154,19 +178,31 @@ class LinearMap:
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[int | Fraction, ...], ...]
+    # The columns, and each column's nonzero entries as (row, entry) pairs.
+    _columns: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
+    _sparse_columns: tuple[tuple[tuple[int, int | Fraction], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        converted = tuple(tuple(rational(x) for x in row) for row in self.entries)
+        converted = tuple(tuple(map(rational, row)) for row in self.entries)
         if len(converted) != self.rows or any(len(r) != self.cols for r in converted):
             raise DimensionMismatch("matrix entries do not match the declared shape")
+        columns = tuple(Vector(row[j] for row in converted) for j in range(self.cols))
         object.__setattr__(self, "entries", converted)
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(
+            self,
+            "_sparse_columns",
+            tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in columns),
+        )
 
     @classmethod
     def from_rows(cls, entries: Sequence[Sequence[RationalLike]]) -> "LinearMap":
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
-        return cls(rows, cols, tuple(tuple(rational(x) for x in r) for r in entries))
+        return cls(rows, cols, entries)
 
     @classmethod
     def identity(cls, n: int) -> "LinearMap":
@@ -174,13 +210,15 @@ class LinearMap:
 
     def apply(self, vec: Sequence[RationalLike]) -> Vector:
         v = _vector(vec, self.cols)
-        return Vector(
-            sum((row[j] * v[j] for j in range(self.cols)), Fraction(0))
-            for row in self.entries
-        )
+        out = [0] * self.rows
+        for c, col in zip(v, self._sparse_columns):
+            if c:
+                for i, x in col:
+                    out[i] += c * x
+        return Vector(map(_int_if_integral, out))
 
     def column(self, j: int) -> Vector:
-        return Vector(row[j] for row in self.entries)
+        return self._columns[j]
 
     def to_json_obj(self) -> list:
         return [[format_rational(x) for x in row] for row in self.entries]
@@ -202,14 +240,16 @@ class NijenhuisAlgebraFD:
     dim: int
     mult: Tensor
     op: LinearMap
+    _mult_sparse: SparseTensor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mult", _tensor(self.mult, self.dim))
+        object.__setattr__(self, "_mult_sparse", _sparse(self.mult))
         if self.op.rows != self.dim or self.op.cols != self.dim:
             raise DimensionMismatch("operator matrix must be square of the dimension")
 
     def mul(self, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Vector:
-        return _contract(self.mult, u, v)
+        return _contract(self._mult_sparse, u, v)
 
     def apply_op(self, u: Sequence[RationalLike]) -> Vector:
         return self.op.apply(u)
@@ -235,10 +275,14 @@ class NSAlgebraFD:
     prec: Tensor
     succ: Tensor
     bullet: Tensor
+    _sparse_tensors: dict[OpSymbol, SparseTensor] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("prec", "succ", "bullet"):
             object.__setattr__(self, name, _tensor(getattr(self, name), self.dim))
+        object.__setattr__(
+            self, "_sparse_tensors", {op: _sparse(self.tensor(op)) for op in COORD_OPS}
+        )
 
     def tensor(self, op: OpSymbol) -> Tensor:
         if op is OpSymbol.PREC:
@@ -255,7 +299,7 @@ class NSAlgebraFD:
         if op is OpSymbol.STAR:
             prec, succ, bullet = (self.op_product(o, u, v) for o in COORD_OPS)
             return prec + succ + bullet
-        return _contract(self.tensor(op), u, v)
+        return _contract(self._sparse_tensors[op], u, v)
 
     def to_json_obj(self) -> dict:
         return {
@@ -426,10 +470,12 @@ def evaluate_hom(
             value = run if value is None else alg.mul(value, run)
         return value
 
-    total = Vector([0] * alg.dim)
+    total = [0] * alg.dim
     for w, c in a:
-        total = total + eval_word(w).scale(c)
-    return total
+        for k, x in enumerate(eval_word(w)):
+            if x:
+                total[k] += c * x
+    return Vector(map(_int_if_integral, total))
 
 
 def check_morphism_kills_generators(
@@ -456,9 +502,10 @@ def check_morphism_kills_generators(
 
     columns = [f.column(j) for j in range(source.dim)]
     for o, op in enumerate(COORD_OPS):
+        tensor = source.tensor(op)
         for i in range(source.dim):
             for j in range(source.dim):
-                lhs = f.apply(source.op_product(op, _unit(source.dim, i), _unit(source.dim, j)))
+                lhs = f.apply(tensor[i][j])
                 rhs = derived_op(op, columns[i], columns[j], target.mul, target.apply_op)
                 if lhs != rhs:
                     return CheckReport(False, "morphism", (o, i, j), lhs, rhs)
@@ -543,7 +590,7 @@ def truncated_ideal_membership(
 def _componentwise_mult(dim: int) -> Tensor:
     return tuple(
         tuple(
-            tuple(Fraction(1 if i == j == k else 0) for k in range(dim))
+            Vector(1 if i == j == k else 0 for k in range(dim))
             for j in range(dim)
         )
         for i in range(dim)

@@ -47,12 +47,22 @@ def rational(value: RationalLike) -> int | Fraction:
     """Coerce an int, a ``p/q`` string, or a Fraction to an exact scalar.
 
     The result is an ``int`` whenever the value is integral, also for an
-    integral Fraction or string, and a Fraction otherwise.
+    integral Fraction or string, and a Fraction otherwise.  A string with
+    a zero denominator is a ValueError, like any other malformed string.
     """
     if type(value) is int:
         return value
+    if type(value) is str:
+        # A plain decimal integer, the commonest entry of an input file,
+        # skips the Fraction parser.
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isdigit() and digits.isascii():
+            return int(value)
     if isinstance(value, (int, str)) and type(value) is not bool:
-        value = Fraction(value)
+        try:
+            value = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     elif not isinstance(value, Fraction):
         raise TypeError(f"not a rational value: {value!r}")
     return value.numerator if value.denominator == 1 else value

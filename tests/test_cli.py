@@ -443,6 +443,59 @@ def test_malformed_json_exit_code(capsys, tmp_path):
         assert err.startswith("error:") and "malformed algebra file" in err and reason in err, name
 
 
+def test_zero_denominator_is_a_malformed_file(capsys, tmp_path):
+    # Fraction("1/0") raises ZeroDivisionError, which once escaped as a
+    # traceback with exit code 1.
+    algebra_obj = json.loads((FIXTURES / "projection.json").read_text())
+    algebra_obj["op"][1][1] = "1/0"
+    ns_obj = json.loads((FIXTURES / "projection_ns.json").read_text())
+    ns_obj["succ"][0][1][0] = "-3/0"
+    map_obj = {"names": ["e1", "e2"], "matrix": [["1", "0"], ["1/0", "1"]]}
+    paths = {}
+    for name, obj in (("algebra", algebra_obj), ("ns", ns_obj), ("map", map_obj)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    good, good_ns, good_map = (
+        str(FIXTURES / f) for f in ("projection.json", "projection_ns.json", "identity_map.json")
+    )
+    for argv, kind in (
+        (("fd-check", paths["algebra"]), "algebra"),
+        (("fd-check", paths["ns"]), "algebra"),
+        (("induce-ns", paths["algebra"]), "algebra"),
+        (("env-generators", paths["algebra"]), "algebra"),
+        (("ideal-member", paths["ns"], "e1", "--bound", "3"), "algebra"),
+        (("eval-hom", paths["algebra"], good_map, "e1"), "algebra"),
+        (("eval-hom", good, paths["map"], "e1"), "map"),
+        (("morphism-check", good_ns, paths["algebra"], good_map), "algebra"),
+        (("morphism-check", good_ns, good, paths["map"]), "map"),
+    ):
+        code, out, err = run(capsys, *map(str, argv))
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and f"malformed {kind} file" in err, argv
+        assert "zero denominator" in err and "Traceback" not in err, argv
+
+
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path):
+    # json.load raises RecursionError on deep nesting, which once escaped
+    # as a traceback with exit code 1.
+    deep = "[" * 100_000 + "]" * 100_000
+    algebra_path = tmp_path / "deep_algebra.json"
+    algebra_path.write_text(deep)
+    map_path = tmp_path / "deep_map.json"
+    map_path.write_text('{"names": ["e1", "e2"], "matrix": ' + deep + "}")
+    good, good_ns = str(FIXTURES / "projection.json"), str(FIXTURES / "projection_ns.json")
+    for argv in (
+        ("fd-check", str(algebra_path)),
+        ("induce-ns", str(algebra_path)),
+        ("eval-hom", good, str(map_path), "e1"),
+        ("morphism-check", good_ns, good, str(map_path)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "nested too deeply" in err, argv
+        assert "Traceback" not in err, argv
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "bogus-command")[0] == 2
     assert run(capsys, "mul", "x")[0] == 2

@@ -30,7 +30,7 @@ from nijenhuis.envelope import (
     induced_ns,
     truncated_ideal_membership,
 )
-from nijenhuis.linalg import DimensionMismatch, LinComb
+from nijenhuis.linalg import DimensionMismatch, LinComb, Vector
 from nijenhuis.words import WordError, from_canonical, letter_word
 
 E1, E2 = default_names(2)
@@ -260,6 +260,21 @@ def test_linear_map_shapes_and_application():
         LinearMap(2, 2, ((Fraction(1),),))
     with pytest.raises(DimensionMismatch):
         f.apply([1, 2, 3])
+
+
+def test_vector_inputs_are_coerced_or_rejected():
+    # A Vector of ints and Fractions passes through; any other Vector is
+    # coerced like a list, and a wrong length is still a DimensionMismatch.
+    alg, f = fixture_scaling("3/2"), LinearMap.from_rows([[1, "1/2"], [0, 1]])
+    assert alg.mul(Vector(("1/2", "2")), Vector(("4", 1))) == (2, 2)
+    assert alg.apply_op(Vector(("2/3", "-2"))) == (1, -3)
+    assert f.apply(Vector(("1", "2"))) == (2, 2)
+    for call in (alg.apply_op, f.apply, lambda v: alg.mul(v, (1, 1)), lambda v: alg.mul((1, 1), v)):
+        with pytest.raises(DimensionMismatch):
+            call(Vector((1, 2, 3)))
+        for bad in (Vector((1.5, 0)), Vector((True, 0)), Vector(("x", 0))):
+            with pytest.raises((TypeError, ValueError)):
+                call(bad)
 
 
 def test_algebra_json_round_trips():

@@ -12,9 +12,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from nijenhuis.algebra import OpSymbol, derived_op, operator_n, product, product_words
+from nijenhuis.envelope import (
+    LinearMap,
+    NijenhuisAlgebraFD,
+    Vector,
+    check_morphism_kills_generators,
+    evaluate_hom,
+    induced_ns,
+)
 from nijenhuis.linalg import LinComb, RowSpace, rational
 from nijenhuis.parser import Product, ScalarLit, Sum, eval_expr, parse_expr
 from nijenhuis.words import canonical_key, words_up_to_size
@@ -55,6 +64,10 @@ def test_rational_returns_int_when_integral():
         (3, 3),
         ("6/3", 2),
         ("-4", -4),
+        ("007", 7),
+        ("-0", 0),
+        ("+3", 3),
+        (" 5 ", 5),
         (Fraction(8, 4), 2),
         (Fraction(0), 0),
     ]:
@@ -64,6 +77,9 @@ def test_rational_returns_int_when_integral():
         got = rational(value)
         assert type(got) is Fraction and got == expected, value
     assert str(rational(Fraction(3))) == str(Fraction(3))
+    for bad in ("1/0", "-3/0", "--1", "-", ""):
+        with pytest.raises(ValueError):
+            rational(bad)
 
 
 def test_missing_word_has_coefficient_zero():
@@ -174,3 +190,74 @@ def test_row_space_over_word_columns_stays_exact(a, b):
     for value in (a, product(a, b), b.scale(Fraction(2, 3))):
         space.add(value._terms)
     assert all(is_exact(x) for stored in space.rows.values() for x in stored.values())
+
+
+# Finite-dimensional data: rational entries, spelled as values or as
+# ``p/q`` strings, on two coordinates.
+_FD_ENTRIES = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3)
+).flatmap(lambda q: st.sampled_from([q, str(q)]))
+
+
+def _fd_list(n):
+    return st.lists(_FD_ENTRIES, min_size=n, max_size=n)
+
+
+def assert_exact_coordinates(vec) -> None:
+    assert all(has_exact_type(x) for x in vec), vec
+
+
+def _valid_fd(c, d0, d1) -> NijenhuisAlgebraFD:
+    """``c`` times the componentwise product, with the diagonal operator (d0, d1)."""
+    t = [[[c if i == j == k else 0 for k in range(2)] for j in range(2)] for i in range(2)]
+    return NijenhuisAlgebraFD(2, t, LinearMap.from_rows([[d0, 0], [0, d1]]))
+
+
+def test_integral_finite_dimensional_results_are_ints():
+    half = Fraction(1, 2)
+    alg = _valid_fd(half, "3/2", "2/3")
+    got = alg.mul(("2", 0), Vector((2, 1)))
+    assert got == (2, 0) and type(got[0]) is int
+    got = alg.apply_op([Fraction(2, 3), "3/2"])
+    assert got == (1, 1) and [type(x) for x in got] == [int, int]
+    f = LinearMap.from_rows([[half, half], ["1/3", "2/3"]])
+    assert f.entries == ((half, half), (Fraction(1, 3), Fraction(2, 3)))
+    assert [type(x) for x in f.apply(("1", "1"))] == [int, int]
+    x, y = (LinComb.from_word(w) for w in words_up_to_size(ALPHABET_XY, 1))
+    image = evaluate_hom(alg, f, x.scale(2) + y.scale(2), ALPHABET_XY)
+    assert image == (2, 2) and [type(c) for c in image] == [int, int]
+
+
+@given(
+    _fd_list(8),
+    _fd_list(4),
+    _fd_list(2),
+    _fd_list(2),
+    _fd_list(3),
+    lincombs_strategy(max_size=3, max_terms=3),
+)
+def test_finite_dimensional_results_stay_exact(t, m, u, v, valid, a):
+    tensor = [[t[4 * i + 2 * j : 4 * i + 2 * j + 2] for j in range(2)] for i in range(2)]
+    f = LinearMap.from_rows([m[0:2], m[2:4]])
+    alg = NijenhuisAlgebraFD(2, tensor, f)
+    for vec in (
+        alg.mul(u, v),
+        alg.mul(Vector(u), Vector(v)),
+        alg.apply_op(u),
+        f.apply(Vector(u)),
+        *f.entries,
+        *(f.column(j) for j in range(2)),
+        evaluate_hom(alg, f, a, ALPHABET_XY),
+    ):
+        assert_exact_coordinates(vec)
+    c, d0, d1 = valid
+    target = _valid_fd(rational(c) or 1, d0, d1)
+    ns = induced_ns(target)
+    for split in (ns.prec, ns.succ, ns.bullet):
+        for plane in split:
+            for row in plane:
+                assert_exact_coordinates(row)
+    report = check_morphism_kills_generators(ns, target, f)
+    for side in (report.lhs, report.rhs):
+        if side is not None:
+            assert_exact_coordinates(side)

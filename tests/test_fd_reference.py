@@ -7,7 +7,10 @@ coordinates with the formulas spelled out, and the two are compared on
 random dimension-2 algebras with entries in -2..2: the verdict, the
 failure kind, its indices and both sides.  The images of the kernel
 generators are compared with the morphism check's two sides the same
-way.
+way.  Products, operator images, map application, the split, the
+morphism check and evaluation are also compared on rational data,
+spelled as values or ``p/q`` strings and passed as lists, tuples or
+Vectors, with the same loops run on Fractions.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from nijenhuis.envelope import (
     NijenhuisAlgebraFD,
     NSAlgebraFD,
     Vector,
+    check_morphism_kills_generators,
     check_ndendriform_axioms,
     check_nijenhuis_fd,
     check_ns_axioms,
@@ -33,6 +37,8 @@ from nijenhuis.envelope import (
     induced_ns,
 )
 from nijenhuis.relations import ndendriform_relation_set, ns_relation_set
+
+from conftest import lincombs_strategy, parse_reference
 
 DIM = 2
 BASIS = [tuple(1 if j == i else 0 for j in range(DIM)) for i in range(DIM)]
@@ -46,7 +52,7 @@ def mul(t, u, v):
 
 
 def apply(m, u):
-    return tuple(sum(m[r][c] * u[c] for c in range(DIM)) for r in range(DIM))
+    return tuple(sum(x * c for x, c in zip(row, u)) for row in m)
 
 
 def add(u, v):
@@ -239,3 +245,146 @@ def test_generator_images_are_the_morphism_sides(source, t, m, f_rows):
         for o, tensor in enumerate((source.prec, source.succ, source.bullet)):
             expected.append(sub(apply(f_rows, mul(tensor, BASIS[i], BASIS[j])), split[o]))
     assert images == expected
+
+
+# Rational data, spelled as the loaders and callers may spell it.  The
+# references first turn every entry into a Fraction (``frac``) and then
+# run the plain loops above, so they share no arithmetic with the int
+# paths.
+#
+# Scaling an associative product by a nonzero constant keeps it
+# associative and keeps every operator identity it satisfies, so the
+# scaled VALID tensors with their operators are valid algebras still.
+
+rationals = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3)
+)
+# Each value as a Fraction, as a ``p/q`` string, and as an int when integral.
+spelled = rationals.flatmap(
+    lambda q: st.sampled_from([q, str(q), q.numerator if q.denominator == 1 else q])
+)
+nonzero_rationals = rationals.filter(bool)
+containers = st.sampled_from([list, tuple, Vector])
+coordinates = st.lists(spelled, min_size=DIM, max_size=DIM)
+rational_random_ops = st.lists(spelled, min_size=DIM * DIM, max_size=DIM * DIM).map(
+    lambda xs: [xs[0:2], xs[2:4]]
+)
+rational_diagonal_ops = st.tuples(spelled, spelled).map(lambda d: [[d[0], 0], [0, d[1]]])
+
+
+def frac(x):
+    """Nested lists of ints, Fractions and ``p/q`` strings, as Fractions."""
+    if isinstance(x, (int, str, Fraction)):
+        return Fraction(x)
+    return [frac(y) for y in x]
+
+
+def scaled(t, c):
+    """``c`` times the tensor ``t``, each entry a ``p/q`` string."""
+    return [[[str(c * x) for x in row] for row in plane] for plane in t]
+
+
+rational_tensors = st.one_of(
+    st.lists(spelled, min_size=DIM**3, max_size=DIM**3).map(
+        lambda xs: [[xs[4 * i + 2 * j : 4 * i + 2 * j + 2] for j in range(DIM)] for i in range(DIM)]
+    ),
+    st.tuples(st.sampled_from(VALID), nonzero_rationals).map(lambda tc: scaled(*tc)),
+)
+rational_valid = st.one_of(
+    st.tuples(
+        st.sampled_from([COMPONENTWISE, ZERO]), nonzero_rationals, rational_diagonal_ops
+    ),
+    st.tuples(st.sampled_from([UNITS, UNITS_OPPOSITE]), nonzero_rationals, rational_random_ops),
+).map(lambda tcm: (scaled(tcm[0], tcm[1]), tcm[2]))
+
+
+@given(rational_tensors, rational_random_ops, coordinates, coordinates, containers)
+def test_products_and_maps_match_the_fraction_loops(t, m, u, v, container):
+    alg = algebra(t, m)
+    f = LinearMap.from_rows(m)
+    assert alg.mul(container(u), container(v)) == mul(frac(t), frac(u), frac(v))
+    assert alg.apply_op(container(u)) == apply(frac(m), frac(u))
+    assert f.apply(container(u)) == apply(frac(m), frac(u))
+    tall = LinearMap.from_rows([*m, u])
+    assert tall.apply(container(v)) == apply(frac([*m, u]), frac(v))
+
+
+@given(st.one_of(rational_valid, st.tuples(rational_tensors, rational_random_ops)))
+def test_rational_operator_identity_and_splitting_match_the_loops(tm):
+    t, m = tm
+    alg = algebra(t, m)
+    expected = reference_nijenhuis(frac(t), frac(m))
+    assert fields(check_nijenhuis_fd(alg)) == expected
+    if expected[0]:
+        ns = induced_ns(alg)
+        assert (ns.prec, ns.succ, ns.bullet) == reference_induced(frac(t), frac(m))
+        assert fields(check_ns_axioms(ns)) == reference_relations(
+            (ns.prec, ns.succ, ns.bullet), ns_relation_set()
+        )
+    else:
+        with pytest.raises(InvalidInput):
+            induced_ns(alg)
+
+
+def reference_morphism(tensors, t, m, f_rows):
+    """The first (op, i, j) with f(op(e_i, e_j)) != op(f e_i, f e_j), as report fields."""
+    t, m, f_rows = frac(t), frac(m), frac(f_rows)
+    for o, tensor in enumerate(frac(tensors)):
+        for i, j in cartesian(range(DIM), repeat=2):
+            lhs = apply(f_rows, tensor[i][j])
+            fi, fj = (tuple(row[k] for row in f_rows) for k in (i, j))
+            rhs = reference_split(t, m, fi, fj)[o]
+            if lhs != rhs:
+                return False, "morphism", (o, i, j), lhs, rhs
+    return True, "", (), None, None
+
+
+@given(rational_valid, rational_tensors, rational_random_ops, st.booleans())
+def test_morphism_check_matches_the_fraction_loops(target_tm, source_t, f_rows, induced_source):
+    target = algebra(*target_tm)
+    if induced_source:
+        source = induced_ns(target)
+    else:
+        source = NSAlgebraFD(DIM, source_t, source_t, scaled(frac(source_t), -1))
+    f = LinearMap.from_rows(f_rows)
+    tensors = (source.prec, source.succ, source.bullet)
+    expected = reference_morphism(tensors, *target_tm, f_rows)
+    assert fields(check_morphism_kills_generators(source, target, f)) == expected
+
+
+def test_the_morphism_loops_meet_both_verdicts():
+    t, m = scaled(COMPONENTWISE, Fraction(1, 2)), [["3/2", 0], [0, "-2/3"]]
+    target = algebra(t, m)
+    source = induced_ns(target)
+    identity = [[1, 0], [0, 1]]
+    for f_rows, ok in ((identity, True), ([[1, 1], [0, 1]], False)):
+        report = check_morphism_kills_generators(source, target, LinearMap.from_rows(f_rows))
+        assert report.ok is ok
+        assert fields(report) == reference_morphism((source.prec, source.succ, source.bullet), t, m, f_rows)
+
+
+def reference_word(t, m, columns, word):
+    """A tuple-model word evaluated factor by factor, left to right."""
+    value = None
+    for kind, body in word:
+        pieces = [columns[name] for name in body] if kind == "L" else [
+            apply(m, reference_word(t, m, columns, body))
+        ]
+        for piece in pieces:
+            value = piece if value is None else mul(t, value, piece)
+    return value
+
+
+@given(rational_valid, rational_random_ops, lincombs_strategy(max_size=4), st.sampled_from(["xy", "yx"]))
+def test_evaluation_matches_the_fraction_loops(target_tm, f_rows, a, order):
+    # The targets are associative, so the grouping of a word's factors
+    # does not change its value.
+    t, m = target_tm
+    names = tuple(order)
+    columns = {name: tuple(frac(row[k]) for row in f_rows) for k, name in enumerate(names)}
+    expected = [Fraction(0)] * DIM
+    for w, c in a:
+        value = reference_word(frac(t), frac(m), columns, parse_reference(w))
+        expected = [x + Fraction(c) * y for x, y in zip(expected, value)]
+    got = evaluate_hom(algebra(t, m), LinearMap.from_rows(f_rows), a, names)
+    assert got == tuple(expected)
