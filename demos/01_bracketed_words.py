@@ -1,7 +1,7 @@
 """Tour of the bracketed-word basis.
 
 Words are alternating sequences of generator runs and bracket factors,
-and a word is held as its canonical text: `from_canonical` checks a text
+and a word is held as its canonical text: `BracketedWord(text)` checks a text
 and returns the word, and generator names are plain strings.  Each word
 carries a handful of integer measures, all read from that text, that the
 rest of the package leans on: depth (bracket nesting), breadth
@@ -9,10 +9,10 @@ rest of the package leans on: depth (bracket nesting), breadth
 """
 
 from nijenhuis import (
+    BracketedWord,
     canonical_key,
     depth,
     breadth,
-    from_canonical,
     generators,
     letter_count,
     size,
@@ -36,7 +36,7 @@ def main() -> None:
     print("measures of a few words")
     print(f"{'word':<14} {'depth':>5} {'breadth':>7} {'letters':>7} {'size':>4}")
     for text in samples:
-        w = from_canonical(text)
+        w = BracketedWord(text)
         print(
             f"{text:<14} {depth(w):>5} {breadth(w):>7}"
             f" {letter_count(w):>7} {size(w):>4}"

@@ -9,6 +9,7 @@ and finishes with a truncated ideal-membership certificate.
 from fractions import Fraction
 
 from nijenhuis import (
+    BracketedWord,
     LinearMap,
     Membership,
     OpSymbol,
@@ -17,7 +18,6 @@ from nijenhuis import (
     enveloping_generators,
     evaluate_hom,
     fixture_projection,
-    from_canonical,
     induced_ns,
     letter_word,
     LinComb,
@@ -64,7 +64,7 @@ def main() -> None:
     for g in gens[:3]:
         verdict = truncated_ideal_membership(gens, g, size_bound=4)
         print(f"  generator {g}: {verdict.value}")
-    stray = LinComb.from_word(from_canonical("e1"))
+    stray = LinComb.from_word(BracketedWord("e1"))
     verdict = truncated_ideal_membership(gens, stray, size_bound=4)
     print(f"  bare letter e1: {verdict.value}")
     assert verdict is Membership.NOT_DETECTED

@@ -47,7 +47,6 @@ from .envelope import (
 from .linalg import (
     DimensionMismatch,
     LinComb,
-    Rational,
     RowSpace,
     format_rational,
     rank,
@@ -82,12 +81,10 @@ from .words import (
     canonical_key,
     canonical_sort,
     depth,
-    from_canonical,
     generators,
     letter_count,
     letter_word,
     size,
-    to_canonical,
     words_of_size,
     words_up_to_size,
 )

@@ -60,7 +60,6 @@ from .words import (
     WordError,
     generators,
     letter_word,
-    to_canonical,
     words_up_to_size,
 )
 
@@ -113,7 +112,7 @@ def _checked_size(option: str, requested: int) -> int:
 def _lincomb_json(a: LinComb) -> dict:
     return {
         "terms": [
-            {"coeff": format_rational(c), "word": to_canonical(w)} for w, c in a
+            {"coeff": format_rational(c), "word": str(w)} for w, c in a
         ]
     }
 

@@ -47,9 +47,11 @@ from .linalg import (
     RationalLike,
     RowSpace,
     Vector,
-    _int_if_integral,
+    _exact,
+    _unit,
     format_rational,
     rational,
+    vector,
 )
 from .relations import RelVector, ndendriform_relation_set, ns_relation_set, relation_sides
 from .words import (
@@ -104,19 +106,9 @@ class BoundTooSmall(ValueError):
     """The candidate itself does not fit under the truncation bound."""
 
 
-# The exact scalar types.  A Vector holding only these, as every product
-# in this module returns, needs no coercion.
-_EXACT = frozenset((int, Fraction))
-
-
 def _vector(values: Sequence[RationalLike], dim: int) -> Vector:
-    """``values`` as a Vector of ``dim`` exact scalars.
-
-    A Vector of ints and Fractions passes through as it is; anything
-    else is coerced coordinate by coordinate.
-    """
-    if type(values) is not Vector or not _EXACT.issuperset(map(type, values)):
-        values = Vector(map(rational, values))
+    """``values`` as a Vector of ``dim`` exact scalars, through :func:`vector`."""
+    values = vector(values)
     if len(values) != dim:
         raise DimensionMismatch(f"expected a vector of length {dim}, got {len(values)}")
     return values
@@ -165,11 +157,7 @@ def _contract(t: SparseTensor, u: Sequence[RationalLike], v: Sequence[RationalLi
                 cj = b[j]
                 if cj:
                     out[k] += ci * cj * s
-    return Vector(map(_int_if_integral, out))
-
-
-def _unit(dim: int, i: int) -> Vector:
-    return Vector(1 if j == i else 0 for j in range(dim))
+    return _exact(out)
 
 
 @dataclass(frozen=True)
@@ -215,7 +203,7 @@ class LinearMap:
             if c:
                 for i, x in col:
                     out[i] += c * x
-        return Vector(map(_int_if_integral, out))
+        return _exact(out)
 
     def column(self, j: int) -> Vector:
         return self._columns[j]
@@ -475,7 +463,7 @@ def evaluate_hom(
         for k, x in enumerate(eval_word(w)):
             if x:
                 total[k] += c * x
-    return Vector(map(_int_if_integral, total))
+    return _exact(total)
 
 
 def check_morphism_kills_generators(

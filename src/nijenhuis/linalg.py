@@ -1,18 +1,20 @@
 """Exact rational scalars, linear combinations, coordinate vectors and row spaces.
 
-Scalars are exact: an ``int`` when the value is integral, otherwise a
-:class:`fractions.Fraction` (reduced form, positive denominator), never
-a float.  The two mix freely, compare and hash alike, and print alike,
-so integral work such as the free product's structure constants runs on
-plain integers.  A :class:`LinComb` holds every integral coefficient as
-an ``int``, whatever arithmetic produced it, so ``type(c) is int`` tells
-the integral ones apart.  Where many rational terms meet, as in the
-product of two combinations, the work runs on integer numerators over a
-common denominator (:func:`_numerators`), with one division per result
-term (:func:`_divide`); printing reads each coefficient's numerator and
-denominator.  On top of that this module provides linear combinations
-of bracketed words with rational coefficients, :class:`Vector`, the one
-dense coordinate vector, and :class:`RowSpace`, the one sparse
+One rule holds for every scalar here: it is exact, an ``int`` when the
+value is integral and otherwise a :class:`fractions.Fraction` (reduced
+form, positive denominator), never a float.  The two mix freely, compare
+and hash alike, and print alike, so integral work such as the free
+product's structure constants runs on plain integers.  :class:`LinComb`
+coefficients, :class:`Vector` coordinates and :class:`RowSpace` rows,
+remainders and kernels all follow it, whatever arithmetic produced
+them, so ``type(c) is int`` tells the integral ones apart.  A value from
+outside is coerced once, where it enters: :func:`rational` for a
+scalar, :func:`vector` for coordinates.  Where many rational terms meet,
+as in the product of two combinations, the work runs on integer
+numerators over a common denominator (:func:`_numerators`), with one
+division per result term (:func:`_divide`); printing reads each
+coefficient's numerator and denominator.  :class:`Vector` is the one
+dense coordinate vector, and :class:`RowSpace` the one sparse
 elimination engine: it spans rows, tests membership, and gives kernels,
 for the relation solver and the ideal closure alike.  :func:`span` is
 the one way from dense rows to a :class:`RowSpace`.
@@ -22,24 +24,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add, sub
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .words import BracketedWord, canonical_sort
 
 __all__ = [
-    "Rational",
     "RationalLike",
     "rational",
     "format_rational",
     "LinComb",
     "Vector",
+    "vector",
     "DimensionMismatch",
     "RowSpace",
     "span",
     "rank",
 ]
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 
@@ -262,22 +264,49 @@ class Vector(tuple):
     """Coordinates with the arithmetic of :class:`LinComb`, all of it coordinatewise.
 
     It equals, hashes and prints like the plain tuple of its coordinates.
+    Build one from outside values with :func:`vector`.
     """
 
     __slots__ = ()
 
     def __add__(self, other: "Vector") -> "Vector":
-        return Vector(a + b for a, b in zip(self, other))
+        return _exact(map(add, self, other))
 
     def __sub__(self, other: "Vector") -> "Vector":
-        return Vector(a - b for a, b in zip(self, other))
+        return _exact(map(sub, self, other))
 
     def __neg__(self) -> "Vector":
         return Vector(-a for a in self)
 
     def scale(self, scalar: RationalLike) -> "Vector":
         c = rational(scalar)
-        return Vector(c * a for a in self)
+        return _exact(c * a for a in self)
+
+
+def _exact(values: Iterable[int | Fraction]) -> Vector:
+    """The exact scalars ``values`` as a Vector, each integral one as an ``int``."""
+    return Vector(map(_int_if_integral, values))
+
+
+def _unit(dim: int, i: int) -> Vector:
+    """The ``i``-th standard basis vector of length ``dim``."""
+    return Vector(1 if j == i else 0 for j in range(dim))
+
+
+# The exact scalar types.  A Vector holding only these, as every Vector
+# built by arithmetic does, needs no coercion.
+_EXACT = frozenset((int, Fraction))
+
+
+def vector(values: Iterable[RationalLike]) -> Vector:
+    """``values`` as a Vector of exact scalars.
+
+    A Vector of ints and Fractions passes through as it is; anything
+    else is coerced coordinate by coordinate with :func:`rational`.
+    """
+    if type(values) is Vector and _EXACT.issuperset(map(type, values)):
+        return values
+    return Vector(map(rational, values))
 
 
 class DimensionMismatch(ValueError):
@@ -290,9 +319,10 @@ Row = dict[Hashable, int | Fraction]
 class RowSpace:
     """The span of sparse rows, kept in reduced echelon form.
 
-    A row maps columns to nonzero exact scalars.  Each stored row is filed
-    under its pivot, its largest column under ``key``, and has
-    coefficient 1 there; no other stored row has an entry in a pivot
+    A row maps columns to nonzero exact scalars, ints where integral; the
+    stored rows, remainders and kernels keep to that rule.  Each stored
+    row is filed under its pivot, its largest column under ``key``, and
+    has coefficient 1 there; no other stored row has an entry in a pivot
     column.  The stored rows are therefore the unique reduced basis of
     the span and do not depend on the order rows were added in.
     """
@@ -301,7 +331,7 @@ class RowSpace:
         self.key = key
         self.rows: dict[Hashable, Row] = {}
 
-    def reduce(self, row: Mapping[Hashable, Fraction]) -> Row:
+    def reduce(self, row: Mapping[Hashable, int | Fraction]) -> Row:
         """The remainder of ``row`` after clearing every pivot column.
 
         Clearing one pivot touches no other pivot column, so one pass
@@ -312,14 +342,16 @@ class RowSpace:
             _subtract(out, row[pivot], self.rows[pivot])
         return out
 
-    def add(self, row: Mapping[Hashable, Fraction]) -> bool:
+    def add(self, row: Mapping[Hashable, int | Fraction]) -> bool:
         """Extend the span by ``row``; False when it was already inside."""
         residue = self.reduce(row)
         if not residue:
             return False
         pivot = max(residue, key=self.key)
-        inv = Fraction(1) / residue[pivot]
-        residue = {col: c * inv for col, c in residue.items()}
+        lead = residue[pivot]
+        if lead != 1:
+            inv = Fraction(1, lead)
+            residue = {col: _int_if_integral(c * inv) for col, c in residue.items()}
         for stored in self.rows.values():
             c = stored.get(pivot)
             if c:
@@ -327,13 +359,13 @@ class RowSpace:
         self.rows[pivot] = residue
         return True
 
-    def __contains__(self, row: Mapping[Hashable, Fraction]) -> bool:
+    def __contains__(self, row: Mapping[Hashable, int | Fraction]) -> bool:
         return not self.reduce(row)
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def kernel(self, columns: Iterable[Hashable]) -> tuple[tuple[Fraction, ...], ...]:
+    def kernel(self, columns: Iterable[Hashable]) -> tuple[Vector, ...]:
         """Basis of the vectors over ``columns`` orthogonal to every row.
 
         One vector per free column, in the order given, with that entry
@@ -344,19 +376,19 @@ class RowSpace:
         for free in columns:
             if free in self.rows:
                 continue
-            vec = {free: Fraction(1)}
+            vec = {free: 1}
             for pivot, stored in self.rows.items():
-                vec[pivot] = -stored.get(free, Fraction(0))
-            basis.append(tuple(vec.get(col, Fraction(0)) for col in columns))
+                vec[pivot] = -stored.get(free, 0)
+            basis.append(Vector(vec.get(col, 0) for col in columns))
         return tuple(basis)
 
 
-def _subtract(target: Row, c: Fraction, row: Row) -> None:
+def _subtract(target: Row, c: int | Fraction, row: Row) -> None:
     """``target -= c * row`` in place, dropping entries that cancel."""
     for col, x in row.items():
         acc = target.get(col, 0) - c * x
         if acc:
-            target[col] = acc
+            target[col] = _int_if_integral(acc)
         else:
             del target[col]
 

@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import Iterable, Union
 
 from .algebra import OpSymbol, derived_op, operator_n, product
-from .linalg import LinComb, _divide, _int_if_integral, rational
+from .linalg import LinComb, _divide, _int_if_integral
 from .words import MAX_NESTING, BracketedWord, letter_word
 
 __all__ = [
@@ -250,7 +250,7 @@ class _Parser:
         while True:
             if self.peek()[0] == "int":
                 value = self._rational()
-                coeff = value if coeff == 1 else rational(coeff * value)
+                coeff = value if coeff == 1 else _int_if_integral(coeff * value)
             else:
                 children.append(self.parse_atom())
             if self.peek()[1] == "*":
@@ -320,7 +320,7 @@ def _combine_terms(terms: list[tuple[int | Fraction, Expr | None]]) -> Expr:
     saw_scalar = False
     for coeff, node in terms:
         if node is None:
-            scalar_total = rational(scalar_total + coeff)
+            scalar_total = _int_if_integral(scalar_total + coeff)
             saw_scalar = True
         elif coeff != 0:
             normalized.append((coeff, node))
@@ -376,7 +376,7 @@ def eval_expr(expr: Expr, declared: Iterable[str]) -> LinComb:
             value: LinComb | None = None
             for child in node.children:
                 if isinstance(child, ScalarLit):
-                    coeff = rational(coeff * child.value)
+                    coeff = _int_if_integral(coeff * child.value)
                 else:
                     part = walk(child)
                     value = part if value is None else product(value, part)

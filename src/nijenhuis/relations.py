@@ -1,7 +1,8 @@
 """Quadratic relations among the three splitting operations.
 
-A relation candidate pairs two 3x3 rational grids.  With the operations
-ordered (prec, succ, bullet), the candidate asserts
+A relation candidate is a :class:`~nijenhuis.linalg.Vector` of 18 exact
+coefficients, read as two 3x3 grids, ``left`` and ``right``.  With the
+operations ordered (prec, succ, bullet), the candidate asserts
 
     sum_ij left[i][j]  * ((x op_i y) op_j z)
   = sum_ij right[i][j] * (x op_i (y op_j z))
@@ -29,7 +30,7 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .algebra import COORD_OPS, OpSymbol, derived_op
-from .linalg import LinComb, RationalLike, Vector, format_rational, rational, span
+from .linalg import LinComb, RationalLike, Vector, _unit, format_rational, rational, span, vector
 from .words import BracketedWord, canonical_sort, letter_word
 
 __all__ = [
@@ -46,66 +47,60 @@ __all__ = [
     "relation_sets_span_equal",
 ]
 
-Grid = tuple[tuple[Fraction, Fraction, Fraction], ...]
+Grid = tuple[tuple[int | Fraction, ...], ...]
 
 _OP_INDEX = {op: k for k, op in enumerate(COORD_OPS)}
 
 
-def _grid(rows: Sequence[Sequence[RationalLike]]) -> Grid:
-    out = tuple(tuple(rational(x) for x in row) for row in rows)
-    if len(out) != 3 or any(len(row) != 3 for row in out):
-        raise ValueError("a relation grid must be 3x3")
-    return out
-
-
-_ZERO_GRID: Grid = _grid([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
-
-
 @dataclass(frozen=True)
 class RelVector:
-    """A relation candidate: two 3x3 grids of rational coefficients."""
+    """A relation candidate: 18 exact coefficients, the left grid row-major, then the right grid."""
 
-    left: Grid
-    right: Grid
+    coords: Vector
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "left", _grid(self.left))
-        object.__setattr__(self, "right", _grid(self.right))
+        coords = vector(self.coords)
+        if len(coords) != 18:
+            raise ValueError(f"expected 18 coordinates, got {len(coords)}")
+        object.__setattr__(self, "coords", coords)
+
+    @property
+    def left(self) -> Grid:
+        c = self.coords
+        return (c[0:3], c[3:6], c[6:9])
+
+    @property
+    def right(self) -> Grid:
+        c = self.coords
+        return (c[9:12], c[12:15], c[15:18])
 
     @classmethod
     def zero(cls) -> "RelVector":
-        return cls(_ZERO_GRID, _ZERO_GRID)
+        return cls(Vector((0,) * 18))
 
     @classmethod
     def unit_left(cls, i: int, j: int) -> "RelVector":
-        rows = [[1 if (a, b) == (i, j) else 0 for b in range(3)] for a in range(3)]
-        return cls(_grid(rows), _ZERO_GRID)
+        return cls(_unit(18, 3 * i + j))
 
     @classmethod
     def unit_right(cls, i: int, j: int) -> "RelVector":
-        rows = [[1 if (a, b) == (i, j) else 0 for b in range(3)] for a in range(3)]
-        return cls(_ZERO_GRID, _grid(rows))
+        return cls(_unit(18, 9 + 3 * i + j))
 
     @classmethod
     def from_coords(cls, coords: Sequence[RationalLike]) -> "RelVector":
-        vals = [rational(x) for x in coords]
-        if len(vals) != 18:
-            raise ValueError(f"expected 18 coordinates, got {len(vals)}")
-        left = [vals[0:3], vals[3:6], vals[6:9]]
-        right = [vals[9:12], vals[12:15], vals[15:18]]
-        return cls(_grid(left), _grid(right))
+        return cls(coords)
 
     def to_coords(self) -> Vector:
         """Flatten: left grid row-major, then right grid row-major."""
-        return Vector(x for grid in (self.left, self.right) for row in grid for x in row)
+        return self.coords
 
     def __add__(self, other: "RelVector") -> "RelVector":
         if not isinstance(other, RelVector):
             return NotImplemented
-        return RelVector.from_coords(self.to_coords() + other.to_coords())
+        return RelVector(self.coords + other.coords)
 
     def scale(self, scalar: RationalLike) -> "RelVector":
-        return RelVector.from_coords(self.to_coords().scale(scalar))
+        return RelVector(self.coords.scale(scalar))
 
     def __rmul__(self, scalar: RationalLike) -> "RelVector":
         return self.scale(scalar)
@@ -118,7 +113,13 @@ class RelVector:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RelVector":
-        return cls(_grid(obj["left"]), _grid(obj["right"]))
+        coords: list[int | Fraction] = []
+        for grid in (obj["left"], obj["right"]):
+            rows = [[rational(x) for x in row] for row in grid]
+            if len(rows) != 3 or any(len(row) != 3 for row in rows):
+                raise ValueError("a relation grid must be 3x3")
+            coords += rows[0] + rows[1] + rows[2]
+        return cls(Vector(coords))
 
 
 def _rel(
@@ -126,14 +127,13 @@ def _rel(
     right_terms: Sequence[tuple[OpSymbol, OpSymbol]],
 ) -> RelVector:
     """Relation with unit coefficients; a STAR entry expands to all three ops."""
-    left = [[Fraction(0)] * 3 for _ in range(3)]
-    right = [[Fraction(0)] * 3 for _ in range(3)]
-    for grid, terms in ((left, left_terms), (right, right_terms)):
+    coords = [0] * 18
+    for offset, terms in ((0, left_terms), (9, right_terms)):
         for a, b in terms:
             for ai in _expand(a):
                 for bi in _expand(b):
-                    grid[ai][bi] += 1
-    return RelVector(_grid(left), _grid(right))
+                    coords[offset + 3 * ai + bi] += 1
+    return RelVector(Vector(coords))
 
 
 def _expand(op: OpSymbol) -> tuple[int, ...]:
@@ -177,13 +177,14 @@ def relation_sides(
     ``x.scale(0)``, the zero of whatever algebra x lies in.
     """
     op = op or derived_op
+    left, right = rel.left, rel.right
     lhs = rhs = x.scale(0)
     for i, op_i in enumerate(COORD_OPS):
         for j, op_j in enumerate(COORD_OPS):
-            c = rel.left[i][j]
+            c = left[i][j]
             if c:
                 lhs = lhs + op(op_j, op(op_i, x, y), z).scale(c)
-            c = rel.right[i][j]
+            c = right[i][j]
             if c:
                 rhs = rhs + op(op_i, x, op(op_j, y, z)).scale(c)
     return lhs, rhs
@@ -193,12 +194,6 @@ def evaluate_relation(rel: RelVector, x: LinComb, y: LinComb, z: LinComb) -> Lin
     """Left side minus right side of the candidate, evaluated at x, y, z."""
     lhs, rhs = relation_sides(rel, x, y, z)
     return lhs - rhs
-
-
-def _unit_vectors() -> tuple[RelVector, ...]:
-    units = [RelVector.unit_left(i, j) for i in range(3) for j in range(3)]
-    units += [RelVector.unit_right(i, j) for i in range(3) for j in range(3)]
-    return tuple(units)
 
 
 def _generator_triple() -> tuple[LinComb, LinComb, LinComb]:
@@ -211,7 +206,7 @@ def _generator_triple() -> tuple[LinComb, LinComb, LinComb]:
 
 def _unit_evaluations() -> tuple[tuple[LinComb, ...], tuple[BracketedWord, ...]]:
     x, y, z = _generator_triple()
-    evals = tuple(evaluate_relation(u, x, y, z) for u in _unit_vectors())
+    evals = tuple(evaluate_relation(RelVector(_unit(18, k)), x, y, z) for k in range(18))
     seen: set[BracketedWord] = set()
     for value in evals:
         seen.update(value.support())
@@ -242,8 +237,7 @@ def solve_relation_space() -> tuple[RelVector, ...]:
     One vector per free coordinate, in increasing order, with that
     coordinate set to 1.
     """
-    kernel = span(relation_matrix()).kernel(range(18))
-    return tuple(RelVector.from_coords(v) for v in kernel)
+    return tuple(map(RelVector, span(relation_matrix()).kernel(range(18))))
 
 
 def check_relation_universal(rel: RelVector) -> bool:

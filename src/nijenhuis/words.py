@@ -8,20 +8,20 @@ only knows about their combinatorial structure: construction,
 enumeration by size, the canonical text and the canonical sort key.
 
 A word is its canonical text: :class:`BracketedWord` is a ``str``
-subclass whose value is exactly what :func:`to_canonical` returns,
-letters joined by ``*`` and brackets written ``[...]``.  Runs of letters
-are maximal and brackets never touch, so each word has one text and
-each text one word: equal words are equal strings, hashing and equality
-run in C, and printing a word costs nothing.  The measures are read from
+subclass whose value is that text, letters joined by ``*`` and brackets
+written ``[...]``, and ``str(w)`` gives it as a plain string.  Runs of
+letters are maximal and brackets never touch, so each word has one text
+and each text one word: equal words are equal strings, hashing and
+equality run in C, and printing a word costs nothing.  The measures are read from
 the text, since generator names are identifiers: every letter but the
 first follows a ``*``, every bracket pair opens with a ``[``, and the
 depth is the deepest count of open brackets.  A generator name is a
 plain ``str``, checked by :func:`generators` and :func:`letter_word`.
 
-``BracketedWord(text)``, also called :func:`from_canonical`, is the one
-checked constructor: it scans the text once and rejects anything that is
-not the canonical text of a word.  :func:`letter_word` checks each name
-of its run.  The enumeration and the free product build texts that are
+``BracketedWord(text)`` is the one checked constructor: it scans the
+text once and rejects anything that is not the canonical text of a word.
+It reads single words only; it is not the expression parser.
+:func:`letter_word` checks each name of its run.  The enumeration and the free product build texts that are
 canonical by construction and wrap them unchecked, through ``_word``
 (see :mod:`nijenhuis.algebra`); the tests compare those words with the
 checked constructor.
@@ -46,8 +46,6 @@ __all__ = [
     "breadth",
     "size",
     "letter_count",
-    "to_canonical",
-    "from_canonical",
     "canonical_key",
     "canonical_sort",
     "MAX_NESTING",
@@ -57,8 +55,8 @@ __all__ = [
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
-#: Deepest bracket nesting accepted from text, by :func:`from_canonical`
-#: and by the expression parser.  :func:`from_canonical` keeps a count
+#: Deepest bracket nesting accepted from text, by :class:`BracketedWord`
+#: and by the expression parser.  :class:`BracketedWord` keeps a count
 #: of open brackets, but the expression evaluator recurses once per
 #: level, so the cap keeps every accepted input inside the interpreter's
 #: recursion limit.
@@ -110,10 +108,10 @@ class BracketedWord(str):
         return str.__new__(cls, text)
 
     def __repr__(self) -> str:
-        return f"from_canonical({str(self)!r})"
+        return f"BracketedWord({str(self)!r})"
 
     def __reduce__(self):
-        return from_canonical, (str(self),)
+        return BracketedWord, (str(self),)
 
 
 #: The word whose text is ``text``, with nothing checked; only for text
@@ -222,21 +220,6 @@ def letter_count(w: BracketedWord) -> int:
 def size(w: BracketedWord) -> int:
     """The number of letters plus the number of bracket pairs."""
     return letter_count(w) + w.count("[")
-
-
-def to_canonical(w: BracketedWord) -> str:
-    """Serialize: letters joined by ``*``, brackets as ``[...]``."""
-    return str(w)
-
-
-def from_canonical(text: str) -> BracketedWord:
-    """Parse the exact output format of :func:`to_canonical`.
-
-    This is ``BracketedWord(text)``, and reads single words only; it is
-    not the expression parser.  Brackets nested more than
-    :data:`MAX_NESTING` deep raise :class:`WordError`.
-    """
-    return BracketedWord(text)
 
 
 @lru_cache(maxsize=1 << 12)

@@ -47,7 +47,6 @@ from nijenhuis.relations import (
     solve_relation_space,
 )
 from nijenhuis.words import (
-    from_canonical,
     generators,
     letter_word,
     size,

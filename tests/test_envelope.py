@@ -31,13 +31,13 @@ from nijenhuis.envelope import (
     truncated_ideal_membership,
 )
 from nijenhuis.linalg import DimensionMismatch, LinComb, Vector
-from nijenhuis.words import WordError, from_canonical, letter_word
+from nijenhuis.words import BracketedWord, WordError, letter_word
 
 E1, E2 = default_names(2)
 
 
 def lc(text: str) -> LinComb:
-    return LinComb.from_word(from_canonical(text))
+    return LinComb.from_word(BracketedWord(text))
 
 
 def unit(i: int) -> tuple:

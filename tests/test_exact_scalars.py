@@ -3,9 +3,9 @@
 Integral values are plain ints and the rest are Fractions, and the two
 mix in the arithmetic.  A stray true division of two ints would give a
 float, so every path that builds coefficients or eliminates rows is
-checked here for the exact types.  A combination's coefficients are
-checked for the exact type of their value: an ``int`` when integral, a
-Fraction only otherwise.  Eliminated rows need only be exact.
+checked here for the exact types.  Combination coefficients, vector
+coordinates and eliminated rows are all checked for the exact type of
+their value: an ``int`` when integral, a Fraction only otherwise.
 """
 
 from __future__ import annotations
@@ -22,17 +22,15 @@ from nijenhuis.envelope import (
     Vector,
     check_morphism_kills_generators,
     evaluate_hom,
+    fixture_scaling,
     induced_ns,
 )
-from nijenhuis.linalg import LinComb, RowSpace, rational
+from nijenhuis.linalg import LinComb, RowSpace, rational, span, vector
 from nijenhuis.parser import Product, ScalarLit, Sum, eval_expr, parse_expr
+from nijenhuis.relations import RelVector, ndendriform_relation_set, ns_relation_set, solve_relation_space
 from nijenhuis.words import canonical_key, words_up_to_size
 
 from conftest import ALPHABET_XY, lincombs_strategy, rationals_strategy
-
-
-def is_exact(c) -> bool:
-    return type(c) is int or type(c) is Fraction
 
 
 def has_exact_type(c) -> bool:
@@ -42,6 +40,10 @@ def has_exact_type(c) -> bool:
 
 def assert_exact(value: LinComb) -> None:
     assert all(has_exact_type(c) for c in value._terms.values()), value._terms
+
+
+def assert_exact_coordinates(vec) -> None:
+    assert all(has_exact_type(x) for x in vec), vec
 
 
 def test_integral_results_of_combination_arithmetic_are_ints():
@@ -178,18 +180,65 @@ def test_row_space_rows_stay_exact(rows):
     space = RowSpace(key=lambda col: col)
     for row in rows:
         sparse = {col: q for col, q in enumerate(map(rational, row)) if q}
+        assert all(has_exact_type(x) for x in space.reduce(sparse).values())
         space.add(sparse)
-        assert all(is_exact(x) for x in space.reduce(sparse).values())
-    assert all(is_exact(x) for stored in space.rows.values() for x in stored.values())
-    assert all(is_exact(x) for vec in space.kernel(range(4)) for x in vec)
+        assert not space.reduce(sparse)
+    assert all(has_exact_type(x) for stored in space.rows.values() for x in stored.values())
+    assert all(has_exact_type(x) for vec in space.kernel(range(4)) for x in vec)
 
 
 @given(lincombs_strategy(max_size=3, max_terms=3), lincombs_strategy(max_size=3, max_terms=3))
 def test_row_space_over_word_columns_stays_exact(a, b):
     space = RowSpace(key=canonical_key)
     for value in (a, product(a, b), b.scale(Fraction(2, 3))):
+        assert all(has_exact_type(x) for x in space.reduce(value._terms).values())
         space.add(value._terms)
-    assert all(is_exact(x) for stored in space.rows.values() for x in stored.values())
+    assert all(has_exact_type(x) for stored in space.rows.values() for x in stored.values())
+
+
+def test_integral_row_space_results_are_ints():
+    space = span([[2, 4, 6], ["1/2", "3/2", 0]])
+    assert space.rows == {0: {0: 1, 2: 9}, 1: {1: 1, 2: -3}}
+    assert [type(x) for row in space.rows.values() for x in row.values()] == [int] * 4
+    assert space.reduce({0: Fraction(1, 2), 2: Fraction(1, 2)}) == {2: -4}
+    assert type(space.reduce({0: Fraction(1, 2), 2: Fraction(1, 2)})[2]) is int
+    (kernel,) = space.kernel(range(3))
+    assert kernel == (-9, 3, 1) and [type(x) for x in kernel] == [int] * 3
+
+
+def test_integral_vector_arithmetic_gives_ints():
+    # the scaling fixture's operator is 1/2 times the identity
+    alg = fixture_scaling("1/2")
+    got = alg.apply_op((Fraction(1, 2), 0)) + alg.apply_op((Fraction(3, 2), 0))
+    assert got == (1, 0) and [type(x) for x in got] == [int, int]
+    half = vector(["1/2", "3/2", "-1/3"])
+    for value, expected in [
+        (half - half.scale(-1), (1, 3, Fraction(-2, 3))),
+        (half.scale(6), (3, 9, -2)),
+        (half.scale("2/3") - half.scale(Fraction(-4, 3)), (1, 3, Fraction(-2, 3))),
+        (half + vector([Fraction(1, 2), "1/2", "1/3"]), (1, 2, 0)),
+    ]:
+        assert value == expected
+        assert_exact_coordinates(value)
+
+
+@given(
+    st.lists(_ENTRIES, min_size=3, max_size=3),
+    st.lists(_ENTRIES, min_size=3, max_size=3),
+    st.one_of(rationals_strategy(), st.integers(min_value=-5, max_value=5)),
+)
+def test_vector_arithmetic_stays_exact(u, v, scalar):
+    a, b = vector(u), vector(v)
+    for value in (a, b, a + b, a - b, -a, a.scale(scalar), a.scale(str(scalar)), vector(a)):
+        assert_exact_coordinates(value)
+
+
+@given(st.lists(_ENTRIES, min_size=18, max_size=18), rationals_strategy())
+def test_relation_coordinates_stay_exact(coords, scalar):
+    rel = RelVector.from_coords(coords)
+    families = solve_relation_space() + ns_relation_set() + ndendriform_relation_set()
+    for value in (rel, rel + rel, rel.scale(scalar), RelVector.from_json_obj(rel.to_json_obj()), *families):
+        assert_exact_coordinates(value.coords)
 
 
 # Finite-dimensional data: rational entries, spelled as values or as
@@ -201,10 +250,6 @@ _FD_ENTRIES = st.builds(
 
 def _fd_list(n):
     return st.lists(_FD_ENTRIES, min_size=n, max_size=n)
-
-
-def assert_exact_coordinates(vec) -> None:
-    assert all(has_exact_type(x) for x in vec), vec
 
 
 def _valid_fd(c, d0, d1) -> NijenhuisAlgebraFD:

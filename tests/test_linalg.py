@@ -17,13 +17,13 @@ from nijenhuis.linalg import (
     rational,
     span,
 )
-from nijenhuis.words import canonical_key, from_canonical
+from nijenhuis.words import BracketedWord, canonical_key
 
 from conftest import lincombs_strategy, rationals_strategy
 
-W1 = from_canonical("x")
-W2 = from_canonical("[x]*y")
-W3 = from_canonical("x*[y]")
+W1 = BracketedWord("x")
+W2 = BracketedWord("[x]*y")
+W3 = BracketedWord("x*[y]")
 
 
 def test_rational_coercion_and_formatting():
@@ -68,7 +68,7 @@ def test_lincomb_items_follow_canonical_order():
 
 
 def test_lincomb_str_formats_signs_and_coefficients():
-    a = LinComb([(from_canonical("[z]"), -2), (from_canonical("[x*[y]]"), 1)])
+    a = LinComb([(BracketedWord("[z]"), -2), (BracketedWord("[x*[y]]"), 1)])
     assert str(a) == "-2*[z] + [x*[y]]"
     assert str(LinComb.zero()) == "0"
     assert str(LinComb.from_word(W1, Fraction(-1))) == "-x"
@@ -172,7 +172,7 @@ def test_subspace_equal_cases():
 def test_rowspace_pivots_on_the_largest_word():
     # the ideal closure files rows under their largest word in canonical order
     space = RowSpace(key=canonical_key)
-    big = from_canonical("[x*[y]]")
+    big = BracketedWord("[x*[y]]")
     assert space.add(LinComb([(W1, 2), (big, 4)])._terms)
     assert list(space.rows) == [big]
     assert space.rows[big] == {W1: Fraction(1, 2), big: Fraction(1)}
@@ -197,4 +197,9 @@ def test_exactness_no_drift():
         0: (Fraction(1), Fraction(0)),
         1: (Fraction(0), Fraction(1)),
     }
-    assert all(type(x) is Fraction for row in space.rows.values() for x in row.values())
+    # no float anywhere: an int where a value is integral, else a Fraction
+    assert all(
+        type(x) is int or (type(x) is Fraction and x.denominator != 1)
+        for row in space.rows.values()
+        for x in row.values()
+    )

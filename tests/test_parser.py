@@ -23,7 +23,7 @@ from nijenhuis.parser import (
     parse_expr,
     print_canonical,
 )
-from nijenhuis.words import from_canonical, generators, letter_word, words_up_to_size
+from nijenhuis.words import BracketedWord, generators, letter_word, words_up_to_size
 
 from conftest import ALPHABET_XYZ, lincombs_strategy
 
@@ -32,7 +32,7 @@ X, Y, Z = (LinComb.from_word(letter_word(s)) for s in generators(*DECLARED))
 
 
 def lc(text: str) -> LinComb:
-    return LinComb.from_word(from_canonical(text))
+    return LinComb.from_word(BracketedWord(text))
 
 
 def test_parse_product_shape():

@@ -17,7 +17,7 @@ from hypothesis import given
 from nijenhuis import algebra
 from nijenhuis.algebra import first_operator_identity_failure, operator_n, product_words
 from nijenhuis.linalg import LinComb
-from nijenhuis.words import canonical_key, from_canonical, to_canonical, words_up_to_size
+from nijenhuis.words import BracketedWord, canonical_key, words_up_to_size
 
 from conftest import (
     ALPHABET_XY,
@@ -29,8 +29,8 @@ from conftest import (
 
 
 def from_tuple(word: tuple):
-    """A word built anew from its text through :func:`from_canonical`."""
-    return from_canonical(reference_text(word))
+    """A word built anew from its text through the checked constructor."""
+    return BracketedWord(reference_text(word))
 
 
 def _add(total: dict, terms: dict, sign: int) -> None:
@@ -72,8 +72,8 @@ def check_all_pairs(pool) -> None:
     for u in pool:
         for v in pool:
             assert as_dict(product_words(u, v)) == reference_product(as_tuple(u), as_tuple(v)), (
-                to_canonical(u),
-                to_canonical(v),
+                str(u),
+                str(v),
             )
 
 
@@ -115,7 +115,7 @@ def test_product_matches_reference_with_the_word_tables_warm():
             assert as_dict(product_words(u, v)) == reference_product(as_tuple(u), as_tuple(v))
     for (last, first), junction in algebra._PRODUCT_CACHE.items():
         for w in (last, first, *junction._terms):
-            parsed = from_canonical(to_canonical(w))
+            parsed = BracketedWord(str(w))
             assert parsed == w and w == parsed
             assert hash(parsed) == hash(w)
             assert canonical_key(parsed) == canonical_key(w)
@@ -123,7 +123,7 @@ def test_product_matches_reference_with_the_word_tables_warm():
 
 def test_equal_words_built_apart_share_hash_and_key():
     for w in words_up_to_size(ALPHABET_XY, 4):
-        parsed = from_canonical(to_canonical(w))
+        parsed = BracketedWord(str(w))
         built = from_tuple(as_tuple(w))
         assert parsed is not built
         assert parsed == built

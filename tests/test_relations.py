@@ -21,7 +21,7 @@ from nijenhuis.relations import (
     relation_space_contains,
     solve_relation_space,
 )
-from nijenhuis.words import from_canonical, generators, letter_word, to_canonical
+from nijenhuis.words import BracketedWord, generators, letter_word
 
 from conftest import rationals_strategy
 
@@ -51,7 +51,7 @@ def coords_index(side: str, i: int, j: int) -> int:
 
 
 def test_relation_monomials_are_the_expected_thirteen():
-    got = [to_canonical(w) for w in relation_monomials()]
+    got = [str(w) for w in relation_monomials()]
     assert got == EXPECTED_MONOMIALS
 
 
@@ -64,7 +64,7 @@ def test_relation_matrix_shape_and_rank():
 def test_matrix_column_for_left_prec_prec():
     # (x < y) < z expands to three depth-two words
     m = relation_matrix()
-    rows = [to_canonical(w) for w in relation_monomials()]
+    rows = [str(w) for w in relation_monomials()]
     col = coords_index("left", 0, 0)
     expected = {
         "x*[[y]*z]": Fraction(1),
@@ -79,7 +79,7 @@ def test_matrix_row_for_deepest_right_monomial():
     # x*[y*[z]] is hit only by the two (prec, prec) parenthesizations,
     # with opposite signs
     m = relation_matrix()
-    rows = [to_canonical(w) for w in relation_monomials()]
+    rows = [str(w) for w in relation_monomials()]
     r = rows.index("x*[y*[z]]")
     expected = {
         coords_index("left", 0, 0): Fraction(1),
@@ -92,7 +92,7 @@ def test_matrix_row_for_deepest_right_monomial():
 def test_matrix_columns_for_succ_prec_pair():
     # both (x > y) < z and x > (y < z) produce exactly [x]*y*[z]
     m = relation_matrix()
-    rows = [to_canonical(w) for w in relation_monomials()]
+    rows = [str(w) for w in relation_monomials()]
     r = rows.index("[x]*y*[z]")
     left_col = coords_index("left", 1, 0)
     right_col = coords_index("right", 1, 0)
@@ -120,6 +120,16 @@ def test_coords_round_trip_everywhere(coords):
 def test_relvector_json_round_trip():
     v = ns_relation_set()[3]
     assert RelVector.from_json_obj(v.to_json_obj()) == v
+
+
+def test_relvector_json_grids_must_be_3x3():
+    good = [["0", "0", "0"]] * 3
+    for bad in ([["0", "0", "0"]] * 2, [["0", "0", "0", "0"]] * 3):
+        for obj in ({"left": bad, "right": good}, {"left": good, "right": bad}):
+            with pytest.raises(ValueError, match="3x3"):
+                RelVector.from_json_obj(obj)
+    with pytest.raises(ValueError, match="18 coordinates"):
+        RelVector.from_coords([0] * 17)
 
 
 def test_four_family_coordinates():
@@ -172,9 +182,9 @@ def test_evaluate_relation_on_simple_candidate():
     # (x < y) < z alone leaves a three-term residue
     residue = evaluate_relation(RelVector.unit_left(0, 0), X, Y, Z)
     expected = (
-        LinComb.from_word(from_canonical("x*[[y]*z]"))
-        + LinComb.from_word(from_canonical("x*[y*[z]]"))
-        - LinComb.from_word(from_canonical("x*[[y*z]]"))
+        LinComb.from_word(BracketedWord("x*[[y]*z]"))
+        + LinComb.from_word(BracketedWord("x*[y*[z]]"))
+        - LinComb.from_word(BracketedWord("x*[[y*z]]"))
     )
     assert residue == expected
 

@@ -3,7 +3,7 @@
 :func:`product_words` and :func:`operator_n` build the text of each
 word they return by joining canonical texts, and wrap it with no check.
 Every such text must be one that the checked constructor,
-:func:`from_canonical`, and the reference grammar of :mod:`conftest`
+:class:`BracketedWord`, and the reference grammar of :mod:`conftest`
 both accept, and the word rebuilt through them must equal it, with the
 same hash and canonical key.
 """
@@ -29,10 +29,8 @@ from nijenhuis.words import (
     EmptyInput,
     WordError,
     canonical_key,
-    from_canonical,
     letter_word,
     generators,
-    to_canonical,
     words_up_to_size,
 )
 
@@ -43,12 +41,12 @@ POOL = words_up_to_size(ALPHABET_XY, 3)
 
 
 def assert_matches_checked(w: BracketedWord) -> None:
-    assert type(w) is BracketedWord, to_canonical(w)
-    checked = from_canonical(reference_text(parse_reference(w)))
-    assert checked == w, to_canonical(w)
-    assert hash(checked) == hash(w), to_canonical(w)
-    assert canonical_key(checked) == canonical_key(w), to_canonical(w)
-    assert from_canonical(to_canonical(w)) == w, to_canonical(w)
+    assert type(w) is BracketedWord, str(w)
+    checked = BracketedWord(reference_text(parse_reference(w)))
+    assert checked == w, str(w)
+    assert hash(checked) == hash(w), str(w)
+    assert canonical_key(checked) == canonical_key(w), str(w)
+    assert BracketedWord(str(w)) == w, str(w)
 
 
 def test_product_words_up_to_size_three_pass_the_checked_constructor():
@@ -98,9 +96,9 @@ def test_unchecked_bracket_matches_the_checked_one():
     # N wraps the text of each word in brackets.
     for w in POOL:
         (image,) = operator_n(LinComb.from_word(w))._terms
-        checked = from_canonical(f"[{w}]")
-        assert image == checked, to_canonical(w)
-        assert hash(image) == hash(checked), to_canonical(w)
+        checked = BracketedWord(f"[{w}]")
+        assert image == checked, str(w)
+        assert hash(image) == hash(checked), str(w)
         assert canonical_key(image) == canonical_key(checked)
 
 

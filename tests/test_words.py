@@ -18,12 +18,10 @@ from nijenhuis.words import (
     breadth,
     canonical_key,
     depth,
-    from_canonical,
     generators,
     letter_count,
     letter_word,
     size,
-    to_canonical,
     words_of_size,
     words_up_to_size,
 )
@@ -55,22 +53,22 @@ def test_empty_constructions_rejected():
         letter_word()
     for empty in ("", "[]", "x*[y*[]]"):
         with pytest.raises(EmptyInput):
-            from_canonical(empty)
+            BracketedWord(empty)
 
 
 def test_alternation_enforced():
     # Names joined by stars are one run, so only brackets can touch.
-    assert breadth(from_canonical("x*y")) == 1
+    assert breadth(BracketedWord("x*y")) == 1
     for touching in ("[x]*[y]", "x*[[x]*[y]]*z", "[[x]]*[y]"):
         with pytest.raises(AlternationViolation):
-            from_canonical(touching)
+            BracketedWord(touching)
     # alternating sequences are fine
-    w = from_canonical("x*[y]*z")
+    w = BracketedWord("x*[y]*z")
     assert breadth(w) == 3
 
 
 def test_measures_on_nested_word():
-    w = from_canonical("x*[y*[z]]*w")
+    w = BracketedWord("x*[y*[z]]*w")
     assert depth(w) == 2
     assert breadth(w) == 3
     assert letter_count(w) == 4
@@ -79,58 +77,58 @@ def test_measures_on_nested_word():
 
 def test_measures_on_single_factors():
     assert depth(letter_word(X, Y)) == 0
-    assert depth(from_canonical("[x]")) == 1
-    assert depth(from_canonical("[[x]]")) == 2
-    assert breadth(from_canonical("[x]*y")) == 2
-    assert breadth(from_canonical("[x*[y]]")) == 1
-    assert size(from_canonical("[x*[y]]")) == 4
+    assert depth(BracketedWord("[x]")) == 1
+    assert depth(BracketedWord("[[x]]")) == 2
+    assert breadth(BracketedWord("[x]*y")) == 2
+    assert breadth(BracketedWord("[x*[y]]")) == 1
+    assert size(BracketedWord("[x*[y]]")) == 4
 
 
 def test_standard_decomposition_round_trips():
     # the standard decomposition of a word is its factor sequence,
     # here read by the reference grammar of the tests
-    w = from_canonical("[x]*y*[z*z]")
+    w = BracketedWord("[x]*y*[z*z]")
     factors = parse_reference(w)
     assert factors == (("B", (("L", ("x",)),)), ("L", ("y",)), ("B", (("L", ("z", "z")),)))
-    assert from_canonical(reference_text(factors)) == w
+    assert BracketedWord(reference_text(factors)) == w
     assert len(factors) == breadth(w)
 
 
 @given(words_strategy())
 def test_standard_decomposition_round_trips_everywhere(w):
     factors = parse_reference(w)
-    assert from_canonical(reference_text(factors)) == w
+    assert BracketedWord(reference_text(factors)) == w
     assert len(factors) == breadth(w)
 
 
 def test_serialization_round_trip_examples():
     for text in ("x", "x*y", "[x]", "x*[y*[z]]*w", "[[x*y]]", "[x]*y*[z]"):
-        assert to_canonical(from_canonical(text)) == text
+        assert str(BracketedWord(text)) == text
 
 
 @given(words_strategy())
 def test_serialization_round_trip_everywhere(w):
-    assert from_canonical(to_canonical(w)) == w
+    assert BracketedWord(str(w)) == w
 
 
 def test_from_canonical_rejects_malformed():
     for bad in ("", "*x", "x*", "[x", "x]", "[]", "x**y", "[x]*[y]", "x y"):
         with pytest.raises(WordError):
-            from_canonical(bad)
+            BracketedWord(bad)
 
 
 def test_canonical_order_letter_count_first():
     # fewer letters first, regardless of structural complexity
-    assert canonical_key(from_canonical("[[z]]")) < canonical_key(from_canonical("x*y"))
-    assert canonical_key(from_canonical("x*y")) > canonical_key(from_canonical("[[z]]"))
+    assert canonical_key(BracketedWord("[[z]]")) < canonical_key(BracketedWord("x*y"))
+    assert canonical_key(BracketedWord("x*y")) > canonical_key(BracketedWord("[[z]]"))
 
 
 def test_canonical_order_depth_second():
-    assert canonical_key(from_canonical("x*y")) < canonical_key(from_canonical("[x]*y"))
+    assert canonical_key(BracketedWord("x*y")) < canonical_key(BracketedWord("[x]*y"))
 
 
 def test_canonical_order_reflexive_and_antisymmetric():
-    u, v = from_canonical("x*[y]"), from_canonical("[x]*y")
+    u, v = BracketedWord("x*[y]"), BracketedWord("[x]*y")
     assert canonical_key(u) == canonical_key(u)
     assert canonical_key(u) != canonical_key(v)
     assert (canonical_key(u) < canonical_key(v)) != (canonical_key(v) < canonical_key(u))
@@ -159,20 +157,20 @@ def test_enumeration_is_canonical_and_exact():
 
 
 def test_enumeration_size_one_and_two():
-    assert [to_canonical(w) for w in words_of_size(ALPHABET_XY, 1)] == ["x", "y"]
-    two = {to_canonical(w) for w in words_of_size(ALPHABET_XY, 2)}
+    assert [str(w) for w in words_of_size(ALPHABET_XY, 1)] == ["x", "y"]
+    two = {str(w) for w in words_of_size(ALPHABET_XY, 2)}
     assert two == {"x*x", "x*y", "y*x", "y*y", "[x]", "[y]"}
 
 
 def test_words_are_hashable_and_value_equal():
-    a = from_canonical("x*[y]")
+    a = BracketedWord("x*[y]")
     b = BracketedWord("".join(["x*", "[y]"]))
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
     for copied in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(copied) is BracketedWord and copied == a
-    assert repr(a) == "from_canonical('x*[y]')"
+    assert repr(a) == "BracketedWord('x*[y]')"
 
 
 def test_from_canonical_does_not_recurse(monkeypatch):
@@ -181,16 +179,16 @@ def test_from_canonical_does_not_recurse(monkeypatch):
     levels = 5000
     monkeypatch.setattr(words, "MAX_NESTING", levels)
     text = "[" * levels + "x" + "]" * levels
-    w = from_canonical(text)
+    w = BracketedWord(text)
     assert w == text and (breadth(w), depth(w), size(w)) == (1, levels, levels + 1)
     with pytest.raises(WordError, match=f"nesting deeper than {levels} levels at position {levels}"):
-        from_canonical("[" * (levels + 1) + "x" + "]" * (levels + 1))
+        BracketedWord("[" * (levels + 1) + "x" + "]" * (levels + 1))
 
 
 def test_from_canonical_caps_nesting():
     at_cap = "[" * MAX_NESTING + "x" + "]" * MAX_NESTING
-    assert depth(from_canonical(at_cap)) == MAX_NESTING
-    assert to_canonical(from_canonical(at_cap)) == at_cap
+    assert depth(BracketedWord(at_cap)) == MAX_NESTING
+    assert str(BracketedWord(at_cap)) == at_cap
     for levels in (MAX_NESTING + 1, 1200):
         with pytest.raises(WordError, match="nesting deeper than"):
-            from_canonical("[" * levels + "x" + "]" * levels)
+            BracketedWord("[" * levels + "x" + "]" * levels)

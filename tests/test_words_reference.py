@@ -17,15 +17,14 @@ from hypothesis import example, given, settings, strategies as st
 from nijenhuis.algebra import operator_n, product_words
 from nijenhuis.linalg import LinComb
 from nijenhuis.words import (
+    BracketedWord,
     WordError,
     breadth,
     canonical_key,
     depth,
-    from_canonical,
     generators,
     letter_count,
     size,
-    to_canonical,
     words_of_size,
     words_up_to_size,
 )
@@ -54,13 +53,13 @@ MEASURES = (
     (depth, ref_depth),
     (size, ref_size),
     (breadth, len),
-    (to_canonical, reference_text),
+    (str, reference_text),
 )
 
 
 def fresh(w):
     """An equal word, its text rebuilt from the tuple model and checked anew."""
-    return from_canonical(reference_text(parse_reference(w)))
+    return BracketedWord(reference_text(parse_reference(w)))
 
 
 def check_measures(w, order=MEASURES) -> None:
@@ -68,7 +67,7 @@ def check_measures(w, order=MEASURES) -> None:
     for measure, reference in order:
         assert measure(w) == reference(model), (measure.__name__, reference_text(model))
     assert canonical_key(w) == ref_key(model)
-    assert from_canonical(to_canonical(w)) == w
+    assert BracketedWord(str(w)) == w
 
 
 def test_measures_match_reference_up_to_size_five():
@@ -119,7 +118,7 @@ def verdict(read, text: str):
 
 def assert_same_verdict(text: str) -> None:
     model = verdict(parse_reference, text)
-    word = verdict(from_canonical, text)
+    word = verdict(BracketedWord, text)
     if isinstance(model, tuple):
         assert word == reference_text(model) == text
     else:
