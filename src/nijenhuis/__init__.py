@@ -48,7 +48,6 @@ from .linalg import (
     DimensionMismatch,
     LinComb,
     RowSpace,
-    format_rational,
     rank,
     rational,
 )

@@ -69,7 +69,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Any, Callable, Iterator, Sequence
 
-from .linalg import LinComb, _divide, _numerators, format_rational
+from .linalg import LinComb, _divide, _numerators
 from .words import BracketedWord, _close, _word
 
 __all__ = [
@@ -276,7 +276,7 @@ class CheckReport:
 def _format_side(side: Any) -> str:
     """A coordinate vector as ``(a, b, ...)``; anything else by ``str``."""
     if isinstance(side, tuple):
-        return "(" + ", ".join(format_rational(a) for a in side) + ")"
+        return "(" + ", ".join(map(str, side)) + ")"
     return str(side)
 
 

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
 from typing import Sequence
 
 from .algebra import (
+    COORD_OPS,
     MAX_TERMS,
-    CheckReport,
     TooManyTerms,
     command_scope,
     first_nonassociative_triple,
@@ -47,7 +48,7 @@ from .envelope import (
     induced_ns,
     truncated_ideal_membership,
 )
-from .linalg import DimensionMismatch, LinComb, format_rational
+from .linalg import DimensionMismatch, LinComb
 from .parser import EvalError, ParseError, eval_expr, parse_expr, print_canonical
 from .relations import (
     evaluate_relation,
@@ -65,7 +66,6 @@ from .words import (
 
 __all__ = ["run_command", "main"]
 
-_OP_NAMES = ("prec", "succ", "bullet")
 _EXPR_HELP = "an expression; write '--' before one that starts with '-', after all options"
 
 
@@ -92,27 +92,20 @@ def _env_cap(name: str) -> int | None:
     return value if value >= 1 else None
 
 
-def _effective_size(requested: int) -> int:
-    cap = _env_cap("NF_MAX_SIZE")
-    if cap is not None and cap < requested:
-        print(
-            f"note: NF_MAX_SIZE caps the sweep at size {cap}",
-            file=sys.stderr,
-        )
-        return cap
-    return requested
-
-
 def _checked_size(option: str, requested: int) -> int:
     if requested < 1:
         raise _UsageError(f"{option} must be at least 1, got {requested}")
-    return _effective_size(requested)
+    cap = _env_cap("NF_MAX_SIZE")
+    if cap is not None and cap < requested:
+        print(f"note: NF_MAX_SIZE caps the sweep at size {cap}", file=sys.stderr)
+        return cap
+    return requested
 
 
 def _lincomb_json(a: LinComb) -> dict:
     return {
         "terms": [
-            {"coeff": format_rational(c), "word": str(w)} for w, c in a
+            {"coeff": str(c), "word": str(w)} for w, c in a
         ]
     }
 
@@ -172,6 +165,13 @@ def _load_algebra(path: str) -> NijenhuisAlgebraFD | NSAlgebraFD:
     raise _UsageError(f"{path}: neither an operator algebra nor a split-operation algebra")
 
 
+def _load_operator_algebra(path: str) -> NijenhuisAlgebraFD:
+    alg = _load_algebra(path)
+    if not isinstance(alg, NijenhuisAlgebraFD):
+        raise _UsageError(f"{path}: expected an operator algebra file")
+    return alg
+
+
 def _as_ns(alg: NijenhuisAlgebraFD | NSAlgebraFD) -> NSAlgebraFD:
     if isinstance(alg, NSAlgebraFD):
         return alg
@@ -184,9 +184,9 @@ def _report_json(report) -> dict:
         out["kind"] = report.kind
         out["indices"] = list(report.indices)
         if report.lhs is not None:
-            out["lhs"] = [format_rational(x) for x in report.lhs]
+            out["lhs"] = [str(x) for x in report.lhs]
         if report.rhs is not None:
-            out["rhs"] = [format_rational(x) for x in report.rhs]
+            out["rhs"] = [str(x) for x in report.rhs]
     return out
 
 
@@ -203,54 +203,39 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_elements(args: argparse.Namespace) -> tuple[int, list[LinComb]]:
+def _word_sweep(args: argparse.Namespace, sweep, what: str, label: str, arity: int) -> int:
+    """Run ``sweep`` on every word up to ``--max-size`` and report its first failure."""
     alphabet = _split_names(args.alphabet)
     bound = _checked_size("--max-size", args.max_size)
-    return bound, [LinComb.from_word(w) for w in words_up_to_size(alphabet, bound)]
-
-
-def _emit_sweep_failure(
-    args: argparse.Namespace, what: str, label: str, elements: list[LinComb], failure: CheckReport
-) -> None:
-    case = [print_canonical(elements[i]) for i in failure.indices]
+    elements = [LinComb.from_word(w) for w in words_up_to_size(alphabet, bound)]
+    failure = sweep(elements)
+    if failure is not None:
+        case = [print_canonical(elements[i]) for i in failure.indices]
+        _emit(
+            args,
+            {
+                "ok": False,
+                label: case,
+                "lhs": _lincomb_json(failure.lhs),
+                "rhs": _lincomb_json(failure.rhs),
+            },
+            f"{what} fails at ({', '.join(case)})",
+        )
+        return 1
     _emit(
         args,
-        {
-            "ok": False,
-            label: case,
-            "lhs": _lincomb_json(failure.lhs),
-            "rhs": _lincomb_json(failure.rhs),
-        },
-        f"{what} fails at ({', '.join(case)})",
+        {"ok": True, "words": len(elements), "max_size": bound},
+        f"{what} holds on all {len(elements)}^{arity} word {label}s up to size {bound}",
     )
+    return 0
 
 
 def _cmd_assoc_check(args: argparse.Namespace) -> int:
-    bound, elements = _sweep_elements(args)
-    failure = first_nonassociative_triple(elements)
-    if failure is not None:
-        _emit_sweep_failure(args, "associativity", "triple", elements, failure)
-        return 1
-    _emit(
-        args,
-        {"ok": True, "words": len(elements), "max_size": bound},
-        f"associativity holds on all {len(elements)}^3 word triples up to size {bound}",
-    )
-    return 0
+    return _word_sweep(args, first_nonassociative_triple, "associativity", "triple", 3)
 
 
 def _cmd_nijenhuis_check(args: argparse.Namespace) -> int:
-    bound, elements = _sweep_elements(args)
-    failure = first_operator_identity_failure(elements)
-    if failure is not None:
-        _emit_sweep_failure(args, "operator identity", "pair", elements, failure)
-        return 1
-    _emit(
-        args,
-        {"ok": True, "words": len(elements), "max_size": bound},
-        f"operator identity holds on all {len(elements)}^2 word pairs up to size {bound}",
-    )
-    return 0
+    return _word_sweep(args, first_operator_identity_failure, "operator identity", "pair", 2)
 
 
 def _relation_sweep(args: argparse.Namespace, rels, label: str) -> int:
@@ -287,15 +272,16 @@ def _cmd_solve_relspace(args: argparse.Namespace) -> int:
     basis = solve_relation_space()
     matches = relation_sets_span_equal(basis, ndendriform_relation_set())
     contains_four = relation_sets_span_equal(basis, (*basis, *ns_relation_set()))
+    vectors = [v.to_json_obj() for v in basis]
     obj = {
         "dimension": len(basis),
-        "basis": [v.to_json_obj() for v in basis],
+        "basis": vectors,
         "matches_five_family": matches,
         "contains_four_family": contains_four,
     }
     lines = [f"relation space dimension: {len(basis)}"]
-    for k, v in enumerate(basis):
-        lines.append(f"v{k + 1} left={v.to_json_obj()['left']} right={v.to_json_obj()['right']}")
+    for k, v in enumerate(vectors):
+        lines.append(f"v{k + 1} left={v['left']} right={v['right']}")
     lines.append(f"spans the five-relation family: {matches}")
     lines.append(f"contains the four-relation family: {contains_four}")
     _emit(args, obj, "\n".join(lines))
@@ -317,16 +303,11 @@ def _cmd_env_generators(args: argparse.Namespace) -> int:
     gens = enveloping_generators(ns_alg, names)
     records = []
     lines = []
-    idx = 0
-    for i in range(ns_alg.dim):
-        for j in range(ns_alg.dim):
-            for op in _OP_NAMES:
-                element = gens[idx]
-                records.append(
-                    {"i": i, "j": j, "op": op, "element": _lincomb_json(element)}
-                )
-                lines.append(f"({i},{j}) {op}: {print_canonical(element)}")
-                idx += 1
+    # enveloping_generators orders them by (i, j), then by operation.
+    labels = itertools.product(range(ns_alg.dim), range(ns_alg.dim), COORD_OPS)
+    for element, (i, j, op) in zip(gens, labels):
+        records.append({"i": i, "j": j, "op": op.value, "element": _lincomb_json(element)})
+        lines.append(f"({i},{j}) {op.value}: {print_canonical(element)}")
     _emit(args, {"count": len(gens), "generators": records}, "\n".join(lines))
     return 0
 
@@ -358,27 +339,18 @@ def _cmd_fd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_induce_ns(args: argparse.Namespace) -> int:
-    alg = _load_algebra(args.file)
-    if not isinstance(alg, NijenhuisAlgebraFD):
-        raise _UsageError(f"{args.file}: expected an operator algebra file")
-    ns_alg = induced_ns(alg)
-    obj = ns_alg.to_json_obj()
-    _emit(args, obj, json.dumps(obj, indent=2))
+    # The plain form is the JSON form.
+    print(json.dumps(induced_ns(_load_operator_algebra(args.file)).to_json_obj(), indent=2))
     return 0
 
 
 def _cmd_eval_hom(args: argparse.Namespace) -> int:
-    alg = _load_algebra(args.file)
-    if not isinstance(alg, NijenhuisAlgebraFD):
-        raise _UsageError(f"{args.file}: expected an operator algebra file")
+    alg = _load_operator_algebra(args.file)
     names, matrix = _load_map(args.mapfile)
     element = _parse_element(args.expr, names)
     image = evaluate_hom(alg, matrix, element, names)
-    _emit(
-        args,
-        {"vector": [format_rational(x) for x in image]},
-        ", ".join(format_rational(x) for x in image),
-    )
+    coords = [str(x) for x in image]
+    _emit(args, {"vector": coords}, ", ".join(coords))
     return 0
 
 
@@ -399,9 +371,7 @@ def _cmd_ideal_member(args: argparse.Namespace) -> int:
 
 def _cmd_morphism_check(args: argparse.Namespace) -> int:
     source = _as_ns(_load_algebra(args.source))
-    target = _load_algebra(args.target)
-    if not isinstance(target, NijenhuisAlgebraFD):
-        raise _UsageError(f"{args.target}: expected an operator algebra file")
+    target = _load_operator_algebra(args.target)
     names, matrix = _load_map(args.mapfile)
     report = check_morphism_kills_generators(source, target, matrix, names)
     _emit(args, _report_json(report), f"morphism: {report.describe()}")

@@ -49,9 +49,7 @@ from .linalg import (
     Vector,
     _exact,
     _unit,
-    format_rational,
     rational,
-    vector,
 )
 from .relations import RelVector, ndendriform_relation_set, ns_relation_set, relation_sides
 from .words import (
@@ -107,8 +105,8 @@ class BoundTooSmall(ValueError):
 
 
 def _vector(values: Sequence[RationalLike], dim: int) -> Vector:
-    """``values`` as a Vector of ``dim`` exact scalars, through :func:`vector`."""
-    values = vector(values)
+    """``values`` as a Vector of ``dim`` exact scalars."""
+    values = Vector(values)
     if len(values) != dim:
         raise DimensionMismatch(f"expected a vector of length {dim}, got {len(values)}")
     return values
@@ -142,7 +140,7 @@ def _json_dim(obj: dict) -> int:
 
 
 def _tensor_json(t: Tensor) -> list:
-    return [[[format_rational(x) for x in row] for row in plane] for plane in t]
+    return [[[str(x) for x in row] for row in plane] for plane in t]
 
 
 def _contract(t: SparseTensor, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Vector:
@@ -209,7 +207,7 @@ class LinearMap:
         return self._columns[j]
 
     def to_json_obj(self) -> list:
-        return [[format_rational(x) for x in row] for row in self.entries]
+        return [[str(x) for x in row] for row in self.entries]
 
     @classmethod
     def from_json_obj(cls, obj: Sequence[Sequence[RationalLike]]) -> "LinearMap":

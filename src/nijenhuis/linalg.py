@@ -8,9 +8,10 @@ product's structure constants runs on plain integers.  :class:`LinComb`
 coefficients, :class:`Vector` coordinates and :class:`RowSpace` rows,
 remainders and kernels all follow it, whatever arithmetic produced
 them, so ``type(c) is int`` tells the integral ones apart.  A value from
-outside is coerced once, where it enters: :func:`rational` for a
-scalar, :func:`vector` for coordinates.  Where many rational terms meet,
-as in the product of two combinations, the work runs on integer
+outside is coerced once, where it enters: by :func:`rational` for a
+scalar, and by the :class:`Vector` constructor for coordinates, which
+passes a Vector through.  Where many rational terms meet, as in the
+product of two combinations, the work runs on integer
 numerators over a common denominator (:func:`_numerators`), with one
 division per result term (:func:`_divide`); printing reads each
 coefficient's numerator and denominator.  :class:`Vector` is the one
@@ -23,6 +24,7 @@ the one way from dense rows to a :class:`RowSpace`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from operator import add, sub
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
@@ -32,10 +34,8 @@ from .words import BracketedWord, canonical_sort
 __all__ = [
     "RationalLike",
     "rational",
-    "format_rational",
     "LinComb",
     "Vector",
-    "vector",
     "DimensionMismatch",
     "RowSpace",
     "span",
@@ -68,11 +68,6 @@ def rational(value: RationalLike) -> int | Fraction:
     elif not isinstance(value, Fraction):
         raise TypeError(f"not a rational value: {value!r}")
     return value.numerator if value.denominator == 1 else value
-
-
-def format_rational(q: int | Fraction) -> str:
-    """``p/q`` in lowest terms, or just ``p`` for integers."""
-    return str(q)
 
 
 def _divide(n: int, d: int) -> int | Fraction:
@@ -264,10 +259,16 @@ class Vector(tuple):
     """Coordinates with the arithmetic of :class:`LinComb`, all of it coordinatewise.
 
     It equals, hashes and prints like the plain tuple of its coordinates.
-    Build one from outside values with :func:`vector`.
+    Building one coerces each coordinate once with :func:`rational`, so
+    every Vector holds exact scalars; a Vector passes through as it is.
     """
 
     __slots__ = ()
+
+    def __new__(cls, values: Iterable[RationalLike]) -> "Vector":
+        if type(values) is Vector:
+            return values
+        return tuple.__new__(cls, map(rational, values))
 
     def __add__(self, other: "Vector") -> "Vector":
         return _exact(map(add, self, other))
@@ -276,37 +277,25 @@ class Vector(tuple):
         return _exact(map(sub, self, other))
 
     def __neg__(self) -> "Vector":
-        return Vector(-a for a in self)
+        return _vec(-a for a in self)
 
     def scale(self, scalar: RationalLike) -> "Vector":
         c = rational(scalar)
         return _exact(c * a for a in self)
 
 
+# A Vector of values already exact, ints where integral, built unchecked.
+_vec = partial(tuple.__new__, Vector)
+
+
 def _exact(values: Iterable[int | Fraction]) -> Vector:
     """The exact scalars ``values`` as a Vector, each integral one as an ``int``."""
-    return Vector(map(_int_if_integral, values))
+    return _vec(map(_int_if_integral, values))
 
 
 def _unit(dim: int, i: int) -> Vector:
     """The ``i``-th standard basis vector of length ``dim``."""
-    return Vector(1 if j == i else 0 for j in range(dim))
-
-
-# The exact scalar types.  A Vector holding only these, as every Vector
-# built by arithmetic does, needs no coercion.
-_EXACT = frozenset((int, Fraction))
-
-
-def vector(values: Iterable[RationalLike]) -> Vector:
-    """``values`` as a Vector of exact scalars.
-
-    A Vector of ints and Fractions passes through as it is; anything
-    else is coerced coordinate by coordinate with :func:`rational`.
-    """
-    if type(values) is Vector and _EXACT.issuperset(map(type, values)):
-        return values
-    return Vector(map(rational, values))
+    return _vec(1 if j == i else 0 for j in range(dim))
 
 
 class DimensionMismatch(ValueError):
@@ -379,7 +368,7 @@ class RowSpace:
             vec = {free: 1}
             for pivot, stored in self.rows.items():
                 vec[pivot] = -stored.get(free, 0)
-            basis.append(Vector(vec.get(col, 0) for col in columns))
+            basis.append(_vec(vec.get(col, 0) for col in columns))
         return tuple(basis)
 
 

@@ -20,17 +20,20 @@ coefficient matrix of that expansion has full row rank, and its
 nullspace is the five-dimensional space of universally valid relations.
 Two distinguished spanning sets are built in: a four-relation family in
 which several monomials are tied together through the sum operation, and
-a five-relation family that spans the whole nullspace.
+a five-relation family that spans the whole nullspace.  The expansion
+and the solved relation space are constant, so each is computed once
+per process and shared by every caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Any, Callable, Sequence
 
 from .algebra import COORD_OPS, OpSymbol, derived_op
-from .linalg import LinComb, RationalLike, Vector, _unit, format_rational, rational, span, vector
+from .linalg import LinComb, RationalLike, Vector, _unit, rational, span
 from .words import BracketedWord, canonical_sort, letter_word
 
 __all__ = [
@@ -59,7 +62,7 @@ class RelVector:
     coords: Vector
 
     def __post_init__(self) -> None:
-        coords = vector(self.coords)
+        coords = Vector(self.coords)
         if len(coords) != 18:
             raise ValueError(f"expected 18 coordinates, got {len(coords)}")
         object.__setattr__(self, "coords", coords)
@@ -107,8 +110,8 @@ class RelVector:
 
     def to_json_obj(self) -> dict:
         return {
-            "left": [[format_rational(x) for x in row] for row in self.left],
-            "right": [[format_rational(x) for x in row] for row in self.right],
+            "left": [[str(x) for x in row] for row in self.left],
+            "right": [[str(x) for x in row] for row in self.right],
         }
 
     @classmethod
@@ -119,7 +122,7 @@ class RelVector:
             if len(rows) != 3 or any(len(row) != 3 for row in rows):
                 raise ValueError("a relation grid must be 3x3")
             coords += rows[0] + rows[1] + rows[2]
-        return cls(Vector(coords))
+        return cls(coords)
 
 
 def _rel(
@@ -133,7 +136,7 @@ def _rel(
             for ai in _expand(a):
                 for bi in _expand(b):
                     coords[offset + 3 * ai + bi] += 1
-    return RelVector(Vector(coords))
+    return RelVector(coords)
 
 
 def _expand(op: OpSymbol) -> tuple[int, ...]:
@@ -204,6 +207,7 @@ def _generator_triple() -> tuple[LinComb, LinComb, LinComb]:
     )
 
 
+@cache
 def _unit_evaluations() -> tuple[tuple[LinComb, ...], tuple[BracketedWord, ...]]:
     x, y, z = _generator_triple()
     evals = tuple(evaluate_relation(RelVector(_unit(18, k)), x, y, z) for k in range(18))
@@ -231,6 +235,7 @@ def relation_matrix() -> tuple[Vector, ...]:
     return tuple(Vector(value.coeff(w) for value in evals) for w in rows)
 
 
+@cache
 def solve_relation_space() -> tuple[RelVector, ...]:
     """Basis of all universally valid candidates, from the nullspace.
 

@@ -10,12 +10,21 @@ from pathlib import Path
 import pytest
 
 from nijenhuis import algebra, cli
+from nijenhuis.algebra import CheckReport
 from nijenhuis.cli import build_parser, run_command
-from nijenhuis.envelope import fixture_projection, fixture_scaling, fixture_swap, induced_ns
+from nijenhuis.envelope import (
+    LinearMap,
+    NijenhuisAlgebraFD,
+    enveloping_generators,
+    fixture_projection,
+    fixture_scaling,
+    fixture_swap,
+    induced_ns,
+)
 from nijenhuis.linalg import LinComb
-from nijenhuis.parser import eval_expr, parse_expr
+from nijenhuis.parser import eval_expr, parse_expr, print_canonical
 from nijenhuis.relations import RelVector, ndendriform_relation_set, solve_relation_space
-from nijenhuis.words import MAX_NESTING
+from nijenhuis.words import MAX_NESTING, BracketedWord
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -90,6 +99,42 @@ def test_nijenhuis_check_passes(capsys):
     code, out, _ = run(capsys, "nijenhuis-check", "--max-size", "2")
     assert code == 0
     assert "operator identity holds" in out
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("assoc-check", "--max-size", "2"), "associativity holds on all 8^3 word triples up to size 2"),
+        (("assoc-check", "--alphabet", "a,b,c", "--max-size", "1"), "associativity holds on all 3^3 word triples up to size 1"),
+        (("nijenhuis-check", "--max-size", "2"), "operator identity holds on all 8^2 word pairs up to size 2"),
+        (("nijenhuis-check", "--max-size", "3"), "operator identity holds on all 30^2 word pairs up to size 3"),
+    ],
+)
+def test_sweep_success_lines(capsys, argv, line):
+    assert run(capsys, *argv) == (0, line + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "command, sweep, what, label",
+    [
+        ("assoc-check", "first_nonassociative_triple", "associativity", "triple"),
+        ("nijenhuis-check", "first_operator_identity_failure", "operator identity", "pair"),
+    ],
+)
+def test_sweep_failure_reports_the_failing_words(capsys, monkeypatch, command, sweep, what, label):
+    # The handlers look their sweep up when called, so rebinding it reaches them.
+    x, y = LinComb.from_word(BracketedWord("x")), LinComb.from_word(BracketedWord("y"))
+    report = CheckReport(False, what, (0, 1), x, y.scale(2))
+    monkeypatch.setattr(cli, sweep, lambda elements: report)
+    assert run(capsys, command, "--max-size", "1") == (1, f"{what} fails at (x, y)\n", "")
+    code, out, _ = run(capsys, command, "--max-size", "1", "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "ok": False,
+        label: ["x", "y"],
+        "lhs": {"terms": [{"coeff": "1", "word": "x"}]},
+        "rhs": {"terms": [{"coeff": "2", "word": "y"}]},
+    }
 
 
 def test_max_size_env_cap(capsys, monkeypatch):
@@ -248,6 +293,28 @@ def test_env_generators_output(capsys):
     assert data["generators"][2]["op"] == "bullet"
 
 
+def test_env_generators_label_order_in_dimension_three(capsys, tmp_path):
+    # Componentwise product on three coordinates; the operator keeps the first.
+    alg = NijenhuisAlgebraFD(
+        3,
+        [[[1 if i == j == k else 0 for k in range(3)] for j in range(3)] for i in range(3)],
+        LinearMap.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    )
+    path = tmp_path / "dim3.json"
+    path.write_text(json.dumps(alg.to_json_obj()))
+    labels = [(i, j, op) for i in range(3) for j in range(3) for op in ("prec", "succ", "bullet")]
+    gens = enveloping_generators(induced_ns(alg))
+    code, out, _ = run(capsys, "env-generators", str(path))
+    assert code == 0
+    assert out.splitlines() == [
+        f"({i},{j}) {op}: {print_canonical(g)}" for (i, j, op), g in zip(labels, gens)
+    ]
+    code, out, _ = run(capsys, "env-generators", "--json", str(path))
+    data = json.loads(out)
+    assert data["count"] == 27
+    assert [(g["i"], g["j"], g["op"]) for g in data["generators"]] == labels
+
+
 def test_fd_check_pass_and_fail(capsys):
     code, out, _ = run(capsys, "fd-check", str(FIXTURES / "projection.json"))
     assert code == 0 and "pass" in out
@@ -282,6 +349,34 @@ def test_induce_ns_round_trips(capsys):
 
     parsed = NSAlgebraFD.from_json_obj(json.loads(out))
     assert parsed == induced_ns(fixture_projection())
+
+
+def test_induce_ns_prints_the_same_text_plain_and_json(capsys):
+    path = str(FIXTURES / "scaling_rational.json")
+    plain = run(capsys, "induce-ns", path)
+    assert plain == run(capsys, "induce-ns", "--json", path)
+    assert plain[0] == 0 and plain[1] == json.dumps(json.loads(plain[1]), indent=2) + "\n"
+
+
+_NS_FILE = str(FIXTURES / "projection_ns.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("induce-ns", _NS_FILE),
+        ("eval-hom", _NS_FILE, str(FIXTURES / "identity_map.json"), "e1"),
+        ("morphism-check", str(FIXTURES / "projection.json"), _NS_FILE, str(FIXTURES / "identity_map.json")),
+    ],
+    ids=["induce-ns", "eval-hom", "morphism-check-target"],
+)
+def test_commands_that_need_an_operator_algebra_reject_a_split_file(capsys, argv):
+    for flags in ([], ["--json"]):
+        assert run(capsys, argv[0], *flags, *argv[1:]) == (
+            2,
+            "",
+            f"error: {_NS_FILE}: expected an operator algebra file\n",
+        )
 
 
 def test_induce_ns_rejects_invalid_algebra(capsys):

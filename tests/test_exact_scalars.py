@@ -25,7 +25,7 @@ from nijenhuis.envelope import (
     fixture_scaling,
     induced_ns,
 )
-from nijenhuis.linalg import LinComb, RowSpace, rational, span, vector
+from nijenhuis.linalg import LinComb, RowSpace, rational, span
 from nijenhuis.parser import Product, ScalarLit, Sum, eval_expr, parse_expr
 from nijenhuis.relations import RelVector, ndendriform_relation_set, ns_relation_set, solve_relation_space
 from nijenhuis.words import canonical_key, words_up_to_size
@@ -211,12 +211,16 @@ def test_integral_vector_arithmetic_gives_ints():
     alg = fixture_scaling("1/2")
     got = alg.apply_op((Fraction(1, 2), 0)) + alg.apply_op((Fraction(3, 2), 0))
     assert got == (1, 0) and [type(x) for x in got] == [int, int]
-    half = vector(["1/2", "3/2", "-1/3"])
+    half = Vector(["1/2", "3/2", "-1/3"])
     for value, expected in [
         (half - half.scale(-1), (1, 3, Fraction(-2, 3))),
         (half.scale(6), (3, 9, -2)),
         (half.scale("2/3") - half.scale(Fraction(-4, 3)), (1, 3, Fraction(-2, 3))),
-        (half + vector([Fraction(1, 2), "1/2", "1/3"]), (1, 2, 0)),
+        (half + Vector([Fraction(1, 2), "1/2", "1/3"]), (1, 2, 0)),
+        # an integral Fraction is an int from construction on
+        (Vector((Fraction(2), 1)), (2, 1)),
+        (Vector(Vector((Fraction(2), Fraction(4, 2)))), (2, 2)),
+        (RelVector(Vector((Fraction(2),) + (0,) * 17)).coords[:2], (2, 0)),
     ]:
         assert value == expected
         assert_exact_coordinates(value)
@@ -228,8 +232,8 @@ def test_integral_vector_arithmetic_gives_ints():
     st.one_of(rationals_strategy(), st.integers(min_value=-5, max_value=5)),
 )
 def test_vector_arithmetic_stays_exact(u, v, scalar):
-    a, b = vector(u), vector(v)
-    for value in (a, b, a + b, a - b, -a, a.scale(scalar), a.scale(str(scalar)), vector(a)):
+    a, b = Vector(u), Vector(v)
+    for value in (a, b, a + b, a - b, -a, a.scale(scalar), a.scale(str(scalar)), Vector(a)):
         assert_exact_coordinates(value)
 
 

@@ -12,7 +12,6 @@ from nijenhuis.linalg import (
     LinComb,
     RowSpace,
     Vector,
-    format_rational,
     rank,
     rational,
     span,
@@ -29,12 +28,12 @@ W3 = BracketedWord("x*[y]")
 def test_rational_coercion_and_formatting():
     assert rational("2/4") == Fraction(1, 2)
     assert rational(-3) == Fraction(-3)
-    assert format_rational(Fraction(2, 4)) == "1/2"
-    assert format_rational(Fraction(-6, 3)) == "-2"
-    assert format_rational(Fraction(5)) == "5"
+    assert str(Fraction(2, 4)) == "1/2"
+    assert str(Fraction(-6, 3)) == "-2"
+    assert str(Fraction(5)) == "5"
     # unbounded integers survive exactly
     big = Fraction(10**40, 3)
-    assert rational(format_rational(big)) == big
+    assert rational(str(big)) == big
     with pytest.raises(TypeError):
         rational(0.5)
     # bool is an int subclass, but a truth value is not a scalar
