@@ -47,7 +47,6 @@ from .linalg import (
     RationalLike,
     RowSpace,
     Vector,
-    _exact,
     _unit,
     rational,
 )
@@ -155,7 +154,7 @@ def _contract(t: SparseTensor, u: Sequence[RationalLike], v: Sequence[RationalLi
                 cj = b[j]
                 if cj:
                     out[k] += ci * cj * s
-    return _exact(out)
+    return Vector(out)
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ class LinearMap:
             if c:
                 for i, x in col:
                     out[i] += c * x
-        return _exact(out)
+        return Vector(out)
 
     def column(self, j: int) -> Vector:
         return self._columns[j]
@@ -461,7 +460,7 @@ def evaluate_hom(
         for k, x in enumerate(eval_word(w)):
             if x:
                 total[k] += c * x
-    return _exact(total)
+    return Vector(total)
 
 
 def check_morphism_kills_generators(

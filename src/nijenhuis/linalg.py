@@ -24,7 +24,6 @@ the one way from dense rows to a :class:`RowSpace`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import lcm
 from operator import add, sub
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
@@ -271,31 +270,22 @@ class Vector(tuple):
         return tuple.__new__(cls, map(rational, values))
 
     def __add__(self, other: "Vector") -> "Vector":
-        return _exact(map(add, self, other))
+        return Vector(map(add, self, other))
 
     def __sub__(self, other: "Vector") -> "Vector":
-        return _exact(map(sub, self, other))
+        return Vector(map(sub, self, other))
 
     def __neg__(self) -> "Vector":
-        return _vec(-a for a in self)
+        return Vector(-a for a in self)
 
     def scale(self, scalar: RationalLike) -> "Vector":
         c = rational(scalar)
-        return _exact(c * a for a in self)
-
-
-# A Vector of values already exact, ints where integral, built unchecked.
-_vec = partial(tuple.__new__, Vector)
-
-
-def _exact(values: Iterable[int | Fraction]) -> Vector:
-    """The exact scalars ``values`` as a Vector, each integral one as an ``int``."""
-    return _vec(map(_int_if_integral, values))
+        return Vector(c * a for a in self)
 
 
 def _unit(dim: int, i: int) -> Vector:
     """The ``i``-th standard basis vector of length ``dim``."""
-    return _vec(1 if j == i else 0 for j in range(dim))
+    return Vector(1 if j == i else 0 for j in range(dim))
 
 
 class DimensionMismatch(ValueError):
@@ -368,7 +358,7 @@ class RowSpace:
             vec = {free: 1}
             for pivot, stored in self.rows.items():
                 vec[pivot] = -stored.get(free, 0)
-            basis.append(_vec(vec.get(col, 0) for col in columns))
+            basis.append(Vector(vec.get(col, 0) for col in columns))
         return tuple(basis)
 
 

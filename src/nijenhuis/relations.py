@@ -20,9 +20,9 @@ coefficient matrix of that expansion has full row rank, and its
 nullspace is the five-dimensional space of universally valid relations.
 Two distinguished spanning sets are built in: a four-relation family in
 which several monomials are tied together through the sum operation, and
-a five-relation family that spans the whole nullspace.  The expansion
-and the solved relation space are constant, so each is computed once
-per process and shared by every caller.
+a five-relation family that spans the whole nullspace.  The solved
+relation space is constant, so it is computed once per process and
+shared by every caller.
 """
 
 from __future__ import annotations
@@ -207,7 +207,6 @@ def _generator_triple() -> tuple[LinComb, LinComb, LinComb]:
     )
 
 
-@cache
 def _unit_evaluations() -> tuple[tuple[LinComb, ...], tuple[BracketedWord, ...]]:
     x, y, z = _generator_triple()
     evals = tuple(evaluate_relation(RelVector(_unit(18, k)), x, y, z) for k in range(18))

@@ -263,19 +263,24 @@ def test_linear_map_shapes_and_application():
 
 
 def test_vector_inputs_are_coerced_or_rejected():
-    # A Vector coerces its coordinates when it is built, so a float, a
-    # bool or a malformed string fails there, and a wrong length is still
-    # a DimensionMismatch.
+    # A Vector coerces its coordinates when it is built, and so does each
+    # entry point given plain coordinates: a float, a bool or a malformed
+    # string fails either way, and a wrong length is still a
+    # DimensionMismatch.
     alg, f = fixture_scaling("3/2"), LinearMap.from_rows([[1, "1/2"], [0, 1]])
     assert alg.mul(Vector(("1/2", "2")), Vector(("4", 1))) == (2, 2)
     assert alg.apply_op(Vector(("2/3", "-2"))) == (1, -3)
     assert f.apply(Vector(("1", "2"))) == (2, 2)
+    bads = ((1.5, 0), (True, 0), ("x", 0))
+    for bad in bads:
+        with pytest.raises((TypeError, ValueError)):
+            Vector(bad)
     for call in (alg.apply_op, f.apply, lambda v: alg.mul(v, (1, 1)), lambda v: alg.mul((1, 1), v)):
         with pytest.raises(DimensionMismatch):
             call(Vector((1, 2, 3)))
-        for bad in ((1.5, 0), (True, 0), ("x", 0)):
+        for bad in bads:
             with pytest.raises((TypeError, ValueError)):
-                call(Vector(bad))
+                call(bad)
 
 
 def test_algebra_json_round_trips():

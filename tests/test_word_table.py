@@ -3,9 +3,7 @@
 A word is its canonical text, so nothing needs to share equal words:
 the only module containers that keep words after a command are the
 product cache, which empties itself when it reaches its limit, and the
-bounded memos that split words at their end brackets.  The relation
-solver's constant expansion, cached once per process, also holds its 13
-words; it never grows.
+bounded memos that split words at their end brackets.
 """
 
 from __future__ import annotations
