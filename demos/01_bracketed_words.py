@@ -1,21 +1,21 @@
 """Tour of the bracketed-word basis.
 
 Words are alternating sequences of generator runs and bracket factors,
-and a word is held as its canonical text: `BracketedWord(text)` checks a text
-and returns the word, and generator names are plain strings.  Each word
+and a word is its canonical text, a plain `str`: `word(text)` checks a text
+and returns it as the word, and generator names are plain strings.  Each word
 carries a handful of integer measures, all read from that text, that the
 rest of the package leans on: depth (bracket nesting), breadth
 (top-level factors), letter count, and size (letters plus bracket pairs).
 """
 
 from nijenhuis import (
-    BracketedWord,
     canonical_key,
     depth,
     breadth,
     generators,
     letter_count,
     size,
+    word,
     words_of_size,
     words_up_to_size,
 )
@@ -36,7 +36,7 @@ def main() -> None:
     print("measures of a few words")
     print(f"{'word':<14} {'depth':>5} {'breadth':>7} {'letters':>7} {'size':>4}")
     for text in samples:
-        w = BracketedWord(text)
+        w = word(text)
         print(
             f"{text:<14} {depth(w):>5} {breadth(w):>7}"
             f" {letter_count(w):>7} {size(w):>4}"

@@ -9,7 +9,6 @@ and finishes with a truncated ideal-membership certificate.
 from fractions import Fraction
 
 from nijenhuis import (
-    BracketedWord,
     LinearMap,
     Membership,
     OpSymbol,
@@ -22,6 +21,7 @@ from nijenhuis import (
     letter_word,
     LinComb,
     truncated_ideal_membership,
+    word,
 )
 
 
@@ -64,7 +64,7 @@ def main() -> None:
     for g in gens[:3]:
         verdict = truncated_ideal_membership(gens, g, size_bound=4)
         print(f"  generator {g}: {verdict.value}")
-    stray = LinComb.from_word(BracketedWord("e1"))
+    stray = LinComb.from_word(word("e1"))
     verdict = truncated_ideal_membership(gens, stray, size_bound=4)
     print(f"  bare letter e1: {verdict.value}")
     assert verdict is Membership.NOT_DETECTED

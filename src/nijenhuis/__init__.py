@@ -73,7 +73,6 @@ from .relations import (
 )
 from .words import (
     AlternationViolation,
-    BracketedWord,
     EmptyInput,
     WordError,
     breadth,
@@ -84,6 +83,7 @@ from .words import (
     letter_count,
     letter_word,
     size,
+    word,
     words_of_size,
     words_up_to_size,
 )

@@ -40,13 +40,13 @@ writes each operand over one common denominator, multiplies and sums
 integer numerators, and divides each result term once, by the product
 of the two denominators; a term that divides exactly stays an ``int``.
 Operands with integer coefficients, as in the sweeps, have denominator
-1 and are never divided.  The texts a product returns are
-wrapped as words unchecked, and none of them can break alternation:
+1 and are never divided.  The texts a product returns are plain
+concatenations, unchecked, and none of them can break alternation:
 ``u*v`` merges two runs or puts a run next to a bracket; a bracket
 junction's words start and end with brackets, so the text reattached
 around them alternates as it did in the operands; and ``[w]`` is a
 single factor.  The tests pass every such text through the one checked
-constructor, ``BracketedWord(text)``, and through a reference model.
+constructor, :func:`~nijenhuis.words.word`, and a reference model.
 
 :func:`product` checks the size of each result: one with more terms
 than the cap, :data:`MAX_TERMS` unless :func:`command_scope` sets
@@ -69,8 +69,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Any, Callable, Iterator, Sequence
 
-from .linalg import LinComb, _divide, _numerators
-from .words import BracketedWord, _close, _word
+from .linalg import LinComb, _divide, _int_if_integral, _numerators
+from .words import _close
 
 __all__ = [
     "OpSymbol",
@@ -134,36 +134,37 @@ _MIRROR = str.maketrans("[]", "][")
 
 
 @lru_cache(maxsize=1 << 14)
-def _split_last(u: BracketedWord) -> tuple[str, BracketedWord]:
+def _split_last(u: str) -> tuple[str, str]:
     """The text before the last factor of ``u``, a bracket, and that bracket."""
     # Mirrored and reversed, the last bracket of u opens at position 0.
     start = len(u) - 1 - _close(u[::-1].translate(_MIRROR), 0)
-    return (u[:start], _word(u[start:])) if start else ("", u)
+    return (u[:start], u[start:]) if start else ("", u)
 
 
 @lru_cache(maxsize=1 << 14)
-def _split_first(v: BracketedWord) -> tuple[BracketedWord, str]:
+def _split_first(v: str) -> tuple[str, str]:
     """The first factor of ``v``, a bracket, and the text after it."""
     end = _close(v, 0) + 1
-    return (_word(v[:end]), v[end:]) if end < len(v) else (v, "")
+    return (v[:end], v[end:]) if end < len(v) else (v, "")
 
 
-def product_words(u: BracketedWord, v: BracketedWord) -> LinComb:
+def product_words(u: str, v: str) -> LinComb:
     """Product of two basis words as a linear combination of words."""
     if u[-1] != "]" or v[0] != "[":
-        return LinComb._wrap({_word(u + "*" + v): 1})
+        return LinComb._wrap({u + "*" + v: 1})
     prefix, last = _split_last(u)
     first, suffix = _split_first(v)
     key = (last, first)
     junction = _PRODUCT_CACHE.get(key)
     if junction is None:
-        inner_last, inner_first = _word(last[1:-1]), _word(first[1:-1])
+        inner_last, inner_first = last[1:-1], first[1:-1]
         data = dict(operator_n(product_words(last, inner_first))._terms)
         get = data.get
         for w, c in operator_n(product_words(inner_last, first))._terms.items():
             acc = get(w)
             data[w] = c if acc is None else acc + c
-        for w, c in operator_n(operator_n(product_words(inner_last, inner_first)))._terms.items():
+        for w, c in product_words(inner_last, inner_first)._terms.items():
+            w = f"[[{w}]]"
             acc = get(w)
             data[w] = -c if acc is None else acc - c
         junction = LinComb._wrap({w: c for w, c in data.items() if c})
@@ -175,7 +176,7 @@ def product_words(u: BracketedWord, v: BracketedWord) -> LinComb:
         return junction
     # Junction words start and end with brackets, so reattaching the
     # untouched outer text cannot break alternation or merge terms.
-    return LinComb._wrap({_word(prefix + w + suffix): c for w, c in junction._terms.items()})
+    return LinComb._wrap({prefix + w + suffix: c for w, c in junction._terms.items()})
 
 
 def product(a: LinComb, b: LinComb) -> LinComb:
@@ -187,16 +188,20 @@ def product(a: LinComb, b: LinComb) -> LinComb:
     if len(a._terms) == 1 and len(b._terms) == 1:
         ((wu, cu),) = a._terms.items()
         ((wv, cv),) = b._terms.items()
-        result = product_words(wu, wv)
         scale = cu * cv
-        if scale != 1:
-            result = result.scale(scale)
+        if wu[-1] != "]" or wv[0] != "[":
+            # A letter junction, as in product_words: the one word u*v.
+            result = LinComb._wrap({wu + "*" + wv: scale if type(scale) is int else _int_if_integral(scale)})
+        else:
+            result = product_words(wu, wv)
+            if scale != 1:
+                result = result.scale(scale)
     else:
         # Integer numerators over one denominator per operand, so the
         # sums below run on ints; each result term is divided once.
         ta, da = _numerators(a._terms)
         tb, db = _numerators(b._terms)
-        data: dict[BracketedWord, int] = {}
+        data: dict[str, int] = {}
         get = data.get
         for wu, cu in ta.items():
             ends_in_bracket = wu[-1] == "]"
@@ -204,7 +209,7 @@ def product(a: LinComb, b: LinComb) -> LinComb:
                 scale = cu * cv
                 if not ends_in_bracket or wv[0] != "[":
                     # A letter junction, as in product_words: the one word u*v.
-                    w = _word(wu + "*" + wv)
+                    w = wu + "*" + wv
                     acc = get(w)
                     data[w] = scale if acc is None else acc + scale
                     continue
@@ -226,7 +231,7 @@ def product(a: LinComb, b: LinComb) -> LinComb:
 
 def operator_n(a: LinComb) -> LinComb:
     """Apply the distinguished operator: wrap each word in one bracket."""
-    return LinComb._wrap({_word("[" + w + "]"): c for w, c in a._terms.items()})
+    return LinComb._wrap({f"[{w}]": c for w, c in a._terms.items()})
 
 
 def derived_op(
@@ -281,13 +286,15 @@ def _format_side(side: Any) -> str:
 
 
 def first_nonassociative_triple(
-    elements: Sequence[Any], mul: Callable[[Any, Any], Any] = product
+    elements: Sequence[Any], mul: Callable[[Any, Any], Any] | None = None
 ) -> CheckReport | None:
     """First triple, in row-major order, with ``(a b) c != a (b c)``.
 
+    ``mul`` defaults to the free product, read when the sweep is called.
     Every pair product ``b c`` is computed once, up front, and serves
     both as the left factor ``a b`` and as the right factor ``b c``.
     """
+    mul = mul or product
     n = len(elements)
     pairs = [[mul(b, c) for c in elements] for b in elements]
     for i in range(n):

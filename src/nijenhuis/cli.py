@@ -89,7 +89,10 @@ def _env_cap(name: str) -> int | None:
     except ValueError:
         print(f"warning: ignoring non-integer {name}={raw!r}", file=sys.stderr)
         return None
-    return value if value >= 1 else None
+    if value < 1:
+        print(f"warning: ignoring non-positive {name}={raw!r}", file=sys.stderr)
+        return None
+    return value
 
 
 def _checked_size(option: str, requested: int) -> int:
@@ -103,11 +106,7 @@ def _checked_size(option: str, requested: int) -> int:
 
 
 def _lincomb_json(a: LinComb) -> dict:
-    return {
-        "terms": [
-            {"coeff": str(c), "word": str(w)} for w, c in a
-        ]
-    }
+    return {"terms": [{"coeff": str(c), "word": w} for w, c in a]}
 
 
 def _emit(args: argparse.Namespace, obj: dict, plain: str) -> None:
@@ -268,10 +267,19 @@ def _cmd_ndend_check(args: argparse.Namespace) -> int:
     return _relation_sweep(args, ndendriform_relation_set(), "five-family")
 
 
+@functools.cache
+def _relation_space_flags() -> tuple[bool, bool]:
+    """Whether the solved basis spans the five-relation family, and whether it contains the four."""
+    basis = solve_relation_space()
+    return (
+        relation_sets_span_equal(basis, ndendriform_relation_set()),
+        relation_sets_span_equal(basis, (*basis, *ns_relation_set())),
+    )
+
+
 def _cmd_solve_relspace(args: argparse.Namespace) -> int:
     basis = solve_relation_space()
-    matches = relation_sets_span_equal(basis, ndendriform_relation_set())
-    contains_four = relation_sets_span_equal(basis, (*basis, *ns_relation_set()))
+    matches, contains_four = _relation_space_flags()
     vectors = [v.to_json_obj() for v in basis]
     obj = {
         "dimension": len(basis),

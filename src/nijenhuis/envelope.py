@@ -52,7 +52,6 @@ from .linalg import (
 )
 from .relations import RelVector, ndendriform_relation_set, ns_relation_set, relation_sides
 from .words import (
-    BracketedWord,
     canonical_key,
     generators,
     iter_symbols,
@@ -427,7 +426,7 @@ def evaluate_hom(
         raise DimensionMismatch("map must land in the target algebra")
     index = {name: k for k, name in enumerate(names)}
 
-    def eval_word(w: BracketedWord) -> Vector:
+    def eval_word(w: str) -> Vector:
         # Read the text left to right.  ``run`` is the product of the
         # letter run being read, ``value`` that of the factors before it
         # in the current word; an open bracket saves ``value``.

@@ -28,7 +28,7 @@ from math import lcm
 from operator import add, sub
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .words import BracketedWord, canonical_sort
+from .words import canonical_sort
 
 __all__ = [
     "RationalLike",
@@ -80,7 +80,7 @@ def _int_if_integral(q: int | Fraction) -> int | Fraction:
     return q if type(q) is int or q.denominator != 1 else q.numerator
 
 
-def _numerators(terms: dict[BracketedWord, int | Fraction]) -> tuple[dict[BracketedWord, int], int]:
+def _numerators(terms: dict[str, int | Fraction]) -> tuple[dict[str, int], int]:
     """The integer numerators of ``terms`` over their least common denominator, and that denominator.
 
     All-integer terms come back as they are, over 1.
@@ -101,13 +101,13 @@ class LinComb:
 
     __slots__ = ("_terms", "_items", "_hash")
 
-    def __init__(self, terms: Union[Mapping[BracketedWord, RationalLike], Iterable[tuple[BracketedWord, RationalLike]]] = ()):
+    def __init__(self, terms: Union[Mapping[str, RationalLike], Iterable[tuple[str, RationalLike]]] = ()):
         # The dict test first spares the common case the slow ABC check.
         if isinstance(terms, dict) or isinstance(terms, Mapping):
             pairs = terms.items()
         else:
             pairs = terms
-        data: dict[BracketedWord, int | Fraction] = {}
+        data: dict[str, int | Fraction] = {}
         for word, coeff in pairs:
             c = rational(coeff)
             if c:
@@ -121,11 +121,11 @@ class LinComb:
                     else:
                         del data[word]
         self._terms = data
-        self._items: tuple[tuple[BracketedWord, int | Fraction], ...] | None = None
+        self._items: tuple[tuple[str, int | Fraction], ...] | None = None
         self._hash: int | None = None
 
     @classmethod
-    def _wrap(cls, data: dict[BracketedWord, int | Fraction]) -> "LinComb":
+    def _wrap(cls, data: dict[str, int | Fraction]) -> "LinComb":
         """Wrap a dict of nonzero exact coefficients, taking ownership.
 
         The caller guarantees the dict is clean and never mutates it
@@ -142,20 +142,20 @@ class LinComb:
         return cls()
 
     @classmethod
-    def from_word(cls, word: BracketedWord, coeff: RationalLike = 1) -> "LinComb":
+    def from_word(cls, word: str, coeff: RationalLike = 1) -> "LinComb":
         return cls(((word, coeff),))
 
-    def items(self) -> tuple[tuple[BracketedWord, int | Fraction], ...]:
+    def items(self) -> tuple[tuple[str, int | Fraction], ...]:
         """Terms as (word, coefficient) pairs in canonical order."""
         if self._items is None:
             ordered = canonical_sort(self._terms)
             self._items = tuple(zip(ordered, map(self._terms.__getitem__, ordered)))
         return self._items
 
-    def support(self) -> tuple[BracketedWord, ...]:
+    def support(self) -> tuple[str, ...]:
         return tuple(w for w, _ in self.items())
 
-    def coeff(self, word: BracketedWord) -> int | Fraction:
+    def coeff(self, word: str) -> int | Fraction:
         return self._terms.get(word, 0)
 
     def is_zero(self) -> bool:
@@ -167,7 +167,7 @@ class LinComb:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __iter__(self) -> Iterator[tuple[BracketedWord, int | Fraction]]:
+    def __iter__(self) -> Iterator[tuple[str, int | Fraction]]:
         return iter(self.items())
 
     def __add__(self, other: "LinComb") -> "LinComb":

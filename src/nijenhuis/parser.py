@@ -33,7 +33,7 @@ from typing import Iterable, Union
 
 from .algebra import OpSymbol, derived_op, operator_n, product
 from .linalg import LinComb, _divide, _int_if_integral
-from .words import MAX_NESTING, BracketedWord, letter_word
+from .words import MAX_NESTING, letter_word
 
 __all__ = [
     "ParseError",
@@ -386,7 +386,7 @@ def eval_expr(expr: Expr, declared: Iterable[str]) -> LinComb:
                 raise EvalError("a bare scalar is not an algebra element")
             return value.scale(coeff)
         if isinstance(node, Sum):
-            data: dict[BracketedWord, int | Fraction] = {}
+            data: dict[str, int | Fraction] = {}
             get = data.get
             for coeff, child in node.terms:
                 if isinstance(child, ScalarLit):

@@ -34,7 +34,7 @@ from typing import Any, Callable, Sequence
 
 from .algebra import COORD_OPS, OpSymbol, derived_op
 from .linalg import LinComb, RationalLike, Vector, _unit, rational, span
-from .words import BracketedWord, canonical_sort, letter_word
+from .words import canonical_sort, letter_word
 
 __all__ = [
     "RelVector",
@@ -207,17 +207,17 @@ def _generator_triple() -> tuple[LinComb, LinComb, LinComb]:
     )
 
 
-def _unit_evaluations() -> tuple[tuple[LinComb, ...], tuple[BracketedWord, ...]]:
+def _unit_evaluations() -> tuple[tuple[LinComb, ...], tuple[str, ...]]:
     x, y, z = _generator_triple()
     evals = tuple(evaluate_relation(RelVector(_unit(18, k)), x, y, z) for k in range(18))
-    seen: set[BracketedWord] = set()
+    seen: set[str] = set()
     for value in evals:
         seen.update(value.support())
     rows = tuple(canonical_sort(seen))
     return evals, rows
 
 
-def relation_monomials() -> tuple[BracketedWord, ...]:
+def relation_monomials() -> tuple[str, ...]:
     """Basis words supporting the 18 expanded monomials, in canonical order."""
     return _unit_evaluations()[1]
 

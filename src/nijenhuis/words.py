@@ -7,31 +7,30 @@ the free Nijenhuis algebra built in :mod:`nijenhuis.algebra`; this module
 only knows about their combinatorial structure: construction,
 enumeration by size, the canonical text and the canonical sort key.
 
-A word is its canonical text: :class:`BracketedWord` is a ``str``
-subclass whose value is that text, letters joined by ``*`` and brackets
-written ``[...]``, and ``str(w)`` gives it as a plain string.  Runs of
-letters are maximal and brackets never touch, so each word has one text
-and each text one word: equal words are equal strings, hashing and
-equality run in C, and printing a word costs nothing.  The measures are read from
-the text, since generator names are identifiers: every letter but the
-first follows a ``*``, every bracket pair opens with a ``[``, and the
-depth is the deepest count of open brackets.  A generator name is a
-plain ``str``, checked by :func:`generators` and :func:`letter_word`.
+A word is its canonical text, held as a plain ``str``: letters joined
+by ``*`` and brackets written ``[...]``.  Runs of letters are maximal
+and brackets never touch, so each word has one text and each text one
+word: equal words are equal strings, hashing and equality run in C, and
+printing a word costs nothing.  The measures are read from the text,
+since generator names are identifiers: every letter but the first
+follows a ``*``, every bracket pair opens with a ``[``, and the depth is
+the deepest count of open brackets.  A generator name is a plain
+``str``, checked by :func:`generators` and :func:`letter_word`.
 
-``BracketedWord(text)`` is the one checked constructor: it scans the
-text once and rejects anything that is not the canonical text of a word.
-It reads single words only; it is not the expression parser.
-:func:`letter_word` checks each name of its run.  The enumeration and the free product build texts that are
-canonical by construction and wrap them unchecked, through ``_word``
-(see :mod:`nijenhuis.algebra`); the tests compare those words with the
-checked constructor.
+:func:`word` is the one checked constructor: it scans the text once and
+rejects anything that is not the canonical text of a word.  It reads
+single words only; it is not the expression parser.  :func:`letter_word`
+checks each name of its run.  The enumeration and the free product (see
+:mod:`nijenhuis.algebra`) build texts that are canonical by
+construction, by concatenation alone, with nothing checked; the tests
+compare those words with the checked constructor.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product as _cartesian
 from typing import Iterable
 
@@ -39,7 +38,7 @@ __all__ = [
     "WordError",
     "AlternationViolation",
     "EmptyInput",
-    "BracketedWord",
+    "word",
     "generators",
     "letter_word",
     "depth",
@@ -55,11 +54,10 @@ __all__ = [
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
-#: Deepest bracket nesting accepted from text, by :class:`BracketedWord`
-#: and by the expression parser.  :class:`BracketedWord` keeps a count
-#: of open brackets, but the expression evaluator recurses once per
-#: level, so the cap keeps every accepted input inside the interpreter's
-#: recursion limit.
+#: Deepest bracket nesting accepted from text, by :func:`word` and by
+#: the expression parser.  :func:`word` keeps a count of open brackets,
+#: but the expression evaluator recurses once per level, so the cap keeps
+#: every accepted input inside the interpreter's recursion limit.
 MAX_NESTING = 100
 
 
@@ -91,32 +89,20 @@ def generators(*names: str) -> tuple[str, ...]:
     return names
 
 
-class BracketedWord(str):
-    """A nonempty sequence of factors with alternating kinds, held as its canonical text.
+def word(text: str) -> str:
+    """The word whose canonical text is ``text``, checked, as an exact ``str``.
 
-    Adjacent factors never share a kind: letter runs are maximal and
-    brackets never touch.  The constructor takes the text and checks
-    it, so every reachable instance is well formed.
+    Raises :class:`EmptyInput` for an empty word or bracket,
+    :class:`AlternationViolation` for touching brackets, and
+    :class:`WordError` for anything else that is not a word's text;
+    ``TypeError`` when ``text`` is not a string.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, text: str) -> "BracketedWord":
-        if not isinstance(text, str):
-            raise TypeError(f"a word is built from its text, not {text!r}")
-        _check(text)
-        return str.__new__(cls, text)
-
-    def __repr__(self) -> str:
-        return f"BracketedWord({str(self)!r})"
-
-    def __reduce__(self):
-        return BracketedWord, (str(self),)
-
-
-#: The word whose text is ``text``, with nothing checked; only for text
-#: known to be canonical.
-_word = partial(str.__new__, BracketedWord)
+    if not isinstance(text, str):
+        raise TypeError(f"a word is built from its text, not {text!r}")
+    # The exact str of the same text, also for a str subclass.
+    text = str.__str__(text)
+    _check(text)
+    return text
 
 
 def _check(text: str) -> None:
@@ -178,25 +164,25 @@ def _close(text: str, start: int) -> int:
                 return m.end() - 1 + level
 
 
-def letter_word(*names: str) -> BracketedWord:
+def letter_word(*names: str) -> str:
     """The word consisting of one run of the given letters."""
     if not names:
         raise EmptyInput("letter run is empty")
     for name in names:
         _check_name(name)
-    return _word("*".join(names))
+    return "*".join(names)
 
 
 # Deletes all but the brackets from a word's text.
 _BRACKETS_ONLY = str.maketrans("", "", "*_0123456789" + string.ascii_letters)
 
 
-def depth(w: BracketedWord) -> int:
+def depth(w: str) -> int:
     """Maximal bracket nesting over the factors of ``w``."""
     return canonical_key(w)[1]
 
 
-def breadth(w: BracketedWord) -> int:
+def breadth(w: str) -> int:
     """Number of factors of ``w``.
 
     The factors alternate in kind, so between two top-level brackets there
@@ -212,12 +198,12 @@ def breadth(w: BracketedWord) -> int:
     return 2 * top + 1 - w.startswith("[") - w.endswith("]")
 
 
-def letter_count(w: BracketedWord) -> int:
+def letter_count(w: str) -> int:
     """Total number of generator letters, at all nesting levels."""
     return w.count("*") + 1
 
 
-def size(w: BracketedWord) -> int:
+def size(w: str) -> int:
     """The number of letters plus the number of bracket pairs."""
     return letter_count(w) + w.count("[")
 
@@ -233,7 +219,7 @@ def _nesting(brackets: str) -> int:
     return deepest
 
 
-def canonical_key(w: BracketedWord) -> tuple[int, int, str]:
+def canonical_key(w: str) -> tuple[int, int, str]:
     """Sort key realizing the canonical order on words.
 
     Words compare first by total letter count, then by depth, then
@@ -242,11 +228,10 @@ def canonical_key(w: BracketedWord) -> tuple[int, int, str]:
     no faster and its peak memory larger.  Only the depth of each
     bracket pattern is memoized, and there are few distinct patterns.
     """
-    text = str(w)
-    return letter_count(text), _nesting(text.translate(_BRACKETS_ONLY)), text
+    return letter_count(w), _nesting(w.translate(_BRACKETS_ONLY)), w
 
 
-def canonical_sort(words: Iterable[BracketedWord]) -> list[BracketedWord]:
+def canonical_sort(words: Iterable[str]) -> list[str]:
     """``words`` sorted by :func:`canonical_key`.
 
     One ``translate`` over the joined texts reads the bracket patterns
@@ -261,7 +246,7 @@ def canonical_sort(words: Iterable[BracketedWord]) -> list[BracketedWord]:
 
 
 @lru_cache(maxsize=None)
-def words_of_size(alphabet: tuple[str, ...], n: int) -> tuple[BracketedWord, ...]:
+def words_of_size(alphabet: tuple[str, ...], n: int) -> tuple[str, ...]:
     """All words of exact size ``n`` over ``alphabet``, canonically ordered."""
     generators(*alphabet)
     if n <= 0:
@@ -284,20 +269,20 @@ def words_of_size(alphabet: tuple[str, ...], n: int) -> tuple[BracketedWord, ...
                     extend(f"{head}[{inner}]", False, remaining - k)
 
     extend("", None, n)
-    return tuple(canonical_sort(map(_word, found)))
+    return tuple(canonical_sort(found))
 
 
 @lru_cache(maxsize=None)
 def words_up_to_size(
     alphabet: tuple[str, ...], max_size: int
-) -> tuple[BracketedWord, ...]:
+) -> tuple[str, ...]:
     """All words of size at most ``max_size``, canonically ordered."""
-    pool: list[BracketedWord] = []
+    pool: list[str] = []
     for n in range(1, max_size + 1):
         pool.extend(words_of_size(alphabet, n))
     return tuple(canonical_sort(pool))
 
 
-def iter_symbols(w: BracketedWord) -> list[str]:
+def iter_symbols(w: str) -> list[str]:
     """Every generator name in ``w``, left to right."""
     return _NAME.findall(w)

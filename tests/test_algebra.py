@@ -9,10 +9,10 @@ from hypothesis import given
 from nijenhuis.algebra import COORD_OPS, OpSymbol, derived_op, operator_n, product, product_words
 from nijenhuis.linalg import LinComb
 from nijenhuis.words import (
-    BracketedWord,
     generators,
     letter_word,
     size,
+    word,
     words_up_to_size,
 )
 
@@ -25,7 +25,7 @@ LZ = LinComb.from_word(letter_word(Z))
 
 
 def lc(text: str) -> LinComb:
-    return LinComb.from_word(BracketedWord(text))
+    return LinComb.from_word(word(text))
 
 
 def test_letter_junction_merges_runs():
@@ -146,7 +146,7 @@ def test_product_bilinear_in_combinations(a, b, c):
 
 
 def test_word_product_memoized():
-    u, v = BracketedWord("[x]"), BracketedWord("[y]")
+    u, v = word("[x]"), word("[y]")
     first = product_words(u, v)
     second = product_words(u, v)
     assert first is second
@@ -156,7 +156,7 @@ def test_coefficient_arithmetic_stays_rational():
     a = LX.scale(Fraction(1, 3))
     b = LY.scale(Fraction(3, 7))
     got = product(a, b)
-    assert got.coeff(BracketedWord("x*y")) == Fraction(1, 7)
+    assert got.coeff(word("x*y")) == Fraction(1, 7)
 
 
 def test_enumerated_sweep_small():

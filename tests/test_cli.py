@@ -24,7 +24,7 @@ from nijenhuis.envelope import (
 from nijenhuis.linalg import LinComb
 from nijenhuis.parser import eval_expr, parse_expr, print_canonical
 from nijenhuis.relations import RelVector, ndendriform_relation_set, solve_relation_space
-from nijenhuis.words import MAX_NESTING, BracketedWord
+from nijenhuis.words import MAX_NESTING, word
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -123,7 +123,7 @@ def test_sweep_success_lines(capsys, argv, line):
 )
 def test_sweep_failure_reports_the_failing_words(capsys, monkeypatch, command, sweep, what, label):
     # The handlers look their sweep up when called, so rebinding it reaches them.
-    x, y = LinComb.from_word(BracketedWord("x")), LinComb.from_word(BracketedWord("y"))
+    x, y = LinComb.from_word(word("x")), LinComb.from_word(word("y"))
     report = CheckReport(False, what, (0, 1), x, y.scale(2))
     monkeypatch.setattr(cli, sweep, lambda elements: report)
     assert run(capsys, command, "--max-size", "1") == (1, f"{what} fails at (x, y)\n", "")
@@ -147,6 +147,12 @@ def test_max_size_env_cap(capsys, monkeypatch):
     code, _, err = run(capsys, "assoc-check", "--max-size", "1")
     assert code == 0
     assert "ignoring" in err
+    for ignored in ("0", "-5"):
+        monkeypatch.setenv("NF_MAX_SIZE", ignored)
+        code, out, err = run(capsys, "assoc-check", "--max-size", "2")
+        assert code == 0
+        assert "up to size 2" in out
+        assert err == f"warning: ignoring non-positive NF_MAX_SIZE='{ignored}'\n"
 
 
 def test_sweeps_reject_nonpositive_max_size(capsys):
@@ -232,7 +238,9 @@ def test_term_cap_env(capsys, monkeypatch):
     assert code == 0 and out.strip() == "-[[x*y]] + [[x]*y] + [x*[y]]"
     for ignored in ("0", "-5"):
         monkeypatch.setenv("NF_MAX_TERMS", ignored)
-        assert run(capsys, "mul", "[x]", "[y]")[0] == 0
+        code, _, err = run(capsys, "mul", "[x]", "[y]")
+        assert code == 0
+        assert err == f"warning: ignoring non-positive NF_MAX_TERMS='{ignored}'\n"
     monkeypatch.setenv("NF_MAX_TERMS", "banana")
     code, _, err = run(capsys, "mul", "[x]", "[y]")
     assert code == 0

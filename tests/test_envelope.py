@@ -31,13 +31,13 @@ from nijenhuis.envelope import (
     truncated_ideal_membership,
 )
 from nijenhuis.linalg import DimensionMismatch, LinComb, Vector
-from nijenhuis.words import BracketedWord, WordError, letter_word
+from nijenhuis.words import WordError, letter_word, word
 
 E1, E2 = default_names(2)
 
 
 def lc(text: str) -> LinComb:
-    return LinComb.from_word(BracketedWord(text))
+    return LinComb.from_word(word(text))
 
 
 def unit(i: int) -> tuple:

@@ -16,13 +16,13 @@ from nijenhuis.linalg import (
     rational,
     span,
 )
-from nijenhuis.words import BracketedWord, canonical_key
+from nijenhuis.words import canonical_key, word
 
 from conftest import lincombs_strategy, rationals_strategy
 
-W1 = BracketedWord("x")
-W2 = BracketedWord("[x]*y")
-W3 = BracketedWord("x*[y]")
+W1 = word("x")
+W2 = word("[x]*y")
+W3 = word("x*[y]")
 
 
 def test_rational_coercion_and_formatting():
@@ -67,7 +67,7 @@ def test_lincomb_items_follow_canonical_order():
 
 
 def test_lincomb_str_formats_signs_and_coefficients():
-    a = LinComb([(BracketedWord("[z]"), -2), (BracketedWord("[x*[y]]"), 1)])
+    a = LinComb([(word("[z]"), -2), (word("[x*[y]]"), 1)])
     assert str(a) == "-2*[z] + [x*[y]]"
     assert str(LinComb.zero()) == "0"
     assert str(LinComb.from_word(W1, Fraction(-1))) == "-x"
@@ -171,7 +171,7 @@ def test_subspace_equal_cases():
 def test_rowspace_pivots_on_the_largest_word():
     # the ideal closure files rows under their largest word in canonical order
     space = RowSpace(key=canonical_key)
-    big = BracketedWord("[x*[y]]")
+    big = word("[x*[y]]")
     assert space.add(LinComb([(W1, 2), (big, 4)])._terms)
     assert list(space.rows) == [big]
     assert space.rows[big] == {W1: Fraction(1, 2), big: Fraction(1)}

@@ -15,9 +15,9 @@ from fractions import Fraction
 from hypothesis import given
 
 from nijenhuis import algebra
-from nijenhuis.algebra import first_operator_identity_failure, operator_n, product_words
+from nijenhuis.algebra import first_operator_identity_failure, operator_n, product, product_words
 from nijenhuis.linalg import LinComb
-from nijenhuis.words import BracketedWord, canonical_key, words_up_to_size
+from nijenhuis.words import canonical_key, word, words_up_to_size
 
 from conftest import (
     ALPHABET_XY,
@@ -28,9 +28,9 @@ from conftest import (
 )
 
 
-def from_tuple(word: tuple):
+def from_tuple(model: tuple):
     """A word built anew from its text through the checked constructor."""
-    return BracketedWord(reference_text(word))
+    return word(reference_text(model))
 
 
 def _add(total: dict, terms: dict, sign: int) -> None:
@@ -98,6 +98,26 @@ def test_product_matches_reference_over_three_letters(u, v):
     assert as_dict(product_words(u, v)) == reference_product(as_tuple(u), as_tuple(v))
 
 
+# Pairs of these include integral products of two Fractions: 3/2 . 2/3 and -3/4 . 4/3.
+SCALES = (1, -1, 2, Fraction(3, 2), Fraction(2, 3), Fraction(-3, 4), Fraction(4, 3))
+
+
+def test_product_of_scaled_words_matches_reference():
+    # Single-term operands take product's own branch, which builds a
+    # letter junction itself and scales a bracket junction.
+    for u in POOL:
+        for v in POOL:
+            expected = reference_product(as_tuple(u), as_tuple(v))
+            for cu in SCALES:
+                for cv in SCALES:
+                    got = product(LinComb.from_word(u, cu), LinComb.from_word(v, cv))
+                    assert as_dict(got) == {w: cu * cv * c for w, c in expected.items()}, (u, cu, v, cv)
+                    for c in got._terms.values():
+                        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction), (u, cu, v, cv)
+    one = product(LinComb.from_word(word("x"), Fraction(3, 2)), LinComb.from_word(word("y"), Fraction(2, 3)))
+    assert one._terms == {"x*y": 1} and type(one._terms["x*y"]) is int
+
+
 def test_operator_matches_reference():
     for w in words_up_to_size(ALPHABET_XYZ, 3):
         assert as_dict(operator_n(LinComb.from_word(w))) == _wrap({as_tuple(w): Fraction(1)})
@@ -115,7 +135,7 @@ def test_product_matches_reference_with_the_word_tables_warm():
             assert as_dict(product_words(u, v)) == reference_product(as_tuple(u), as_tuple(v))
     for (last, first), junction in algebra._PRODUCT_CACHE.items():
         for w in (last, first, *junction._terms):
-            parsed = BracketedWord(str(w))
+            parsed = word(str(w))
             assert parsed == w and w == parsed
             assert hash(parsed) == hash(w)
             assert canonical_key(parsed) == canonical_key(w)
@@ -123,9 +143,10 @@ def test_product_matches_reference_with_the_word_tables_warm():
 
 def test_equal_words_built_apart_share_hash_and_key():
     for w in words_up_to_size(ALPHABET_XY, 4):
-        parsed = BracketedWord(str(w))
+        parsed = word(str(w))
         built = from_tuple(as_tuple(w))
-        assert parsed is not built
+        # The interpreter shares one object per one-character string.
+        assert parsed is not built or len(w) == 1
         assert parsed == built
         assert hash(parsed) == hash(built)
         assert canonical_key(parsed) == canonical_key(built)

@@ -21,7 +21,7 @@ from nijenhuis.relations import (
     relation_space_contains,
     solve_relation_space,
 )
-from nijenhuis.words import BracketedWord, generators, letter_word
+from nijenhuis.words import generators, letter_word, word
 
 from conftest import rationals_strategy
 
@@ -182,9 +182,9 @@ def test_evaluate_relation_on_simple_candidate():
     # (x < y) < z alone leaves a three-term residue
     residue = evaluate_relation(RelVector.unit_left(0, 0), X, Y, Z)
     expected = (
-        LinComb.from_word(BracketedWord("x*[[y]*z]"))
-        + LinComb.from_word(BracketedWord("x*[y*[z]]"))
-        - LinComb.from_word(BracketedWord("x*[[y*z]]"))
+        LinComb.from_word(word("x*[[y]*z]"))
+        + LinComb.from_word(word("x*[y*[z]]"))
+        - LinComb.from_word(word("x*[[y*z]]"))
     )
     assert residue == expected
 

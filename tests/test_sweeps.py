@@ -92,10 +92,14 @@ def test_the_identity_holds_for_a_scaled_product(monkeypatch):
 
 
 def _break_the_product(monkeypatch) -> None:
-    """Scale every word product by the left word's size, on a fresh cache."""
-    exact = algebra.product_words
+    """Scale every product by the size of the left operand's largest word, on a fresh cache."""
+    exact = algebra.product
     monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
-    monkeypatch.setattr(algebra, "product_words", lambda u, v: exact(u, v).scale(size(u)))
+
+    def scaled(a, b):
+        return exact(a, b).scale(max(map(size, a._terms), default=0))
+
+    monkeypatch.setattr(algebra, "product", scaled)
 
 
 def test_assoc_check_reports_the_first_failing_triple(monkeypatch, capsys):

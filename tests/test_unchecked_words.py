@@ -1,9 +1,9 @@
 """Words the free product builds unchecked against the checked constructor.
 
-:func:`product_words` and :func:`operator_n` build the text of each
-word they return by joining canonical texts, and wrap it with no check.
-Every such text must be one that the checked constructor,
-:class:`BracketedWord`, and the reference grammar of :mod:`conftest`
+:func:`product`, :func:`product_words` and :func:`operator_n` build the
+text of each word they return by joining canonical texts, with no
+check.  Every such text must be an exact ``str`` that the checked
+constructor, :func:`word`, and the reference grammar of :mod:`conftest`
 both accept, and the word rebuilt through them must equal it, with the
 same hash and canonical key.
 """
@@ -20,17 +20,21 @@ from nijenhuis.algebra import (
     first_nonassociative_triple,
     first_operator_identity_failure,
     operator_n,
+    product,
     product_words,
 )
 from nijenhuis.linalg import LinComb
+from nijenhuis.parser import eval_expr, parse_expr
+from nijenhuis.relations import relation_monomials
 from nijenhuis.words import (
     AlternationViolation,
-    BracketedWord,
     EmptyInput,
     WordError,
     canonical_key,
-    letter_word,
     generators,
+    letter_word,
+    word,
+    words_of_size,
     words_up_to_size,
 )
 
@@ -40,13 +44,13 @@ X, Y = ALPHABET_XY
 POOL = words_up_to_size(ALPHABET_XY, 3)
 
 
-def assert_matches_checked(w: BracketedWord) -> None:
-    assert type(w) is BracketedWord, str(w)
-    checked = BracketedWord(reference_text(parse_reference(w)))
-    assert checked == w, str(w)
-    assert hash(checked) == hash(w), str(w)
-    assert canonical_key(checked) == canonical_key(w), str(w)
-    assert BracketedWord(str(w)) == w, str(w)
+def assert_matches_checked(w: str) -> None:
+    assert type(w) is str, repr(w)
+    checked = word(reference_text(parse_reference(w)))
+    assert checked == w, w
+    assert hash(checked) == hash(w), w
+    assert canonical_key(checked) == canonical_key(w), w
+    assert word(w) == w, w
 
 
 def test_product_words_up_to_size_three_pass_the_checked_constructor():
@@ -75,28 +79,60 @@ def test_operator_n_words_pass_the_checked_constructor():
             assert_matches_checked(w)
 
 
+class _Text(str):
+    """A str subclass, to check that words come back as exact strings."""
+
+
 def test_public_constructor_keeps_every_check():
     with pytest.raises(AlternationViolation):
-        BracketedWord("[x]*[y]")
+        word("[x]*[y]")
     with pytest.raises(AlternationViolation):
-        BracketedWord("x*[[x]*[y]]")
+        word("x*[[x]*[y]]")
     for empty in ("", "[]", "x*[[]]"):
         with pytest.raises(EmptyInput):
-            BracketedWord(empty)
+            word(empty)
     for bad in ("x**y", "x*", "[x", "x]", "2x", "x y"):
         with pytest.raises(WordError):
-            BracketedWord(bad)
-    for not_text in ((letter_word(X),), ["x"], None):
+            word(bad)
+        with pytest.raises(WordError):
+            word(_Text(bad))
+    for not_text in ((letter_word(X),), ["x"], None, b"x"):
         with pytest.raises(TypeError):
-            BracketedWord(not_text)
-    assert type(BracketedWord("x*[y]")) is BracketedWord
+            word(not_text)
+    assert type(word("x*[y]")) is str
+    built = word(_Text("x*[y]"))
+    assert type(built) is str and built == "x*[y]"
+    assert type(letter_word(_Text("x"))) is str
+
+
+def test_every_engine_word_is_an_exact_str():
+    # Every way the package makes words gives exact strings that the
+    # checked constructor accepts unchanged.
+    xyz = generators("x", "y", "z")
+    pool = words_up_to_size(xyz, 3)
+    elements = [LinComb.from_word(w) for w in pool[:40]]
+    half = LinComb.from_word(word("[x]"), "1/2") + LinComb.from_word(word("y"), "2/3")
+    made = [*pool, *words_of_size(ALPHABET_XY, 4), letter_word(X), letter_word(X, Y, X), *relation_monomials()]
+    for a in [*elements, half]:
+        made.extend(operator_n(a)._terms)
+        for b in [*elements, half]:
+            made.extend(product(a, b)._terms)
+    for u in pool[:40]:
+        for v in pool[:40]:
+            made.extend(product_words(u, v)._terms)
+    expr = parse_expr("3/2*prec(x*[y] - 2/3*y, [x]*y + 5/4*y) - 1/6*[x*y] + succ([x], [[y]]*z)")
+    made.extend(eval_expr(expr, xyz)._terms)
+    assert len(made) > 5000
+    for w in made:
+        assert type(w) is str, repr(w)
+        assert word(w) == w, w
 
 
 def test_unchecked_bracket_matches_the_checked_one():
     # N wraps the text of each word in brackets.
     for w in POOL:
         (image,) = operator_n(LinComb.from_word(w))._terms
-        checked = BracketedWord(f"[{w}]")
+        checked = word(f"[{w}]")
         assert image == checked, str(w)
         assert hash(image) == hash(checked), str(w)
         assert canonical_key(image) == canonical_key(checked)

@@ -1,9 +1,12 @@
 """Commands leave no word table behind, and the product cache stays bounded.
 
 A word is its canonical text, so nothing needs to share equal words:
-the only module containers that keep words after a command are the
+the only module containers that may grow while a command runs are the
 product cache, which empties itself when it reaches its limit, and the
-bounded memos that split words at their end brackets.
+bounded memos that split words at their end brackets.  A word is a
+plain ``str`` and cannot be told apart by its type, so a table is found
+by growth: a module-level container of the package that is longer after
+the commands than before them.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ import pytest
 
 from nijenhuis import algebra
 from nijenhuis.cli import run_command
-from nijenhuis.linalg import LinComb
-from nijenhuis.words import BracketedWord, size
+from nijenhuis.words import size
 
 # Memos that may keep words, each with a bound.
 BOUNDED_MEMOS = (algebra._split_last, algebra._split_first)
+PRODUCT_CACHE = "nijenhuis.algebra._PRODUCT_CACHE"
 
 COMMANDS = (
     ["nijenhuis-check", "--alphabet", "a,b", "--max-size", "3"],
@@ -31,26 +34,30 @@ COMMANDS = (
     ["nijenhuis-check", "--max-size", "3"],
 )
 
+# The same kinds of command over names no other test uses, so that a
+# table keyed by words would meet words it has not seen.
+FRESH_COMMANDS = (
+    ["nijenhuis-check", "--alphabet", "tw1,tw2", "--max-size", "3"],
+    ["assoc-check", "--alphabet", "tw3,tw4", "--max-size", "2"],
+    ["mul", "--generators", "tw5,tw6", "[[tw5]*tw6]*[tw5]", "[tw6*[tw5]]"],
+    ["eval", "--generators", "tw7,tw8", "prec([tw7]*tw8, [tw8]) + succ(tw7, [[tw8]])"],
+)
 
-def holds_words(value) -> bool:
-    if isinstance(value, dict):
-        return any(holds_words(k) or holds_words(v) for k, v in value.items())
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return any(holds_words(item) for item in value)
-    if isinstance(value, LinComb):
-        return bool(value._terms)
-    return isinstance(value, BracketedWord)
 
-
-def word_tables() -> list[str]:
-    """Module-level containers of the package that hold words, by name."""
-    found = []
+def container_sizes() -> dict[str, int]:
+    """The length of every module-level container of the package, by name."""
+    found = {}
     for name, module in sys.modules.items():
         if name == "nijenhuis" or name.startswith("nijenhuis."):
             for attr, value in vars(module).items():
-                if not isinstance(value, type) and holds_words(value):
-                    found.append(f"{name}.{attr}")
+                if isinstance(value, (dict, list, set)) and not attr.startswith("__"):
+                    found[f"{name}.{attr}"] = len(value)
     return found
+
+
+def grown(before: dict[str, int]) -> list[str]:
+    """The containers longer now than in ``before``, by name."""
+    return sorted(name for name, n in container_sizes().items() if n > before.get(name, 0))
 
 
 def run_quietly(argv) -> tuple[int, str]:
@@ -81,10 +88,14 @@ def test_full_tables_start_again(monkeypatch):
 
 
 def _break_the_product(monkeypatch) -> None:
-    """Scale every word product by the left word's size, on a fresh cache."""
-    exact = algebra.product_words
+    """Scale every product by the size of the left operand's largest word, on a fresh cache."""
+    exact = algebra.product
     monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
-    monkeypatch.setattr(algebra, "product_words", lambda u, v: exact(u, v).scale(size(u)))
+
+    def scaled(a, b):
+        return exact(a, b).scale(max(map(size, a._terms), default=0))
+
+    monkeypatch.setattr(algebra, "product", scaled)
 
 
 def _fail_after_the_product(monkeypatch) -> None:
@@ -112,6 +123,7 @@ def test_run_command_empties_the_tables(argv, code, setup, monkeypatch, capsys):
     # and the bounded memos, and the default term cap comes back.
     if setup is not None:
         setup(monkeypatch)
+    before = container_sizes()
     if code is RuntimeError:
         with pytest.raises(RuntimeError):
             run_command(argv)
@@ -119,8 +131,15 @@ def test_run_command_empties_the_tables(argv, code, setup, monkeypatch, capsys):
         assert run_command(argv) == code
     capsys.readouterr()
     assert algebra._PRODUCT_CACHE
-    assert word_tables() == ["nijenhuis.algebra._PRODUCT_CACHE"]
+    assert set(grown(before)) <= {PRODUCT_CACHE}
     for memo in BOUNDED_MEMOS:
         assert isinstance(memo, functools._lru_cache_wrapper) and memo.cache_info().maxsize
     assert algebra._max_terms == algebra.MAX_TERMS
 
+
+def test_commands_on_new_words_grow_only_the_product_cache(monkeypatch):
+    monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
+    before = container_sizes()
+    for argv in FRESH_COMMANDS:
+        assert run_quietly(argv)[0] == 0
+    assert grown(before) == [PRODUCT_CACHE]

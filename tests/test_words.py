@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-import copy
-import pickle
-
 import pytest
 from hypothesis import given
 
 from nijenhuis import words
 from nijenhuis.words import (
     AlternationViolation,
-    BracketedWord,
     EmptyInput,
     MAX_NESTING,
     WordError,
@@ -22,6 +18,7 @@ from nijenhuis.words import (
     letter_count,
     letter_word,
     size,
+    word,
     words_of_size,
     words_up_to_size,
 )
@@ -53,22 +50,22 @@ def test_empty_constructions_rejected():
         letter_word()
     for empty in ("", "[]", "x*[y*[]]"):
         with pytest.raises(EmptyInput):
-            BracketedWord(empty)
+            word(empty)
 
 
 def test_alternation_enforced():
     # Names joined by stars are one run, so only brackets can touch.
-    assert breadth(BracketedWord("x*y")) == 1
+    assert breadth(word("x*y")) == 1
     for touching in ("[x]*[y]", "x*[[x]*[y]]*z", "[[x]]*[y]"):
         with pytest.raises(AlternationViolation):
-            BracketedWord(touching)
+            word(touching)
     # alternating sequences are fine
-    w = BracketedWord("x*[y]*z")
+    w = word("x*[y]*z")
     assert breadth(w) == 3
 
 
 def test_measures_on_nested_word():
-    w = BracketedWord("x*[y*[z]]*w")
+    w = word("x*[y*[z]]*w")
     assert depth(w) == 2
     assert breadth(w) == 3
     assert letter_count(w) == 4
@@ -77,58 +74,58 @@ def test_measures_on_nested_word():
 
 def test_measures_on_single_factors():
     assert depth(letter_word(X, Y)) == 0
-    assert depth(BracketedWord("[x]")) == 1
-    assert depth(BracketedWord("[[x]]")) == 2
-    assert breadth(BracketedWord("[x]*y")) == 2
-    assert breadth(BracketedWord("[x*[y]]")) == 1
-    assert size(BracketedWord("[x*[y]]")) == 4
+    assert depth(word("[x]")) == 1
+    assert depth(word("[[x]]")) == 2
+    assert breadth(word("[x]*y")) == 2
+    assert breadth(word("[x*[y]]")) == 1
+    assert size(word("[x*[y]]")) == 4
 
 
 def test_standard_decomposition_round_trips():
     # the standard decomposition of a word is its factor sequence,
     # here read by the reference grammar of the tests
-    w = BracketedWord("[x]*y*[z*z]")
+    w = word("[x]*y*[z*z]")
     factors = parse_reference(w)
     assert factors == (("B", (("L", ("x",)),)), ("L", ("y",)), ("B", (("L", ("z", "z")),)))
-    assert BracketedWord(reference_text(factors)) == w
+    assert word(reference_text(factors)) == w
     assert len(factors) == breadth(w)
 
 
 @given(words_strategy())
 def test_standard_decomposition_round_trips_everywhere(w):
     factors = parse_reference(w)
-    assert BracketedWord(reference_text(factors)) == w
+    assert word(reference_text(factors)) == w
     assert len(factors) == breadth(w)
 
 
 def test_serialization_round_trip_examples():
     for text in ("x", "x*y", "[x]", "x*[y*[z]]*w", "[[x*y]]", "[x]*y*[z]"):
-        assert str(BracketedWord(text)) == text
+        assert str(word(text)) == text
 
 
 @given(words_strategy())
 def test_serialization_round_trip_everywhere(w):
-    assert BracketedWord(str(w)) == w
+    assert word(str(w)) == w
 
 
 def test_from_canonical_rejects_malformed():
     for bad in ("", "*x", "x*", "[x", "x]", "[]", "x**y", "[x]*[y]", "x y"):
         with pytest.raises(WordError):
-            BracketedWord(bad)
+            word(bad)
 
 
 def test_canonical_order_letter_count_first():
     # fewer letters first, regardless of structural complexity
-    assert canonical_key(BracketedWord("[[z]]")) < canonical_key(BracketedWord("x*y"))
-    assert canonical_key(BracketedWord("x*y")) > canonical_key(BracketedWord("[[z]]"))
+    assert canonical_key(word("[[z]]")) < canonical_key(word("x*y"))
+    assert canonical_key(word("x*y")) > canonical_key(word("[[z]]"))
 
 
 def test_canonical_order_depth_second():
-    assert canonical_key(BracketedWord("x*y")) < canonical_key(BracketedWord("[x]*y"))
+    assert canonical_key(word("x*y")) < canonical_key(word("[x]*y"))
 
 
 def test_canonical_order_reflexive_and_antisymmetric():
-    u, v = BracketedWord("x*[y]"), BracketedWord("[x]*y")
+    u, v = word("x*[y]"), word("[x]*y")
     assert canonical_key(u) == canonical_key(u)
     assert canonical_key(u) != canonical_key(v)
     assert (canonical_key(u) < canonical_key(v)) != (canonical_key(v) < canonical_key(u))
@@ -163,14 +160,12 @@ def test_enumeration_size_one_and_two():
 
 
 def test_words_are_hashable_and_value_equal():
-    a = BracketedWord("x*[y]")
-    b = BracketedWord("".join(["x*", "[y]"]))
+    a = word("x*[y]")
+    b = word("".join(["x*", "[y]"]))
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
-    for copied in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
-        assert type(copied) is BracketedWord and copied == a
-    assert repr(a) == "BracketedWord('x*[y]')"
+    assert type(a) is str and a == "x*[y]"
 
 
 def test_from_canonical_does_not_recurse(monkeypatch):
@@ -179,16 +174,16 @@ def test_from_canonical_does_not_recurse(monkeypatch):
     levels = 5000
     monkeypatch.setattr(words, "MAX_NESTING", levels)
     text = "[" * levels + "x" + "]" * levels
-    w = BracketedWord(text)
+    w = word(text)
     assert w == text and (breadth(w), depth(w), size(w)) == (1, levels, levels + 1)
     with pytest.raises(WordError, match=f"nesting deeper than {levels} levels at position {levels}"):
-        BracketedWord("[" * (levels + 1) + "x" + "]" * (levels + 1))
+        word("[" * (levels + 1) + "x" + "]" * (levels + 1))
 
 
 def test_from_canonical_caps_nesting():
     at_cap = "[" * MAX_NESTING + "x" + "]" * MAX_NESTING
-    assert depth(BracketedWord(at_cap)) == MAX_NESTING
-    assert str(BracketedWord(at_cap)) == at_cap
+    assert depth(word(at_cap)) == MAX_NESTING
+    assert str(word(at_cap)) == at_cap
     for levels in (MAX_NESTING + 1, 1200):
         with pytest.raises(WordError, match="nesting deeper than"):
-            BracketedWord("[" * levels + "x" + "]" * levels)
+            word("[" * levels + "x" + "]" * levels)

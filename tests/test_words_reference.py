@@ -17,7 +17,6 @@ from hypothesis import example, given, settings, strategies as st
 from nijenhuis.algebra import operator_n, product_words
 from nijenhuis.linalg import LinComb
 from nijenhuis.words import (
-    BracketedWord,
     WordError,
     breadth,
     canonical_key,
@@ -25,6 +24,7 @@ from nijenhuis.words import (
     generators,
     letter_count,
     size,
+    word,
     words_of_size,
     words_up_to_size,
 )
@@ -59,7 +59,7 @@ MEASURES = (
 
 def fresh(w):
     """An equal word, its text rebuilt from the tuple model and checked anew."""
-    return BracketedWord(reference_text(parse_reference(w)))
+    return word(reference_text(parse_reference(w)))
 
 
 def check_measures(w, order=MEASURES) -> None:
@@ -67,7 +67,7 @@ def check_measures(w, order=MEASURES) -> None:
     for measure, reference in order:
         assert measure(w) == reference(model), (measure.__name__, reference_text(model))
     assert canonical_key(w) == ref_key(model)
-    assert BracketedWord(str(w)) == w
+    assert word(str(w)) == w
 
 
 def test_measures_match_reference_up_to_size_five():
@@ -118,11 +118,11 @@ def verdict(read, text: str):
 
 def assert_same_verdict(text: str) -> None:
     model = verdict(parse_reference, text)
-    word = verdict(BracketedWord, text)
+    built = verdict(word, text)
     if isinstance(model, tuple):
-        assert word == reference_text(model) == text
+        assert built == reference_text(model) == text
     else:
-        assert word is model, text
+        assert built is model, text
 
 
 def test_from_canonical_matches_the_grammar_on_all_short_texts():
