@@ -57,17 +57,16 @@ the cap bounds the work that follows a product, not the product itself.
 :func:`first_operator_identity_failure` are the sweeps behind the
 ``assoc-check``, ``nijenhuis-check`` and ``fd-check`` commands and the
 acceptance tests, on free or finite-dimensional elements: each returns
-the first failing case with both sides, as a :class:`CheckReport`, or
-None.
+the first failing case with both sides, as a :class:`CheckReport`
+named tuple, or None.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .linalg import LinComb, _divide, _int_if_integral, _numerators
 from .words import _close
@@ -258,8 +257,7 @@ def derived_op(
     raise ValueError(f"unknown operation: {op!r}")
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of a sweep: either a pass, or the first failure found."""
 
     ok: bool

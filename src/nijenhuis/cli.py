@@ -29,34 +29,10 @@ from .algebra import (
     first_operator_identity_failure,
     product,
 )
-from .envelope import (
-    ArityMismatch,
-    BoundTooSmall,
-    InvalidInput,
-    LinearMap,
-    Membership,
-    NSAlgebraFD,
-    NijenhuisAlgebraFD,
-    UnknownGenerator,
-    check_morphism_kills_generators,
-    check_ndendriform_axioms,
-    check_nijenhuis_fd,
-    check_ns_axioms,
-    default_names,
-    enveloping_generators,
-    evaluate_hom,
-    induced_ns,
-    truncated_ideal_membership,
-)
+# These three load on first use (see the package docstring), so their
+# names are read when a handler runs, never bound here.
+from . import envelope, parser, relations
 from .linalg import DimensionMismatch, LinComb
-from .parser import EvalError, ParseError, eval_expr, parse_expr, print_canonical
-from .relations import (
-    evaluate_relation,
-    ndendriform_relation_set,
-    ns_relation_set,
-    relation_sets_span_equal,
-    solve_relation_space,
-)
 from .words import (
     WordError,
     generators,
@@ -121,11 +97,11 @@ def _emit_lincomb(args: argparse.Namespace, value: LinComb) -> None:
     if args.json:
         print(json.dumps(_lincomb_json(value), indent=2))
     else:
-        print(print_canonical(value))
+        print(parser.print_canonical(value))
 
 
 def _parse_element(text: str, names: Sequence[str]) -> LinComb:
-    return eval_expr(parse_expr(text), names)
+    return parser.eval_expr(parser.parse_expr(text), names)
 
 
 def _load_json(path: str) -> dict:
@@ -139,42 +115,42 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _load_map(path: str) -> tuple[tuple[str, ...], LinearMap]:
+def _load_map(path: str) -> tuple[tuple[str, ...], envelope.LinearMap]:
     obj = _load_json(path)
     try:
         names = obj["names"]
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
             raise TypeError(f"names must be a JSON list of strings, got {names!r}")
         names = generators(*names)
-        matrix = LinearMap.from_json_obj(obj["matrix"])
+        matrix = envelope.LinearMap.from_json_obj(obj["matrix"])
     except (KeyError, ValueError, TypeError) as exc:
         raise _UsageError(f"{path}: malformed map file: {exc}") from exc
     return names, matrix
 
 
-def _load_algebra(path: str) -> NijenhuisAlgebraFD | NSAlgebraFD:
+def _load_algebra(path: str) -> envelope.NijenhuisAlgebraFD | envelope.NSAlgebraFD:
     obj = _load_json(path)
     try:
         if "mult" in obj:
-            return NijenhuisAlgebraFD.from_json_obj(obj)
+            return envelope.NijenhuisAlgebraFD.from_json_obj(obj)
         if "prec" in obj:
-            return NSAlgebraFD.from_json_obj(obj)
+            return envelope.NSAlgebraFD.from_json_obj(obj)
     except (KeyError, ValueError, TypeError) as exc:
         raise _UsageError(f"{path}: malformed algebra file: {exc}") from exc
     raise _UsageError(f"{path}: neither an operator algebra nor a split-operation algebra")
 
 
-def _load_operator_algebra(path: str) -> NijenhuisAlgebraFD:
+def _load_operator_algebra(path: str) -> envelope.NijenhuisAlgebraFD:
     alg = _load_algebra(path)
-    if not isinstance(alg, NijenhuisAlgebraFD):
+    if not isinstance(alg, envelope.NijenhuisAlgebraFD):
         raise _UsageError(f"{path}: expected an operator algebra file")
     return alg
 
 
-def _as_ns(alg: NijenhuisAlgebraFD | NSAlgebraFD) -> NSAlgebraFD:
-    if isinstance(alg, NSAlgebraFD):
+def _as_ns(alg: envelope.NijenhuisAlgebraFD | envelope.NSAlgebraFD) -> envelope.NSAlgebraFD:
+    if isinstance(alg, envelope.NSAlgebraFD):
         return alg
-    return induced_ns(alg)
+    return envelope.induced_ns(alg)
 
 
 def _report_json(report) -> dict:
@@ -209,7 +185,7 @@ def _word_sweep(args: argparse.Namespace, sweep, what: str, label: str, arity: i
     elements = [LinComb.from_word(w) for w in words_up_to_size(alphabet, bound)]
     failure = sweep(elements)
     if failure is not None:
-        case = [print_canonical(elements[i]) for i in failure.indices]
+        case = [parser.print_canonical(elements[i]) for i in failure.indices]
         _emit(
             args,
             {
@@ -243,12 +219,12 @@ def _relation_sweep(args: argparse.Namespace, rels, label: str) -> int:
         raise _UsageError("relation checks need at least three generator names")
     x, y, z = (LinComb.from_word(letter_word(s)) for s in names[:3])
     for k, rel in enumerate(rels):
-        residue = evaluate_relation(rel, x, y, z)
+        residue = relations.evaluate_relation(rel, x, y, z)
         if not residue.is_zero():
             _emit(
                 args,
                 {"ok": False, "relation": k, "residue": _lincomb_json(residue)},
-                f"{label} relation {k + 1} fails: residue {print_canonical(residue)}",
+                f"{label} relation {k + 1} fails: residue {parser.print_canonical(residue)}",
             )
             return 1
     _emit(
@@ -260,25 +236,25 @@ def _relation_sweep(args: argparse.Namespace, rels, label: str) -> int:
 
 
 def _cmd_ns_check(args: argparse.Namespace) -> int:
-    return _relation_sweep(args, ns_relation_set(), "four-family")
+    return _relation_sweep(args, relations.ns_relation_set(), "four-family")
 
 
 def _cmd_ndend_check(args: argparse.Namespace) -> int:
-    return _relation_sweep(args, ndendriform_relation_set(), "five-family")
+    return _relation_sweep(args, relations.ndendriform_relation_set(), "five-family")
 
 
 @functools.cache
 def _relation_space_flags() -> tuple[bool, bool]:
     """Whether the solved basis spans the five-relation family, and whether it contains the four."""
-    basis = solve_relation_space()
+    basis = relations.solve_relation_space()
     return (
-        relation_sets_span_equal(basis, ndendriform_relation_set()),
-        relation_sets_span_equal(basis, (*basis, *ns_relation_set())),
+        relations.relation_sets_span_equal(basis, relations.ndendriform_relation_set()),
+        relations.relation_sets_span_equal(basis, (*basis, *relations.ns_relation_set())),
     )
 
 
 def _cmd_solve_relspace(args: argparse.Namespace) -> int:
-    basis = solve_relation_space()
+    basis = relations.solve_relation_space()
     matches, contains_four = _relation_space_flags()
     vectors = [v.to_json_obj() for v in basis]
     obj = {
@@ -298,7 +274,7 @@ def _cmd_solve_relspace(args: argparse.Namespace) -> int:
 
 def _names_for_dim(args: argparse.Namespace, dim: int) -> tuple[str, ...]:
     if args.generators is None:
-        return default_names(dim)
+        return envelope.default_names(dim)
     names = _split_names(args.generators)
     if len(names) != dim:
         raise _UsageError(f"need exactly {dim} generator names, got {len(names)}")
@@ -308,30 +284,30 @@ def _names_for_dim(args: argparse.Namespace, dim: int) -> tuple[str, ...]:
 def _cmd_env_generators(args: argparse.Namespace) -> int:
     ns_alg = _as_ns(_load_algebra(args.file))
     names = _names_for_dim(args, ns_alg.dim)
-    gens = enveloping_generators(ns_alg, names)
+    gens = envelope.enveloping_generators(ns_alg, names)
     records = []
     lines = []
     # enveloping_generators orders them by (i, j), then by operation.
     labels = itertools.product(range(ns_alg.dim), range(ns_alg.dim), COORD_OPS)
     for element, (i, j, op) in zip(gens, labels):
         records.append({"i": i, "j": j, "op": op.value, "element": _lincomb_json(element)})
-        lines.append(f"({i},{j}) {op.value}: {print_canonical(element)}")
+        lines.append(f"({i},{j}) {op.value}: {parser.print_canonical(element)}")
     _emit(args, {"count": len(gens), "generators": records}, "\n".join(lines))
     return 0
 
 
 def _cmd_fd_check(args: argparse.Namespace) -> int:
     alg = _load_algebra(args.file)
-    if isinstance(alg, NijenhuisAlgebraFD):
-        report = check_nijenhuis_fd(alg)
+    if isinstance(alg, envelope.NijenhuisAlgebraFD):
+        report = envelope.check_nijenhuis_fd(alg)
         _emit(
             args,
             {"type": "operator-algebra", **_report_json(report)},
             f"operator algebra: {report.describe()}",
         )
         return 0 if report.ok else 1
-    ns_report = check_ns_axioms(alg)
-    nd_report = check_ndendriform_axioms(alg)
+    ns_report = envelope.check_ns_axioms(alg)
+    nd_report = envelope.check_ndendriform_axioms(alg)
     ok = ns_report.ok and nd_report.ok
     _emit(
         args,
@@ -348,7 +324,7 @@ def _cmd_fd_check(args: argparse.Namespace) -> int:
 
 def _cmd_induce_ns(args: argparse.Namespace) -> int:
     # The plain form is the JSON form.
-    print(json.dumps(induced_ns(_load_operator_algebra(args.file)).to_json_obj(), indent=2))
+    print(json.dumps(envelope.induced_ns(_load_operator_algebra(args.file)).to_json_obj(), indent=2))
     return 0
 
 
@@ -356,7 +332,7 @@ def _cmd_eval_hom(args: argparse.Namespace) -> int:
     alg = _load_operator_algebra(args.file)
     names, matrix = _load_map(args.mapfile)
     element = _parse_element(args.expr, names)
-    image = evaluate_hom(alg, matrix, element, names)
+    image = envelope.evaluate_hom(alg, matrix, element, names)
     coords = [str(x) for x in image]
     _emit(args, {"vector": coords}, ", ".join(coords))
     return 0
@@ -366,22 +342,22 @@ def _cmd_ideal_member(args: argparse.Namespace) -> int:
     bound = _checked_size("--bound", args.bound)
     ns_alg = _as_ns(_load_algebra(args.file))
     names = _names_for_dim(args, ns_alg.dim)
-    gens = enveloping_generators(ns_alg, names)
+    gens = envelope.enveloping_generators(ns_alg, names)
     candidate = _parse_element(args.expr, names)
-    verdict = truncated_ideal_membership(gens, candidate, bound)
+    verdict = envelope.truncated_ideal_membership(gens, candidate, bound)
     _emit(
         args,
         {"verdict": verdict.value, "bound": bound},
         f"{verdict.value} (bound {bound})",
     )
-    return 0 if verdict is Membership.MEMBER else 1
+    return 0 if verdict is envelope.Membership.MEMBER else 1
 
 
 def _cmd_morphism_check(args: argparse.Namespace) -> int:
     source = _as_ns(_load_algebra(args.source))
     target = _load_operator_algebra(args.target)
     names, matrix = _load_map(args.mapfile)
-    report = check_morphism_kills_generators(source, target, matrix, names)
+    report = envelope.check_morphism_kills_generators(source, target, matrix, names)
     _emit(args, _report_json(report), f"morphism: {report.describe()}")
     return 0 if report.ok else 1
 
@@ -489,13 +465,13 @@ def run_command(argv: Sequence[str]) -> int:
             return args.handler(args)
     except (
         _UsageError,
-        ParseError,
-        EvalError,
+        parser.ParseError,
+        parser.EvalError,
         WordError,
         DimensionMismatch,
-        ArityMismatch,
-        UnknownGenerator,
-        BoundTooSmall,
+        envelope.ArityMismatch,
+        envelope.UnknownGenerator,
+        envelope.BoundTooSmall,
         OSError,
         json.JSONDecodeError,
     ) as exc:
@@ -504,7 +480,7 @@ def run_command(argv: Sequence[str]) -> int:
     except TooManyTerms as exc:
         print(f"error: {exc}; NF_MAX_TERMS sets the cap", file=sys.stderr)
         return 2
-    except InvalidInput as exc:
+    except envelope.InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,7 +29,6 @@ compare those words with the checked constructor.
 from __future__ import annotations
 
 import re
-import string
 from functools import lru_cache
 from itertools import product as _cartesian
 from typing import Iterable
@@ -174,7 +173,9 @@ def letter_word(*names: str) -> str:
 
 
 # Deletes all but the brackets from a word's text.
-_BRACKETS_ONLY = str.maketrans("", "", "*_0123456789" + string.ascii_letters)
+_BRACKETS_ONLY = str.maketrans(
+    "", "", "*_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+)
 
 
 def depth(w: str) -> int:

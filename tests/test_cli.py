@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nijenhuis import algebra, cli
+from nijenhuis import algebra, cli, parser, relations
 from nijenhuis.algebra import CheckReport
 from nijenhuis.cli import build_parser, run_command
 from nijenhuis.envelope import (
@@ -56,7 +56,7 @@ def test_eval_and_mul_build_only_the_form_asked_for(capsys, monkeypatch):
     assert run(capsys, "eval", "x*[y] - 1/2*y")[:2] == (0, "-1/2*y + x*[y]\n")
     assert run(capsys, "mul", "[x]", "y")[:2] == (0, "[x]*y\n")
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "print_canonical", refuse)
+    monkeypatch.setattr(parser, "print_canonical", refuse)
     assert json.loads(run(capsys, "eval", "--json", "2*x")[1]) == {
         "terms": [{"coeff": "2", "word": "x"}]
     }
@@ -258,7 +258,7 @@ def test_relation_checks_pass(capsys):
 
 def test_relation_check_reports_the_first_failure(capsys, monkeypatch):
     bad = (*ndendriform_relation_set()[:1], RelVector.unit_left(0, 1), RelVector.unit_right(2, 2))
-    monkeypatch.setattr(cli, "ns_relation_set", lambda: bad)
+    monkeypatch.setattr(relations, "ns_relation_set", lambda: bad)
     code, out, _ = run(capsys, "ns-check")
     assert (code, out) == (1, "four-family relation 2 fails: residue [x*[y]]*z\n")
     code, out, _ = run(capsys, "ns-check", "--json")

@@ -1,0 +1,159 @@
+"""What a fresh process loads, and what the package still exports.
+
+``parser``, ``relations`` and ``envelope`` load on first use, so the
+word sweeps run on ``words``, ``linalg`` and ``algebra`` alone.  Each
+test here starts its own interpreter, since the test process has long
+since loaded every module.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import nijenhuis
+
+SRC = str(Path(nijenhuis.__file__).resolve().parent.parent)
+
+# Every name the package exported when all of its modules loaded at
+# import, by the module that defines it.
+EXPORTS = {
+    "algebra": (
+        "COORD_OPS", "CheckReport", "OpSymbol", "TooManyTerms", "derived_op",
+        "first_nonassociative_triple", "first_operator_identity_failure", "operator_n", "product",
+        "product_words",
+    ),
+    "envelope": (
+        "ArityMismatch", "BoundTooSmall", "InvalidInput", "LinearMap", "Membership", "NSAlgebraFD",
+        "NijenhuisAlgebraFD", "UnknownGenerator", "check_morphism_kills_generators",
+        "check_ndendriform_axioms", "check_nijenhuis_fd", "check_ns_axioms", "check_relations_fd",
+        "default_names", "enveloping_generators", "evaluate_hom", "fixture_projection",
+        "fixture_scaling", "fixture_swap", "induced_ns", "truncated_ideal_membership",
+    ),
+    "linalg": ("DimensionMismatch", "LinComb", "RowSpace", "rank", "rational"),
+    "parser": (
+        "EvalError", "ParseError", "UnknownIdentifier", "eval_expr", "parse_expr",
+        "print_canonical",
+    ),
+    "relations": (
+        "RelVector", "check_relation_universal", "evaluate_relation", "ndendriform_relation_set",
+        "ns_relation_set", "relation_matrix", "relation_monomials", "relation_sets_span_equal",
+        "relation_space_contains", "solve_relation_space",
+    ),
+    "words": (
+        "AlternationViolation", "EmptyInput", "WordError", "breadth", "canonical_key",
+        "canonical_sort", "depth", "generators", "letter_count", "letter_word", "size", "word",
+        "words_of_size", "words_up_to_size",
+    ),
+}
+
+# Runs both sweeps, then one eval, and prints on its last line which of
+# the three lazy modules had run its code after each step.
+STARTUP = """
+import json
+import sys
+
+import nijenhuis.cli
+
+# What the import system puts in a module's namespace before its code runs.
+SPEC_ONLY = {"__name__", "__doc__", "__package__", "__loader__", "__spec__", "__file__", "__cached__"}
+
+
+def ran():
+    # object.__getattribute__ reads the namespace without loading the module.
+    return [
+        name
+        for name in ("parser", "relations", "envelope")
+        if not set(object.__getattribute__(sys.modules["nijenhuis." + name], "__dict__")) <= SPEC_ONLY
+    ]
+
+
+codes = [
+    nijenhuis.cli.run_command(["assoc-check", "--max-size", "2"]),
+    nijenhuis.cli.run_command(["nijenhuis-check", "--max-size", "2"]),
+]
+after_sweeps = {"codes": codes, "ran": ran(), "dataclasses": "dataclasses" in sys.modules}
+code = nijenhuis.cli.run_command(["eval", "x*[y]"])
+print(json.dumps({"after_sweeps": after_sweeps, "after_eval": {"code": code, "ran": ran()}}))
+"""
+
+# Reads the exports given as JSON in argv[1] from the package and prints
+# what differs from the defining modules.
+EXPORTED = """
+import importlib
+import json
+import sys
+
+import nijenhuis
+
+exports = json.loads(sys.argv[1])
+listed = set(dir(nijenhuis))
+star = {}
+exec("from nijenhuis import *", star)
+try:
+    nijenhuis.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({
+    "not_in_dir": [n for names in exports.values() for n in names if n not in listed],
+    "not_the_same": [
+        n
+        for module, names in exports.items()
+        for n in names
+        if getattr(nijenhuis, n) is not getattr(importlib.import_module("nijenhuis." + module), n)
+    ],
+    "star": sorted(n for n in star if n != "__builtins__"),
+    "unknown": unknown,
+}))
+"""
+
+
+def fresh_python(*argv: str, **env: str) -> subprocess.CompletedProcess:
+    """``python argv...`` in a new interpreter that imports this package, with ``env`` added."""
+    base = {k: v for k, v in os.environ.items() if k not in ("NF_MAX_SIZE", "NF_MAX_TERMS")}
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env={**base, "PYTHONPATH": SRC, **env},
+        timeout=120,
+    )
+
+
+def last_json_line(result: subprocess.CompletedProcess) -> dict:
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_sweeps_run_without_the_lazy_modules():
+    seen = last_json_line(fresh_python("-c", STARTUP))
+    assert seen["after_sweeps"] == {"codes": [0, 0], "ran": [], "dataclasses": False}
+    assert seen["after_eval"] == {"code": 0, "ran": ["parser"]}
+
+
+def test_every_export_is_the_defining_modules_object():
+    seen = last_json_line(fresh_python("-c", EXPORTED, json.dumps(EXPORTS)))
+    assert seen["not_in_dir"] == []
+    assert seen["not_the_same"] == []
+    assert seen["star"] == sorted([*EXPORTS, *(n for names in EXPORTS.values() for n in names)])
+    assert seen["unknown"] == "module 'nijenhuis' has no attribute 'no_such_name'"
+
+
+def test_sweep_errors_before_the_lazy_modules_load():
+    """The error classes of ``parser`` and ``envelope`` load only to match an exception."""
+    cases = [
+        ({}, ("assoc-check", "--alphabet", "2x"), "error: invalid generator name: '2x'\n"),
+        ({}, ("nijenhuis-check", "--max-size", "0"), "error: --max-size must be at least 1, got 0\n"),
+        (
+            {"NF_MAX_TERMS": "1"},
+            ("nijenhuis-check", "--alphabet", "a", "--max-size", "2"),
+            "error: a product has 3 terms, more than the cap of 1; NF_MAX_TERMS sets the cap\n",
+        ),
+    ]
+    for env, argv, err in cases:
+        result = fresh_python("-m", "nijenhuis", *argv, **env)
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", err), argv
