@@ -388,7 +388,7 @@ def enveloping_generators(
     letters = [LinComb.from_word(letter_word(s)) for s in names]
 
     def constants(t: Tensor, i: int, j: int) -> LinComb:
-        total = LinComb.zero()
+        total = LinComb()
         for k, c in enumerate(t[i][j]):
             if c:
                 total = total + letters[k].scale(c)
@@ -504,7 +504,7 @@ class Membership(Enum):
 
 
 def _max_term_size(a: LinComb) -> int:
-    return max(size(w) for w, _ in a)
+    return max(map(size, a._terms))
 
 
 def truncated_ideal_membership(
@@ -515,10 +515,14 @@ def truncated_ideal_membership(
     """Semidecide membership in the two-sided operator-stable ideal.
 
     The ideal generated by the inputs is closed under the product on
-    either side and under the operator.  The procedure closes the
-    generator span under those moves, keeping only elements all of whose
-    words fit under ``size_bound`` (term sizes add under the product, so
-    discarding an oversized element never corrupts the kept span).  A
+    either side and under the operator.  The procedure spans the
+    generators and then expands each queued element by those moves,
+    keeping only elements all of whose words fit under ``size_bound``
+    (term sizes add under the product, so discarding an oversized
+    element never corrupts the kept span).  It queues the raw products,
+    not their remainders against the span, and sizes each by its own
+    largest word, so it does not close the span under the moves: what it
+    reaches depends on the order of the generators and multipliers.  A
     ``MEMBER`` verdict is therefore a certificate; ``NOT_DETECTED`` only
     means no derivation was found within the truncation.
 
@@ -536,7 +540,7 @@ def truncated_ideal_membership(
         {
             name
             for element in (*ideal_generators, candidate)
-            for w, _ in element
+            for w in element._terms
             for name in iter_symbols(w)
         }
     )

@@ -7,14 +7,16 @@ and hash alike, and print alike, so integral work such as the free
 product's structure constants runs on plain integers.  :class:`LinComb`
 coefficients, :class:`Vector` coordinates and :class:`RowSpace` rows,
 remainders and kernels all follow it, whatever arithmetic produced
-them, so ``type(c) is int`` tells the integral ones apart.  A value from
-outside is coerced once, where it enters: by :func:`rational` for a
-scalar, and by the :class:`Vector` constructor for coordinates, which
-passes a Vector through.  Where many rational terms meet, as in the
-product of two combinations, the work runs on integer
-numerators over a common denominator (:func:`_numerators`), with one
-division per result term (:func:`_divide`); printing reads each
-coefficient's numerator and denominator.  :class:`Vector` is the one
+them, so ``type(c) is int`` tells the integral ones apart.
+:class:`LinComb` holds its dict of terms and nothing else: its
+canonical order and its hash are computed on each call, not kept.  A
+value from outside is coerced once, where it enters: by
+:func:`rational` for a scalar, and by the :class:`Vector` constructor
+for coordinates, which passes a Vector through.  Where many rational
+terms meet, as in the product of two combinations, the work runs on
+integer numerators over a common denominator (:func:`_numerators`),
+with one division per result term (:func:`_divide`); printing reads
+each coefficient's numerator and denominator.  :class:`Vector` is the one
 dense coordinate vector, and :class:`RowSpace` the one sparse
 elimination engine: it spans rows, tests membership, and gives kernels,
 for the relation solver and the ideal closure alike.  :func:`span` is
@@ -99,7 +101,7 @@ class LinComb:
     Iteration and :meth:`items` follow the canonical word order.
     """
 
-    __slots__ = ("_terms", "_items", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[Mapping[str, RationalLike], Iterable[tuple[str, RationalLike]]] = ()):
         # The dict test first spares the common case the slow ABC check.
@@ -121,8 +123,6 @@ class LinComb:
                     else:
                         del data[word]
         self._terms = data
-        self._items: tuple[tuple[str, int | Fraction], ...] | None = None
-        self._hash: int | None = None
 
     @classmethod
     def _wrap(cls, data: dict[str, int | Fraction]) -> "LinComb":
@@ -133,13 +133,7 @@ class LinComb:
         """
         self = cls.__new__(cls)
         self._terms = data
-        self._items = None
-        self._hash = None
         return self
-
-    @classmethod
-    def zero(cls) -> "LinComb":
-        return cls()
 
     @classmethod
     def from_word(cls, word: str, coeff: RationalLike = 1) -> "LinComb":
@@ -147,13 +141,11 @@ class LinComb:
 
     def items(self) -> tuple[tuple[str, int | Fraction], ...]:
         """Terms as (word, coefficient) pairs in canonical order."""
-        if self._items is None:
-            ordered = canonical_sort(self._terms)
-            self._items = tuple(zip(ordered, map(self._terms.__getitem__, ordered)))
-        return self._items
+        ordered = canonical_sort(self._terms)
+        return tuple(zip(ordered, map(self._terms.__getitem__, ordered)))
 
     def support(self) -> tuple[str, ...]:
-        return tuple(w for w, _ in self.items())
+        return tuple(canonical_sort(self._terms))
 
     def coeff(self, word: str) -> int | Fraction:
         return self._terms.get(word, 0)
@@ -227,9 +219,7 @@ class LinComb:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
         if not self._terms:

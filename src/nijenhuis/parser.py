@@ -19,16 +19,17 @@ order; parse, evaluate, print is the identity on printed output.
 Coefficients are exact: an ``int`` when integral, a
 :class:`fractions.Fraction` otherwise, both in the tree and in the
 evaluated combination.  Tokens are plain ``(kind, text, position)``
-tuples, and each tree node is an immutable tuple of its fields that
-equals and hashes by class and fields, so building a tree allocates one
-tuple per node.
+tuples, and each tree node is a :func:`collections.namedtuple` of its
+fields, which gives the fields, the repr and pickling; a node equals
+and hashes by class and fields, so building a tree allocates one tuple
+per node.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Union
 
 from .algebra import OpSymbol, derived_op, operator_n, product
@@ -73,15 +74,14 @@ class UnknownIdentifier(EvalError):
 
 
 class _Node(tuple):
-    """An immutable parse-tree node: the tuple of its fields.
+    """The equality of a parse-tree node.
 
     A node equals and hashes as the pair of its class and its fields, so
     nodes of different classes, or a node and a plain tuple, are never
-    equal.  Building one is a single tuple allocation.
+    equal.
     """
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and tuple.__eq__(self, other)
@@ -92,72 +92,39 @@ class _Node(tuple):
     def __hash__(self) -> int:
         return hash((type(self), tuple(self)))
 
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
-        return f"{type(self).__name__}({fields})"
-
-
-class GeneratorRef(_Node):
+class GeneratorRef(_Node, namedtuple("GeneratorRef", "name")):
     __slots__ = ()
-    _fields = ("name",)
-    name: str = property(itemgetter(0))  # type: ignore[assignment]
-
-    def __new__(cls, name: str) -> "GeneratorRef":
-        return tuple.__new__(cls, (name,))
 
 
-class ScalarLit(_Node):
+class ScalarLit(_Node, namedtuple("ScalarLit", "value")):
     __slots__ = ()
-    _fields = ("value",)
-    value: int | Fraction = property(itemgetter(0))  # type: ignore[assignment]
-
-    def __new__(cls, value: int | Fraction) -> "ScalarLit":
-        return tuple.__new__(cls, (value,))
 
 
-class BracketApply(_Node):
+class BracketApply(_Node, namedtuple("BracketApply", "child")):
     __slots__ = ()
-    _fields = ("child",)
-    child: "Expr" = property(itemgetter(0))  # type: ignore[assignment]
-
-    def __new__(cls, child: "Expr") -> "BracketApply":
-        return tuple.__new__(cls, (child,))
 
 
-class Product(_Node):
+class Product(_Node, namedtuple("Product", "children")):
     __slots__ = ()
-    _fields = ("children",)
-    children: tuple["Expr", ...] = property(itemgetter(0))  # type: ignore[assignment]
 
     def __new__(cls, children: tuple["Expr", ...]) -> "Product":
         if len(children) < 2:
             raise ValueError("a product has at least two factors")
-        return tuple.__new__(cls, (children,))
+        return super().__new__(cls, children)
 
 
-class Sum(_Node):
+class Sum(_Node, namedtuple("Sum", "terms")):
     __slots__ = ()
-    _fields = ("terms",)
-    terms: tuple[tuple[int | Fraction, "Expr"], ...] = property(itemgetter(0))  # type: ignore[assignment]
 
     def __new__(cls, terms: tuple[tuple[int | Fraction, "Expr"], ...]) -> "Sum":
         if len(terms) < 2 or not all(c != 0 for c, _ in terms):
             raise ValueError("a sum has at least two terms, each with a nonzero coefficient")
-        return tuple.__new__(cls, (terms,))
+        return super().__new__(cls, terms)
 
 
-class DerivedOpNode(_Node):
+class DerivedOpNode(_Node, namedtuple("DerivedOpNode", "op left right")):
     __slots__ = ()
-    _fields = ("op", "left", "right")
-    op: OpSymbol = property(itemgetter(0))  # type: ignore[assignment]
-    left: "Expr" = property(itemgetter(1))  # type: ignore[assignment]
-    right: "Expr" = property(itemgetter(2))  # type: ignore[assignment]
-
-    def __new__(cls, op: OpSymbol, left: "Expr", right: "Expr") -> "DerivedOpNode":
-        return tuple.__new__(cls, (op, left, right))
 
 
 Expr = Union[GeneratorRef, ScalarLit, BracketApply, Product, Sum, DerivedOpNode]
@@ -366,7 +333,7 @@ def eval_expr(expr: Expr, declared: Iterable[str]) -> LinComb:
         if isinstance(node, ScalarLit):
             if node.value != 0:
                 raise EvalError("a bare scalar is not an algebra element")
-            return LinComb.zero()
+            return LinComb()
         if isinstance(node, BracketApply):
             return operator_n(walk(node.child))
         if isinstance(node, DerivedOpNode):
@@ -382,7 +349,7 @@ def eval_expr(expr: Expr, declared: Iterable[str]) -> LinComb:
                     value = part if value is None else product(value, part)
             if value is None:
                 if coeff == 0:
-                    return LinComb.zero()
+                    return LinComb()
                 raise EvalError("a bare scalar is not an algebra element")
             return value.scale(coeff)
         if isinstance(node, Sum):

@@ -89,14 +89,6 @@ class RelVector:
     def unit_right(cls, i: int, j: int) -> "RelVector":
         return cls(_unit(18, 9 + 3 * i + j))
 
-    @classmethod
-    def from_coords(cls, coords: Sequence[RationalLike]) -> "RelVector":
-        return cls(coords)
-
-    def to_coords(self) -> Vector:
-        """Flatten: left grid row-major, then right grid row-major."""
-        return self.coords
-
     def __add__(self, other: "RelVector") -> "RelVector":
         if not isinstance(other, RelVector):
             return NotImplemented
@@ -227,7 +219,7 @@ def relation_matrix() -> tuple[Vector, ...]:
 
     One row of length 18 per word of :func:`relation_monomials`, in that
     order; columns follow the coordinate flattening of
-    :meth:`RelVector.to_coords`.  Everything is computed by symbolic
+    :attr:`RelVector.coords`.  Everything is computed by symbolic
     expansion, nothing is tabulated by hand.
     """
     evals, rows = _unit_evaluations()
@@ -267,6 +259,6 @@ def relation_sets_span_equal(
     Reduced rows are unique to the span, so comparing them decides it.
     """
     return (
-        span(v.to_coords() for v in first).rows
-        == span(v.to_coords() for v in second).rows
+        span(v.coords for v in first).rows
+        == span(v.coords for v in second).rows
     )

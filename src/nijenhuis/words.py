@@ -273,7 +273,6 @@ def words_of_size(alphabet: tuple[str, ...], n: int) -> tuple[str, ...]:
     return tuple(canonical_sort(found))
 
 
-@lru_cache(maxsize=None)
 def words_up_to_size(
     alphabet: tuple[str, ...], max_size: int
 ) -> tuple[str, ...]:

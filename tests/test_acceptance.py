@@ -94,7 +94,7 @@ def test_criterion_02_four_family_containment():
     assert len(four) == 4
     for rel in four:
         assert relation_space_contains(rel)
-    assert rank(r.to_coords() for r in four) == 4
+    assert rank(r.coords for r in four) == 4
     assert not relation_sets_span_equal(four, ndendriform_relation_set())
 
 

@@ -62,14 +62,14 @@ def test_product_is_bilinear():
     b = LY.scale(3)
     assert product(a, b) == product(LX, LY).scale(6)
     assert product(LX + LY, LZ) == product(LX, LZ) + product(LY, LZ)
-    assert product(LinComb.zero(), LX).is_zero()
-    assert product(LX, LinComb.zero()).is_zero()
+    assert product(LinComb(), LX).is_zero()
+    assert product(LX, LinComb()).is_zero()
 
 
 def test_operator_wraps_each_term():
     a = lc("x") + lc("y").scale(-2)
     assert operator_n(a) == lc("[x]") - lc("[y]").scale(2)
-    assert operator_n(LinComb.zero()).is_zero()
+    assert operator_n(LinComb()).is_zero()
 
 
 def test_operator_identity_on_sample_pairs():
@@ -92,7 +92,7 @@ def test_derived_op_values_on_generators():
 
 def test_star_splits_into_three_parts():
     for a, b in [(LX, LY), (lc("[x]"), lc("y*y"))]:
-        total = LinComb.zero()
+        total = LinComb()
         for op in COORD_OPS:
             total = total + derived_op(op, a, b)
         assert total == derived_op(OpSymbol.STAR, a, b)

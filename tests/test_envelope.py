@@ -247,7 +247,7 @@ def test_ideal_membership_monotone_on_fixture_cases():
 def test_ideal_membership_zero_and_bound():
     m = induced_ns(fixture_projection())
     gens = enveloping_generators(m)
-    assert truncated_ideal_membership(gens, LinComb.zero(), 3) is Membership.MEMBER
+    assert truncated_ideal_membership(gens, LinComb(), 3) is Membership.MEMBER
     with pytest.raises(BoundTooSmall):
         truncated_ideal_membership(gens, operator_n(gens[0]), 3)
 

@@ -239,7 +239,7 @@ def test_vector_arithmetic_stays_exact(u, v, scalar):
 
 @given(st.lists(_ENTRIES, min_size=18, max_size=18), rationals_strategy())
 def test_relation_coordinates_stay_exact(coords, scalar):
-    rel = RelVector.from_coords(coords)
+    rel = RelVector(coords)
     families = solve_relation_space() + ns_relation_set() + ndendriform_relation_set()
     for value in (rel, rel + rel, rel.scale(scalar), RelVector.from_json_obj(rel.to_json_obj()), *families):
         assert_exact_coordinates(value.coords)

@@ -69,7 +69,7 @@ def test_lincomb_items_follow_canonical_order():
 def test_lincomb_str_formats_signs_and_coefficients():
     a = LinComb([(word("[z]"), -2), (word("[x*[y]]"), 1)])
     assert str(a) == "-2*[z] + [x*[y]]"
-    assert str(LinComb.zero()) == "0"
+    assert str(LinComb()) == "0"
     assert str(LinComb.from_word(W1, Fraction(-1))) == "-x"
     assert str(LinComb.from_word(W1, Fraction(1, 3))) == "1/3*x"
 
@@ -78,12 +78,12 @@ def test_lincomb_str_formats_signs_and_coefficients():
 def test_lincomb_addition_associative_commutative(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
-    assert a + LinComb.zero() == a
+    assert a + LinComb() == a
 
 
 @given(lincombs_strategy(), lincombs_strategy())
 def test_lincomb_subtraction_adds_the_negation(a, b):
-    zero = LinComb.zero()
+    zero = LinComb()
     for left, right in ((a, b), (b, a), (a, a), (a, zero), (zero, b), (a + b, b)):
         difference = left - right
         assert difference == left + (-right)
@@ -96,7 +96,7 @@ def test_lincomb_subtraction_adds_the_negation(a, b):
 def test_lincomb_scaling_distributes(a, p, q):
     assert a.scale(p) + a.scale(q) == a.scale(p + q)
     assert a.scale(p).scale(q) == a.scale(p * q)
-    assert a + (-a) == LinComb.zero()
+    assert a + (-a) == LinComb()
 
 
 def dense(space: RowSpace, cols: int) -> dict:

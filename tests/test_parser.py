@@ -91,7 +91,7 @@ def test_eval_values():
 def test_print_canonical_order_and_signs():
     value = lc("[x*[y]]") - lc("[z]").scale(2)
     assert print_canonical(value) == "-2*[z] + [x*[y]]"
-    assert print_canonical(LinComb.zero()) == "0"
+    assert print_canonical(LinComb()) == "0"
 
 
 def test_print_parse_round_trip_examples():

@@ -104,17 +104,17 @@ def test_matrix_columns_for_succ_prec_pair():
 def test_unit_vectors_and_coords_round_trip():
     u = RelVector.unit_left(1, 2)
     assert u.left[1][2] == 1
-    assert sum(abs(c) for c in u.to_coords()) == 1
-    assert type(u.to_coords()) is Vector
-    assert RelVector.from_coords(u.to_coords()) == u
+    assert sum(abs(c) for c in u.coords) == 1
+    assert type(u.coords) is Vector
+    assert RelVector(u.coords) == u
     v = RelVector.unit_right(2, 0)
-    assert v.to_coords()[coords_index("right", 2, 0)] == 1
+    assert v.coords[coords_index("right", 2, 0)] == 1
 
 
 @given(st.lists(rationals_strategy(), min_size=18, max_size=18))
 def test_coords_round_trip_everywhere(coords):
-    v = RelVector.from_coords(coords)
-    assert list(v.to_coords()) == coords
+    v = RelVector(coords)
+    assert list(v.coords) == coords
 
 
 def test_relvector_json_round_trip():
@@ -129,7 +129,7 @@ def test_relvector_json_grids_must_be_3x3():
             with pytest.raises(ValueError, match="3x3"):
                 RelVector.from_json_obj(obj)
     with pytest.raises(ValueError, match="18 coordinates"):
-        RelVector.from_coords([0] * 17)
+        RelVector([0] * 17)
 
 
 def test_four_family_coordinates():
@@ -139,7 +139,7 @@ def test_four_family_coordinates():
     assert r1.right[0] == (Fraction(1), Fraction(1), Fraction(1))
     # second relation pairs the two mixed monomials
     assert r2.left[1][0] == 1 and r2.right[1][0] == 1
-    assert sum(abs(c) for c in r2.to_coords()) == 2
+    assert sum(abs(c) for c in r2.coords) == 2
     # third: the sum operation expands across the left inner slot
     assert [r3.left[i][1] for i in range(3)] == [1, 1, 1]
     assert r3.right[1][1] == 1
@@ -153,10 +153,10 @@ def test_four_family_coordinates():
 def test_five_family_coordinates():
     v1, v2, v3, v4, v5 = ndendriform_relation_set()
     assert v4.left[0][2] == 1 and v4.right[2][1] == 1
-    assert sum(abs(c) for c in v4.to_coords()) == 2
+    assert sum(abs(c) for c in v4.coords) == 2
     for grid in (v5.left, v5.right):
         assert grid[1][2] == 1 and grid[2][0] == 1 and grid[2][2] == 1
-    assert sum(abs(c) for c in v5.to_coords()) == 6
+    assert sum(abs(c) for c in v5.coords) == 6
     # first three agree with the four-relation family
     assert (v1, v2, v3) == ns_relation_set()[:3]
 
@@ -209,7 +209,7 @@ def test_solved_space_dimension_and_span():
     basis = solve_relation_space()
     assert len(basis) == 5
     assert relation_sets_span_equal(basis, ndendriform_relation_set())
-    assert rank(v.to_coords() for v in basis) == 5
+    assert rank(v.coords for v in basis) == 5
     for v in basis:
         assert check_relation_universal(v)
 
@@ -217,7 +217,7 @@ def test_solved_space_dimension_and_span():
 def test_four_family_sits_strictly_inside():
     for rel in ns_relation_set():
         assert relation_space_contains(rel)
-    assert rank(r.to_coords() for r in ns_relation_set()) == 4
+    assert rank(r.coords for r in ns_relation_set()) == 4
     assert not relation_sets_span_equal(ns_relation_set(), ndendriform_relation_set())
 
 
@@ -235,4 +235,4 @@ def test_span_closed_under_combinations(coeffs):
 
 def test_from_coords_validates_length():
     with pytest.raises(ValueError):
-        RelVector.from_coords([1] * 17)
+        RelVector([1] * 17)
