@@ -97,7 +97,7 @@ def _emit_lincomb(args: argparse.Namespace, value: LinComb) -> None:
     if args.json:
         print(json.dumps(_lincomb_json(value), indent=2))
     else:
-        print(parser.print_canonical(value))
+        print(value)
 
 
 def _parse_element(text: str, names: Sequence[str]) -> LinComb:
@@ -185,7 +185,7 @@ def _word_sweep(args: argparse.Namespace, sweep, what: str, label: str, arity: i
     elements = [LinComb.from_word(w) for w in words_up_to_size(alphabet, bound)]
     failure = sweep(elements)
     if failure is not None:
-        case = [parser.print_canonical(elements[i]) for i in failure.indices]
+        case = [str(elements[i]) for i in failure.indices]
         _emit(
             args,
             {
@@ -224,7 +224,7 @@ def _relation_sweep(args: argparse.Namespace, rels, label: str) -> int:
             _emit(
                 args,
                 {"ok": False, "relation": k, "residue": _lincomb_json(residue)},
-                f"{label} relation {k + 1} fails: residue {parser.print_canonical(residue)}",
+                f"{label} relation {k + 1} fails: residue {residue}",
             )
             return 1
     _emit(
@@ -291,7 +291,7 @@ def _cmd_env_generators(args: argparse.Namespace) -> int:
     labels = itertools.product(range(ns_alg.dim), range(ns_alg.dim), COORD_OPS)
     for element, (i, j, op) in zip(gens, labels):
         records.append({"i": i, "j": j, "op": op.value, "element": _lincomb_json(element)})
-        lines.append(f"({i},{j}) {op.value}: {parser.print_canonical(element)}")
+        lines.append(f"({i},{j}) {op.value}: {element}")
     _emit(args, {"count": len(gens), "generators": records}, "\n".join(lines))
     return 0
 

@@ -57,7 +57,7 @@ from .words import (
     iter_symbols,
     letter_word,
     size,
-    words_up_to_size,
+    words_of_size,
 )
 
 __all__ = [
@@ -503,10 +503,6 @@ class Membership(Enum):
     NOT_DETECTED = "not-detected"
 
 
-def _max_term_size(a: LinComb) -> int:
-    return max(map(size, a._terms))
-
-
 def truncated_ideal_membership(
     ideal_generators: Sequence[LinComb],
     candidate: LinComb,
@@ -515,21 +511,19 @@ def truncated_ideal_membership(
     """Semidecide membership in the two-sided operator-stable ideal.
 
     The ideal generated by the inputs is closed under the product on
-    either side and under the operator.  The procedure spans the
-    generators and then expands each queued element by those moves,
-    keeping only elements all of whose words fit under ``size_bound``
-    (term sizes add under the product, so discarding an oversized
-    element never corrupts the kept span).  It queues the raw products,
-    not their remainders against the span, and sizes each by its own
-    largest word, so it does not close the span under the moves: what it
-    reaches depends on the order of the generators and multipliers.  A
-    ``MEMBER`` verdict is therefore a certificate; ``NOT_DETECTED`` only
-    means no derivation was found within the truncation.
+    either side and under the operator.  The procedure computes the
+    smallest span that holds every generator whose words fit under
+    ``size_bound`` and is closed under each of those moves whose result
+    fits (term sizes add under the product, so an element fits a move
+    exactly when its largest word does).  That span depends only on the
+    generators' span and the bound, not on their order.  A ``MEMBER``
+    verdict is therefore a certificate; ``NOT_DETECTED`` only means no
+    derivation was found within the truncation.
 
     Raises :class:`BoundTooSmall` if the candidate itself has a word
     above the bound.
     """
-    if candidate and _max_term_size(candidate) > size_bound:
+    if candidate and max(map(size, candidate._terms)) > size_bound:
         raise BoundTooSmall(
             f"candidate has a word larger than the bound {size_bound}"
         )
@@ -544,33 +538,36 @@ def truncated_ideal_membership(
             for name in iter_symbols(w)
         }
     )
+    # multipliers[n - 1] holds the words of size n.
     multipliers = [
-        LinComb.from_word(w)
-        for w in words_up_to_size(tuple(symbols), max(size_bound - 1, 0))
+        [LinComb.from_word(w) for w in words_of_size(tuple(symbols), n)] for n in range(1, size_bound)
     ]
-    multiplier_sizes = [_max_term_size(m) for m in multipliers]
 
-    space = RowSpace(key=canonical_key)
-    queue: list[LinComb] = []
+    # Pivoted on the largest word, size first, each kept row's pivot is
+    # its largest word, and stays so under back-substitution.
+    space = RowSpace(key=lambda w: (size(w), canonical_key(w)))
+    fresh: list[str] = []
+
+    def keep(element: LinComb) -> None:
+        if element and space.add(element._terms):
+            # A new pivot is the last key stored.
+            fresh.append(next(reversed(space.rows)))
+
     for g in ideal_generators:
-        if g.is_zero() or _max_term_size(g) > size_bound:
-            continue
-        space.add(g._terms)
-        queue.append(g)
+        if g and max(map(size, g._terms)) <= size_bound:
+            keep(g)
 
-    while queue:
-        element = queue.pop()
-        element_size = _max_term_size(element)
-        derived: list[LinComb] = []
-        if element_size + 1 <= size_bound:
-            derived.append(operator_n(element))
-        for m, m_size in zip(multipliers, multiplier_sizes):
-            if element_size + m_size <= size_bound:
-                derived.append(product(m, element))
-                derived.append(product(element, m))
-        for item in derived:
-            if item and space.add(item._terms):
-                queue.append(item)
+    while fresh:
+        pivot = fresh.pop()
+        room = size_bound - size(pivot)
+        # A copy: back-substitution edits the stored rows in place.
+        row = LinComb._wrap(dict(space.rows[pivot]))
+        if room:
+            keep(operator_n(row))
+        for group in multipliers[:room]:
+            for m in group:
+                keep(product(m, row))
+                keep(product(row, m))
 
     return Membership.MEMBER if candidate._terms in space else Membership.NOT_DETECTED
 

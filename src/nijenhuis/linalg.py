@@ -299,6 +299,9 @@ class RowSpace:
     def __init__(self, key: Callable[[Hashable], Any]) -> None:
         self.key = key
         self.rows: dict[Hashable, Row] = {}
+        # For each column, at least the pivots of the stored rows with an
+        # entry there; entries that cancel are not removed.
+        self._users: dict[Hashable, set] = {}
 
     def reduce(self, row: Mapping[Hashable, int | Fraction]) -> Row:
         """The remainder of ``row`` after clearing every pivot column.
@@ -321,10 +324,15 @@ class RowSpace:
         if lead != 1:
             inv = Fraction(1, lead)
             residue = {col: _int_if_integral(c * inv) for col, c in residue.items()}
-        for stored in self.rows.values():
+        touched = [pivot]
+        for user in self._users.pop(pivot, ()):
+            stored = self.rows[user]
             c = stored.get(pivot)
             if c:
                 _subtract(stored, c, residue)
+                touched.append(user)
+        for col in residue:
+            self._users.setdefault(col, set()).update(touched)
         self.rows[pivot] = residue
         return True
 

@@ -65,6 +65,21 @@ def lincombs_strategy(alphabet=ALPHABET_XY, max_size: int = 4, max_terms: int = 
     return st.builds(LinComb, st.lists(pair, max_size=max_terms))
 
 
+def ideal_candidates_strategy(words, ideal_generators):
+    """A few of ``words`` plus a few of ``ideal_generators``, with rational
+    coefficients, so that both membership verdicts come up."""
+    free = st.lists(st.tuples(st.sampled_from(words), rationals_strategy()), max_size=3)
+    picks = st.lists(st.tuples(st.sampled_from(ideal_generators), rationals_strategy()), max_size=3)
+
+    def combine(free, picks):
+        candidate = LinComb(free)
+        for g, c in picks:
+            candidate = candidate + g.scale(c)
+        return candidate
+
+    return st.builds(combine, free, picks)
+
+
 # A reference model of words that shares no code with nijenhuis.words.
 # A word is a tuple of factors; a factor is ("L", names) for a letter
 # run or ("B", word) for a bracket.

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nijenhuis import algebra, cli, parser, relations
+from nijenhuis import algebra, cli, relations
 from nijenhuis.algebra import CheckReport
 from nijenhuis.cli import build_parser, run_command
 from nijenhuis.envelope import (
@@ -56,7 +56,7 @@ def test_eval_and_mul_build_only_the_form_asked_for(capsys, monkeypatch):
     assert run(capsys, "eval", "x*[y] - 1/2*y")[:2] == (0, "-1/2*y + x*[y]\n")
     assert run(capsys, "mul", "[x]", "y")[:2] == (0, "[x]*y\n")
     monkeypatch.undo()
-    monkeypatch.setattr(parser, "print_canonical", refuse)
+    monkeypatch.setattr(LinComb, "__str__", refuse)
     assert json.loads(run(capsys, "eval", "--json", "2*x")[1]) == {
         "terms": [{"coeff": "2", "word": "x"}]
     }

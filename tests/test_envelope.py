@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from nijenhuis import envelope
 from nijenhuis.algebra import OpSymbol, derived_op, operator_n, product
 from nijenhuis.envelope import (
     ArityMismatch,
@@ -30,8 +33,10 @@ from nijenhuis.envelope import (
     induced_ns,
     truncated_ideal_membership,
 )
-from nijenhuis.linalg import DimensionMismatch, LinComb, Vector
-from nijenhuis.words import WordError, letter_word, word
+from nijenhuis.linalg import DimensionMismatch, LinComb, RowSpace, Vector
+from nijenhuis.words import WordError, letter_word, word, words_up_to_size
+
+from conftest import ideal_candidates_strategy
 
 E1, E2 = default_names(2)
 
@@ -159,7 +164,6 @@ def test_evaluate_hom_is_multiplicative_and_operator_compatible():
     alg = fixture_projection()
     f = LinearMap.identity(2)
     names = default_names(2)
-    from nijenhuis.words import words_up_to_size
 
     pool = words_up_to_size(names, 2)
     for u in pool:
@@ -242,6 +246,48 @@ def test_ideal_membership_monotone_on_fixture_cases():
     for candidate in (gens[0], operator_n(gens[3])):
         assert truncated_ideal_membership(gens, candidate, 4) is Membership.MEMBER
         assert truncated_ideal_membership(gens, candidate, 5) is Membership.MEMBER
+
+
+def test_ideal_membership_closes_the_span():
+    # Each is e1*e2 times a letter.  Queued as raw products, the closure
+    # missed both at bound 4 and found them only at bound 5.
+    gens = enveloping_generators(induced_ns(fixture_projection()))
+    for text in ("e1*e2*e1", "e2*e1*e1"):
+        assert truncated_ideal_membership(gens, lc(text), 4) is Membership.MEMBER
+
+
+def closure_rows(monkeypatch, gens, bound: int) -> dict:
+    """The reduced rows the membership closure of ``e1`` keeps."""
+    spaces = []
+
+    class Recorded(RowSpace):
+        def __init__(self, key):
+            super().__init__(key)
+            spaces.append(self)
+
+    monkeypatch.setattr(envelope, "RowSpace", Recorded)
+    truncated_ideal_membership(gens, lc("e1"), bound)
+    (space,) = spaces
+    return space.rows
+
+
+@pytest.mark.parametrize("bound, dimension", [(4, 92), (5, 396), (6, 1740)])
+def test_ideal_closure_does_not_depend_on_generator_order(monkeypatch, bound, dimension):
+    gens = list(enveloping_generators(induced_ns(fixture_projection())))
+    rows = closure_rows(monkeypatch, gens, bound)
+    assert len(rows) == dimension
+    orders = [gens[::-1]] + [random.Random(seed).sample(gens, len(gens)) for seed in range(3)]
+    for order in orders:
+        assert closure_rows(monkeypatch, order, bound) == rows
+
+
+@given(data=st.data())
+def test_ideal_membership_is_monotone_in_the_bound(data):
+    gens = enveloping_generators(induced_ns(fixture_projection()))
+    candidate = data.draw(ideal_candidates_strategy(words_up_to_size((E1, E2), 3), gens))
+    bound = data.draw(st.sampled_from((4, 5)))
+    if truncated_ideal_membership(gens, candidate, bound) is Membership.MEMBER:
+        assert truncated_ideal_membership(gens, candidate, bound + 1) is Membership.MEMBER
 
 
 def test_ideal_membership_zero_and_bound():

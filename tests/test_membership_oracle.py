@@ -26,13 +26,12 @@ from nijenhuis.envelope import (
     induced_ns,
     truncated_ideal_membership,
 )
-from nijenhuis.linalg import LinComb
 from nijenhuis.words import words_up_to_size
 
-from conftest import rationals_strategy
+from conftest import ideal_candidates_strategy
 
 FIXTURES = Path(__file__).parent / "fixtures"
-BOUND = 4
+BOUNDS = (4, 5)
 NAMES = default_names(2)
 # Candidate words have size at most 3, as the enveloping generators do.
 WORDS = words_up_to_size(NAMES, 3)
@@ -42,7 +41,7 @@ def load(name: str) -> NijenhuisAlgebraFD:
     return NijenhuisAlgebraFD.from_json_obj(json.loads((FIXTURES / name).read_text()))
 
 
-ALGEBRAS = {name: load(name) for name in ("projection.json", "scaling_rational.json")}
+ALGEBRAS = {name: load(name) for name in ("projection.json", "scaling_rational.json", "scaling2.json")}
 GENERATORS = {name: enveloping_generators(induced_ns(alg), NAMES) for name, alg in ALGEBRAS.items()}
 
 
@@ -50,14 +49,9 @@ GENERATORS = {name: enveloping_generators(induced_ns(alg), NAMES) for name, alg 
 @given(data=st.data())
 def test_member_verdicts_vanish_under_the_counit(fixture, data):
     alg, gens = ALGEBRAS[fixture], GENERATORS[fixture]
-    # A few free words plus a few ideal generators, so that both
-    # verdicts come up.
-    words = data.draw(st.lists(st.tuples(st.sampled_from(WORDS), rationals_strategy()), max_size=3))
-    picks = data.draw(st.lists(st.tuples(st.sampled_from(gens), rationals_strategy()), max_size=3))
-    candidate = LinComb(words)
-    for g, c in picks:
-        candidate = candidate + g.scale(c)
-    verdict = truncated_ideal_membership(gens, candidate, BOUND)
-    event(verdict.value)
-    if verdict is Membership.MEMBER:
-        assert not any(evaluate_hom(alg, LinearMap.identity(alg.dim), candidate, NAMES))
+    candidate = data.draw(ideal_candidates_strategy(WORDS, gens))
+    for bound in BOUNDS:
+        verdict = truncated_ideal_membership(gens, candidate, bound)
+        event(f"bound {bound}: {verdict.value}")
+        if verdict is Membership.MEMBER:
+            assert not any(evaluate_hom(alg, LinearMap.identity(alg.dim), candidate, NAMES))

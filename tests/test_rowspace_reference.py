@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from nijenhuis.linalg import rank, span
+from nijenhuis.linalg import RowSpace, rank, span
 
 
 def reference_rref(rows: list[list[int]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -117,3 +117,45 @@ def test_stored_rows_do_not_depend_on_insertion_order(m, data):
     rows, _ = m
     shuffled = data.draw(st.permutations(rows))
     assert span(shuffled).rows == span(rows).rows
+
+
+def reference_add(rows: dict[int, dict[int, Fraction]], row: dict[int, Fraction], key) -> None:
+    """Add ``row`` to reduced ``rows``, back-substituting by a scan of every stored row."""
+    residue = dict(row)
+    for pivot, stored in rows.items():
+        c = residue.get(pivot, 0)
+        for col, x in stored.items():
+            residue[col] = residue.get(col, 0) - c * x
+    residue = {col: x for col, x in residue.items() if x}
+    if not residue:
+        return
+    pivot = max(residue, key=key)
+    residue = {col: x / residue[pivot] for col, x in residue.items()}
+    for stored in rows.values():
+        c = stored.get(pivot, 0)
+        for col, x in residue.items():
+            stored[col] = stored.get(col, 0) - c * x
+        for col in [col for col, x in stored.items() if not x]:
+            del stored[col]
+    rows[pivot] = residue
+
+
+@st.composite
+def sparse_rows(draw):
+    """Up to 12 sparse rows over 10 columns, and a random order of the columns."""
+    cols = 10
+    entry = st.integers(min_value=-3, max_value=3).filter(bool).map(Fraction)
+    row = st.dictionaries(st.integers(min_value=0, max_value=cols - 1), entry, max_size=4)
+    return draw(st.lists(row, max_size=12)), draw(st.permutations(range(cols)))
+
+
+@given(sparse_rows())
+def test_indexed_back_substitution_matches_a_full_scan(drawn):
+    rows, order = drawn
+    key = order.index
+    space = RowSpace(key=key)
+    expected: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        space.add(row)
+        reference_add(expected, row, key)
+    assert space.rows == expected
