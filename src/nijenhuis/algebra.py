@@ -68,7 +68,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
-from .linalg import LinComb, _divide, _int_if_integral, _numerators
+from .linalg import LinComb, _divide, _int_if_integral, _numerators, _wrap
 from .words import _close
 
 __all__ = [
@@ -150,7 +150,7 @@ def _split_first(v: str) -> tuple[str, str]:
 def product_words(u: str, v: str) -> LinComb:
     """Product of two basis words as a linear combination of words."""
     if u[-1] != "]" or v[0] != "[":
-        return LinComb._wrap({u + "*" + v: 1})
+        return _wrap({u + "*" + v: 1})
     prefix, last = _split_last(u)
     first, suffix = _split_first(v)
     key = (last, first)
@@ -166,7 +166,7 @@ def product_words(u: str, v: str) -> LinComb:
             w = f"[[{w}]]"
             acc = get(w)
             data[w] = -c if acc is None else acc - c
-        junction = LinComb._wrap({w: c for w, c in data.items() if c})
+        junction = _wrap({w: c for w, c in data.items() if c})
         if len(_PRODUCT_CACHE) >= _PRODUCT_CACHE_LIMIT:
             _PRODUCT_CACHE.clear()
         _PRODUCT_CACHE[key] = junction
@@ -175,7 +175,7 @@ def product_words(u: str, v: str) -> LinComb:
         return junction
     # Junction words start and end with brackets, so reattaching the
     # untouched outer text cannot break alternation or merge terms.
-    return LinComb._wrap({prefix + w + suffix: c for w, c in junction._terms.items()})
+    return _wrap({prefix + w + suffix: c for w, c in junction._terms.items()})
 
 
 def product(a: LinComb, b: LinComb) -> LinComb:
@@ -190,7 +190,7 @@ def product(a: LinComb, b: LinComb) -> LinComb:
         scale = cu * cv
         if wu[-1] != "]" or wv[0] != "[":
             # A letter junction, as in product_words: the one word u*v.
-            result = LinComb._wrap({wu + "*" + wv: scale if type(scale) is int else _int_if_integral(scale)})
+            result = _wrap({wu + "*" + wv: scale if type(scale) is int else _int_if_integral(scale)})
         else:
             result = product_words(wu, wv)
             if scale != 1:
@@ -220,9 +220,9 @@ def product(a: LinComb, b: LinComb) -> LinComb:
                     data[w] = c if acc is None else acc + c
         d = da * db
         if d == 1:
-            result = LinComb._wrap({w: c for w, c in data.items() if c})
+            result = _wrap({w: c for w, c in data.items() if c})
         else:
-            result = LinComb._wrap({w: _divide(c, d) for w, c in data.items() if c})
+            result = _wrap({w: _divide(c, d) for w, c in data.items() if c})
     if len(result._terms) > _max_terms:
         raise TooManyTerms(f"a product has {len(result._terms)} terms, more than the cap of {_max_terms}")
     return result
@@ -230,7 +230,7 @@ def product(a: LinComb, b: LinComb) -> LinComb:
 
 def operator_n(a: LinComb) -> LinComb:
     """Apply the distinguished operator: wrap each word in one bracket."""
-    return LinComb._wrap({f"[{w}]": c for w, c in a._terms.items()})
+    return _wrap({f"[{w}]": c for w, c in a._terms.items()})
 
 
 def derived_op(

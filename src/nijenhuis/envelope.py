@@ -48,6 +48,7 @@ from .linalg import (
     RowSpace,
     Vector,
     _unit,
+    _wrap,
     rational,
 )
 from .relations import RelVector, ndendriform_relation_set, ns_relation_set, relation_sides
@@ -561,7 +562,7 @@ def truncated_ideal_membership(
         pivot = fresh.pop()
         room = size_bound - size(pivot)
         # A copy: back-substitution edits the stored rows in place.
-        row = LinComb._wrap(dict(space.rows[pivot]))
+        row = _wrap(dict(space.rows[pivot]))
         if room:
             keep(operator_n(row))
         for group in multipliers[:room]:

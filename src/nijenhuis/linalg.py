@@ -15,8 +15,11 @@ value from outside is coerced once, where it enters: by
 for coordinates, which passes a Vector through.  Where many rational
 terms meet, as in the product of two combinations, the work runs on
 integer numerators over a common denominator (:func:`_numerators`),
-with one division per result term (:func:`_divide`); printing reads
-each coefficient's numerator and denominator.  :class:`Vector` is the one
+with one division per result term (:func:`_divide`, memoized in a
+bounded cache, so equal quotients share one Fraction); printing writes
+an ``int`` as it is and a Fraction through its own ``str``.  A result
+is built around its finished dict by :func:`_wrap`, with nothing copied
+or checked.  :class:`Vector` is the one
 dense coordinate vector, and :class:`RowSpace` the one sparse
 elimination engine: it spans rows, tests membership, and gives kernels,
 for the relation solver and the ideal closure alike.  :func:`span` is
@@ -26,6 +29,7 @@ the one way from dense rows to a :class:`RowSpace`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import add, sub
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
@@ -71,8 +75,14 @@ def rational(value: RationalLike) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
+@lru_cache(maxsize=1 << 12)
 def _divide(n: int, d: int) -> int | Fraction:
-    """The exact scalar ``n/d``, for ``d > 0``: an ``int`` when ``d`` divides ``n``."""
+    """The exact scalar ``n/d``, for ``d > 0``: an ``int`` when ``d`` divides ``n``.
+
+    Memoized: a long session met about a thousand distinct quotients in
+    over a hundred thousand divisions, and a Fraction is immutable, so
+    one object serves every term with that value.
+    """
     q, r = divmod(n, d)
     return Fraction(n, d) if r else q
 
@@ -123,17 +133,6 @@ class LinComb:
                     else:
                         del data[word]
         self._terms = data
-
-    @classmethod
-    def _wrap(cls, data: dict[str, int | Fraction]) -> "LinComb":
-        """Wrap a dict of nonzero exact coefficients, taking ownership.
-
-        The caller guarantees the dict is clean and never mutates it
-        afterwards; nothing is copied or checked.
-        """
-        self = cls.__new__(cls)
-        self._terms = data
-        return self
 
     @classmethod
     def from_word(cls, word: str, coeff: RationalLike = 1) -> "LinComb":
@@ -191,10 +190,10 @@ class LinComb:
                     data[word] = _int_if_integral(acc)
                 else:
                     del data[word]
-        return LinComb._wrap(data)
+        return _wrap(data)
 
     def __neg__(self) -> "LinComb":
-        return LinComb._wrap({w: -c for w, c in self._terms.items()})
+        return _wrap({w: -c for w, c in self._terms.items()})
 
     def scale(self, scalar: RationalLike) -> "LinComb":
         c = rational(scalar)
@@ -203,7 +202,7 @@ class LinComb:
         if c == 1:
             return self
         n, d = c.numerator, c.denominator
-        return LinComb._wrap(
+        return _wrap(
             {
                 w: q * n if d == 1 and type(q) is int else _divide(q.numerator * n, q.denominator * d)
                 for w, q in self._terms.items()
@@ -222,26 +221,48 @@ class LinComb:
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
         pieces: list[str] = []
-        for word, c in self.items():
-            n, d = c.numerator, c.denominator
-            sign = "- " if n < 0 else "+ "
-            if n < 0:
-                n = -n
-            if d != 1:
-                pieces.append(f"{sign}{n}/{d}*{word}")
-            elif n != 1:
-                pieces.append(f"{sign}{n}*{word}")
+        for word in canonical_sort(terms):
+            c = terms[word]
+            if type(c) is int:
+                if c == 1:
+                    pieces.append("+ " + word)
+                elif c == -1:
+                    pieces.append("- " + word)
+                elif c > 0:
+                    pieces.append(f"+ {c}*{word}")
+                else:
+                    pieces.append(f"- {-c}*{word}")
             else:
-                pieces.append(sign + word)
+                # A Fraction prints as "n/d", its sign on the numerator.
+                text = str(c)
+                if text[0] == "-":
+                    pieces.append(f"- {text[1:]}*{word}")
+                else:
+                    pieces.append(f"+ {text}*{word}")
         first = pieces[0]
         pieces[0] = first[2:] if first[0] == "+" else "-" + first[2:]
         return " ".join(pieces)
 
     def __repr__(self) -> str:
         return f"LinComb({self})"
+
+
+_new_object = object.__new__
+
+
+def _wrap(data: dict[str, int | Fraction]) -> LinComb:
+    """A combination that takes ownership of a dict of nonzero exact coefficients.
+
+    The caller guarantees the dict is clean and never mutates it
+    afterwards; nothing is copied or checked.
+    """
+    a = _new_object(LinComb)
+    a._terms = data
+    return a
 
 
 class Vector(tuple):

@@ -18,11 +18,13 @@ order; parse, evaluate, print is the identity on printed output.
 
 Coefficients are exact: an ``int`` when integral, a
 :class:`fractions.Fraction` otherwise, both in the tree and in the
-evaluated combination.  Tokens are plain ``(kind, text, position)``
-tuples, and each tree node is a :func:`collections.namedtuple` of its
-fields, which gives the fields, the repr and pickling; a node equals
-and hashes by class and fields, so building a tree allocates one tuple
-per node.
+evaluated combination.  The tokens are their texts alone, found by
+one ``findall`` and read by index; a token's position is found again
+only to report a :class:`ParseError`.  Each tree node is a
+:func:`collections.namedtuple` of its fields, which gives the fields,
+the repr and pickling; a node equals and hashes by class and fields, so
+building a tree allocates one tuple per node.  The evaluator dispatches
+on the node class and checks each generator name once per call.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .algebra import OpSymbol, derived_op, operator_n, product
-from .linalg import LinComb, _divide, _int_if_integral
+from .linalg import LinComb, _divide, _int_if_integral, _wrap
 from .words import MAX_NESTING, letter_word
 
 __all__ = [
@@ -136,144 +138,162 @@ _FUNCTIONS = {
     "star": OpSymbol.STAR,
 }
 
-_TOKEN = re.compile(
-    r"(?P<ws>\s+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<sym>[-+*/()\[\],])"
-)
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|[-+*/()\[\],]")
+# A token after any whitespace; the group is the token.
+_SPACED_TOKEN = re.compile(rf"\s*({_TOKEN.pattern})")
 
 
-# A token is a tuple (kind, text, position); the last one has kind "end".
-_Token = tuple[str, str, int]
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    for m in _TOKEN.finditer(text):
-        if m.start() != pos:
-            break
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    if pos != len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", pos)
-    tokens.append(("end", "", pos))
+def _tokenize(text: str) -> list[str]:
+    """The token texts of ``text``, then ``""`` for the end of input."""
+    tokens = _TOKEN.findall(text)
+    # No token holds whitespace, so the tokens cover every other
+    # character exactly when they join to the text without whitespace.
+    if "".join(tokens) != "".join(text.split()):
+        _token_starts(text)  # raises at the first stray character
+    tokens.append("")
     return tokens
 
 
+def _token_starts(text: str) -> list[int]:
+    """Where each token of ``text`` starts, then where the input ends.
+
+    Read again only for an error message.  Raises :class:`ParseError`
+    at the first character that is neither whitespace nor in a token.
+    """
+    starts: list[int] = []
+    pos = 0
+    for m in _SPACED_TOKEN.finditer(text):
+        if m.start() != pos:
+            break
+        starts.append(m.start(1))
+        pos = m.end()
+    rest = text[pos:]
+    pos += len(rest) - len(rest.lstrip())
+    if pos != len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    starts.append(pos)
+    return starts
+
+
 class _Parser:
+    """Recursive descent over the token texts, read by index."""
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
         self.nesting = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
+    def error(self, message: str, index: int, offset: int = 0) -> ParseError:
+        """An error at the token ``index``, ``offset`` characters into it."""
+        return ParseError(message, _token_starts(self.text)[index] + offset)
 
-    def advance(self) -> _Token:
+    def expect(self, text: str) -> None:
         tok = self.tokens[self.index]
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {tok or 'end of input'!r}", self.index)
         self.index += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok[1] != text:
-            raise ParseError(f"expected {text!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        self.index += 1
-        return tok
 
     def parse(self) -> Expr:
         expr = self.parse_expr()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {text!r}", pos)
+        tok = self.tokens[self.index]
+        if tok:
+            raise self.error(f"trailing input {tok!r}", self.index)
         return expr
 
     def parse_expr(self) -> Expr:
         # The whole input is level 0; each enclosing bracket, parenthesis
         # or call adds one level.
         if self.nesting > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.peek()[2])
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", self.index)
         self.nesting += 1
-        terms: list[tuple[int | Fraction, Expr | None]] = []
-        sign = 1
-        if self.peek()[1] == "-":
+        tokens = self.tokens
+        negate = tokens[self.index] == "-"
+        if negate:
             self.index += 1
-            sign = -1
-        terms.append(self._signed_term(sign))
-        while self.peek()[1] in ("+", "-"):
-            sign = 1 if self.advance()[1] == "+" else -1
-            terms.append(self._signed_term(sign))
+        coeff, node = self.parse_term()
+        tok = tokens[self.index]
+        if tok != "+" and tok != "-" and not negate and coeff == 1 and node is not None:
+            # One term with coefficient 1, such as ``[m]``: its node.
+            self.nesting -= 1
+            return node
+        terms: list[tuple[int | Fraction, Expr | None]] = [(-coeff if negate else coeff, node)]
+        while tok == "+" or tok == "-":
+            self.index += 1
+            coeff, node = self.parse_term()
+            terms.append((coeff if tok == "+" else -coeff, node))
+            tok = tokens[self.index]
         self.nesting -= 1
         return _combine_terms(terms)
 
-    def _signed_term(self, sign: int) -> tuple[int | Fraction, Expr | None]:
-        coeff, node = self.parse_term()
-        return (coeff if sign == 1 else -coeff), node
-
     def parse_term(self) -> tuple[int | Fraction, Expr | None]:
+        tokens = self.tokens
         coeff: int | Fraction = 1
         children: list[Expr] = []
         while True:
-            if self.peek()[0] == "int":
+            tok = tokens[self.index]
+            if tok.isidentifier():
+                self.index += 1
+                if tokens[self.index] == "(":
+                    children.append(self._call(tok, self.index - 1))
+                else:
+                    children.append(GeneratorRef(tok))
+            elif tok.isdecimal():
                 value = self._rational()
                 coeff = value if coeff == 1 else _int_if_integral(coeff * value)
             else:
                 children.append(self.parse_atom())
-            if self.peek()[1] == "*":
-                self.index += 1
-                continue
-            break
+            if tokens[self.index] != "*":
+                break
+            self.index += 1
         if not children:
             return coeff, None
         node = children[0] if len(children) == 1 else Product(tuple(children))
         return coeff, node
 
     def _rational(self) -> int | Fraction:
-        value = int(self.advance()[1])
-        if self.peek()[1] == "/":
-            slash = self.advance()
-            kind, text, pos = self.peek()
-            if kind != "int":
-                raise ParseError("expected an integer denominator", slash[2] + 1)
-            self.index += 1
-            denom = int(text)
-            if denom == 0:
-                raise ParseError("zero denominator", pos)
-            return _divide(value, denom)
-        return value
+        tokens = self.tokens
+        i = self.index
+        value = int(tokens[i])
+        if tokens[i + 1] != "/":
+            self.index = i + 1
+            return value
+        denom = tokens[i + 2]
+        if not denom.isdecimal():
+            raise self.error("expected an integer denominator", i + 1, 1)
+        self.index = i + 3
+        d = int(denom)
+        if d == 0:
+            raise self.error("zero denominator", i + 2)
+        return _divide(value, d)
 
     def parse_atom(self) -> Expr:
-        kind, text, pos = self.peek()
-        if kind == "ident":
-            self.index += 1
-            if self.peek()[1] == "(":
-                return self._call(text, pos)
-            return GeneratorRef(text)
-        if text == "[":
+        tok = self.tokens[self.index]
+        if tok == "[":
             self.index += 1
             inner = self.parse_expr()
             self.expect("]")
             return BracketApply(inner)
-        if text == "(":
+        if tok == "(":
             self.index += 1
             inner = self.parse_expr()
             self.expect(")")
             return inner
-        raise ParseError(
-            f"expected a generator, number, bracket, or parenthesis, found {text or 'end of input'!r}",
-            pos,
+        raise self.error(
+            f"expected a generator, number, bracket, or parenthesis, found {tok or 'end of input'!r}",
+            self.index,
         )
 
-    def _call(self, name: str, position: int) -> Expr:
-        self.expect("(")
+    def _call(self, name: str, at: int) -> Expr:
+        """The call of ``name``, the token at ``at``, whose ``(`` is next."""
+        self.index += 1
         if name == "P":
             inner = self.parse_expr()
             self.expect(")")
             return BracketApply(inner)
         op = _FUNCTIONS.get(name)
         if op is None:
-            raise ParseError(f"unknown function {name!r}", position)
+            raise self.error(f"unknown function {name!r}", at)
         left = self.parse_expr()
         self.expect(",")
         right = self.parse_expr()
@@ -324,25 +344,25 @@ def eval_expr(expr: Expr, declared: Iterable[str]) -> LinComb:
     algebra has no unit to absorb it.
     """
     allowed = set(declared)
+    # Each generator is checked once, on first use; a combination is
+    # immutable, so its leaf serves every later use.
+    leaves: dict[str, LinComb] = {}
 
     def walk(node: Expr) -> LinComb:
-        if isinstance(node, GeneratorRef):
-            if node.name not in allowed:
-                raise UnknownIdentifier(node.name)
-            return LinComb._wrap({letter_word(node.name): 1})
-        if isinstance(node, ScalarLit):
-            if node.value != 0:
-                raise EvalError("a bare scalar is not an algebra element")
-            return LinComb()
-        if isinstance(node, BracketApply):
-            return operator_n(walk(node.child))
-        if isinstance(node, DerivedOpNode):
-            return derived_op(node.op, walk(node.left), walk(node.right))
-        if isinstance(node, Product):
+        cls = type(node)
+        if cls is GeneratorRef:
+            name = node.name
+            leaf = leaves.get(name)
+            if leaf is None:
+                if name not in allowed:
+                    raise UnknownIdentifier(name)
+                leaf = leaves[name] = _wrap({letter_word(name): 1})
+            return leaf
+        if cls is Product:
             coeff: int | Fraction = 1
             value: LinComb | None = None
             for child in node.children:
-                if isinstance(child, ScalarLit):
+                if type(child) is ScalarLit:
                     coeff = _int_if_integral(coeff * child.value)
                 else:
                     part = walk(child)
@@ -352,11 +372,13 @@ def eval_expr(expr: Expr, declared: Iterable[str]) -> LinComb:
                     return LinComb()
                 raise EvalError("a bare scalar is not an algebra element")
             return value.scale(coeff)
-        if isinstance(node, Sum):
+        if cls is BracketApply:
+            return operator_n(walk(node.child))
+        if cls is Sum:
             data: dict[str, int | Fraction] = {}
             get = data.get
             for coeff, child in node.terms:
-                if isinstance(child, ScalarLit):
+                if type(child) is ScalarLit:
                     if coeff * child.value != 0:
                         raise EvalError("a bare scalar is not an algebra element")
                     continue
@@ -364,7 +386,13 @@ def eval_expr(expr: Expr, declared: Iterable[str]) -> LinComb:
                     c = coeff if c == 1 else coeff * c
                     acc = get(w)
                     data[w] = c if acc is None else acc + c
-            return LinComb._wrap({w: _int_if_integral(c) for w, c in data.items() if c})
+            return _wrap({w: _int_if_integral(c) for w, c in data.items() if c})
+        if cls is DerivedOpNode:
+            return derived_op(node.op, walk(node.left), walk(node.right))
+        if cls is ScalarLit:
+            if node.value != 0:
+                raise EvalError("a bare scalar is not an algebra element")
+            return LinComb()
         raise TypeError(f"not an expression node: {node!r}")
 
     return walk(expr)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import product as _cartesian
+from itertools import product as _cartesian, repeat
 from typing import Iterable
 
 __all__ = [
@@ -242,7 +242,7 @@ def canonical_sort(words: Iterable[str]) -> list[str]:
     words = list(words)
     patterns = "\n".join(words).translate(_BRACKETS_ONLY).split("\n")
     # The star count orders words as the letter count does.
-    ordered = sorted(zip([w.count("*") for w in words], map(_nesting, patterns), words))
+    ordered = sorted(zip(map(str.count, words, repeat("*")), map(_nesting, patterns), words))
     return [w for _, _, w in ordered]
 
 

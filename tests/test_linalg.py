@@ -3,22 +3,25 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
 from nijenhuis import envelope
 from nijenhuis.linalg import (
     LinComb,
     RowSpace,
     Vector,
+    _divide,
     rank,
     rational,
     span,
 )
+from nijenhuis.parser import eval_expr, parse_expr
 from nijenhuis.words import canonical_key, word
 
-from conftest import lincombs_strategy, rationals_strategy
+from conftest import ALPHABET_XY, lincombs_strategy, rationals_strategy, words_strategy
 
 W1 = word("x")
 W2 = word("[x]*y")
@@ -72,6 +75,54 @@ def test_lincomb_str_formats_signs_and_coefficients():
     assert str(LinComb()) == "0"
     assert str(LinComb.from_word(W1, Fraction(-1))) == "-x"
     assert str(LinComb.from_word(W1, Fraction(1, 3))) == "1/3*x"
+
+
+def reference_str(a: LinComb) -> str:
+    """Terms by :func:`canonical_key`, each sign apart and a unit magnitude unwritten."""
+    if not a:
+        return "0"
+    pieces = []
+    for w in sorted(a._terms, key=canonical_key):
+        c = Fraction(a._terms[w])
+        pieces.append(("- " if c < 0 else "+ ") + ("" if abs(c) == 1 else f"{abs(c)}*") + w)
+    text = " ".join(pieces)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+COEFFICIENTS = st.one_of(
+    st.sampled_from([1, -1, 2, -2, 10**30, -(10**30)]),
+    st.integers(-50, 50),
+    rationals_strategy(max_num=40, max_den=12),
+)
+
+
+@given(st.lists(st.tuples(words_strategy(max_size=5), COEFFICIENTS), max_size=8).map(LinComb))
+@example(LinComb([(W1, -1), (W2, Fraction(1, 2))]))
+@example(LinComb([(W1, Fraction(-3, 4)), (W3, -1)]))
+def test_lincomb_str_matches_a_reference_formatter_and_parses_back(a):
+    for value in (a, -a):
+        text = str(value)
+        assert text == reference_str(value)
+        back = eval_expr(parse_expr(text), ALPHABET_XY)
+        assert back == value
+        assert {w: type(c) for w, c in back._terms.items()} == {w: type(c) for w, c in value._terms.items()}
+
+
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**6))
+@example(0, 1)
+@example(-6, 3)
+@example(-7, 3)
+@example(10**30, 7)
+def test_divide_is_an_int_exactly_when_the_denominator_divides(n, d):
+    q = _divide(n, d)
+    if n % d:
+        assert type(q) is Fraction and q == Fraction(n, d) and q.denominator > 1
+        assert gcd(q.numerator, q.denominator) == 1
+    else:
+        assert type(q) is int and q == n // d
+    # The quotients are memoized in a bounded cache, so equal ones are shared.
+    assert _divide(n, d) is q
+    assert _divide.cache_info().maxsize is not None
 
 
 @given(lincombs_strategy(), lincombs_strategy(), lincombs_strategy())
