@@ -69,7 +69,7 @@ from functools import lru_cache
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .linalg import LinComb, _divide, _int_if_integral, _numerators, _wrap
-from .words import _close
+from .words import UsageError, _close
 
 __all__ = [
     "OpSymbol",
@@ -111,7 +111,7 @@ _PRODUCT_CACHE_LIMIT = 1 << 15
 _max_terms = MAX_TERMS
 
 
-class TooManyTerms(ValueError):
+class TooManyTerms(UsageError):
     """A product has more terms than the cap allows."""
 
 

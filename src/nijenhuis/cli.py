@@ -1,13 +1,17 @@
 """Command line interface.
 
-Exit codes: 0 for success or a passing check, 1 for a failing check or
-an undetected membership, 2 for usage, syntax, or malformed input
-errors.  The environment variable ``NF_MAX_SIZE``, when set to a
-positive integer, caps the ``--max-size`` of the sweep subcommands and
-the ``--bound`` of ``ideal-member``.  ``NF_MAX_TERMS``, when set to a
-positive integer, replaces the default cap of 100000 terms on any one
-product a command computes; a product over the cap ends the command
-with exit code 2.
+Exit codes: 0 for success or a passing check, 1 for a failing check, an
+undetected membership, or an input algebra that fails its identities
+(:class:`~nijenhuis.envelope.InvalidInput`), 2 for usage, syntax, or
+malformed input errors: a :class:`~nijenhuis.words.UsageError`, the
+root of every input error the package raises, or an ``OSError`` from
+reading a file.  Matching one loads no lazy module; any other exception
+is a bug and ends in a traceback.  The environment variable
+``NF_MAX_SIZE``, when set to a positive integer, caps the ``--max-size``
+of the sweep subcommands and the ``--bound`` of ``ideal-member``.
+``NF_MAX_TERMS``, when set to a positive integer, replaces the default
+cap of 100000 terms on any one product a command computes; a product
+over the cap ends the command with exit code 2.
 """
 
 from __future__ import annotations
@@ -32,27 +36,18 @@ from .algebra import (
 # These three load on first use (see the package docstring), so their
 # names are read when a handler runs, never bound here.
 from . import envelope, parser, relations
-from .linalg import DimensionMismatch, LinComb
-from .words import (
-    WordError,
-    generators,
-    letter_word,
-    words_up_to_size,
-)
+from .linalg import LinComb
+from .words import UsageError, generators, letter_word, words_up_to_size
 
 __all__ = ["run_command", "main"]
 
 _EXPR_HELP = "an expression; write '--' before one that starts with '-', after all options"
 
 
-class _UsageError(ValueError):
-    pass
-
-
 def _split_names(raw: str) -> tuple[str, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
-        raise _UsageError(f"no generator names in {raw!r}")
+        raise UsageError(f"no generator names in {raw!r}")
     return generators(*parts)
 
 
@@ -73,7 +68,7 @@ def _env_cap(name: str) -> int | None:
 
 def _checked_size(option: str, requested: int) -> int:
     if requested < 1:
-        raise _UsageError(f"{option} must be at least 1, got {requested}")
+        raise UsageError(f"{option} must be at least 1, got {requested}")
     cap = _env_cap("NF_MAX_SIZE")
     if cap is not None and cap < requested:
         print(f"note: NF_MAX_SIZE caps the sweep at size {cap}", file=sys.stderr)
@@ -109,9 +104,13 @@ def _load_json(path: str) -> dict:
         try:
             data = json.load(handle)
         except RecursionError:
-            raise _UsageError(f"{path}: JSON nested too deeply") from None
+            raise UsageError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:
+            # Malformed JSON, bytes that are not UTF-8, or an integer
+            # past the interpreter's digit limit.
+            raise UsageError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise _UsageError(f"{path}: expected a JSON object")
+        raise UsageError(f"{path}: expected a JSON object")
     return data
 
 
@@ -122,9 +121,9 @@ def _load_map(path: str) -> tuple[tuple[str, ...], envelope.LinearMap]:
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
             raise TypeError(f"names must be a JSON list of strings, got {names!r}")
         names = generators(*names)
-        matrix = envelope.LinearMap.from_json_obj(obj["matrix"])
+        matrix = envelope.LinearMap.from_rows(obj["matrix"])
     except (KeyError, ValueError, TypeError) as exc:
-        raise _UsageError(f"{path}: malformed map file: {exc}") from exc
+        raise UsageError(f"{path}: malformed map file: {exc}") from exc
     return names, matrix
 
 
@@ -136,14 +135,14 @@ def _load_algebra(path: str) -> envelope.NijenhuisAlgebraFD | envelope.NSAlgebra
         if "prec" in obj:
             return envelope.NSAlgebraFD.from_json_obj(obj)
     except (KeyError, ValueError, TypeError) as exc:
-        raise _UsageError(f"{path}: malformed algebra file: {exc}") from exc
-    raise _UsageError(f"{path}: neither an operator algebra nor a split-operation algebra")
+        raise UsageError(f"{path}: malformed algebra file: {exc}") from exc
+    raise UsageError(f"{path}: neither an operator algebra nor a split-operation algebra")
 
 
 def _load_operator_algebra(path: str) -> envelope.NijenhuisAlgebraFD:
     alg = _load_algebra(path)
     if not isinstance(alg, envelope.NijenhuisAlgebraFD):
-        raise _UsageError(f"{path}: expected an operator algebra file")
+        raise UsageError(f"{path}: expected an operator algebra file")
     return alg
 
 
@@ -216,7 +215,7 @@ def _cmd_nijenhuis_check(args: argparse.Namespace) -> int:
 def _relation_sweep(args: argparse.Namespace, rels, label: str) -> int:
     names = _split_names(args.generators)
     if len(names) < 3:
-        raise _UsageError("relation checks need at least three generator names")
+        raise UsageError("relation checks need at least three generator names")
     x, y, z = (LinComb.from_word(letter_word(s)) for s in names[:3])
     for k, rel in enumerate(rels):
         residue = relations.evaluate_relation(rel, x, y, z)
@@ -277,7 +276,7 @@ def _names_for_dim(args: argparse.Namespace, dim: int) -> tuple[str, ...]:
         return envelope.default_names(dim)
     names = _split_names(args.generators)
     if len(names) != dim:
-        raise _UsageError(f"need exactly {dim} generator names, got {len(names)}")
+        raise UsageError(f"need exactly {dim} generator names, got {len(names)}")
     return names
 
 
@@ -463,22 +462,11 @@ def run_command(argv: Sequence[str]) -> int:
     try:
         with command_scope(_env_cap("NF_MAX_TERMS") or MAX_TERMS):
             return args.handler(args)
-    except (
-        _UsageError,
-        parser.ParseError,
-        parser.EvalError,
-        WordError,
-        DimensionMismatch,
-        envelope.ArityMismatch,
-        envelope.UnknownGenerator,
-        envelope.BoundTooSmall,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TooManyTerms as exc:
         print(f"error: {exc}; NF_MAX_TERMS sets the cap", file=sys.stderr)
+        return 2
+    except (UsageError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except envelope.InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

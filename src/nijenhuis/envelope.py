@@ -53,6 +53,7 @@ from .linalg import (
 )
 from .relations import RelVector, ndendriform_relation_set, ns_relation_set, relation_sides
 from .words import (
+    UsageError,
     canonical_key,
     generators,
     iter_symbols,
@@ -88,18 +89,22 @@ __all__ = [
 
 
 class InvalidInput(ValueError):
-    """A precondition on supplied data does not hold."""
+    """A precondition on supplied data does not hold.
+
+    Not a :class:`~nijenhuis.words.UsageError`: the data is well formed
+    but fails a check, so the CLI exits with 1, as for a failing check.
+    """
 
 
-class ArityMismatch(ValueError):
+class ArityMismatch(UsageError):
     """A name list or tensor has the wrong length for the dimension."""
 
 
-class UnknownGenerator(ValueError):
+class UnknownGenerator(UsageError):
     """A word mentions a generator with no assigned image."""
 
 
-class BoundTooSmall(ValueError):
+class BoundTooSmall(UsageError):
     """The candidate itself does not fit under the truncation bound."""
 
 
@@ -208,10 +213,6 @@ class LinearMap:
     def to_json_obj(self) -> list:
         return [[str(x) for x in row] for row in self.entries]
 
-    @classmethod
-    def from_json_obj(cls, obj: Sequence[Sequence[RationalLike]]) -> "LinearMap":
-        return cls.from_rows(obj)
-
 
 @dataclass(frozen=True)
 class NijenhuisAlgebraFD:
@@ -249,7 +250,7 @@ class NijenhuisAlgebraFD:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "NijenhuisAlgebraFD":
         dim = _json_dim(obj)
-        return cls(dim, _tensor(obj["mult"], dim), LinearMap.from_json_obj(obj["op"]))
+        return cls(dim, _tensor(obj["mult"], dim), LinearMap.from_rows(obj["op"]))
 
 
 @dataclass(frozen=True)
@@ -263,20 +264,16 @@ class NSAlgebraFD:
     _sparse_tensors: dict[OpSymbol, SparseTensor] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("prec", "succ", "bullet"):
-            object.__setattr__(self, name, _tensor(getattr(self, name), self.dim))
+        for op in COORD_OPS:
+            object.__setattr__(self, op.value, _tensor(getattr(self, op.value), self.dim))
         object.__setattr__(
             self, "_sparse_tensors", {op: _sparse(self.tensor(op)) for op in COORD_OPS}
         )
 
     def tensor(self, op: OpSymbol) -> Tensor:
-        if op is OpSymbol.PREC:
-            return self.prec
-        if op is OpSymbol.SUCC:
-            return self.succ
-        if op is OpSymbol.BULLET:
-            return self.bullet
-        raise ValueError(f"no structure tensor for {op!r}")
+        if op not in COORD_OPS:
+            raise ValueError(f"no structure tensor for {op!r}")
+        return getattr(self, op.value)
 
     def op_product(
         self, op: OpSymbol, u: Sequence[RationalLike], v: Sequence[RationalLike]
@@ -287,22 +284,12 @@ class NSAlgebraFD:
         return _contract(self._sparse_tensors[op], u, v)
 
     def to_json_obj(self) -> dict:
-        return {
-            "dim": self.dim,
-            "prec": _tensor_json(self.prec),
-            "succ": _tensor_json(self.succ),
-            "bullet": _tensor_json(self.bullet),
-        }
+        return {"dim": self.dim, **{op.value: _tensor_json(self.tensor(op)) for op in COORD_OPS}}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "NSAlgebraFD":
         dim = _json_dim(obj)
-        return cls(
-            dim,
-            _tensor(obj["prec"], dim),
-            _tensor(obj["succ"], dim),
-            _tensor(obj["bullet"], dim),
-        )
+        return cls(dim, *(_tensor(obj[op.value], dim) for op in COORD_OPS))
 
 
 def check_nijenhuis_fd(alg: NijenhuisAlgebraFD) -> CheckReport:

@@ -34,7 +34,7 @@ from math import lcm
 from operator import add, sub
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .words import canonical_sort
+from .words import UsageError, canonical_sort
 
 __all__ = [
     "RationalLike",
@@ -265,6 +265,10 @@ def _wrap(data: dict[str, int | Fraction]) -> LinComb:
     return a
 
 
+class DimensionMismatch(UsageError):
+    """Shapes do not line up for the requested operation."""
+
+
 class Vector(tuple):
     """Coordinates with the arithmetic of :class:`LinComb`, all of it coordinatewise.
 
@@ -281,9 +285,13 @@ class Vector(tuple):
         return tuple.__new__(cls, map(rational, values))
 
     def __add__(self, other: "Vector") -> "Vector":
+        if len(self) != len(other):
+            raise DimensionMismatch(f"cannot add vectors of lengths {len(self)} and {len(other)}")
         return Vector(map(add, self, other))
 
     def __sub__(self, other: "Vector") -> "Vector":
+        if len(self) != len(other):
+            raise DimensionMismatch(f"cannot subtract vectors of lengths {len(self)} and {len(other)}")
         return Vector(map(sub, self, other))
 
     def __neg__(self) -> "Vector":
@@ -297,10 +305,6 @@ class Vector(tuple):
 def _unit(dim: int, i: int) -> Vector:
     """The ``i``-th standard basis vector of length ``dim``."""
     return Vector(1 if j == i else 0 for j in range(dim))
-
-
-class DimensionMismatch(ValueError):
-    """Shapes do not line up for the requested operation."""
 
 
 Row = dict[Hashable, int | Fraction]

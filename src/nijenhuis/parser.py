@@ -36,7 +36,7 @@ from typing import Iterable, Union
 
 from .algebra import OpSymbol, derived_op, operator_n, product
 from .linalg import LinComb, _divide, _int_if_integral, _wrap
-from .words import MAX_NESTING, letter_word
+from .words import MAX_NESTING, UsageError, letter_word
 
 __all__ = [
     "ParseError",
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 
-class ParseError(ValueError):
+class ParseError(UsageError):
     """Syntax error with the offending position."""
 
     def __init__(self, message: str, position: int):
@@ -63,7 +63,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-class EvalError(ValueError):
+class EvalError(UsageError):
     """An expression evaluates outside the algebra, e.g. a bare scalar."""
 
 

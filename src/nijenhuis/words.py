@@ -34,6 +34,7 @@ from itertools import product as _cartesian, repeat
 from typing import Iterable
 
 __all__ = [
+    "UsageError",
     "WordError",
     "AlternationViolation",
     "EmptyInput",
@@ -60,7 +61,16 @@ _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 MAX_NESTING = 100
 
 
-class WordError(ValueError):
+class UsageError(ValueError):
+    """Input the caller supplied is malformed: a usage error, exit code 2 in the CLI.
+
+    Every input error the package raises derives from it, save
+    :class:`~nijenhuis.envelope.InvalidInput`, which reports well-formed
+    data that fails a check.  A plain ``ValueError`` is a bug.
+    """
+
+
+class WordError(UsageError):
     """Base class for malformed word constructions."""
 
 

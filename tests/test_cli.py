@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import argparse
+import importlib
 import json
 import os
+import pkgutil
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import nijenhuis
 from nijenhuis import algebra, cli, relations
-from nijenhuis.algebra import CheckReport
+from nijenhuis.algebra import CheckReport, TooManyTerms
 from nijenhuis.cli import build_parser, run_command
 from nijenhuis.envelope import (
+    InvalidInput,
     LinearMap,
     NijenhuisAlgebraFD,
     enveloping_generators,
@@ -22,9 +28,9 @@ from nijenhuis.envelope import (
     induced_ns,
 )
 from nijenhuis.linalg import LinComb
-from nijenhuis.parser import eval_expr, parse_expr, print_canonical
+from nijenhuis.parser import ParseError, eval_expr, parse_expr, print_canonical
 from nijenhuis.relations import RelVector, ndendriform_relation_set, solve_relation_space
-from nijenhuis.words import MAX_NESTING, word
+from nijenhuis.words import MAX_NESTING, UsageError, word
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -544,6 +550,93 @@ def test_malformed_json_exit_code(capsys, tmp_path):
         code, out, err = run(capsys, "fd-check", str(path))
         assert (code, out) == (2, ""), name
         assert err.startswith("error:") and "malformed algebra file" in err and reason in err, name
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b"{not json", "Expecting property name"),
+        (b"", "Expecting value"),
+        # Neither bytes that are not UTF-8 nor an integer past the digit
+        # limit is a JSONDecodeError; both once escaped as tracebacks.
+        (b"\xff\xfe{}", "can't decode byte 0xff"),
+        pytest.param(
+            b'{"dim": ' + b"9" * 5000 + b"}",
+            "integer string conversion",
+            marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"),
+        ),
+    ],
+    ids=["syntax", "empty", "not_utf8", "long_integer"],
+)
+def test_a_broken_json_file_is_named_in_the_error(capsys, tmp_path, content, reason):
+    broken = tmp_path / "broken.json"
+    broken.write_bytes(content)
+    good = [str(FIXTURES / f) for f in ("projection_ns.json", "projection.json", "identity_map.json")]
+    # Each of morphism-check's three files in turn.
+    for k in range(3):
+        argv = ["morphism-check", *good[:k], str(broken), *good[k + 1 :]]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {broken}: not valid JSON: ") and reason in err, argv
+        assert err.count("\n") == 1, argv
+
+
+def _package_exceptions() -> list[type[BaseException]]:
+    """Every exception class a module of the package defines.
+
+    ``__main__`` runs the tool on import and defines nothing.  Private
+    classes are left out: ``cli._GiveUp`` never leaves ``cli._parse_args``.
+    """
+    found = []
+    for info in pkgutil.iter_modules(nijenhuis.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"nijenhuis.{info.name}")
+        found += [
+            obj
+            for name, obj in vars(module).items()
+            if isinstance(obj, type)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+            and not name.startswith("_")
+        ]
+    return found
+
+
+PACKAGE_EXCEPTIONS = _package_exceptions()
+
+
+def test_the_package_exceptions_are_all_found():
+    names = {cls.__name__ for cls in PACKAGE_EXCEPTIONS}
+    assert {"WordError", "DimensionMismatch", "TooManyTerms", "ParseError", "UnknownIdentifier"} <= names
+    assert {"ArityMismatch", "UnknownGenerator", "BoundTooSmall", "InvalidInput", "UsageError"} <= names
+
+
+@pytest.mark.parametrize("cls", PACKAGE_EXCEPTIONS, ids=lambda cls: cls.__qualname__)
+def test_every_package_exception_is_a_usage_error_or_invalid_input(capsys, monkeypatch, cls):
+    exc = cls("boom", 7) if cls is ParseError else cls("boom")
+
+    def handler(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: argparse.Namespace(handler=handler))
+    code, out, err = run(capsys, "eval", "x")
+    if cls is InvalidInput:
+        assert not issubclass(cls, UsageError)
+        assert (code, out, err) == (1, "", f"error: {exc}\n")
+    else:
+        assert issubclass(cls, UsageError)
+        note = "; NF_MAX_TERMS sets the cap" if cls is TooManyTerms else ""
+        assert (code, out, err) == (2, "", f"error: {exc}{note}\n")
+
+
+def test_a_plain_value_error_is_a_bug_not_a_usage_error(monkeypatch):
+    def handler(args):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: argparse.Namespace(handler=handler))
+    with pytest.raises(ValueError, match="a bug"):
+        run_command(["eval", "x"])
 
 
 def test_zero_denominator_is_a_malformed_file(capsys, tmp_path):

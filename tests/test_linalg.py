@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from nijenhuis import envelope
 from nijenhuis.linalg import (
+    DimensionMismatch,
     LinComb,
     RowSpace,
     Vector,
@@ -238,6 +239,16 @@ def test_rowspace_pivots_on_the_largest_word():
 def test_vector_has_one_home():
     # the finite-dimensional layer re-exports the coordinate vector
     assert envelope.Vector is Vector
+
+
+def test_vector_sum_and_difference_need_equal_lengths():
+    # Both once zipped to the shorter operand: (1, 2) + (5,) was (6,).
+    for left, right in (((1, 2), (5,)), ((5,), (1, 2)), ((), (1,))):
+        for combine in (Vector.__add__, Vector.__sub__):
+            with pytest.raises(DimensionMismatch, match=f"lengths {len(left)} and {len(right)}"):
+                combine(Vector(left), Vector(right))
+    assert Vector((1, 2)) + Vector((5, "1/2")) == (6, Fraction(5, 2))
+    assert Vector((1, 2)) - Vector((5, "1/2")) == (-4, Fraction(3, 2))
 
 
 def test_exactness_no_drift():

@@ -50,9 +50,8 @@ EXPORTS = {
     ),
 }
 
-# Runs both sweeps, then one eval, and prints on its last line which of
-# the three lazy modules had run its code after each step.
-STARTUP = """
+# Defines ran(): which of the three lazy modules have run their code.
+RAN = """
 import json
 import sys
 
@@ -69,8 +68,11 @@ def ran():
         for name in ("parser", "relations", "envelope")
         if not set(object.__getattribute__(sys.modules["nijenhuis." + name], "__dict__")) <= SPEC_ONLY
     ]
+"""
 
-
+# Runs both sweeps, then one eval, and prints on its last line which of
+# the three lazy modules had run its code after each step.
+STARTUP = RAN + """
 codes = [
     nijenhuis.cli.run_command(["assoc-check", "--max-size", "2"]),
     nijenhuis.cli.run_command(["nijenhuis-check", "--max-size", "2"]),
@@ -78,6 +80,12 @@ codes = [
 after_sweeps = {"codes": codes, "ran": ran(), "dataclasses": "dataclasses" in sys.modules}
 code = nijenhuis.cli.run_command(["eval", "x*[y]"])
 print(json.dumps({"after_sweeps": after_sweeps, "after_eval": {"code": code, "ran": ran()}}))
+"""
+
+# A sweep that stops at a usage error, then the same report.
+FAILING_SWEEP = RAN + """
+code = nijenhuis.cli.run_command(["assoc-check", "--alphabet", "2x"])
+print(json.dumps({"code": code, "ran": ran(), "dataclasses": "dataclasses" in sys.modules}))
 """
 
 # Reads the exports given as JSON in argv[1] from the package and prints
@@ -135,6 +143,12 @@ def test_sweeps_run_without_the_lazy_modules():
     assert seen["after_eval"] == {"code": 0, "ran": ["parser"]}
 
 
+def test_a_usage_error_loads_no_lazy_module():
+    result = fresh_python("-c", FAILING_SWEEP)
+    assert last_json_line(result) == {"code": 2, "ran": [], "dataclasses": False}
+    assert result.stderr == "error: invalid generator name: '2x'\n"
+
+
 def test_every_export_is_the_defining_modules_object():
     seen = last_json_line(fresh_python("-c", EXPORTED, json.dumps(EXPORTS)))
     assert seen["not_in_dir"] == []
@@ -144,7 +158,7 @@ def test_every_export_is_the_defining_modules_object():
 
 
 def test_sweep_errors_before_the_lazy_modules_load():
-    """The error classes of ``parser`` and ``envelope`` load only to match an exception."""
+    """Sweep errors print the same message and exit 2 from the console entry point."""
     cases = [
         ({}, ("assoc-check", "--alphabet", "2x"), "error: invalid generator name: '2x'\n"),
         ({}, ("nijenhuis-check", "--max-size", "0"), "error: --max-size must be at least 1, got 0\n"),
