@@ -50,7 +50,7 @@ def main() -> None:
         print(f"  {g}")
 
     # the quotient map sends each abstract generator to its basis vector
-    hom = LinearMap.from_rows([[Fraction(1), Fraction(0)],
+    hom = LinearMap([[Fraction(1), Fraction(0)],
                                [Fraction(0), Fraction(1)]])
     images = [evaluate_hom(alg, hom, LinComb.from_word(letter_word(s)), names)
               for s in names]

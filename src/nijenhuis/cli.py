@@ -121,7 +121,7 @@ def _load_map(path: str) -> tuple[tuple[str, ...], envelope.LinearMap]:
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
             raise TypeError(f"names must be a JSON list of strings, got {names!r}")
         names = generators(*names)
-        matrix = envelope.LinearMap.from_rows(obj["matrix"])
+        matrix = envelope.LinearMap(obj["matrix"])
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"{path}: malformed map file: {exc}") from exc
     return names, matrix

@@ -7,28 +7,30 @@ Its elements are coordinate :class:`Vector` s with the arithmetic of
 the relation sides written for the free algebra run on them, given the
 algebra's product and operator.  The products, operator images and
 evaluations returned here hold an ``int`` wherever a coordinate is
-integral and a Fraction only otherwise, as :class:`LinComb` does.
-Input is coerced once, where it enters through ``mul``, ``apply_op``,
-:meth:`LinearMap.apply` or a loader; the Vectors this module builds
-pass through.  Each structure tensor and matrix keeps its nonzero
-entries, and products sum over those alone.  This module checks the
-operator identity and associativity by sweep, splits such an algebra
-into its three induced bilinear operations, and studies the result
-through the free algebra: every finite-dimensional instance with the
-three operations embeds, up to a quotient, into the free algebra on one
-generator per basis vector.  The kernel of that comparison is generated
-by an explicit finite family, one relation per basis pair and operation;
-a truncated closure computes a certified lower bound of the kernel,
-giving a semidecision procedure for membership.
+integral and a Fraction only otherwise, as :class:`LinComb` does.  Input
+is coerced once, where it enters through ``mul``, ``apply_op``,
+:meth:`LinearMap.apply` or a constructor; the Vectors this module builds
+pass through.  A constructor walks its input once, taking only lists of
+the right length at every level, and keeps the dense rows it prints and
+the nonzero entries that products sum over; the attributes are
+read-only.  This module checks the operator identity and associativity
+by sweep, splits such an algebra into its three induced bilinear
+operations, and studies the result through the free algebra: every
+finite-dimensional instance with the three operations embeds, up to a
+quotient, into the free algebra on one generator per basis vector.  The
+kernel of that comparison is generated by an explicit finite family, one
+relation per basis pair and operation; a truncated closure computes a
+certified lower bound of the kernel, giving a semidecision procedure for
+membership.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import product as _cartesian
+from operator import attrgetter
 from typing import Sequence
 
 from .algebra import (
@@ -42,14 +44,15 @@ from .algebra import (
     product,
 )
 from .linalg import (
+    ArityMismatch,
     DimensionMismatch,
     LinComb,
     RationalLike,
     RowSpace,
     Vector,
+    _sized,
     _unit,
     _wrap,
-    rational,
 )
 from .relations import RelVector, ndendriform_relation_set, ns_relation_set, relation_sides
 from .words import (
@@ -96,10 +99,6 @@ class InvalidInput(ValueError):
     """
 
 
-class ArityMismatch(UsageError):
-    """A name list or tensor has the wrong length for the dimension."""
-
-
 class UnknownGenerator(UsageError):
     """A word mentions a generator with no assigned image."""
 
@@ -108,39 +107,25 @@ class BoundTooSmall(UsageError):
     """The candidate itself does not fit under the truncation bound."""
 
 
-def _vector(values: Sequence[RationalLike], dim: int) -> Vector:
-    """``values`` as a Vector of ``dim`` exact scalars."""
-    values = Vector(values)
-    if len(values) != dim:
-        raise DimensionMismatch(f"expected a vector of length {dim}, got {len(values)}")
-    return values
-
-
 Tensor = tuple[tuple[Vector, ...], ...]
 # A structure tensor's nonzero constants by first index: for each i, the
 # triples (j, k, t[i][j][k]) with t[i][j][k] nonzero.
 SparseTensor = tuple[tuple[tuple[int, int, int | Fraction], ...], ...]
+TensorLike = Sequence[Sequence[Sequence[RationalLike]]]
 
 
-def _tensor(values: Sequence[Sequence[Sequence[RationalLike]]], dim: int) -> Tensor:
-    t = tuple(tuple(_vector(row, dim) for row in plane) for plane in values)
-    if len(t) != dim or any(len(plane) != dim for plane in t):
-        raise ArityMismatch(f"structure tensor is not {dim}x{dim}x{dim}")
-    return t
-
-
-def _sparse(t: Tensor) -> SparseTensor:
-    return tuple(
-        tuple((j, k, s) for j, row in enumerate(plane) for k, s in enumerate(row) if s)
-        for plane in t
-    )
-
-
-def _json_dim(obj: dict) -> int:
-    dim = obj["dim"]
+def _read_tensor(values: TensorLike, dim: int) -> tuple[Tensor, SparseTensor]:
+    """A ``dim``-cubed structure tensor of exact scalars, and its nonzero entries, in one walk."""
     if type(dim) is not int:
         raise TypeError(f"dim must be a JSON integer, got {dim!r}")
-    return dim
+    planes = []
+    sparse = []
+    for plane in _sized(values, dim, "a structure tensor"):
+        plane = _sized(plane, dim, "a tensor plane")
+        rows = tuple(Vector(_sized(row, dim, "a tensor row")) for row in plane)
+        planes.append(rows)
+        sparse.append(tuple((j, k, s) for j, row in enumerate(rows) for k, s in enumerate(row) if s))
+    return tuple(planes), tuple(sparse)
 
 
 def _tensor_json(t: Tensor) -> list:
@@ -150,10 +135,9 @@ def _tensor_json(t: Tensor) -> list:
 def _contract(t: SparseTensor, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Vector:
     """The bilinear product of ``u`` and ``v`` with structure tensor ``t``."""
     dim = len(t)
-    a = _vector(u, dim)
-    b = _vector(v, dim)
+    b = Vector(_sized(v, dim, "a vector"))
     out = [0] * dim
-    for ci, plane in zip(a, t):
+    for ci, plane in zip(Vector(_sized(u, dim, "a vector")), t):
         if ci:
             for j, k, s in plane:
                 cj = b[j]
@@ -162,46 +146,33 @@ def _contract(t: SparseTensor, u: Sequence[RationalLike], v: Sequence[RationalLi
     return Vector(out)
 
 
-@dataclass(frozen=True)
 class LinearMap:
-    """A rows-by-cols rational matrix acting on coordinate columns."""
+    """A read-only rational matrix, given by its rows, acting on coordinate columns."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int | Fraction, ...], ...]
-    # The columns, and each column's nonzero entries as (row, entry) pairs.
-    _columns: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
-    _sparse_columns: tuple[tuple[tuple[int, int | Fraction], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("_entries", "_columns", "_sparse_columns")
 
-    def __post_init__(self) -> None:
-        converted = tuple(tuple(map(rational, row)) for row in self.entries)
-        if len(converted) != self.rows or any(len(r) != self.cols for r in converted):
-            raise DimensionMismatch("matrix entries do not match the declared shape")
-        columns = tuple(Vector(row[j] for row in converted) for j in range(self.cols))
-        object.__setattr__(self, "entries", converted)
-        object.__setattr__(self, "_columns", columns)
-        object.__setattr__(
-            self,
-            "_sparse_columns",
-            tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in columns),
-        )
+    def __init__(self, rows: Sequence[Sequence[RationalLike]]) -> None:
+        rows = _sized(rows, None, "a matrix")
+        cols = len(_sized(rows[0], None, "a matrix row")) if rows else 0
+        self._entries = tuple(Vector(_sized(row, cols, "a matrix row")) for row in rows)
+        self._columns = tuple(map(Vector, zip(*self._entries)))
+        # Each column's nonzero entries, as (row, entry) pairs.
+        self._sparse_columns = tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in self._columns)
 
-    @classmethod
-    def from_rows(cls, entries: Sequence[Sequence[RationalLike]]) -> "LinearMap":
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        return cls(rows, cols, entries)
+    entries = property(attrgetter("_entries"), doc="The rows, each a Vector.")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The numbers of rows and of columns."""
+        return len(self._entries), len(self._columns)
 
     @classmethod
     def identity(cls, n: int) -> "LinearMap":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def apply(self, vec: Sequence[RationalLike]) -> Vector:
-        v = _vector(vec, self.cols)
-        out = [0] * self.rows
-        for c, col in zip(v, self._sparse_columns):
+        out = [0] * len(self._entries)
+        for c, col in zip(Vector(_sized(vec, len(self._columns), "a vector")), self._sparse_columns):
             if c:
                 for i, x in col:
                     out[i] += c * x
@@ -210,70 +181,72 @@ class LinearMap:
     def column(self, j: int) -> Vector:
         return self._columns[j]
 
+    def __eq__(self, other: object) -> bool:
+        return self._entries == other._entries if type(other) is LinearMap else NotImplemented
+
     def to_json_obj(self) -> list:
-        return [[str(x) for x in row] for row in self.entries]
+        return [[str(x) for x in row] for row in self._entries]
 
 
-@dataclass(frozen=True)
 class NijenhuisAlgebraFD:
     """Structure constants plus an operator matrix.
 
     ``mult[i][j][k]`` is the coefficient of basis vector k in the product
     of basis vectors i and j; ``op`` applies the operator to coordinates.
     Nothing is validated beyond shape; run :func:`check_nijenhuis_fd`.
+    The attributes are read-only.
     """
 
-    dim: int
-    mult: Tensor
-    op: LinearMap
-    _mult_sparse: SparseTensor = field(init=False, repr=False, compare=False)
+    __slots__ = ("_mult", "_mult_sparse", "_op")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mult", _tensor(self.mult, self.dim))
-        object.__setattr__(self, "_mult_sparse", _sparse(self.mult))
-        if self.op.rows != self.dim or self.op.cols != self.dim:
+    def __init__(self, dim: int, mult: TensorLike, op: LinearMap) -> None:
+        self._mult, self._mult_sparse = _read_tensor(mult, dim)
+        if op.shape != (dim, dim):
             raise DimensionMismatch("operator matrix must be square of the dimension")
+        self._op = op
+
+    dim = property(lambda self: len(self._mult))
+    mult = property(attrgetter("_mult"))
+    op = property(attrgetter("_op"))
 
     def mul(self, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Vector:
         return _contract(self._mult_sparse, u, v)
 
     def apply_op(self, u: Sequence[RationalLike]) -> Vector:
-        return self.op.apply(u)
+        return self._op.apply(u)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not NijenhuisAlgebraFD:
+            return NotImplemented
+        return (self._mult, self._op) == (other._mult, other._op)
 
     def to_json_obj(self) -> dict:
-        return {
-            "dim": self.dim,
-            "mult": _tensor_json(self.mult),
-            "op": self.op.to_json_obj(),
-        }
+        return {"dim": self.dim, "mult": _tensor_json(self._mult), "op": self._op.to_json_obj()}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "NijenhuisAlgebraFD":
-        dim = _json_dim(obj)
-        return cls(dim, _tensor(obj["mult"], dim), LinearMap.from_rows(obj["op"]))
+        return cls(obj["dim"], obj["mult"], LinearMap(obj["op"]))
 
 
-@dataclass(frozen=True)
 class NSAlgebraFD:
-    """Three bilinear operations given by structure tensors."""
+    """Three bilinear operations given by structure tensors; read-only."""
 
-    dim: int
-    prec: Tensor
-    succ: Tensor
-    bullet: Tensor
-    _sparse_tensors: dict[OpSymbol, SparseTensor] = field(init=False, repr=False, compare=False)
+    __slots__ = ("_tensors", "_sparse_tensors")
 
-    def __post_init__(self) -> None:
-        for op in COORD_OPS:
-            object.__setattr__(self, op.value, _tensor(getattr(self, op.value), self.dim))
-        object.__setattr__(
-            self, "_sparse_tensors", {op: _sparse(self.tensor(op)) for op in COORD_OPS}
-        )
+    def __init__(self, dim: int, prec: TensorLike, succ: TensorLike, bullet: TensorLike) -> None:
+        dense, sparse = zip(*(_read_tensor(t, dim) for t in (prec, succ, bullet)))
+        self._tensors = dict(zip(COORD_OPS, dense))
+        self._sparse_tensors = dict(zip(COORD_OPS, sparse))
+
+    dim = property(lambda self: len(self.prec))
+    prec = property(lambda self: self._tensors[OpSymbol.PREC])
+    succ = property(lambda self: self._tensors[OpSymbol.SUCC])
+    bullet = property(lambda self: self._tensors[OpSymbol.BULLET])
 
     def tensor(self, op: OpSymbol) -> Tensor:
         if op not in COORD_OPS:
             raise ValueError(f"no structure tensor for {op!r}")
-        return getattr(self, op.value)
+        return self._tensors[op]
 
     def op_product(
         self, op: OpSymbol, u: Sequence[RationalLike], v: Sequence[RationalLike]
@@ -283,13 +256,15 @@ class NSAlgebraFD:
             return prec + succ + bullet
         return _contract(self._sparse_tensors[op], u, v)
 
+    def __eq__(self, other: object) -> bool:
+        return self._tensors == other._tensors if type(other) is NSAlgebraFD else NotImplemented
+
     def to_json_obj(self) -> dict:
-        return {"dim": self.dim, **{op.value: _tensor_json(self.tensor(op)) for op in COORD_OPS}}
+        return {"dim": self.dim, **{op.value: _tensor_json(self._tensors[op]) for op in COORD_OPS}}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "NSAlgebraFD":
-        dim = _json_dim(obj)
-        return cls(dim, *(_tensor(obj[op.value], dim) for op in COORD_OPS))
+        return cls(obj["dim"], *(obj[op.value] for op in COORD_OPS))
 
 
 def check_nijenhuis_fd(alg: NijenhuisAlgebraFD) -> CheckReport:
@@ -373,17 +348,10 @@ def enveloping_generators(
     names = generators(*names)
     if len(names) != alg.dim:
         raise ArityMismatch(f"{alg.dim} names required, got {len(names)}")
-    letters = [LinComb.from_word(letter_word(s)) for s in names]
-
-    def constants(t: Tensor, i: int, j: int) -> LinComb:
-        total = LinComb()
-        for k, c in enumerate(t[i][j]):
-            if c:
-                total = total + letters[k].scale(c)
-        return total
-
+    words = [letter_word(s) for s in names]
+    letters = [LinComb.from_word(w) for w in words]
     return tuple(
-        constants(alg.tensor(op), i, j) - derived_op(op, letters[i], letters[j])
+        LinComb(zip(words, alg.tensor(op)[i][j])) - derived_op(op, letters[i], letters[j])
         for i in range(alg.dim)
         for j in range(alg.dim)
         for op in COORD_OPS
@@ -408,10 +376,8 @@ def evaluate_hom(
     identifiers; others raise :class:`~nijenhuis.words.WordError`.
     """
     names = generators(*names)
-    if f.cols != len(names):
-        raise DimensionMismatch("map has one column per generator name")
-    if f.rows != alg.dim:
-        raise DimensionMismatch("map must land in the target algebra")
+    if f.shape != (alg.dim, len(names)):
+        raise DimensionMismatch("map shape must be target dim by the number of names")
     index = {name: k for k, name in enumerate(names)}
 
     def eval_word(w: str) -> Vector:
@@ -469,7 +435,7 @@ def check_morphism_kills_generators(
     """
     if names is not None and len(generators(*names)) != source.dim:
         raise ArityMismatch(f"{source.dim} names required, got {len(names)}")
-    if f.cols != source.dim or f.rows != target.dim:
+    if f.shape != (target.dim, source.dim):
         raise DimensionMismatch("map shape must be target dim by source dim")
 
     columns = [f.column(j) for j in range(source.dim)]
@@ -560,33 +526,22 @@ def truncated_ideal_membership(
     return Membership.MEMBER if candidate._terms in space else Membership.NOT_DETECTED
 
 
-def _componentwise_mult(dim: int) -> Tensor:
-    return tuple(
-        tuple(
-            Vector(1 if i == j == k else 0 for k in range(dim))
-            for j in range(dim)
-        )
-        for i in range(dim)
-    )
+def _componentwise(op: list[list[RationalLike]]) -> NijenhuisAlgebraFD:
+    """The componentwise product on two coordinates, with the operator matrix ``op``."""
+    mult = [[[int(i == j == k) for k in range(2)] for j in range(2)] for i in range(2)]
+    return NijenhuisAlgebraFD(2, mult, LinearMap(op))
 
 
 def fixture_projection() -> NijenhuisAlgebraFD:
     """Componentwise product on two coordinates; operator keeps the first."""
-    return NijenhuisAlgebraFD(
-        2, _componentwise_mult(2), LinearMap.from_rows([[1, 0], [0, 0]])
-    )
+    return _componentwise([[1, 0], [0, 0]])
 
 
 def fixture_scaling(lam: RationalLike) -> NijenhuisAlgebraFD:
     """Componentwise product; operator is the given scalar multiple of the identity."""
-    c = rational(lam)
-    return NijenhuisAlgebraFD(
-        2, _componentwise_mult(2), LinearMap.from_rows([[c, 0], [0, c]])
-    )
+    return _componentwise([[lam, 0], [0, lam]])
 
 
 def fixture_swap() -> NijenhuisAlgebraFD:
     """Componentwise product with the coordinate swap; fails the operator identity."""
-    return NijenhuisAlgebraFD(
-        2, _componentwise_mult(2), LinearMap.from_rows([[0, 1], [1, 0]])
-    )
+    return _componentwise([[0, 1], [1, 0]])

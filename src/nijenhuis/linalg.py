@@ -6,21 +6,22 @@ form, positive denominator), never a float.  The two mix freely, compare
 and hash alike, and print alike, so integral work such as the free
 product's structure constants runs on plain integers.  :class:`LinComb`
 coefficients, :class:`Vector` coordinates and :class:`RowSpace` rows,
-remainders and kernels all follow it, whatever arithmetic produced
-them, so ``type(c) is int`` tells the integral ones apart.
-:class:`LinComb` holds its dict of terms and nothing else: its
-canonical order and its hash are computed on each call, not kept.  A
-value from outside is coerced once, where it enters: by
-:func:`rational` for a scalar, and by the :class:`Vector` constructor
-for coordinates, which passes a Vector through.  Where many rational
-terms meet, as in the product of two combinations, the work runs on
-integer numerators over a common denominator (:func:`_numerators`),
-with one division per result term (:func:`_divide`, memoized in a
-bounded cache, so equal quotients share one Fraction); printing writes
-an ``int`` as it is and a Fraction through its own ``str``.  A result
-is built around its finished dict by :func:`_wrap`, with nothing copied
-or checked.  :class:`Vector` is the one
-dense coordinate vector, and :class:`RowSpace` the one sparse
+remainders and kernels all follow it, whatever arithmetic produced them,
+so ``type(c) is int`` tells the integral ones apart.  :class:`LinComb`
+holds its dict of terms and nothing else: its canonical order and its
+hash are computed on each call, not kept.  A value from outside is
+coerced once, where it enters: by :func:`rational` for a scalar, which
+reads a string only as a numeral of the expression grammar, and by the
+:class:`Vector` constructor for coordinates, which passes a Vector
+through; :func:`_sized` checks that each level of nested input is a list
+of the right length.  Where many rational terms meet, as in the product
+of two combinations, the work runs on integer numerators over a common
+denominator (:func:`_numerators`), with one division per result term
+(:func:`_divide`, memoized in a bounded cache, so equal quotients share
+one Fraction); printing writes an ``int`` as it is and a Fraction
+through its own ``str``.  A result is built around its finished dict by
+:func:`_wrap`, with nothing copied or checked.  :class:`Vector` is the
+one dense coordinate vector, and :class:`RowSpace` the one sparse
 elimination engine: it spans rows, tests membership, and gives kernels,
 for the relation solver and the ideal closure alike.  :func:`span` is
 the one way from dense rows to a :class:`RowSpace`.
@@ -28,6 +29,7 @@ the one way from dense rows to a :class:`RowSpace`.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -51,28 +53,45 @@ RationalLike = Union[Fraction, int, str]
 
 
 def rational(value: RationalLike) -> int | Fraction:
-    """Coerce an int, a ``p/q`` string, or a Fraction to an exact scalar.
+    """Coerce an int, a numeral, or a Fraction to an exact scalar.
 
-    The result is an ``int`` whenever the value is integral, also for an
-    integral Fraction or string, and a Fraction otherwise.  A string with
-    a zero denominator is a ValueError, like any other malformed string.
+    A numeral is the expression grammar's ``['-'] INT ['/' INT]``: no
+    sign but a leading minus, no space, point, exponent or underscore.
+    The result is an ``int`` whenever the value is integral, and a
+    Fraction otherwise.  Any other string, or a zero denominator, is a
+    :class:`~nijenhuis.words.UsageError` that names it.
     """
     if type(value) is int:
         return value
-    if type(value) is str:
-        # A plain decimal integer, the commonest entry of an input file,
-        # skips the Fraction parser.
-        digits = value[1:] if value[:1] == "-" else value
-        if digits.isdigit() and digits.isascii():
-            return int(value)
-    if isinstance(value, (int, str)) and type(value) is not bool:
-        try:
-            value = Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    elif not isinstance(value, Fraction):
-        raise TypeError(f"not a rational value: {value!r}")
-    return value.numerator if value.denominator == 1 else value
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        n = -_integer(num[1:], value) if num[:1] == "-" else _integer(num, value)
+        if not slash:
+            return n
+        d = _integer(den, value)
+        if not d:
+            raise UsageError(f"zero denominator in {value!r}")
+        return _divide(n, d)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int) and type(value) is not bool:
+        return int(value)
+    raise TypeError(f"not a rational value: {value!r}")
+
+
+def _integer(digits: str, numeral: str) -> int:
+    """The int that ``digits``, a run of decimal digits in ``numeral``, writes.
+
+    Any digit the parser's ``\\d`` reads counts, and a run past the
+    interpreter's digit limit is refused before it is converted.
+    """
+    if not digits.isdecimal():
+        raise UsageError(f"not a numeral: {numeral!r}")
+    # 0 for no limit; Python 3.10 before 3.10.7 has none.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and len(digits) > limit:
+        raise UsageError(f"a numeral of more than {limit} digits: {numeral[:20]!r}...")
+    return int(digits)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -267,6 +286,22 @@ def _wrap(data: dict[str, int | Fraction]) -> LinComb:
 
 class DimensionMismatch(UsageError):
     """Shapes do not line up for the requested operation."""
+
+
+class ArityMismatch(DimensionMismatch):
+    """A name list, tensor, matrix or vector is not a list, or has the wrong length."""
+
+
+def _sized(values: Sequence, n: int | None, what: str) -> Sequence:
+    """``values``, a list or a tuple, of length ``n`` unless that is None.
+
+    A string is refused, since it would be read character by character.
+    """
+    if not isinstance(values, (list, tuple)):
+        raise ArityMismatch(f"{what} must be a list, not {type(values).__name__}")
+    if n is not None and len(values) != n:
+        raise ArityMismatch(f"{what} must have length {n}, not {len(values)}")
+    return values
 
 
 class Vector(tuple):

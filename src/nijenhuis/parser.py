@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .algebra import OpSymbol, derived_op, operator_n, product
-from .linalg import LinComb, _divide, _int_if_integral, _wrap
+from .linalg import LinComb, _divide, _int_if_integral, _integer, _wrap
 from .words import MAX_NESTING, UsageError, letter_word
 
 __all__ = [
@@ -254,18 +254,24 @@ class _Parser:
     def _rational(self) -> int | Fraction:
         tokens = self.tokens
         i = self.index
-        value = int(tokens[i])
+        value = self._numeral(i)
         if tokens[i + 1] != "/":
             self.index = i + 1
             return value
-        denom = tokens[i + 2]
-        if not denom.isdecimal():
+        if not tokens[i + 2].isdecimal():
             raise self.error("expected an integer denominator", i + 1, 1)
         self.index = i + 3
-        d = int(denom)
+        d = self._numeral(i + 2)
         if d == 0:
             raise self.error("zero denominator", i + 2)
         return _divide(value, d)
+
+    def _numeral(self, i: int) -> int:
+        """The value of the INT token at ``i``, under the numeral rule of files."""
+        try:
+            return _integer(self.tokens[i], self.tokens[i])
+        except UsageError as exc:
+            raise self.error(str(exc), i) from None
 
     def parse_atom(self) -> Expr:
         tok = self.tokens[self.index]

@@ -27,13 +27,13 @@ shared by every caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 from .algebra import COORD_OPS, OpSymbol, derived_op
-from .linalg import LinComb, RationalLike, Vector, _unit, rational, span
+from .linalg import LinComb, RationalLike, Vector, _sized, _unit, span
 from .words import canonical_sort, letter_word
 
 __all__ = [
@@ -55,31 +55,32 @@ Grid = tuple[tuple[int | Fraction, ...], ...]
 _OP_INDEX = {op: k for k, op in enumerate(COORD_OPS)}
 
 
-@dataclass(frozen=True)
 class RelVector:
-    """A relation candidate: 18 exact coefficients, the left grid row-major, then the right grid."""
+    """A read-only relation candidate: 18 exact coefficients, the left grid row-major, then the right."""
 
-    coords: Vector
+    __slots__ = ("_coords",)
 
-    def __post_init__(self) -> None:
-        coords = Vector(self.coords)
+    def __init__(self, coords: Sequence[RationalLike]) -> None:
+        coords = Vector(_sized(coords, None, "a relation's coordinates"))
         if len(coords) != 18:
             raise ValueError(f"expected 18 coordinates, got {len(coords)}")
-        object.__setattr__(self, "coords", coords)
+        self._coords = coords
+
+    coords = property(attrgetter("_coords"), doc="The 18 coordinates, as a Vector.")
 
     @property
     def left(self) -> Grid:
-        c = self.coords
+        c = self._coords
         return (c[0:3], c[3:6], c[6:9])
 
     @property
     def right(self) -> Grid:
-        c = self.coords
+        c = self._coords
         return (c[9:12], c[12:15], c[15:18])
 
     @classmethod
     def zero(cls) -> "RelVector":
-        return cls(Vector((0,) * 18))
+        return cls((0,) * 18)
 
     @classmethod
     def unit_left(cls, i: int, j: int) -> "RelVector":
@@ -89,13 +90,16 @@ class RelVector:
     def unit_right(cls, i: int, j: int) -> "RelVector":
         return cls(_unit(18, 9 + 3 * i + j))
 
+    def __eq__(self, other: object) -> bool:
+        return self._coords == other._coords if type(other) is RelVector else NotImplemented
+
     def __add__(self, other: "RelVector") -> "RelVector":
         if not isinstance(other, RelVector):
             return NotImplemented
-        return RelVector(self.coords + other.coords)
+        return RelVector(self._coords + other._coords)
 
     def scale(self, scalar: RationalLike) -> "RelVector":
-        return RelVector(self.coords.scale(scalar))
+        return RelVector(self._coords.scale(scalar))
 
     def __rmul__(self, scalar: RationalLike) -> "RelVector":
         return self.scale(scalar)
@@ -108,12 +112,10 @@ class RelVector:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RelVector":
-        coords: list[int | Fraction] = []
+        coords: list[RationalLike] = []
         for grid in (obj["left"], obj["right"]):
-            rows = [[rational(x) for x in row] for row in grid]
-            if len(rows) != 3 or any(len(row) != 3 for row in rows):
-                raise ValueError("a relation grid must be 3x3")
-            coords += rows[0] + rows[1] + rows[2]
+            for row in _sized(grid, 3, "a 3x3 relation grid"):
+                coords += _sized(row, 3, "a row of a 3x3 relation grid")
         return cls(coords)
 
 

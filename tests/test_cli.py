@@ -312,7 +312,7 @@ def test_env_generators_label_order_in_dimension_three(capsys, tmp_path):
     alg = NijenhuisAlgebraFD(
         3,
         [[[1 if i == j == k else 0 for k in range(3)] for j in range(3)] for i in range(3)],
-        LinearMap.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+        LinearMap([[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
     )
     path = tmp_path / "dim3.json"
     path.write_text(json.dumps(alg.to_json_obj()))
@@ -669,6 +669,66 @@ def test_zero_denominator_is_a_malformed_file(capsys, tmp_path):
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and f"malformed {kind} file" in err, argv
         assert "zero denominator" in err and "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize(
+    "kind, obj",
+    [
+        ("algebra", {"dim": 2, "mult": [["10", "00"], ["00", "01"]], "op": [["1", "0"], ["0", "0"]]}),
+        ("algebra", {**json.loads((FIXTURES / "projection.json").read_text()), "op": ["10", "00"]}),
+        ("algebra", {**json.loads((FIXTURES / "projection_ns.json").read_text()), "prec": ["10", "00"]}),
+        ("map", {"names": ["e1", "e2"], "matrix": ["10", "01"]}),
+    ],
+    ids=["mult", "op", "ns_tensor", "matrix"],
+)
+def test_a_string_where_a_list_belongs_is_a_malformed_file(capsys, tmp_path, kind, obj):
+    # A string row was once read digit by digit: "10" as the row 1, 0.
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(obj))
+    if kind == "map":
+        argv = ("eval-hom", str(FIXTURES / "projection.json"), str(path), "e1")
+    else:
+        argv = ("fd-check", str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: malformed {kind} file") and "must be a list, not str" in err
+
+
+@pytest.mark.parametrize("entry", ["1e100000", "0.5", " 2 ", "1_000", "+1"])
+def test_an_entry_outside_the_numeral_rule_is_a_malformed_file(capsys, tmp_path, entry):
+    # Fraction once read these; "1e100000" built a 100,001-digit integer
+    # that ended induce-ns and env-generators in a traceback.
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"dim": 1, "mult": [[["1"]]], "op": [[entry]]}))
+    for command in ("fd-check", "induce-ns", "env-generators"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, ""), command
+        assert err.startswith(f"error: {path}: malformed algebra file: not a numeral: "), command
+
+
+def test_an_expression_numeral_past_the_digit_limit_is_a_parse_error(capsys):
+    if not getattr(sys, "get_int_max_str_digits", int)():
+        pytest.skip("no digit limit")
+    for expr in ("9" * 5000 + "*x", "1/" + "9" * 5000 + "*x"):
+        code, out, err = run(capsys, "eval", expr)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a numeral of more than") and "(at position" in err
+
+
+def test_loaded_values_are_read_only():
+    alg = cli._load_algebra(str(FIXTURES / "projection.json"))
+    ns = cli._load_algebra(str(FIXTURES / "projection_ns.json"))
+    _, matrix = cli._load_map(str(FIXTURES / "identity_map.json"))
+    rel = RelVector.from_json_obj(solve_relation_space()[0].to_json_obj())
+    for value, names in (
+        (alg, ("dim", "mult", "op", "other")),
+        (ns, ("dim", "prec", "succ", "bullet", "other")),
+        (matrix, ("entries", "other")),
+        (rel, ("coords", "left", "other")),
+    ):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
 
 
 def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path):

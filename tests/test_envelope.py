@@ -188,7 +188,7 @@ def test_evaluate_hom_shape_checks():
     with pytest.raises(DimensionMismatch):
         evaluate_hom(alg, LinearMap.identity(3), lc("e1"), default_names(2))
     with pytest.raises(DimensionMismatch):
-        evaluate_hom(alg, LinearMap.from_rows([[1, 0, 0], [0, 1, 0]]), lc("e1"), default_names(2))
+        evaluate_hom(alg, LinearMap([[1, 0, 0], [0, 1, 0]]), lc("e1"), default_names(2))
 
 
 def test_morphism_check_passes_for_identity():
@@ -200,7 +200,7 @@ def test_morphism_check_passes_for_identity():
 def test_morphism_check_detects_wrong_map():
     alg = fixture_projection()
     m = induced_ns(alg)
-    wrong = LinearMap.from_rows([[1, 1], [0, 1]])
+    wrong = LinearMap([[1, 1], [0, 1]])
     report = check_morphism_kills_generators(m, alg, wrong)
     assert not report.ok
     assert report.kind == "morphism"
@@ -299,11 +299,11 @@ def test_ideal_membership_zero_and_bound():
 
 
 def test_linear_map_shapes_and_application():
-    f = LinearMap.from_rows([[1, 2], [3, 4]])
+    f = LinearMap([[1, 2], [3, 4]])
     assert f.apply([1, 0]) == (Fraction(1), Fraction(3))
     assert f.column(1) == (Fraction(2), Fraction(4))
     with pytest.raises(DimensionMismatch):
-        LinearMap(2, 2, ((Fraction(1),),))
+        LinearMap([[1, 2], [3]])
     with pytest.raises(DimensionMismatch):
         f.apply([1, 2, 3])
 
@@ -313,7 +313,7 @@ def test_vector_inputs_are_coerced_or_rejected():
     # entry point given plain coordinates: a float, a bool or a malformed
     # string fails either way, and a wrong length is still a
     # DimensionMismatch.
-    alg, f = fixture_scaling("3/2"), LinearMap.from_rows([[1, "1/2"], [0, 1]])
+    alg, f = fixture_scaling("3/2"), LinearMap([[1, "1/2"], [0, 1]])
     assert alg.mul(Vector(("1/2", "2")), Vector(("4", 1))) == (2, 2)
     assert alg.apply_op(Vector(("2/3", "-2"))) == (1, -3)
     assert f.apply(Vector(("1", "2"))) == (2, 2)

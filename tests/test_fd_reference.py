@@ -143,7 +143,7 @@ ops = st.one_of(random_ops, diagonal_ops)
 
 
 def algebra(t, m) -> NijenhuisAlgebraFD:
-    return NijenhuisAlgebraFD(DIM, t, LinearMap.from_rows(m))
+    return NijenhuisAlgebraFD(DIM, t, LinearMap(m))
 
 
 def compare_nijenhuis(t, m) -> str:
@@ -236,7 +236,7 @@ def test_generator_images_are_the_morphism_sides(source, t, m, f_rows):
     # Each kernel generator has words of at most two factors, so its image
     # is f(op(e_i, e_j)) minus op(f e_i, f e_j), even for a target product
     # that is not associative.
-    target, f, names = algebra(t, m), LinearMap.from_rows(f_rows), default_names(DIM)
+    target, f, names = algebra(t, m), LinearMap(f_rows), default_names(DIM)
     images = [evaluate_hom(target, f, g, names) for g in enveloping_generators(source, names)]
     expected = []
     for i, j in cartesian(range(DIM), repeat=2):
@@ -301,11 +301,11 @@ rational_valid = st.one_of(
 @given(rational_tensors, rational_random_ops, coordinates, coordinates, containers)
 def test_products_and_maps_match_the_fraction_loops(t, m, u, v, container):
     alg = algebra(t, m)
-    f = LinearMap.from_rows(m)
+    f = LinearMap(m)
     assert alg.mul(container(u), container(v)) == mul(frac(t), frac(u), frac(v))
     assert alg.apply_op(container(u)) == apply(frac(m), frac(u))
     assert f.apply(container(u)) == apply(frac(m), frac(u))
-    tall = LinearMap.from_rows([*m, u])
+    tall = LinearMap([*m, u])
     assert tall.apply(container(v)) == apply(frac([*m, u]), frac(v))
 
 
@@ -346,7 +346,7 @@ def test_morphism_check_matches_the_fraction_loops(target_tm, source_t, f_rows, 
         source = induced_ns(target)
     else:
         source = NSAlgebraFD(DIM, source_t, source_t, scaled(frac(source_t), -1))
-    f = LinearMap.from_rows(f_rows)
+    f = LinearMap(f_rows)
     tensors = (source.prec, source.succ, source.bullet)
     expected = reference_morphism(tensors, *target_tm, f_rows)
     assert fields(check_morphism_kills_generators(source, target, f)) == expected
@@ -358,7 +358,7 @@ def test_the_morphism_loops_meet_both_verdicts():
     source = induced_ns(target)
     identity = [[1, 0], [0, 1]]
     for f_rows, ok in ((identity, True), ([[1, 1], [0, 1]], False)):
-        report = check_morphism_kills_generators(source, target, LinearMap.from_rows(f_rows))
+        report = check_morphism_kills_generators(source, target, LinearMap(f_rows))
         assert report.ok is ok
         assert fields(report) == reference_morphism((source.prec, source.succ, source.bullet), t, m, f_rows)
 
@@ -386,5 +386,5 @@ def test_evaluation_matches_the_fraction_loops(target_tm, f_rows, a, order):
     for w, c in a:
         value = reference_word(frac(t), frac(m), columns, parse_reference(w))
         expected = [x + Fraction(c) * y for x, y in zip(expected, value)]
-    got = evaluate_hom(algebra(t, m), LinearMap.from_rows(f_rows), a, names)
+    got = evaluate_hom(algebra(t, m), LinearMap(f_rows), a, names)
     assert got == tuple(expected)

@@ -88,6 +88,18 @@ code = nijenhuis.cli.run_command(["assoc-check", "--alphabet", "2x"])
 print(json.dumps({"code": code, "ran": ran(), "dataclasses": "dataclasses" in sys.modules}))
 """
 
+# Runs the command given as JSON in argv[1], then reports whether
+# ``dataclasses`` or ``inspect`` was loaded.
+FILE_COMMAND = """
+import json
+import sys
+
+import nijenhuis.cli
+
+code = nijenhuis.cli.run_command(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "loaded": sorted({"dataclasses", "inspect"} & set(sys.modules))}))
+"""
+
 # Reads the exports given as JSON in argv[1] from the package and prints
 # what differs from the defining modules.
 EXPORTED = """
@@ -147,6 +159,16 @@ def test_a_usage_error_loads_no_lazy_module():
     result = fresh_python("-c", FAILING_SWEEP)
     assert last_json_line(result) == {"code": 2, "ran": [], "dataclasses": False}
     assert result.stderr == "error: invalid generator name: '2x'\n"
+
+
+def test_the_finite_dimensional_commands_load_no_dataclasses():
+    projection = str(Path(__file__).parent / "fixtures" / "projection.json")
+    for argv, code in (
+        (["fd-check", projection], 0),
+        (["ideal-member", projection, "e1", "--bound", "3"], 1),
+    ):
+        seen = last_json_line(fresh_python("-c", FILE_COMMAND, json.dumps(argv)))
+        assert seen == {"code": code, "loaded": []}, argv
 
 
 def test_every_export_is_the_defining_modules_object():
