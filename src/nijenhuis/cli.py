@@ -6,12 +6,13 @@ undetected membership, or an input algebra that fails its identities
 malformed input errors: a :class:`~nijenhuis.words.UsageError`, the
 root of every input error the package raises, or an ``OSError`` from
 reading a file.  Matching one loads no lazy module; any other exception
-is a bug and ends in a traceback.  The environment variable
-``NF_MAX_SIZE``, when set to a positive integer, caps the ``--max-size``
-of the sweep subcommands and the ``--bound`` of ``ideal-member``.
-``NF_MAX_TERMS``, when set to a positive integer, replaces the default
-cap of 100000 terms on any one product a command computes; a product
-over the cap ends the command with exit code 2.
+is a bug and ends in a traceback.  :func:`main` lets ``SIGPIPE`` end a
+run silently, as it ends other filters, when stdout closes early.  The
+environment variable ``NF_MAX_SIZE``, when set to a positive integer,
+caps the ``--max-size`` of the sweep subcommands and the ``--bound`` of
+``ideal-member``.  ``NF_MAX_TERMS``, when set to a positive integer,
+replaces the default cap of 100000 terms on any one product a command
+computes; a product over the cap ends the command with exit code 2.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import functools
 import itertools
 import json
 import os
+import signal
 import sys
 from typing import Sequence
 
@@ -474,6 +476,8 @@ def run_command(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run_command(sys.argv[1:]))
 
 

@@ -371,9 +371,12 @@ def evaluate_hom(
     """Image of a free-algebra element under the induced evaluation map.
 
     ``f`` sends each named generator (a column) to a vector of ``alg``;
-    letters multiply in ``alg``, brackets apply its operator, and the
-    whole thing extends linearly.  The ``names`` must be distinct
-    identifiers; others raise :class:`~nijenhuis.words.WordError`.
+    brackets apply its operator, a word's letters and brackets multiply
+    in ``alg`` left to right, and the whole extends linearly.  On an
+    associative target, which :func:`check_nijenhuis_fd` checks, that is
+    the homomorphism image; no homomorphism from the free algebra reaches
+    another target, so no grouping is right there.  The ``names`` must
+    be distinct identifiers; others raise :class:`~nijenhuis.words.WordError`.
     """
     names = generators(*names)
     if f.shape != (alg.dim, len(names)):
@@ -381,31 +384,23 @@ def evaluate_hom(
     index = {name: k for k, name in enumerate(names)}
 
     def eval_word(w: str) -> Vector:
-        # Read the text left to right.  ``run`` is the product of the
-        # letter run being read, ``value`` that of the factors before it
-        # in the current word; an open bracket saves ``value``.
+        # ``value`` is the product of the factors read so far; a ``[`` saves it.
         outer: list[Vector | None] = []
-        value = run = None
+        value = None
         for token in _TOKEN.findall(w):
-            if token == "[" or token == "]":
-                if run is not None:
-                    value = run if value is None else alg.mul(value, run)
-                    run = None
-                if token == "[":
-                    outer.append(value)
-                    value = None
-                else:
-                    piece = alg.apply_op(value)
-                    value = outer.pop()
-                    value = piece if value is None else alg.mul(value, piece)
+            if token == "[":
+                outer.append(value)
+                value = None
+                continue
+            if token == "]":
+                piece = alg.apply_op(value)
+                value = outer.pop()
             else:
                 k = index.get(token)
                 if k is None:
                     raise UnknownGenerator(f"no image for generator {token}")
-                col = f.column(k)
-                run = col if run is None else alg.mul(run, col)
-        if run is not None:
-            value = run if value is None else alg.mul(value, run)
+                piece = f.column(k)
+            value = piece if value is None else alg.mul(value, piece)
         return value
 
     total = [0] * alg.dim
@@ -467,11 +462,15 @@ def truncated_ideal_membership(
     The ideal generated by the inputs is closed under the product on
     either side and under the operator.  The procedure computes the
     smallest span that holds every generator whose words fit under
-    ``size_bound`` and is closed under each of those moves whose result
-    fits (term sizes add under the product, so an element fits a move
-    exactly when its largest word does).  That span depends only on the
-    generators' span and the bound, not on their order.  A ``MEMBER``
-    verdict is therefore a certificate; ``NOT_DETECTED`` only means no
+    ``size_bound`` and is closed under each of these moves whose result
+    fits: the operator, and the product on either side with a letter or
+    a bracket ``[w]`` (term sizes add under the product, so an element
+    fits a move exactly when its largest word does).  A word m = b·m′
+    with first factor b has no term at that junction, so m·r = b·(m′·r),
+    and m′·r fits where m·r does; alike on the right.  So the span is
+    closed under the product with every word that fits, and depends only
+    on the generators' span and the bound, not on their order.  A
+    ``MEMBER`` verdict is a certificate; ``NOT_DETECTED`` only means no
     derivation was found within the truncation.
 
     Raises :class:`BoundTooSmall` if the candidate itself has a word
@@ -492,9 +491,11 @@ def truncated_ideal_membership(
             for name in iter_symbols(w)
         }
     )
-    # multipliers[n - 1] holds the words of size n.
-    multipliers = [
-        [LinComb.from_word(w) for w in words_of_size(tuple(symbols), n)] for n in range(1, size_bound)
+    # factors[n - 1] holds the single factors of size n: the letters,
+    # then the brackets [w] of the words w of size n - 1.
+    factors = [[LinComb.from_word(name) for name in symbols]] + [
+        [LinComb.from_word(f"[{w}]") for w in words_of_size(tuple(symbols), n)]
+        for n in range(1, size_bound - 1)
     ]
 
     # Pivoted on the largest word, size first, each kept row's pivot is
@@ -518,7 +519,7 @@ def truncated_ideal_membership(
         row = _wrap(dict(space.rows[pivot]))
         if room:
             keep(operator_n(row))
-        for group in multipliers[:room]:
+        for group in factors[:room]:
             for m in group:
                 keep(product(m, row))
                 keep(product(row, m))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import product as _cartesian, repeat
+from itertools import repeat
 from typing import Iterable
 
 __all__ = [
@@ -258,28 +258,22 @@ def canonical_sort(words: Iterable[str]) -> list[str]:
 
 @lru_cache(maxsize=None)
 def words_of_size(alphabet: tuple[str, ...], n: int) -> tuple[str, ...]:
-    """All words of exact size ``n`` over ``alphabet``, canonically ordered."""
+    """All words of exact size ``n`` over ``alphabet``, canonically ordered.
+
+    A word is the product of its letters and brackets with no term at
+    the junctions, so each is a shorter word extended by one factor: any
+    letter, or a bracket ``[w]`` unless the last factor was a bracket.
+    """
     generators(*alphabet)
-    if n <= 0:
-        return ()
     found: list[str] = []
-
-    def extend(prefix: str, prev_letters: bool | None, remaining: int) -> None:
-        if remaining == 0:
-            found.append(prefix)
-            return
-        head = prefix + "*" if prefix else ""
-        if prev_letters is not True:
-            for k in range(1, remaining + 1):
-                for run in _cartesian(alphabet, repeat=k):
-                    extend(head + "*".join(run), True, remaining - k)
-        if prev_letters is not False:
-            # A bracket factor of size k wraps an inner word of size k - 1.
-            for k in range(2, remaining + 1):
-                for inner in words_of_size(alphabet, k - 1):
-                    extend(f"{head}[{inner}]", False, remaining - k)
-
-    extend("", None, n)
+    for k in range(n):
+        # The words of size k, each followed by a last factor of size n - k.
+        heads = [w + "*" for w in words_of_size(alphabet, k)] if k else [""]
+        if k == n - 1:
+            found += [head + letter for head in heads for letter in alphabet]
+        else:
+            inner = words_of_size(alphabet, n - k - 1)
+            found += [f"{head}[{w}]" for head in heads if not head.endswith("]*") for w in inner]
     return tuple(canonical_sort(found))
 
 

@@ -9,8 +9,9 @@ from itertools import product as cartesian
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from nijenhuis import envelope
 from nijenhuis.algebra import command_scope
-from nijenhuis.linalg import LinComb
+from nijenhuis.linalg import LinComb, RowSpace
 from nijenhuis.words import (
     MAX_NESTING,
     AlternationViolation,
@@ -78,6 +79,21 @@ def ideal_candidates_strategy(words, ideal_generators):
         return candidate
 
     return st.builds(combine, free, picks)
+
+
+def closure_rows(monkeypatch, gens, bound: int) -> dict:
+    """The reduced rows the membership closure of ``e1`` keeps."""
+    spaces = []
+
+    class Recorded(RowSpace):
+        def __init__(self, key):
+            super().__init__(key)
+            spaces.append(self)
+
+    monkeypatch.setattr(envelope, "RowSpace", Recorded)
+    envelope.truncated_ideal_membership(gens, LinComb.from_word("e1"), bound)
+    (space,) = spaces
+    return space.rows
 
 
 # A reference model of words that shares no code with nijenhuis.words.

@@ -523,6 +523,46 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+def test_a_directory_for_a_file_exit_code(capsys):
+    code, out, err = run(capsys, "fd-check", str(FIXTURES))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_a_json_file_that_is_not_an_object_exit_code(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, _, err = run(capsys, "fd-check", str(path))
+    assert code == 2
+    assert err == f"error: {path}: expected a JSON object\n"
+
+
+def test_ideal_member_renamed_generators(capsys):
+    projection = str(FIXTURES / "projection.json")
+    code, out, _ = run(capsys, "ideal-member", projection, "a*b", "--bound", "5", "--generators", "a,b")
+    assert (code, out) == (0, "member (bound 5)\n")
+    code, _, err = run(capsys, "ideal-member", projection, "a*b", "--bound", "5", "--generators", "a")
+    assert (code, err) == (2, "error: need exactly 2 generator names, got 1\n")
+
+
+def test_a_generator_list_of_commas_exit_code(capsys):
+    code, _, err = run(capsys, "env-generators", str(FIXTURES / "projection_ns.json"), "--generators", ",")
+    assert (code, err) == (2, "error: no generator names in ','\n")
+
+
+def test_morphism_check_needs_a_name_per_source_basis_vector(capsys, tmp_path):
+    one_name = tmp_path / "one_name.json"
+    one_name.write_text(json.dumps({"names": ["a"], "matrix": [[1], [0]]}))
+    code, _, err = run(
+        capsys,
+        "morphism-check",
+        str(FIXTURES / "projection_ns.json"),
+        str(FIXTURES / "projection.json"),
+        str(one_name),
+    )
+    assert (code, err) == (2, "error: 2 names required, got 1\n")
+
+
 def test_malformed_json_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

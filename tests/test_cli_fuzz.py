@@ -1,0 +1,127 @@
+"""Generated command lines end in a documented exit code.
+
+``ideal-member`` and ``eval-hom`` run in-process on argv built from a
+small grammar: valid and corrupted expressions, bounds from -1 to 5,
+generator lists with repeated, malformed or too few names, and map
+files with shape and type faults.  Every run must end in exit code 0, 1
+or 2 with no exception escaping; a usage error (2) must say why on
+stderr, with an ``error:`` line or the usage text.  Bounds stay at 5 or
+below, so each example is small.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from nijenhuis.cli import run_command
+
+FIXTURES = Path(__file__).parent / "fixtures"
+ALGEBRAS = ("projection.json", "projection_ns.json", "scaling_rational.json", "scaling2.json", "swap.json")
+
+EXPRESSIONS = (
+    "e1",
+    "e1*e2",
+    "e1 - e1*[e1]",
+    "[e1]*e2 - 1/2*e2",
+    "prec(e1, [e2]) + succ(e2, e1)",
+    "P(e1*e2)",
+    "[[e1]*e2*e1]*[e2]",
+    "a*[b]",
+    "0",
+)
+
+
+def overwrite(text: str, at: int, junk: str) -> str:
+    return text[:at] + junk + text[at + len(junk) :]
+
+
+expressions = st.one_of(
+    st.sampled_from(EXPRESSIONS),
+    st.builds(overwrite, st.sampled_from(EXPRESSIONS), st.integers(0, 16), st.text("[]()*+-/, e12abP0", max_size=3)),
+)
+generator_options = st.one_of(
+    st.sampled_from([[], ["--generators", "e1,e2"], ["--generators", "a,b"]]),
+    st.lists(st.sampled_from(["e1", "e2", "a", "b", "2x", "", " e1", "x-y"]), max_size=3).map(
+        lambda names: ["--generators", ",".join(names)]
+    ),
+)
+flags = st.lists(st.sampled_from(["--json"]), max_size=1)
+
+entries = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["1/2", "-2/3", "1/0", "x", "", "1.5", "9" * 40]),
+    st.booleans(),
+    st.none(),
+    st.floats(-2, 2, width=16),
+    st.just([1]),
+)
+matrices = st.one_of(st.lists(st.lists(entries, max_size=3), max_size=3), entries)
+names = st.one_of(
+    st.lists(st.sampled_from(["e1", "e2", "a", "b", "2x", ""]), max_size=3),
+    st.sampled_from(["e1e2", None, 3]),
+)
+maps = st.one_of(
+    st.just({"names": ["e1", "e2"], "matrix": [["1", "1"], ["0", "1"]]}),
+    st.fixed_dictionaries({"names": names, "matrix": matrices}),
+    st.fixed_dictionaries({"matrix": matrices}),
+    st.fixed_dictionaries({"names": names}),
+    st.sampled_from([[1, 2], "text", None]),
+).map(json.dumps)
+map_texts = st.one_of(maps, st.sampled_from(['{"names": [', ""]))
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_documented(argv: list[str]) -> None:
+    code, out, err = run(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert err.startswith("error:") or "usage:" in err, (argv, err)
+    else:
+        assert out or err.startswith("error:"), argv
+
+
+def with_expression(argv: list[str], expr: str, separate: bool) -> list[str]:
+    """``argv`` with ``expr`` last, after ``--`` when ``separate``."""
+    return [*argv, "--", expr] if separate else [*argv, expr]
+
+
+@settings(max_examples=120)
+@given(
+    st.sampled_from(ALGEBRAS),
+    expressions,
+    st.integers(-1, 5),
+    generator_options,
+    flags,
+    st.booleans(),
+)
+def test_ideal_member_ends_in_a_documented_exit_code(algebra, expr, bound, generators, json_flag, separate):
+    argv = ["ideal-member", *json_flag, str(FIXTURES / algebra), "--bound", str(bound), *generators]
+    check_documented(with_expression(argv, expr, separate))
+
+
+@pytest.fixture(scope="module")
+def map_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz") / "map.json"
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_eval_hom_ends_in_a_documented_exit_code(map_path, data):
+    map_path.write_text(data.draw(map_texts), encoding="utf-8")
+    algebra = data.draw(st.sampled_from(ALGEBRAS))
+    argv = ["eval-hom", *data.draw(flags), str(FIXTURES / algebra), str(map_path)]
+    check_documented(with_expression(argv, data.draw(expressions), data.draw(st.booleans())))

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from nijenhuis import envelope
 from nijenhuis.algebra import OpSymbol, derived_op, operator_n, product
 from nijenhuis.envelope import (
     ArityMismatch,
@@ -33,10 +32,10 @@ from nijenhuis.envelope import (
     induced_ns,
     truncated_ideal_membership,
 )
-from nijenhuis.linalg import DimensionMismatch, LinComb, RowSpace, Vector
+from nijenhuis.linalg import DimensionMismatch, LinComb, Vector
 from nijenhuis.words import WordError, letter_word, word, words_up_to_size
 
-from conftest import ideal_candidates_strategy
+from conftest import closure_rows, ideal_candidates_strategy
 
 E1, E2 = default_names(2)
 
@@ -254,21 +253,6 @@ def test_ideal_membership_closes_the_span():
     gens = enveloping_generators(induced_ns(fixture_projection()))
     for text in ("e1*e2*e1", "e2*e1*e1"):
         assert truncated_ideal_membership(gens, lc(text), 4) is Membership.MEMBER
-
-
-def closure_rows(monkeypatch, gens, bound: int) -> dict:
-    """The reduced rows the membership closure of ``e1`` keeps."""
-    spaces = []
-
-    class Recorded(RowSpace):
-        def __init__(self, key):
-            super().__init__(key)
-            spaces.append(self)
-
-    monkeypatch.setattr(envelope, "RowSpace", Recorded)
-    truncated_ideal_membership(gens, lc("e1"), bound)
-    (space,) = spaces
-    return space.rows
 
 
 @pytest.mark.parametrize("bound, dimension", [(4, 92), (5, 396), (6, 1740)])

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product as cartesian
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from nijenhuis.envelope import (
     InvalidInput,
@@ -36,6 +36,7 @@ from nijenhuis.envelope import (
     evaluate_hom,
     induced_ns,
 )
+from nijenhuis.linalg import LinComb
 from nijenhuis.relations import ndendriform_relation_set, ns_relation_set
 
 from conftest import lincombs_strategy, parse_reference
@@ -375,10 +376,19 @@ def reference_word(t, m, columns, word):
     return value
 
 
-@given(rational_valid, rational_random_ops, lincombs_strategy(max_size=4), st.sampled_from(["xy", "yx"]))
+@given(
+    st.one_of(rational_valid, st.tuples(rational_tensors, rational_random_ops)),
+    rational_random_ops,
+    lincombs_strategy(max_size=4),
+    st.sampled_from(["xy", "yx"]),
+)
+# Not associative: [x]*x*y is (4, -1) there, and (0, 1) with x*y grouped first.
+@example(
+    ([[[1, 2], [0, 1]], [[1, 0], [2, -1]]], [[1, 1], [0, 2]]), [[1, 0], [0, 1]], LinComb.from_word("[x]*x*y"), "xy"
+)
 def test_evaluation_matches_the_fraction_loops(target_tm, f_rows, a, order):
-    # The targets are associative, so the grouping of a word's factors
-    # does not change its value.
+    # Both sides multiply a word's factors left to right, so they agree
+    # on targets that are not associative too.
     t, m = target_tm
     names = tuple(order)
     columns = {name: tuple(frac(row[k]) for row in f_rows) for k, name in enumerate(names)}

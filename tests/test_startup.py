@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import nijenhuis
 
@@ -193,3 +196,24 @@ def test_sweep_errors_before_the_lazy_modules_load():
     for env, argv, err in cases:
         result = fresh_python("-m", "nijenhuis", *argv, **env)
         assert (result.returncode, result.stdout, result.stderr) == (2, "", err), argv
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_a_closed_stdout_ends_the_run_by_sigpipe():
+    """``nijenhuis eval "x*[y]" | head -0``: no ``error:`` line and no exit code 2."""
+    read_end, write_end = os.pipe()
+    # Closed before the child starts, so its first write finds no reader.
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "nijenhuis", "eval", "x*[y]"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "error:" not in result.stderr
+    assert result.returncode == -signal.SIGPIPE
