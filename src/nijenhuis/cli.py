@@ -13,18 +13,25 @@ caps the ``--max-size`` of the sweep subcommands and the ``--bound`` of
 ``ideal-member``.  ``NF_MAX_TERMS``, when set to a positive integer,
 replaces the default cap of 100000 terms on any one product a command
 computes; a product over the cap ends the command with exit code 2.
+
+Arguments are read in one of two ways.  :func:`_read_args` reads the
+argv of a well-formed command straight from the ``_COMMANDS`` table,
+with no ``argparse``; wherever a reading needs help, usage, an error or
+a rule of ``argparse`` it does not follow, it declines, and the full
+parser of :func:`build_parser` reads the argv instead.  Only that parser
+prints help, usage and errors, and only it loads ``argparse``.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
 import os
 import signal
 import sys
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
 from .algebra import (
     COORD_OPS,
@@ -40,6 +47,11 @@ from .algebra import (
 from . import envelope, parser, relations
 from .linalg import LinComb
 from .words import UsageError, generators, letter_word, words_up_to_size
+
+if TYPE_CHECKING:
+    # Handlers read attributes only, so they take the reader's
+    # SimpleNamespace and the full parser's Namespace alike.
+    import argparse
 
 __all__ = ["run_command", "main"]
 
@@ -286,14 +298,14 @@ def _cmd_env_generators(args: argparse.Namespace) -> int:
     ns_alg = _as_ns(_load_algebra(args.file))
     names = _names_for_dim(args, ns_alg.dim)
     gens = envelope.enveloping_generators(ns_alg, names)
-    records = []
-    lines = []
     # enveloping_generators orders them by (i, j), then by operation.
-    labels = itertools.product(range(ns_alg.dim), range(ns_alg.dim), COORD_OPS)
-    for element, (i, j, op) in zip(gens, labels):
-        records.append({"i": i, "j": j, "op": op.value, "element": _lincomb_json(element)})
-        lines.append(f"({i},{j}) {op.value}: {element}")
-    _emit(args, {"count": len(gens), "generators": records}, "\n".join(lines))
+    cases = zip(gens, itertools.product(range(ns_alg.dim), range(ns_alg.dim), COORD_OPS))
+    # Only the form asked for is built, as in _emit_lincomb.
+    if args.json:
+        records = [{"i": i, "j": j, "op": op.value, "element": _lincomb_json(e)} for e, (i, j, op) in cases]
+        print(json.dumps({"count": len(gens), "generators": records}, indent=2))
+    else:
+        print("\n".join(f"({i},{j}) {op.value}: {e}" for e, (i, j, op) in cases))
     return 0
 
 
@@ -405,55 +417,99 @@ _COMMANDS = {
 }
 
 
-class _GiveUp(Exception):
-    """A one-command parser met input that only the full parser can report."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    """Gives up, printing nothing, wherever argparse would print and exit."""
-
-    def print_help(self, file=None):
-        raise _GiveUp
-
-    def error(self, message):
-        raise _GiveUp
-
-    def exit(self, status=0, message=None):
-        raise _GiveUp
-
-
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, given ``command``, of that one alone.
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand: the reference reading of any argv.
 
-    A one-command parser raises :class:`_GiveUp` instead of printing
-    help, usage or an error, since the text of those names every
-    subcommand; the full parser then prints it.
+    It alone prints help, usage and errors.  ``argparse`` loads here, so
+    a command that :func:`_read_args` reads never loads it, nor the
+    ``gettext`` and ``locale`` it brings.
     """
-    parser_class = argparse.ArgumentParser if command is None else _OneCommandParser
-    top = parser_class(
+    import argparse
+
+    top = argparse.ArgumentParser(
         prog="nijenhuis",
         description="Exact computations in free Nijenhuis algebras and their split operations.",
     )
     sub = top.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, arguments) in _COMMANDS.items():
-        if command is None or name == command:
-            p = sub.add_parser(name, help=help_text)
-            p.set_defaults(handler=handler)
-            p.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
-            for flags, kwargs in arguments:
-                p.add_argument(*flags, **kwargs)
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        p.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return top
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with the invoked subcommand's parser alone, or else with the full one."""
-    if argv and argv[0] in _COMMANDS:
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """What the full parser makes of ``argv``, or ``None`` where only it can decide.
+
+    The first token must be a known command.  Options are the command's
+    exact flags and ``--json``; a value follows its flag as the next
+    token or after ``=``, and must not start with ``-``.  One ``--`` may
+    come, with at least one argument after it and no second ``--``;
+    every token after it is positional.  Any other token that starts
+    with ``-`` (help, an abbreviation, a negative number), a value that
+    ``int`` refuses, a missing required option or a wrong number of
+    positionals gives ``None``.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, arguments = _COMMANDS[argv[0]]
+    args = SimpleNamespace(command=argv[0], handler=handler, json=False)
+    options = {}
+    names = []
+    for (name,), kwargs in arguments:
+        if name.startswith("-"):
+            dest = name[2:].replace("-", "_")
+            options[name] = (dest, kwargs)
+            setattr(args, dest, kwargs.get("default"))
+        else:
+            names.append(name)
+    tokens = argv[1:]
+    tail: list[str] = []
+    if "--" in tokens:
+        cut = tokens.index("--")
+        tokens, tail = tokens[:cut], tokens[cut + 1 :]
+        if not tail or "--" in tail:
+            return None
+    positionals = []
+    given = set()
+    rest = iter(tokens)
+    for token in rest:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        if token == "--json":
+            args.json = True
+            continue
+        flag, equals, value = token.partition("=")
+        if flag not in options:
+            return None
+        if not equals:
+            value = next(rest, None)
+        if value is None or value.startswith("-"):
+            return None
+        dest, kwargs = options[flag]
         try:
-            return build_parser(argv[0]).parse_args(argv)
-        except _GiveUp:
-            pass
-    return build_parser().parse_args(argv)
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        setattr(args, dest, value)
+        given.add(flag)
+    positionals += tail
+    if len(positionals) != len(names):
+        return None
+    if any(kwargs.get("required") and flag not in given for flag, (_, kwargs) in options.items()):
+        return None
+    for name, value in zip(names, positionals):
+        setattr(args, name, value)
+    return args
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+    """Read ``argv`` directly where the reader can, or else with the full parser."""
+    return _read_args(argv) or build_parser().parse_args(argv)
 
 
 def run_command(argv: Sequence[str]) -> int:

@@ -1,7 +1,8 @@
 """What a fresh process loads, and what the package still exports.
 
 ``parser``, ``relations`` and ``envelope`` load on first use, so the
-word sweeps run on ``words``, ``linalg`` and ``algebra`` alone.  Each
+word sweeps run on ``words``, ``linalg`` and ``algebra`` alone, and a
+command read without the full parser never loads ``argparse``.  Each
 test here starts its own interpreter, since the test process has long
 since loaded every module.
 """
@@ -73,16 +74,24 @@ def ran():
     ]
 """
 
-# Runs both sweeps, then one eval, and prints on its last line which of
-# the three lazy modules had run its code after each step.
+# Runs both sweeps, then one eval, then ``--help``, and prints on its
+# last line which of the three lazy modules had run its code, and which
+# of the argument parser's modules had loaded, after each step.
 STARTUP = RAN + """
+def parsing():
+    return [name for name in ("argparse", "gettext", "locale") if name in sys.modules]
+
+
 codes = [
     nijenhuis.cli.run_command(["assoc-check", "--max-size", "2"]),
     nijenhuis.cli.run_command(["nijenhuis-check", "--max-size", "2"]),
 ]
-after_sweeps = {"codes": codes, "ran": ran(), "dataclasses": "dataclasses" in sys.modules}
+after_sweeps = {"codes": codes, "ran": ran(), "dataclasses": "dataclasses" in sys.modules, "parsing": parsing()}
 code = nijenhuis.cli.run_command(["eval", "x*[y]"])
-print(json.dumps({"after_sweeps": after_sweeps, "after_eval": {"code": code, "ran": ran()}}))
+after_eval = {"code": code, "ran": ran(), "parsing": parsing()}
+code = nijenhuis.cli.run_command(["--help"])
+after_help = {"code": code, "argparse": "argparse" in sys.modules}
+print(json.dumps({"after_sweeps": after_sweeps, "after_eval": after_eval, "after_help": after_help}))
 """
 
 # A sweep that stops at a usage error, then the same report.
@@ -154,8 +163,10 @@ def last_json_line(result: subprocess.CompletedProcess) -> dict:
 
 def test_sweeps_run_without_the_lazy_modules():
     seen = last_json_line(fresh_python("-c", STARTUP))
-    assert seen["after_sweeps"] == {"codes": [0, 0], "ran": [], "dataclasses": False}
-    assert seen["after_eval"] == {"code": 0, "ran": ["parser"]}
+    assert seen["after_sweeps"] == {"codes": [0, 0], "ran": [], "dataclasses": False, "parsing": []}
+    assert seen["after_eval"] == {"code": 0, "ran": ["parser"], "parsing": []}
+    # Only the full parser prints help, and only it loads argparse.
+    assert seen["after_help"] == {"code": 0, "argparse": True}
 
 
 def test_a_usage_error_loads_no_lazy_module():
