@@ -56,9 +56,18 @@ the cap bounds the work that follows a product, not the product itself.
 :func:`first_nonassociative_triple` and
 :func:`first_operator_identity_failure` are the sweeps behind the
 ``assoc-check``, ``nijenhuis-check`` and ``fd-check`` commands and the
-acceptance tests, on free or finite-dimensional elements: each returns
-the first failing case with both sides, as a :class:`CheckReport`
-named tuple, or None.
+acceptance tests: each returns the first failing case with both sides,
+as a :class:`CheckReport` named tuple, or None.  Given a product
+``mul``, they run on any elements it takes, such as the coordinate
+vectors of a finite-dimensional algebra.  Without one, they run on
+basis words under the free product, and each side is a plain dict of
+integer terms: where two words meet, a letter junction is the one word
+``u*v`` and a bracket junction is read from :func:`product_words`, with
+no combination built; ``N`` writes ``[w]``; and a word times a product
+of several terms goes through :func:`product`.  Each product is checked
+against the term cap as :func:`product` checks it, in the same order,
+and the sides of a failure are returned as
+:class:`~nijenhuis.linalg.LinComb` values.
 """
 
 from __future__ import annotations
@@ -224,8 +233,34 @@ def product(a: LinComb, b: LinComb) -> LinComb:
         else:
             result = _wrap({w: _divide(c, d) for w, c in data.items() if c})
     if len(result._terms) > _max_terms:
-        raise TooManyTerms(f"a product has {len(result._terms)} terms, more than the cap of {_max_terms}")
+        _over_cap(len(result._terms))
     return result
+
+
+def _over_cap(terms: int) -> None:
+    raise TooManyTerms(f"a product has {terms} terms, more than the cap of {_max_terms}")
+
+
+def _times(terms: dict[str, int], v: str, left: bool = False) -> dict[str, int]:
+    """The terms of the product of integer ``terms`` and the word ``v``.
+
+    ``v`` is the right factor, or the left one when ``left``.  One word
+    with coefficient 1 meets ``v`` as in :func:`product`, with no
+    combination built: at a letter junction in the one word ``u*v``, at
+    a bracket junction in the terms :func:`product_words` reads.  Any
+    other terms go through :func:`product` itself.  Either way the
+    result is checked against the term cap.
+    """
+    if len(terms) == 1:
+        ((w, c),) = terms.items()
+        if c == 1:
+            u, w = (v, w) if left else (w, v)
+            data = {u + "*" + w: 1} if u[-1] != "]" or w[0] != "[" else product_words(u, w)._terms
+            if len(data) > _max_terms:
+                _over_cap(len(data))
+            return data
+    a, b = _wrap(terms), _wrap({v: 1})
+    return (product(b, a) if left else product(a, b))._terms
 
 
 def operator_n(a: LinComb) -> LinComb:
@@ -288,22 +323,36 @@ def first_nonassociative_triple(
 ) -> CheckReport | None:
     """First triple, in row-major order, with ``(a b) c != a (b c)``.
 
-    ``mul`` defaults to the free product, read when the sweep is called.
+    Given ``mul``, ``elements`` are whatever it multiplies.  With no
+    ``mul`` they are basis words, the texts that
+    :func:`~nijenhuis.words.words_up_to_size` returns, under the free
+    product, and each side is a term dict (see the module docstring).
     Every pair product ``b c`` is computed once, up front, and serves
     both as the left factor ``a b`` and as the right factor ``b c``.
     """
-    mul = mul or product
     n = len(elements)
-    pairs = [[mul(b, c) for c in elements] for b in elements]
-    for i in range(n):
-        a, row = elements[i], pairs[i]
+    if mul is not None:
+        pairs = [[mul(b, c) for c in elements] for b in elements]
+        for i in range(n):
+            a, row = elements[i], pairs[i]
+            for j in range(n):
+                ab, right_factors = row[j], pairs[j]
+                for k in range(n):
+                    lhs = mul(ab, elements[k])
+                    rhs = mul(a, right_factors[k])
+                    if lhs != rhs:
+                        return CheckReport(False, "associativity", (i, j, k), lhs, rhs)
+        return None
+    pairs = [[_times({b: 1}, c) for c in elements] for b in elements]
+    for i, a in enumerate(elements):
+        row = pairs[i]
         for j in range(n):
             ab, right_factors = row[j], pairs[j]
-            for k in range(n):
-                lhs = mul(ab, elements[k])
-                rhs = mul(a, right_factors[k])
+            for k, c in enumerate(elements):
+                lhs = _times(ab, c)
+                rhs = _times(right_factors[k], a, True)
                 if lhs != rhs:
-                    return CheckReport(False, "associativity", (i, j, k), lhs, rhs)
+                    return CheckReport(False, "associativity", (i, j, k), _wrap(lhs), _wrap(rhs))
     return None
 
 
@@ -314,18 +363,40 @@ def first_operator_identity_failure(
 ) -> CheckReport | None:
     """First pair, in row-major order, with ``N(a) N(b) != N(N(a) b + a N(b) - N(a b))``.
 
-    ``mul`` and ``n`` default to the free product and operator.  Each
-    element is mapped by ``N`` once.
+    Given ``mul``, ``elements`` are whatever it multiplies, and ``n``
+    defaults to the free operator.  With no ``mul`` they are basis words
+    under the free product and operator, as in
+    :func:`first_nonassociative_triple`.  Each element is mapped by
+    ``N`` once.
     """
-    mul = mul or product
-    n = n or operator_n
-    images = [n(a) for a in elements]
+    if mul is not None:
+        n = n or operator_n
+        images = [n(a) for a in elements]
+        for i, a in enumerate(elements):
+            pa = images[i]
+            for j, b in enumerate(elements):
+                pb = images[j]
+                lhs = mul(pa, pb)
+                rhs = n(mul(pa, b)) + n(mul(a, pb)) - n(n(mul(a, b)))
+                if lhs != rhs:
+                    return CheckReport(False, "operator-identity", (i, j), lhs, rhs)
+        return None
+    images = [f"[{a}]" for a in elements]
     for i, a in enumerate(elements):
-        pa = images[i]
+        pa, one = {images[i]: 1}, {a: 1}
         for j, b in enumerate(elements):
-            pb = images[j]
-            lhs = mul(pa, pb)
-            rhs = n(mul(pa, b)) + n(mul(a, pb)) - n(n(mul(a, b)))
+            lhs = _times(pa, images[j])
+            rhs = {f"[{w}]": c for w, c in _times(pa, b).items()}
+            get = rhs.get
+            for w, c in _times(one, images[j]).items():
+                w = f"[{w}]"
+                acc = get(w)
+                rhs[w] = c if acc is None else acc + c
+            for w, c in _times(one, b).items():
+                w = f"[[{w}]]"
+                acc = get(w)
+                rhs[w] = -c if acc is None else acc - c
+            rhs = {w: c for w, c in rhs.items() if c}
             if lhs != rhs:
-                return CheckReport(False, "operator-identity", (i, j), lhs, rhs)
+                return CheckReport(False, "operator-identity", (i, j), _wrap(lhs), _wrap(rhs))
     return None

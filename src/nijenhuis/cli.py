@@ -28,7 +28,6 @@ import functools
 import itertools
 import json
 import os
-import signal
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
@@ -195,10 +194,10 @@ def _word_sweep(args: argparse.Namespace, sweep, what: str, label: str, arity: i
     """Run ``sweep`` on every word up to ``--max-size`` and report its first failure."""
     alphabet = _split_names(args.alphabet)
     bound = _checked_size("--max-size", args.max_size)
-    elements = [LinComb.from_word(w) for w in words_up_to_size(alphabet, bound)]
-    failure = sweep(elements)
+    words = words_up_to_size(alphabet, bound)
+    failure = sweep(words)
     if failure is not None:
-        case = [str(elements[i]) for i in failure.indices]
+        case = [words[i] for i in failure.indices]
         _emit(
             args,
             {
@@ -212,8 +211,8 @@ def _word_sweep(args: argparse.Namespace, sweep, what: str, label: str, arity: i
         return 1
     _emit(
         args,
-        {"ok": True, "words": len(elements), "max_size": bound},
-        f"{what} holds on all {len(elements)}^{arity} word {label}s up to size {bound}",
+        {"ok": True, "words": len(words), "max_size": bound},
+        f"{what} holds on all {len(words)}^{arity} word {label}s up to size {bound}",
     )
     return 0
 
@@ -532,6 +531,8 @@ def run_command(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    import signal
+
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run_command(sys.argv[1:]))

@@ -24,19 +24,26 @@ through its own ``str``.  A result is built around its finished dict by
 one dense coordinate vector, and :class:`RowSpace` the one sparse
 elimination engine: it spans rows, tests membership, and gives kernels,
 for the relation solver and the ideal closure alike.  :func:`span` is
-the one way from dense rows to a :class:`RowSpace`.
+the one way from dense rows to a :class:`RowSpace`.  ``fractions`` is
+imported on the first use of a Fraction, by :func:`_fraction`, so integer
+work, such as the word sweeps, never loads it, nor the ``decimal`` it
+imports.
 """
 
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add, sub
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .words import UsageError, canonical_sort
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Row = dict[Hashable, int | Fraction]
 
 __all__ = [
     "RationalLike",
@@ -49,7 +56,20 @@ __all__ = [
     "rank",
 ]
 
-RationalLike = Union[Fraction, int, str]
+# A string, since ``fractions`` is not loaded here (see the module docstring).
+RationalLike = "Fraction | int | str"
+
+
+@lru_cache(maxsize=None)
+def _fraction() -> type[Fraction]:
+    """:class:`fractions.Fraction`, imported on the first call.
+
+    Memoized, since an ``import`` statement run on each call would cost
+    several times the rest of :func:`rational`.
+    """
+    from fractions import Fraction
+
+    return Fraction
 
 
 def rational(value: RationalLike) -> int | Fraction:
@@ -72,7 +92,7 @@ def rational(value: RationalLike) -> int | Fraction:
         if not d:
             raise UsageError(f"zero denominator in {value!r}")
         return _divide(n, d)
-    if isinstance(value, Fraction):
+    if isinstance(value, _fraction()):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int) and type(value) is not bool:
         return int(value)
@@ -103,7 +123,7 @@ def _divide(n: int, d: int) -> int | Fraction:
     one object serves every term with that value.
     """
     q, r = divmod(n, d)
-    return Fraction(n, d) if r else q
+    return _fraction()(n, d) if r else q
 
 
 def _int_if_integral(q: int | Fraction) -> int | Fraction:
@@ -342,9 +362,6 @@ def _unit(dim: int, i: int) -> Vector:
     return Vector(1 if j == i else 0 for j in range(dim))
 
 
-Row = dict[Hashable, int | Fraction]
-
-
 class RowSpace:
     """The span of sparse rows, kept in reduced echelon form.
 
@@ -382,7 +399,7 @@ class RowSpace:
         pivot = max(residue, key=self.key)
         lead = residue[pivot]
         if lead != 1:
-            inv = Fraction(1, lead)
+            inv = _fraction()(1, lead)
             residue = {col: _int_if_integral(c * inv) for col, c in residue.items()}
         touched = [pivot]
         for user in self._users.pop(pivot, ()):

@@ -253,6 +253,25 @@ def test_term_cap_env(capsys, monkeypatch):
     assert "ignoring non-integer NF_MAX_TERMS" in err
 
 
+@pytest.mark.parametrize(
+    "cap, assoc_terms, nijenhuis_terms",
+    # The first product over the cap in each sweep, by its number of
+    # terms, or None where the sweep passes.
+    [("1", 3, 3), ("2", 3, 3), ("3", 11, None)],
+)
+def test_term_cap_env_stops_the_sweeps(capsys, monkeypatch, cap, assoc_terms, nijenhuis_terms):
+    monkeypatch.setenv("NF_MAX_TERMS", cap)
+    for command, terms in (("assoc-check", assoc_terms), ("nijenhuis-check", nijenhuis_terms)):
+        code, out, err = run(capsys, command, "--max-size", "2")
+        if terms is None:
+            assert (code, err) == (0, "")
+            assert out.startswith("operator identity holds")
+        else:
+            message = f"error: a product has {terms} terms, more than the cap of {cap}; NF_MAX_TERMS sets the cap\n"
+            assert (code, out, err) == (2, "", message)
+        assert algebra._max_terms == algebra.MAX_TERMS
+
+
 def test_relation_checks_pass(capsys):
     code, out, _ = run(capsys, "ns-check")
     assert code == 0 and "all 4" in out

@@ -3,10 +3,13 @@
 ``ideal-member`` and ``eval-hom`` run in-process on argv built from a
 small grammar: valid and corrupted expressions, bounds from -1 to 5,
 generator lists with repeated, malformed or too few names, and map
-files with shape and type faults.  Every run must end in exit code 0, 1
-or 2 with no exception escaping; a usage error (2) must say why on
-stderr, with an ``error:`` line or the usage text.  Bounds stay at 5 or
-below, so each example is small.
+files with shape and type faults.  ``assoc-check`` and
+``nijenhuis-check`` run on alphabets with repeated, malformed or empty
+names, or commas alone, at sizes from -1 to 3, with ``NF_MAX_TERMS``
+unset or from 1 to 3.  Every run must end in exit code 0, 1 or 2 with
+no exception escaping; a usage error (2) must say why on stderr, with
+an ``error:`` line or the usage text.  Bounds stay at 5 or below, and
+sizes at 3, so each example is small.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -125,3 +130,29 @@ def test_eval_hom_ends_in_a_documented_exit_code(map_path, data):
     algebra = data.draw(st.sampled_from(ALGEBRAS))
     argv = ["eval-hom", *data.draw(flags), str(FIXTURES / algebra), str(map_path)]
     check_documented(with_expression(argv, data.draw(expressions), data.draw(st.booleans())))
+
+
+LETTERS = ("a", "b", "x")
+BAD_NAMES = ("", " a", "2x", "x-y", "b c")
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_the_sweeps_end_in_a_documented_exit_code(data):
+    command = data.draw(st.sampled_from(["assoc-check", "nijenhuis-check"]))
+    max_size = data.draw(st.integers(-1, 3))
+    # Two letters at size 3 make 27,000 triples, so assoc-check takes one name there.
+    most = 1 if command == "assoc-check" and max_size == 3 else 3
+    alphabet = data.draw(
+        st.lists(st.sampled_from(LETTERS), min_size=1, max_size=most).map(",".join)
+        | st.lists(st.sampled_from(LETTERS + BAD_NAMES), max_size=most).map(",".join)
+        | st.sampled_from([",", ",,", " , "])
+    )
+    argv = [command, *data.draw(flags), "--alphabet", alphabet, "--max-size", str(max_size)]
+    cap = data.draw(st.none() | st.sampled_from(["1", "2", "3"]))
+    with mock.patch.dict(os.environ):
+        os.environ.pop("NF_MAX_SIZE", None)
+        os.environ.pop("NF_MAX_TERMS", None)
+        if cap is not None:
+            os.environ["NF_MAX_TERMS"] = cap
+        check_documented(argv)

@@ -2,7 +2,8 @@
 
 ``parser``, ``relations`` and ``envelope`` load on first use, so the
 word sweeps run on ``words``, ``linalg`` and ``algebra`` alone, and a
-command read without the full parser never loads ``argparse``.  Each
+command read without the full parser never loads ``argparse``.  The
+sweeps load neither ``fractions`` nor ``signal`` either.  Each
 test here starts its own interpreter, since the test process has long
 since loaded every module.
 """
@@ -75,8 +76,9 @@ def ran():
 """
 
 # Runs both sweeps, then one eval, then ``--help``, and prints on its
-# last line which of the three lazy modules had run its code, and which
-# of the argument parser's modules had loaded, after each step.
+# last line which of the three lazy modules had run its code, which of
+# the argument parser's modules had loaded, and after the sweeps which
+# of four other modules had loaded.
 STARTUP = RAN + """
 def parsing():
     return [name for name in ("argparse", "gettext", "locale") if name in sys.modules]
@@ -86,7 +88,12 @@ codes = [
     nijenhuis.cli.run_command(["assoc-check", "--max-size", "2"]),
     nijenhuis.cli.run_command(["nijenhuis-check", "--max-size", "2"]),
 ]
-after_sweeps = {"codes": codes, "ran": ran(), "dataclasses": "dataclasses" in sys.modules, "parsing": parsing()}
+after_sweeps = {
+    "codes": codes,
+    "ran": ran(),
+    "parsing": parsing(),
+    "loaded": [name for name in ("dataclasses", "fractions", "decimal", "signal") if name in sys.modules],
+}
 code = nijenhuis.cli.run_command(["eval", "x*[y]"])
 after_eval = {"code": code, "ran": ran(), "parsing": parsing()}
 code = nijenhuis.cli.run_command(["--help"])
@@ -163,7 +170,8 @@ def last_json_line(result: subprocess.CompletedProcess) -> dict:
 
 def test_sweeps_run_without_the_lazy_modules():
     seen = last_json_line(fresh_python("-c", STARTUP))
-    assert seen["after_sweeps"] == {"codes": [0, 0], "ran": [], "dataclasses": False, "parsing": []}
+    # The sweeps meet only integers, and run_command sets no signal handler.
+    assert seen["after_sweeps"] == {"codes": [0, 0], "ran": [], "parsing": [], "loaded": []}
     assert seen["after_eval"] == {"code": 0, "ran": ["parser"], "parsing": []}
     # Only the full parser prints help, and only it loads argparse.
     assert seen["after_help"] == {"code": 0, "argparse": True}

@@ -2,16 +2,24 @@
 
 The free product passes both sweeps everywhere, so each routine is also
 run on a product known to fail, and its answer is checked against a
-plain triple or double loop over the same elements.
+plain triple or double loop over the same elements.  With no ``mul``
+the sweeps take basis words and work on term dicts; with an explicit
+``mul`` they run the generic loop on whatever elements they are given.
+The two must agree on the exact product, under a faulted junction
+product, and on where the term cap stops them.
 """
 
 from __future__ import annotations
 
 import json
 
+import pytest
+
 from nijenhuis import algebra
 from nijenhuis.algebra import (
     OpSymbol,
+    TooManyTerms,
+    command_scope,
     derived_op,
     first_nonassociative_triple,
     first_operator_identity_failure,
@@ -20,12 +28,20 @@ from nijenhuis.algebra import (
 )
 from nijenhuis.cli import run_command
 from nijenhuis.linalg import LinComb
-from nijenhuis.words import letter_word, size, words_up_to_size
+from nijenhuis.words import generators, letter_word, size, words_up_to_size
 
 from conftest import ALPHABET_XY
 
 X, _ = ALPHABET_XY
-ELEMENTS = [LinComb.from_word(w) for w in words_up_to_size(ALPHABET_XY, 2)]
+WORDS = words_up_to_size(ALPHABET_XY, 2)
+ELEMENTS = [LinComb.from_word(w) for w in WORDS]
+
+# The word sets on which the word path must agree with the generic loop.
+DIFFERENTIAL = pytest.mark.parametrize(
+    "alphabet, max_size",
+    [(ALPHABET_XY, 3), (generators("a"), 4), (generators("a", "b", "c"), 2)],
+    ids=["x,y-3", "a-4", "a,b,c-2"],
+)
 
 
 def prec(a: LinComb, b: LinComb) -> LinComb:
@@ -44,8 +60,8 @@ def first_nonassociative_reference(elements, mul):
     return None
 
 
-def first_identity_failure_reference(elements):
-    mul, op = algebra.product, operator_n
+def first_identity_failure_reference(elements, mul):
+    op = operator_n
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):
             lhs = mul(op(a), op(b))
@@ -59,6 +75,10 @@ def _found(report):
     return report.indices, report.lhs, report.rhs
 
 
+def _lincomb_json(a: LinComb) -> dict:
+    return {"terms": [{"coeff": str(c), "word": w} for w, c in a]}
+
+
 def test_prec_is_not_associative():
     failure = first_nonassociative_triple(ELEMENTS, prec)
     assert failure is not None and not failure.ok
@@ -68,55 +88,118 @@ def test_prec_is_not_associative():
 
 
 def test_the_product_is_associative():
-    assert first_nonassociative_triple(ELEMENTS) is None
+    assert first_nonassociative_triple(WORDS) is None
+    assert first_nonassociative_triple(ELEMENTS, product) is None
     assert first_nonassociative_reference(ELEMENTS, product) is None
 
 
-def test_the_identity_fails_for_a_product_ending_in_x(monkeypatch):
-    # The sweep reads the module-level product.  With a . b = a b x the
-    # left side ends in the letter x and the right side is one bracket.
-    exact, x = algebra.product, LinComb.from_word(letter_word(X))
-    monkeypatch.setattr(algebra, "product", lambda a, b: exact(exact(a, b), x))
-    failure = first_operator_identity_failure(ELEMENTS)
+def test_the_identity_fails_for_a_product_ending_in_x():
+    # With a . b = a b x the left side ends in the letter x and the
+    # right side is one bracket.
+    x = LinComb.from_word(letter_word(X))
+
+    def ending_in_x(a, b):
+        return product(product(a, b), x)
+
+    failure = first_operator_identity_failure(ELEMENTS, ending_in_x)
     assert failure is not None and not failure.ok
     assert failure.kind == "operator-identity"
-    assert _found(failure) == first_identity_failure_reference(ELEMENTS)
+    assert _found(failure) == first_identity_failure_reference(ELEMENTS, ending_in_x)
 
 
-def test_the_identity_holds_for_a_scaled_product(monkeypatch):
+def test_the_identity_holds_for_a_scaled_product():
     # Both sides are linear in the product, so 2 (a b) passes too.
-    exact = algebra.product
-    monkeypatch.setattr(algebra, "product", lambda a, b: exact(a, b).scale(2))
-    assert first_operator_identity_failure(ELEMENTS) is None
-    assert first_identity_failure_reference(ELEMENTS) is None
+    def doubled(a, b):
+        return product(a, b).scale(2)
+
+    assert first_operator_identity_failure(ELEMENTS, doubled) is None
+    assert first_identity_failure_reference(ELEMENTS, doubled) is None
 
 
-def _break_the_product(monkeypatch) -> None:
-    """Scale every product by the size of the left operand's largest word, on a fresh cache."""
-    exact = algebra.product
+def _double_deep_junctions(monkeypatch) -> None:
+    """Double every junction product whose operands hold three brackets or more, on a fresh cache."""
+    exact = algebra.product_words
     monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
 
-    def scaled(a, b):
-        return exact(a, b).scale(max(map(size, a._terms), default=0))
+    def doubled(u, v):
+        result = exact(u, v)
+        return result.scale(2) if (u + v).count("[") >= 3 else result
 
-    monkeypatch.setattr(algebra, "product", scaled)
+    monkeypatch.setattr(algebra, "product_words", doubled)
+
+
+def _generic_reports(words):
+    elements = [LinComb.from_word(w) for w in words]
+    return (
+        first_nonassociative_triple(elements, product),
+        first_operator_identity_failure(elements, product, operator_n),
+    )
+
+
+@DIFFERENTIAL
+def test_the_word_path_agrees_with_the_generic_loop(alphabet, max_size):
+    words = words_up_to_size(alphabet, max_size)
+    reports = (first_nonassociative_triple(words), first_operator_identity_failure(words))
+    assert reports == (None, None)
+    assert _generic_reports(words) == reports
+
+
+@DIFFERENTIAL
+def test_the_word_path_agrees_with_the_generic_loop_on_faulted_junctions(alphabet, max_size, monkeypatch):
+    _double_deep_junctions(monkeypatch)
+    words = words_up_to_size(alphabet, max_size)
+    reports = (first_nonassociative_triple(words), first_operator_identity_failure(words))
+    # Equal reports: the same kind, indices and sides.
+    assert reports == _generic_reports(words)
+    if alphabet == ALPHABET_XY:
+        assert [r.indices for r in reports] == [(2, 2, 4), (0, 2)]
+
+
+# Over {x, y} to size 3 the first product over caps 1 and 2 has 3 terms.
+# assoc-check then stops on 11 terms up to cap 10 and passes from 11;
+# nijenhuis-check stops on 5 terms at caps 3 and 4, on 13 up to cap 12,
+# and passes from 13.
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 11, 13])
+@pytest.mark.parametrize("sweep", [first_nonassociative_triple, first_operator_identity_failure])
+def test_the_word_path_stops_at_the_term_cap_where_the_generic_loop_does(sweep, cap):
+    # Both check the same products in the same order, so the first one
+    # over the cap, and its message, are the same.
+    words = words_up_to_size(ALPHABET_XY, 3)
+    elements = [LinComb.from_word(w) for w in words]
+    outcomes = []
+    for call in (lambda: sweep(words), lambda: sweep(elements, product)):
+        with command_scope(cap):
+            try:
+                outcomes.append(call())
+            except TooManyTerms as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def _break_the_junctions(monkeypatch) -> None:
+    """Scale every junction product by the size of its left word, on a fresh cache."""
+    exact = algebra.product_words
+    monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
+    monkeypatch.setattr(algebra, "product_words", lambda u, v: exact(u, v).scale(size(u)))
 
 
 def test_assoc_check_reports_the_first_failing_triple(monkeypatch, capsys):
-    _break_the_product(monkeypatch)
+    _break_the_junctions(monkeypatch)
+    indices, lhs, rhs = first_nonassociative_reference(ELEMENTS, product)
+    triple = [WORDS[i] for i in indices]
     assert run_command(["assoc-check", "--max-size", "2"]) == 1
-    assert capsys.readouterr().out == "associativity fails at (x, x, x)\n"
+    assert capsys.readouterr().out == f"associativity fails at ({', '.join(triple)})\n"
     assert run_command(["assoc-check", "--json", "--max-size", "2"]) == 1
     out = json.loads(capsys.readouterr().out)
-    assert out["ok"] is False and out["triple"] == ["x", "x", "x"]
-    assert out["lhs"] != out["rhs"]
+    assert out == {"ok": False, "triple": triple, "lhs": _lincomb_json(lhs), "rhs": _lincomb_json(rhs)}
 
 
 def test_nijenhuis_check_reports_the_first_failing_pair(monkeypatch, capsys):
-    _break_the_product(monkeypatch)
+    _break_the_junctions(monkeypatch)
+    indices, lhs, rhs = first_identity_failure_reference(ELEMENTS, product)
+    pair = [WORDS[i] for i in indices]
     assert run_command(["nijenhuis-check", "--max-size", "2"]) == 1
-    assert capsys.readouterr().out == "operator identity fails at (x, x)\n"
+    assert capsys.readouterr().out == f"operator identity fails at ({', '.join(pair)})\n"
     assert run_command(["nijenhuis-check", "--json", "--max-size", "2"]) == 1
     out = json.loads(capsys.readouterr().out)
-    assert out["ok"] is False and out["pair"] == ["x", "x"]
-    assert out["lhs"] != out["rhs"]
+    assert out == {"ok": False, "pair": pair, "lhs": _lincomb_json(lhs), "rhs": _lincomb_json(rhs)}

@@ -152,9 +152,8 @@ def test_unchecked_letters_match_the_checked_ones():
 
 def test_the_product_cache_holds_only_bracket_junctions(monkeypatch):
     monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
-    elements = [LinComb.from_word(w) for w in POOL]
-    assert first_nonassociative_triple(elements) is None
-    assert first_operator_identity_failure(elements) is None
+    assert first_nonassociative_triple(POOL) is None
+    assert first_operator_identity_failure(POOL) is None
     assert algebra._PRODUCT_CACHE
     for last, first in algebra._PRODUCT_CACHE:
         for end in (last, first):
@@ -166,5 +165,5 @@ def test_the_product_cache_size_of_a_cold_sweep(monkeypatch):
     # One entry per distinct pair of junction brackets the sweep meets.
     monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
     pool = words_up_to_size(generators("a", "b", "c"), 3)
-    assert first_operator_identity_failure([LinComb.from_word(w) for w in pool]) is None
+    assert first_operator_identity_failure(pool) is None
     assert len(algebra._PRODUCT_CACHE) == 5184

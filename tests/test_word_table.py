@@ -87,34 +87,33 @@ def test_full_tables_start_again(monkeypatch):
     assert sizes.count(1) > 3
 
 
-def _break_the_product(monkeypatch) -> None:
-    """Scale every product by the size of the left operand's largest word, on a fresh cache."""
-    exact = algebra.product
+def _break_the_junctions(monkeypatch) -> None:
+    """Scale every junction product by the size of its left word, on a fresh cache."""
+    exact = algebra.product_words
     monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
-
-    def scaled(a, b):
-        return exact(a, b).scale(max(map(size, a._terms), default=0))
-
-    monkeypatch.setattr(algebra, "product", scaled)
+    monkeypatch.setattr(algebra, "product_words", lambda u, v: exact(u, v).scale(size(u)))
 
 
-def _fail_after_the_product(monkeypatch) -> None:
-    exact = algebra.product
+def _fail_after_a_junction(monkeypatch) -> None:
+    """Fail every junction product once the cache holds a junction."""
+    exact = algebra.product_words
 
-    def failing(a, b):
-        exact(a, b)
-        raise RuntimeError("not caught by the command line tool")
+    def failing(u, v):
+        result = exact(u, v)
+        if algebra._PRODUCT_CACHE:
+            raise RuntimeError("not caught by the command line tool")
+        return result
 
-    monkeypatch.setattr(algebra, "product", failing)
+    monkeypatch.setattr(algebra, "product_words", failing)
 
 
 @pytest.mark.parametrize(
     "argv, code, setup",
     [
         (["nijenhuis-check", "--max-size", "2"], 0, None),
-        (["assoc-check", "--max-size", "2"], 1, _break_the_product),
+        (["assoc-check", "--max-size", "2"], 1, _break_the_junctions),
         (["mul", "[x]", "[y]"], 2, lambda mp: mp.setenv("NF_MAX_TERMS", "2")),
-        (["nijenhuis-check", "--max-size", "2"], RuntimeError, _fail_after_the_product),
+        (["nijenhuis-check", "--max-size", "2"], RuntimeError, _fail_after_a_junction),
     ],
     ids=["exit-0", "exit-1", "exit-2", "uncaught"],
 )
