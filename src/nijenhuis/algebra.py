@@ -32,6 +32,9 @@ itself when it reaches ``_PRODUCT_CACHE_LIMIT`` junctions.  Entries are
 pure values, so concurrent repopulation is harmless.  Splitting a word
 into its last bracket and the text before it, or into its first bracket
 and the text after it, is memoized up to a bounded number of words.
+Every path, the recursion too, reads a word product as a plain dict of
+terms from :func:`_product_terms`; :func:`product_words` wraps it, and
+returns a bare junction as its cached combination itself.
 
 Every structure constant of the word product is an integer, so products
 of words carry ``int`` coefficients, and the only rationals in a product
@@ -60,14 +63,16 @@ acceptance tests: each returns the first failing case with both sides,
 as a :class:`CheckReport` named tuple, or None.  Given a product
 ``mul``, they run on any elements it takes, such as the coordinate
 vectors of a finite-dimensional algebra.  Without one, they run on
-basis words under the free product, and each side is a plain dict of
-integer terms: where two words meet, a letter junction is the one word
-``u*v`` and a bracket junction is read from :func:`product_words`, with
-no combination built; ``N`` writes ``[w]``; and a word times a product
-of several terms goes through :func:`product`.  Each product is checked
-against the term cap as :func:`product` checks it, in the same order,
-and the sides of a failure are returned as
-:class:`~nijenhuis.linalg.LinComb` values.
+basis words under the free product, and no combination is built: a
+side that is one word with coefficient 1 is held as its text, however
+it was made, so equal sides compare equal, and any other side is a
+plain dict of integer terms.  A text side meets a word at a letter
+junction in one concatenation; a bracket junction is read from
+:func:`_product_terms`; ``N`` writes ``[w]``; and a side of several
+terms is summed on ints.  Each product is checked against the term
+cap as :func:`product` checks it, in the same order (a text side has
+one term, and the cap is at least 1), and the sides of a failure are
+returned as :class:`~nijenhuis.linalg.LinComb` values.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import LinComb, _divide, _int_if_integral, _numerators, _wrap
 from .words import UsageError, _close
@@ -156,22 +161,23 @@ def _split_first(v: str) -> tuple[str, str]:
     return (v[:end], v[end:]) if end < len(v) else (v, "")
 
 
-def product_words(u: str, v: str) -> LinComb:
-    """Product of two basis words as a linear combination of words."""
+def _product_terms(u: str, v: str) -> dict[str, int]:
+    """The terms of the product of two basis words; the dict may be the cache's own."""
     if u[-1] != "]" or v[0] != "[":
-        return _wrap({u + "*" + v: 1})
+        return {u + "*" + v: 1}
     prefix, last = _split_last(u)
     first, suffix = _split_first(v)
     key = (last, first)
     junction = _PRODUCT_CACHE.get(key)
     if junction is None:
         inner_last, inner_first = last[1:-1], first[1:-1]
-        data = dict(operator_n(product_words(last, inner_first))._terms)
+        data = {f"[{w}]": c for w, c in _product_terms(last, inner_first).items()}
         get = data.get
-        for w, c in operator_n(product_words(inner_last, first))._terms.items():
+        for w, c in _product_terms(inner_last, first).items():
+            w = f"[{w}]"
             acc = get(w)
             data[w] = c if acc is None else acc + c
-        for w, c in product_words(inner_last, inner_first)._terms.items():
+        for w, c in _product_terms(inner_last, inner_first).items():
             w = f"[[{w}]]"
             acc = get(w)
             data[w] = -c if acc is None else acc - c
@@ -181,10 +187,17 @@ def product_words(u: str, v: str) -> LinComb:
         _PRODUCT_CACHE[key] = junction
 
     if not (prefix or suffix):
-        return junction
+        return junction._terms
     # Junction words start and end with brackets, so reattaching the
     # untouched outer text cannot break alternation or merge terms.
-    return _wrap({prefix + w + suffix: c for w, c in junction._terms.items()})
+    return {prefix + w + suffix: c for w, c in junction._terms.items()}
+
+
+def product_words(u: str, v: str) -> LinComb:
+    """Product of two basis words as a linear combination of words."""
+    terms = _product_terms(u, v)
+    junction = _PRODUCT_CACHE.get((u, v))
+    return junction if junction is not None and junction._terms is terms else _wrap(terms)
 
 
 def product(a: LinComb, b: LinComb) -> LinComb:
@@ -198,10 +211,10 @@ def product(a: LinComb, b: LinComb) -> LinComb:
         ((wv, cv),) = b._terms.items()
         scale = cu * cv
         if wu[-1] != "]" or wv[0] != "[":
-            # A letter junction, as in product_words: the one word u*v.
+            # A letter junction, as in _product_terms: the one word u*v.
             result = _wrap({wu + "*" + wv: scale if type(scale) is int else _int_if_integral(scale)})
         else:
-            result = product_words(wu, wv)
+            result = _wrap(_product_terms(wu, wv))
             if scale != 1:
                 result = result.scale(scale)
     else:
@@ -216,13 +229,13 @@ def product(a: LinComb, b: LinComb) -> LinComb:
             for wv, cv in tb.items():
                 scale = cu * cv
                 if not ends_in_bracket or wv[0] != "[":
-                    # A letter junction, as in product_words: the one word u*v.
+                    # A letter junction, as in _product_terms: the one word u*v.
                     w = wu + "*" + wv
                     acc = get(w)
                     data[w] = scale if acc is None else acc + scale
                     continue
                 unit = scale == 1
-                for w, c in product_words(wu, wv)._terms.items():
+                for w, c in _product_terms(wu, wv).items():
                     if not unit:
                         c = scale * c
                     acc = get(w)
@@ -241,26 +254,43 @@ def _over_cap(terms: int) -> None:
     raise TooManyTerms(f"a product has {terms} terms, more than the cap of {_max_terms}")
 
 
-def _times(terms: dict[str, int], v: str, left: bool = False) -> dict[str, int]:
-    """The terms of the product of integer ``terms`` and the word ``v``.
+def _side(terms: dict[str, int]) -> str | dict[str, int]:
+    """A sweep side: one word with coefficient 1 as its text, any other terms as they are."""
+    return next(iter(terms)) if len(terms) == 1 and 1 in terms.values() else terms
 
-    ``v`` is the right factor, or the left one when ``left``.  One word
-    with coefficient 1 meets ``v`` as in :func:`product`, with no
-    combination built: at a letter junction in the one word ``u*v``, at
-    a bracket junction in the terms :func:`product_words` reads.  Any
-    other terms go through :func:`product` itself.  Either way the
-    result is checked against the term cap.
+
+def _items(side: str | dict[str, int]) -> Iterable[tuple[str, int]]:
+    return ((side, 1),) if type(side) is str else side.items()
+
+
+def _times(side: str | dict[str, int], v: str, left: bool = False) -> str | dict[str, int]:
+    """The sweep side of ``side`` times the word ``v``, or ``v`` times ``side`` when ``left``.
+
+    The result is checked against the term cap as :func:`product` checks it.
     """
-    if len(terms) == 1:
-        ((w, c),) = terms.items()
-        if c == 1:
-            u, w = (v, w) if left else (w, v)
-            data = {u + "*" + w: 1} if u[-1] != "]" or w[0] != "[" else product_words(u, w)._terms
-            if len(data) > _max_terms:
-                _over_cap(len(data))
-            return data
-    a, b = _wrap(terms), _wrap({v: 1})
-    return (product(b, a) if left else product(a, b))._terms
+    if type(side) is str:
+        u, w = (v, side) if left else (side, v)
+        if u[-1] != "]" or w[0] != "[":
+            return u + "*" + w
+        data = _product_terms(u, w)
+    else:
+        data = {}
+        get = data.get
+        for x, c in side.items():
+            u, w = (v, x) if left else (x, v)
+            if u[-1] != "]" or w[0] != "[":
+                w = u + "*" + w
+                acc = get(w)
+                data[w] = c if acc is None else acc + c
+                continue
+            for t, d in _product_terms(u, w).items():
+                d *= c
+                acc = get(t)
+                data[t] = d if acc is None else acc + d
+        data = {w: c for w, c in data.items() if c}
+    if len(data) > _max_terms:
+        _over_cap(len(data))
+    return _side(data)
 
 
 def operator_n(a: LinComb) -> LinComb:
@@ -326,7 +356,7 @@ def first_nonassociative_triple(
     Given ``mul``, ``elements`` are whatever it multiplies.  With no
     ``mul`` they are basis words, the texts that
     :func:`~nijenhuis.words.words_up_to_size` returns, under the free
-    product, and each side is a term dict (see the module docstring).
+    product, each side a text or a term dict (see the module docstring).
     Every pair product ``b c`` is computed once, up front, and serves
     both as the left factor ``a b`` and as the right factor ``b c``.
     """
@@ -343,16 +373,22 @@ def first_nonassociative_triple(
                     if lhs != rhs:
                         return CheckReport(False, "associativity", (i, j, k), lhs, rhs)
         return None
-    pairs = [[_times({b: 1}, c) for c in elements] for b in elements]
+    pairs = [[_times(b, c) for c in elements] for b in elements]
     for i, a in enumerate(elements):
         row = pairs[i]
+        a_run = a[-1] != "]"
         for j in range(n):
             ab, right_factors = row[j], pairs[j]
+            ab_text = type(ab) is str
+            ab_run = ab_text and ab[-1] != "]"
             for k, c in enumerate(elements):
-                lhs = _times(ab, c)
-                rhs = _times(right_factors[k], a, True)
+                bc = right_factors[k]
+                # A text side at a letter junction is one concatenation.
+                lhs = ab + "*" + c if ab_run or ab_text and c[0] != "[" else _times(ab, c)
+                rhs = a + "*" + bc if type(bc) is str and (a_run or bc[0] != "[") else _times(bc, a, True)
                 if lhs != rhs:
-                    return CheckReport(False, "associativity", (i, j, k), _wrap(lhs), _wrap(rhs))
+                    lhs, rhs = _wrap(dict(_items(lhs))), _wrap(dict(_items(rhs)))
+                    return CheckReport(False, "associativity", (i, j, k), lhs, rhs)
     return None
 
 
@@ -383,20 +419,22 @@ def first_operator_identity_failure(
         return None
     images = [f"[{a}]" for a in elements]
     for i, a in enumerate(elements):
-        pa, one = {images[i]: 1}, {a: 1}
+        pa = images[i]
         for j, b in enumerate(elements):
-            lhs = _times(pa, images[j])
-            rhs = {f"[{w}]": c for w, c in _times(pa, b).items()}
+            pb = images[j]
+            lhs = _times(pa, pb)
+            rhs = {f"[{w}]": c for w, c in _items(_times(pa, b))}
             get = rhs.get
-            for w, c in _times(one, images[j]).items():
+            for w, c in _items(_times(a, pb)):
                 w = f"[{w}]"
                 acc = get(w)
                 rhs[w] = c if acc is None else acc + c
-            for w, c in _times(one, b).items():
+            for w, c in _items(_times(a, b)):
                 w = f"[[{w}]]"
                 acc = get(w)
                 rhs[w] = -c if acc is None else acc - c
-            rhs = {w: c for w, c in rhs.items() if c}
+            rhs = _side({w: c for w, c in rhs.items() if c})
             if lhs != rhs:
-                return CheckReport(False, "operator-identity", (i, j), _wrap(lhs), _wrap(rhs))
+                lhs, rhs = _wrap(dict(_items(lhs))), _wrap(dict(_items(rhs)))
+                return CheckReport(False, "operator-identity", (i, j), lhs, rhs)
     return None

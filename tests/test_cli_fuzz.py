@@ -6,10 +6,12 @@ generator lists with repeated, malformed or too few names, and map
 files with shape and type faults.  ``assoc-check`` and
 ``nijenhuis-check`` run on alphabets with repeated, malformed or empty
 names, or commas alone, at sizes from -1 to 3, with ``NF_MAX_TERMS``
-unset or from 1 to 3.  Every run must end in exit code 0, 1 or 2 with
-no exception escaping; a usage error (2) must say why on stderr, with
-an ``error:`` line or the usage text.  Bounds stay at 5 or below, and
-sizes at 3, so each example is small.
+unset or from 1 to 3.  ``fd-check`` and ``induce-ns`` run on algebra
+files of either kind with shape, type and numeral faults, missing
+keys, or text that is not JSON.  Every run must end in exit code 0, 1
+or 2 with no exception escaping; a usage error (2) must say why on
+stderr, with an ``error:`` line or the usage text.  Bounds stay at 5
+or below, sizes at 3 and dimensions at 3, so each example is small.
 """
 
 from __future__ import annotations
@@ -156,3 +158,46 @@ def test_the_sweeps_end_in_a_documented_exit_code(data):
         if cap is not None:
             os.environ["NF_MAX_TERMS"] = cap
         check_documented(argv)
+
+
+# The tensors of each kind of algebra file, by rank.
+ALGEBRA_FIELDS = ({"mult": 3, "op": 2}, {"prec": 3, "succ": 3, "bullet": 3})
+numerals = st.one_of(st.integers(-2, 2), st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "2/4"]))
+
+
+def cube(dim: int, rank: int, values) -> st.SearchStrategy:
+    """Nested lists of ``values``, ``dim`` long at each of ``rank`` levels."""
+    for _ in range(rank):
+        values = st.lists(values, min_size=dim, max_size=dim)
+    return values
+
+
+@st.composite
+def algebra_texts(draw) -> str:
+    fields = draw(st.sampled_from(ALGEBRA_FIELDS))
+    dim = draw(st.integers(0, 3))
+    # Well-formed numerals, or any entry: a type or numeral fault.
+    values = draw(st.sampled_from([numerals, numerals, numerals | entries]))
+    obj: dict = {}
+    # Each key is missing one time in twenty; a tensor has the file's shape or any shape.
+    if draw(st.integers(0, 19)):
+        obj["dim"] = draw(st.sampled_from([dim] * 5 + [dim + 1, -1, "2", None, 1.0, True]))
+    for name, rank in fields.items():
+        kind = draw(st.integers(0, 19))
+        if kind:
+            obj[name] = draw(cube(dim, rank, values) if kind > 2 else matrices)
+    return json.dumps(obj)
+
+
+@pytest.fixture(scope="module")
+def algebra_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz") / "algebra.json"
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_the_algebra_file_commands_end_in_a_documented_exit_code(algebra_path, data):
+    texts = algebra_texts() | st.sampled_from(['{"mult": [', "", "[1, 2]", "null", '{"op": [["1"]]}'])
+    algebra_path.write_text(data.draw(texts), encoding="utf-8")
+    command = data.draw(st.sampled_from(["fd-check", "induce-ns"]))
+    check_documented([command, *data.draw(flags), str(algebra_path)])

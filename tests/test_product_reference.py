@@ -17,7 +17,7 @@ from hypothesis import given
 from nijenhuis import algebra
 from nijenhuis.algebra import first_operator_identity_failure, operator_n, product, product_words
 from nijenhuis.linalg import LinComb
-from nijenhuis.words import canonical_key, word, words_up_to_size
+from nijenhuis.words import canonical_key, generators, word, words_up_to_size
 
 from conftest import (
     ALPHABET_XY,
@@ -121,6 +121,27 @@ def test_product_of_scaled_words_matches_reference():
 def test_operator_matches_reference():
     for w in words_up_to_size(ALPHABET_XYZ, 3):
         assert as_dict(operator_n(LinComb.from_word(w))) == _wrap({as_tuple(w): Fraction(1)})
+
+
+def test_the_operator_identity_holds_on_the_reference_product():
+    # The word path reads N(a) N(b) from the junction cache, which is
+    # built from the very products on the right side; here both sides
+    # come from the reference, with no cache.
+    for pool in (POOL, words_up_to_size(generators("a"), 4)):
+        assert first_operator_identity_failure(pool) is None
+        for a in pool:
+            for b in pool:
+                ta, tb = as_tuple(a), as_tuple(b)
+                na, nb = (("B", ta),), (("B", tb),)
+                lhs = reference_product(na, nb)
+                rhs: dict = {}
+                _add(rhs, _wrap(reference_product(na, tb)), 1)
+                _add(rhs, _wrap(reference_product(ta, nb)), 1)
+                _add(rhs, _wrap(_wrap(reference_product(ta, tb))), -1)
+                assert lhs == rhs, (a, b)
+                # The word path's left side, one text or a dict of terms.
+                side = algebra._times(f"[{a}]", f"[{b}]")
+                assert as_dict(algebra._items(side)) == lhs, (a, b)
 
 
 def test_product_matches_reference_with_the_word_tables_warm():

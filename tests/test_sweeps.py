@@ -118,14 +118,14 @@ def test_the_identity_holds_for_a_scaled_product():
 
 def _double_deep_junctions(monkeypatch) -> None:
     """Double every junction product whose operands hold three brackets or more, on a fresh cache."""
-    exact = algebra.product_words
+    exact = algebra._product_terms
     monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
 
     def doubled(u, v):
-        result = exact(u, v)
-        return result.scale(2) if (u + v).count("[") >= 3 else result
+        terms = exact(u, v)
+        return {w: 2 * c for w, c in terms.items()} if (u + v).count("[") >= 3 else terms
 
-    monkeypatch.setattr(algebra, "product_words", doubled)
+    monkeypatch.setattr(algebra, "_product_terms", doubled)
 
 
 def _generic_reports(words):
@@ -155,6 +155,29 @@ def test_the_word_path_agrees_with_the_generic_loop_on_faulted_junctions(alphabe
         assert [r.indices for r in reports] == [(2, 2, 4), (0, 2)]
 
 
+def _collapse_deep_junctions(monkeypatch) -> None:
+    """Turn every junction product whose operands hold three brackets or more into its first word, on a fresh cache."""
+    exact = algebra._product_terms
+    monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
+
+    def collapsed(u, v):
+        terms = exact(u, v)
+        return {next(iter(terms)): 1} if (u + v).count("[") >= 3 else terms
+
+    monkeypatch.setattr(algebra, "_product_terms", collapsed)
+
+
+@DIFFERENTIAL
+def test_the_word_path_agrees_with_the_generic_loop_on_one_word_junctions(alphabet, max_size, monkeypatch):
+    # A side of one word with coefficient 1 is held as its text, so one
+    # read from a junction must be turned into text as well, or equal
+    # sides would compare unequal.
+    _collapse_deep_junctions(monkeypatch)
+    words = words_up_to_size(alphabet, max_size)
+    reports = (first_nonassociative_triple(words), first_operator_identity_failure(words))
+    assert reports == _generic_reports(words)
+
+
 # Over {x, y} to size 3 the first product over caps 1 and 2 has 3 terms.
 # assoc-check then stops on 11 terms up to cap 10 and passes from 11;
 # nijenhuis-check stops on 5 terms at caps 3 and 4, on 13 up to cap 12,
@@ -178,9 +201,9 @@ def test_the_word_path_stops_at_the_term_cap_where_the_generic_loop_does(sweep, 
 
 def _break_the_junctions(monkeypatch) -> None:
     """Scale every junction product by the size of its left word, on a fresh cache."""
-    exact = algebra.product_words
+    exact = algebra._product_terms
     monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
-    monkeypatch.setattr(algebra, "product_words", lambda u, v: exact(u, v).scale(size(u)))
+    monkeypatch.setattr(algebra, "_product_terms", lambda u, v: {w: size(u) * c for w, c in exact(u, v).items()})
 
 
 def test_assoc_check_reports_the_first_failing_triple(monkeypatch, capsys):

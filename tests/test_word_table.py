@@ -73,14 +73,14 @@ def test_full_tables_start_again(monkeypatch):
     monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
     monkeypatch.setattr(algebra, "_PRODUCT_CACHE_LIMIT", limit)
     sizes = []
-    inner = algebra.product_words
+    inner = algebra._product_terms
 
     def watching(u, v):
         result = inner(u, v)
         sizes.append(len(algebra._PRODUCT_CACHE))
         return result
 
-    monkeypatch.setattr(algebra, "product_words", watching)
+    monkeypatch.setattr(algebra, "_product_terms", watching)
     for _ in range(3):
         assert [run_quietly(argv) for argv in COMMANDS] == expected
     assert max(sizes) == limit
@@ -89,14 +89,14 @@ def test_full_tables_start_again(monkeypatch):
 
 def _break_the_junctions(monkeypatch) -> None:
     """Scale every junction product by the size of its left word, on a fresh cache."""
-    exact = algebra.product_words
+    exact = algebra._product_terms
     monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
-    monkeypatch.setattr(algebra, "product_words", lambda u, v: exact(u, v).scale(size(u)))
+    monkeypatch.setattr(algebra, "_product_terms", lambda u, v: {w: size(u) * c for w, c in exact(u, v).items()})
 
 
 def _fail_after_a_junction(monkeypatch) -> None:
     """Fail every junction product once the cache holds a junction."""
-    exact = algebra.product_words
+    exact = algebra._product_terms
 
     def failing(u, v):
         result = exact(u, v)
@@ -104,7 +104,7 @@ def _fail_after_a_junction(monkeypatch) -> None:
             raise RuntimeError("not caught by the command line tool")
         return result
 
-    monkeypatch.setattr(algebra, "product_words", failing)
+    monkeypatch.setattr(algebra, "_product_terms", failing)
 
 
 @pytest.mark.parametrize(
