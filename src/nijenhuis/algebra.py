@@ -33,8 +33,8 @@ pure values, so concurrent repopulation is harmless.  Splitting a word
 into its last bracket and the text before it, or into its first bracket
 and the text after it, is memoized up to a bounded number of words.
 Every path, the recursion too, reads a word product as a plain dict of
-terms from :func:`_product_terms`; :func:`product_words` wraps it, and
-returns a bare junction as its cached combination itself.
+terms from :func:`_product_terms`, which :func:`product_words` wraps,
+and the rule itself is applied and cached by :func:`_junction` alone.
 
 Every structure constant of the word product is an integer, so products
 of words carry ``int`` coefficients, and the only rationals in a product
@@ -58,21 +58,19 @@ the cap bounds the work that follows a product, not the product itself.
 
 :func:`first_nonassociative_triple` and
 :func:`first_operator_identity_failure` are the sweeps behind the
-``assoc-check``, ``nijenhuis-check`` and ``fd-check`` commands and the
-acceptance tests: each returns the first failing case with both sides,
-as a :class:`CheckReport` named tuple, or None.  Given a product
-``mul``, they run on any elements it takes, such as the coordinate
-vectors of a finite-dimensional algebra.  Without one, they run on
-basis words under the free product, and no combination is built: a
-side that is one word with coefficient 1 is held as its text, however
-it was made, so equal sides compare equal, and any other side is a
-plain dict of integer terms.  A text side meets a word at a letter
-junction in one concatenation; a bracket junction is read from
-:func:`_product_terms`; ``N`` writes ``[w]``; and a side of several
-terms is summed on ints.  Each product is checked against the term
-cap as :func:`product` checks it, in the same order (a text side has
-one term, and the cap is at least 1), and the sides of a failure are
-returned as :class:`~nijenhuis.linalg.LinComb` values.
+``assoc-check``, ``nijenhuis-check`` and ``fd-check`` commands: each
+returns the first failing case with both sides, as a
+:class:`CheckReport`, or None.  Given a product ``mul``, they run on any
+elements it takes, such as coordinate vectors.  Without one, they run
+on basis words under the free product, on plain dicts of integer terms
+(the associativity sweep holds a side of one word with coefficient 1 as
+its text), checking each product against the term cap as
+:func:`product` would, in the same order.  On free words the operator
+identity holds by construction, its left side being the junction memo
+``[a] . [b]``: the sweep reads ``[a] . b``, ``a . [b]`` and ``a . b``
+once each, fills the memo from them only if it is cold, and compares
+the memo with its own sum of the right side.  The independent,
+cache-free check of the product is ``tests/test_product_reference.py``.
 """
 
 from __future__ import annotations
@@ -80,7 +78,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .linalg import LinComb, _divide, _int_if_integral, _numerators, _wrap
 from .words import UsageError, _close
@@ -170,27 +168,33 @@ def _product_terms(u: str, v: str) -> dict[str, int]:
     key = (last, first)
     junction = _PRODUCT_CACHE.get(key)
     if junction is None:
-        inner_last, inner_first = last[1:-1], first[1:-1]
-        data = {f"[{w}]": c for w, c in _product_terms(last, inner_first).items()}
-        get = data.get
-        for w, c in _product_terms(inner_last, first).items():
-            w = f"[{w}]"
-            acc = get(w)
-            data[w] = c if acc is None else acc + c
-        for w, c in _product_terms(inner_last, inner_first).items():
-            w = f"[[{w}]]"
-            acc = get(w)
-            data[w] = -c if acc is None else acc - c
-        junction = _wrap({w: c for w, c in data.items() if c})
-        if len(_PRODUCT_CACHE) >= _PRODUCT_CACHE_LIMIT:
-            _PRODUCT_CACHE.clear()
-        _PRODUCT_CACHE[key] = junction
+        u, v = last[1:-1], first[1:-1]
+        junction = _junction(key, _product_terms(last, v), _product_terms(u, first), _product_terms(u, v))
 
     if not (prefix or suffix):
         return junction._terms
     # Junction words start and end with brackets, so reattaching the
     # untouched outer text cannot break alternation or merge terms.
     return {prefix + w + suffix: c for w, c in junction._terms.items()}
+
+
+def _junction(key: tuple[str, str], left: dict[str, int], right: dict[str, int], inner: dict[str, int]) -> LinComb:
+    """Cache and return the junction ``[u] . [v]`` of ``key`` from ``[u] . v``, ``u . [v]`` and ``u . v``."""
+    data = {f"[{w}]": c for w, c in left.items()}
+    get = data.get
+    for w, c in right.items():
+        w = f"[{w}]"
+        acc = get(w)
+        data[w] = c if acc is None else acc + c
+    for w, c in inner.items():
+        w = f"[[{w}]]"
+        acc = get(w)
+        data[w] = -c if acc is None else acc - c
+    junction = _wrap({w: c for w, c in data.items() if c})
+    if len(_PRODUCT_CACHE) >= _PRODUCT_CACHE_LIMIT:
+        _PRODUCT_CACHE.clear()
+    _PRODUCT_CACHE[key] = junction
+    return junction
 
 
 def product_words(u: str, v: str) -> LinComb:
@@ -259,8 +263,8 @@ def _side(terms: dict[str, int]) -> str | dict[str, int]:
     return next(iter(terms)) if len(terms) == 1 and 1 in terms.values() else terms
 
 
-def _items(side: str | dict[str, int]) -> Iterable[tuple[str, int]]:
-    return ((side, 1),) if type(side) is str else side.items()
+def _lincomb(side: str | dict[str, int]) -> LinComb:
+    return _wrap({side: 1} if type(side) is str else dict(side))
 
 
 def _times(side: str | dict[str, int], v: str, left: bool = False) -> str | dict[str, int]:
@@ -387,8 +391,7 @@ def first_nonassociative_triple(
                 lhs = ab + "*" + c if ab_run or ab_text and c[0] != "[" else _times(ab, c)
                 rhs = a + "*" + bc if type(bc) is str and (a_run or bc[0] != "[") else _times(bc, a, True)
                 if lhs != rhs:
-                    lhs, rhs = _wrap(dict(_items(lhs))), _wrap(dict(_items(rhs)))
-                    return CheckReport(False, "associativity", (i, j, k), lhs, rhs)
+                    return CheckReport(False, "associativity", (i, j, k), _lincomb(lhs), _lincomb(rhs))
     return None
 
 
@@ -400,10 +403,8 @@ def first_operator_identity_failure(
     """First pair, in row-major order, with ``N(a) N(b) != N(N(a) b + a N(b) - N(a b))``.
 
     Given ``mul``, ``elements`` are whatever it multiplies, and ``n``
-    defaults to the free operator.  With no ``mul`` they are basis words
-    under the free product and operator, as in
-    :func:`first_nonassociative_triple`.  Each element is mapped by
-    ``N`` once.
+    defaults to the free operator.  With no ``mul`` they are basis words,
+    and the left side is the junction memo (see the module docstring).
     """
     if mul is not None:
         n = n or operator_n
@@ -420,21 +421,33 @@ def first_operator_identity_failure(
     images = [f"[{a}]" for a in elements]
     for i, a in enumerate(elements):
         pa = images[i]
+        a_run = a[-1] != "]"
         for j, b in enumerate(elements):
             pb = images[j]
-            lhs = _times(pa, pb)
-            rhs = {f"[{w}]": c for w, c in _items(_times(pa, b))}
+            # Each product once: a letter junction is one concatenation.
+            b_run = b[0] != "["
+            pa_b = {pa + "*" + b: 1} if b_run else _product_terms(pa, b)
+            a_pb = {a + "*" + pb: 1} if a_run else _product_terms(a, pb)
+            a_b = {a + "*" + b: 1} if a_run or b_run else _product_terms(a, b)
+            # A cached junction is read as it is, never rebuilt over.
+            if (pa, pb) not in _PRODUCT_CACHE:
+                _junction((pa, pb), pa_b, a_pb, a_b)
+            lhs = _product_terms(pa, pb)
+            for terms in (lhs, pa_b, a_pb, a_b):
+                if len(terms) > _max_terms:
+                    _over_cap(len(terms))
+            # Summed here, not by _junction, so the memo is checked against it.
+            rhs = {f"[{w}]": c for w, c in pa_b.items()}
             get = rhs.get
-            for w, c in _items(_times(a, pb)):
+            for w, c in a_pb.items():
                 w = f"[{w}]"
                 acc = get(w)
                 rhs[w] = c if acc is None else acc + c
-            for w, c in _items(_times(a, b)):
+            for w, c in a_b.items():
                 w = f"[[{w}]]"
                 acc = get(w)
                 rhs[w] = -c if acc is None else acc - c
-            rhs = _side({w: c for w, c in rhs.items() if c})
+            rhs = {w: c for w, c in rhs.items() if c}
             if lhs != rhs:
-                lhs, rhs = _wrap(dict(_items(lhs))), _wrap(dict(_items(rhs)))
-                return CheckReport(False, "operator-identity", (i, j), lhs, rhs)
+                return CheckReport(False, "operator-identity", (i, j), _wrap(dict(lhs)), _wrap(rhs))
     return None

@@ -135,7 +135,9 @@ def _load_map(path: str) -> tuple[tuple[str, ...], envelope.LinearMap]:
             raise TypeError(f"names must be a JSON list of strings, got {names!r}")
         names = generators(*names)
         matrix = envelope.LinearMap(obj["matrix"])
-    except (KeyError, ValueError, TypeError) as exc:
+    except KeyError as exc:
+        raise UsageError(f"{path}: malformed map file: missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
         raise UsageError(f"{path}: malformed map file: {exc}") from exc
     return names, matrix
 
@@ -147,7 +149,9 @@ def _load_algebra(path: str) -> envelope.NijenhuisAlgebraFD | envelope.NSAlgebra
             return envelope.NijenhuisAlgebraFD.from_json_obj(obj)
         if "prec" in obj:
             return envelope.NSAlgebraFD.from_json_obj(obj)
-    except (KeyError, ValueError, TypeError) as exc:
+    except KeyError as exc:
+        raise UsageError(f"{path}: malformed algebra file: missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
         raise UsageError(f"{path}: malformed algebra file: {exc}") from exc
     raise UsageError(f"{path}: neither an operator algebra nor a split-operation algebra")
 

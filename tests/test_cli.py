@@ -751,6 +751,27 @@ def test_a_string_where_a_list_belongs_is_a_malformed_file(capsys, tmp_path, kin
     assert err.startswith(f"error: {path}: malformed {kind} file") and "must be a list, not str" in err
 
 
+@pytest.mark.parametrize(
+    "kind, obj, key",
+    [
+        ("algebra", {"mult": [[["1"]]], "op": [["1"]]}, "dim"),
+        ("algebra", {"dim": 1, "mult": [[["1"]]]}, "op"),
+        ("algebra", {"dim": 1, "prec": [[["1"]]], "succ": [[["1"]]]}, "bullet"),
+        ("map", {"matrix": [["1", "0"], ["0", "1"]]}, "names"),
+        ("map", {"names": ["e1", "e2"]}, "matrix"),
+    ],
+    ids=["dim", "op", "bullet", "names", "matrix"],
+)
+def test_a_missing_key_is_named_as_missing(capsys, tmp_path, kind, obj, key):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(obj))
+    if kind == "map":
+        argv = ("eval-hom", str(FIXTURES / "projection.json"), str(path), "e1")
+    else:
+        argv = ("fd-check", str(path))
+    assert run(capsys, *argv) == (2, "", f"error: {path}: malformed {kind} file: missing key '{key}'\n")
+
+
 @pytest.mark.parametrize("entry", ["1e100000", "0.5", " 2 ", "1_000", "+1"])
 def test_an_entry_outside_the_numeral_rule_is_a_malformed_file(capsys, tmp_path, entry):
     # Fraction once read these; "1e100000" built a 100,001-digit integer

@@ -3,10 +3,12 @@
 ``ideal-member`` and ``eval-hom`` run in-process on argv built from a
 small grammar: valid and corrupted expressions, bounds from -1 to 5,
 generator lists with repeated, malformed or too few names, and map
-files with shape and type faults.  ``assoc-check`` and
-``nijenhuis-check`` run on alphabets with repeated, malformed or empty
-names, or commas alone, at sizes from -1 to 3, with ``NF_MAX_TERMS``
-unset or from 1 to 3.  ``fd-check`` and ``induce-ns`` run on algebra
+files with shape and type faults.  ``mul`` and ``eval`` run on the same
+expressions and generator lists, with ``NF_MAX_TERMS`` unset or from 1
+to 3, and ``ns-check`` and ``ndend-check`` on the generator lists.
+``assoc-check`` and ``nijenhuis-check`` run on alphabets with repeated,
+malformed or empty names, or commas alone, at sizes from -1 to 3, with
+``NF_MAX_TERMS`` unset or from 1 to 3.  ``fd-check`` and ``induce-ns`` run on algebra
 files of either kind with shape, type and numeral faults, missing
 keys, or text that is not JSON.  Every run must end in exit code 0, 1
 or 2 with no exception escaping; a usage error (2) must say why on
@@ -134,6 +136,37 @@ def test_eval_hom_ends_in_a_documented_exit_code(map_path, data):
     check_documented(with_expression(argv, data.draw(expressions), data.draw(st.booleans())))
 
 
+def run_capped(argv: list[str], cap: str | None) -> None:
+    """``check_documented(argv)`` with ``NF_MAX_TERMS`` at ``cap``, or unset, and ``NF_MAX_SIZE`` unset."""
+    with mock.patch.dict(os.environ):
+        os.environ.pop("NF_MAX_SIZE", None)
+        os.environ.pop("NF_MAX_TERMS", None)
+        if cap is not None:
+            os.environ["NF_MAX_TERMS"] = cap
+        check_documented(argv)
+
+
+caps = st.none() | st.sampled_from(["1", "2", "3"])
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_mul_and_eval_end_in_a_documented_exit_code(data):
+    command = data.draw(st.sampled_from(["mul", "eval"]))
+    argv = [command, *data.draw(flags), *data.draw(generator_options)]
+    separate = data.draw(st.booleans())
+    operands = [data.draw(expressions) for _ in range(2 if command == "mul" else 1)]
+    if separate:
+        argv.append("--")
+    run_capped([*argv, *operands], data.draw(caps))
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["ns-check", "ndend-check"]), flags, generator_options)
+def test_the_relation_checks_end_in_a_documented_exit_code(command, json_flag, generators):
+    check_documented([command, *json_flag, *generators])
+
+
 LETTERS = ("a", "b", "x")
 BAD_NAMES = ("", " a", "2x", "x-y", "b c")
 
@@ -151,13 +184,7 @@ def test_the_sweeps_end_in_a_documented_exit_code(data):
         | st.sampled_from([",", ",,", " , "])
     )
     argv = [command, *data.draw(flags), "--alphabet", alphabet, "--max-size", str(max_size)]
-    cap = data.draw(st.none() | st.sampled_from(["1", "2", "3"]))
-    with mock.patch.dict(os.environ):
-        os.environ.pop("NF_MAX_SIZE", None)
-        os.environ.pop("NF_MAX_TERMS", None)
-        if cap is not None:
-            os.environ["NF_MAX_TERMS"] = cap
-        check_documented(argv)
+    run_capped(argv, data.draw(caps))
 
 
 # The tensors of each kind of algebra file, by rank.

@@ -125,8 +125,8 @@ def test_operator_matches_reference():
 
 def test_the_operator_identity_holds_on_the_reference_product():
     # The word path reads N(a) N(b) from the junction cache, which is
-    # built from the very products on the right side; here both sides
-    # come from the reference, with no cache.
+    # filled from the very products it sums for the right side; here
+    # both sides come from the reference, with no cache.
     for pool in (POOL, words_up_to_size(generators("a"), 4)):
         assert first_operator_identity_failure(pool) is None
         for a in pool:
@@ -139,9 +139,8 @@ def test_the_operator_identity_holds_on_the_reference_product():
                 _add(rhs, _wrap(reference_product(ta, nb)), 1)
                 _add(rhs, _wrap(_wrap(reference_product(ta, tb))), -1)
                 assert lhs == rhs, (a, b)
-                # The word path's left side, one text or a dict of terms.
-                side = algebra._times(f"[{a}]", f"[{b}]")
-                assert as_dict(algebra._items(side)) == lhs, (a, b)
+                # The word path's left side: the junction memo, as a dict of terms.
+                assert as_dict(algebra._product_terms(f"[{a}]", f"[{b}]").items()) == lhs, (a, b)
 
 
 def test_product_matches_reference_with_the_word_tables_warm():

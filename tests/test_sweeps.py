@@ -178,6 +178,41 @@ def test_the_word_path_agrees_with_the_generic_loop_on_one_word_junctions(alphab
     assert reports == _generic_reports(words)
 
 
+def _flip_the_junction_rule(monkeypatch) -> None:
+    """Add ``[[u . v]]`` where the junction rule subtracts it, on a fresh cache; nothing else changes."""
+    exact = algebra._junction
+    monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
+
+    def flipped(key, left, right, inner):
+        return exact(key, left, right, {w: -c for w, c in inner.items()})
+
+    monkeypatch.setattr(algebra, "_junction", flipped)
+
+
+@DIFFERENTIAL
+def test_the_word_path_checks_the_junction_rule_against_its_own_sum(alphabet, max_size, monkeypatch):
+    # The left side is the junction memo, built by the rule; the right
+    # side is summed apart from it, so a faulted rule must show.
+    _flip_the_junction_rule(monkeypatch)
+    words = words_up_to_size(alphabet, max_size)
+    report = first_operator_identity_failure(words)
+    assert report is not None and report.indices == (0, 0)
+    assert report == _generic_reports(words)[1]
+
+
+def test_nijenhuis_check_compares_a_warm_junction_and_keeps_it(monkeypatch, capsys):
+    # One wrong entry for ([x], [y]) in a fresh cache: the sweep reads it
+    # as the left side at that pair, and never rebuilds it.
+    planted = LinComb.from_word("[[x]*y]")
+    monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {("[x]", "[y]"): planted})
+    assert run_command(["nijenhuis-check", "--max-size", "2"]) == 1
+    assert capsys.readouterr().out == "operator identity fails at (x, y)\n"
+    assert run_command(["nijenhuis-check", "--json", "--max-size", "2"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["pair"] == ["x", "y"] and out["lhs"] == _lincomb_json(planted)
+    assert algebra._PRODUCT_CACHE[("[x]", "[y]")] is planted
+
+
 # Over {x, y} to size 3 the first product over caps 1 and 2 has 3 terms.
 # assoc-check then stops on 11 terms up to cap 10 and passes from 11;
 # nijenhuis-check stops on 5 terms at caps 3 and 4, on 13 up to cap 12,
