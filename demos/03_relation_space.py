@@ -18,7 +18,7 @@ from nijenhuis import (
     relation_space_contains,
     solve_relation_space,
 )
-from nijenhuis.linalg import rank
+from nijenhuis.linalg import span
 
 
 def main() -> None:
@@ -26,7 +26,7 @@ def main() -> None:
     monomials = relation_monomials()
     cols = len(rows[0])
     print(f"coefficient matrix: {len(rows)} monomials x {cols} candidates")
-    r = rank(rows)
+    r = len(span(rows))
     print(f"rank {r}, so the relation space has dimension {cols - r}")
 
     print()

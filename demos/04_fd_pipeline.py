@@ -11,12 +11,12 @@ from fractions import Fraction
 from nijenhuis import (
     LinearMap,
     Membership,
+    NijenhuisAlgebraFD,
     OpSymbol,
     check_nijenhuis_fd,
     default_names,
     enveloping_generators,
     evaluate_hom,
-    fixture_projection,
     induced_ns,
     letter_word,
     LinComb,
@@ -26,7 +26,9 @@ from nijenhuis import (
 
 
 def main() -> None:
-    alg = fixture_projection()
+    # the componentwise product on two coordinates; the operator keeps the first
+    mult = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+    alg = NijenhuisAlgebraFD(2, mult, LinearMap([[1, 0], [0, 0]]))
     report = check_nijenhuis_fd(alg)
     print(f"projection fixture: dim {alg.dim}, operator identity holds: {report.ok}")
 

@@ -57,7 +57,6 @@ _EXPORTS = {
                 "first_operator_identity_failure",
                 "operator_n",
                 "product",
-                "product_words",
             ),
         ),
         (
@@ -79,14 +78,11 @@ _EXPORTS = {
                 "default_names",
                 "enveloping_generators",
                 "evaluate_hom",
-                "fixture_projection",
-                "fixture_scaling",
-                "fixture_swap",
                 "induced_ns",
                 "truncated_ideal_membership",
             ),
         ),
-        (linalg, ("DimensionMismatch", "LinComb", "RowSpace", "rank", "rational")),
+        (linalg, ("DimensionMismatch", "LinComb", "RowSpace", "rational")),
         (
             parser,
             ("EvalError", "ParseError", "UnknownIdentifier", "eval_expr", "parse_expr", "print_canonical"),
@@ -95,7 +91,6 @@ _EXPORTS = {
             relations,
             (
                 "RelVector",
-                "check_relation_universal",
                 "evaluate_relation",
                 "ndendriform_relation_set",
                 "ns_relation_set",

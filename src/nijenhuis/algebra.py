@@ -26,15 +26,18 @@ All operations extend bilinearly from words to combinations, and
 :func:`derived_op` also splits a finite-dimensional algebra, given its
 product and operator.  Only the bracket-bracket junction recurses, so
 only it is memoized: a module cache keyed on the texts of the two
-junction brackets maps them to their expansion, so it grows with the
-distinct bracket junctions seen, not with the word pairs.  It empties
-itself when it reaches ``_PRODUCT_CACHE_LIMIT`` junctions.  Entries are
-pure values, so concurrent repopulation is harmless.  Splitting a word
-into its last bracket and the text before it, or into its first bracket
-and the text after it, is memoized up to a bounded number of words.
-Every path, the recursion too, reads a word product as a plain dict of
-terms from :func:`_product_terms`, which :func:`product_words` wraps,
-and the rule itself is applied and cached by :func:`_junction` alone.
+junction brackets maps them to their expansion, a plain dict of
+integer terms, so it grows with the distinct bracket junctions seen,
+not with the word pairs.  It empties itself when it reaches
+``_PRODUCT_CACHE_LIMIT`` junctions.  Entries are pure values that no
+caller mutates, so concurrent repopulation is harmless.  Splitting a
+word into its last bracket and the text before it, or into its first
+bracket and the text after it, is memoized up to a bounded number of
+words.  Every path, the recursion too, reads a word product as a plain
+dict of terms from :func:`_product_terms`; the rule itself is applied
+and cached by :func:`_junction` alone, and one loop,
+:func:`_terms_times`, multiplies terms by terms for :func:`product` and
+the sweeps alike.
 
 Every structure constant of the word product is an integer, so products
 of words carry ``int`` coefficients, and the only rationals in a product
@@ -87,7 +90,6 @@ __all__ = [
     "OpSymbol",
     "COORD_OPS",
     "product",
-    "product_words",
     "operator_n",
     "derived_op",
     "MAX_TERMS",
@@ -114,7 +116,7 @@ COORD_OPS = (OpSymbol.PREC, OpSymbol.SUCC, OpSymbol.BULLET)
 #: Most terms one :func:`product` may return outside :func:`command_scope`.
 MAX_TERMS = 100_000
 
-_PRODUCT_CACHE: dict[tuple[str, str], LinComb] = {}
+_PRODUCT_CACHE: dict[tuple[str, str], dict[str, int]] = {}
 # A long-lived process of mixed commands met fewer than 5,000 junctions
 # in 28,000 commands, and `assoc-check --alphabet x,y,z --max-size 3`
 # meets 21,825, so neither reaches the limit; unbounded, the 198,180 of
@@ -172,13 +174,15 @@ def _product_terms(u: str, v: str) -> dict[str, int]:
         junction = _junction(key, _product_terms(last, v), _product_terms(u, first), _product_terms(u, v))
 
     if not (prefix or suffix):
-        return junction._terms
+        return junction
     # Junction words start and end with brackets, so reattaching the
     # untouched outer text cannot break alternation or merge terms.
-    return {prefix + w + suffix: c for w, c in junction._terms.items()}
+    return {prefix + w + suffix: c for w, c in junction.items()}
 
 
-def _junction(key: tuple[str, str], left: dict[str, int], right: dict[str, int], inner: dict[str, int]) -> LinComb:
+def _junction(
+    key: tuple[str, str], left: dict[str, int], right: dict[str, int], inner: dict[str, int]
+) -> dict[str, int]:
     """Cache and return the junction ``[u] . [v]`` of ``key`` from ``[u] . v``, ``u . [v]`` and ``u . v``."""
     data = {f"[{w}]": c for w, c in left.items()}
     get = data.get
@@ -190,18 +194,35 @@ def _junction(key: tuple[str, str], left: dict[str, int], right: dict[str, int],
         w = f"[[{w}]]"
         acc = get(w)
         data[w] = -c if acc is None else acc - c
-    junction = _wrap({w: c for w, c in data.items() if c})
+    junction = {w: c for w, c in data.items() if c}
     if len(_PRODUCT_CACHE) >= _PRODUCT_CACHE_LIMIT:
         _PRODUCT_CACHE.clear()
     _PRODUCT_CACHE[key] = junction
     return junction
 
 
-def product_words(u: str, v: str) -> LinComb:
-    """Product of two basis words as a linear combination of words."""
-    terms = _product_terms(u, v)
-    junction = _PRODUCT_CACHE.get((u, v))
-    return junction if junction is not None and junction._terms is terms else _wrap(terms)
+def _terms_times(ta: dict[str, int], tb: dict[str, int]) -> dict[str, int]:
+    """The nonzero terms of ``ta`` times ``tb``, integer terms on word texts, checked against the term cap."""
+    data: dict[str, int] = {}
+    get = data.get
+    for wu, cu in ta.items():
+        ends_in_bracket = wu[-1] == "]"
+        for wv, cv in tb.items():
+            scale = cu * cv
+            if not ends_in_bracket or wv[0] != "[":
+                # A letter junction, as in _product_terms: the one word u*v.
+                w = wu + "*" + wv
+                acc = get(w)
+                data[w] = scale if acc is None else acc + scale
+                continue
+            for w, c in _product_terms(wu, wv).items():
+                c *= scale
+                acc = get(w)
+                data[w] = c if acc is None else acc + c
+    data = {w: c for w, c in data.items() if c}
+    if len(data) > _max_terms:
+        _over_cap(len(data))
+    return data
 
 
 def product(a: LinComb, b: LinComb) -> LinComb:
@@ -210,48 +231,24 @@ def product(a: LinComb, b: LinComb) -> LinComb:
     Raises :class:`TooManyTerms` when the result has more terms than
     the cap (see :func:`command_scope`).
     """
-    if len(a._terms) == 1 and len(b._terms) == 1:
-        ((wu, cu),) = a._terms.items()
-        ((wv, cv),) = b._terms.items()
-        scale = cu * cv
-        if wu[-1] != "]" or wv[0] != "[":
-            # A letter junction, as in _product_terms: the one word u*v.
-            result = _wrap({wu + "*" + wv: scale if type(scale) is int else _int_if_integral(scale)})
-        else:
-            result = _wrap(_product_terms(wu, wv))
-            if scale != 1:
-                result = result.scale(scale)
-    else:
+    if len(a._terms) != 1 or len(b._terms) != 1:
         # Integer numerators over one denominator per operand, so the
-        # sums below run on ints; each result term is divided once.
+        # kernel runs on ints; each result term is divided once.
         ta, da = _numerators(a._terms)
         tb, db = _numerators(b._terms)
-        data: dict[str, int] = {}
-        get = data.get
-        for wu, cu in ta.items():
-            ends_in_bracket = wu[-1] == "]"
-            for wv, cv in tb.items():
-                scale = cu * cv
-                if not ends_in_bracket or wv[0] != "[":
-                    # A letter junction, as in _product_terms: the one word u*v.
-                    w = wu + "*" + wv
-                    acc = get(w)
-                    data[w] = scale if acc is None else acc + scale
-                    continue
-                unit = scale == 1
-                for w, c in _product_terms(wu, wv).items():
-                    if not unit:
-                        c = scale * c
-                    acc = get(w)
-                    data[w] = c if acc is None else acc + c
+        data = _terms_times(ta, tb)
         d = da * db
-        if d == 1:
-            result = _wrap({w: c for w, c in data.items() if c})
-        else:
-            result = _wrap({w: _divide(c, d) for w, c in data.items() if c})
+        return _wrap(data if d == 1 else {w: _divide(c, d) for w, c in data.items()})
+    ((wu, cu),) = a._terms.items()
+    ((wv, cv),) = b._terms.items()
+    scale = cu * cv
+    if wu[-1] != "]" or wv[0] != "[":
+        # A letter junction, as in _product_terms: the one word u*v.
+        return _wrap({wu + "*" + wv: scale if type(scale) is int else _int_if_integral(scale)})
+    result = _wrap(_product_terms(wu, wv))
     if len(result._terms) > _max_terms:
         _over_cap(len(result._terms))
-    return result
+    return result if scale == 1 else result.scale(scale)
 
 
 def _over_cap(terms: int) -> None:
@@ -267,31 +264,16 @@ def _lincomb(side: str | dict[str, int]) -> LinComb:
     return _wrap({side: 1} if type(side) is str else dict(side))
 
 
-def _times(side: str | dict[str, int], v: str, left: bool = False) -> str | dict[str, int]:
-    """The sweep side of ``side`` times the word ``v``, or ``v`` times ``side`` when ``left``.
+def _times(a: str | dict[str, int], b: str | dict[str, int]) -> str | dict[str, int]:
+    """The sweep side of ``a`` times ``b``, each a sweep side.
 
     The result is checked against the term cap as :func:`product` checks it.
     """
-    if type(side) is str:
-        u, w = (v, side) if left else (side, v)
-        if u[-1] != "]" or w[0] != "[":
-            return u + "*" + w
-        data = _product_terms(u, w)
-    else:
-        data = {}
-        get = data.get
-        for x, c in side.items():
-            u, w = (v, x) if left else (x, v)
-            if u[-1] != "]" or w[0] != "[":
-                w = u + "*" + w
-                acc = get(w)
-                data[w] = c if acc is None else acc + c
-                continue
-            for t, d in _product_terms(u, w).items():
-                d *= c
-                acc = get(t)
-                data[t] = d if acc is None else acc + d
-        data = {w: c for w, c in data.items() if c}
+    if type(a) is not str or type(b) is not str:
+        return _side(_terms_times({a: 1} if type(a) is str else a, {b: 1} if type(b) is str else b))
+    if a[-1] != "]" or b[0] != "[":
+        return a + "*" + b
+    data = _product_terms(a, b)
     if len(data) > _max_terms:
         _over_cap(len(data))
     return _side(data)
@@ -389,7 +371,7 @@ def first_nonassociative_triple(
                 bc = right_factors[k]
                 # A text side at a letter junction is one concatenation.
                 lhs = ab + "*" + c if ab_run or ab_text and c[0] != "[" else _times(ab, c)
-                rhs = a + "*" + bc if type(bc) is str and (a_run or bc[0] != "[") else _times(bc, a, True)
+                rhs = a + "*" + bc if type(bc) is str and (a_run or bc[0] != "[") else _times(a, bc)
                 if lhs != rhs:
                     return CheckReport(False, "associativity", (i, j, k), _lincomb(lhs), _lincomb(rhs))
     return None

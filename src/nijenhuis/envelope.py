@@ -85,9 +85,6 @@ __all__ = [
     "check_morphism_kills_generators",
     "Membership",
     "truncated_ideal_membership",
-    "fixture_projection",
-    "fixture_scaling",
-    "fixture_swap",
 ]
 
 
@@ -525,24 +522,3 @@ def truncated_ideal_membership(
                 keep(product(row, m))
 
     return Membership.MEMBER if candidate._terms in space else Membership.NOT_DETECTED
-
-
-def _componentwise(op: list[list[RationalLike]]) -> NijenhuisAlgebraFD:
-    """The componentwise product on two coordinates, with the operator matrix ``op``."""
-    mult = [[[int(i == j == k) for k in range(2)] for j in range(2)] for i in range(2)]
-    return NijenhuisAlgebraFD(2, mult, LinearMap(op))
-
-
-def fixture_projection() -> NijenhuisAlgebraFD:
-    """Componentwise product on two coordinates; operator keeps the first."""
-    return _componentwise([[1, 0], [0, 0]])
-
-
-def fixture_scaling(lam: RationalLike) -> NijenhuisAlgebraFD:
-    """Componentwise product; operator is the given scalar multiple of the identity."""
-    return _componentwise([[lam, 0], [0, lam]])
-
-
-def fixture_swap() -> NijenhuisAlgebraFD:
-    """Componentwise product with the coordinate swap; fails the operator identity."""
-    return _componentwise([[0, 1], [1, 0]])

@@ -53,7 +53,6 @@ __all__ = [
     "DimensionMismatch",
     "RowSpace",
     "span",
-    "rank",
 ]
 
 # A string, since ``fractions`` is not loaded here (see the module docstring).
@@ -457,8 +456,3 @@ def span(rows: Iterable[Sequence[RationalLike]]) -> RowSpace:
     for row in rows:
         space.add({col: x for col, x in enumerate(map(rational, row)) if x})
     return space
-
-
-def rank(rows: Iterable[Sequence[RationalLike]]) -> int:
-    """Dimension of the span of dense rows."""
-    return len(span(rows))

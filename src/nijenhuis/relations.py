@@ -45,7 +45,6 @@ __all__ = [
     "relation_monomials",
     "relation_matrix",
     "solve_relation_space",
-    "check_relation_universal",
     "relation_space_contains",
     "relation_sets_span_equal",
 ]
@@ -77,18 +76,6 @@ class RelVector:
     def right(self) -> Grid:
         c = self._coords
         return (c[9:12], c[12:15], c[15:18])
-
-    @classmethod
-    def zero(cls) -> "RelVector":
-        return cls((0,) * 18)
-
-    @classmethod
-    def unit_left(cls, i: int, j: int) -> "RelVector":
-        return cls(_unit(18, 3 * i + j))
-
-    @classmethod
-    def unit_right(cls, i: int, j: int) -> "RelVector":
-        return cls(_unit(18, 9 + 3 * i + j))
 
     def __eq__(self, other: object) -> bool:
         return self._coords == other._coords if type(other) is RelVector else NotImplemented
@@ -193,16 +180,8 @@ def evaluate_relation(rel: RelVector, x: LinComb, y: LinComb, z: LinComb) -> Lin
     return lhs - rhs
 
 
-def _generator_triple() -> tuple[LinComb, LinComb, LinComb]:
-    return (
-        LinComb.from_word(letter_word("x")),
-        LinComb.from_word(letter_word("y")),
-        LinComb.from_word(letter_word("z")),
-    )
-
-
 def _unit_evaluations() -> tuple[tuple[LinComb, ...], tuple[str, ...]]:
-    x, y, z = _generator_triple()
+    x, y, z = (LinComb.from_word(letter_word(name)) for name in "xyz")
     evals = tuple(evaluate_relation(RelVector(_unit(18, k)), x, y, z) for k in range(18))
     seen: set[str] = set()
     for value in evals:
@@ -236,15 +215,6 @@ def solve_relation_space() -> tuple[RelVector, ...]:
     coordinate set to 1.
     """
     return tuple(map(RelVector, span(relation_matrix()).kernel(range(18))))
-
-
-def check_relation_universal(rel: RelVector) -> bool:
-    """Whether the candidate holds identically in every such algebra.
-
-    Freeness makes the generator evaluation decisive.
-    """
-    x, y, z = _generator_triple()
-    return evaluate_relation(rel, x, y, z).is_zero()
 
 
 def relation_space_contains(rel: RelVector) -> bool:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from itertools import product as cartesian
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -35,6 +37,19 @@ def one_command_per_test():
     """Each test runs inside :func:`command_scope`, as each command of the CLI does."""
     with command_scope():
         yield
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def load_algebra(name: str):
+    """The operator algebra committed as ``tests/fixtures/<name>.json``."""
+    return envelope.NijenhuisAlgebraFD.from_json_obj(json.loads((FIXTURES / f"{name}.json").read_text()))
+
+
+def scaling_algebra(lam):
+    """The componentwise product of the projection fixture, with ``lam`` times the identity as operator."""
+    return envelope.NijenhuisAlgebraFD(2, load_algebra("projection").mult, envelope.LinearMap([[lam, 0], [0, lam]]))
 
 
 ALPHABET_XY = generators("x", "y")

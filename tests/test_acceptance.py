@@ -28,13 +28,10 @@ from nijenhuis.envelope import (
     check_ns_axioms,
     default_names,
     enveloping_generators,
-    fixture_projection,
-    fixture_scaling,
-    fixture_swap,
     induced_ns,
     truncated_ideal_membership,
 )
-from nijenhuis.linalg import LinComb, rank
+from nijenhuis.linalg import LinComb, span
 from nijenhuis.parser import eval_expr, parse_expr, print_canonical
 from nijenhuis.relations import (
     evaluate_relation,
@@ -52,6 +49,8 @@ from nijenhuis.words import (
     size,
     words_up_to_size,
 )
+
+from conftest import load_algebra, scaling_algebra
 
 XY = generators("x", "y")
 XYZ = generators("x", "y", "z")
@@ -81,7 +80,7 @@ def test_criterion_01_relation_space_rederived():
     assert len(monomials) == 13
     matrix = relation_matrix()
     assert len(matrix) == 13 and all(len(row) == 18 for row in matrix)
-    assert rank(matrix) == 13
+    assert len(span(matrix)) == 13
     basis = solve_relation_space()
     assert len(basis) == 5
     assert relation_sets_span_equal(basis, ndendriform_relation_set())
@@ -94,7 +93,7 @@ def test_criterion_02_four_family_containment():
     assert len(four) == 4
     for rel in four:
         assert relation_space_contains(rel)
-    assert rank(r.coords for r in four) == 4
+    assert len(span(r.coords for r in four)) == 4
     assert not relation_sets_span_equal(four, ndendriform_relation_set())
 
 
@@ -149,16 +148,16 @@ def test_criterion_07_star_associativity():
 
 @criterion(8, "structure-constant fixtures pass and fail exactly as expected")
 def test_criterion_08_fixture_battery():
-    assert check_nijenhuis_fd(fixture_projection()).ok
+    assert check_nijenhuis_fd(load_algebra("projection")).ok
     for lam in (0, 1, 2, Fraction(1, 2)):
-        assert check_nijenhuis_fd(fixture_scaling(lam)).ok
-    report = check_nijenhuis_fd(fixture_swap())
+        assert check_nijenhuis_fd(scaling_algebra(lam)).ok
+    report = check_nijenhuis_fd(load_algebra("swap"))
     assert not report.ok
     assert report.kind == "operator-identity"
     assert report.indices == (0, 0)
     assert report.lhs == (Fraction(0), Fraction(1))
     assert report.rhs == (Fraction(-1), Fraction(0))
-    split = induced_ns(fixture_projection())
+    split = induced_ns(load_algebra("projection"))
     assert split.prec[0][0] == (Fraction(1), Fraction(0))
     assert split.prec[1][1] == (Fraction(0), Fraction(0))
     assert split.bullet[0][0] == (Fraction(-1), Fraction(0))
@@ -170,7 +169,7 @@ def test_criterion_08_fixture_battery():
 def test_criterion_09_enveloping_pipeline():
     from nijenhuis.envelope import LinearMap, check_morphism_kills_generators
 
-    algebra = fixture_projection()
+    algebra = load_algebra("projection")
     split = induced_ns(algebra)
     names = default_names(2)
     gens = enveloping_generators(split, names)

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 from hypothesis import given
 
-from nijenhuis.algebra import COORD_OPS, OpSymbol, derived_op, operator_n, product, product_words
+from nijenhuis import algebra
+from nijenhuis.algebra import COORD_OPS, OpSymbol, derived_op, operator_n, product
 from nijenhuis.linalg import LinComb
 from nijenhuis.words import (
     generators,
@@ -122,7 +123,7 @@ def test_product_preserves_ends_and_adds_sizes(u, v):
     # Whether a word starts, and ends, with a bracket factor.
     hu, tu = u.startswith("["), u.endswith("]")
     hv, tv = v.startswith("["), v.endswith("]")
-    result = product_words(u, v)
+    result = product(LinComb.from_word(u), LinComb.from_word(v))
     assert not result.is_zero()
     for term, _ in result:
         assert (term.startswith("["), term.endswith("]")) == (hu, tv)
@@ -133,7 +134,7 @@ def test_product_preserves_ends_and_adds_sizes(u, v):
 def test_mixed_junction_gives_single_word(u, v):
     tu, hv = u.endswith("]"), v.startswith("[")
     if tu != hv:
-        result = product_words(u, v)
+        result = product(LinComb.from_word(u), LinComb.from_word(v))
         items = result.items()
         assert len(items) == 1
         assert items[0][1] == Fraction(1)
@@ -146,10 +147,11 @@ def test_product_bilinear_in_combinations(a, b, c):
 
 
 def test_word_product_memoized():
+    # A bracket junction's terms are the cache's own dict, read again as it is.
     u, v = word("[x]"), word("[y]")
-    first = product_words(u, v)
-    second = product_words(u, v)
-    assert first is second
+    first = algebra._product_terms(u, v)
+    assert first is algebra._PRODUCT_CACHE[(u, v)]
+    assert algebra._product_terms(u, v) is first
 
 
 def test_coefficient_arithmetic_stays_rational():

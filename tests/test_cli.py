@@ -9,7 +9,6 @@ import os
 import pkgutil
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -22,9 +21,6 @@ from nijenhuis.envelope import (
     LinearMap,
     NijenhuisAlgebraFD,
     enveloping_generators,
-    fixture_projection,
-    fixture_scaling,
-    fixture_swap,
     induced_ns,
 )
 from nijenhuis.linalg import LinComb
@@ -32,7 +28,7 @@ from nijenhuis.parser import ParseError, eval_expr, parse_expr, print_canonical
 from nijenhuis.relations import RelVector, ndendriform_relation_set, solve_relation_space
 from nijenhuis.words import MAX_NESTING, UsageError, word
 
-FIXTURES = Path(__file__).parent / "fixtures"
+from conftest import FIXTURES, load_algebra
 
 
 def run(capsys, *argv):
@@ -282,7 +278,7 @@ def test_relation_checks_pass(capsys):
 
 
 def test_relation_check_reports_the_first_failure(capsys, monkeypatch):
-    bad = (*ndendriform_relation_set()[:1], RelVector.unit_left(0, 1), RelVector.unit_right(2, 2))
+    bad = (*ndendriform_relation_set()[:1], *(RelVector([int(k == n) for k in range(18)]) for n in (1, 17)))
     monkeypatch.setattr(relations, "ns_relation_set", lambda: bad)
     code, out, _ = run(capsys, "ns-check")
     assert (code, out) == (1, "four-family relation 2 fails: residue [x*[y]]*z\n")
@@ -381,7 +377,7 @@ def test_induce_ns_round_trips(capsys):
     from nijenhuis.envelope import NSAlgebraFD
 
     parsed = NSAlgebraFD.from_json_obj(json.loads(out))
-    assert parsed == induced_ns(fixture_projection())
+    assert parsed == induced_ns(load_algebra("projection"))
 
 
 def test_induce_ns_prints_the_same_text_plain_and_json(capsys):

@@ -8,12 +8,15 @@ expressions and generator lists, with ``NF_MAX_TERMS`` unset or from 1
 to 3, and ``ns-check`` and ``ndend-check`` on the generator lists.
 ``assoc-check`` and ``nijenhuis-check`` run on alphabets with repeated,
 malformed or empty names, or commas alone, at sizes from -1 to 3, with
-``NF_MAX_TERMS`` unset or from 1 to 3.  ``fd-check`` and ``induce-ns`` run on algebra
-files of either kind with shape, type and numeral faults, missing
-keys, or text that is not JSON.  Every run must end in exit code 0, 1
-or 2 with no exception escaping; a usage error (2) must say why on
-stderr, with an ``error:`` line or the usage text.  Bounds stay at 5
-or below, sizes at 3 and dimensions at 3, so each example is small.
+``NF_MAX_TERMS`` unset or from 1 to 3.  ``fd-check``, ``induce-ns`` and
+``env-generators`` run on algebra files of either kind with shape, type
+and numeral faults, missing keys, or text that is not JSON, and
+``morphism-check`` on two such files and a map file.
+``solve-relspace`` runs with stray tokens after it and ``NF_MAX_TERMS``
+unset or from 1 to 3.  Every run must end in exit code 0, 1 or 2 with
+no exception escaping; a usage error (2) must say why on stderr, with an
+``error:`` line or the usage text.  Bounds stay at 5 or below, sizes at
+3 and dimensions at 3, so each example is small.
 """
 
 from __future__ import annotations
@@ -216,6 +219,9 @@ def algebra_texts(draw) -> str:
     return json.dumps(obj)
 
 
+algebra_files = algebra_texts() | st.sampled_from(['{"mult": [', "", "[1, 2]", "null", '{"op": [["1"]]}'])
+
+
 @pytest.fixture(scope="module")
 def algebra_path(tmp_path_factory) -> Path:
     return tmp_path_factory.mktemp("fuzz") / "algebra.json"
@@ -224,7 +230,42 @@ def algebra_path(tmp_path_factory) -> Path:
 @settings(max_examples=150)
 @given(data=st.data())
 def test_the_algebra_file_commands_end_in_a_documented_exit_code(algebra_path, data):
-    texts = algebra_texts() | st.sampled_from(['{"mult": [', "", "[1, 2]", "null", '{"op": [["1"]]}'])
-    algebra_path.write_text(data.draw(texts), encoding="utf-8")
+    algebra_path.write_text(data.draw(algebra_files), encoding="utf-8")
     command = data.draw(st.sampled_from(["fd-check", "induce-ns"]))
     check_documented([command, *data.draw(flags), str(algebra_path)])
+
+
+def algebra_file(data, path: Path) -> str:
+    """A committed algebra file, or ``path`` holding a generated one."""
+    path.write_text(data.draw(algebra_files), encoding="utf-8")
+    return data.draw(st.sampled_from([str(path), *(str(FIXTURES / name) for name in ALGEBRAS)]))
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_env_generators_ends_in_a_documented_exit_code(algebra_path, data):
+    source = algebra_file(data, algebra_path)
+    check_documented(["env-generators", *data.draw(flags), source, *data.draw(generator_options)])
+
+
+@pytest.fixture(scope="module")
+def target_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz") / "target.json"
+
+
+MAPS = ("identity_map.json", "shear_map.json")
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_morphism_check_ends_in_a_documented_exit_code(algebra_path, target_path, map_path, data):
+    source, target = algebra_file(data, algebra_path), algebra_file(data, target_path)
+    map_path.write_text(data.draw(map_texts), encoding="utf-8")
+    mapfile = data.draw(st.sampled_from([str(map_path), *(str(FIXTURES / name) for name in MAPS)]))
+    check_documented(["morphism-check", *data.draw(flags), source, target, mapfile])
+
+
+@settings(max_examples=40)
+@given(st.lists(st.sampled_from(["--json", "x", "--bound", "3", "-1", "--", "--jso", "-h"]), max_size=3), caps)
+def test_solve_relspace_ends_in_a_documented_exit_code(tokens, cap):
+    run_capped(["solve-relspace", *tokens], cap)

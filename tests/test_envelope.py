@@ -26,16 +26,13 @@ from nijenhuis.envelope import (
     default_names,
     enveloping_generators,
     evaluate_hom,
-    fixture_projection,
-    fixture_scaling,
-    fixture_swap,
     induced_ns,
     truncated_ideal_membership,
 )
 from nijenhuis.linalg import DimensionMismatch, LinComb, Vector
 from nijenhuis.words import WordError, letter_word, word, words_up_to_size
 
-from conftest import closure_rows, ideal_candidates_strategy
+from conftest import closure_rows, ideal_candidates_strategy, load_algebra, scaling_algebra
 
 E1, E2 = default_names(2)
 
@@ -49,16 +46,16 @@ def unit(i: int) -> tuple:
 
 
 def test_projection_fixture_passes():
-    assert check_nijenhuis_fd(fixture_projection()).ok
+    assert check_nijenhuis_fd(load_algebra("projection")).ok
 
 
 @pytest.mark.parametrize("lam", [0, 1, 2, "1/2", -3])
 def test_scaling_fixtures_pass(lam):
-    assert check_nijenhuis_fd(fixture_scaling(lam)).ok
+    assert check_nijenhuis_fd(scaling_algebra(lam)).ok
 
 
 def test_swap_fixture_fails_with_exact_counterexample():
-    report = check_nijenhuis_fd(fixture_swap())
+    report = check_nijenhuis_fd(load_algebra("swap"))
     assert not report.ok
     assert report.kind == "operator-identity"
     assert report.indices == (0, 0)
@@ -68,7 +65,7 @@ def test_swap_fixture_fails_with_exact_counterexample():
 
 def test_broken_associativity_detected():
     # perturb one structure constant of the componentwise product
-    base = fixture_projection()
+    base = load_algebra("projection")
     mult = [[[c for c in base.mult[i][j]] for j in range(2)] for i in range(2)]
     mult[0][1][0] = Fraction(1)
     broken = NijenhuisAlgebraFD(2, tuple(tuple(tuple(r) for r in p) for p in mult), base.op)
@@ -78,7 +75,7 @@ def test_broken_associativity_detected():
 
 
 def test_induced_ns_values_for_projection():
-    m = induced_ns(fixture_projection())
+    m = induced_ns(load_algebra("projection"))
     assert m.prec[0][0] == unit(0)
     assert m.prec[1][1] == (Fraction(0), Fraction(0))
     assert m.succ[0][0] == unit(0)
@@ -88,18 +85,18 @@ def test_induced_ns_values_for_projection():
 
 def test_induced_ns_requires_valid_input():
     with pytest.raises(InvalidInput):
-        induced_ns(fixture_swap())
+        induced_ns(load_algebra("swap"))
 
 
 def test_induced_ns_satisfies_both_relation_families():
-    for alg in (fixture_projection(), fixture_scaling(2), fixture_scaling("1/3")):
+    for alg in (load_algebra("projection"), scaling_algebra(2), scaling_algebra("1/3")):
         m = induced_ns(alg)
         assert check_ns_axioms(m).ok
         assert check_ndendriform_axioms(m).ok
 
 
 def test_relation_sweep_catches_perturbation():
-    m = induced_ns(fixture_projection())
+    m = induced_ns(load_algebra("projection"))
     prec = [[[c for c in m.prec[i][j]] for j in range(2)] for i in range(2)]
     prec[0][0][1] = Fraction(1)
     broken = NSAlgebraFD(2, tuple(tuple(tuple(r) for r in p) for p in prec), m.succ, m.bullet)
@@ -109,14 +106,14 @@ def test_relation_sweep_catches_perturbation():
 
 
 def test_star_operation_in_fd_algebra():
-    m = induced_ns(fixture_projection())
+    m = induced_ns(load_algebra("projection"))
     star = m.op_product(OpSymbol.STAR, unit(0), unit(0))
     # prec + succ + bullet = e1 + e1 - e1
     assert star == unit(0)
 
 
 def test_enveloping_generator_count_and_values():
-    m = induced_ns(fixture_projection())
+    m = induced_ns(load_algebra("projection"))
     gens = enveloping_generators(m)
     assert len(gens) == 3 * m.dim * m.dim
     assert gens[0] == lc("e1") - lc("e1*[e1]")
@@ -129,14 +126,14 @@ def test_enveloping_generator_count_and_values():
 
 
 def test_enveloping_generators_name_arity():
-    m = induced_ns(fixture_projection())
+    m = induced_ns(load_algebra("projection"))
     with pytest.raises(ArityMismatch):
         enveloping_generators(m, default_names(3))
 
 
 @pytest.mark.parametrize("names", [("x", "x"), ("e1", "2x"), ("", "e2")])
 def test_generator_names_must_be_distinct_identifiers(names):
-    alg = fixture_projection()
+    alg = load_algebra("projection")
     x = LinComb.from_word(letter_word("x"))
     with pytest.raises(WordError):
         evaluate_hom(alg, LinearMap.identity(2), x, names)
@@ -147,7 +144,7 @@ def test_generator_names_must_be_distinct_identifiers(names):
 
 
 def test_evaluate_hom_base_cases():
-    alg = fixture_projection()
+    alg = load_algebra("projection")
     f = LinearMap.identity(2)
     names = default_names(2)
     assert evaluate_hom(alg, f, lc("e1"), names) == unit(0)
@@ -160,7 +157,7 @@ def test_evaluate_hom_base_cases():
 
 
 def test_evaluate_hom_is_multiplicative_and_operator_compatible():
-    alg = fixture_projection()
+    alg = load_algebra("projection")
     f = LinearMap.identity(2)
     names = default_names(2)
 
@@ -176,14 +173,14 @@ def test_evaluate_hom_is_multiplicative_and_operator_compatible():
 
 
 def test_evaluate_hom_unknown_generator():
-    alg = fixture_projection()
+    alg = load_algebra("projection")
     f = LinearMap.identity(2)
     with pytest.raises(UnknownGenerator):
         evaluate_hom(alg, f, lc("q"), default_names(2))
 
 
 def test_evaluate_hom_shape_checks():
-    alg = fixture_projection()
+    alg = load_algebra("projection")
     with pytest.raises(DimensionMismatch):
         evaluate_hom(alg, LinearMap.identity(3), lc("e1"), default_names(2))
     with pytest.raises(DimensionMismatch):
@@ -191,13 +188,13 @@ def test_evaluate_hom_shape_checks():
 
 
 def test_morphism_check_passes_for_identity():
-    alg = fixture_projection()
+    alg = load_algebra("projection")
     m = induced_ns(alg)
     assert check_morphism_kills_generators(m, alg, LinearMap.identity(2)).ok
 
 
 def test_morphism_check_detects_wrong_map():
-    alg = fixture_projection()
+    alg = load_algebra("projection")
     m = induced_ns(alg)
     wrong = LinearMap([[1, 1], [0, 1]])
     report = check_morphism_kills_generators(m, alg, wrong)
@@ -206,7 +203,7 @@ def test_morphism_check_detects_wrong_map():
 
 
 def test_generators_die_under_evaluation():
-    alg = fixture_projection()
+    alg = load_algebra("projection")
     m = induced_ns(alg)
     f = LinearMap.identity(2)
     names = default_names(2)
@@ -217,7 +214,7 @@ def test_generators_die_under_evaluation():
 
 
 def test_ideal_membership_detects_generators():
-    m = induced_ns(fixture_projection())
+    m = induced_ns(load_algebra("projection"))
     gens = enveloping_generators(m)
     assert truncated_ideal_membership(gens, gens[0], 4) is Membership.MEMBER
     assert truncated_ideal_membership(gens, operator_n(gens[0]), 4) is Membership.MEMBER
@@ -226,21 +223,21 @@ def test_ideal_membership_detects_generators():
 
 
 def test_ideal_membership_product_closure():
-    m = induced_ns(fixture_projection())
+    m = induced_ns(load_algebra("projection"))
     gens = enveloping_generators(m)
     shifted = product(lc("e2"), gens[0])
     assert truncated_ideal_membership(gens, shifted, 5) is Membership.MEMBER
 
 
 def test_ideal_membership_not_detected_for_letters():
-    m = induced_ns(fixture_projection())
+    m = induced_ns(load_algebra("projection"))
     gens = enveloping_generators(m)
     assert truncated_ideal_membership(gens, lc("e1"), 4) is Membership.NOT_DETECTED
     assert truncated_ideal_membership(gens, lc("e2"), 4) is Membership.NOT_DETECTED
 
 
 def test_ideal_membership_monotone_on_fixture_cases():
-    m = induced_ns(fixture_projection())
+    m = induced_ns(load_algebra("projection"))
     gens = enveloping_generators(m)
     for candidate in (gens[0], operator_n(gens[3])):
         assert truncated_ideal_membership(gens, candidate, 4) is Membership.MEMBER
@@ -250,14 +247,14 @@ def test_ideal_membership_monotone_on_fixture_cases():
 def test_ideal_membership_closes_the_span():
     # Each is e1*e2 times a letter.  Queued as raw products, the closure
     # missed both at bound 4 and found them only at bound 5.
-    gens = enveloping_generators(induced_ns(fixture_projection()))
+    gens = enveloping_generators(induced_ns(load_algebra("projection")))
     for text in ("e1*e2*e1", "e2*e1*e1"):
         assert truncated_ideal_membership(gens, lc(text), 4) is Membership.MEMBER
 
 
 @pytest.mark.parametrize("bound, dimension", [(4, 92), (5, 396), (6, 1740)])
 def test_ideal_closure_does_not_depend_on_generator_order(monkeypatch, bound, dimension):
-    gens = list(enveloping_generators(induced_ns(fixture_projection())))
+    gens = list(enveloping_generators(induced_ns(load_algebra("projection"))))
     rows = closure_rows(monkeypatch, gens, bound)
     assert len(rows) == dimension
     orders = [gens[::-1]] + [random.Random(seed).sample(gens, len(gens)) for seed in range(3)]
@@ -267,7 +264,7 @@ def test_ideal_closure_does_not_depend_on_generator_order(monkeypatch, bound, di
 
 @given(data=st.data())
 def test_ideal_membership_is_monotone_in_the_bound(data):
-    gens = enveloping_generators(induced_ns(fixture_projection()))
+    gens = enveloping_generators(induced_ns(load_algebra("projection")))
     candidate = data.draw(ideal_candidates_strategy(words_up_to_size((E1, E2), 3), gens))
     bound = data.draw(st.sampled_from((4, 5)))
     if truncated_ideal_membership(gens, candidate, bound) is Membership.MEMBER:
@@ -275,7 +272,7 @@ def test_ideal_membership_is_monotone_in_the_bound(data):
 
 
 def test_ideal_membership_zero_and_bound():
-    m = induced_ns(fixture_projection())
+    m = induced_ns(load_algebra("projection"))
     gens = enveloping_generators(m)
     assert truncated_ideal_membership(gens, LinComb(), 3) is Membership.MEMBER
     with pytest.raises(BoundTooSmall):
@@ -297,7 +294,7 @@ def test_vector_inputs_are_coerced_or_rejected():
     # entry point given plain coordinates: a float, a bool or a malformed
     # string fails either way, and a wrong length is still a
     # DimensionMismatch.
-    alg, f = fixture_scaling("3/2"), LinearMap([[1, "1/2"], [0, 1]])
+    alg, f = scaling_algebra("3/2"), LinearMap([[1, "1/2"], [0, 1]])
     assert alg.mul(Vector(("1/2", "2")), Vector(("4", 1))) == (2, 2)
     assert alg.apply_op(Vector(("2/3", "-2"))) == (1, -3)
     assert f.apply(Vector(("1", "2"))) == (2, 2)
@@ -314,7 +311,7 @@ def test_vector_inputs_are_coerced_or_rejected():
 
 
 def test_algebra_json_round_trips():
-    alg = fixture_projection()
+    alg = load_algebra("projection")
     again = NijenhuisAlgebraFD.from_json_obj(json.loads(json.dumps(alg.to_json_obj())))
     assert again == alg
     m = induced_ns(alg)
@@ -326,4 +323,4 @@ def test_tensor_shape_validation():
     with pytest.raises(ArityMismatch):
         NijenhuisAlgebraFD(2, ((), ()), LinearMap.identity(2))
     with pytest.raises(DimensionMismatch):
-        NijenhuisAlgebraFD(2, fixture_projection().mult, LinearMap.identity(3))
+        NijenhuisAlgebraFD(2, load_algebra("projection").mult, LinearMap.identity(3))

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from nijenhuis.linalg import RowSpace, rank, span
+from nijenhuis.linalg import RowSpace, span
 
 
 def reference_rref(rows: list[list[int]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -70,14 +70,14 @@ def matrices(draw):
 @given(matrices())
 def test_rank_matches_reference(m):
     rows, cols = m
-    assert rank(rows) == reference_rank(rows, cols)
+    assert len(span(rows)) == reference_rank(rows, cols)
 
 
 @given(matrices())
 def test_rank_of_the_transpose_is_the_rank(m):
     rows, cols = m
     transpose = [[row[c] for row in rows] for c in range(cols)]
-    assert rank(rows) == rank(transpose)
+    assert len(span(rows)) == len(span(transpose))
 
 
 @given(matrices())

@@ -29,24 +29,23 @@ EXPORTS = {
     "algebra": (
         "COORD_OPS", "CheckReport", "OpSymbol", "TooManyTerms", "derived_op",
         "first_nonassociative_triple", "first_operator_identity_failure", "operator_n", "product",
-        "product_words",
     ),
     "envelope": (
         "ArityMismatch", "BoundTooSmall", "InvalidInput", "LinearMap", "Membership", "NSAlgebraFD",
         "NijenhuisAlgebraFD", "UnknownGenerator", "check_morphism_kills_generators",
         "check_ndendriform_axioms", "check_nijenhuis_fd", "check_ns_axioms", "check_relations_fd",
-        "default_names", "enveloping_generators", "evaluate_hom", "fixture_projection",
-        "fixture_scaling", "fixture_swap", "induced_ns", "truncated_ideal_membership",
+        "default_names", "enveloping_generators", "evaluate_hom", "induced_ns",
+        "truncated_ideal_membership",
     ),
-    "linalg": ("DimensionMismatch", "LinComb", "RowSpace", "rank", "rational"),
+    "linalg": ("DimensionMismatch", "LinComb", "RowSpace", "rational"),
     "parser": (
         "EvalError", "ParseError", "UnknownIdentifier", "eval_expr", "parse_expr",
         "print_canonical",
     ),
     "relations": (
-        "RelVector", "check_relation_universal", "evaluate_relation", "ndendriform_relation_set",
-        "ns_relation_set", "relation_matrix", "relation_monomials", "relation_sets_span_equal",
-        "relation_space_contains", "solve_relation_space",
+        "RelVector", "evaluate_relation", "ndendriform_relation_set", "ns_relation_set",
+        "relation_matrix", "relation_monomials", "relation_sets_span_equal", "relation_space_contains",
+        "solve_relation_space",
     ),
     "words": (
         "AlternationViolation", "EmptyInput", "WordError", "breadth", "canonical_key",

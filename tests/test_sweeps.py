@@ -203,13 +203,13 @@ def test_the_word_path_checks_the_junction_rule_against_its_own_sum(alphabet, ma
 def test_nijenhuis_check_compares_a_warm_junction_and_keeps_it(monkeypatch, capsys):
     # One wrong entry for ([x], [y]) in a fresh cache: the sweep reads it
     # as the left side at that pair, and never rebuilds it.
-    planted = LinComb.from_word("[[x]*y]")
+    planted = {"[[x]*y]": 1}
     monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {("[x]", "[y]"): planted})
     assert run_command(["nijenhuis-check", "--max-size", "2"]) == 1
     assert capsys.readouterr().out == "operator identity fails at (x, y)\n"
     assert run_command(["nijenhuis-check", "--json", "--max-size", "2"]) == 1
     out = json.loads(capsys.readouterr().out)
-    assert out["pair"] == ["x", "y"] and out["lhs"] == _lincomb_json(planted)
+    assert out["pair"] == ["x", "y"] and out["lhs"] == _lincomb_json(LinComb(planted))
     assert algebra._PRODUCT_CACHE[("[x]", "[y]")] is planted
 
 

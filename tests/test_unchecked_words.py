@@ -1,7 +1,7 @@
 """Words the free product builds unchecked against the checked constructor.
 
-:func:`product`, :func:`product_words` and :func:`operator_n` build the
-text of each word they return by joining canonical texts, with no
+:func:`product`, the word product ``_product_terms`` and :func:`operator_n`
+build the text of each word they return by joining canonical texts, with no
 check.  Every such text must be an exact ``str`` that the checked
 constructor, :func:`word`, and the reference grammar of :mod:`conftest`
 both accept, and the word rebuilt through them must equal it, with the
@@ -21,7 +21,6 @@ from nijenhuis.algebra import (
     first_operator_identity_failure,
     operator_n,
     product,
-    product_words,
 )
 from nijenhuis.linalg import LinComb
 from nijenhuis.parser import eval_expr, parse_expr
@@ -57,19 +56,19 @@ def test_product_words_up_to_size_three_pass_the_checked_constructor():
     assert len(POOL) ** 2 == 900
     for u in POOL:
         for v in POOL:
-            for w in product_words(u, v)._terms:
+            for w in algebra._product_terms(u, v):
                 assert_matches_checked(w)
 
 
 @given(words_strategy(max_size=4), words_strategy(max_size=4))
 def test_product_words_at_size_four_pass_the_checked_constructor(u, v):
-    for w in product_words(u, v)._terms:
+    for w in algebra._product_terms(u, v):
         assert_matches_checked(w)
 
 
 @given(words_strategy(ALPHABET_XYZ, max_size=4), words_strategy(ALPHABET_XYZ, max_size=4))
 def test_product_words_over_three_letters_pass_the_checked_constructor(u, v):
-    for w in product_words(u, v)._terms:
+    for w in algebra._product_terms(u, v):
         assert_matches_checked(w)
 
 
@@ -119,7 +118,7 @@ def test_every_engine_word_is_an_exact_str():
             made.extend(product(a, b)._terms)
     for u in pool[:40]:
         for v in pool[:40]:
-            made.extend(product_words(u, v)._terms)
+            made.extend(algebra._product_terms(u, v))
     expr = parse_expr("3/2*prec(x*[y] - 2/3*y, [x]*y + 5/4*y) - 1/6*[x*y] + succ([x], [[y]]*z)")
     made.extend(eval_expr(expr, xyz)._terms)
     assert len(made) > 5000
@@ -143,7 +142,7 @@ def test_unchecked_letters_match_the_checked_ones():
     for n in range(1, 5):
         for run in cartesian((X, Y), repeat=n):
             for k in range(1, n):
-                (merged,) = product_words(letter_word(*run[:k]), letter_word(*run[k:]))._terms
+                (merged,) = algebra._product_terms(letter_word(*run[:k]), letter_word(*run[k:]))
                 checked = letter_word(*run)
                 assert merged == checked and checked == merged, run
                 assert hash(merged) == hash(checked), run
