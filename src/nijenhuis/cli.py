@@ -261,7 +261,11 @@ def _cmd_ndend_check(args: argparse.Namespace) -> int:
 
 @functools.cache
 def _relation_space_flags() -> tuple[bool, bool]:
-    """Whether the solved basis spans the five-relation family, and whether it contains the four."""
+    """Whether the solved basis spans the five-relation family, and whether it contains the four.
+
+    Cached like the basis itself: a second ``solve-relspace`` in one
+    process takes twice as long when it repeats the two span checks.
+    """
     basis = relations.solve_relation_space()
     return (
         relations.relation_sets_span_equal(basis, relations.ndendriform_relation_set()),
@@ -449,10 +453,10 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
 
     The first token must be a known command.  Options are the command's
     exact flags and ``--json``; a value follows its flag as the next
-    token or after ``=``, and must not start with ``-``.  One ``--`` may
-    come, with at least one argument after it and no second ``--``;
-    every token after it is positional.  Any other token that starts
-    with ``-`` (help, an abbreviation, a negative number), a value that
+    token, and must not start with ``-``.  One ``--`` may come, with at
+    least one argument after it and no second ``--``; every token after
+    it is positional.  Any other token that starts with ``-`` (help, an
+    abbreviation, ``--opt=value``, a negative number), a value that
     ``int`` refuses, a missing required option or a wrong number of
     positionals gives ``None``.
     """
@@ -486,20 +490,18 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
         if token == "--json":
             args.json = True
             continue
-        flag, equals, value = token.partition("=")
-        if flag not in options:
+        if token not in options:
             return None
-        if not equals:
-            value = next(rest, None)
+        value = next(rest, None)
         if value is None or value.startswith("-"):
             return None
-        dest, kwargs = options[flag]
+        dest, kwargs = options[token]
         try:
             value = kwargs.get("type", str)(value)
         except ValueError:
             return None
         setattr(args, dest, value)
-        given.add(flag)
+        given.add(token)
     positionals += tail
     if len(positionals) != len(names):
         return None

@@ -18,7 +18,7 @@ of the right length.  Where many rational terms meet, as in the product
 of two combinations, the work runs on integer numerators over a common
 denominator (:func:`_numerators`), with one division per result term
 (:func:`_divide`, memoized in a bounded cache, so equal quotients share
-one Fraction); printing writes an ``int`` as it is and a Fraction
+one Fraction); printing writes every coefficient, ``int`` or Fraction,
 through its own ``str``.  A result is built around its finished dict by
 :func:`_wrap`, with nothing copied or checked.  :class:`Vector` is the
 one dense coordinate vector, and :class:`RowSpace` the one sparse
@@ -264,26 +264,13 @@ class LinComb:
             return "0"
         pieces: list[str] = []
         for word in canonical_sort(terms):
-            c = terms[word]
-            if type(c) is int:
-                if c == 1:
-                    pieces.append("+ " + word)
-                elif c == -1:
-                    pieces.append("- " + word)
-                elif c > 0:
-                    pieces.append(f"+ {c}*{word}")
-                else:
-                    pieces.append(f"- {-c}*{word}")
-            else:
-                # A Fraction prints as "n/d", its sign on the numerator.
-                text = str(c)
-                if text[0] == "-":
-                    pieces.append(f"- {text[1:]}*{word}")
-                else:
-                    pieces.append(f"+ {text}*{word}")
-        first = pieces[0]
-        pieces[0] = first[2:] if first[0] == "+" else "-" + first[2:]
-        return " ".join(pieces)
+            # One rule for every coefficient: its str, with the sign set
+            # apart and a magnitude of 1 unwritten.
+            text = str(terms[word])
+            sign, text = ("- ", text[1:]) if text[0] == "-" else ("+ ", text)
+            pieces.append(sign + (word if text == "1" else f"{text}*{word}"))
+        text = " ".join(pieces)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"LinComb({self})"

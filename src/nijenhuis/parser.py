@@ -212,12 +212,8 @@ class _Parser:
         if negate:
             self.index += 1
         coeff, node = self.parse_term()
-        tok = tokens[self.index]
-        if tok != "+" and tok != "-" and not negate and coeff == 1 and node is not None:
-            # One term with coefficient 1, such as ``[m]``: its node.
-            self.nesting -= 1
-            return node
         terms: list[tuple[int | Fraction, Expr | None]] = [(-coeff if negate else coeff, node)]
+        tok = tokens[self.index]
         while tok == "+" or tok == "-":
             self.index += 1
             coeff, node = self.parse_term()
@@ -381,6 +377,8 @@ def eval_expr(expr: Expr, declared: Iterable[str]) -> LinComb:
         if cls is BracketApply:
             return operator_n(walk(node.child))
         if cls is Sum:
+            # One dict for the whole sum: added up as LinCombs, eval and
+            # mul run 6-7% slower.
             data: dict[str, int | Fraction] = {}
             get = data.get
             for coeff, child in node.terms:

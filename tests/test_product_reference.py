@@ -17,7 +17,7 @@ from hypothesis import given
 from nijenhuis import algebra
 from nijenhuis.algebra import first_operator_identity_failure, operator_n, product
 from nijenhuis.linalg import LinComb
-from nijenhuis.words import canonical_key, generators, word, words_up_to_size
+from nijenhuis.words import canonical_key, generators, word, words_of_size, words_up_to_size
 
 from conftest import (
     ALPHABET_XY,
@@ -101,6 +101,21 @@ def test_product_matches_reference_at_size_four(u, v):
 @given(words_strategy(ALPHABET_XYZ, max_size=4), words_strategy(ALPHABET_XYZ, max_size=4))
 def test_product_matches_reference_over_three_letters(u, v):
     assert as_dict(word_product(u, v)) == reference_product(as_tuple(u), as_tuple(v))
+
+
+def test_product_matches_reference_where_the_left_word_has_two_top_level_brackets():
+    # No word up to size 4 has two top-level brackets, so the tests above
+    # never split a left word whose text before its last bracket holds
+    # another; the sweeps do, but only against the same product.
+    lefts = []
+    for u in (*words_of_size(ALPHABET_XY, 5), *words_of_size(ALPHABET_XY, 6)):
+        factors = as_tuple(u)
+        if factors[-1][0] == "B" and any(kind == "B" for kind, _ in factors[:-1]):
+            lefts.append(u)
+    assert len(lefts) == 88
+    for u in lefts:
+        for v in POOL:
+            assert as_dict(word_product(u, v)) == reference_product(as_tuple(u), as_tuple(v)), (u, v)
 
 
 # Pairs of these include integral products of two Fractions: 3/2 . 2/3 and -3/4 . 4/3.

@@ -178,6 +178,35 @@ def test_the_word_path_agrees_with_the_generic_loop_on_one_word_junctions(alphab
     assert reports == _generic_reports(words)
 
 
+def _drop_suffixes_after_two_brackets(monkeypatch) -> None:
+    """Drop the suffix of every junction product whose left word holds a bracket before its last one, on a fresh cache."""
+    exact = algebra._product_terms
+    monkeypatch.setattr(algebra, "_PRODUCT_CACHE", {})
+
+    def dropped(u, v):
+        if u[-1] == "]" and v[0] == "[" and "[" in algebra._split_last(u)[0]:
+            return exact(u, algebra._split_first(v)[0])
+        return exact(u, v)
+
+    monkeypatch.setattr(algebra, "_product_terms", dropped)
+
+
+@DIFFERENTIAL
+def test_the_word_path_agrees_with_the_generic_loop_when_long_left_words_drop_suffixes(
+    alphabet, max_size, monkeypatch
+):
+    # Only a product whose left word has two top-level brackets meets this
+    # fault.  Over {x, y} to size 3 neither a pair of words nor a triple
+    # of single brackets reaches one, so a sweep of those alone would
+    # pass; the full sweep fails, where the generic loop does.
+    _drop_suffixes_after_two_brackets(monkeypatch)
+    words = words_up_to_size(alphabet, max_size)
+    reports = (first_nonassociative_triple(words), first_operator_identity_failure(words))
+    assert reports == _generic_reports(words)
+    triple = reports[0].indices if reports[0] else None
+    assert triple == {ALPHABET_XY: (2, 18, 12), generators("a"): (1, 7, 6)}.get(alphabet)
+
+
 def _flip_the_junction_rule(monkeypatch) -> None:
     """Add ``[[u . v]]`` where the junction rule subtracts it, on a fresh cache; nothing else changes."""
     exact = algebra._junction
@@ -216,22 +245,25 @@ def test_nijenhuis_check_compares_a_warm_junction_and_keeps_it(monkeypatch, caps
 # Over {x, y} to size 3 the first product over caps 1 and 2 has 3 terms.
 # assoc-check then stops on 11 terms up to cap 10 and passes from 11;
 # nijenhuis-check stops on 5 terms at caps 3 and 4, on 13 up to cap 12,
-# and passes from 13.
+# and passes from 13.  Over {a, b, c} to size 2, the benchmark's
+# assoc-check shape, the first product over cap 1 has 3 terms.
 @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 11, 13])
 @pytest.mark.parametrize("sweep", [first_nonassociative_triple, first_operator_identity_failure])
 def test_the_word_path_stops_at_the_term_cap_where_the_generic_loop_does(sweep, cap):
     # Both check the same products in the same order, so the first one
     # over the cap, and its message, are the same.
-    words = words_up_to_size(ALPHABET_XY, 3)
-    elements = [LinComb.from_word(w) for w in words]
-    outcomes = []
-    for call in (lambda: sweep(words), lambda: sweep(elements, product)):
-        with command_scope(cap):
-            try:
-                outcomes.append(call())
-            except TooManyTerms as exc:
-                outcomes.append(str(exc))
-    assert outcomes[0] == outcomes[1]
+    for words in (words_up_to_size(ALPHABET_XY, 3), words_up_to_size(generators("a", "b", "c"), 2)):
+        elements = [LinComb.from_word(w) for w in words]
+        outcomes = []
+        for args in ((words,), (elements, product)):
+            with command_scope(cap):
+                try:
+                    outcomes.append(sweep(*args))
+                except TooManyTerms as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+    if cap == 1 and sweep is first_nonassociative_triple:
+        assert outcomes[0] == "a product has 3 terms, more than the cap of 1"
 
 
 def _break_the_junctions(monkeypatch) -> None:
