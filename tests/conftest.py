@@ -52,6 +52,16 @@ def scaling_algebra(lam):
     return envelope.NijenhuisAlgebraFD(2, load_algebra("projection").mult, envelope.LinearMap([[lam, 0], [0, lam]]))
 
 
+def envelope_memos() -> tuple:
+    """The memos of :mod:`nijenhuis.envelope`, in the order its docstring names them."""
+    return (envelope.check_nijenhuis_fd, envelope.induced_ns, envelope._enveloping_generators, envelope._morphism_report)
+
+
+def clear_envelope_memos() -> None:
+    for memo in envelope_memos():
+        memo.cache_clear()
+
+
 ALPHABET_XY = generators("x", "y")
 ALPHABET_XYZ = generators("x", "y", "z")
 

@@ -11,7 +11,9 @@ malformed or empty names, or commas alone, at sizes from -1 to 3, with
 ``NF_MAX_TERMS`` unset or from 1 to 3.  ``fd-check``, ``induce-ns`` and
 ``env-generators`` run on algebra files of either kind with shape, type
 and numeral faults, missing keys, or text that is not JSON, and
-``morphism-check`` on two such files and a map file.
+``morphism-check`` on two such files and a map file, each with
+``NF_MAX_TERMS`` unset or from 1 to 3, on cold memos and again on memos
+filled with no cap: both runs give the same exit code and output.
 ``solve-relspace`` runs with stray tokens after it and ``NF_MAX_TERMS``
 unset or from 1 to 3.  Every run must end in exit code 0, 1 or 2 with
 no exception escaping; a usage error (2) must say why on stderr, with an
@@ -32,6 +34,8 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from nijenhuis.cli import run_command
+
+from conftest import clear_envelope_memos
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ALGEBRAS = ("projection.json", "projection_ns.json", "scaling_rational.json", "scaling2.json", "swap.json")
@@ -95,7 +99,7 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def check_documented(argv: list[str]) -> None:
+def check_documented(argv: list[str]) -> tuple[int, str, str]:
     code, out, err = run(argv)
     event(f"exit {code}")
     assert code in (0, 1, 2), (argv, code)
@@ -104,6 +108,7 @@ def check_documented(argv: list[str]) -> None:
         assert err.startswith("error:") or "usage:" in err, (argv, err)
     else:
         assert out or err.startswith("error:"), argv
+    return code, out, err
 
 
 def with_expression(argv: list[str], expr: str, separate: bool) -> list[str]:
@@ -139,14 +144,30 @@ def test_eval_hom_ends_in_a_documented_exit_code(map_path, data):
     check_documented(with_expression(argv, data.draw(expressions), data.draw(st.booleans())))
 
 
-def run_capped(argv: list[str], cap: str | None) -> None:
-    """``check_documented(argv)`` with ``NF_MAX_TERMS`` at ``cap``, or unset, and ``NF_MAX_SIZE`` unset."""
+@contextlib.contextmanager
+def capped(cap: str | None):
+    """``NF_MAX_TERMS`` at ``cap``, or unset, and ``NF_MAX_SIZE`` unset."""
     with mock.patch.dict(os.environ):
         os.environ.pop("NF_MAX_SIZE", None)
         os.environ.pop("NF_MAX_TERMS", None)
         if cap is not None:
             os.environ["NF_MAX_TERMS"] = cap
-        check_documented(argv)
+        yield
+
+
+def run_capped(argv: list[str], cap: str | None) -> tuple[int, str, str]:
+    """``check_documented(argv)`` under :func:`capped`."""
+    with capped(cap):
+        return check_documented(argv)
+
+
+def check_warm_as_cold(argv: list[str], cap: str | None) -> None:
+    """``run_capped(argv, cap)`` on cold memos, then again after a run with no cap filled them."""
+    clear_envelope_memos()
+    cold = run_capped(argv, cap)
+    clear_envelope_memos()
+    run_capped(argv, None)
+    assert run_capped(argv, cap) == cold, (argv, cap)
 
 
 caps = st.none() | st.sampled_from(["1", "2", "3"])
@@ -232,7 +253,7 @@ def algebra_path(tmp_path_factory) -> Path:
 def test_the_algebra_file_commands_end_in_a_documented_exit_code(algebra_path, data):
     algebra_path.write_text(data.draw(algebra_files), encoding="utf-8")
     command = data.draw(st.sampled_from(["fd-check", "induce-ns"]))
-    check_documented([command, *data.draw(flags), str(algebra_path)])
+    check_warm_as_cold([command, *data.draw(flags), str(algebra_path)], data.draw(caps))
 
 
 def algebra_file(data, path: Path) -> str:
@@ -245,7 +266,8 @@ def algebra_file(data, path: Path) -> str:
 @given(data=st.data())
 def test_env_generators_ends_in_a_documented_exit_code(algebra_path, data):
     source = algebra_file(data, algebra_path)
-    check_documented(["env-generators", *data.draw(flags), source, *data.draw(generator_options)])
+    argv = ["env-generators", *data.draw(flags), source, *data.draw(generator_options)]
+    check_warm_as_cold(argv, data.draw(caps))
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +284,7 @@ def test_morphism_check_ends_in_a_documented_exit_code(algebra_path, target_path
     source, target = algebra_file(data, algebra_path), algebra_file(data, target_path)
     map_path.write_text(data.draw(map_texts), encoding="utf-8")
     mapfile = data.draw(st.sampled_from([str(map_path), *(str(FIXTURES / name) for name in MAPS)]))
-    check_documented(["morphism-check", *data.draw(flags), source, target, mapfile])
+    check_warm_as_cold(["morphism-check", *data.draw(flags), source, target, mapfile], data.draw(caps))
 
 
 @settings(max_examples=40)

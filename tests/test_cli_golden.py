@@ -5,7 +5,10 @@
 ``exit N`` after each command that exits with a nonzero status ``N``.
 The CI workflow replays the same list with the installed program, one
 process per command, under two hash seeds; this test replays it in one
-process, so a changed byte fails the tier-1 suite too.
+process, so a changed byte fails the tier-1 suite too.  It replays the
+list twice, first on empty memos and then on the memos the first pass
+filled (see :mod:`nijenhuis.envelope`), and both passes must print the
+golden file.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import shlex
 from pathlib import Path
 
 from nijenhuis.cli import run_command
+
+from conftest import clear_envelope_memos
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -33,20 +38,27 @@ def golden_commands() -> list[list[str]]:
     return commands
 
 
-def test_cli_output_matches_the_golden_file():
+def replay() -> str:
+    """The standard output of the listed commands, run in this process."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         for argv in golden_commands():
             status = run_command(argv)
             if status:
                 print(f"exit {status}")
+    return out.getvalue()
+
+
+def test_cli_output_matches_the_golden_file():
     expected = (FIXTURES / "cli_golden.txt").read_text(encoding="utf-8")
-    diff = "".join(
-        difflib.unified_diff(
-            expected.splitlines(keepends=True),
-            out.getvalue().splitlines(keepends=True),
-            "cli_golden.txt",
-            "replayed",
+    clear_envelope_memos()
+    for name in ("replayed", "replayed again"):
+        diff = "".join(
+            difflib.unified_diff(
+                expected.splitlines(keepends=True),
+                replay().splitlines(keepends=True),
+                "cli_golden.txt",
+                name,
+            )
         )
-    )
-    assert not diff, diff
+        assert not diff, diff

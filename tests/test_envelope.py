@@ -32,7 +32,14 @@ from nijenhuis.envelope import (
 from nijenhuis.linalg import DimensionMismatch, LinComb, Vector
 from nijenhuis.words import WordError, letter_word, word, words_up_to_size
 
-from conftest import closure_rows, ideal_candidates_strategy, load_algebra, scaling_algebra
+from conftest import (
+    clear_envelope_memos,
+    closure_rows,
+    envelope_memos,
+    ideal_candidates_strategy,
+    load_algebra,
+    scaling_algebra,
+)
 
 E1, E2 = default_names(2)
 
@@ -324,3 +331,83 @@ def test_tensor_shape_validation():
         NijenhuisAlgebraFD(2, ((), ()), LinearMap.identity(2))
     with pytest.raises(DimensionMismatch):
         NijenhuisAlgebraFD(2, load_algebra("projection").mult, LinearMap.identity(3))
+
+
+MEMOS = envelope_memos()
+
+
+@pytest.fixture
+def cold_memos():
+    clear_envelope_memos()
+
+
+def diagonal(entry) -> NijenhuisAlgebraFD:
+    """The componentwise product on two coordinates, with operator diag(``entry``, 3)."""
+    return NijenhuisAlgebraFD(2, load_algebra("projection").mult, LinearMap([[entry, 0], [0, 3]]))
+
+
+def split_diagonal(entry) -> NSAlgebraFD:
+    """The split of :func:`diagonal`, built from its tensors with ``entry`` written in."""
+    prec = [[[entry if i == j == k == 0 else 3 if i == j == k else 0 for k in range(2)] for j in range(2)] for i in range(2)]
+    # The same numerals, negated in writing.
+    bullet = [[[f"-{x}" if x else 0 for x in row] for row in plane] for plane in prec]
+    return NSAlgebraFD(2, prec, prec, bullet)
+
+
+def memo_counts() -> list[tuple[int, int, int]]:
+    return [(i.hits, i.misses, i.currsize) for i in (memo.cache_info() for memo in MEMOS)]
+
+
+def test_value_equal_algebras_share_one_memo_entry(cold_memos):
+    # One numeral written three ways: the same value, so one entry per memo.
+    algebras = [diagonal(entry) for entry in ("2/2", 1, "1")]
+    splits = [split_diagonal(entry) for entry in ("2/2", 1, "1")]
+    maps = [LinearMap([[entry, 0], [0, 1]]) for entry in ("2/2", 1, "1")]
+    for objects in (algebras, splits, maps):
+        assert len({hash(x) for x in objects}) == 1 and all(x == objects[0] for x in objects)
+    for alg, split, f in zip(algebras, splits, maps):
+        assert check_nijenhuis_fd(alg).ok
+        assert induced_ns(alg) == split
+        assert len(enveloping_generators(split)) == 12
+        assert check_morphism_kills_generators(split, alg, f).ok
+    # induced_ns checks its input once, on its one miss, so the check
+    # memo meets the first algebra twice.
+    assert memo_counts() == [(3, 1, 1), (2, 1, 1), (2, 1, 1), (2, 1, 1)]
+
+
+def test_unequal_algebras_take_their_own_memo_entries(cold_memos):
+    for entry in (1, 2, "1/2"):
+        alg, split, f = diagonal(entry), split_diagonal(entry), LinearMap([[entry, 0], [0, 1]])
+        check_nijenhuis_fd(alg)
+        assert induced_ns(alg) == split
+        enveloping_generators(split)
+        check_morphism_kills_generators(split, diagonal(1), f)
+    assert diagonal(1) != diagonal(2) and split_diagonal(1) != split_diagonal(2)
+    assert [currsize for _, _, currsize in memo_counts()] == [3, 3, 3, 3]
+    # Other names are another key for the generators, not for the morphism check.
+    enveloping_generators(split_diagonal(1), ("x", "y"))
+    check_morphism_kills_generators(split_diagonal(1), diagonal(1), LinearMap([[1, 0], [0, 1]]), ("x", "y"))
+    assert [currsize for _, _, currsize in memo_counts()] == [3, 3, 4, 3]
+
+
+def test_an_error_is_raised_on_every_call_and_never_cached(cold_memos):
+    swap, m = load_algebra("swap"), induced_ns(load_algebra("projection"))
+    before = memo_counts()
+    for _ in range(2):
+        with pytest.raises(InvalidInput):
+            induced_ns(swap)
+        with pytest.raises(ArityMismatch):
+            enveloping_generators(m, ("x",))
+        with pytest.raises(DimensionMismatch):
+            check_morphism_kills_generators(m, load_algebra("projection"), LinearMap.identity(3))
+    # The failing report of the swap algebra is a result, kept like any other.
+    assert [currsize for _, _, currsize in memo_counts()] == [before[0][2] + 1, *(n for _, _, n in before[1:])]
+
+
+def test_names_may_be_a_list():
+    alg = load_algebra("projection")
+    m = induced_ns(alg)
+    assert enveloping_generators(m, [E1, E2]) == enveloping_generators(m, (E1, E2)) == enveloping_generators(m)
+    assert check_morphism_kills_generators(m, alg, LinearMap.identity(2), [E1, E2]).ok
+    with pytest.raises(ArityMismatch):
+        check_morphism_kills_generators(m, alg, LinearMap.identity(2), [E1])
