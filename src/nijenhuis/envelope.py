@@ -11,17 +11,17 @@ integral and a Fraction only otherwise, as :class:`LinComb` does.  Input
 is coerced once, where it enters through ``mul``, ``apply_op``,
 :meth:`LinearMap.apply` or a constructor; the Vectors this module builds
 pass through.  A constructor walks its input once, taking only lists of
-the right length at every level, and keeps the dense rows it prints and
-the nonzero entries that products sum over; the attributes are
-read-only.  This module checks the operator identity and associativity
-by sweep, splits such an algebra into its three induced bilinear
-operations, and studies the result through the free algebra: every
-finite-dimensional instance with the three operations embeds, up to a
-quotient, into the free algebra on one generator per basis vector.  The
-kernel of that comparison is generated by an explicit finite family, one
-relation per basis pair and operation; a truncated closure computes a
-certified lower bound of the kernel, giving a semidecision procedure for
-membership.
+the right length at every level, and keeps only the dense rows it
+prints: products, map images and columns read those rows, skipping
+zero entries.  The attributes are read-only.  This module checks the
+operator identity and associativity by sweep, splits such an algebra
+into its three induced bilinear operations, and studies the result
+through the free algebra: every finite-dimensional instance with the
+three operations embeds, up to a quotient, into the free algebra on one
+generator per basis vector.  The kernel of that comparison is generated
+by an explicit finite family, one relation per basis pair and operation;
+a truncated closure computes a certified lower bound of the kernel,
+giving a semidecision procedure for membership.
 
 The two algebra classes and :class:`LinearMap` hash as they compare,
 by value, and the four functions a command runs on a whole algebra are
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
 from operator import attrgetter
@@ -120,9 +119,6 @@ class BoundTooSmall(UsageError):
 
 
 Tensor = tuple[tuple[Vector, ...], ...]
-# A structure tensor's nonzero constants by first index: for each i, the
-# triples (j, k, t[i][j][k]) with t[i][j][k] nonzero.
-SparseTensor = tuple[tuple[tuple[int, int, int | Fraction], ...], ...]
 TensorLike = Sequence[Sequence[Sequence[RationalLike]]]
 
 # Results kept by each memo of this module.  A long-lived process of
@@ -135,57 +131,53 @@ TensorLike = Sequence[Sequence[Sequence[RationalLike]]]
 _MEMO_SIZE = 64
 
 
-def _read_tensor(values: TensorLike, dim: int) -> tuple[Tensor, SparseTensor]:
-    """A ``dim``-cubed structure tensor of exact scalars, and its nonzero entries, in one walk."""
+def _read_tensor(values: TensorLike, dim: int) -> Tensor:
+    """A ``dim``-cubed structure tensor of exact scalars."""
     if type(dim) is not int:
         raise TypeError(f"dim must be a JSON integer, got {dim!r}")
-    planes = []
-    sparse = []
-    for plane in _sized(values, dim, "a structure tensor"):
-        plane = _sized(plane, dim, "a tensor plane")
-        rows = tuple(Vector(_sized(row, dim, "a tensor row")) for row in plane)
-        planes.append(rows)
-        sparse.append(tuple((j, k, s) for j, row in enumerate(rows) for k, s in enumerate(row) if s))
-    return tuple(planes), tuple(sparse)
+    return tuple(
+        tuple(Vector(_sized(row, dim, "a tensor row")) for row in _sized(plane, dim, "a tensor plane"))
+        for plane in _sized(values, dim, "a structure tensor")
+    )
 
 
 def _tensor_json(t: Tensor) -> list:
     return [[[str(x) for x in row] for row in plane] for plane in t]
 
 
-def _contract(t: SparseTensor, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Vector:
+def _contract(t: Tensor, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Vector:
     """The bilinear product of ``u`` and ``v`` with structure tensor ``t``."""
     dim = len(t)
     b = Vector(_sized(v, dim, "a vector"))
     out = [0] * dim
     for ci, plane in zip(Vector(_sized(u, dim, "a vector")), t):
         if ci:
-            for j, k, s in plane:
-                cj = b[j]
+            for cj, row in zip(b, plane):
                 if cj:
-                    out[k] += ci * cj * s
+                    c = ci * cj
+                    for k, s in enumerate(row):
+                        if s:
+                            out[k] += c * s
     return Vector(out)
 
 
 class LinearMap:
     """A read-only rational matrix, given by its rows, acting on coordinate columns."""
 
-    __slots__ = ("_entries", "_columns", "_sparse_columns")
+    __slots__ = ("_entries",)
 
     def __init__(self, rows: Sequence[Sequence[RationalLike]]) -> None:
         rows = _sized(rows, None, "a matrix")
         cols = len(_sized(rows[0], None, "a matrix row")) if rows else 0
         self._entries = tuple(Vector(_sized(row, cols, "a matrix row")) for row in rows)
-        self._columns = tuple(map(Vector, zip(*self._entries)))
-        # Each column's nonzero entries, as (row, entry) pairs.
-        self._sparse_columns = tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in self._columns)
 
     entries = property(attrgetter("_entries"), doc="The rows, each a Vector.")
 
     @property
     def shape(self) -> tuple[int, int]:
         """The numbers of rows and of columns."""
-        return len(self._entries), len(self._columns)
+        rows = self._entries
+        return len(rows), len(rows[0]) if rows else 0
 
     @classmethod
     def identity(cls, n: int) -> "LinearMap":
@@ -193,14 +185,15 @@ class LinearMap:
 
     def apply(self, vec: Sequence[RationalLike]) -> Vector:
         out = [0] * len(self._entries)
-        for c, col in zip(Vector(_sized(vec, len(self._columns), "a vector")), self._sparse_columns):
+        for j, c in enumerate(Vector(_sized(vec, self.shape[1], "a vector"))):
             if c:
-                for i, x in col:
-                    out[i] += c * x
+                for i, row in enumerate(self._entries):
+                    if row[j]:
+                        out[i] += c * row[j]
         return Vector(out)
 
     def column(self, j: int) -> Vector:
-        return self._columns[j]
+        return Vector([row[j] for row in self._entries])
 
     def __eq__(self, other: object) -> bool:
         return self._entries == other._entries if type(other) is LinearMap else NotImplemented
@@ -221,10 +214,10 @@ class NijenhuisAlgebraFD:
     The attributes are read-only.
     """
 
-    __slots__ = ("_mult", "_mult_sparse", "_op")
+    __slots__ = ("_mult", "_op")
 
     def __init__(self, dim: int, mult: TensorLike, op: LinearMap) -> None:
-        self._mult, self._mult_sparse = _read_tensor(mult, dim)
+        self._mult = _read_tensor(mult, dim)
         if op.shape != (dim, dim):
             raise DimensionMismatch("operator matrix must be square of the dimension")
         self._op = op
@@ -234,7 +227,7 @@ class NijenhuisAlgebraFD:
     op = property(attrgetter("_op"))
 
     def mul(self, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Vector:
-        return _contract(self._mult_sparse, u, v)
+        return _contract(self._mult, u, v)
 
     def apply_op(self, u: Sequence[RationalLike]) -> Vector:
         return self._op.apply(u)
@@ -258,12 +251,10 @@ class NijenhuisAlgebraFD:
 class NSAlgebraFD:
     """Three bilinear operations given by structure tensors; read-only."""
 
-    __slots__ = ("_tensors", "_sparse_tensors")
+    __slots__ = ("_tensors",)
 
     def __init__(self, dim: int, prec: TensorLike, succ: TensorLike, bullet: TensorLike) -> None:
-        dense, sparse = zip(*(_read_tensor(t, dim) for t in (prec, succ, bullet)))
-        self._tensors = dict(zip(COORD_OPS, dense))
-        self._sparse_tensors = dict(zip(COORD_OPS, sparse))
+        self._tensors = {op: _read_tensor(t, dim) for op, t in zip(COORD_OPS, (prec, succ, bullet))}
 
     dim = property(lambda self: len(self.prec))
     prec = property(lambda self: self._tensors[OpSymbol.PREC])
@@ -281,7 +272,7 @@ class NSAlgebraFD:
         if op is OpSymbol.STAR:
             prec, succ, bullet = (self.op_product(o, u, v) for o in COORD_OPS)
             return prec + succ + bullet
-        return _contract(self._sparse_tensors[op], u, v)
+        return _contract(self._tensors[op], u, v)
 
     def __eq__(self, other: object) -> bool:
         return self._tensors == other._tensors if type(other) is NSAlgebraFD else NotImplemented

@@ -257,7 +257,10 @@ def canonical_sort(words: Iterable[str]) -> list[str]:
     return [w for _, _, w in ordered]
 
 
-@lru_cache(maxsize=None)
+# Bounded, so that a long-lived process keeps the words of the last 64
+# (alphabet, size) pairs only; a call of size n reads the n - 1 smaller
+# sizes of its alphabet.
+@lru_cache(maxsize=64)
 def words_of_size(alphabet: tuple[str, ...], n: int) -> tuple[str, ...]:
     """All words of exact size ``n`` over ``alphabet``, canonically ordered.
 

@@ -4,17 +4,19 @@ The envelope checks run the free algebra's definitions (``derived_op``,
 the operator identity sweep, ``relation_sides``) on coordinate vectors.
 Here each check is written out again the plain way, on tuples of
 coordinates with the formulas spelled out, and the two are compared on
-random dimension-2 algebras with entries in -2..2: the verdict, the
-failure kind, its indices and both sides.  The images of the kernel
-generators are compared with the morphism check's two sides the same
-way.  Products, operator images, map application, the split, the
-morphism check and evaluation are also compared on rational data,
-spelled as values or ``p/q`` strings and passed as lists, tuples or
-Vectors, with the same loops run on Fractions.
+random dimension-2 algebras with entries in -2..2, and on the committed
+dimension-4 algebras of 2-by-2 matrices: the verdict, the failure kind,
+its indices and both sides.  The images of the kernel generators are
+compared with the morphism check's two sides the same way.  Products,
+operator images, map application and columns, the split, the morphism
+check and evaluation are also compared on rational data, spelled as
+values or ``p/q`` strings and passed as lists, tuples or Vectors, with
+the same loops run on Fractions.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import product as cartesian
 
@@ -39,17 +41,21 @@ from nijenhuis.envelope import (
 from nijenhuis.linalg import LinComb
 from nijenhuis.relations import ndendriform_relation_set, ns_relation_set
 
-from conftest import lincombs_strategy, parse_reference
+from conftest import FIXTURES, lincombs_strategy, parse_reference
 
 DIM = 2
-BASIS = [tuple(1 if j == i else 0 for j in range(DIM)) for i in range(DIM)]
+
+
+def basis(n):
+    return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+
+
+BASIS = basis(DIM)
 
 
 def mul(t, u, v):
-    return tuple(
-        sum(u[i] * v[j] * t[i][j][k] for i in range(DIM) for j in range(DIM))
-        for k in range(DIM)
-    )
+    n = len(t)
+    return tuple(sum(u[i] * v[j] * t[i][j][k] for i in range(n) for j in range(n)) for k in range(n))
 
 
 def apply(m, u):
@@ -66,13 +72,14 @@ def sub(u, v):
 
 def reference_nijenhuis(t, m):
     """Associativity on basis triples, then N(a)N(b) = N(N(a)b + aN(b) - N(ab))."""
-    for i, j, k in cartesian(range(DIM), repeat=3):
-        a, b, c = BASIS[i], BASIS[j], BASIS[k]
+    units = basis(len(t))
+    for i, j, k in cartesian(range(len(t)), repeat=3):
+        a, b, c = units[i], units[j], units[k]
         lhs, rhs = mul(t, mul(t, a, b), c), mul(t, a, mul(t, b, c))
         if lhs != rhs:
             return False, "associativity", (i, j, k), lhs, rhs
-    for i, j in cartesian(range(DIM), repeat=2):
-        a, b = BASIS[i], BASIS[j]
+    for i, j in cartesian(range(len(t)), repeat=2):
+        a, b = units[i], units[j]
         pa, pb = apply(m, a), apply(m, b)
         lhs = mul(t, pa, pb)
         rhs = sub(
@@ -91,18 +98,21 @@ def reference_split(t, m, a, b):
 
 def reference_induced(t, m):
     """The three split operations on basis pairs."""
+    units = basis(len(t))
     return tuple(
-        tuple(tuple(reference_split(t, m, a, b)[o] for b in BASIS) for a in BASIS)
+        tuple(tuple(reference_split(t, m, a, b)[o] for b in units) for a in units)
         for o in range(3)
     )
 
 
 def reference_relations(tensors, rels):
     """Each grid on every basis triple, with the operations indexed prec, succ, bullet."""
+    n = len(tensors[0])
+    units = basis(n)
     for r_idx, rel in enumerate(rels):
-        for a, b, c in cartesian(range(DIM), repeat=3):
-            x, y, z = BASIS[a], BASIS[b], BASIS[c]
-            lhs = rhs = (0,) * DIM
+        for a, b, c in cartesian(range(n), repeat=3):
+            x, y, z = units[a], units[b], units[c]
+            lhs = rhs = (0,) * n
             for i, j in cartesian(range(3), repeat=2):
                 cl = rel.left[i][j]
                 if cl:
@@ -144,7 +154,7 @@ ops = st.one_of(random_ops, diagonal_ops)
 
 
 def algebra(t, m) -> NijenhuisAlgebraFD:
-    return NijenhuisAlgebraFD(DIM, t, LinearMap(m))
+    return NijenhuisAlgebraFD(len(t), t, LinearMap(m))
 
 
 def compare_nijenhuis(t, m) -> str:
@@ -308,9 +318,30 @@ def test_products_and_maps_match_the_fraction_loops(t, m, u, v, container):
     assert f.apply(container(u)) == apply(frac(m), frac(u))
     tall = LinearMap([*m, u])
     assert tall.apply(container(v)) == apply(frac([*m, u]), frac(v))
+    assert (f.shape, tall.shape) == ((DIM, DIM), (DIM + 1, DIM))
+    for g, rows in ((f, m), (tall, [*m, u])):
+        assert [g.column(j) for j in range(DIM)] == [apply(frac(rows), e) for e in BASIS]
 
 
+def test_maps_without_columns_keep_their_shape():
+    assert LinearMap([]).shape == (0, 0)
+    empty_rows = LinearMap([[], []])
+    assert empty_rows.shape == (2, 0)
+    assert empty_rows.apply([]) == (0, 0)
+
+
+def matrix_algebra(name):
+    """The structure tensor and operator rows of a committed M2(Q) fixture, as ``p/q`` strings."""
+    obj = json.loads((FIXTURES / f"{name}.json").read_text())
+    return obj["mult"], obj["op"]
+
+
+# Left and right multiplication by a = E11 + E12 + 2 E22 on M2(Q), which
+# pass, and their sum, which fails the operator identity.
 @given(st.one_of(rational_valid, st.tuples(rational_tensors, rational_random_ops)))
+@example(matrix_algebra("m2_left"))
+@example(matrix_algebra("m2_right"))
+@example(matrix_algebra("m2_left_plus_right"))
 def test_rational_operator_identity_and_splitting_match_the_loops(tm):
     t, m = tm
     alg = algebra(t, m)

@@ -3,8 +3,10 @@
 A word is its canonical text, so nothing needs to share equal words:
 the only module containers that may grow while a command runs are the
 product cache, which empties itself when it reaches its limit, and the
-bounded memos: those that split words at their end brackets, and those
-of :mod:`nijenhuis.envelope`, whose enveloping generators hold words.
+bounded memos: those that split words at their end brackets, the one
+of :func:`nijenhuis.words.words_of_size`, which holds the words of each
+size it has enumerated, and those of :mod:`nijenhuis.envelope`, whose
+enveloping generators hold words.
 A word is a plain ``str`` and cannot be told apart by its type, so a
 table is found by growth: a module-level container of the package that
 is longer after the commands than before them.
@@ -21,12 +23,12 @@ import pytest
 
 from nijenhuis import algebra
 from nijenhuis.cli import run_command
-from nijenhuis.words import size
+from nijenhuis.words import size, words_of_size
 
 from conftest import envelope_memos
 
 # Memos that may keep words, each with a bound.
-BOUNDED_MEMOS = (algebra._split_last, algebra._split_first, *envelope_memos())
+BOUNDED_MEMOS = (algebra._split_last, algebra._split_first, words_of_size, *envelope_memos())
 PRODUCT_CACHE = "nijenhuis.algebra._PRODUCT_CACHE"
 
 COMMANDS = (
