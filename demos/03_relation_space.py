@@ -3,10 +3,12 @@
 A candidate relation pairs two 3x3 coefficient grids over the split
 operations (prec, succ, bullet): one grid weights left-bracketed
 compositions (x op_i y) op_j z, the other right-bracketed ones.  The
-solver expands all 18 unit candidates over free generators, collects
-the coefficients of the resulting monomials into 13 exact rows of
-length 18 (``relation_matrix``), and reads the space of identically
-vanishing combinations off the kernel of their span.
+solver evaluates these 18 monomials once over free generators
+(``monomials_at``), where the unit candidate on a monomial is that
+monomial, negated on the right-bracketed side.  It collects their
+coefficients into 13 exact rows of length 18 (``relation_matrix``), and
+reads the space of identically vanishing combinations off the kernel of
+their span.
 """
 
 from nijenhuis import (

@@ -233,9 +233,10 @@ def _relation_sweep(args: argparse.Namespace, rels, label: str) -> int:
     names = _split_names(args.generators)
     if len(names) < 3:
         raise UsageError("relation checks need at least three generator names")
-    x, y, z = (LinComb.from_word(letter_word(s)) for s in names[:3])
+    monomials = relations.monomials_at(*(LinComb.from_word(letter_word(s)) for s in names[:3]))
     for k, rel in enumerate(rels):
-        residue = relations.evaluate_relation(rel, x, y, z)
+        lhs, rhs = relations.relation_sides(rel, monomials)
+        residue = lhs - rhs
         if not residue.is_zero():
             _emit(
                 args,

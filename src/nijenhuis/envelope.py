@@ -68,7 +68,7 @@ from .linalg import (
     _unit,
     _wrap,
 )
-from .relations import RelVector, ndendriform_relation_set, ns_relation_set, relation_sides
+from .relations import RelVector, monomials_at, ndendriform_relation_set, ns_relation_set, relation_sides
 from .words import (
     UsageError,
     canonical_key,
@@ -305,14 +305,16 @@ def check_nijenhuis_fd(alg: NijenhuisAlgebraFD) -> CheckReport:
 
 
 def check_relations_fd(alg: NSAlgebraFD, rels: Sequence[RelVector]) -> CheckReport:
-    """Evaluate each relation candidate on every basis triple."""
+    """Evaluate each relation candidate on every basis triple, whose monomials are evaluated once."""
     n = alg.dim
     basis = [_unit(n, i) for i in range(n)]
+    triples = _cartesian(range(n), repeat=3)
+    values = [(t, monomials_at(*(basis[i] for i in t), alg.op_product)) for t in triples]
     for r_idx, rel in enumerate(rels):
-        for a, b, c in _cartesian(range(n), repeat=3):
-            lhs, rhs = relation_sides(rel, basis[a], basis[b], basis[c], alg.op_product)
+        for t, monomials in values:
+            lhs, rhs = relation_sides(rel, monomials)
             if lhs != rhs:
-                return CheckReport(False, "relation", (r_idx, a, b, c), lhs, rhs)
+                return CheckReport(False, "relation", (r_idx, *t), lhs, rhs)
     return CheckReport(True)
 
 

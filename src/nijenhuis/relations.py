@@ -9,8 +9,9 @@ operations ordered (prec, succ, bullet), the candidate asserts
 
 for all x, y, z.  Left coordinates are indexed (inner, outer) and right
 coordinates (outer, inner), matching how the monomials are written.
-:func:`relation_sides` evaluates the two sums, in the free algebra or,
-given its operations, in any other.
+:func:`monomials_at` evaluates the 18 monomials at x, y, z once, in the
+free algebra or, given its operations, in any other, and
+:func:`relation_sides` reads the two sums of a candidate off them.
 
 Because the algebra here is free, a candidate holds in every algebra
 with a compatible operator exactly when it vanishes on three distinct
@@ -33,13 +34,14 @@ from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 from .algebra import COORD_OPS, OpSymbol, derived_op
-from .linalg import LinComb, RationalLike, Vector, _sized, _unit, span
+from .linalg import LinComb, RationalLike, Vector, _sized, span
 from .words import canonical_sort, letter_word
 
 __all__ = [
     "RelVector",
     "ns_relation_set",
     "ndendriform_relation_set",
+    "monomials_at",
     "relation_sides",
     "evaluate_relation",
     "relation_monomials",
@@ -79,17 +81,6 @@ class RelVector:
 
     def __eq__(self, other: object) -> bool:
         return self._coords == other._coords if type(other) is RelVector else NotImplemented
-
-    def __add__(self, other: "RelVector") -> "RelVector":
-        if not isinstance(other, RelVector):
-            return NotImplemented
-        return RelVector(self._coords + other._coords)
-
-    def scale(self, scalar: RationalLike) -> "RelVector":
-        return RelVector(self._coords.scale(scalar))
-
-    def __rmul__(self, scalar: RationalLike) -> "RelVector":
-        return self.scale(scalar)
 
     def to_json_obj(self) -> dict:
         return {
@@ -151,38 +142,42 @@ def ndendriform_relation_set() -> tuple[RelVector, ...]:
     )
 
 
-def relation_sides(
-    rel: RelVector, x: Any, y: Any, z: Any, op: Callable[[OpSymbol, Any, Any], Any] | None = None
-) -> tuple[Any, Any]:
-    """Left and right side of the candidate, evaluated at x, y, z.
+def monomials_at(
+    x: Any, y: Any, z: Any, op: Callable[[OpSymbol, Any, Any], Any] | None = None
+) -> tuple[Any, ...]:
+    """The 18 monomials at x, y, z, in the order of :attr:`RelVector.coords`.
 
     ``op`` applies a splitting operation; it defaults to
-    :func:`derived_op` on the free algebra.  Both sums start at
-    ``x.scale(0)``, the zero of whatever algebra x lies in.
+    :func:`derived_op` on the free algebra.  The inner products
+    ``x op_i y`` and ``y op_j z`` are computed once each.
     """
     op = op or derived_op
-    left, right = rel.left, rel.right
-    lhs = rhs = x.scale(0)
-    for i, op_i in enumerate(COORD_OPS):
-        for j, op_j in enumerate(COORD_OPS):
-            c = left[i][j]
-            if c:
-                lhs = lhs + op(op_j, op(op_i, x, y), z).scale(c)
-            c = right[i][j]
-            if c:
-                rhs = rhs + op(op_i, x, op(op_j, y, z)).scale(c)
-    return lhs, rhs
+    xy = [op(o, x, y) for o in COORD_OPS]
+    yz = [op(o, y, z) for o in COORD_OPS]
+    return (
+        *(op(op_j, u, z) for u in xy for op_j in COORD_OPS),
+        *(op(op_i, x, v) for op_i in COORD_OPS for v in yz),
+    )
+
+
+def relation_sides(rel: RelVector, monomials: Sequence[Any]) -> tuple[Any, Any]:
+    """Left and right side of the candidate, summed from the values of :func:`monomials_at`."""
+    c, zero = rel.coords, monomials[0].scale(0)
+    return tuple(
+        sum((monomials[k].scale(c[k]) for k in side if c[k]), zero) for side in (range(9), range(9, 18))
+    )
 
 
 def evaluate_relation(rel: RelVector, x: LinComb, y: LinComb, z: LinComb) -> LinComb:
     """Left side minus right side of the candidate, evaluated at x, y, z."""
-    lhs, rhs = relation_sides(rel, x, y, z)
+    lhs, rhs = relation_sides(rel, monomials_at(x, y, z))
     return lhs - rhs
 
 
 def _unit_evaluations() -> tuple[tuple[LinComb, ...], tuple[str, ...]]:
-    x, y, z = (LinComb.from_word(letter_word(name)) for name in "xyz")
-    evals = tuple(evaluate_relation(RelVector(_unit(18, k)), x, y, z) for k in range(18))
+    # The unit candidate k reads monomial k, on the right side negated.
+    m = monomials_at(*(LinComb.from_word(letter_word(name)) for name in "xyz"))
+    evals = (*m[:9], *(-v for v in m[9:]))
     seen: set[str] = set()
     for value in evals:
         seen.update(value.support())

@@ -112,6 +112,23 @@ def test_relation_sweep_catches_perturbation():
     assert report.kind == "relation"
 
 
+def test_relation_sweeps_evaluate_each_basis_triple_once(monkeypatch):
+    # Six inner and 18 outer products per triple, whatever the family.
+    m = induced_ns(load_algebra("m2_left"))
+    calls = []
+    op_product = NSAlgebraFD.op_product
+
+    def counted(self, op, u, v):
+        calls.append(op)
+        return op_product(self, op, u, v)
+
+    monkeypatch.setattr(NSAlgebraFD, "op_product", counted)
+    for check in (check_ns_axioms, check_ndendriform_axioms):
+        calls.clear()
+        assert check(m).ok
+        assert len(calls) <= 24 * m.dim**3 == 1536
+
+
 def test_star_operation_in_fd_algebra():
     m = induced_ns(load_algebra("projection"))
     star = m.op_product(OpSymbol.STAR, unit(0), unit(0))

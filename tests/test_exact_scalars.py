@@ -257,7 +257,8 @@ def test_vector_arithmetic_stays_exact(u, v, scalar):
 def test_relation_coordinates_stay_exact(coords, scalar):
     rel = RelVector(coords)
     families = solve_relation_space() + ns_relation_set() + ndendriform_relation_set()
-    for value in (rel, rel + rel, rel.scale(scalar), RelVector.from_json_obj(rel.to_json_obj()), *families):
+    doubled, scaled = RelVector(rel.coords + rel.coords), RelVector(rel.coords.scale(scalar))
+    for value in (rel, doubled, scaled, RelVector.from_json_obj(rel.to_json_obj()), *families):
         assert_exact_coordinates(value.coords)
 
 

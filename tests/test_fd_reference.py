@@ -1,7 +1,8 @@
 """The finite-dimensional checks against plain coordinate loops.
 
 The envelope checks run the free algebra's definitions (``derived_op``,
-the operator identity sweep, ``relation_sides``) on coordinate vectors.
+the operator identity sweep, ``monomials_at`` and ``relation_sides``)
+on coordinate vectors.
 Here each check is written out again the plain way, on tuples of
 coordinates with the formulas spelled out, and the two are compared on
 random dimension-2 algebras with entries in -2..2, and on the committed

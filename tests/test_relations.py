@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from nijenhuis.algebra import OpSymbol, derived_op
+from nijenhuis.algebra import COORD_OPS, OpSymbol, derived_op
 from nijenhuis.linalg import LinComb, Vector, span
 from nijenhuis.relations import (
     RelVector,
     evaluate_relation,
+    monomials_at,
     ndendriform_relation_set,
     ns_relation_set,
     relation_matrix,
@@ -173,7 +174,7 @@ def test_five_family_coordinates():
 
 def test_fourth_ns_relation_is_sum_of_last_two():
     nd = ndendriform_relation_set()
-    assert ns_relation_set()[3] == nd[3] + nd[4]
+    assert ns_relation_set()[3].coords == nd[3].coords + nd[4].coords
 
 
 def test_both_families_hold_universally():
@@ -206,6 +207,20 @@ def test_evaluate_relation_matches_direct_expansion():
     assert evaluate_relation(rel, X, Y, Z) == lhs - rhs
 
 
+def test_monomials_at_gives_each_unit_candidate():
+    values = monomials_at(X, Y, Z)
+    for side, sign in (("left", 1), ("right", -1)):
+        for i, op_i in enumerate(COORD_OPS):
+            for j, op_j in enumerate(COORD_OPS):
+                k = coords_index(side, i, j)
+                if side == "left":
+                    expected = derived_op(op_j, derived_op(op_i, X, Y), Z)
+                else:
+                    expected = derived_op(op_i, X, derived_op(op_j, Y, Z))
+                assert values[k] == expected
+                assert evaluate_relation(unit(side, i, j), X, Y, Z) == values[k].scale(sign)
+
+
 def test_evaluate_relation_is_trilinear():
     rel = ndendriform_relation_set()[4]
     a, b = X.scale(2), Y - Z
@@ -236,9 +251,10 @@ def test_four_family_sits_strictly_inside():
 )
 def test_span_closed_under_combinations(coeffs):
     basis = solve_relation_space()
-    combo = RelVector([0] * 18)
+    coords = Vector([0] * 18)
     for c, v in zip(coeffs, basis):
-        combo = combo + v.scale(c)
+        coords = coords + v.coords.scale(c)
+    combo = RelVector(coords)
     assert universal(combo)
     assert relation_space_contains(combo)
 
