@@ -71,9 +71,7 @@ _EXPORTS = {
                 "NijenhuisAlgebraFD",
                 "UnknownGenerator",
                 "check_morphism_kills_generators",
-                "check_ndendriform_axioms",
                 "check_nijenhuis_fd",
-                "check_ns_axioms",
                 "check_relations_fd",
                 "default_names",
                 "enveloping_generators",
@@ -91,13 +89,11 @@ _EXPORTS = {
             relations,
             (
                 "RelVector",
-                "evaluate_relation",
                 "ndendriform_relation_set",
                 "ns_relation_set",
                 "relation_matrix",
                 "relation_monomials",
                 "relation_sets_span_equal",
-                "relation_space_contains",
                 "solve_relation_space",
             ),
         ),

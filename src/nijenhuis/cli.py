@@ -84,7 +84,7 @@ def _checked_size(option: str, requested: int) -> int:
         raise UsageError(f"{option} must be at least 1, got {requested}")
     cap = _env_cap("NF_MAX_SIZE")
     if cap is not None and cap < requested:
-        print(f"note: NF_MAX_SIZE caps the sweep at size {cap}", file=sys.stderr)
+        print(f"note: NF_MAX_SIZE caps {option} at {cap}", file=sys.stderr)
         return cap
     return requested
 
@@ -234,16 +234,15 @@ def _relation_sweep(args: argparse.Namespace, rels, label: str) -> int:
     if len(names) < 3:
         raise UsageError("relation checks need at least three generator names")
     monomials = relations.monomials_at(*(LinComb.from_word(letter_word(s)) for s in names[:3]))
-    for k, rel in enumerate(rels):
-        lhs, rhs = relations.relation_sides(rel, monomials)
-        residue = lhs - rhs
-        if not residue.is_zero():
-            _emit(
-                args,
-                {"ok": False, "relation": k, "residue": _lincomb_json(residue)},
-                f"{label} relation {k + 1} fails: residue {residue}",
-            )
-            return 1
+    report = relations.check_relations(rels, [((), monomials)])
+    if not report.ok:
+        k, residue = report.indices[0], report.lhs - report.rhs
+        _emit(
+            args,
+            {"ok": False, "relation": k, "residue": _lincomb_json(residue)},
+            f"{label} relation {k + 1} fails: residue {residue}",
+        )
+        return 1
     _emit(
         args,
         {"ok": True, "relations": len(rels)},
@@ -327,8 +326,9 @@ def _cmd_fd_check(args: argparse.Namespace) -> int:
             f"operator algebra: {report.describe()}",
         )
         return 0 if report.ok else 1
-    ns_report = envelope.check_ns_axioms(alg)
-    nd_report = envelope.check_ndendriform_axioms(alg)
+    ns_report, nd_report = envelope.check_relations_fd(
+        alg, (relations.ns_relation_set(), relations.ndendriform_relation_set())
+    )
     ok = ns_report.ok and nd_report.ok
     _emit(
         args,

@@ -15,7 +15,9 @@ the right length at every level, and keeps only the dense rows it
 prints: products, map images and columns read those rows, skipping
 zero entries.  The attributes are read-only.  This module checks the
 operator identity and associativity by sweep, splits such an algebra
-into its three induced bilinear operations, and studies the result
+into its three induced bilinear operations, checks families of
+quadratic relations on a split algebra, evaluating the monomials of
+each basis triple once for all of them, and studies the result
 through the free algebra: every finite-dimensional instance with the
 three operations embeds, up to a quotient, into the free algebra on one
 generator per basis vector.  The kernel of that comparison is generated
@@ -68,7 +70,7 @@ from .linalg import (
     _unit,
     _wrap,
 )
-from .relations import RelVector, monomials_at, ndendriform_relation_set, ns_relation_set, relation_sides
+from .relations import RelVector, check_relations, monomials_at
 from .words import (
     UsageError,
     canonical_key,
@@ -90,8 +92,6 @@ __all__ = [
     "LinearMap",
     "check_nijenhuis_fd",
     "check_relations_fd",
-    "check_ns_axioms",
-    "check_ndendriform_axioms",
     "induced_ns",
     "default_names",
     "enveloping_generators",
@@ -304,28 +304,19 @@ def check_nijenhuis_fd(alg: NijenhuisAlgebraFD) -> CheckReport:
     )
 
 
-def check_relations_fd(alg: NSAlgebraFD, rels: Sequence[RelVector]) -> CheckReport:
-    """Evaluate each relation candidate on every basis triple, whose monomials are evaluated once."""
-    n = alg.dim
-    basis = [_unit(n, i) for i in range(n)]
-    triples = _cartesian(range(n), repeat=3)
-    values = [(t, monomials_at(*(basis[i] for i in t), alg.op_product)) for t in triples]
-    for r_idx, rel in enumerate(rels):
-        for t, monomials in values:
-            lhs, rhs = relation_sides(rel, monomials)
-            if lhs != rhs:
-                return CheckReport(False, "relation", (r_idx, *t), lhs, rhs)
-    return CheckReport(True)
+def check_relations_fd(
+    alg: NSAlgebraFD, families: Sequence[Sequence[RelVector]]
+) -> tuple[CheckReport, ...]:
+    """Sweep each family of candidates on basis triples, one report per family.
 
-
-def check_ns_axioms(alg: NSAlgebraFD) -> CheckReport:
-    """Sweep the four-relation family on basis triples."""
-    return check_relations_fd(alg, ns_relation_set())
-
-
-def check_ndendriform_axioms(alg: NSAlgebraFD) -> CheckReport:
-    """Sweep the five-relation family on basis triples."""
-    return check_relations_fd(alg, ndendriform_relation_set())
+    The monomials of each basis triple are evaluated once, for all the families.
+    """
+    basis = [_unit(alg.dim, i) for i in range(alg.dim)]
+    values = [
+        (t, monomials_at(*(basis[i] for i in t), alg.op_product))
+        for t in _cartesian(range(alg.dim), repeat=3)
+    ]
+    return tuple(check_relations(rels, values) for rels in families)
 
 
 # induce-ns x1.8, morphism-check x1.8, env-generators x1.4 without it.

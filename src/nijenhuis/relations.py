@@ -12,6 +12,9 @@ coordinates (outer, inner), matching how the monomials are written.
 :func:`monomials_at` evaluates the 18 monomials at x, y, z once, in the
 free algebra or, given its operations, in any other, and
 :func:`relation_sides` reads the two sums of a candidate off them.
+:func:`check_relations` is the one relation sweep: over the monomials
+of one or many triples, it reports the first candidate whose sides
+differ, as ``ns-check``, ``ndend-check`` and ``fd-check`` print it.
 
 Because the algebra here is free, a candidate holds in every algebra
 with a compatible operator exactly when it vanishes on three distinct
@@ -33,7 +36,7 @@ from functools import cache
 from operator import attrgetter
 from typing import Any, Callable, Sequence
 
-from .algebra import COORD_OPS, OpSymbol, derived_op
+from .algebra import COORD_OPS, CheckReport, OpSymbol, derived_op
 from .linalg import LinComb, RationalLike, Vector, _sized, span
 from .words import canonical_sort, letter_word
 
@@ -43,11 +46,10 @@ __all__ = [
     "ndendriform_relation_set",
     "monomials_at",
     "relation_sides",
-    "evaluate_relation",
+    "check_relations",
     "relation_monomials",
     "relation_matrix",
     "solve_relation_space",
-    "relation_space_contains",
     "relation_sets_span_equal",
 ]
 
@@ -168,10 +170,21 @@ def relation_sides(rel: RelVector, monomials: Sequence[Any]) -> tuple[Any, Any]:
     )
 
 
-def evaluate_relation(rel: RelVector, x: LinComb, y: LinComb, z: LinComb) -> LinComb:
-    """Left side minus right side of the candidate, evaluated at x, y, z."""
-    lhs, rhs = relation_sides(rel, monomials_at(x, y, z))
-    return lhs - rhs
+def check_relations(
+    rels: Sequence[RelVector], values: Sequence[tuple[tuple[int, ...], Sequence[Any]]]
+) -> CheckReport:
+    """Sweep the candidates over ``(indices, monomials)`` pairs, relation by relation.
+
+    ``monomials`` holds the values of :func:`monomials_at` at one triple,
+    which ``indices`` names.  The first candidate whose sides differ at
+    some triple fails, at ``(relation number, *indices)``.
+    """
+    for r, rel in enumerate(rels):
+        for indices, monomials in values:
+            lhs, rhs = relation_sides(rel, monomials)
+            if lhs != rhs:
+                return CheckReport(False, "relation", (r, *indices), lhs, rhs)
+    return CheckReport(True)
 
 
 def _unit_evaluations() -> tuple[tuple[LinComb, ...], tuple[str, ...]]:
@@ -210,12 +223,6 @@ def solve_relation_space() -> tuple[RelVector, ...]:
     coordinate set to 1.
     """
     return tuple(map(RelVector, span(relation_matrix()).kernel(range(18))))
-
-
-def relation_space_contains(rel: RelVector) -> bool:
-    """Span membership test against the solved basis."""
-    basis = solve_relation_space()
-    return relation_sets_span_equal(basis, (*basis, rel))
 
 
 def relation_sets_span_equal(

@@ -20,6 +20,7 @@ from nijenhuis.envelope import (
     InvalidInput,
     LinearMap,
     NijenhuisAlgebraFD,
+    NSAlgebraFD,
     enveloping_generators,
     induced_ns,
 )
@@ -144,7 +145,7 @@ def test_max_size_env_cap(capsys, monkeypatch):
     code, out, err = run(capsys, "assoc-check", "--max-size", "3")
     assert code == 0
     assert "up to size 1" in out
-    assert "caps the sweep" in err
+    assert err == "note: NF_MAX_SIZE caps --max-size at 1\n"
     monkeypatch.setenv("NF_MAX_SIZE", "banana")
     code, _, err = run(capsys, "assoc-check", "--max-size", "1")
     assert code == 0
@@ -181,7 +182,7 @@ def test_max_size_env_caps_ideal_member(capsys, monkeypatch):
     )
     assert code == 1
     assert out.strip() == "not-detected (bound 2)"
-    assert "caps the sweep at size 2" in err
+    assert err == "note: NF_MAX_SIZE caps --bound at 2\n"
     # the capped bound is then too small for a larger candidate
     code, _, err = run(
         capsys, "ideal-member", str(FIXTURES / "projection_ns.json"), "[e1*[e1]]", "--bound", "6"
@@ -371,11 +372,28 @@ def test_fd_check_ns_file(capsys):
     assert "four-family pass" in out and "five-family pass" in out
 
 
+def test_fd_check_evaluates_each_basis_triple_once_for_both_families(capsys, monkeypatch, tmp_path):
+    # 24 products per basis triple: six inner and 18 outer, shared by the two families.
+    code, out, _ = run(capsys, "induce-ns", str(FIXTURES / "m2_left.json"))
+    assert code == 0
+    path = tmp_path / "m2_left_ns.json"
+    path.write_text(out)
+    calls = []
+    op_product = NSAlgebraFD.op_product
+
+    def counted(self, op, u, v):
+        calls.append(op)
+        return op_product(self, op, u, v)
+
+    monkeypatch.setattr(NSAlgebraFD, "op_product", counted)
+    code, out, _ = run(capsys, "fd-check", str(path))
+    assert (code, out) == (0, "split operations: four-family pass; five-family pass\n")
+    assert len(calls) <= 24 * 4**3 == 1536
+
+
 def test_induce_ns_round_trips(capsys):
     code, out, _ = run(capsys, "induce-ns", str(FIXTURES / "projection.json"))
     assert code == 0
-    from nijenhuis.envelope import NSAlgebraFD
-
     parsed = NSAlgebraFD.from_json_obj(json.loads(out))
     assert parsed == induced_ns(load_algebra("projection"))
 

@@ -20,9 +20,8 @@ from nijenhuis.envelope import (
     NSAlgebraFD,
     UnknownGenerator,
     check_morphism_kills_generators,
-    check_ndendriform_axioms,
     check_nijenhuis_fd,
-    check_ns_axioms,
+    check_relations_fd,
     default_names,
     enveloping_generators,
     evaluate_hom,
@@ -30,6 +29,7 @@ from nijenhuis.envelope import (
     truncated_ideal_membership,
 )
 from nijenhuis.linalg import DimensionMismatch, LinComb, Vector
+from nijenhuis.relations import ndendriform_relation_set, ns_relation_set
 from nijenhuis.words import WordError, letter_word, word, words_up_to_size
 
 from conftest import (
@@ -97,9 +97,8 @@ def test_induced_ns_requires_valid_input():
 
 def test_induced_ns_satisfies_both_relation_families():
     for alg in (load_algebra("projection"), scaling_algebra(2), scaling_algebra("1/3")):
-        m = induced_ns(alg)
-        assert check_ns_axioms(m).ok
-        assert check_ndendriform_axioms(m).ok
+        reports = check_relations_fd(induced_ns(alg), (ns_relation_set(), ndendriform_relation_set()))
+        assert [r.ok for r in reports] == [True, True]
 
 
 def test_relation_sweep_catches_perturbation():
@@ -107,13 +106,13 @@ def test_relation_sweep_catches_perturbation():
     prec = [[[c for c in m.prec[i][j]] for j in range(2)] for i in range(2)]
     prec[0][0][1] = Fraction(1)
     broken = NSAlgebraFD(2, tuple(tuple(tuple(r) for r in p) for p in prec), m.succ, m.bullet)
-    report = check_ns_axioms(broken)
+    (report,) = check_relations_fd(broken, (ns_relation_set(),))
     assert not report.ok
     assert report.kind == "relation"
 
 
 def test_relation_sweeps_evaluate_each_basis_triple_once(monkeypatch):
-    # Six inner and 18 outer products per triple, whatever the family.
+    # Six inner and 18 outer products per triple, for all the families at once.
     m = induced_ns(load_algebra("m2_left"))
     calls = []
     op_product = NSAlgebraFD.op_product
@@ -123,10 +122,9 @@ def test_relation_sweeps_evaluate_each_basis_triple_once(monkeypatch):
         return op_product(self, op, u, v)
 
     monkeypatch.setattr(NSAlgebraFD, "op_product", counted)
-    for check in (check_ns_axioms, check_ndendriform_axioms):
-        calls.clear()
-        assert check(m).ok
-        assert len(calls) <= 24 * m.dim**3 == 1536
+    reports = check_relations_fd(m, (ns_relation_set(), ndendriform_relation_set()))
+    assert [r.ok for r in reports] == [True, True]
+    assert len(calls) <= 24 * m.dim**3 == 1536
 
 
 def test_star_operation_in_fd_algebra():

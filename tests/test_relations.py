@@ -11,14 +11,14 @@ from nijenhuis.algebra import COORD_OPS, OpSymbol, derived_op
 from nijenhuis.linalg import LinComb, Vector, span
 from nijenhuis.relations import (
     RelVector,
-    evaluate_relation,
+    check_relations,
     monomials_at,
     ndendriform_relation_set,
     ns_relation_set,
     relation_matrix,
     relation_monomials,
     relation_sets_span_equal,
-    relation_space_contains,
+    relation_sides,
     solve_relation_space,
 )
 from nijenhuis.words import generators, letter_word, word
@@ -56,9 +56,21 @@ def unit(side: str, i: int, j: int) -> RelVector:
     return RelVector([int(n == k) for n in range(18)])
 
 
+def residue(rel: RelVector, x: LinComb, y: LinComb, z: LinComb) -> LinComb:
+    """Left side minus right side of the candidate at x, y, z."""
+    lhs, rhs = relation_sides(rel, monomials_at(x, y, z))
+    return lhs - rhs
+
+
 def universal(rel: RelVector) -> bool:
-    """Whether the candidate vanishes on three generators; freeness makes that decisive."""
-    return evaluate_relation(rel, X, Y, Z).is_zero()
+    """Whether the candidate holds on three generators; freeness makes that decisive."""
+    return check_relations((rel,), [((), monomials_at(X, Y, Z))]).ok
+
+
+def in_solved_space(rel: RelVector) -> bool:
+    """Whether the candidate lies in the span of the solved basis."""
+    basis = solve_relation_space()
+    return relation_sets_span_equal(basis, (*basis, rel))
 
 
 def test_relation_monomials_are_the_expected_thirteen():
@@ -191,20 +203,20 @@ def test_unit_candidates_all_fail():
 
 def test_evaluate_relation_on_simple_candidate():
     # (x < y) < z alone leaves a three-term residue
-    residue = evaluate_relation(unit("left", 0, 0), X, Y, Z)
+    got = residue(unit("left", 0, 0), X, Y, Z)
     expected = (
         LinComb.from_word(word("x*[[y]*z]"))
         + LinComb.from_word(word("x*[y*[z]]"))
         - LinComb.from_word(word("x*[[y*z]]"))
     )
-    assert residue == expected
+    assert got == expected
 
 
 def test_evaluate_relation_matches_direct_expansion():
     rel = ns_relation_set()[1]
     lhs = derived_op(OpSymbol.PREC, derived_op(OpSymbol.SUCC, X, Y), Z)
     rhs = derived_op(OpSymbol.SUCC, X, derived_op(OpSymbol.PREC, Y, Z))
-    assert evaluate_relation(rel, X, Y, Z) == lhs - rhs
+    assert residue(rel, X, Y, Z) == lhs - rhs
 
 
 def test_monomials_at_gives_each_unit_candidate():
@@ -218,15 +230,25 @@ def test_monomials_at_gives_each_unit_candidate():
                 else:
                     expected = derived_op(op_i, X, derived_op(op_j, Y, Z))
                 assert values[k] == expected
-                assert evaluate_relation(unit(side, i, j), X, Y, Z) == values[k].scale(sign)
+                assert residue(unit(side, i, j), X, Y, Z) == values[k].scale(sign)
+
+
+def test_check_relations_reports_the_first_failing_relation_and_triple():
+    values = [((0,), monomials_at(X, Y, Z)), ((1,), monomials_at(Y, X, Z))]
+    failing = unit("left", 0, 0)
+    report = check_relations((*ns_relation_set(), failing), values)
+    assert (report.ok, report.kind, report.indices) == (False, "relation", (4, 0))
+    assert report.lhs - report.rhs == residue(failing, X, Y, Z)
+    assert check_relations(ndendriform_relation_set(), values).ok
+    assert check_relations((), values).ok and check_relations((failing,), []).ok
 
 
 def test_evaluate_relation_is_trilinear():
     rel = ndendriform_relation_set()[4]
     a, b = X.scale(2), Y - Z
-    assert evaluate_relation(rel, a, b, Z) == (
-        evaluate_relation(rel, X, Y, Z).scale(2)
-        - evaluate_relation(rel, X, Z, Z).scale(2)
+    assert residue(rel, a, b, Z) == (
+        residue(rel, X, Y, Z).scale(2)
+        - residue(rel, X, Z, Z).scale(2)
     )
 
 
@@ -241,7 +263,7 @@ def test_solved_space_dimension_and_span():
 
 def test_four_family_sits_strictly_inside():
     for rel in ns_relation_set():
-        assert relation_space_contains(rel)
+        assert in_solved_space(rel)
     assert len(span(r.coords for r in ns_relation_set())) == 4
     assert not relation_sets_span_equal(ns_relation_set(), ndendriform_relation_set())
 
@@ -256,7 +278,7 @@ def test_span_closed_under_combinations(coeffs):
         coords = coords + v.coords.scale(c)
     combo = RelVector(coords)
     assert universal(combo)
-    assert relation_space_contains(combo)
+    assert in_solved_space(combo)
 
 
 def test_from_coords_validates_length():
