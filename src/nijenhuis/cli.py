@@ -109,7 +109,7 @@ def _emit_lincomb(args: argparse.Namespace, value: LinComb) -> None:
 
 
 def _parse_element(text: str, names: Sequence[str]) -> LinComb:
-    return parser.eval_expr(parser.parse_expr(text), names)
+    return parser.read_expr(text, names)
 
 
 def _load_json(path: str) -> dict:

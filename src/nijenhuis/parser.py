@@ -25,6 +25,15 @@ only to report a :class:`ParseError`.  Each tree node is a
 the repr and pickling; a node equals and hashes by class and fields, so
 building a tree allocates one tuple per node.  The evaluator dispatches
 on the node class and checks each generator name once per call.
+
+The commands read text with :func:`read_expr`, which builds no tree: one
+pass over the same tokens, grammar and nesting bound, in which each
+production returns a value and a term multiplies its factors as it reads
+them, by the products the evaluator makes, in the same order.  Input it
+does not take, among it every input that raises, goes to the tree path,
+``eval_expr(parse_expr(text), names)``, which gives the same value or
+raises the same error.  So a tree is built only for the library API, the
+tests and rejected input.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ __all__ = [
     "DerivedOpNode",
     "parse_expr",
     "eval_expr",
+    "read_expr",
     "print_canonical",
 ]
 
@@ -400,6 +410,175 @@ def eval_expr(expr: Expr, declared: Iterable[str]) -> LinComb:
         raise TypeError(f"not an expression node: {node!r}")
 
     return walk(expr)
+
+
+def _lincomb(value: str | LinComb) -> LinComb:
+    return _wrap({value: 1}) if type(value) is str else value
+
+
+def _bracket(value: str | LinComb) -> str | LinComb:
+    return f"[{value}]" if type(value) is str else operator_n(value)
+
+
+def _times(a: str | LinComb, b: str | LinComb) -> str | LinComb:
+    # Two words at a letter junction make the one word u*v, as in product.
+    if type(a) is str and type(b) is str and (a[-1] != "]" or b[0] != "["):
+        return a + "*" + b
+    return product(_lincomb(a), _lincomb(b))
+
+
+class _Reader:
+    """Recursive descent over the token texts that returns values, not nodes.
+
+    The grammar and the nesting bound are those of :class:`_Parser`.  A
+    value is a word's text, for one word with coefficient 1, or a
+    :class:`LinComb`.  Any input on which :func:`eval_expr` would not
+    evaluate every factor of every term, or would raise, raises a
+    :class:`UsageError`, with no message of its own: a syntax error, an
+    undeclared name, a term that is a bare scalar or has coefficient 0,
+    nesting past the bound, a product over the cap.  On the rest the
+    reader makes the products the tree path makes, in the same order.
+    """
+
+    __slots__ = ("tokens", "index", "nesting", "allowed")
+
+    def __init__(self, text: str, allowed: set[str]):
+        self.tokens = _tokenize(text)
+        self.index = 0
+        self.nesting = 0
+        self.allowed = allowed
+
+    def expect(self, text: str) -> None:
+        if self.tokens[self.index] != text:
+            raise UsageError
+        self.index += 1
+
+    def read(self) -> LinComb:
+        value = self.read_expr()
+        if self.tokens[self.index]:
+            raise UsageError
+        return _lincomb(value)
+
+    def read_expr(self) -> str | LinComb:
+        if self.nesting > MAX_NESTING:
+            raise UsageError
+        self.nesting += 1
+        tokens = self.tokens
+        negate = tokens[self.index] == "-"
+        if negate:
+            self.index += 1
+        coeff, value = self.read_term()
+        if negate:
+            coeff = -coeff
+        tok = tokens[self.index]
+        if tok != "+" and tok != "-":
+            self.nesting -= 1
+            if coeff == 1:
+                return value
+            return _wrap({value: coeff}) if type(value) is str else value.scale(coeff)
+        # One dict for the whole sum, as in eval_expr.
+        data: dict[str, int | Fraction] = {}
+        get = data.get
+        while True:
+            if type(value) is str:
+                acc = get(value)
+                data[value] = coeff if acc is None else acc + coeff
+            else:
+                for w, c in value._terms.items():
+                    c = coeff if c == 1 else coeff * c
+                    acc = get(w)
+                    data[w] = c if acc is None else acc + c
+            if tok != "+" and tok != "-":
+                break
+            self.index += 1
+            coeff, value = self.read_term()
+            if tok == "-":
+                coeff = -coeff
+            tok = tokens[self.index]
+        self.nesting -= 1
+        return _wrap({w: _int_if_integral(c) for w, c in data.items() if c})
+
+    def read_term(self) -> tuple[int | Fraction, str | LinComb]:
+        tokens = self.tokens
+        coeff: int | Fraction = 1
+        value: str | LinComb | None = None
+        while True:
+            tok = tokens[self.index]
+            self.index += 1
+            if tok.isidentifier():
+                if tokens[self.index] == "(":
+                    factor = self.read_call(tok)
+                elif tok in self.allowed:
+                    factor = tok
+                else:
+                    raise UsageError
+            elif tok.isdecimal():
+                number = self.read_rational(tok)
+                coeff = number if coeff == 1 else _int_if_integral(coeff * number)
+                factor = None
+            elif tok == "[":
+                factor = _bracket(self.read_expr())
+                self.expect("]")
+            elif tok == "(":
+                factor = self.read_expr()
+                self.expect(")")
+            else:
+                raise UsageError
+            if factor is not None:
+                value = factor if value is None else _times(value, factor)
+            if tokens[self.index] != "*":
+                break
+            self.index += 1
+        if value is None or coeff == 0:
+            raise UsageError
+        return coeff, value
+
+    def read_rational(self, tok: str) -> int | Fraction:
+        """The numeral ``tok``, just read, and its denominator if one follows."""
+        tokens = self.tokens
+        value = _integer(tok, tok)
+        if tokens[self.index] != "/":
+            return value
+        denominator = tokens[self.index + 1]
+        if not denominator.isdecimal():
+            raise UsageError
+        self.index += 2
+        d = _integer(denominator, denominator)
+        if d == 0:
+            raise UsageError
+        return _divide(value, d)
+
+    def read_call(self, name: str) -> str | LinComb:
+        """The call of ``name``, just read, whose ``(`` is next."""
+        self.index += 1
+        if name == "P":
+            inner = self.read_expr()
+            self.expect(")")
+            return _bracket(inner)
+        op = _FUNCTIONS.get(name)
+        if op is None:
+            raise UsageError
+        left = self.read_expr()
+        self.expect(",")
+        right = self.read_expr()
+        self.expect(")")
+        return derived_op(op, _lincomb(left), _lincomb(right))
+
+
+def read_expr(text: str, declared: Iterable[str]) -> LinComb:
+    """The value of ``text`` over the declared generators, read in one pass.
+
+    Equal to ``eval_expr(parse_expr(text), declared)``, coefficient
+    types included, but builds no tree.  Input the reader does not take
+    (see :class:`_Reader`) goes to that tree path, which raises its
+    error, or evaluates what the reader leaves to it, such as a term
+    with coefficient 0.
+    """
+    allowed = set(declared)
+    try:
+        return _Reader(text, allowed).read()
+    except UsageError:
+        return eval_expr(parse_expr(text), allowed)
 
 
 def print_canonical(a: LinComb) -> str:

@@ -13,7 +13,7 @@ import time
 import pytest
 
 import nijenhuis
-from nijenhuis import algebra, cli, relations
+from nijenhuis import algebra, cli, parser, relations
 from nijenhuis.algebra import CheckReport, TooManyTerms
 from nijenhuis.cli import build_parser, run_command
 from nijenhuis.envelope import (
@@ -64,6 +64,32 @@ def test_eval_and_mul_build_only_the_form_asked_for(capsys, monkeypatch):
         "terms": [{"coeff": "2", "word": "x"}]
     }
     assert run(capsys, "mul", "--json", "x", "y")[0] == 0
+
+
+def test_commands_read_an_expression_without_a_parse_tree(capsys, monkeypatch):
+    """Well-formed input builds no tree; malformed input builds the one that reports the error."""
+    built = []
+
+    class CountedParser(parser._Parser):
+        def __init__(self, text: str):
+            built.append(text)
+            super().__init__(text)
+
+    monkeypatch.setattr(parser, "_Parser", CountedParser)
+    projection, identity = str(FIXTURES / "projection.json"), str(FIXTURES / "identity_map.json")
+    for argv in (
+        ["eval", "3/2*prec(x*[y] - 2/3*y, [x]*y + 5/4*y) - 1/6*[x*y]"],
+        ["mul", "1/2*x - 2/3*[y*x] + 3*y", "-3/4*[x] + 5/6*y*[x] - x"],
+        ["eval-hom", projection, identity, "e1 - e1*[e1]"],
+        ["ideal-member", projection, "e1*e2", "--bound", "3"],
+    ):
+        assert run(capsys, *argv)[0] in (0, 1), argv
+    assert built == []
+    message = "expected a generator, number, bracket, or parenthesis, found 'end of input' (at position 5)"
+    assert run(capsys, "eval", "--generators", "x", "q + (") == (2, "", f"error: {message}\n")
+    assert built == ["q + ("]
+    assert run(capsys, "eval", "--generators", "x", "(0)*q") == (2, "", "error: unknown generator: q\n")
+    assert built == ["q + (", "(0)*q"]
 
 
 def test_eval_respects_generator_declaration(capsys):

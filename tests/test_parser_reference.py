@@ -7,6 +7,12 @@ per token, read through ``peek``/``advance``, every term through
 and finds positions again only for an error, so for every input both
 must give an equal tree, coefficients of the same type included, or a
 :class:`ParseError` with the same message and position.
+
+The tree path, ``eval_expr(parse_expr(text), names)``, is in turn the
+reference of :func:`~nijenhuis.parser.read_expr`, which reads a text
+straight to its value: for every input both give the same terms, each
+coefficient of the same type, or an error of the same class with the
+same message.
 """
 
 from __future__ import annotations
@@ -17,19 +23,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nijenhuis.algebra import OpSymbol
+from nijenhuis.algebra import OpSymbol, TooManyTerms, command_scope
 from nijenhuis.parser import (
     BracketApply,
     DerivedOpNode,
+    EvalError,
     Expr,
     GeneratorRef,
     ParseError,
     Product,
     ScalarLit,
     Sum,
+    UnknownIdentifier,
+    eval_expr,
     parse_expr,
+    read_expr,
 )
-from nijenhuis.words import MAX_NESTING
+from nijenhuis.words import MAX_NESTING, UsageError
 
 _FUNCTIONS = {
     "prec": OpSymbol.PREC,
@@ -321,3 +331,129 @@ def test_whitespace_of_the_tokenizer_is_that_of_str_split():
     # reference with the regular expression's \s.
     every = "".join(map(chr, range(0x110000)))
     assert re.sub(r"\s", "", every) == "".join(every.split())
+
+
+# Declared for the reader's tests; "z", "ab_2", "star" and "frob" are not.
+DECLARED = ("x", "y", "e1", "P", "prec")
+
+
+# The ParseError of an expression cut short, without its position.
+CUT_SHORT = "expected a generator, number, bracket, or parenthesis, found 'end of input'"
+
+
+def value_outcome(evaluate, text: str):
+    """The terms with the type of each coefficient, or the error's class and message."""
+    try:
+        value = evaluate(text, DECLARED)
+    except UsageError as exc:
+        return "error", type(exc), str(exc)
+    return {w: (c, type(c)) for w, c in value._terms.items()}
+
+
+def tree_path(text: str, names) -> object:
+    return eval_expr(parse_expr(text), names)
+
+
+def assert_same_value(text: str) -> None:
+    assert value_outcome(read_expr, text) == value_outcome(tree_path, text), text
+
+
+def _deep(inner):
+    """``inner`` nested to about the nesting cap, on either side of it."""
+    return st.tuples(
+        inner,
+        st.integers(MAX_NESTING - 2, MAX_NESTING + 1),
+        st.sampled_from([("[", "]"), ("(", ")"), ("P(", ")"), ("prec(x, ", ")"), ("-[", "]"), ("2*(", ")")]),
+    ).map(lambda t: t[2][0] * t[1] + t[0] + t[2][1] * t[1])
+
+
+# The expressions above, and terms that a zero or other coefficient
+# scales, sums of such terms, and nesting at the cap.
+READ_EXPRESSIONS = st.one_of(
+    EXPRESSIONS,
+    st.tuples(st.sampled_from(["0", "0/3", "1", "-2", "1/2"]), EXPRESSIONS, EXPRESSIONS).map(
+        lambda t: f"{t[0]}*({t[1]}) + {t[2]}"
+    ),
+    st.tuples(EXPRESSIONS, st.sampled_from(["0", "3", "2/4"]), EXPRESSIONS).map(
+        lambda t: f"[{t[0]}]*{t[1]} - ({t[2]})"
+    ),
+    _deep(EXPRESSIONS),
+)
+
+
+@settings(max_examples=500)
+@given(READ_EXPRESSIONS)
+@example("x*[y] - 1/2*[x]*y + 3/4*prec(x, y)")
+@example("2/4*x + 1/2*x - x")
+@example("(x + y)*[x - y] - 3*(x*y)")
+@example("star(1/2*x - y, [x]) - bullet(x, x)")
+def test_the_reader_matches_the_tree_path(text):
+    assert_same_value(text)
+
+
+@settings(max_examples=300)
+@given(READ_EXPRESSIONS, st.integers(0, 200), CORRUPTIONS)
+def test_the_reader_matches_the_tree_path_on_corrupted_expressions(text, at, piece):
+    assert_same_value(text[:at] + piece + text[at:])
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # A term with coefficient 0 is dropped before its names are checked.
+        ("0*q + x", {"x": (1, int)}),
+        ("0*prec(q, x) + x", {"x": (1, int)}),
+        # A scalar in parentheses is a factor, so its name is checked.
+        ("(0)*q", ("error", UnknownIdentifier, "unknown generator: q")),
+        # A syntax error outranks an undeclared name.
+        ("q+(", ("error", ParseError, f"{CUT_SHORT} (at position 3)")),
+        ("q + (", ("error", ParseError, f"{CUT_SHORT} (at position 5)")),
+        # A scalar left over is an error unless it is 0.
+        ("x + 1 - 1", {"x": (1, int)}),
+        ("[2]", ("error", EvalError, "a bare scalar is not an algebra element")),
+        ("[0]", {}),
+        ("P(0)", {}),
+        ("prec(x, 2)", ("error", EvalError, "a bare scalar is not an algebra element")),
+        ("(x)*[(x)]", {"x*[x]": (1, int)}),
+        ("2/4*x - 1/2*x + 6/4*[y]", {"[y]": (Fraction(3, 2), Fraction)}),
+        (
+            "[x]*[y]*2/3",
+            {
+                "[[x]*y]": (Fraction(2, 3), Fraction),
+                "[x*[y]]": (Fraction(2, 3), Fraction),
+                "[[x*y]]": (Fraction(-2, 3), Fraction),
+            },
+        ),
+        ("[" * MAX_NESTING + "x" + "]" * MAX_NESTING, {"[" * MAX_NESTING + "x" + "]" * MAX_NESTING: (1, int)}),
+    ],
+)
+def test_the_reader_on_the_edges_the_tree_path_decides(text, expected):
+    assert value_outcome(read_expr, text) == expected
+    assert_same_value(text)
+
+
+def test_the_reader_past_the_nesting_cap_and_the_digit_limit():
+    for text in ("[" * (MAX_NESTING + 1) + "x" + "]" * (MAX_NESTING + 1), "9" * 5000 + "*x"):
+        outcome = value_outcome(read_expr, text)
+        assert outcome[:2] == ("error", ParseError), outcome
+        assert_same_value(text)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("[x]*[y] + x", ("error", TooManyTerms, "a product has 3 terms, more than the cap of 2")),
+        # The tree path reads the whole text before any product.
+        ("[x]*[y] + (", ("error", ParseError, f"{CUT_SHORT} (at position 11)")),
+        # The tree path evaluates the terms in order.
+        ("z + [x]*[y]", ("error", UnknownIdentifier, "unknown generator: z")),
+        ("[x]*[y] + z", ("error", TooManyTerms, "a product has 3 terms, more than the cap of 2")),
+        # A term with coefficient 0 makes no product.
+        ("0*[x]*[y] + x", {"x": (1, int)}),
+        ("[x]*y*[x*y]", {"[x]*y*[x*y]": (1, int)}),
+    ],
+)
+def test_the_reader_over_the_term_cap(text, expected):
+    with command_scope(max_terms=2):
+        assert value_outcome(read_expr, text) == expected
+        assert_same_value(text)
