@@ -26,14 +26,16 @@ the repr and pickling; a node equals and hashes by class and fields, so
 building a tree allocates one tuple per node.  The evaluator dispatches
 on the node class and checks each generator name once per call.
 
-The commands read text with :func:`read_expr`, which builds no tree: one
-pass over the same tokens, grammar and nesting bound, in which each
-production returns a value and a term multiplies its factors as it reads
-them, by the products the evaluator makes, in the same order.  Input it
-does not take, among it every input that raises, goes to the tree path,
-``eval_expr(parse_expr(text), names)``, which gives the same value or
-raises the same error.  So a tree is built only for the library API, the
-tests and rejected input.
+One recursive descent reads the grammar and hands what it reads to a
+set of actions.  :func:`parse_expr` runs it with actions that build the
+tree.  The commands read text with :func:`read_expr`, which runs it with
+actions that compute the value, by the products the evaluator makes, in
+the same order, and builds no tree.  A syntax error is the same
+:class:`ParseError` on either path.  Input whose value the reader leaves
+open goes to the tree path, ``eval_expr(parse_expr(text), names)``,
+which gives the same value or raises the same error: an undeclared name,
+a bare scalar, a term with coefficient 0, a product over the term cap.
+So a tree is built only for the library API, the tests and those inputs.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .algebra import OpSymbol, derived_op, operator_n, product
+from .algebra import OpSymbol, TooManyTerms, derived_op, operator_n, product
 from .linalg import LinComb, _divide, _int_if_integral, _integer, _wrap
 from .words import MAX_NESTING, UsageError, letter_word
 
@@ -185,8 +187,20 @@ def _token_starts(text: str) -> list[int]:
     return starts
 
 
-class _Parser:
-    """Recursive descent over the token texts, read by index."""
+class _Reader:
+    """Recursive descent over the token texts, read by index.
+
+    The productions hand what they read to five actions:
+    ``generator(name)``, ``bracket(inner)``, ``call(op, left, right)``,
+    ``product(factors)`` for the factors of a term other than its
+    numerals, and ``sum(terms)`` for the ``(coefficient, product)``
+    pairs of an expression.  A term of one factor is that factor, and an
+    expression of one term with coefficient 1 is that term, with no
+    action called.  The actions here build the tree; :class:`_ValueReader`
+    swaps in actions that compute the value.
+    """
+
+    __slots__ = ("text", "tokens", "index", "nesting")
 
     def __init__(self, text: str):
         self.text = text
@@ -204,14 +218,14 @@ class _Parser:
             raise self.error(f"expected {text!r}, found {tok or 'end of input'!r}", self.index)
         self.index += 1
 
-    def parse(self) -> Expr:
-        expr = self.parse_expr()
+    def read(self):
+        result = self.read_expr()
         tok = self.tokens[self.index]
         if tok:
             raise self.error(f"trailing input {tok!r}", self.index)
-        return expr
+        return result
 
-    def parse_expr(self) -> Expr:
+    def read_expr(self):
         # The whole input is level 0; each enclosing bracket, parenthesis
         # or call adds one level.
         if self.nesting > MAX_NESTING:
@@ -221,122 +235,124 @@ class _Parser:
         negate = tokens[self.index] == "-"
         if negate:
             self.index += 1
-        coeff, node = self.parse_term()
-        terms: list[tuple[int | Fraction, Expr | None]] = [(-coeff if negate else coeff, node)]
+        coeff, part = self.read_term()
+        if negate:
+            coeff = -coeff
         tok = tokens[self.index]
+        if tok != "+" and tok != "-":
+            self.nesting -= 1
+            if coeff == 1 and part is not None:
+                return part
+            return self.sum([(coeff, part)])
+        terms = [(coeff, part)]
         while tok == "+" or tok == "-":
             self.index += 1
-            coeff, node = self.parse_term()
-            terms.append((coeff if tok == "+" else -coeff, node))
+            coeff, part = self.read_term()
+            terms.append((coeff if tok == "+" else -coeff, part))
             tok = tokens[self.index]
         self.nesting -= 1
-        return _combine_terms(terms)
+        return self.sum(terms)
 
-    def parse_term(self) -> tuple[int | Fraction, Expr | None]:
+    def read_term(self):
         tokens = self.tokens
         coeff: int | Fraction = 1
-        children: list[Expr] = []
+        factors = []
         while True:
             tok = tokens[self.index]
+            self.index += 1
             if tok.isidentifier():
-                self.index += 1
                 if tokens[self.index] == "(":
-                    children.append(self._call(tok, self.index - 1))
+                    factors.append(self.read_call(tok))
                 else:
-                    children.append(GeneratorRef(tok))
+                    factors.append(self.generator(tok))
             elif tok.isdecimal():
-                value = self._rational()
-                coeff = value if coeff == 1 else _int_if_integral(coeff * value)
+                number = self.read_rational(tok)
+                coeff = number if coeff == 1 else _int_if_integral(coeff * number)
+            elif tok == "[":
+                inner = self.read_expr()
+                self.expect("]")
+                factors.append(self.bracket(inner))
+            elif tok == "(":
+                inner = self.read_expr()
+                self.expect(")")
+                factors.append(inner)
             else:
-                children.append(self.parse_atom())
+                raise self.error(
+                    f"expected a generator, number, bracket, or parenthesis, found {tok or 'end of input'!r}",
+                    self.index - 1,
+                )
             if tokens[self.index] != "*":
                 break
             self.index += 1
-        if not children:
-            return coeff, None
-        node = children[0] if len(children) == 1 else Product(tuple(children))
-        return coeff, node
+        return coeff, factors[0] if len(factors) == 1 else self.product(factors)
 
-    def _rational(self) -> int | Fraction:
+    def read_rational(self, tok: str) -> int | Fraction:
+        """The numeral ``tok``, just read, and its denominator if one follows."""
+        # A numeral past the digit limit is refused as in files.
+        try:
+            value = _integer(tok, tok)
+        except UsageError as exc:
+            raise self.error(str(exc), self.index - 1) from None
         tokens = self.tokens
         i = self.index
-        value = self._numeral(i)
-        if tokens[i + 1] != "/":
-            self.index = i + 1
+        if tokens[i] != "/":
             return value
-        if not tokens[i + 2].isdecimal():
-            raise self.error("expected an integer denominator", i + 1, 1)
-        self.index = i + 3
-        d = self._numeral(i + 2)
+        denominator = tokens[i + 1]
+        if not denominator.isdecimal():
+            raise self.error("expected an integer denominator", i, 1)
+        self.index = i + 2
+        try:
+            d = _integer(denominator, denominator)
+        except UsageError as exc:
+            raise self.error(str(exc), i + 1) from None
         if d == 0:
-            raise self.error("zero denominator", i + 2)
+            raise self.error("zero denominator", i + 1)
         return _divide(value, d)
 
-    def _numeral(self, i: int) -> int:
-        """The value of the INT token at ``i``, under the numeral rule of files."""
-        try:
-            return _integer(self.tokens[i], self.tokens[i])
-        except UsageError as exc:
-            raise self.error(str(exc), i) from None
-
-    def parse_atom(self) -> Expr:
-        tok = self.tokens[self.index]
-        if tok == "[":
-            self.index += 1
-            inner = self.parse_expr()
-            self.expect("]")
-            return BracketApply(inner)
-        if tok == "(":
-            self.index += 1
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        raise self.error(
-            f"expected a generator, number, bracket, or parenthesis, found {tok or 'end of input'!r}",
-            self.index,
-        )
-
-    def _call(self, name: str, at: int) -> Expr:
-        """The call of ``name``, the token at ``at``, whose ``(`` is next."""
+    def read_call(self, name: str):
+        """The call of ``name``, just read, whose ``(`` is next."""
+        at = self.index - 1
         self.index += 1
         if name == "P":
-            inner = self.parse_expr()
+            inner = self.read_expr()
             self.expect(")")
-            return BracketApply(inner)
+            return self.bracket(inner)
         op = _FUNCTIONS.get(name)
         if op is None:
             raise self.error(f"unknown function {name!r}", at)
-        left = self.parse_expr()
+        left = self.read_expr()
         self.expect(",")
-        right = self.parse_expr()
+        right = self.read_expr()
         self.expect(")")
-        return DerivedOpNode(op, left, right)
+        return self.call(op, left, right)
 
+    generator = GeneratorRef
+    bracket = BracketApply
+    call = DerivedOpNode
 
-def _combine_terms(terms: list[tuple[int | Fraction, Expr | None]]) -> Expr:
-    normalized: list[tuple[int | Fraction, Expr]] = []
-    scalar_total: int | Fraction = 0
-    saw_scalar = False
-    for coeff, node in terms:
-        if node is None:
-            scalar_total = _int_if_integral(scalar_total + coeff)
-            saw_scalar = True
-        elif coeff != 0:
-            normalized.append((coeff, node))
-    if not normalized:
-        return ScalarLit(scalar_total)
-    if saw_scalar and scalar_total != 0:
-        normalized.append((scalar_total, ScalarLit(1)))
-    if len(normalized) == 1:
+    @staticmethod
+    def product(factors: list[Expr]) -> Expr | None:
+        """The node of a term of two or more factors, or ``None`` for a bare scalar."""
+        return Product(tuple(factors)) if factors else None
+
+    @staticmethod
+    def sum(terms: list[tuple[int | Fraction, Expr | None]]) -> Expr:
+        """The expression's node: the bare scalars add up, and terms with coefficient 0 go."""
+        normalized: list[tuple[int | Fraction, Expr]] = []
+        scalar_total: int | Fraction = 0
+        for coeff, node in terms:
+            if node is None:
+                scalar_total = _int_if_integral(scalar_total + coeff)
+            elif coeff != 0:
+                normalized.append((coeff, node))
+        if not normalized:
+            return ScalarLit(scalar_total)
+        if scalar_total != 0:
+            normalized.append((scalar_total, ScalarLit(1)))
+        if len(normalized) > 1:
+            return Sum(tuple(normalized))
         coeff, node = normalized[0]
-        return _scaled(coeff, node)
-    return Sum(tuple(normalized))
-
-
-def _scaled(coeff: int | Fraction, node: Expr) -> Expr:
-    if coeff == 1:
-        return node
-    return Product((ScalarLit(coeff), node))
+        return node if coeff == 1 else Product((ScalarLit(coeff), node))
 
 
 def parse_expr(text: str) -> Expr:
@@ -345,7 +361,7 @@ def parse_expr(text: str) -> Expr:
     Raises :class:`ParseError` on a syntax error, and on input nested
     more than :data:`~nijenhuis.words.MAX_NESTING` levels deep.
     """
-    return _Parser(text).parse()
+    return _Reader(text).read()
 
 
 def eval_expr(expr: Expr, declared: Iterable[str]) -> LinComb:
@@ -416,10 +432,6 @@ def _lincomb(value: str | LinComb) -> LinComb:
     return _wrap({value: 1}) if type(value) is str else value
 
 
-def _bracket(value: str | LinComb) -> str | LinComb:
-    return f"[{value}]" if type(value) is str else operator_n(value)
-
-
 def _times(a: str | LinComb, b: str | LinComb) -> str | LinComb:
     # Two words at a letter junction make the one word u*v, as in product.
     if type(a) is str and type(b) is str and (a[-1] != "]" or b[0] != "["):
@@ -427,59 +439,57 @@ def _times(a: str | LinComb, b: str | LinComb) -> str | LinComb:
     return product(_lincomb(a), _lincomb(b))
 
 
-class _Reader:
-    """Recursive descent over the token texts that returns values, not nodes.
+class _ValueReader(_Reader):
+    """The descent of :class:`_Reader` with actions that compute values.
 
-    The grammar and the nesting bound are those of :class:`_Parser`.  A
-    value is a word's text, for one word with coefficient 1, or a
-    :class:`LinComb`.  Any input on which :func:`eval_expr` would not
-    evaluate every factor of every term, or would raise, raises a
-    :class:`UsageError`, with no message of its own: a syntax error, an
-    undeclared name, a term that is a bare scalar or has coefficient 0,
-    nesting past the bound, a product over the cap.  On the rest the
-    reader makes the products the tree path makes, in the same order.
+    A value is a word's text, for one word with coefficient 1, or a
+    :class:`LinComb`; the reader makes the products the tree path makes,
+    in the same order.  An action returns ``None`` where
+    :func:`eval_expr` might not evaluate every factor of every term, or
+    might raise: for an undeclared name, a term that is a bare scalar or
+    has coefficient 0, or a part that holds one.  ``None`` passes up
+    through every action while the descent reads on, so a syntax error
+    anywhere still raises here, as in the tree path.
     """
 
-    __slots__ = ("tokens", "index", "nesting", "allowed")
+    __slots__ = ("allowed",)
 
     def __init__(self, text: str, allowed: set[str]):
-        self.tokens = _tokenize(text)
-        self.index = 0
-        self.nesting = 0
+        super().__init__(text)
         self.allowed = allowed
 
-    def expect(self, text: str) -> None:
-        if self.tokens[self.index] != text:
-            raise UsageError
-        self.index += 1
+    def generator(self, name: str) -> str | None:
+        return name if name in self.allowed else None
 
-    def read(self) -> LinComb:
-        value = self.read_expr()
-        if self.tokens[self.index]:
-            raise UsageError
-        return _lincomb(value)
+    @staticmethod
+    def bracket(inner: str | LinComb | None) -> str | LinComb | None:
+        if inner is None:
+            return None
+        return f"[{inner}]" if type(inner) is str else operator_n(inner)
 
-    def read_expr(self) -> str | LinComb:
-        if self.nesting > MAX_NESTING:
-            raise UsageError
-        self.nesting += 1
-        tokens = self.tokens
-        negate = tokens[self.index] == "-"
-        if negate:
-            self.index += 1
-        coeff, value = self.read_term()
-        if negate:
-            coeff = -coeff
-        tok = tokens[self.index]
-        if tok != "+" and tok != "-":
-            self.nesting -= 1
-            if coeff == 1:
-                return value
-            return _wrap({value: coeff}) if type(value) is str else value.scale(coeff)
+    @staticmethod
+    def call(op: OpSymbol, left: str | LinComb | None, right: str | LinComb | None) -> LinComb | None:
+        if left is None or right is None:
+            return None
+        return derived_op(op, _lincomb(left), _lincomb(right))
+
+    @staticmethod
+    def product(factors: list[str | LinComb | None]) -> str | LinComb | None:
+        value = None
+        for factor in factors:
+            if factor is None:
+                return None
+            value = factor if value is None else _times(value, factor)
+        return value
+
+    @staticmethod
+    def sum(terms: list[tuple[int | Fraction, str | LinComb | None]]) -> LinComb | None:
         # One dict for the whole sum, as in eval_expr.
         data: dict[str, int | Fraction] = {}
         get = data.get
-        while True:
+        for coeff, value in terms:
+            if value is None or coeff == 0:
+                return None
             if type(value) is str:
                 acc = get(value)
                 data[value] = coeff if acc is None else acc + coeff
@@ -488,97 +498,29 @@ class _Reader:
                     c = coeff if c == 1 else coeff * c
                     acc = get(w)
                     data[w] = c if acc is None else acc + c
-            if tok != "+" and tok != "-":
-                break
-            self.index += 1
-            coeff, value = self.read_term()
-            if tok == "-":
-                coeff = -coeff
-            tok = tokens[self.index]
-        self.nesting -= 1
         return _wrap({w: _int_if_integral(c) for w, c in data.items() if c})
-
-    def read_term(self) -> tuple[int | Fraction, str | LinComb]:
-        tokens = self.tokens
-        coeff: int | Fraction = 1
-        value: str | LinComb | None = None
-        while True:
-            tok = tokens[self.index]
-            self.index += 1
-            if tok.isidentifier():
-                if tokens[self.index] == "(":
-                    factor = self.read_call(tok)
-                elif tok in self.allowed:
-                    factor = tok
-                else:
-                    raise UsageError
-            elif tok.isdecimal():
-                number = self.read_rational(tok)
-                coeff = number if coeff == 1 else _int_if_integral(coeff * number)
-                factor = None
-            elif tok == "[":
-                factor = _bracket(self.read_expr())
-                self.expect("]")
-            elif tok == "(":
-                factor = self.read_expr()
-                self.expect(")")
-            else:
-                raise UsageError
-            if factor is not None:
-                value = factor if value is None else _times(value, factor)
-            if tokens[self.index] != "*":
-                break
-            self.index += 1
-        if value is None or coeff == 0:
-            raise UsageError
-        return coeff, value
-
-    def read_rational(self, tok: str) -> int | Fraction:
-        """The numeral ``tok``, just read, and its denominator if one follows."""
-        tokens = self.tokens
-        value = _integer(tok, tok)
-        if tokens[self.index] != "/":
-            return value
-        denominator = tokens[self.index + 1]
-        if not denominator.isdecimal():
-            raise UsageError
-        self.index += 2
-        d = _integer(denominator, denominator)
-        if d == 0:
-            raise UsageError
-        return _divide(value, d)
-
-    def read_call(self, name: str) -> str | LinComb:
-        """The call of ``name``, just read, whose ``(`` is next."""
-        self.index += 1
-        if name == "P":
-            inner = self.read_expr()
-            self.expect(")")
-            return _bracket(inner)
-        op = _FUNCTIONS.get(name)
-        if op is None:
-            raise UsageError
-        left = self.read_expr()
-        self.expect(",")
-        right = self.read_expr()
-        self.expect(")")
-        return derived_op(op, _lincomb(left), _lincomb(right))
 
 
 def read_expr(text: str, declared: Iterable[str]) -> LinComb:
     """The value of ``text`` over the declared generators, read in one pass.
 
     Equal to ``eval_expr(parse_expr(text), declared)``, coefficient
-    types included, but builds no tree.  Input the reader does not take
-    (see :class:`_Reader`) goes to that tree path, which raises its
-    error, or evaluates what the reader leaves to it, such as a term
-    with coefficient 0.
+    types and errors included, but builds no tree.  A syntax error is
+    raised by the reader itself.  Input whose value the reader leaves
+    open (see :class:`_ValueReader`), or on which a product goes over
+    the term cap, goes to that tree path, which raises its error or
+    evaluates what the reader left, such as a term with coefficient 0.
     """
     allowed = set(declared)
     try:
-        return _Reader(text, allowed).read()
-    except UsageError:
+        value = _ValueReader(text, allowed).read()
+    except TooManyTerms:
+        # The tree path reads the whole text before any product, so a
+        # syntax error further on outranks this one.
+        value = None
+    if value is None:
         return eval_expr(parse_expr(text), allowed)
+    return _lincomb(value)
 
 
 def print_canonical(a: LinComb) -> str:

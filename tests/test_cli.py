@@ -67,15 +67,15 @@ def test_eval_and_mul_build_only_the_form_asked_for(capsys, monkeypatch):
 
 
 def test_commands_read_an_expression_without_a_parse_tree(capsys, monkeypatch):
-    """Well-formed input builds no tree; malformed input builds the one that reports the error."""
+    """Well-formed input and a syntax error build no tree; input the reader leaves open builds one."""
     built = []
+    tree = parser.parse_expr
 
-    class CountedParser(parser._Parser):
-        def __init__(self, text: str):
-            built.append(text)
-            super().__init__(text)
+    def counted_parse_expr(text: str):
+        built.append(text)
+        return tree(text)
 
-    monkeypatch.setattr(parser, "_Parser", CountedParser)
+    monkeypatch.setattr(parser, "parse_expr", counted_parse_expr)
     projection, identity = str(FIXTURES / "projection.json"), str(FIXTURES / "identity_map.json")
     for argv in (
         ["eval", "3/2*prec(x*[y] - 2/3*y, [x]*y + 5/4*y) - 1/6*[x*y]"],
@@ -87,9 +87,9 @@ def test_commands_read_an_expression_without_a_parse_tree(capsys, monkeypatch):
     assert built == []
     message = "expected a generator, number, bracket, or parenthesis, found 'end of input' (at position 5)"
     assert run(capsys, "eval", "--generators", "x", "q + (") == (2, "", f"error: {message}\n")
-    assert built == ["q + ("]
+    assert built == []
     assert run(capsys, "eval", "--generators", "x", "(0)*q") == (2, "", "error: unknown generator: q\n")
-    assert built == ["q + (", "(0)*q"]
+    assert built == ["(0)*q"]
 
 
 def test_eval_respects_generator_declaration(capsys):

@@ -1,18 +1,23 @@
 """The expression parser against a reference model.
 
-The reference below is the tokenizer and recursive-descent parser that
-:mod:`nijenhuis.parser` replaced: one ``(kind, text, position)`` tuple
-per token, read through ``peek``/``advance``, every term through
-``_combine_terms``.  The parser under test keeps the token texts alone
-and finds positions again only for an error, so for every input both
-must give an equal tree, coefficients of the same type included, or a
-:class:`ParseError` with the same message and position.
+:mod:`nijenhuis.parser` has one recursive descent with two sets of
+actions: one builds the tree of :func:`~nijenhuis.parser.parse_expr`,
+the other computes the value of :func:`~nijenhuis.parser.read_expr`.
+
+The reference below checks the grammar.  It is the tokenizer and
+recursive-descent parser that :mod:`nijenhuis.parser` replaced: one
+``(kind, text, position)`` tuple per token, read through
+``peek``/``advance``, every term through ``_combine_terms``.  The
+descent under test keeps the token texts alone and finds positions
+again only for an error, so for every input both must give an equal
+tree, coefficients of the same type included, or a :class:`ParseError`
+with the same message and position.
 
 The tree path, ``eval_expr(parse_expr(text), names)``, is in turn the
-reference of :func:`~nijenhuis.parser.read_expr`, which reads a text
-straight to its value: for every input both give the same terms, each
-coefficient of the same type, or an error of the same class with the
-same message.
+reference of ``read_expr``, and so the reader-versus-tree tests check
+the two action sets against each other: for every input both give the
+same terms, each coefficient of the same type, or an error of the same
+class with the same message.
 """
 
 from __future__ import annotations
@@ -408,8 +413,17 @@ def test_the_reader_matches_the_tree_path_on_corrupted_expressions(text, at, pie
         # A syntax error outranks an undeclared name.
         ("q+(", ("error", ParseError, f"{CUT_SHORT} (at position 3)")),
         ("q + (", ("error", ParseError, f"{CUT_SHORT} (at position 5)")),
+        # It outranks a bare scalar and a term with coefficient 0 too.
+        ("x + 1 + (", ("error", ParseError, f"{CUT_SHORT} (at position 9)")),
+        ("0*q + (", ("error", ParseError, f"{CUT_SHORT} (at position 7)")),
+        # The first syntax error wins, wherever the values are.
+        ("x + [y", ("error", ParseError, "expected ']', found 'end of input' (at position 6)")),
+        ("frob(x, y) + q", ("error", ParseError, "unknown function 'frob' (at position 0)")),
         # A scalar left over is an error unless it is 0.
         ("x + 1 - 1", {"x": (1, int)}),
+        ("x + (1) - 1", ("error", EvalError, "a bare scalar is not an algebra element")),
+        ("2*(3)", ("error", EvalError, "a bare scalar is not an algebra element")),
+        ("(2)*(0) + x", {"x": (1, int)}),
         ("[2]", ("error", EvalError, "a bare scalar is not an algebra element")),
         ("[0]", {}),
         ("P(0)", {}),
