@@ -23,19 +23,13 @@ one ``findall`` and read by index; a token's position is found again
 only to report a :class:`ParseError`.  Each tree node is a
 :func:`collections.namedtuple` of its fields, which gives the fields,
 the repr and pickling; a node equals and hashes by class and fields, so
-building a tree allocates one tuple per node.  The evaluator dispatches
-on the node class and checks each generator name once per call.
+building a tree allocates one tuple per node.
 
 One recursive descent reads the grammar and hands what it reads to a
 set of actions.  :func:`parse_expr` runs it with actions that build the
-tree.  The commands read text with :func:`read_expr`, which runs it with
-actions that compute the value, by the products the evaluator makes, in
-the same order, and builds no tree.  A syntax error is the same
-:class:`ParseError` on either path.  Input whose value the reader leaves
-open goes to the tree path, ``eval_expr(parse_expr(text), names)``,
-which gives the same value or raises the same error: an undeclared name,
-a bare scalar, a term with coefficient 0, a product over the term cap.
-So a tree is built only for the library API, the tests and those inputs.
+tree; :func:`read_expr`, which the commands call, with actions that
+compute the value.  :func:`eval_expr` folds a tree through those same
+actions, so one set of rules decides every value and every error.
 """
 
 from __future__ import annotations
@@ -338,21 +332,27 @@ class _Reader:
     @staticmethod
     def sum(terms: list[tuple[int | Fraction, Expr | None]]) -> Expr:
         """The expression's node: the bare scalars add up, and terms with coefficient 0 go."""
-        normalized: list[tuple[int | Fraction, Expr]] = []
-        scalar_total: int | Fraction = 0
-        for coeff, node in terms:
-            if node is None:
-                scalar_total = _int_if_integral(scalar_total + coeff)
-            elif coeff != 0:
-                normalized.append((coeff, node))
+        normalized, scalar_total = _normalize(terms, ScalarLit(1))
         if not normalized:
             return ScalarLit(scalar_total)
-        if scalar_total != 0:
-            normalized.append((scalar_total, ScalarLit(1)))
         if len(normalized) > 1:
             return Sum(tuple(normalized))
         coeff, node = normalized[0]
         return node if coeff == 1 else Product((ScalarLit(coeff), node))
+
+
+def _normalize(terms: list, one: object) -> tuple[list, int | Fraction]:
+    """The kept terms, then the bare scalars' total times ``one`` if both are there; and that total."""
+    kept = []
+    scalar_total: int | Fraction = 0
+    for coeff, part in terms:
+        if part is None:
+            scalar_total = _int_if_integral(scalar_total + coeff)
+        elif coeff != 0:
+            kept.append((coeff, part))
+    if kept and scalar_total != 0:
+        kept.append((scalar_total, one))
+    return kept, scalar_total
 
 
 def parse_expr(text: str) -> Expr:
@@ -365,67 +365,37 @@ def parse_expr(text: str) -> Expr:
 
 
 def eval_expr(expr: Expr, declared: Iterable[str]) -> LinComb:
-    """Evaluate over the declared generators.
+    """Evaluate over the declared generators: fold the tree through the actions of :func:`read_expr`.
 
     Raises :class:`UnknownIdentifier` for stray names and
     :class:`EvalError` when a nonzero bare scalar is left over, since the
     algebra has no unit to absorb it.
     """
-    allowed = set(declared)
-    # Each generator is checked once, on first use; a combination is
-    # immutable, so its leaf serves every later use.
-    leaves: dict[str, LinComb] = {}
+    actions = _ValueReader("", set(declared))  # a reader of no text, for its actions
 
-    def walk(node: Expr) -> LinComb:
+    def fold(node: Expr) -> _Value:
         cls = type(node)
-        if cls is GeneratorRef:
-            name = node.name
-            leaf = leaves.get(name)
-            if leaf is None:
-                if name not in allowed:
-                    raise UnknownIdentifier(name)
-                leaf = leaves[name] = _wrap({letter_word(name): 1})
-            return leaf
+        if cls is GeneratorRef:  # a tree built by hand may hold any name
+            value = actions.generator(node.name)
+            return letter_word(value) if type(value) is str else value
         if cls is Product:
-            coeff: int | Fraction = 1
-            value: LinComb | None = None
-            for child in node.children:
-                if type(child) is ScalarLit:
-                    coeff = _int_if_integral(coeff * child.value)
-                else:
-                    part = walk(child)
-                    value = part if value is None else product(value, part)
-            if value is None:
-                if coeff == 0:
-                    return LinComb()
-                raise EvalError("a bare scalar is not an algebra element")
-            return value.scale(coeff)
-        if cls is BracketApply:
-            return operator_n(walk(node.child))
+            return actions.product([fold(child) for child in node.children])
         if cls is Sum:
-            # One dict for the whole sum: added up as LinCombs, eval and
-            # mul run 6-7% slower.
-            data: dict[str, int | Fraction] = {}
-            get = data.get
-            for coeff, child in node.terms:
-                if type(child) is ScalarLit:
-                    if coeff * child.value != 0:
-                        raise EvalError("a bare scalar is not an algebra element")
-                    continue
-                for w, c in walk(child)._terms.items():
-                    c = coeff if c == 1 else coeff * c
-                    acc = get(w)
-                    data[w] = c if acc is None else acc + c
-            return _wrap({w: _int_if_integral(c) for w, c in data.items() if c})
+            return actions.sum([(coeff, fold(child)) for coeff, child in node.terms])
+        if cls is BracketApply:
+            return actions.bracket(fold(node.child))
         if cls is DerivedOpNode:
-            return derived_op(node.op, walk(node.left), walk(node.right))
+            return actions.call(node.op, fold(node.left), fold(node.right))
         if cls is ScalarLit:
-            if node.value != 0:
-                raise EvalError("a bare scalar is not an algebra element")
-            return LinComb()
+            return node.value
         raise TypeError(f"not an expression node: {node!r}")
 
-    return walk(expr)
+    return _result(fold(expr))
+
+
+# A value: a word's text, for one word with coefficient 1; a LinComb; a
+# scalar, where the tree has a ScalarLit; or the error evaluation raises.
+_Value = Union[str, LinComb, int, Fraction, UsageError]
 
 
 def _lincomb(value: str | LinComb) -> LinComb:
@@ -439,17 +409,27 @@ def _times(a: str | LinComb, b: str | LinComb) -> str | LinComb:
     return product(_lincomb(a), _lincomb(b))
 
 
+def _element(value: _Value) -> _Value:
+    """``value`` where it is evaluated whole: a scalar is an error unless it is 0."""
+    if type(value) is int or type(value) is Fraction:
+        return LinComb() if value == 0 else EvalError("a bare scalar is not an algebra element")
+    return value
+
+
+def _result(value: _Value) -> LinComb:
+    value = _element(value)
+    if isinstance(value, UsageError):
+        raise value
+    return _lincomb(value)
+
+
 class _ValueReader(_Reader):
     """The descent of :class:`_Reader` with actions that compute values.
 
-    A value is a word's text, for one word with coefficient 1, or a
-    :class:`LinComb`; the reader makes the products the tree path makes,
-    in the same order.  An action returns ``None`` where
-    :func:`eval_expr` might not evaluate every factor of every term, or
-    might raise: for an undeclared name, a term that is a bare scalar or
-    has coefficient 0, or a part that holds one.  ``None`` passes up
-    through every action while the descent reads on, so a syntax error
-    anywhere still raises here, as in the tree path.
+    An action that meets an undeclared name, a bare scalar or a product
+    over the term cap returns that error as its value, and passes on the
+    first error among its parts, in the order of evaluation.  The descent
+    reads on, so a syntax error anywhere is still raised first.
     """
 
     __slots__ = ("allowed",)
@@ -458,69 +438,88 @@ class _ValueReader(_Reader):
         super().__init__(text)
         self.allowed = allowed
 
-    def generator(self, name: str) -> str | None:
-        return name if name in self.allowed else None
+    def generator(self, name: str) -> str | UnknownIdentifier:
+        return name if name in self.allowed else UnknownIdentifier(name)
 
     @staticmethod
-    def bracket(inner: str | LinComb | None) -> str | LinComb | None:
-        if inner is None:
-            return None
-        return f"[{inner}]" if type(inner) is str else operator_n(inner)
+    def bracket(inner: _Value) -> _Value:
+        if type(inner) is str:
+            return f"[{inner}]"
+        inner = _element(inner)
+        return operator_n(inner) if type(inner) is LinComb else inner
 
     @staticmethod
-    def call(op: OpSymbol, left: str | LinComb | None, right: str | LinComb | None) -> LinComb | None:
-        if left is None or right is None:
-            return None
-        return derived_op(op, _lincomb(left), _lincomb(right))
+    def call(op: OpSymbol, left: _Value, right: _Value) -> _Value:
+        left, right = _element(left), _element(right)
+        for part in (left, right):
+            if isinstance(part, UsageError):
+                return part
+        try:
+            return derived_op(op, _lincomb(left), _lincomb(right))
+        except TooManyTerms as exc:
+            return exc.with_traceback(None)
 
     @staticmethod
-    def product(factors: list[str | LinComb | None]) -> str | LinComb | None:
+    def product(factors: list[_Value]) -> _Value | None:
+        # Scalar factors scale the product; the others multiply in order.
+        coeff: int | Fraction = 1
         value = None
         for factor in factors:
-            if factor is None:
-                return None
-            value = factor if value is None else _times(value, factor)
-        return value
+            if type(factor) is str or type(factor) is LinComb:
+                try:
+                    value = factor if value is None else _times(value, factor)
+                except TooManyTerms as exc:
+                    return exc.with_traceback(None)
+            elif type(factor) is int or type(factor) is Fraction:
+                coeff = _int_if_integral(coeff * factor)
+            else:
+                return factor
+        if value is None:
+            return _element(coeff) if factors else None
+        return value if coeff == 1 else _lincomb(value).scale(coeff)
 
     @staticmethod
-    def sum(terms: list[tuple[int | Fraction, str | LinComb | None]]) -> LinComb | None:
-        # One dict for the whole sum, as in eval_expr.
+    def sum(terms: list[tuple[int | Fraction, _Value | None]]) -> _Value:
+        # One dict for the whole sum: added up as LinCombs, eval and mul
+        # run 6-7% slower.
         data: dict[str, int | Fraction] = {}
         get = data.get
         for coeff, value in terms:
-            if value is None or coeff == 0:
-                return None
-            if type(value) is str:
+            if type(value) is str and coeff:
                 acc = get(value)
                 data[value] = coeff if acc is None else acc + coeff
-            else:
+            elif type(value) is LinComb and coeff:
                 for w, c in value._terms.items():
                     c = coeff if c == 1 else coeff * c
                     acc = get(w)
                     data[w] = c if acc is None else acc + c
+            else:
+                # A bare scalar, a coefficient 0, a scalar or an error.
+                return _tree_sum(terms)
         return _wrap({w: _int_if_integral(c) for w, c in data.items() if c})
+
+
+def _tree_sum(terms: list[tuple[int | Fraction, _Value | None]]) -> _Value:
+    """The value of the node that :meth:`_Reader.sum` makes of ``terms``."""
+    kept, scalar_total = _normalize(terms, 1)
+    if not kept:
+        return scalar_total
+    if len(kept) == 1 and kept[0][0] == 1:
+        return kept[0][1]
+    elements = [(coeff, _element(value)) for coeff, value in kept]
+    for _, value in elements:
+        if isinstance(value, UsageError):
+            return value
+    return _ValueReader.sum(elements)
 
 
 def read_expr(text: str, declared: Iterable[str]) -> LinComb:
     """The value of ``text`` over the declared generators, read in one pass.
 
     Equal to ``eval_expr(parse_expr(text), declared)``, coefficient
-    types and errors included, but builds no tree.  A syntax error is
-    raised by the reader itself.  Input whose value the reader leaves
-    open (see :class:`_ValueReader`), or on which a product goes over
-    the term cap, goes to that tree path, which raises its error or
-    evaluates what the reader left, such as a term with coefficient 0.
+    types and errors included, but builds no tree.
     """
-    allowed = set(declared)
-    try:
-        value = _ValueReader(text, allowed).read()
-    except TooManyTerms:
-        # The tree path reads the whole text before any product, so a
-        # syntax error further on outranks this one.
-        value = None
-    if value is None:
-        return eval_expr(parse_expr(text), allowed)
-    return _lincomb(value)
+    return _result(_ValueReader(text, set(declared)).read())
 
 
 def print_canonical(a: LinComb) -> str:

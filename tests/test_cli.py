@@ -67,15 +67,16 @@ def test_eval_and_mul_build_only_the_form_asked_for(capsys, monkeypatch):
 
 
 def test_commands_read_an_expression_without_a_parse_tree(capsys, monkeypatch):
-    """Well-formed input and a syntax error build no tree; input the reader leaves open builds one."""
-    built = []
-    tree = parser.parse_expr
+    """No input builds a tree or walks one: well-formed input, a syntax error, or an evaluation error."""
+    calls = []
+    for name in ("parse_expr", "eval_expr"):
 
-    def counted_parse_expr(text: str):
-        built.append(text)
-        return tree(text)
+        def counted(*args, _name=name, _function=getattr(parser, name)):
+            calls.append((_name, args[0]))
+            return _function(*args)
 
-    monkeypatch.setattr(parser, "parse_expr", counted_parse_expr)
+        monkeypatch.setattr(parser, name, counted)
+    monkeypatch.delenv("NF_MAX_TERMS", raising=False)
     projection, identity = str(FIXTURES / "projection.json"), str(FIXTURES / "identity_map.json")
     for argv in (
         ["eval", "3/2*prec(x*[y] - 2/3*y, [x]*y + 5/4*y) - 1/6*[x*y]"],
@@ -84,12 +85,17 @@ def test_commands_read_an_expression_without_a_parse_tree(capsys, monkeypatch):
         ["ideal-member", projection, "e1*e2", "--bound", "3"],
     ):
         assert run(capsys, *argv)[0] in (0, 1), argv
-    assert built == []
-    message = "expected a generator, number, bracket, or parenthesis, found 'end of input' (at position 5)"
-    assert run(capsys, "eval", "--generators", "x", "q + (") == (2, "", f"error: {message}\n")
-    assert built == []
-    assert run(capsys, "eval", "--generators", "x", "(0)*q") == (2, "", "error: unknown generator: q\n")
-    assert built == ["(0)*q"]
+    assert run(capsys, "eval", "--generators", "x", "0*q + x") == (0, "x\n", "")
+    cut_short = "expected a generator, number, bracket, or parenthesis, found 'end of input' (at position 5)"
+    over_cap = "a product has 115584 terms, more than the cap of 100000; NF_MAX_TERMS sets the cap"
+    for names, text, message in (
+        ("x", "q + (", cut_short),
+        ("x", "(0)*q", "unknown generator: q"),
+        ("x", "x + (1) - 1", "a bare scalar is not an algebra element"),
+        ("x,y", prec_nest(8), over_cap),
+    ):
+        assert run(capsys, "eval", "--generators", names, text) == (2, "", f"error: {message}\n")
+    assert calls == []
 
 
 def test_eval_respects_generator_declaration(capsys):
