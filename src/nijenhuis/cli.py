@@ -13,6 +13,8 @@ caps the ``--max-size`` of the sweep subcommands and the ``--bound`` of
 ``ideal-member``.  ``NF_MAX_TERMS``, when set to a positive integer,
 replaces the default cap of 100000 terms on any one product a command
 computes; a product over the cap ends the command with exit code 2.
+Every JSON shape is read or written here alone, and an algebra or map
+file is read through its class's one constructor.
 
 Arguments are read in one of two ways.  :func:`_read_args` reads the
 argv of a well-formed command straight from the ``_COMMANDS`` table,
@@ -93,6 +95,18 @@ def _lincomb_json(a: LinComb) -> dict:
     return {"terms": [{"coeff": str(c), "word": w} for w, c in a]}
 
 
+def _rows_json(rows) -> list:
+    return [[str(x) for x in row] for row in rows]
+
+
+def _ns_json(alg: envelope.NSAlgebraFD) -> dict:
+    return {"dim": alg.dim, **{op.value: [_rows_json(plane) for plane in alg.tensor(op)] for op in COORD_OPS}}
+
+
+def _relation_json(rel: relations.RelVector) -> dict:
+    return {"left": _rows_json(rel.left), "right": _rows_json(rel.right)}
+
+
 def _emit(args: argparse.Namespace, obj: dict, plain: str) -> None:
     if args.json:
         print(json.dumps(obj, indent=2))
@@ -146,9 +160,9 @@ def _load_algebra(path: str) -> envelope.NijenhuisAlgebraFD | envelope.NSAlgebra
     obj = _load_json(path)
     try:
         if "mult" in obj:
-            return envelope.NijenhuisAlgebraFD.from_json_obj(obj)
+            return envelope.NijenhuisAlgebraFD(obj["dim"], obj["mult"], envelope.LinearMap(obj["op"]))
         if "prec" in obj:
-            return envelope.NSAlgebraFD.from_json_obj(obj)
+            return envelope.NSAlgebraFD(obj["dim"], *(obj[op.value] for op in COORD_OPS))
     except KeyError as exc:
         raise UsageError(f"{path}: malformed algebra file: missing key {exc}") from exc
     except (ValueError, TypeError) as exc:
@@ -276,7 +290,7 @@ def _relation_space_flags() -> tuple[bool, bool]:
 def _cmd_solve_relspace(args: argparse.Namespace) -> int:
     basis = relations.solve_relation_space()
     matches, contains_four = _relation_space_flags()
-    vectors = [v.to_json_obj() for v in basis]
+    vectors = [_relation_json(v) for v in basis]
     obj = {
         "dimension": len(basis),
         "basis": vectors,
@@ -345,7 +359,7 @@ def _cmd_fd_check(args: argparse.Namespace) -> int:
 
 def _cmd_induce_ns(args: argparse.Namespace) -> int:
     # The plain form is the JSON form.
-    print(json.dumps(envelope.induced_ns(_load_operator_algebra(args.file)).to_json_obj(), indent=2))
+    print(json.dumps(_ns_json(envelope.induced_ns(_load_operator_algebra(args.file))), indent=2))
     return 0
 
 
@@ -386,7 +400,6 @@ def _cmd_morphism_check(args: argparse.Namespace) -> int:
 _EXPR = (("expr",), {"help": _EXPR_HELP})
 _FILE = (("file",), {})
 _GENERATORS = (("--generators",), {"default": "x,y,z", "help": "declared generator names"})
-_RELATION_GENERATORS = ((("--generators",), {"default": "x,y,z"}),)
 _NAMES = (("--generators",), {"default": None, "help": "names for the free generators"})
 _SWEEP = ((("--max-size",), {"type": int, "default": 3}), (("--alphabet",), {"default": "x,y"}))
 
@@ -401,8 +414,8 @@ _COMMANDS = {
     "eval": (_cmd_eval, "evaluate an expression to canonical form", (_EXPR, _GENERATORS)),
     "assoc-check": (_cmd_assoc_check, "sweep associativity on basis word triples", _SWEEP),
     "nijenhuis-check": (_cmd_nijenhuis_check, "sweep the operator identity on word pairs", _SWEEP),
-    "ns-check": (_cmd_ns_check, "verify the four-relation family on free generators", _RELATION_GENERATORS),
-    "ndend-check": (_cmd_ndend_check, "verify the five-relation family on free generators", _RELATION_GENERATORS),
+    "ns-check": (_cmd_ns_check, "verify the four-relation family on free generators", (_GENERATORS,)),
+    "ndend-check": (_cmd_ndend_check, "verify the five-relation family on free generators", (_GENERATORS,)),
     "solve-relspace": (_cmd_solve_relspace, "rederive the relation space from scratch", ()),
     "env-generators": (_cmd_env_generators, "kernel generators for a structure-constant algebra", (_FILE, _NAMES)),
     "fd-check": (_cmd_fd_check, "run identity sweeps on a structure-constant file", (_FILE,)),

@@ -9,13 +9,15 @@ algebra's product and operator.  The products, operator images and
 evaluations returned here hold an ``int`` wherever a coordinate is
 integral and a Fraction only otherwise, as :class:`LinComb` does.  Input
 is coerced once, where it enters through ``mul``, ``apply_op``,
-:meth:`LinearMap.apply` or a constructor; the Vectors this module builds
-pass through.  A constructor walks its input once, taking only lists of
-the right length at every level, and keeps only the dense rows it
-prints: products, map images and columns read those rows, skipping
-zero entries.  The attributes are read-only.  This module checks the
-operator identity and associativity by sweep, splits such an algebra
-into its three induced bilinear operations, checks families of
+:meth:`LinearMap.apply` or a class's one constructor; the Vectors this
+module builds pass through.  A constructor walks its input once, taking
+only lists of the right length at every level, and keeps only its
+dense rows: products, map images and columns read those rows, skipping
+zero entries.  The attributes are read-only.  No class here
+reads or writes JSON: :mod:`nijenhuis.cli` reads the algebra and map
+files through the constructors and writes what it prints.  This module
+checks the operator identity and associativity by sweep, splits such an
+algebra into its three induced bilinear operations, checks families of
 quadratic relations on a split algebra, evaluating the monomials of
 each basis triple once for all of them, and studies the result
 through the free algebra: every finite-dimensional instance with the
@@ -141,10 +143,6 @@ def _read_tensor(values: TensorLike, dim: int) -> Tensor:
     )
 
 
-def _tensor_json(t: Tensor) -> list:
-    return [[[str(x) for x in row] for row in plane] for plane in t]
-
-
 def _contract(t: Tensor, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Vector:
     """The bilinear product of ``u`` and ``v`` with structure tensor ``t``."""
     dim = len(t)
@@ -171,17 +169,11 @@ class LinearMap:
         cols = len(_sized(rows[0], None, "a matrix row")) if rows else 0
         self._entries = tuple(Vector(_sized(row, cols, "a matrix row")) for row in rows)
 
-    entries = property(attrgetter("_entries"), doc="The rows, each a Vector.")
-
     @property
     def shape(self) -> tuple[int, int]:
         """The numbers of rows and of columns."""
         rows = self._entries
         return len(rows), len(rows[0]) if rows else 0
-
-    @classmethod
-    def identity(cls, n: int) -> "LinearMap":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def apply(self, vec: Sequence[RationalLike]) -> Vector:
         out = [0] * len(self._entries)
@@ -200,9 +192,6 @@ class LinearMap:
 
     def __hash__(self) -> int:
         return hash(self._entries)
-
-    def to_json_obj(self) -> list:
-        return [[str(x) for x in row] for row in self._entries]
 
 
 class NijenhuisAlgebraFD:
@@ -240,13 +229,6 @@ class NijenhuisAlgebraFD:
     def __hash__(self) -> int:
         return hash((self._mult, self._op))
 
-    def to_json_obj(self) -> dict:
-        return {"dim": self.dim, "mult": _tensor_json(self._mult), "op": self._op.to_json_obj()}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "NijenhuisAlgebraFD":
-        return cls(obj["dim"], obj["mult"], LinearMap(obj["op"]))
-
 
 class NSAlgebraFD:
     """Three bilinear operations given by structure tensors; read-only."""
@@ -269,9 +251,6 @@ class NSAlgebraFD:
     def op_product(
         self, op: OpSymbol, u: Sequence[RationalLike], v: Sequence[RationalLike]
     ) -> Vector:
-        if op is OpSymbol.STAR:
-            prec, succ, bullet = (self.op_product(o, u, v) for o in COORD_OPS)
-            return prec + succ + bullet
         return _contract(self._tensors[op], u, v)
 
     def __eq__(self, other: object) -> bool:
@@ -280,13 +259,6 @@ class NSAlgebraFD:
     def __hash__(self) -> int:
         # The constructor fills the dict in the order of COORD_OPS.
         return hash(tuple(self._tensors.values()))
-
-    def to_json_obj(self) -> dict:
-        return {"dim": self.dim, **{op.value: _tensor_json(self._tensors[op]) for op in COORD_OPS}}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "NSAlgebraFD":
-        return cls(obj["dim"], *(obj[op.value] for op in COORD_OPS))
 
 
 # fd-check x2.8 without it.
@@ -510,7 +482,7 @@ def truncated_ideal_membership(
         raise BoundTooSmall(
             f"candidate has a word larger than the bound {size_bound}"
         )
-    if candidate.is_zero():
+    if not candidate:
         return Membership.MEMBER
 
     symbols = sorted(

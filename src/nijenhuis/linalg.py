@@ -181,14 +181,8 @@ class LinComb:
         ordered = canonical_sort(self._terms)
         return tuple(zip(ordered, map(self._terms.__getitem__, ordered)))
 
-    def support(self) -> tuple[str, ...]:
-        return tuple(canonical_sort(self._terms))
-
     def coeff(self, word: str) -> int | Fraction:
         return self._terms.get(word, 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -8,13 +8,15 @@ operations ordered (prec, succ, bullet), the candidate asserts
   = sum_ij right[i][j] * (x op_i (y op_j z))
 
 for all x, y, z.  Left coordinates are indexed (inner, outer) and right
-coordinates (outer, inner), matching how the monomials are written.
-:func:`monomials_at` evaluates the 18 monomials at x, y, z once, in the
-free algebra or, given its operations, in any other, and
-:func:`relation_sides` reads the two sums of a candidate off them.
-:func:`check_relations` is the one relation sweep: over the monomials
-of one or many triples, it reports the first candidate whose sides
-differ, as ``ns-check``, ``ndend-check`` and ``fd-check`` print it.
+coordinates (outer, inner), matching how the monomials are written.  A
+candidate is built from its 18 coordinates alone; :mod:`nijenhuis.cli`
+prints the grids as JSON.  :func:`monomials_at` evaluates the 18
+monomials at x, y, z once, in the free algebra or, given its
+operations, in any other, and :func:`relation_sides` reads the two sums
+of a candidate off them.  :func:`check_relations` is the one relation
+sweep: over the monomials of one or many triples, it reports the first
+candidate whose sides differ, as ``ns-check``, ``ndend-check`` and
+``fd-check`` print it.
 
 Because the algebra here is free, a candidate holds in every algebra
 with a compatible operator exactly when it vanishes on three distinct
@@ -83,20 +85,6 @@ class RelVector:
 
     def __eq__(self, other: object) -> bool:
         return self._coords == other._coords if type(other) is RelVector else NotImplemented
-
-    def to_json_obj(self) -> dict:
-        return {
-            "left": [[str(x) for x in row] for row in self.left],
-            "right": [[str(x) for x in row] for row in self.right],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "RelVector":
-        coords: list[RationalLike] = []
-        for grid in (obj["left"], obj["right"]):
-            for row in _sized(grid, 3, "a 3x3 relation grid"):
-                coords += _sized(row, 3, "a row of a 3x3 relation grid")
-        return cls(coords)
 
 
 def _rel(
@@ -193,7 +181,7 @@ def _unit_evaluations() -> tuple[tuple[LinComb, ...], tuple[str, ...]]:
     evals = (*m[:9], *(-v for v in m[9:]))
     seen: set[str] = set()
     for value in evals:
-        seen.update(value.support())
+        seen.update(value._terms)
     rows = tuple(canonical_sort(seen))
     return evals, rows
 

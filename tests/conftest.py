@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from itertools import product as cartesian
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from nijenhuis import envelope
+from nijenhuis import cli, envelope
 from nijenhuis.algebra import command_scope
 from nijenhuis.linalg import LinComb, RowSpace
 from nijenhuis.words import (
@@ -43,8 +42,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def load_algebra(name: str):
-    """The operator algebra committed as ``tests/fixtures/<name>.json``."""
-    return envelope.NijenhuisAlgebraFD.from_json_obj(json.loads((FIXTURES / f"{name}.json").read_text()))
+    """The algebra committed as ``tests/fixtures/<name>.json``, read as the CLI reads it."""
+    return cli._load_algebra(str(FIXTURES / f"{name}.json"))
+
+
+def identity_map(n: int):
+    """The identity matrix of size ``n``."""
+    return envelope.LinearMap([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def scaling_algebra(lam):

@@ -301,6 +301,15 @@ def test_term_cap_env_stops_the_sweeps(capsys, monkeypatch, cap, assoc_terms, ni
         assert algebra._max_terms == algebra.MAX_TERMS
 
 
+@pytest.mark.parametrize("cap, terms", [("4", 5), ("12", 13)])
+def test_term_cap_stops_the_operator_identity_sweep_at_size_three(capsys, monkeypatch, cap, terms):
+    # The left side of a pair is checked before its three products, so
+    # caps 4 and 12 stop on different products over {x,y} to size 3.
+    monkeypatch.setenv("NF_MAX_TERMS", cap)
+    message = f"error: a product has {terms} terms, more than the cap of {cap}; NF_MAX_TERMS sets the cap\n"
+    assert run(capsys, "nijenhuis-check", "--max-size", "3") == (2, "", message)
+
+
 def test_relation_checks_pass(capsys):
     code, out, _ = run(capsys, "ns-check")
     assert code == 0 and "all 4" in out
@@ -308,6 +317,12 @@ def test_relation_checks_pass(capsys):
     assert code == 0 and "all 5" in out
     code, out, _ = run(capsys, "ndend-check", "--json", "--generators", "a,b,c")
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("command", ["ns-check", "ndend-check"])
+def test_relation_check_help_describes_the_generators_option(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0 and "declared generator names" in " ".join(out.split())
 
 
 def test_relation_check_reports_the_first_failure(capsys, monkeypatch):
@@ -335,10 +350,8 @@ def test_solve_relspace_json(capsys):
     assert data["contains_four_family"] is True
     assert len(data["basis"]) == 5
     # output vectors agree with the library solver
-    from nijenhuis.relations import RelVector
-
-    parsed = [RelVector.from_json_obj(v) for v in data["basis"]]
-    assert tuple(parsed) == solve_relation_space()
+    coords = [[x for grid in (v["left"], v["right"]) for row in grid for x in row] for v in data["basis"]]
+    assert tuple(map(RelVector, coords)) == solve_relation_space()
 
 
 def test_env_generators_output(capsys):
@@ -357,13 +370,12 @@ def test_env_generators_output(capsys):
 
 def test_env_generators_label_order_in_dimension_three(capsys, tmp_path):
     # Componentwise product on three coordinates; the operator keeps the first.
-    alg = NijenhuisAlgebraFD(
-        3,
-        [[[1 if i == j == k else 0 for k in range(3)] for j in range(3)] for i in range(3)],
-        LinearMap([[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
-    )
+    mult = [[[1 if i == j == k else 0 for k in range(3)] for j in range(3)] for i in range(3)]
+    op = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    alg = NijenhuisAlgebraFD(3, mult, LinearMap(op))
     path = tmp_path / "dim3.json"
-    path.write_text(json.dumps(alg.to_json_obj()))
+    path.write_text(json.dumps({"dim": 3, "mult": mult, "op": op}))
+    assert cli._load_algebra(str(path)) == alg
     labels = [(i, j, op) for i in range(3) for j in range(3) for op in ("prec", "succ", "bullet")]
     gens = enveloping_generators(induced_ns(alg))
     code, out, _ = run(capsys, "env-generators", str(path))
@@ -423,11 +435,12 @@ def test_fd_check_evaluates_each_basis_triple_once_for_both_families(capsys, mon
     assert len(calls) <= 24 * 4**3 == 1536
 
 
-def test_induce_ns_round_trips(capsys):
+def test_induce_ns_round_trips(capsys, tmp_path):
     code, out, _ = run(capsys, "induce-ns", str(FIXTURES / "projection.json"))
     assert code == 0
-    parsed = NSAlgebraFD.from_json_obj(json.loads(out))
-    assert parsed == induced_ns(load_algebra("projection"))
+    path = tmp_path / "projection_ns.json"
+    path.write_text(out)
+    assert cli._load_algebra(str(path)) == induced_ns(load_algebra("projection"))
 
 
 def test_induce_ns_prints_the_same_text_plain_and_json(capsys):
@@ -843,7 +856,7 @@ def test_loaded_values_are_read_only():
     alg = cli._load_algebra(str(FIXTURES / "projection.json"))
     ns = cli._load_algebra(str(FIXTURES / "projection_ns.json"))
     _, matrix = cli._load_map(str(FIXTURES / "identity_map.json"))
-    rel = RelVector.from_json_obj(solve_relation_space()[0].to_json_obj())
+    rel = solve_relation_space()[0]
     for value, names in (
         (alg, ("dim", "mult", "op", "other")),
         (ns, ("dim", "prec", "succ", "bullet", "other")),

@@ -9,16 +9,13 @@ of one span, so the rows and the verdicts must agree.
 
 from __future__ import annotations
 
-import json
 import random
-from pathlib import Path
 
 import pytest
 
 from nijenhuis.algebra import operator_n, product
 from nijenhuis.envelope import (
     Membership,
-    NijenhuisAlgebraFD,
     NSAlgebraFD,
     default_names,
     enveloping_generators,
@@ -28,20 +25,18 @@ from nijenhuis.envelope import (
 from nijenhuis.linalg import LinComb, RowSpace
 from nijenhuis.words import canonical_key, size, words_up_to_size
 
-from conftest import closure_rows
+from conftest import closure_rows, load_algebra
 
-FIXTURES = Path(__file__).parent / "fixtures"
 NAMES = default_names(2)
 
 
 def load_generators(name: str) -> tuple[LinComb, ...]:
-    obj = json.loads((FIXTURES / name).read_text())
-    alg = NijenhuisAlgebraFD.from_json_obj(obj) if "mult" in obj else NSAlgebraFD.from_json_obj(obj)
+    alg = load_algebra(name)
     return enveloping_generators(alg if isinstance(alg, NSAlgebraFD) else induced_ns(alg), NAMES)
 
 
 GENERATORS = {
-    name: load_generators(name) for name in ("projection.json", "scaling_rational.json", "projection_ns.json")
+    f"{name}.json": load_generators(name) for name in ("projection", "scaling_rational", "projection_ns")
 }
 
 

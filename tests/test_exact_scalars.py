@@ -48,18 +48,19 @@ def assert_exact_coordinates(vec) -> None:
 
 
 def test_integral_results_of_combination_arithmetic_are_ints():
-    x, y = (LinComb.from_word(w) for w in words_up_to_size(ALPHABET_XY, 1))
+    wx, wy = words_up_to_size(ALPHABET_XY, 1)
+    x, y = LinComb.from_word(wx), LinComb.from_word(wy)
     scaled = x.scale(Fraction(2, 3)).scale(Fraction(3, 2))
-    assert scaled == x and type(scaled.coeff(x.support()[0])) is int
+    assert scaled == x and type(scaled.coeff(wx)) is int
     half = x.scale(Fraction(1, 2))
     for value in (half + half, x.scale(Fraction(3, 2)) - half, LinComb(list(half) + list(half))):
-        assert value == x and type(value.coeff(x.support()[0])) is int, value._terms
+        assert value == x and type(value.coeff(wx)) is int, value._terms
     mixed = x.scale(Fraction(1, 3)) + y
-    assert (mixed + mixed + mixed)._terms == {x.support()[0]: 1, y.support()[0]: 3}
+    assert (mixed + mixed + mixed)._terms == {wx: 1, wy: 3}
     assert all(type(c) is int for c in (mixed + mixed + mixed)._terms.values())
     assert_exact(mixed.scale(Fraction(3, 4)))
     assert_exact(eval_expr(parse_expr("1/2*x + 1/2*x + 2/3*y + 1/3*y"), ALPHABET_XY))
-    assert eval_expr(parse_expr("1/2*x + 1/2*x"), ALPHABET_XY)._terms == {x.support()[0]: 1}
+    assert eval_expr(parse_expr("1/2*x + 1/2*x"), ALPHABET_XY)._terms == {wx: 1}
 
 
 def test_rational_returns_int_when_integral():
@@ -258,7 +259,7 @@ def test_relation_coordinates_stay_exact(coords, scalar):
     rel = RelVector(coords)
     families = solve_relation_space() + ns_relation_set() + ndendriform_relation_set()
     doubled, scaled = RelVector(rel.coords + rel.coords), RelVector(rel.coords.scale(scalar))
-    for value in (rel, doubled, scaled, RelVector.from_json_obj(rel.to_json_obj()), *families):
+    for value in (rel, doubled, scaled, RelVector([str(x) for x in rel.coords]), *families):
         assert_exact_coordinates(value.coords)
 
 
@@ -287,7 +288,7 @@ def test_integral_finite_dimensional_results_are_ints():
     got = alg.apply_op([Fraction(2, 3), "3/2"])
     assert got == (1, 1) and [type(x) for x in got] == [int, int]
     f = LinearMap([[half, half], ["1/3", "2/3"]])
-    assert f.entries == ((half, half), (Fraction(1, 3), Fraction(2, 3)))
+    assert (f.column(0), f.column(1)) == ((half, Fraction(1, 3)), (half, Fraction(2, 3)))
     assert [type(x) for x in f.apply(("1", "1"))] == [int, int]
     x, y = (LinComb.from_word(w) for w in words_up_to_size(ALPHABET_XY, 1))
     image = evaluate_hom(alg, f, x.scale(2) + y.scale(2), ALPHABET_XY)
@@ -311,7 +312,6 @@ def test_finite_dimensional_results_stay_exact(t, m, u, v, valid, a):
         alg.mul(Vector(u), Vector(v)),
         alg.apply_op(u),
         f.apply(Vector(u)),
-        *f.entries,
         *(f.column(j) for j in range(2)),
         evaluate_hom(alg, f, a, ALPHABET_XY),
     ):

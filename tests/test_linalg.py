@@ -50,7 +50,7 @@ def test_lincomb_drops_zero_terms_and_merges():
     assert a.coeff(W1) == 0
     assert a.coeff(W2) == Fraction(1, 3)
     assert len(a) == 1
-    assert LinComb([(W1, 1), (W1, -1)]).is_zero()
+    assert LinComb([(W1, 1), (W1, -1)]) == LinComb()
 
 
 def test_lincomb_arithmetic():
@@ -59,7 +59,7 @@ def test_lincomb_arithmetic():
     s = a + b
     assert s.coeff(W1) == 2 and s.coeff(W2) == Fraction(1, 2)
     assert (s - a) == b
-    assert s.scale(0).is_zero()
+    assert s.scale(0) == LinComb()
     assert b.scale("3/2").coeff(W2) == Fraction(3, 4)
     assert (-a).coeff(W1) == -2
 
@@ -139,7 +139,7 @@ def test_lincomb_subtraction_adds_the_negation(a, b):
         difference = left - right
         assert difference == left + (-right)
         assert all(difference._terms.values())
-    assert (a - a).is_zero()
+    assert a - a == LinComb()
     assert (a + b) - b == a
 
 

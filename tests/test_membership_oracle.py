@@ -10,16 +10,11 @@ must evaluate to zero.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 from hypothesis import event, given, strategies as st
 
 from nijenhuis.envelope import (
-    LinearMap,
     Membership,
-    NijenhuisAlgebraFD,
     default_names,
     enveloping_generators,
     evaluate_hom,
@@ -28,20 +23,15 @@ from nijenhuis.envelope import (
 )
 from nijenhuis.words import words_up_to_size
 
-from conftest import ideal_candidates_strategy
+from conftest import ideal_candidates_strategy, identity_map, load_algebra
 
-FIXTURES = Path(__file__).parent / "fixtures"
 BOUNDS = (4, 5)
 NAMES = default_names(2)
 # Candidate words have size at most 3, as the enveloping generators do.
 WORDS = words_up_to_size(NAMES, 3)
 
 
-def load(name: str) -> NijenhuisAlgebraFD:
-    return NijenhuisAlgebraFD.from_json_obj(json.loads((FIXTURES / name).read_text()))
-
-
-ALGEBRAS = {name: load(name) for name in ("projection.json", "scaling_rational.json", "scaling2.json")}
+ALGEBRAS = {f"{name}.json": load_algebra(name) for name in ("projection", "scaling_rational", "scaling2")}
 GENERATORS = {name: enveloping_generators(induced_ns(alg), NAMES) for name, alg in ALGEBRAS.items()}
 
 
@@ -54,4 +44,4 @@ def test_member_verdicts_vanish_under_the_counit(fixture, data):
         verdict = truncated_ideal_membership(gens, candidate, bound)
         event(f"bound {bound}: {verdict.value}")
         if verdict is Membership.MEMBER:
-            assert not any(evaluate_hom(alg, LinearMap.identity(alg.dim), candidate, NAMES))
+            assert not any(evaluate_hom(alg, identity_map(alg.dim), candidate, NAMES))

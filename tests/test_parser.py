@@ -83,8 +83,8 @@ def test_eval_values():
     assert eval_expr(parse_expr("1/2*(x + y)*z"), DECLARED) == (
         lc("x*z").scale("1/2") + lc("y*z").scale("1/2")
     )
-    assert eval_expr(parse_expr("x - x"), DECLARED).is_zero()
-    assert eval_expr(parse_expr("0"), DECLARED).is_zero()
+    assert eval_expr(parse_expr("x - x"), DECLARED) == LinComb()
+    assert eval_expr(parse_expr("0"), DECLARED) == LinComb()
     assert eval_expr(parse_expr("-x"), DECLARED) == -X
 
 
@@ -122,7 +122,7 @@ def test_print_parse_round_trip_many_terms():
 
 def test_sum_gathers_repeated_and_cancelling_terms():
     assert eval_expr(parse_expr("x + 2*y - x + [x] - y - y"), DECLARED) == lc("[x]")
-    assert eval_expr(parse_expr("x*y - x*y + 0"), DECLARED).is_zero()
+    assert eval_expr(parse_expr("x*y - x*y + 0"), DECLARED) == LinComb()
 
 
 def test_parse_errors_carry_positions():
@@ -162,7 +162,7 @@ def test_bare_scalar_rejected_at_eval():
         with pytest.raises(EvalError):
             eval_expr(parse_expr(text), DECLARED)
     # zero is the empty combination, not a scalar
-    assert eval_expr(parse_expr("0*x"), DECLARED).is_zero()
+    assert eval_expr(parse_expr("0*x"), DECLARED) == LinComb()
 
 
 def test_whitespace_is_insignificant():
