@@ -40,7 +40,7 @@ def main() -> None:
     print(f"solved basis ({len(basis)} vectors); flat coordinates")
     print("(left grid row-major, then right grid row-major, ops ordered prec, succ, bullet):")
     for vec in basis:
-        print(f"  {[str(c) for c in vec.coords]}")
+        print(f"  {[str(c) for c in vec]}")
 
     five = ndendriform_relation_set()
     four = ns_relation_set()

@@ -88,7 +88,6 @@ _EXPORTS = {
         (
             relations,
             (
-                "RelVector",
                 "ndendriform_relation_set",
                 "ns_relation_set",
                 "relation_matrix",

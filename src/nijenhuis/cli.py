@@ -14,7 +14,8 @@ caps the ``--max-size`` of the sweep subcommands and the ``--bound`` of
 replaces the default cap of 100000 terms on any one product a command
 computes; a product over the cap ends the command with exit code 2.
 Every JSON shape is read or written here alone, and an algebra or map
-file is read through its class's one constructor.
+file is read through its class's one constructor.  A relation, a
+``Vector`` of 18 coordinates, prints here as two 3x3 grids.
 
 Arguments are read in one of two ways.  :func:`_read_args` reads the
 argv of a well-formed command straight from the ``_COMMANDS`` table,
@@ -46,7 +47,7 @@ from .algebra import (
 # These three load on first use (see the package docstring), so their
 # names are read when a handler runs, never bound here.
 from . import envelope, parser, relations
-from .linalg import LinComb
+from .linalg import LinComb, Vector
 from .words import UsageError, generators, letter_word, words_up_to_size
 
 if TYPE_CHECKING:
@@ -103,8 +104,10 @@ def _ns_json(alg: envelope.NSAlgebraFD) -> dict:
     return {"dim": alg.dim, **{op.value: [_rows_json(plane) for plane in alg.tensor(op)] for op in COORD_OPS}}
 
 
-def _relation_json(rel: relations.RelVector) -> dict:
-    return {"left": _rows_json(rel.left), "right": _rows_json(rel.right)}
+def _relation_json(rel: Vector) -> dict:
+    # The layout of the relations docstring.
+    left, right = (rel[0:3], rel[3:6], rel[6:9]), (rel[9:12], rel[12:15], rel[15:18])
+    return {"left": _rows_json(left), "right": _rows_json(right)}
 
 
 def _emit(args: argparse.Namespace, obj: dict, plain: str) -> None:
@@ -120,10 +123,6 @@ def _emit_lincomb(args: argparse.Namespace, value: LinComb) -> None:
         print(json.dumps(_lincomb_json(value), indent=2))
     else:
         print(value)
-
-
-def _parse_element(text: str, names: Sequence[str]) -> LinComb:
-    return parser.read_expr(text, names)
 
 
 def _load_json(path: str) -> dict:
@@ -197,14 +196,14 @@ def _report_json(report) -> dict:
 
 def _cmd_mul(args: argparse.Namespace) -> int:
     names = _split_names(args.generators)
-    value = product(_parse_element(args.left, names), _parse_element(args.right, names))
+    value = product(parser.read_expr(args.left, names), parser.read_expr(args.right, names))
     _emit_lincomb(args, value)
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     names = _split_names(args.generators)
-    _emit_lincomb(args, _parse_element(args.expr, names))
+    _emit_lincomb(args, parser.read_expr(args.expr, names))
     return 0
 
 
@@ -366,7 +365,7 @@ def _cmd_induce_ns(args: argparse.Namespace) -> int:
 def _cmd_eval_hom(args: argparse.Namespace) -> int:
     alg = _load_operator_algebra(args.file)
     names, matrix = _load_map(args.mapfile)
-    element = _parse_element(args.expr, names)
+    element = parser.read_expr(args.expr, names)
     image = envelope.evaluate_hom(alg, matrix, element, names)
     coords = [str(x) for x in image]
     _emit(args, {"vector": coords}, ", ".join(coords))
@@ -378,7 +377,7 @@ def _cmd_ideal_member(args: argparse.Namespace) -> int:
     ns_alg = _as_ns(_load_algebra(args.file))
     names = _names_for_dim(args, ns_alg.dim)
     gens = envelope.enveloping_generators(ns_alg, names)
-    candidate = _parse_element(args.expr, names)
+    candidate = parser.read_expr(args.expr, names)
     verdict = envelope.truncated_ideal_membership(gens, candidate, bound)
     _emit(
         args,

@@ -72,7 +72,7 @@ from .linalg import (
     _unit,
     _wrap,
 )
-from .relations import RelVector, check_relations, monomials_at
+from .relations import check_relations, monomials_at
 from .words import (
     UsageError,
     canonical_key,
@@ -277,7 +277,7 @@ def check_nijenhuis_fd(alg: NijenhuisAlgebraFD) -> CheckReport:
 
 
 def check_relations_fd(
-    alg: NSAlgebraFD, families: Sequence[Sequence[RelVector]]
+    alg: NSAlgebraFD, families: Sequence[Sequence[Vector]]
 ) -> tuple[CheckReport, ...]:
     """Sweep each family of candidates on basis triples, one report per family.
 

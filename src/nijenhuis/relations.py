@@ -1,22 +1,24 @@
 """Quadratic relations among the three splitting operations.
 
-A relation candidate is a :class:`~nijenhuis.linalg.Vector` of 18 exact
-coefficients, read as two 3x3 grids, ``left`` and ``right``.  With the
-operations ordered (prec, succ, bullet), the candidate asserts
+A relation candidate is a plain :class:`~nijenhuis.linalg.Vector` of 18
+exact coordinates, laid out as two 3x3 grids: the ``left`` grid row-major
+in coordinates 0-8, then the ``right`` grid in 9-17, so that
+``left[i][j]`` is coordinate ``3 * i + j`` and ``right[i][j]`` is
+``9 + 3 * i + j``.  With the operations ordered (prec, succ, bullet),
+the candidate asserts
 
     sum_ij left[i][j]  * ((x op_i y) op_j z)
   = sum_ij right[i][j] * (x op_i (y op_j z))
 
 for all x, y, z.  Left coordinates are indexed (inner, outer) and right
-coordinates (outer, inner), matching how the monomials are written.  A
-candidate is built from its 18 coordinates alone; :mod:`nijenhuis.cli`
-prints the grids as JSON.  :func:`monomials_at` evaluates the 18
-monomials at x, y, z once, in the free algebra or, given its
-operations, in any other, and :func:`relation_sides` reads the two sums
-of a candidate off them.  :func:`check_relations` is the one relation
-sweep: over the monomials of one or many triples, it reports the first
-candidate whose sides differ, as ``ns-check``, ``ndend-check`` and
-``fd-check`` print it.
+coordinates (outer, inner), matching how the monomials are written.
+Only :mod:`nijenhuis.cli` reads the grids, to print them as JSON.
+:func:`monomials_at` evaluates the 18 monomials at x, y, z once, in the
+free algebra or, given its operations, in any other, and
+:func:`relation_sides` reads the two sums of a candidate off them.
+:func:`check_relations` is the one relation sweep: over the monomials
+of one or many triples, it reports the first candidate whose sides
+differ, as ``ns-check``, ``ndend-check`` and ``fd-check`` print it.
 
 Because the algebra here is free, a candidate holds in every algebra
 with a compatible operator exactly when it vanishes on three distinct
@@ -33,17 +35,14 @@ shared by every caller.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 from .algebra import COORD_OPS, CheckReport, OpSymbol, derived_op
-from .linalg import LinComb, RationalLike, Vector, _sized, span
+from .linalg import LinComb, Vector, span
 from .words import canonical_sort, letter_word
 
 __all__ = [
-    "RelVector",
     "ns_relation_set",
     "ndendriform_relation_set",
     "monomials_at",
@@ -55,42 +54,13 @@ __all__ = [
     "relation_sets_span_equal",
 ]
 
-Grid = tuple[tuple[int | Fraction, ...], ...]
-
 _OP_INDEX = {op: k for k, op in enumerate(COORD_OPS)}
-
-
-class RelVector:
-    """A read-only relation candidate: 18 exact coefficients, the left grid row-major, then the right."""
-
-    __slots__ = ("_coords",)
-
-    def __init__(self, coords: Sequence[RationalLike]) -> None:
-        coords = Vector(_sized(coords, None, "a relation's coordinates"))
-        if len(coords) != 18:
-            raise ValueError(f"expected 18 coordinates, got {len(coords)}")
-        self._coords = coords
-
-    coords = property(attrgetter("_coords"), doc="The 18 coordinates, as a Vector.")
-
-    @property
-    def left(self) -> Grid:
-        c = self._coords
-        return (c[0:3], c[3:6], c[6:9])
-
-    @property
-    def right(self) -> Grid:
-        c = self._coords
-        return (c[9:12], c[12:15], c[15:18])
-
-    def __eq__(self, other: object) -> bool:
-        return self._coords == other._coords if type(other) is RelVector else NotImplemented
 
 
 def _rel(
     left_terms: Sequence[tuple[OpSymbol, OpSymbol]],
     right_terms: Sequence[tuple[OpSymbol, OpSymbol]],
-) -> RelVector:
+) -> Vector:
     """Relation with unit coefficients; a STAR entry expands to all three ops."""
     coords = [0] * 18
     for offset, terms in ((0, left_terms), (9, right_terms)):
@@ -98,7 +68,7 @@ def _rel(
             for ai in _expand(a):
                 for bi in _expand(b):
                     coords[offset + 3 * ai + bi] += 1
-    return RelVector(coords)
+    return Vector(coords)
 
 
 def _expand(op: OpSymbol) -> tuple[int, ...]:
@@ -111,7 +81,7 @@ _P, _S, _B = OpSymbol.PREC, OpSymbol.SUCC, OpSymbol.BULLET
 _STAR = OpSymbol.STAR
 
 
-def ns_relation_set() -> tuple[RelVector, ...]:
+def ns_relation_set() -> tuple[Vector, ...]:
     """The four-relation family, with the sum operation expanded."""
     return (
         _rel([(_P, _P)], [(_P, _STAR)]),
@@ -121,7 +91,7 @@ def ns_relation_set() -> tuple[RelVector, ...]:
     )
 
 
-def ndendriform_relation_set() -> tuple[RelVector, ...]:
+def ndendriform_relation_set() -> tuple[Vector, ...]:
     """The five-relation family spanning the full relation space."""
     return (
         _rel([(_P, _P)], [(_P, _STAR)]),
@@ -135,7 +105,7 @@ def ndendriform_relation_set() -> tuple[RelVector, ...]:
 def monomials_at(
     x: Any, y: Any, z: Any, op: Callable[[OpSymbol, Any, Any], Any] | None = None
 ) -> tuple[Any, ...]:
-    """The 18 monomials at x, y, z, in the order of :attr:`RelVector.coords`.
+    """The 18 monomials at x, y, z, in the coordinate order of the module docstring.
 
     ``op`` applies a splitting operation; it defaults to
     :func:`derived_op` on the free algebra.  The inner products
@@ -150,16 +120,16 @@ def monomials_at(
     )
 
 
-def relation_sides(rel: RelVector, monomials: Sequence[Any]) -> tuple[Any, Any]:
+def relation_sides(rel: Vector, monomials: Sequence[Any]) -> tuple[Any, Any]:
     """Left and right side of the candidate, summed from the values of :func:`monomials_at`."""
-    c, zero = rel.coords, monomials[0].scale(0)
+    zero = monomials[0].scale(0)
     return tuple(
-        sum((monomials[k].scale(c[k]) for k in side if c[k]), zero) for side in (range(9), range(9, 18))
+        sum((monomials[k].scale(rel[k]) for k in side if rel[k]), zero) for side in (range(9), range(9, 18))
     )
 
 
 def check_relations(
-    rels: Sequence[RelVector], values: Sequence[tuple[tuple[int, ...], Sequence[Any]]]
+    rels: Sequence[Vector], values: Sequence[tuple[tuple[int, ...], Sequence[Any]]]
 ) -> CheckReport:
     """Sweep the candidates over ``(indices, monomials)`` pairs, relation by relation.
 
@@ -195,32 +165,29 @@ def relation_matrix() -> tuple[Vector, ...]:
     """Coefficient rows of the 18 unit candidates over three generators.
 
     One row of length 18 per word of :func:`relation_monomials`, in that
-    order; columns follow the coordinate flattening of
-    :attr:`RelVector.coords`.  Everything is computed by symbolic
-    expansion, nothing is tabulated by hand.
+    order; columns follow the coordinate layout of the module
+    docstring.  Everything is computed by symbolic expansion, nothing is
+    tabulated by hand.
     """
     evals, rows = _unit_evaluations()
     return tuple(Vector(value.coeff(w) for value in evals) for w in rows)
 
 
 @cache
-def solve_relation_space() -> tuple[RelVector, ...]:
+def solve_relation_space() -> tuple[Vector, ...]:
     """Basis of all universally valid candidates, from the nullspace.
 
     One vector per free coordinate, in increasing order, with that
     coordinate set to 1.
     """
-    return tuple(map(RelVector, span(relation_matrix()).kernel(range(18))))
+    return span(relation_matrix()).kernel(range(18))
 
 
 def relation_sets_span_equal(
-    first: Sequence[RelVector], second: Sequence[RelVector]
+    first: Sequence[Vector], second: Sequence[Vector]
 ) -> bool:
     """Whether two families of candidates span the same subspace.
 
     Reduced rows are unique to the span, so comparing them decides it.
     """
-    return (
-        span(v.coords for v in first).rows
-        == span(v.coords for v in second).rows
-    )
+    return span(first).rows == span(second).rows

@@ -93,7 +93,7 @@ def test_criterion_02_four_family_containment():
     basis = solve_relation_space()
     for rel in four:
         assert relation_sets_span_equal(basis, (*basis, rel))
-    assert len(span(r.coords for r in four)) == 4
+    assert len(span(four)) == 4
     assert not relation_sets_span_equal(four, ndendriform_relation_set())
 
 

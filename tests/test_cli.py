@@ -24,9 +24,9 @@ from nijenhuis.envelope import (
     enveloping_generators,
     induced_ns,
 )
-from nijenhuis.linalg import LinComb
+from nijenhuis.linalg import LinComb, Vector
 from nijenhuis.parser import ParseError, eval_expr, parse_expr, print_canonical
-from nijenhuis.relations import RelVector, ndendriform_relation_set, solve_relation_space
+from nijenhuis.relations import ndendriform_relation_set, solve_relation_space
 from nijenhuis.words import MAX_NESTING, UsageError, word
 
 from conftest import FIXTURES, load_algebra
@@ -326,7 +326,7 @@ def test_relation_check_help_describes_the_generators_option(capsys, command):
 
 
 def test_relation_check_reports_the_first_failure(capsys, monkeypatch):
-    bad = (*ndendriform_relation_set()[:1], *(RelVector([int(k == n) for k in range(18)]) for n in (1, 17)))
+    bad = (*ndendriform_relation_set()[:1], *(Vector(int(k == n) for k in range(18)) for n in (1, 17)))
     monkeypatch.setattr(relations, "ns_relation_set", lambda: bad)
     code, out, _ = run(capsys, "ns-check")
     assert (code, out) == (1, "four-family relation 2 fails: residue [x*[y]]*z\n")
@@ -351,7 +351,7 @@ def test_solve_relspace_json(capsys):
     assert len(data["basis"]) == 5
     # output vectors agree with the library solver
     coords = [[x for grid in (v["left"], v["right"]) for row in grid for x in row] for v in data["basis"]]
-    assert tuple(map(RelVector, coords)) == solve_relation_space()
+    assert tuple(map(Vector, coords)) == solve_relation_space()
 
 
 def test_env_generators_output(capsys):

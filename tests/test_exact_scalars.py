@@ -28,7 +28,7 @@ from nijenhuis.envelope import (
 )
 from nijenhuis.linalg import LinComb, RowSpace, rational, span
 from nijenhuis.parser import Product, ScalarLit, Sum, eval_expr, parse_expr
-from nijenhuis.relations import RelVector, ndendriform_relation_set, ns_relation_set, solve_relation_space
+from nijenhuis.relations import ndendriform_relation_set, ns_relation_set, solve_relation_space
 from nijenhuis.words import UsageError, canonical_key, words_up_to_size
 
 from conftest import ALPHABET_XY, lincombs_strategy, rationals_strategy, scaling_algebra
@@ -237,7 +237,7 @@ def test_integral_vector_arithmetic_gives_ints():
         # an integral Fraction is an int from construction on
         (Vector((Fraction(2), 1)), (2, 1)),
         (Vector(Vector((Fraction(2), Fraction(4, 2)))), (2, 2)),
-        (RelVector(Vector((Fraction(2),) + (0,) * 17)).coords[:2], (2, 0)),
+        (Vector((Fraction(2),) + (0,) * 17)[:2], (2, 0)),
     ]:
         assert value == expected
         assert_exact_coordinates(value)
@@ -256,11 +256,10 @@ def test_vector_arithmetic_stays_exact(u, v, scalar):
 
 @given(st.lists(_ENTRIES, min_size=18, max_size=18), rationals_strategy())
 def test_relation_coordinates_stay_exact(coords, scalar):
-    rel = RelVector(coords)
+    rel = Vector(coords)
     families = solve_relation_space() + ns_relation_set() + ndendriform_relation_set()
-    doubled, scaled = RelVector(rel.coords + rel.coords), RelVector(rel.coords.scale(scalar))
-    for value in (rel, doubled, scaled, RelVector([str(x) for x in rel.coords]), *families):
-        assert_exact_coordinates(value.coords)
+    for value in (rel, rel + rel, rel.scale(scalar), Vector([str(x) for x in rel]), *families):
+        assert_exact_coordinates(value)
 
 
 # Finite-dimensional data: rational entries, spelled as values or as

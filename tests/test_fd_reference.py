@@ -106,7 +106,10 @@ def reference_induced(t, m):
 
 
 def reference_relations(tensors, rels):
-    """Each grid on every basis triple, with the operations indexed prec, succ, bullet."""
+    """Each relation on every basis triple, with the operations indexed prec, succ, bullet.
+
+    A relation is 18 coordinates: the left grid row-major, then the right.
+    """
     n = len(tensors[0])
     units = basis(n)
     for r_idx, rel in enumerate(rels):
@@ -114,11 +117,11 @@ def reference_relations(tensors, rels):
             x, y, z = units[a], units[b], units[c]
             lhs = rhs = (0,) * n
             for i, j in cartesian(range(3), repeat=2):
-                cl = rel.left[i][j]
+                cl = rel[3 * i + j]
                 if cl:
                     term = mul(tensors[j], mul(tensors[i], x, y), z)
                     lhs = add(lhs, tuple(cl * q for q in term))
-                cr = rel.right[i][j]
+                cr = rel[9 + 3 * i + j]
                 if cr:
                     term = mul(tensors[i], x, mul(tensors[j], y, z))
                     rhs = add(rhs, tuple(cr * q for q in term))

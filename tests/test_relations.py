@@ -4,13 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from nijenhuis.algebra import COORD_OPS, OpSymbol, derived_op
 from nijenhuis.linalg import LinComb, Vector, span
 from nijenhuis.relations import (
-    RelVector,
     check_relations,
     monomials_at,
     ndendriform_relation_set,
@@ -50,24 +48,24 @@ def coords_index(side: str, i: int, j: int) -> int:
     return (0 if side == "left" else 9) + 3 * i + j
 
 
-def unit(side: str, i: int, j: int) -> RelVector:
+def unit(side: str, i: int, j: int) -> Vector:
     """The candidate with 1 at ``(i, j)`` of one grid and 0 elsewhere."""
     k = coords_index(side, i, j)
-    return RelVector([int(n == k) for n in range(18)])
+    return Vector(int(n == k) for n in range(18))
 
 
-def residue(rel: RelVector, x: LinComb, y: LinComb, z: LinComb) -> LinComb:
+def residue(rel: Vector, x: LinComb, y: LinComb, z: LinComb) -> LinComb:
     """Left side minus right side of the candidate at x, y, z."""
     lhs, rhs = relation_sides(rel, monomials_at(x, y, z))
     return lhs - rhs
 
 
-def universal(rel: RelVector) -> bool:
+def universal(rel: Vector) -> bool:
     """Whether the candidate holds on three generators; freeness makes that decisive."""
     return check_relations((rel,), [((), monomials_at(X, Y, Z))]).ok
 
 
-def in_solved_space(rel: RelVector) -> bool:
+def in_solved_space(rel: Vector) -> bool:
     """Whether the candidate lies in the span of the solved basis."""
     basis = solve_relation_space()
     return relation_sets_span_equal(basis, (*basis, rel))
@@ -124,59 +122,52 @@ def test_matrix_columns_for_succ_prec_pair():
         assert m[rr][right_col] == (Fraction(-1) if rr == r else Fraction(0))
 
 
-def test_unit_vectors_and_coords_round_trip():
+def test_unit_vectors():
     u = unit("left", 1, 2)
-    assert u.left[1][2] == 1
-    assert sum(abs(c) for c in u.coords) == 1
-    assert type(u.coords) is Vector
-    assert RelVector(u.coords) == u
+    assert u[coords_index("left", 1, 2)] == 1
+    assert sum(abs(c) for c in u) == 1
+    assert type(u) is Vector and len(u) == 18
     v = unit("right", 2, 0)
-    assert v.coords[coords_index("right", 2, 0)] == 1
+    assert v[coords_index("right", 2, 0)] == 1
 
 
-@given(st.lists(rationals_strategy(), min_size=18, max_size=18))
-def test_coords_round_trip_everywhere(coords):
-    v = RelVector(coords)
-    assert list(v.coords) == coords
-
-
-def test_relvector_takes_18_coordinates():
-    with pytest.raises(ValueError, match="18 coordinates"):
-        RelVector([0] * 17)
+def grids(rel: Vector) -> tuple[list[list], list[list]]:
+    """The left and right 3x3 grids of the candidate, read through :func:`coords_index`."""
+    return tuple([[rel[coords_index(side, i, j)] for j in range(3)] for i in range(3)] for side in ("left", "right"))
 
 
 def test_four_family_coordinates():
-    r1, r2, r3, r4 = ns_relation_set()
+    (l1, r1), (l2, r2), (l3, r3), (l4, r4) = map(grids, ns_relation_set())
     # first relation: left (prec,prec); right (prec, anything)
-    assert r1.left[0][0] == 1 and sum(abs(c) for row in r1.left for c in row) == 1
-    assert r1.right[0] == (Fraction(1), Fraction(1), Fraction(1))
+    assert l1[0][0] == 1 and sum(abs(c) for row in l1 for c in row) == 1
+    assert r1[0] == [Fraction(1), Fraction(1), Fraction(1)]
     # second relation pairs the two mixed monomials
-    assert r2.left[1][0] == 1 and r2.right[1][0] == 1
-    assert sum(abs(c) for c in r2.coords) == 2
+    assert l2[1][0] == 1 and r2[1][0] == 1
+    assert sum(abs(c) for c in ns_relation_set()[1]) == 2
     # third: the sum operation expands across the left inner slot
-    assert [r3.left[i][1] for i in range(3)] == [1, 1, 1]
-    assert r3.right[1][1] == 1
+    assert [l3[i][1] for i in range(3)] == [1, 1, 1]
+    assert r3[1][1] == 1
     # fourth: bullet outer column plus bullet inner row
-    assert [r4.left[i][2] for i in range(3)] == [1, 1, 1]
-    assert r4.left[2][0] == 1
-    assert r4.right[1][2] == 1
-    assert r4.right[2] == (Fraction(1), Fraction(1), Fraction(1))
+    assert [l4[i][2] for i in range(3)] == [1, 1, 1]
+    assert l4[2][0] == 1
+    assert r4[1][2] == 1
+    assert r4[2] == [Fraction(1), Fraction(1), Fraction(1)]
 
 
 def test_five_family_coordinates():
     v1, v2, v3, v4, v5 = ndendriform_relation_set()
-    assert v4.left[0][2] == 1 and v4.right[2][1] == 1
-    assert sum(abs(c) for c in v4.coords) == 2
-    for grid in (v5.left, v5.right):
+    assert v4[coords_index("left", 0, 2)] == 1 and v4[coords_index("right", 2, 1)] == 1
+    assert sum(abs(c) for c in v4) == 2
+    for grid in grids(v5):
         assert grid[1][2] == 1 and grid[2][0] == 1 and grid[2][2] == 1
-    assert sum(abs(c) for c in v5.coords) == 6
+    assert sum(abs(c) for c in v5) == 6
     # first three agree with the four-relation family
     assert (v1, v2, v3) == ns_relation_set()[:3]
 
 
 def test_fourth_ns_relation_is_sum_of_last_two():
     nd = ndendriform_relation_set()
-    assert ns_relation_set()[3].coords == nd[3].coords + nd[4].coords
+    assert ns_relation_set()[3] == nd[3] + nd[4]
 
 
 def test_both_families_hold_universally():
@@ -246,7 +237,9 @@ def test_solved_space_dimension_and_span():
     basis = solve_relation_space()
     assert len(basis) == 5
     assert relation_sets_span_equal(basis, ndendriform_relation_set())
-    assert len(span(v.coords for v in basis)) == 5
+    for v in (*basis, *ns_relation_set(), *ndendriform_relation_set()):
+        assert type(v) is Vector and len(v) == 18
+    assert len(span(basis)) == 5
     for v in basis:
         assert universal(v)
 
@@ -254,7 +247,7 @@ def test_solved_space_dimension_and_span():
 def test_four_family_sits_strictly_inside():
     for rel in ns_relation_set():
         assert in_solved_space(rel)
-    assert len(span(r.coords for r in ns_relation_set())) == 4
+    assert len(span(ns_relation_set())) == 4
     assert not relation_sets_span_equal(ns_relation_set(), ndendriform_relation_set())
 
 
@@ -265,12 +258,6 @@ def test_span_closed_under_combinations(coeffs):
     basis = solve_relation_space()
     coords = Vector([0] * 18)
     for c, v in zip(coeffs, basis):
-        coords = coords + v.coords.scale(c)
-    combo = RelVector(coords)
-    assert universal(combo)
-    assert in_solved_space(combo)
-
-
-def test_from_coords_validates_length():
-    with pytest.raises(ValueError):
-        RelVector([1] * 17)
+        coords = coords + v.scale(c)
+    assert universal(coords)
+    assert in_solved_space(coords)

@@ -3,7 +3,9 @@
 ``parser``, ``relations`` and ``envelope`` load on first use, so the
 word sweeps run on ``words``, ``linalg`` and ``algebra`` alone, and a
 command read without the full parser never loads ``argparse``.  The
-sweeps load neither ``fractions`` nor ``signal`` either.  Each
+sweeps load neither ``fractions`` nor ``signal`` either, and
+``ns-check``, ``ndend-check`` and ``fd-check`` on a split algebra load
+neither ``fractions`` nor ``decimal``.  Each
 test here starts its own interpreter, since the test process has long
 since loaded every module.
 """
@@ -41,7 +43,7 @@ EXPORTS = {
         "print_canonical",
     ),
     "relations": (
-        "RelVector", "ndendriform_relation_set", "ns_relation_set", "relation_matrix",
+        "ndendriform_relation_set", "ns_relation_set", "relation_matrix",
         "relation_monomials", "relation_sets_span_equal", "solve_relation_space",
     ),
     "words": (
@@ -103,16 +105,16 @@ code = nijenhuis.cli.run_command(["assoc-check", "--alphabet", "2x"])
 print(json.dumps({"code": code, "ran": ran(), "dataclasses": "dataclasses" in sys.modules}))
 """
 
-# Runs the command given as JSON in argv[1], then reports whether
-# ``dataclasses`` or ``inspect`` was loaded.
-FILE_COMMAND = """
+# Runs the command given as JSON in argv[1], then reports which of the
+# modules named in argv[2:] were loaded.
+COMMAND = """
 import json
 import sys
 
 import nijenhuis.cli
 
 code = nijenhuis.cli.run_command(json.loads(sys.argv[1]))
-print(json.dumps({"code": code, "loaded": sorted({"dataclasses", "inspect"} & set(sys.modules))}))
+print(json.dumps({"code": code, "loaded": sorted(set(sys.argv[2:]) & set(sys.modules))}))
 """
 
 # Reads the exports given as JSON in argv[1] from the package and prints
@@ -185,8 +187,16 @@ def test_the_finite_dimensional_commands_load_no_dataclasses():
         (["fd-check", projection], 0),
         (["ideal-member", projection, "e1", "--bound", "3"], 1),
     ):
-        seen = last_json_line(fresh_python("-c", FILE_COMMAND, json.dumps(argv)))
+        seen = last_json_line(fresh_python("-c", COMMAND, json.dumps(argv), "dataclasses", "inspect"))
         assert seen == {"code": code, "loaded": []}, argv
+
+
+def test_the_relation_checks_load_no_fractions():
+    # A relation is a Vector of 18 ints here, and no scalar is divided.
+    split = str(Path(__file__).parent / "fixtures" / "projection_ns.json")
+    for argv in (["ns-check"], ["ndend-check"], ["fd-check", split]):
+        seen = last_json_line(fresh_python("-c", COMMAND, json.dumps(argv), "fractions", "decimal"))
+        assert seen == {"code": 0, "loaded": []}, argv
 
 
 def test_every_export_is_the_defining_modules_object():
