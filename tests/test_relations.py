@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
+from nijenhuis import cli
 from nijenhuis.algebra import COORD_OPS, OpSymbol, derived_op
 from nijenhuis.linalg import LinComb, Vector, span
 from nijenhuis.relations import (
@@ -122,18 +123,39 @@ def test_matrix_columns_for_succ_prec_pair():
         assert m[rr][right_col] == (Fraction(-1) if rr == r else Fraction(0))
 
 
-def test_unit_vectors():
+def grids(rel: Vector) -> tuple[list[list], list[list]]:
+    """The left and right 3x3 grids of the candidate, read through :func:`coords_index`."""
+    return tuple([[rel[coords_index(side, i, j)] for j in range(3)] for i in range(3)] for side in ("left", "right"))
+
+
+def json_coords(rel: Vector) -> list[Fraction]:
+    """The coordinates read back from ``cli``'s JSON grids, left rows then right rows."""
+    view = cli._relation_json(rel)
+    return [Fraction(x) for side in ("left", "right") for row in view[side] for x in row]
+
+
+def test_unit_vectors_and_coords_round_trip():
     u = unit("left", 1, 2)
     assert u[coords_index("left", 1, 2)] == 1
     assert sum(abs(c) for c in u) == 1
     assert type(u) is Vector and len(u) == 18
+    assert cli._relation_json(u)["left"][1][2] == "1"
+    assert json_coords(u) == list(u)
     v = unit("right", 2, 0)
     assert v[coords_index("right", 2, 0)] == 1
+    assert cli._relation_json(v)["right"][2][0] == "1"
 
 
-def grids(rel: Vector) -> tuple[list[list], list[list]]:
-    """The left and right 3x3 grids of the candidate, read through :func:`coords_index`."""
-    return tuple([[rel[coords_index(side, i, j)] for j in range(3)] for i in range(3)] for side in ("left", "right"))
+@given(st.lists(rationals_strategy(), min_size=18, max_size=18))
+def test_coords_round_trip_everywhere(coords):
+    v = Vector(coords)
+    assert list(v) == coords
+    assert json_coords(v) == coords
+    left, right = grids(v)
+    assert cli._relation_json(v) == {
+        "left": [[str(x) for x in row] for row in left],
+        "right": [[str(x) for x in row] for row in right],
+    }
 
 
 def test_four_family_coordinates():
@@ -237,11 +259,14 @@ def test_solved_space_dimension_and_span():
     basis = solve_relation_space()
     assert len(basis) == 5
     assert relation_sets_span_equal(basis, ndendriform_relation_set())
-    for v in (*basis, *ns_relation_set(), *ndendriform_relation_set()):
-        assert type(v) is Vector and len(v) == 18
     assert len(span(basis)) == 5
     for v in basis:
         assert universal(v)
+
+
+def test_every_relation_is_a_vector_of_18_coordinates():
+    for v in (*solve_relation_space(), *ns_relation_set(), *ndendriform_relation_set()):
+        assert type(v) is Vector and len(v) == 18
 
 
 def test_four_family_sits_strictly_inside():
