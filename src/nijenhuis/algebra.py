@@ -32,8 +32,9 @@ not with the word pairs.  It empties itself when it reaches
 ``_PRODUCT_CACHE_LIMIT`` junctions.  Entries are pure values that no
 caller mutates, so concurrent repopulation is harmless.  Splitting a
 word into its last bracket and the text before it, or into its first
-bracket and the text after it, is memoized up to a bounded number of
-words.  Where two brackets meet, every path, the recursion too, reads
+bracket and the text after it, takes that factor from
+:func:`~nijenhuis.words.factors` and is memoized up to a bounded number
+of words.  Where two brackets meet, every path, the recursion too, reads
 the word product as a plain dict of terms from :func:`_product_terms`;
 at a letter junction every caller outside the recursion writes ``u*v``
 inline.  The rule is applied and cached by :func:`_junction` alone, and
@@ -85,7 +86,7 @@ from functools import lru_cache
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .linalg import LinComb, _divide, _int_if_integral, _numerators, _wrap
-from .words import UsageError, _close
+from .words import UsageError, factors
 
 __all__ = [
     "OpSymbol",
@@ -144,22 +145,18 @@ def command_scope(max_terms: int = MAX_TERMS) -> Iterator[None]:
         _max_terms = MAX_TERMS
 
 
-_MIRROR = str.maketrans("[]", "][")
-
-
 @lru_cache(maxsize=1 << 14)
 def _split_last(u: str) -> tuple[str, str]:
     """The text before the last factor of ``u``, a bracket, and that bracket."""
-    # Mirrored and reversed, the last bracket of u opens at position 0.
-    start = len(u) - 1 - _close(u[::-1].translate(_MIRROR), 0)
-    return (u[:start], u[start:]) if start else ("", u)
+    last = factors(u)[-1]
+    return u[:-len(last)], last
 
 
 @lru_cache(maxsize=1 << 14)
 def _split_first(v: str) -> tuple[str, str]:
     """The first factor of ``v``, a bracket, and the text after it."""
-    end = _close(v, 0) + 1
-    return (v[:end], v[end:]) if end < len(v) else (v, "")
+    first = factors(v)[0]
+    return first, v[len(first):]
 
 
 def _product_terms(u: str, v: str) -> dict[str, int]:

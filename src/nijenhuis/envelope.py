@@ -44,7 +44,6 @@ every free product they take has one term.
 
 from __future__ import annotations
 
-import re
 from enum import Enum
 from functools import lru_cache
 from itertools import product as _cartesian
@@ -76,6 +75,7 @@ from .relations import check_relations, monomials_at
 from .words import (
     UsageError,
     canonical_key,
+    factors,
     generators,
     iter_symbols,
     letter_word,
@@ -354,10 +354,6 @@ def _enveloping_generators(alg: NSAlgebraFD, names: tuple[str, ...]) -> tuple[Li
     )
 
 
-# A bracket, or a generator name, in the text of a word.
-_TOKEN = re.compile(r"[\[\]]|[^\[\]*]+")
-
-
 def evaluate_hom(
     alg: NijenhuisAlgebraFD,
     f: LinearMap,
@@ -379,24 +375,21 @@ def evaluate_hom(
         raise DimensionMismatch("map shape must be target dim by the number of names")
     index = {name: k for k, name in enumerate(names)}
 
+    def column(name: str) -> Vector:
+        if name not in index:
+            raise UnknownGenerator(f"no image for generator {name}")
+        return f.column(index[name])
+
     def eval_word(w: str) -> Vector:
-        # ``value`` is the product of the factors read so far; a ``[`` saves it.
-        outer: list[Vector | None] = []
+        # A run gives its letters' columns, a bracket the operator's image of its inside.
         value = None
-        for token in _TOKEN.findall(w):
-            if token == "[":
-                outer.append(value)
-                value = None
-                continue
-            if token == "]":
-                piece = alg.apply_op(value)
-                value = outer.pop()
+        for factor in factors(w):
+            if factor[0] == "[":
+                pieces = (alg.apply_op(eval_word(factor[1:-1])),)
             else:
-                k = index.get(token)
-                if k is None:
-                    raise UnknownGenerator(f"no image for generator {token}")
-                piece = f.column(k)
-            value = piece if value is None else alg.mul(value, piece)
+                pieces = map(column, factor.split("*"))
+            for piece in pieces:
+                value = piece if value is None else alg.mul(value, piece)
         return value
 
     total = [0] * alg.dim
@@ -493,9 +486,9 @@ def truncated_ideal_membership(
             for name in iter_symbols(w)
         }
     )
-    # factors[n - 1] holds the single factors of size n: the letters,
+    # singles[n - 1] holds the single factors of size n: the letters,
     # then the brackets [w] of the words w of size n - 1.
-    factors = [[LinComb.from_word(name) for name in symbols]] + [
+    singles = [[LinComb.from_word(name) for name in symbols]] + [
         [LinComb.from_word(f"[{w}]") for w in words_of_size(tuple(symbols), n)]
         for n in range(1, size_bound - 1)
     ]
@@ -521,7 +514,7 @@ def truncated_ideal_membership(
         row = _wrap(dict(space.rows[pivot]))
         if room:
             keep(operator_n(row))
-        for group in factors[:room]:
+        for group in singles[:room]:
             for m in group:
                 keep(product(m, row))
                 keep(product(row, m))

@@ -41,7 +41,7 @@ from typing import Iterable, Union
 
 from .algebra import OpSymbol, TooManyTerms, derived_op, operator_n, product
 from .linalg import LinComb, _divide, _int_if_integral, _integer, _wrap
-from .words import MAX_NESTING, UsageError, letter_word
+from .words import _NAME, MAX_NESTING, UsageError, letter_word
 
 __all__ = [
     "ParseError",
@@ -144,7 +144,7 @@ _FUNCTIONS = {
     "star": OpSymbol.STAR,
 }
 
-_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|[-+*/()\[\],]")
+_TOKEN = re.compile(rf"{_NAME.pattern}|\d+|[-+*/()\[\],]")
 # A token after any whitespace; the group is the token.
 _SPACED_TOKEN = re.compile(rf"\s*({_TOKEN.pattern})")
 

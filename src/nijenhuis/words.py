@@ -14,8 +14,10 @@ word: equal words are equal strings, hashing and equality run in C, and
 printing a word costs nothing.  The measures are read from the text,
 since generator names are identifiers: every letter but the first
 follows a ``*``, every bracket pair opens with a ``[``, and the depth is
-the deepest count of open brackets.  A generator name is a plain
-``str``, checked by :func:`generators` and :func:`letter_word`.
+the deepest count of open brackets.  :func:`factors` is the one walk of
+a word's letter runs and outer brackets, for the breadth, the product
+and evaluation.  A generator name is a plain ``str``, checked by
+:func:`generators` and :func:`letter_word`.
 
 :func:`word` is the one checked constructor: it scans the text once and
 rejects anything that is not the canonical text of a word.  It reads
@@ -43,6 +45,7 @@ __all__ = [
     "letter_word",
     "depth",
     "breadth",
+    "factors",
     "size",
     "letter_count",
     "canonical_key",
@@ -158,19 +161,24 @@ def _check(text: str) -> None:
             return
 
 
-_BRACKET_RUN = re.compile(r"\[+|\]+")
+def factors(w: str) -> list[str]:
+    """The factors of ``w``, left to right: letter runs and outer brackets.
 
-
-def _close(text: str, start: int) -> int:
-    """Index of the ``]`` that closes the ``[`` at ``start``."""
+    ``"*".join(factors(w)) == w``.  Each piece of the text between stars
+    is a name inside brackets; it joins the factor before it while a
+    bracket is open there, or when both are letters.
+    """
+    if "[" not in w:
+        return [w]
+    found = []
     level = 0
-    for m in _BRACKET_RUN.finditer(text, start):
-        if text[m.start()] == "[":
-            level += m.end() - m.start()
+    for piece in w.split("*"):
+        if level or found and piece[0] != "[" and found[-1][-1] != "]":
+            found[-1] += "*" + piece
         else:
-            level -= m.end() - m.start()
-            if level <= 0:
-                return m.end() - 1 + level
+            found.append(piece)
+        level += piece.count("[") - piece.count("]")
+    return found
 
 
 def letter_word(*names: str) -> str:
@@ -194,19 +202,8 @@ def depth(w: str) -> int:
 
 
 def breadth(w: str) -> int:
-    """Number of factors of ``w``.
-
-    The factors alternate in kind, so between two top-level brackets there
-    is one letter run, and one more at each end that is not a bracket.
-    """
-    top = level = 0
-    for c in w.translate(_BRACKETS_ONLY):
-        if c == "[":
-            top += not level
-            level += 1
-        else:
-            level -= 1
-    return 2 * top + 1 - w.startswith("[") - w.endswith("]")
+    """Number of factors of ``w``."""
+    return len(factors(w))
 
 
 def letter_count(w: str) -> int:

@@ -12,7 +12,9 @@ compared with the morphism check's two sides the same way.  Products,
 operator images, map application and columns, the split, the morphism
 check and evaluation are also compared on rational data, spelled as
 values or ``p/q`` strings and passed as lists, tuples or Vectors, with
-the same loops run on Fractions.
+the same loops run on Fractions.  Evaluation is also folded over the
+tuple model, factor by factor, on every short word of the 2-by-2
+matrix algebras.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from nijenhuis.envelope import (
 )
 from nijenhuis.linalg import LinComb
 from nijenhuis.relations import ndendriform_relation_set, ns_relation_set
+from nijenhuis.words import words_up_to_size
 
-from conftest import FIXTURES, lincombs_strategy, parse_reference
+from conftest import FIXTURES, identity_map, lincombs_strategy, parse_reference
 
 DIM = 2
 
@@ -430,3 +433,16 @@ def test_evaluation_matches_the_fraction_loops(target_tm, f_rows, a, order):
         expected = [x + Fraction(c) * y for x, y in zip(expected, value)]
     got = evaluate_hom(algebra(t, m), LinearMap(f_rows), a, names)
     assert got == tuple(expected)
+
+
+@pytest.mark.parametrize("name", ["m2_left", "m2_right"])
+def test_evaluation_matches_the_fold_on_every_short_word(name):
+    # On the 2-by-2 matrices a letter or bracket multiplied out of turn
+    # changes the value.
+    t, m = matrix_algebra(name)
+    names = default_names(4)
+    columns = dict(zip(names, basis(4)))
+    alg, f = algebra(t, m), identity_map(4)
+    for w in words_up_to_size(names, 4):
+        expected = reference_word(frac(t), frac(m), columns, parse_reference(w))
+        assert evaluate_hom(alg, f, LinComb.from_word(w), names) == expected, w

@@ -3,6 +3,8 @@
 The lines shown under an example are its expected stdout: an exact
 match, or a prefix match when the shown output ends in ``...``.  An
 example shown without output only has to run without a usage error.
+Each example's test id is its command, so an edit elsewhere in the
+README renames no test.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PROMPT = "$ nijenhuis "
 
 
-def readme_examples() -> list[tuple[int, str, list[str]]]:
+def readme_examples() -> list[tuple[str, list[str]]]:
     lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
     examples = []
     for lineno, line in enumerate(lines, start=1):
@@ -29,7 +31,7 @@ def readme_examples() -> list[tuple[int, str, list[str]]]:
             if not following or following.startswith(("$", "```")):
                 break
             shown.append(following)
-        examples.append((lineno, line[len(PROMPT):], shown))
+        examples.append((line[len(PROMPT):], shown))
     return examples
 
 
@@ -40,9 +42,7 @@ def test_readme_has_examples():
     assert len(EXAMPLES) >= 10
 
 
-@pytest.mark.parametrize(
-    "command, shown", [(c, s) for _, c, s in EXAMPLES], ids=[f"README.md:{n}" for n, _, _ in EXAMPLES]
-)
+@pytest.mark.parametrize("command, shown", EXAMPLES, ids=[command for command, _ in EXAMPLES])
 def test_readme_example(command, shown, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv("NF_MAX_SIZE", raising=False)

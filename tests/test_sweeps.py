@@ -6,7 +6,10 @@ plain triple or double loop over the same elements.  With no ``mul``
 the sweeps take basis words and work on term dicts; with an explicit
 ``mul`` they run the generic loop on whatever elements they are given.
 The two must agree on the exact product, under a faulted junction
-product, and on where the term cap stops them.
+product, and on where the term cap stops them.  Reversal, read on the
+tuple model of :mod:`conftest`, checks the product apart from both
+loops: it must turn each product around, and the asymmetric faults
+must break that.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from nijenhuis.cli import run_command
 from nijenhuis.linalg import LinComb
 from nijenhuis.words import generators, letter_word, size, words_up_to_size
 
-from conftest import ALPHABET_XY
+from conftest import ALPHABET_XY, parse_reference, reference_text
 
 X, _ = ALPHABET_XY
 WORDS = words_up_to_size(ALPHABET_XY, 2)
@@ -293,3 +296,43 @@ def test_nijenhuis_check_reports_the_first_failing_pair(monkeypatch, capsys):
     assert run_command(["nijenhuis-check", "--json", "--max-size", "2"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out == {"ok": False, "pair": pair, "lhs": _lincomb_json(lhs), "rhs": _lincomb_json(rhs)}
+
+
+def reverse(w: tuple) -> tuple:
+    """The reversal of a tuple-model word: its factors, each run's letters, and inside each bracket."""
+    return tuple((kind, body[::-1] if kind == "L" else reverse(body)) for kind, body in reversed(w))
+
+
+def broken_reversals() -> int:
+    """How many pairs, u of size at most 5 and v at most 3 over {x, y}, have rev(u . v) != rev(v) . rev(u)."""
+    left, right = words_up_to_size(ALPHABET_XY, 5), words_up_to_size(ALPHABET_XY, 3)
+    reversals: dict[str, str] = {}
+
+    def rev(a: LinComb) -> LinComb:
+        for w in a._terms:
+            if w not in reversals:
+                reversals[w] = reference_text(reverse(parse_reference(w)))
+        return LinComb((reversals[w], c) for w, c in a)
+
+    single = {w: LinComb.from_word(w) for w in left}
+    return sum(
+        rev(product(single[u], single[v])) != product(rev(single[v]), rev(single[u])) for u in left for v in right
+    )
+
+
+@pytest.mark.parametrize(
+    "fault, broken",
+    [
+        (None, False),
+        (_drop_suffixes_after_two_brackets, True),
+        (_collapse_deep_junctions, True),
+        # Doubling hangs on the bracket count alone, which reversal keeps,
+        # so the symmetry misses it; the sweeps above catch it.
+        (_double_deep_junctions, False),
+    ],
+    ids=["exact", "dropped-suffixes", "collapsed", "doubled"],
+)
+def test_reversal_turns_each_product_around(fault, broken, monkeypatch):
+    if fault:
+        fault(monkeypatch)
+    assert bool(broken_reversals()) is broken

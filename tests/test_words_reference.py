@@ -3,8 +3,8 @@
 The reference functions below walk the tuple model of
 :mod:`conftest`, which a recursive-descent reading of the text builds,
 and share no code with :mod:`nijenhuis.words`, which checks a text in
-one scan and reads the letter count, the size, the depth and the
-breadth off it.
+one scan, reads the letter count, the size and the depth off it, and
+walks its factors for :func:`~nijenhuis.words.factors` and the breadth.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from nijenhuis.words import (
     breadth,
     canonical_key,
     depth,
+    factors,
     generators,
     letter_count,
     size,
@@ -45,6 +46,10 @@ def ref_size(w: tuple) -> int:
     return sum(len(body) if kind == "L" else 1 + ref_size(body) for kind, body in w)
 
 
+def ref_factors(w: tuple) -> list[str]:
+    return [reference_text((factor,)) for factor in w]
+
+
 def ref_key(w: tuple) -> tuple[int, int, str]:
     return ref_letter_count(w), ref_depth(w), reference_text(w)
 
@@ -54,6 +59,7 @@ MEASURES = (
     (depth, ref_depth),
     (size, ref_size),
     (breadth, len),
+    (factors, ref_factors),
     (str, reference_text),
 )
 
