@@ -381,22 +381,41 @@ def evaluate_hom(
         return f.column(index[name])
 
     def eval_word(w: str) -> Vector:
-        # A run gives its letters' columns, a bracket the operator's image of its inside.
-        value = None
-        for factor in factors(w):
-            if factor[0] == "[":
-                pieces = (alg.apply_op(eval_word(factor[1:-1])),)
-            else:
+        # A run gives its letters' columns, a bracket the operator's image
+        # of its inside.  A bracket sets the word's remaining factors,
+        # last first, and its product so far aside on the stack until its
+        # inside is done, so deep nesting uses no recursion.
+        stack = []
+        todo, value = factors(w)[::-1], None
+        while True:
+            if todo:
+                factor = todo.pop()
+                if factor[0] == "[":
+                    stack.append((todo, value))
+                    todo, value = factors(factor[1:-1])[::-1], None
+                    continue
                 pieces = map(column, factor.split("*"))
+            elif stack:
+                pieces = (alg.apply_op(value),)
+                todo, value = stack.pop()
+            else:
+                return value
             for piece in pieces:
                 value = piece if value is None else alg.mul(value, piece)
-        return value
 
     total = [0] * alg.dim
-    for w, c in a:
-        for k, x in enumerate(eval_word(w)):
-            if x:
-                total[k] += c * x
+    try:
+        for w, c in a._terms.items():
+            for k, x in enumerate(eval_word(w)):
+                if x:
+                    total[k] += c * x
+    except UnknownGenerator:
+        # Name the same generator in whatever order ``a`` was built: the
+        # first unknown one in the canonically first word that has one.
+        for w in sorted(a._terms, key=canonical_key):
+            for name in iter_symbols(w):
+                column(name)
+        raise
     return Vector(total)
 
 

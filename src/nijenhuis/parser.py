@@ -11,49 +11,38 @@ Grammar, in order of loosening precedence::
 ``[e]`` applies the distinguished operator, as does ``P(e)``.  The
 four named binary operations are ``prec``, ``succ``, ``bullet`` and
 ``star``; those words act as functions only when directly followed by
-``(`` and stay usable as generator names otherwise.  Evaluation maps an
-expression to a linear combination over a declared generator set, and
-:func:`print_canonical` renders a combination in the canonical term
-order; parse, evaluate, print is the identity on printed output.
+``(`` and stay usable as generator names otherwise.  :func:`read_expr`
+maps an expression to a linear combination over a declared generator
+set, and ``str`` renders a combination in the canonical term order;
+reading, then printing, is the identity on printed output.
 
 Coefficients are exact: an ``int`` when integral, a
-:class:`fractions.Fraction` otherwise, both in the tree and in the
-evaluated combination.  The tokens are their texts alone, found by
-one ``findall`` and read by index; a token's position is found again
-only to report a :class:`ParseError`.  Each tree node is a
-:func:`collections.namedtuple` of its fields, which gives the fields,
-the repr and pickling; a node equals and hashes by class and fields, so
-building a tree allocates one tuple per node.
+:class:`fractions.Fraction` otherwise.  The tokens are their texts
+alone, found by one ``findall`` and read by index; a token's position
+is found again only to report a :class:`ParseError`.
 
-One recursive descent reads the grammar and hands what it reads to a
-set of actions.  :func:`parse_expr` runs it with actions that build the
-tree; :func:`read_expr`, which the commands call, with actions that
-compute the value.  :func:`eval_expr` folds a tree through those same
-actions, so one set of rules decides every value and every error.
+One recursive descent reads the grammar and computes the value as it
+reads, through one set of value actions: :func:`read_expr`, which the
+commands call, reads a text once, straight to its value or its error,
+and builds no tree.  :func:`parse_expr`, :func:`eval_expr` and
+:func:`print_canonical` are a few lines over :func:`read_expr` and
+``str``, kept for the benchmark worker's round trip.
 """
 
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Union
 
 from .algebra import OpSymbol, TooManyTerms, derived_op, operator_n, product
 from .linalg import LinComb, _divide, _int_if_integral, _integer, _wrap
-from .words import _NAME, MAX_NESTING, UsageError, letter_word
+from .words import _NAME, MAX_NESTING, UsageError
 
 __all__ = [
     "ParseError",
     "UnknownIdentifier",
     "EvalError",
-    "Expr",
-    "GeneratorRef",
-    "ScalarLit",
-    "BracketApply",
-    "Product",
-    "Sum",
-    "DerivedOpNode",
     "parse_expr",
     "eval_expr",
     "read_expr",
@@ -80,62 +69,6 @@ class UnknownIdentifier(EvalError):
         super().__init__(f"unknown generator: {name}")
         self.name = name
 
-
-class _Node(tuple):
-    """The equality of a parse-tree node.
-
-    A node equals and hashes as the pair of its class and its fields, so
-    nodes of different classes, or a node and a plain tuple, are never
-    equal.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash((type(self), tuple(self)))
-
-
-class GeneratorRef(_Node, namedtuple("GeneratorRef", "name")):
-    __slots__ = ()
-
-
-class ScalarLit(_Node, namedtuple("ScalarLit", "value")):
-    __slots__ = ()
-
-
-class BracketApply(_Node, namedtuple("BracketApply", "child")):
-    __slots__ = ()
-
-
-class Product(_Node, namedtuple("Product", "children")):
-    __slots__ = ()
-
-    def __new__(cls, children: tuple["Expr", ...]) -> "Product":
-        if len(children) < 2:
-            raise ValueError("a product has at least two factors")
-        return super().__new__(cls, children)
-
-
-class Sum(_Node, namedtuple("Sum", "terms")):
-    __slots__ = ()
-
-    def __new__(cls, terms: tuple[tuple[int | Fraction, "Expr"], ...]) -> "Sum":
-        if len(terms) < 2 or not all(c != 0 for c, _ in terms):
-            raise ValueError("a sum has at least two terms, each with a nonzero coefficient")
-        return super().__new__(cls, terms)
-
-
-class DerivedOpNode(_Node, namedtuple("DerivedOpNode", "op left right")):
-    __slots__ = ()
-
-
-Expr = Union[GeneratorRef, ScalarLit, BracketApply, Product, Sum, DerivedOpNode]
 
 _FUNCTIONS = {
     "prec": OpSymbol.PREC,
@@ -181,26 +114,61 @@ def _token_starts(text: str) -> list[int]:
     return starts
 
 
-class _Reader:
-    """Recursive descent over the token texts, read by index.
+# A value: a word's text, for one word with coefficient 1; a LinComb; a
+# scalar; or the error that reading raises.
+_Value = Union[str, LinComb, int, Fraction, UsageError]
 
-    The productions hand what they read to five actions:
-    ``generator(name)``, ``bracket(inner)``, ``call(op, left, right)``,
-    ``product(factors)`` for the factors of a term other than its
-    numerals, and ``sum(terms)`` for the ``(coefficient, product)``
-    pairs of an expression.  A term of one factor is that factor, and an
-    expression of one term with coefficient 1 is that term, with no
-    action called.  The actions here build the tree; :class:`_ValueReader`
-    swaps in actions that compute the value.
+
+def _lincomb(value: str | LinComb) -> LinComb:
+    return _wrap({value: 1}) if type(value) is str else value
+
+
+def _times(a: str | LinComb, b: str | LinComb) -> str | LinComb:
+    # Two words at a letter junction make the one word u*v, as in product.
+    if type(a) is str and type(b) is str and (a[-1] != "]" or b[0] != "["):
+        return a + "*" + b
+    return product(_lincomb(a), _lincomb(b))
+
+
+def _element(value: _Value) -> _Value:
+    """``value`` where it is evaluated whole: a scalar is an error unless it is 0."""
+    if type(value) is int or type(value) is Fraction:
+        return LinComb() if value == 0 else EvalError("a bare scalar is not an algebra element")
+    return value
+
+
+def _result(value: _Value) -> LinComb:
+    value = _element(value)
+    if isinstance(value, UsageError):
+        raise value
+    return _lincomb(value)
+
+
+class _Reader:
+    """Recursive descent over the token texts, read by index, to a value.
+
+    A name reads as its word if it is in ``allowed``.  The productions
+    hand the values they read to four actions: ``bracket(inner)``,
+    ``call(op, left, right)``, ``product(factors)`` for the factors of a
+    term other than its numerals, and ``sum(terms)`` for the
+    ``(coefficient, product)`` pairs of an expression.  A term of one
+    factor is that factor, and an expression of one term with
+    coefficient 1 is that term, with no action called.
+
+    An undeclared name, a bare scalar or a product over the term cap
+    reads as that error, as a value; an action passes on the first error
+    among its parts, in the order of evaluation.  The descent reads on,
+    so a syntax error anywhere is still raised first.
     """
 
-    __slots__ = ("text", "tokens", "index", "nesting")
+    __slots__ = ("text", "tokens", "index", "nesting", "allowed")
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, allowed: set[str] | frozenset[str]):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
         self.nesting = 0
+        self.allowed = allowed
 
     def error(self, message: str, index: int, offset: int = 0) -> ParseError:
         """An error at the token ``index``, ``offset`` characters into it."""
@@ -212,14 +180,14 @@ class _Reader:
             raise self.error(f"expected {text!r}, found {tok or 'end of input'!r}", self.index)
         self.index += 1
 
-    def read(self):
+    def read(self) -> _Value:
         result = self.read_expr()
         tok = self.tokens[self.index]
         if tok:
             raise self.error(f"trailing input {tok!r}", self.index)
         return result
 
-    def read_expr(self):
+    def read_expr(self) -> _Value:
         # The whole input is level 0; each enclosing bracket, parenthesis
         # or call adds one level.
         if self.nesting > MAX_NESTING:
@@ -247,7 +215,7 @@ class _Reader:
         self.nesting -= 1
         return self.sum(terms)
 
-    def read_term(self):
+    def read_term(self) -> tuple[int | Fraction, _Value | None]:
         tokens = self.tokens
         coeff: int | Fraction = 1
         factors = []
@@ -258,7 +226,7 @@ class _Reader:
                 if tokens[self.index] == "(":
                     factors.append(self.read_call(tok))
                 else:
-                    factors.append(self.generator(tok))
+                    factors.append(tok if tok in self.allowed else UnknownIdentifier(tok))
             elif tok.isdecimal():
                 number = self.read_rational(tok)
                 coeff = number if coeff == 1 else _int_if_integral(coeff * number)
@@ -303,7 +271,7 @@ class _Reader:
             raise self.error("zero denominator", i + 1)
         return _divide(value, d)
 
-    def read_call(self, name: str):
+    def read_call(self, name: str) -> _Value:
         """The call of ``name``, just read, whose ``(`` is next."""
         at = self.index - 1
         self.index += 1
@@ -319,127 +287,6 @@ class _Reader:
         right = self.read_expr()
         self.expect(")")
         return self.call(op, left, right)
-
-    generator = GeneratorRef
-    bracket = BracketApply
-    call = DerivedOpNode
-
-    @staticmethod
-    def product(factors: list[Expr]) -> Expr | None:
-        """The node of a term of two or more factors, or ``None`` for a bare scalar."""
-        return Product(tuple(factors)) if factors else None
-
-    @staticmethod
-    def sum(terms: list[tuple[int | Fraction, Expr | None]]) -> Expr:
-        """The expression's node: the bare scalars add up, and terms with coefficient 0 go."""
-        normalized, scalar_total = _normalize(terms, ScalarLit(1))
-        if not normalized:
-            return ScalarLit(scalar_total)
-        if len(normalized) > 1:
-            return Sum(tuple(normalized))
-        coeff, node = normalized[0]
-        return node if coeff == 1 else Product((ScalarLit(coeff), node))
-
-
-def _normalize(terms: list, one: object) -> tuple[list, int | Fraction]:
-    """The kept terms, then the bare scalars' total times ``one`` if both are there; and that total."""
-    kept = []
-    scalar_total: int | Fraction = 0
-    for coeff, part in terms:
-        if part is None:
-            scalar_total = _int_if_integral(scalar_total + coeff)
-        elif coeff != 0:
-            kept.append((coeff, part))
-    if kept and scalar_total != 0:
-        kept.append((scalar_total, one))
-    return kept, scalar_total
-
-
-def parse_expr(text: str) -> Expr:
-    """Parse surface syntax into an expression tree.
-
-    Raises :class:`ParseError` on a syntax error, and on input nested
-    more than :data:`~nijenhuis.words.MAX_NESTING` levels deep.
-    """
-    return _Reader(text).read()
-
-
-def eval_expr(expr: Expr, declared: Iterable[str]) -> LinComb:
-    """Evaluate over the declared generators: fold the tree through the actions of :func:`read_expr`.
-
-    Raises :class:`UnknownIdentifier` for stray names and
-    :class:`EvalError` when a nonzero bare scalar is left over, since the
-    algebra has no unit to absorb it.
-    """
-    actions = _ValueReader("", set(declared))  # a reader of no text, for its actions
-
-    def fold(node: Expr) -> _Value:
-        cls = type(node)
-        if cls is GeneratorRef:  # a tree built by hand may hold any name
-            value = actions.generator(node.name)
-            return letter_word(value) if type(value) is str else value
-        if cls is Product:
-            return actions.product([fold(child) for child in node.children])
-        if cls is Sum:
-            return actions.sum([(coeff, fold(child)) for coeff, child in node.terms])
-        if cls is BracketApply:
-            return actions.bracket(fold(node.child))
-        if cls is DerivedOpNode:
-            return actions.call(node.op, fold(node.left), fold(node.right))
-        if cls is ScalarLit:
-            return node.value
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return _result(fold(expr))
-
-
-# A value: a word's text, for one word with coefficient 1; a LinComb; a
-# scalar, where the tree has a ScalarLit; or the error evaluation raises.
-_Value = Union[str, LinComb, int, Fraction, UsageError]
-
-
-def _lincomb(value: str | LinComb) -> LinComb:
-    return _wrap({value: 1}) if type(value) is str else value
-
-
-def _times(a: str | LinComb, b: str | LinComb) -> str | LinComb:
-    # Two words at a letter junction make the one word u*v, as in product.
-    if type(a) is str and type(b) is str and (a[-1] != "]" or b[0] != "["):
-        return a + "*" + b
-    return product(_lincomb(a), _lincomb(b))
-
-
-def _element(value: _Value) -> _Value:
-    """``value`` where it is evaluated whole: a scalar is an error unless it is 0."""
-    if type(value) is int or type(value) is Fraction:
-        return LinComb() if value == 0 else EvalError("a bare scalar is not an algebra element")
-    return value
-
-
-def _result(value: _Value) -> LinComb:
-    value = _element(value)
-    if isinstance(value, UsageError):
-        raise value
-    return _lincomb(value)
-
-
-class _ValueReader(_Reader):
-    """The descent of :class:`_Reader` with actions that compute values.
-
-    An action that meets an undeclared name, a bare scalar or a product
-    over the term cap returns that error as its value, and passes on the
-    first error among its parts, in the order of evaluation.  The descent
-    reads on, so a syntax error anywhere is still raised first.
-    """
-
-    __slots__ = ("allowed",)
-
-    def __init__(self, text: str, allowed: set[str]):
-        super().__init__(text)
-        self.allowed = allowed
-
-    def generator(self, name: str) -> str | UnknownIdentifier:
-        return name if name in self.allowed else UnknownIdentifier(name)
 
     @staticmethod
     def bracket(inner: _Value) -> _Value:
@@ -461,6 +308,7 @@ class _ValueReader(_Reader):
 
     @staticmethod
     def product(factors: list[_Value]) -> _Value | None:
+        """The value of a term's factors, or ``None`` for a bare scalar."""
         # Scalar factors scale the product; the others multiply in order.
         coeff: int | Fraction = 1
         value = None
@@ -500,28 +348,62 @@ class _ValueReader(_Reader):
 
 
 def _tree_sum(terms: list[tuple[int | Fraction, _Value | None]]) -> _Value:
-    """The value of the node that :meth:`_Reader.sum` makes of ``terms``."""
-    kept, scalar_total = _normalize(terms, 1)
+    """The value of a sum with a bare scalar, a coefficient 0, a scalar or an error.
+
+    The bare scalars add up, and terms with coefficient 0 go.  A sum of
+    bare scalars alone is their total, a scalar; otherwise a nonzero
+    total is one more term, after the others.  One term left with
+    coefficient 1 is that term, and any other sum is evaluated whole.
+    """
+    kept = []
+    scalar_total: int | Fraction = 0
+    for coeff, part in terms:
+        if part is None:
+            scalar_total = _int_if_integral(scalar_total + coeff)
+        elif coeff != 0:
+            kept.append((coeff, part))
     if not kept:
         return scalar_total
+    if scalar_total != 0:
+        kept.append((scalar_total, 1))
     if len(kept) == 1 and kept[0][0] == 1:
         return kept[0][1]
     elements = [(coeff, _element(value)) for coeff, value in kept]
     for _, value in elements:
         if isinstance(value, UsageError):
             return value
-    return _ValueReader.sum(elements)
+    return _Reader.sum(elements)
 
 
 def read_expr(text: str, declared: Iterable[str]) -> LinComb:
     """The value of ``text`` over the declared generators, read in one pass.
 
-    Equal to ``eval_expr(parse_expr(text), declared)``, coefficient
-    types and errors included, but builds no tree.
+    Raises :class:`ParseError` on a syntax error, and on input nested
+    more than :data:`~nijenhuis.words.MAX_NESTING` levels deep; then
+    :class:`UnknownIdentifier` for a stray name, :class:`EvalError` when
+    a nonzero bare scalar is left over, since the algebra has no unit to
+    absorb it, or :class:`~nijenhuis.algebra.TooManyTerms`, whichever
+    comes first in the order of evaluation.
     """
-    return _result(_ValueReader(text, set(declared)).read())
+    return _result(_Reader(text, set(declared)).read())
+
+
+def parse_expr(text: str) -> str:
+    """``text``, or the :class:`ParseError` that :func:`read_expr` raises on it.
+
+    It reads ``text`` with no name declared, so nothing is multiplied.
+    Kept for ``perfbench/worker.py`` until ROADMAP item 1 may change that
+    file, whose round trip is then ``str(read_expr(text, names)) == text``.
+    """
+    _Reader(text, frozenset()).read()
+    return text
+
+
+def eval_expr(expr: str, declared: Iterable[str]) -> LinComb:
+    """:func:`read_expr`; kept for ``perfbench/worker.py`` until ROADMAP item 1 may change that file."""
+    return read_expr(expr, declared)
 
 
 def print_canonical(a: LinComb) -> str:
-    """Render a combination with terms in canonical order."""
+    """``str(a)``; kept for ``perfbench/worker.py`` until ROADMAP item 1 may change that file."""
     return str(a)

@@ -201,6 +201,20 @@ def test_evaluate_hom_unknown_generator():
     f = identity_map(2)
     with pytest.raises(UnknownGenerator):
         evaluate_hom(alg, f, lc("q"), default_names(2))
+    # The canonically first word names its generator, whatever order the
+    # terms were added in.
+    built_backwards = LinComb({"q*e1": 1, "e1*p": 1}.items())
+    with pytest.raises(UnknownGenerator, match="no image for generator p$"):
+        evaluate_hom(alg, f, built_backwards, default_names(2))
+
+
+def test_evaluate_hom_on_deep_nesting():
+    # 2,000 brackets around e1, far past the interpreter's recursion limit.
+    alg = load_algebra("projection")
+    deep = lc("e1")
+    for _ in range(2000):
+        deep = operator_n(deep)
+    assert evaluate_hom(alg, identity_map(2), deep, default_names(2)) == unit(0)
 
 
 def test_evaluate_hom_shape_checks():

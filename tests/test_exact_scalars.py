@@ -27,7 +27,7 @@ from nijenhuis.envelope import (
     induced_ns,
 )
 from nijenhuis.linalg import LinComb, RowSpace, rational, span
-from nijenhuis.parser import Product, ScalarLit, Sum, eval_expr, parse_expr
+from nijenhuis.parser import eval_expr, parse_expr, read_expr
 from nijenhuis.relations import ndendriform_relation_set, ns_relation_set, solve_relation_space
 from nijenhuis.words import UsageError, canonical_key, words_up_to_size
 
@@ -121,16 +121,15 @@ _SCALARS = st.builds(
 
 
 def test_parsed_coefficients_are_ints_when_integral():
-    tree = parse_expr("2*x - 4/2*y + 3*1/3*[x] - 1/2*x*y + 2 - 2")
-    assert isinstance(tree, Sum)
-    coeffs = [c for c, _ in tree.terms]
+    value = read_expr("2*x - 4/2*y + 3*1/3*[x] - 1/2*x*y + 2 - 2", ALPHABET_XY)
+    coeffs = [value._terms[w] for w in ("x", "y", "[x]", "x*y")]
     assert coeffs == [2, -2, 1, Fraction(-1, 2)]
     assert [type(c) for c in coeffs] == [int, int, int, Fraction]
-    scaled = parse_expr("6/3*x")
-    assert isinstance(scaled, Product) and scaled.children[0] == ScalarLit(2)
-    assert type(scaled.children[0].value) is int
-    assert parse_expr("x + 1/2 + 1/2").terms[-1] == (1, ScalarLit(1))
-    assert type(parse_expr("x + 1/2 + 1/2").terms[-1][0]) is int
+    scaled = read_expr("6/3*x", ALPHABET_XY)._terms["x"]
+    assert scaled == 2 and type(scaled) is int
+    # Bare scalars add up, and their total scales as a factor.
+    summed = read_expr("(1/2 + 3/2)*y", ALPHABET_XY)._terms["y"]
+    assert summed == 2 and type(summed) is int
 
 
 def test_sum_evaluation_does_not_sort_its_terms(monkeypatch):

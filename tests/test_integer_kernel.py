@@ -1,4 +1,4 @@
-"""The integer-numerator product, printing and the tuple parse-tree nodes.
+"""The integer-numerator product and printing.
 
 :func:`product` multiplies integer numerators over one common
 denominator per operand and divides once per result term.  These tests
@@ -6,33 +6,19 @@ compare it with the bilinear extension, in ``Fraction`` arithmetic, of
 ``reference_product`` from ``test_product_reference.py``, the cache-free
 product on the tuple model, which shares no code with
 :mod:`nijenhuis.algebra`.  They also check that printed combinations
-parse back to themselves, and the value semantics of the parse-tree
-nodes.
+parse back to themselves.
 """
 
 from __future__ import annotations
 
-import copy as copy_module
-import pickle
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from nijenhuis import algebra
-from nijenhuis.algebra import OpSymbol, product
+from nijenhuis.algebra import product
 from nijenhuis.linalg import LinComb
-from nijenhuis.parser import (
-    BracketApply,
-    DerivedOpNode,
-    GeneratorRef,
-    Product,
-    ScalarLit,
-    Sum,
-    eval_expr,
-    parse_expr,
-    print_canonical,
-)
+from nijenhuis.parser import eval_expr, parse_expr, print_canonical
 from nijenhuis.words import canonical_key, canonical_sort, words_up_to_size
 
 from conftest import ALPHABET_XY, parse_reference as as_tuple, words_strategy
@@ -148,67 +134,3 @@ def test_printing_matches_the_plain_format(a):
 def test_canonical_sort_agrees_with_the_key(words):
     assert canonical_sort(words) == sorted(words, key=canonical_key)
 
-
-def test_parse_tree_nodes_are_values():
-    x, y = GeneratorRef("x"), GeneratorRef("y")
-    nodes = [
-        x,
-        ScalarLit(Fraction(2, 3)),
-        BracketApply(x),
-        Product((x, BracketApply(y))),
-        Sum(((1, x), (Fraction(-1, 2), y))),
-        DerivedOpNode(OpSymbol.PREC, x, y),
-    ]
-    again = [
-        GeneratorRef("x"),
-        ScalarLit(Fraction(2, 3)),
-        BracketApply(GeneratorRef("x")),
-        Product((GeneratorRef("x"), BracketApply(GeneratorRef("y")))),
-        Sum(((1, GeneratorRef("x")), (Fraction(-1, 2), GeneratorRef("y")))),
-        DerivedOpNode(OpSymbol.PREC, GeneratorRef("x"), GeneratorRef("y")),
-    ]
-    for node, copy in zip(nodes, again):
-        assert node == copy and not node != copy
-        assert hash(node) == hash(copy)
-        assert pickle.loads(pickle.dumps(node)) == node
-        assert copy_module.deepcopy(node) == node
-    assert len(set(nodes + again)) == len(nodes)
-    for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            assert (a == b) == (i == j)
-    assert ScalarLit(2) == ScalarLit(Fraction(2)) and hash(ScalarLit(2)) == hash(ScalarLit(Fraction(2)))
-    assert DerivedOpNode(OpSymbol.PREC, x, y) != DerivedOpNode(OpSymbol.SUCC, x, y)
-    assert DerivedOpNode(OpSymbol.PREC, x, y) != DerivedOpNode(OpSymbol.PREC, y, x)
-
-
-def test_nodes_of_different_kinds_or_plain_tuples_are_never_equal():
-    x = GeneratorRef("x")
-    assert GeneratorRef("x") != ScalarLit("x")
-    assert BracketApply(x) != (x,) and Product((x, x)) != ((x, x),)
-    assert x != ("x",) and ("x",) != x
-    assert parse_expr("x") != parse_expr("[x]")
-
-
-def test_parse_tree_nodes_are_immutable():
-    node = DerivedOpNode(OpSymbol.STAR, GeneratorRef("x"), GeneratorRef("y"))
-    with pytest.raises(AttributeError):
-        node.left = GeneratorRef("z")
-    with pytest.raises(AttributeError):
-        node.extra = 1
-    with pytest.raises(TypeError):
-        node[0] = OpSymbol.PREC
-    assert node.op is OpSymbol.STAR and node.left == GeneratorRef("x") and node.right == GeneratorRef("y")
-
-
-def test_product_and_sum_keep_their_invariants():
-    with pytest.raises(ValueError):
-        Product((GeneratorRef("x"),))
-    with pytest.raises(ValueError):
-        Sum(((1, GeneratorRef("x")),))
-    with pytest.raises(ValueError):
-        Sum(((1, GeneratorRef("x")), (0, GeneratorRef("y"))))
-
-
-def test_node_repr_names_the_fields():
-    assert repr(GeneratorRef("x")) == "GeneratorRef(name='x')"
-    assert repr(BracketApply(GeneratorRef("x"))) == "BracketApply(child=GeneratorRef(name='x'))"

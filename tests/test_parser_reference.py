@@ -1,30 +1,28 @@
 """The expression parser against a reference model.
 
-:mod:`nijenhuis.parser` has one recursive descent with two sets of
-actions: one builds the tree of :func:`~nijenhuis.parser.parse_expr`,
-the other computes the value of :func:`~nijenhuis.parser.read_expr`.
+:mod:`nijenhuis.parser` has one recursive descent with one set of
+actions, which compute the value of :func:`~nijenhuis.parser.read_expr`
+as the text is read.
 
-The reference below checks the grammar.  It is the tokenizer and
-recursive-descent parser that :mod:`nijenhuis.parser` replaced: one
-``(kind, text, position)`` tuple per token, read through
-``peek``/``advance``, every term through ``_combine_terms``.  The
-descent under test keeps the token texts alone and finds positions
-again only for an error, so for every input both must give an equal
-tree, coefficients of the same type included, or a :class:`ParseError`
-with the same message and position.
+The reference below is the tokenizer and recursive-descent parser that
+:mod:`nijenhuis.parser` replaced: one ``(kind, text, position)`` tuple
+per token, read through ``peek``/``advance``, every term through
+``_combine_terms``, building a tree of plain tuples.  The descent under
+test keeps the token texts alone and finds positions again only for an
+error, so for every input both must give a :class:`ParseError` with the
+same message and position, or none.
 
-Both :func:`~nijenhuis.parser.read_expr` and ``eval_expr(parse_expr(text),
-names)`` evaluate through the reader's value actions, one over the
-text and one folding the tree.  Their reference is ``reference_eval``
-below, the node-by-node walk of the tree that ``eval_expr`` was before
-it became that fold: for every input all three give the same terms,
-each coefficient of the same type, or an error of the same class with
-the same message.
+``reference_eval`` below walks the reference tree node by node, as the
+program's evaluator did before it read values straight from the text.
+For every input it and :func:`~nijenhuis.parser.read_expr` give the
+same terms, each coefficient of the same type, or an error of the same
+class with the same message.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable
 
@@ -33,21 +31,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nijenhuis.algebra import MAX_TERMS, OpSymbol, TooManyTerms, command_scope, derived_op, operator_n, product
 from nijenhuis.linalg import LinComb, _wrap
-from nijenhuis.parser import (
-    BracketApply,
-    DerivedOpNode,
-    EvalError,
-    Expr,
-    GeneratorRef,
-    ParseError,
-    Product,
-    ScalarLit,
-    Sum,
-    UnknownIdentifier,
-    eval_expr,
-    parse_expr,
-    read_expr,
-)
+from nijenhuis.parser import EvalError, ParseError, UnknownIdentifier, eval_expr, parse_expr, read_expr
 from nijenhuis.words import MAX_NESTING, UsageError, letter_word
 
 _FUNCTIONS = {
@@ -63,6 +47,15 @@ def ref_divide(n: int, d: int) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
+def ref_int(text: str, position: int) -> int:
+    """The numeral ``text``; one past the interpreter's digit limit is a syntax error."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"a numeral of more than {limit} digits: {text[:20]!r}...", position) from None
+
+
 def _int_if_integral(q: int | Fraction) -> int | Fraction:
     return q if type(q) is int or q.denominator != 1 else q.numerator
 
@@ -74,6 +67,12 @@ _REF_TOKEN = re.compile(
 
 # A token is a tuple (kind, text, position); the last one has kind "end".
 RefToken = tuple[str, str, int]
+
+# A node of the reference tree is a plain tuple, its kind then its fields:
+# ("generator", name), ("scalar", value), ("bracket", child),
+# ("product", children), ("sum", ((coefficient, child), ...)) and
+# ("call", op, left, right).
+Node = tuple
 
 
 def ref_tokenize(text: str) -> list[RefToken]:
@@ -113,20 +112,20 @@ class RefParser:
         self.index += 1
         return tok
 
-    def parse(self) -> Expr:
+    def parse(self) -> Node:
         expr = self.parse_expr()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {text!r}", pos)
         return expr
 
-    def parse_expr(self) -> Expr:
+    def parse_expr(self) -> Node:
         # The whole input is level 0; each enclosing bracket, parenthesis
         # or call adds one level.
         if self.nesting > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.peek()[2])
         self.nesting += 1
-        terms: list[tuple[int | Fraction, Expr | None]] = []
+        terms: list[tuple[int | Fraction, Node | None]] = []
         sign = 1
         if self.peek()[1] == "-":
             self.index += 1
@@ -138,13 +137,13 @@ class RefParser:
         self.nesting -= 1
         return _combine_terms(terms)
 
-    def _signed_term(self, sign: int) -> tuple[int | Fraction, Expr | None]:
+    def _signed_term(self, sign: int) -> tuple[int | Fraction, Node | None]:
         coeff, node = self.parse_term()
         return (coeff if sign == 1 else -coeff), node
 
-    def parse_term(self) -> tuple[int | Fraction, Expr | None]:
+    def parse_term(self) -> tuple[int | Fraction, Node | None]:
         coeff: int | Fraction = 1
-        children: list[Expr] = []
+        children: list[Node] = []
         while True:
             if self.peek()[0] == "int":
                 value = self._rational()
@@ -157,35 +156,35 @@ class RefParser:
             break
         if not children:
             return coeff, None
-        node = children[0] if len(children) == 1 else Product(tuple(children))
+        node = children[0] if len(children) == 1 else ("product", tuple(children))
         return coeff, node
 
     def _rational(self) -> int | Fraction:
-        value = int(self.advance()[1])
+        value = ref_int(*self.advance()[1:])
         if self.peek()[1] == "/":
             slash = self.advance()
             kind, text, pos = self.peek()
             if kind != "int":
                 raise ParseError("expected an integer denominator", slash[2] + 1)
             self.index += 1
-            denom = int(text)
+            denom = ref_int(text, pos)
             if denom == 0:
                 raise ParseError("zero denominator", pos)
             return ref_divide(value, denom)
         return value
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> Node:
         kind, text, pos = self.peek()
         if kind == "ident":
             self.index += 1
             if self.peek()[1] == "(":
                 return self._call(text, pos)
-            return GeneratorRef(text)
+            return ("generator", text)
         if text == "[":
             self.index += 1
             inner = self.parse_expr()
             self.expect("]")
-            return BracketApply(inner)
+            return ("bracket", inner)
         if text == "(":
             self.index += 1
             inner = self.parse_expr()
@@ -196,12 +195,12 @@ class RefParser:
             pos,
         )
 
-    def _call(self, name: str, position: int) -> Expr:
+    def _call(self, name: str, position: int) -> Node:
         self.expect("(")
         if name == "P":
             inner = self.parse_expr()
             self.expect(")")
-            return BracketApply(inner)
+            return ("bracket", inner)
         op = _FUNCTIONS.get(name)
         if op is None:
             raise ParseError(f"unknown function {name!r}", position)
@@ -209,11 +208,11 @@ class RefParser:
         self.expect(",")
         right = self.parse_expr()
         self.expect(")")
-        return DerivedOpNode(op, left, right)
+        return ("call", op, left, right)
 
 
-def _combine_terms(terms: list[tuple[int | Fraction, Expr | None]]) -> Expr:
-    normalized: list[tuple[int | Fraction, Expr]] = []
+def _combine_terms(terms: list[tuple[int | Fraction, Node | None]]) -> Node:
+    normalized: list[tuple[int | Fraction, Node]] = []
     scalar_total: int | Fraction = 0
     saw_scalar = False
     for coeff, node in terms:
@@ -223,28 +222,28 @@ def _combine_terms(terms: list[tuple[int | Fraction, Expr | None]]) -> Expr:
         elif coeff != 0:
             normalized.append((coeff, node))
     if not normalized:
-        return ScalarLit(scalar_total)
+        return ("scalar", scalar_total)
     if saw_scalar and scalar_total != 0:
-        normalized.append((scalar_total, ScalarLit(1)))
+        normalized.append((scalar_total, ("scalar", 1)))
     if len(normalized) == 1:
         coeff, node = normalized[0]
         return _scaled(coeff, node)
-    return Sum(tuple(normalized))
+    return ("sum", tuple(normalized))
 
 
-def _scaled(coeff: int | Fraction, node: Expr) -> Expr:
+def _scaled(coeff: int | Fraction, node: Node) -> Node:
     if coeff == 1:
         return node
-    return Product((ScalarLit(coeff), node))
+    return ("product", (("scalar", coeff), node))
 
 
-def ref_parse(text: str) -> Expr:
+def ref_parse(text: str) -> Node:
     return RefParser(text).parse()
 
 
-# The walk of the tree that eval_expr was before it became a fold of the
-# reader's value actions, kept as it was.
-def reference_eval(expr: Expr, declared: Iterable[str]) -> LinComb:
+# The walk of the tree that the program's evaluator was before it read
+# values straight from the text, kept as it was but for the node tuples.
+def reference_eval(expr: Node, declared: Iterable[str]) -> LinComb:
     """Evaluate over the declared generators.
 
     Raises :class:`UnknownIdentifier` for stray names and
@@ -256,22 +255,22 @@ def reference_eval(expr: Expr, declared: Iterable[str]) -> LinComb:
     # immutable, so its leaf serves every later use.
     leaves: dict[str, LinComb] = {}
 
-    def walk(node: Expr) -> LinComb:
-        cls = type(node)
-        if cls is GeneratorRef:
-            name = node.name
+    def walk(node: Node) -> LinComb:
+        kind = node[0]
+        if kind == "generator":
+            name = node[1]
             leaf = leaves.get(name)
             if leaf is None:
                 if name not in allowed:
                     raise UnknownIdentifier(name)
                 leaf = leaves[name] = _wrap({letter_word(name): 1})
             return leaf
-        if cls is Product:
+        if kind == "product":
             coeff: int | Fraction = 1
             value: LinComb | None = None
-            for child in node.children:
-                if type(child) is ScalarLit:
-                    coeff = _int_if_integral(coeff * child.value)
+            for child in node[1]:
+                if child[0] == "scalar":
+                    coeff = _int_if_integral(coeff * child[1])
                 else:
                     part = walk(child)
                     value = part if value is None else product(value, part)
@@ -280,16 +279,14 @@ def reference_eval(expr: Expr, declared: Iterable[str]) -> LinComb:
                     return LinComb()
                 raise EvalError("a bare scalar is not an algebra element")
             return value.scale(coeff)
-        if cls is BracketApply:
-            return operator_n(walk(node.child))
-        if cls is Sum:
-            # One dict for the whole sum: added up as LinCombs, eval and
-            # mul run 6-7% slower.
+        if kind == "bracket":
+            return operator_n(walk(node[1]))
+        if kind == "sum":
             data: dict[str, int | Fraction] = {}
             get = data.get
-            for coeff, child in node.terms:
-                if type(child) is ScalarLit:
-                    if coeff * child.value != 0:
+            for coeff, child in node[1]:
+                if child[0] == "scalar":
+                    if coeff * child[1] != 0:
                         raise EvalError("a bare scalar is not an algebra element")
                     continue
                 for w, c in walk(child)._terms.items():
@@ -297,10 +294,11 @@ def reference_eval(expr: Expr, declared: Iterable[str]) -> LinComb:
                     acc = get(w)
                     data[w] = c if acc is None else acc + c
             return _wrap({w: _int_if_integral(c) for w, c in data.items() if c})
-        if cls is DerivedOpNode:
-            return derived_op(node.op, walk(node.left), walk(node.right))
-        if cls is ScalarLit:
-            if node.value != 0:
+        if kind == "call":
+            _, op, left, right = node
+            return derived_op(op, walk(left), walk(right))
+        if kind == "scalar":
+            if node[1] != 0:
                 raise EvalError("a bare scalar is not an algebra element")
             return LinComb()
         raise TypeError(f"not an expression node: {node!r}")
@@ -308,20 +306,31 @@ def reference_eval(expr: Expr, declared: Iterable[str]) -> LinComb:
     return walk(expr)
 
 
-def outcome(parse, text: str):
-    """The tree with its repr, which tells an int from an equal Fraction, or the error."""
+def parse_outcome(parse, text: str):
+    """The error's message and position, or ``None`` if ``text`` parses."""
     try:
-        tree = parse(text)
+        parse(text)
     except ParseError as exc:
         return "error", str(exc), exc.position
-    return tree, repr(tree)
+    return None
+
+
+# Every name that the expressions below use.
+EVERY_NAME = ("x", "y", "z", "e1", "ab_2", "P", "prec", "star", "frob")
 
 
 def assert_same_outcome(text: str) -> None:
-    assert outcome(parse_expr, text) == outcome(ref_parse, text), text
+    """The same syntax error, or none and the same value with every name declared.
+
+    The value, each coefficient's type included, stands in for the
+    reference tree, which the reader under test does not build.
+    """
+    assert parse_outcome(parse_expr, text) == parse_outcome(ref_parse, text), text
+    expected = value_outcome(reference_path, text, EVERY_NAME)
+    assert value_outcome(read_expr, text, EVERY_NAME) == expected, text
 
 
-NAMES = st.sampled_from(["x", "y", "z", "e1", "ab_2", "P", "prec", "star", "frob"])
+NAMES = st.sampled_from(EVERY_NAME)
 NUMBERS = st.sampled_from(["0", "1", "2", "12", "3/4", "6/3", "0/5", "10/4", "\u0663", "\u0663/2"])
 FUNCTIONS = st.sampled_from(["prec", "succ", "bullet", "star", "frob"])
 SPACES = st.sampled_from([" ", "", "  ", "\t", "\n", "\u00a0", "\u3000"])
@@ -416,27 +425,28 @@ DECLARED = ("x", "y", "e1", "P", "prec")
 CUT_SHORT = "expected a generator, number, bracket, or parenthesis, found 'end of input'"
 
 
-def value_outcome(evaluate, text: str):
+def value_outcome(evaluate, text: str, names=DECLARED):
     """The terms with the type of each coefficient, or the error's class and message."""
     try:
-        value = evaluate(text, DECLARED)
+        value = evaluate(text, names)
     except UsageError as exc:
         return "error", type(exc), str(exc)
     return {w: (c, type(c)) for w, c in value._terms.items()}
 
 
-def tree_path(text: str, names) -> object:
+def worker_path(text: str, names) -> object:
+    """The benchmark worker's reading of ``text``: a syntax check, then the value."""
     return eval_expr(parse_expr(text), names)
 
 
 def reference_path(text: str, names) -> object:
-    return reference_eval(parse_expr(text), names)
+    return reference_eval(ref_parse(text), names)
 
 
 def assert_same_value(text: str) -> None:
     expected = value_outcome(reference_path, text)
     assert value_outcome(read_expr, text) == expected, text
-    assert value_outcome(tree_path, text) == expected, text
+    assert value_outcome(worker_path, text) == expected, text
 
 
 def _deep(inner):
