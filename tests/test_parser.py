@@ -30,6 +30,23 @@ def lc(text: str) -> LinComb:
     return LinComb.from_word(word(text))
 
 
+def test_parse_product_shape():
+    value = read_expr("x*[y]", DECLARED)
+    assert value._terms == {"x*[y]": 1} and type(value._terms["x*[y]"]) is int
+
+
+def test_generator_and_its_bracket_read_apart():
+    assert read_expr("x", DECLARED) != read_expr("[x]", DECLARED)
+    assert read_expr("x*y", DECLARED) != read_expr("y*x", DECLARED)
+    assert read_expr("[x]*y", DECLARED) != read_expr("[x*y]", DECLARED)
+
+
+def test_one_factor_products_and_one_term_sums_read_as_their_term():
+    for text in ("x", "(x)", "((x))", "1*x", "x*1", "x + 0", "x + y - y"):
+        assert read_expr(text, DECLARED)._terms == {"x": 1}, text
+    assert read_expr("[(x)]", DECLARED) == read_expr("[x]", DECLARED)
+
+
 def test_parse_adjacent_brackets_allowed():
     # evaluation normalizes through the product
     assert read_expr("[x]*[y]", DECLARED) == product(operator_n(X), operator_n(Y))
