@@ -251,7 +251,12 @@ class NSAlgebraFD:
     def op_product(
         self, op: OpSymbol, u: Sequence[RationalLike], v: Sequence[RationalLike]
     ) -> Vector:
-        return _contract(self._tensors[op], u, v)
+        try:
+            tensor = self._tensors[op]
+        except KeyError:
+            # The operations with no tensor fail as tensor(op) does.
+            tensor = self.tensor(op)
+        return _contract(tensor, u, v)
 
     def __eq__(self, other: object) -> bool:
         return self._tensors == other._tensors if type(other) is NSAlgebraFD else NotImplemented

@@ -19,7 +19,10 @@ of two combinations, the work runs on integer numerators over a common
 denominator (:func:`_numerators`), with one division per result term
 (:func:`_divide`, memoized in a bounded cache, so equal quotients share
 one Fraction); printing writes every coefficient, ``int`` or Fraction,
-through its own ``str``.  A result is built around its finished dict by
+through its own ``str``.  Every sparse sum in this module is
+:func:`_add_into`, ``target += c·terms`` in place: a :class:`LinComb`'s
+construction, sum, difference and scaling, and a :class:`RowSpace`'s
+elimination.  A result is built around its finished dict by
 :func:`_wrap`, with nothing copied or checked.  :class:`Vector` is the
 one dense coordinate vector, and :class:`RowSpace` the one sparse
 elimination engine: it spans rows, tests membership, and gives kernels,
@@ -153,24 +156,8 @@ class LinComb:
 
     def __init__(self, terms: Union[Mapping[str, RationalLike], Iterable[tuple[str, RationalLike]]] = ()):
         # The dict test first spares the common case the slow ABC check.
-        if isinstance(terms, dict) or isinstance(terms, Mapping):
-            pairs = terms.items()
-        else:
-            pairs = terms
-        data: dict[str, int | Fraction] = {}
-        for word, coeff in pairs:
-            c = rational(coeff)
-            if c:
-                acc = data.get(word)
-                if acc is None:
-                    data[word] = c
-                else:
-                    acc += c
-                    if acc:
-                        data[word] = _int_if_integral(acc)
-                    else:
-                        del data[word]
-        self._terms = data
+        pairs = terms.items() if isinstance(terms, dict) or isinstance(terms, Mapping) else terms
+        self._terms = _add_into({}, 1, ((word, rational(coeff)) for word, coeff in pairs))
 
     @classmethod
     def from_word(cls, word: str, coeff: RationalLike = 1) -> "LinComb":
@@ -198,48 +185,21 @@ class LinComb:
             return NotImplemented
         if not self._terms:
             return other
-        return self._add_signed(other, False)
+        return _wrap(_add_into(dict(self._terms), 1, other._terms.items())) if other._terms else self
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        return self._add_signed(other, True)
-
-    def _add_signed(self, other: "LinComb", negate: bool) -> "LinComb":
-        """``self + other``, or ``self - other``, in one pass over a copy of ``self``."""
-        if not other._terms:
-            return self
-        data = dict(self._terms)
-        for word, c in other._terms.items():
-            if negate:
-                c = -c
-            acc = data.get(word)
-            if acc is None:
-                data[word] = c
-            else:
-                acc += c
-                if acc:
-                    data[word] = _int_if_integral(acc)
-                else:
-                    del data[word]
-        return _wrap(data)
+        return _wrap(_add_into(dict(self._terms), -1, other._terms.items())) if other._terms else self
 
     def __neg__(self) -> "LinComb":
         return _wrap({w: -c for w, c in self._terms.items()})
 
     def scale(self, scalar: RationalLike) -> "LinComb":
         c = rational(scalar)
-        if not c:
-            return LinComb()
         if c == 1:
             return self
-        n, d = c.numerator, c.denominator
-        return _wrap(
-            {
-                w: q * n if d == 1 and type(q) is int else _divide(q.numerator * n, q.denominator * d)
-                for w, q in self._terms.items()
-            }
-        )
+        return _wrap(_add_into({}, c, self._terms.items()) if c else {})
 
     def __rmul__(self, scalar: RationalLike) -> "LinComb":
         return self.scale(scalar)
@@ -282,6 +242,31 @@ def _wrap(data: dict[str, int | Fraction]) -> LinComb:
     a = _new_object(LinComb)
     a._terms = data
     return a
+
+
+def _add_into(target: dict, c: int | Fraction, terms: Iterable[tuple[Hashable, int | Fraction]]) -> dict:
+    """``target += c·terms`` in place, for (key, scalar) pairs ``terms``; returns ``target``.
+
+    A zero term adds nothing, an entry that cancels is dropped, and a sum is
+    an ``int`` where integral.  With ``c`` 1 or -1 no term is multiplied.
+    """
+    unit = c == 1 or c == -1
+    n, d = c.numerator, c.denominator
+    get = target.get
+    for k, x in terms:
+        if not unit:
+            x = x * n if d == 1 and type(x) is int else _divide(x.numerator * n, x.denominator * d)
+        elif c == -1:
+            x = -x
+        acc = get(k)
+        if acc is None:
+            if x:
+                target[k] = x
+        elif acc := acc + x:
+            target[k] = _int_if_integral(acc)
+        else:
+            del target[k]
+    return target
 
 
 class DimensionMismatch(UsageError):
@@ -368,7 +353,7 @@ class RowSpace:
         """
         out = dict(row)
         for pivot in [col for col in row if col in self.rows]:
-            _subtract(out, row[pivot], self.rows[pivot])
+            _add_into(out, -row[pivot], self.rows[pivot].items())
         return out
 
     def add(self, row: Mapping[Hashable, int | Fraction]) -> bool:
@@ -386,7 +371,7 @@ class RowSpace:
             stored = self.rows[user]
             c = stored.get(pivot)
             if c:
-                _subtract(stored, c, residue)
+                _add_into(stored, -c, residue.items())
                 touched.append(user)
         for col in residue:
             self._users.setdefault(col, set()).update(touched)
@@ -415,16 +400,6 @@ class RowSpace:
                 vec[pivot] = -stored.get(free, 0)
             basis.append(Vector(vec.get(col, 0) for col in columns))
         return tuple(basis)
-
-
-def _subtract(target: Row, c: int | Fraction, row: Row) -> None:
-    """``target -= c * row`` in place, dropping entries that cancel."""
-    for col, x in row.items():
-        acc = target.get(col, 0) - c * x
-        if acc:
-            target[col] = _int_if_integral(acc)
-        else:
-            del target[col]
 
 
 def span(rows: Iterable[Sequence[RationalLike]]) -> RowSpace:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nijenhuis import cli
-from nijenhuis.algebra import COORD_OPS, derived_op, operator_n, product
+from nijenhuis.algebra import COORD_OPS, OpSymbol, derived_op, operator_n, product
 from nijenhuis.envelope import (
     ArityMismatch,
     BoundTooSmall,
@@ -134,6 +134,11 @@ def test_star_operation_in_fd_algebra():
     prec, succ, bullet = (m.op_product(op, unit(0), unit(0)) for op in COORD_OPS)
     # prec + succ + bullet = e1 + e1 - e1
     assert prec + succ + bullet == unit(0)
+    # star has no tensor of its own: both ways to it fail alike.
+    with pytest.raises(ValueError, match="no structure tensor for <OpSymbol.STAR"):
+        m.tensor(OpSymbol.STAR)
+    with pytest.raises(ValueError, match="no structure tensor for <OpSymbol.STAR"):
+        m.op_product(OpSymbol.STAR, unit(0), unit(0))
 
 
 def test_enveloping_generator_count_and_values():

@@ -51,6 +51,11 @@ def test_lincomb_drops_zero_terms_and_merges():
     assert a.coeff(W2) == Fraction(1, 3)
     assert len(a) == 1
     assert LinComb([(W1, 1), (W1, -1)]) == LinComb()
+    assert LinComb([(W1, 0)])._terms == {}
+    half = LinComb([(W1, "1/2"), (W1, "1/2")])
+    assert half._terms == {W1: 1} and type(half.coeff(W1)) is int
+    # A word that cancels and then comes back.
+    assert LinComb([(W1, 1), (W1, -1), (W1, 2)])._terms == {W1: 2}
 
 
 def test_lincomb_arithmetic():
@@ -62,6 +67,9 @@ def test_lincomb_arithmetic():
     assert s.scale(0) == LinComb()
     assert b.scale("3/2").coeff(W2) == Fraction(3, 4)
     assert (-a).coeff(W1) == -2
+    assert (a - a)._terms == {} and a.scale(0)._terms == {}
+    halved = LinComb([(W1, 4), (W2, -6)]).scale("1/2")
+    assert halved._terms == {W1: 2, W2: -3} and all(type(c) is int for c in halved._terms.values())
 
 
 def test_lincomb_items_follow_canonical_order():
